@@ -24,8 +24,8 @@ from .model import (
     angular_momentum,
     hamiltonian,
     l_squared_point,
+    physical_field,
     potential,
-    vector_field,
 )
 
 # |<q,p>| below this fraction of ||q|| ||p|| counts as "on the pericentric
@@ -124,36 +124,23 @@ def pericenter(
     if not in_U_eps(params, x):
         raise ChartDomainError("pericenter search requires a point of U^eps")
     cfg = cfg or _TIGHT
-    frame, qc, pc = cov.plane_reduce(x)
-    Q, P = cov.lift(params, qc, pc, 0)
-    E = hamiltonian(params, x)
-    radial = x.radial
-
-    if abs(radial) < PERICENTER_TOL * x.r * np.linalg.norm(x.p):
-        q_norm = abs(Q)
-        is_col = q_norm < COLLISION_Q_TOL * params.eps ** (1.0 / params.n)
-        return PericenterResult(frame, Q, P, 0.0, E, is_col)
-
-    y0 = cov.covering_state_y(Q, P)
-    event = ode.EventSpec(
-        g=lambda y: y[0] * y[2] + y[1] * y[3],  # Re(P conj(Q))
-        direction=ode.ANY,
-        name="pericenter",
-    )
-    tau_max = cov.tau_bound(params, abs(Q))
-    sign = -1.0 if radial > 0.0 else 1.0
-    traj = cov.integrate_covering(params, E, y0, (0.0, sign * tau_max), cfg, events=(event,))
-    if traj.reason != ode.REASON_EVENT:
-        raise RuntimeError(
-            "no pericenter crossing found inside the chart domain "
-            f"(reason={traj.reason}); this contradicts the transit analysis"
+    frame, y0, E = cov.lift_state(params, x)
+    if abs(x.radial) < PERICENTER_TOL * x.r * np.linalg.norm(x.p):
+        y1, T = y0, 0.0
+    else:
+        event = ode.EventSpec(
+            g=lambda y: y[0] * y[2] + y[1] * y[3],  # Re(P conj(Q))
+            direction=ode.ANY,
+            name="pericenter",
         )
-    y1 = traj.ys[-1]
+        tau_max = cov.tau_bound(params, abs(complex(y0[0], y0[1])))
+        y1 = cov.transit(
+            params, E, y0, -tau_max if x.radial > 0.0 else tau_max, (event,), cfg
+        )
+        T = -float(y1[4])
     Q0 = complex(y1[0], y1[1])
-    P0 = complex(y1[2], y1[3])
-    T = -float(y1[4])
     is_col = abs(Q0) < COLLISION_Q_TOL * params.eps ** (1.0 / params.n)
-    return PericenterResult(frame, Q0, P0, T, E, is_col)
+    return PericenterResult(frame, Q0, complex(y1[2], y1[3]), T, E, is_col)
 
 
 def _lrl_complex(params: ModelParams, P0: complex) -> complex:
@@ -165,13 +152,6 @@ def _lrl_complex(params: ModelParams, P0: complex) -> complex:
     (multiplication by n-th roots of unity) either way.
     """
     return -(P0**params.n)
-
-
-def lrl_direction(
-    params: ModelParams, x: PhasePoint, cfg: ode.IntegratorConfig | None = None
-) -> np.ndarray:
-    res = pericenter(params, x, cfg)
-    return _lrl_from_pericenter(params, res)
 
 
 def _lrl_from_pericenter(params: ModelParams, res: PericenterResult) -> np.ndarray:
@@ -321,9 +301,6 @@ def kepler_time_closed_form(params: ModelParams, x: PhasePoint) -> float:
     return float(np.sign(x.radial) * np.sqrt(m) * diff)
 
 
-_ROOT_OF_MINUS_ONE_SIGN = None  # n-dependent; see _pericenter_axis
-
-
 def _pericenter_axis(n: int) -> tuple[bool, float]:
     """Which pericenter axis A lies on, and with which sign.
 
@@ -353,12 +330,22 @@ def _collision_momentum_angle(n: int) -> float:
 def _launch_collision(
     params: ModelParams, h: float, a: np.ndarray
 ) -> tuple[cov.PlaneFrame, np.ndarray]:
-    """Covering initial data (at the glued point itself) for Collision(h, a)."""
+    """Covering initial data (at the glued point itself) for Collision(h, a).
+
+    K = 0 at Q = 0 fixes |P0|**2 = 2 m Z for n >= 2, where the energy term
+    carries the factor |Q|**(2(n-1)) = 0, and |P0|**2 = 2 m (Z + h) for
+    n = 1, where that factor is 1.
+    """
     a = np.asarray(a, dtype=float)
-    e1 = a / np.linalg.norm(a)
+    a_norm = np.linalg.norm(a)
+    if not (np.isfinite(a_norm) and a_norm > 0.0):
+        raise DomainError("collision direction a must be nonzero and finite")
+    if params.n == 1 and not h > -params.Z:
+        raise DomainError("an n = 1 collision launch needs kinetic energy h + Z > 0")
+    e1 = a / a_norm
     e2 = cov._completion(e1)
     frame = cov.PlaneFrame(e1=e1, e2=e2)
-    p_mag = np.sqrt(2.0 * params.m * params.Z)
+    p_mag = np.sqrt(2.0 * params.m * (params.Z + h if params.n == 1 else params.Z))
     P0 = p_mag * np.exp(1j * _collision_momentum_angle(params.n))
     return frame, cov.covering_state_y(complex(0.0), complex(P0))
 
@@ -440,31 +427,8 @@ def project_to_config(x: ExtendedPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _physical_field(params: ModelParams):
-    d = params.d
-
-    def field(t, y):
-        xp = PhasePoint(y[:d], y[d:])
-        dq, dp = vector_field(params, xp)
-        return np.concatenate([dq, dp])
-
-    return field
-
-
 def _switch_radius(params: ModelParams) -> float:
     return 0.5 * params.eps
-
-
-def _covering_exit_events(params: ModelParams, r_exit: float, t_budget: float):
-    q2_exit = r_exit ** (2.0 / params.n)
-    return (
-        ode.EventSpec(
-            g=lambda y: y[0] * y[0] + y[1] * y[1] - q2_exit,
-            direction=ode.INCREASING,
-            name="exit",
-        ),
-        ode.EventSpec(g=lambda y: y[4] - t_budget, direction=ode.ANY, name="t-budget"),
-    )
 
 
 def _covering_segment(
@@ -481,24 +445,14 @@ def _covering_segment(
     returns the resulting extended point and the physical time consumed.
     """
     r_exit = _switch_radius(params)
-    events = _covering_exit_events(params, r_exit, t_budget)
-    sign = 1.0 if t_budget > 0 else -1.0
-    # tau budget per chunk grows geometrically; bound orbits that stay below
-    # the switch radius for a long physical time need many transits
+    events = (
+        cov.radius_event(params, r_exit),
+        ode.EventSpec(g=lambda y: y[4] - t_budget, direction=ode.ANY, name="t-budget"),
+    )
     tau_max = cov.tau_bound(params, r_exit ** (1.0 / params.n), slack=50.0)
-    for _ in range(60):
-        traj = cov.integrate_covering(
-            params, E, y0, (0.0, sign * tau_max), cfg, events=events
-        )
-        if traj.reason == ode.REASON_EVENT:
-            break
-        if traj.reason == ode.REASON_STEP_FAILURE:
-            raise cov.HillRegionError("covering segment failed")
-        y0 = traj.ys[-1]
-        tau_max *= 2.0
-    else:
-        raise RuntimeError("covering segment did not terminate")
-    y1 = traj.ys[-1]
+    y1 = cov.transit(
+        params, E, y0, tau_max if t_budget > 0 else -tau_max, events, cfg
+    )
     used = float(y1[4])
     Q1 = complex(y1[0], y1[1])
     P1 = complex(y1[2], y1[3])
@@ -531,7 +485,7 @@ def global_flow(
     r_switch = _switch_radius(params)
     remaining = float(t)
     t_tol = 1e-13 * max(1.0, abs(t))
-    field = _physical_field(params)
+    field = physical_field(params)
 
     for _ in range(10_000):
         if abs(remaining) <= t_tol:
@@ -544,12 +498,8 @@ def global_flow(
         xp = state.x
         inward = np.sign(remaining) * xp.radial < 0.0
         if xp.r <= r_switch * (1.0 + 1e-12) and inward:
-            frame, qc, pc = cov.plane_reduce(xp)
-            Q, P = cov.lift(params, qc, pc, 0)
-            E = hamiltonian(params, xp)
-            state, used = _covering_segment(
-                params, frame, cov.covering_state_y(Q, P), E, remaining, cfg
-            )
+            frame, y0, E = cov.lift_state(params, xp)
+            state, used = _covering_segment(params, frame, y0, E, remaining, cfg)
             remaining -= used
             continue
         events = (

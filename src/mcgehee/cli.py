@@ -21,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chart, covering as cov, integrate as ode, verify
+from . import chart, integrate as ode, verify
 from .model import (
     ModelParams,
     PhasePoint,
     hamiltonian,
     l_squared_point,
-    vector_field,
+    physical_field,
 )
 
 log = logging.getLogger("mcgehee")
@@ -124,20 +124,24 @@ def _initial_state(cfg: dict, params: ModelParams) -> chart.ExtendedPoint:
     init = cfg.get("initial")
     if init is None:
         raise ConfigError("config must provide an 'initial' state")
-    if "collision" in init:
-        c = init["collision"]
-        a = np.asarray(c["a"], dtype=float)
-        if len(a) != params.d:
-            raise ConfigError("collision direction has wrong dimension")
-        return chart.Collision(h=float(c["h"]), a=a / np.linalg.norm(a))
     try:
+        if "collision" in init:
+            c = init["collision"]
+            h = float(c["h"])
+            a = np.asarray(c["a"], dtype=float)
+            if len(a) != params.d:
+                raise ConfigError("collision direction has wrong dimension")
+            chart._launch_collision(params, h, a)  # DomainError unless it can launch
+            return chart.Collision(h=h, a=a / np.linalg.norm(a))
         q = np.asarray(init["q"], dtype=float)
         p = np.asarray(init["p"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        if len(q) != params.d or len(p) != params.d:
+            raise ConfigError("initial state has wrong dimension")
+        x = PhasePoint(q, p)
+        x.require_noncollision()
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise ConfigError(f"invalid initial state: {exc}") from exc
-    if len(q) != params.d or len(p) != params.d:
-        raise ConfigError("initial state has wrong dimension")
-    return chart.Regular(PhasePoint(q, p))
+    return chart.Regular(x)
 
 
 def _state_row(params: ModelParams, t: float, state: chart.ExtendedPoint) -> list[str]:
@@ -233,10 +237,7 @@ def _energy_zero_orbit(
     p_mag = np.sqrt(2.0 * params.m * params.Z * rp ** (-params.alpha))
     y0 = np.array([rp, 0.0, 0.0, p_mag])
 
-    def field(t, y):
-        dq, dp = vector_field(params, PhasePoint(y[:2], y[2:]))
-        return np.concatenate([dq, dp])
-
+    field = physical_field(params)
     event = ode.EventSpec(
         g=lambda y: y[0] * y[0] + y[1] * y[1] - r_far * r_far,
         direction=ode.INCREASING,
@@ -310,10 +311,7 @@ def _bounded_orbit(
     p_mag = np.sqrt(2.0 * params.m * (E + params.Z * rp ** (-params.alpha)))
     y0 = np.array([rp, 0.0, 0.0, p_mag])
 
-    def field(t, y):
-        dq, dp = vector_field(params, PhasePoint(y[:2], y[2:]))
-        return np.concatenate([dq, dp])
-
+    field = physical_field(params)
     traj = ode.integrate(field, y0, (0.0, t_total), icfg)
     if traj.reason != ode.REASON_TIME_LIMIT:
         raise RuntimeError("bounded-orbit integration stopped early")
@@ -452,11 +450,7 @@ def _conservation_section(rng: np.random.Generator) -> dict:
     q = np.array([1.2, 0.0, 0.3])
     p = np.array([0.1, 0.8, -0.2])
 
-    def field(t, y):
-        dq, dp = vector_field(params, PhasePoint(y[:3], y[3:]))
-        return np.concatenate([dq, dp])
-
-    traj = ode.integrate(field, np.concatenate([q, p]), (0.0, 20.0))
+    traj = ode.integrate(physical_field(params), np.concatenate([q, p]), (0.0, 20.0))
     rep = verify.conservation_report(params, traj)
     return {
         "max_drifts": {

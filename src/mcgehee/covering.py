@@ -209,52 +209,44 @@ def integrate_covering(
     return ode.integrate(field, y0, tau_span, cfg, events=events)
 
 
-def flow_through_collision(
-    params: ModelParams,
-    x_in: PhasePoint,
-    direction: str = "forward",
-    cfg: ode.IntegratorConfig | None = None,
-) -> tuple[PhasePoint, float]:
-    """Carry a collision-course state through q = 0 and back out to ||q_in||.
+def lift_state(params: ModelParams, x: PhasePoint) -> tuple[PlaneFrame, np.ndarray, float]:
+    """Plane frame, branch-0 covering state vector (t_phys = 0) and energy of x."""
+    frame, qc, pc = plane_reduce(x)
+    Q, P = lift(params, qc, pc, 0)
+    return frame, covering_state_y(Q, P), hamiltonian(params, x)
 
-    Returns the outgoing state and the (finite, positive) elapsed physical
-    time.  The side rule (same ray for n even, antipodal for n odd) emerges
-    from the covering integration; nothing is flipped by hand.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    fwd = direction == "forward"
-    if not is_collinear(x_in):
-        raise DomainError("state is not on a collision course (nonzero angular momentum)")
-    radial = x_in.radial if fwd else -x_in.radial
-    if radial >= 0.0:
-        raise DomainError("state is moving away from collision in the requested direction")
-    if x_in.r >= params.eps:
-        raise DomainError("collision transit must start inside the chart radius")
 
-    frame, qc, pc = plane_reduce(x_in)
-    Q0, P0 = lift(params, qc, pc, 0)
-    E = hamiltonian(params, x_in)
-    y0 = covering_state_y(Q0, P0)
-    r2_target = abs(Q0) ** 2
-
-    exit_event = ode.EventSpec(
-        g=lambda y: y[0] * y[0] + y[1] * y[1] - r2_target,
+def radius_event(params: ModelParams, r: float) -> ode.EventSpec:
+    """Outward crossing of the physical radius r, i.e. |Q|**2 = r**(2/n)."""
+    q2 = r ** (2.0 / params.n)
+    return ode.EventSpec(
+        g=lambda y: y[0] * y[0] + y[1] * y[1] - q2,
         direction=ode.INCREASING,
-        name="radius-return",
+        name="radius",
     )
-    tau_max = tau_bound(params, abs(Q0))
-    span = (0.0, tau_max) if fwd else (0.0, -tau_max)
-    traj = integrate_covering(params, E, y0, span, cfg, events=(exit_event,))
-    if traj.reason == ode.REASON_STEP_FAILURE:
-        raise HillRegionError("covering integration failed (Hill-region inconsistency?)")
-    if traj.reason != ode.REASON_EVENT:
-        raise RuntimeError("collision transit did not return to the entry radius")
 
-    y1 = traj.ys[-1]
-    Q1 = complex(y1[0], y1[1])
-    P1 = complex(y1[2], y1[3])
-    qc1, pc1 = project(params, Q1, P1)
-    x_out = plane_embed(frame, qc1, pc1)
-    dt = abs(float(y1[4]))
-    return x_out, dt
+
+def transit(
+    params: ModelParams,
+    E: float,
+    y0: np.ndarray,
+    tau_max: float,
+    events: tuple[ode.EventSpec, ...],
+    cfg: ode.IntegratorConfig | None,
+) -> np.ndarray:
+    """Flow the covering state y0 until the first of `events` fires.
+
+    tau_max is the signed rescaled-time budget of the first chunk; a chunk
+    that ends without an event is continued with twice the budget, so bound
+    orbits that stay near the origin for a long physical time still end.
+    Returns the end state (Q1, Q2, P1, P2, t_phys).
+    """
+    for _ in range(60):
+        traj = integrate_covering(params, E, y0, (0.0, tau_max), cfg, events=events)
+        if traj.reason == ode.REASON_EVENT:
+            return traj.ys[-1]
+        if traj.reason == ode.REASON_STEP_FAILURE:
+            raise HillRegionError("covering integration failed (Hill-region inconsistency?)")
+        y0 = traj.ys[-1]
+        tau_max *= 2.0
+    raise RuntimeError("covering transit did not reach any of its events")

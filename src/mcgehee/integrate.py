@@ -84,9 +84,6 @@ class Trajectory:
             return self.ys[0].copy()
         return np.asarray(self.interpolants[self._segment(t)](t), dtype=float)
 
-    def sample(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self(t) for t in ts])
-
 
 def integrate(
     field_fn: Callable[[float, np.ndarray], Sequence[float]],
@@ -180,50 +177,3 @@ def _check_events(events, g_prev, y_new, interp, t_lo, t_hi):
             best = (i, t_ev, np.asarray(interp(t_ev), dtype=float))
     return best
 
-
-def find_event(
-    traj: Trajectory,
-    g: Callable[[np.ndarray], float],
-    direction: str = ANY,
-) -> Optional[tuple[float, np.ndarray]]:
-    """First time along the trajectory where g crosses zero with the given sense.
-
-    A zero of g already at the start point counts (the chart uses this for
-    states already on the pericentric surface).  Returns None if g never
-    crosses.
-    """
-    ts = traj.ts
-    y0 = traj.ys[0]
-    g0 = g(y0)
-    scale = max(abs(g0), 1.0)
-    # boundary convention: report an event at t0 when g starts on the surface
-    if abs(g0) < 1e-12 * scale:
-        if direction == ANY:
-            return traj.t0, y0.copy()
-        tiny = 1e-9 * max(abs(traj.t_end - traj.t0), 1.0)
-        if len(traj.interpolants) > 0:
-            t_probe = traj.t0 + (tiny if traj.forward else -tiny)
-            g_probe = g(traj(t_probe))
-            if _direction_ok(direction, g0, g_probe):
-                return traj.t0, y0.copy()
-
-    for k in range(len(traj.interpolants)):
-        t_lo, t_hi = ts[k], ts[k + 1]
-        interp = traj.interpolants[k]
-        # subsample the step so closely spaced double crossings are not missed
-        sub = np.linspace(t_lo, t_hi, 9)
-        gs = [g(np.asarray(interp(t), dtype=float)) for t in sub]
-        for j in range(8):
-            if gs[j] == 0.0 and (t_lo != traj.t0 or j > 0):
-                if _direction_ok(direction, gs[j - 1] if j else gs[j], gs[j + 1]):
-                    return float(sub[j]), np.asarray(interp(sub[j]), dtype=float)
-            if gs[j] * gs[j + 1] < 0.0 and _direction_ok(direction, gs[j], gs[j + 1]):
-                t_ev = brentq(
-                    lambda t: g(np.asarray(interp(t), dtype=float)),
-                    min(sub[j], sub[j + 1]),
-                    max(sub[j], sub[j + 1]),
-                    xtol=1e-15 * max(1.0, abs(t_hi)),
-                    rtol=8.881784197001252e-16,
-                )
-                return float(t_ev), np.asarray(interp(t_ev), dtype=float)
-    return None

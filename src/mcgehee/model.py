@@ -114,13 +114,31 @@ def hamiltonian(params: ModelParams, x: PhasePoint) -> float:
     return float(np.dot(x.p, x.p)) / (2.0 * params.m) - potential(params, x.q)
 
 
+def _canonical(
+    params: ModelParams, q: np.ndarray, p: np.ndarray, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """dq = p/m, dp = -alpha_n Z q r**(-alpha_n - 2) with r = ||q|| > 0."""
+    return p / params.m, -params.alpha * params.Z * q * r ** (-params.alpha - 2.0)
+
+
 def vector_field(params: ModelParams, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Canonical equations: dq = p/m, dp = -alpha_n Z q ||q||**(-alpha_n - 2)."""
     x.require_noncollision()
-    r = x.r
-    dq = x.p / params.m
-    dp = -params.alpha * params.Z * x.q * r ** (-params.alpha - 2.0)
-    return dq, dp
+    return _canonical(params, x.q, x.p, x.r)
+
+
+def physical_field(params: ModelParams):
+    """`vector_field` on flat state vectors y = (q, p), as the integrator calls it."""
+    d = params.d
+
+    def field(t, y):
+        q, p = y[:d], y[d:]
+        r = float(np.linalg.norm(q))
+        if r == 0.0:
+            raise DomainError("q = 0 is outside the unregularised phase space")
+        return np.concatenate(_canonical(params, q, p, r))
+
+    return field
 
 
 def angular_momentum(x: PhasePoint) -> AngularMomentum:

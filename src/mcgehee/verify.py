@@ -27,14 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import chart, integrate as ode
+from . import chart, covering as cov, integrate as ode
 from .model import (
     ModelParams,
     PhasePoint,
     angular_momentum,
     hamiltonian,
     l_squared_point,
-    vector_field,
+    physical_field,
 )
 
 # default finite-difference step as a fraction of the local coordinate
@@ -51,17 +51,21 @@ def _coordinate_scales(z: np.ndarray, d: int) -> np.ndarray:
 
 
 def _gradient(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], float | np.ndarray],
     z: np.ndarray,
     h: np.ndarray,
     richardson: bool = True,
 ) -> np.ndarray:
-    """4th-order central-difference gradient, optionally Richardson-extrapolated."""
-    grad = np.empty(len(z))
+    """4th-order central-difference gradient, optionally Richardson-extrapolated.
+
+    For a vector-valued f, row k is the gradient of component k: one
+    evaluation of f serves every component.
+    """
+    cols = []
     for i in range(len(z)):
         hi = h[i]
 
-        def stencil(step: float) -> float:
+        def stencil(step: float) -> float | np.ndarray:
             vals = []
             for c in (-2.0, -1.0, 1.0, 2.0):
                 zp = z.copy()
@@ -70,10 +74,10 @@ def _gradient(
             return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
 
         if richardson:
-            grad[i] = (16.0 * stencil(0.5 * hi) - stencil(hi)) / 15.0
+            cols.append((16.0 * stencil(0.5 * hi) - stencil(hi)) / 15.0)
         else:
-            grad[i] = stencil(hi)
-    return grad
+            cols.append(stencil(hi))
+    return np.stack(cols, axis=-1)
 
 
 def _bracket_from_gradients(gf: np.ndarray, gg: np.ndarray, d: int) -> float:
@@ -158,21 +162,7 @@ def bracket_table(
         c = chart.chart_forward(params, PhasePoint(z[:d], z[d:]))
         return np.concatenate([[c.T, c.H], c.A, c.B])
 
-    # shared 6-point stencil per coordinate: one chart evaluation yields all
-    # 2 + 2d component values at once
-    nf = 2 + 2 * d
-    grads = np.empty((nf, 2 * d))
-    for i in range(2 * d):
-        def stencil(step: float) -> np.ndarray:
-            vals = []
-            for c in (-2.0, -1.0, 1.0, 2.0):
-                z = z0.copy()
-                z[i] += c * step
-                vals.append(chart_vec(z))
-            return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
-
-        grads[:, i] = (16.0 * stencil(0.5 * h[i]) - stencil(h[i])) / 15.0
-
+    grads = _gradient(chart_vec, z0, h)
     c0 = chart.chart_forward(params, x)
     A = c0.A
     L = angular_momentum(x)
@@ -398,8 +388,6 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     passages are included; measured time is compared against the uniform
     bound with the mass factor, and against the bound without it.
     """
-    from . import covering as cov
-
     if x_entry.radial >= 0.0:
         raise ValueError("entry state must be moving inward")
     if x_entry.r > params.eps * (1.0 + 1e-9):
@@ -407,27 +395,10 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     if not chart.in_U_eps(params, PhasePoint(x_entry.q * (1 - 1e-12), x_entry.p)):
         raise ValueError("entry state is outside the chart domain")
 
-    frame, qc, pc = cov.plane_reduce(x_entry)
-    Q0, P0 = cov.lift(params, qc, pc, 0)
-    E = hamiltonian(params, x_entry)
-    r2_exit = params.eps ** (2.0 / params.n)
-    exit_event = ode.EventSpec(
-        g=lambda y: y[0] * y[0] + y[1] * y[1] - r2_exit,
-        direction=ode.INCREASING,
-        name="exit",
-    )
+    _, y0, E = cov.lift_state(params, x_entry)
     tau_max = cov.tau_bound(params, params.eps ** (1.0 / params.n))
-    traj = cov.integrate_covering(
-        params,
-        E,
-        cov.covering_state_y(Q0, P0),
-        (0.0, tau_max),
-        chart._TIGHT,
-        events=(exit_event,),
-    )
-    if traj.reason != ode.REASON_EVENT:
-        raise RuntimeError("transit did not exit the chart domain")
-    measured = float(traj.ys[-1][4])
+    exit_event = cov.radius_event(params, params.eps)
+    measured = float(cov.transit(params, E, y0, tau_max, (exit_event,), chart._TIGHT)[4])
     bound = transit_bound(params)
     literal = bound / np.sqrt(params.m)
     return TransitCheck(
@@ -471,8 +442,6 @@ def asymptotic_direction_pair(
     convergent tail quadrature of the orbit equation.  For even n the two
     directions coincide, for odd n they are opposite.
     """
-    from . import covering as cov
-
     cfg = cfg or ode.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     # tolerance relative to the kinetic scale: near the pericenter H is a
     # difference of two large terms, so an absolute check would reject
@@ -491,10 +460,7 @@ def asymptotic_direction_pair(
     l_signed = (qc0.conjugate() * pc0).imag  # in-plane angular momentum
     tail = _tail_sweep(params, abs(l_signed), r_far)
 
-    def field(t, y):
-        dq, dp = vector_field(params, PhasePoint(y[:d], y[d:]))
-        return np.concatenate([dq, dp])
-
+    field = physical_field(params)
     event = ode.EventSpec(
         g=lambda y: float(np.dot(y[:d], y[:d])) - r_far * r_far,
         direction=ode.INCREASING,

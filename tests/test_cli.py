@@ -61,6 +61,49 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert "initial" in capsys.readouterr().err
 
+    def test_regular_start_at_origin_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"initial": {"q": [0.0, 0.0], "p": [1.0, 0.0]}, "t_span": [0.0, 0.1]},
+        )
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0]])
+    def test_collision_direction_must_be_nonzero_and_finite(self, tmp_path, capsys, a):
+        cfg = write_config(
+            tmp_path,
+            {"initial": {"collision": {"h": -0.5, "a": a}}, "t_span": [0.0, 0.1]},
+        )
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "initial",
+        [{"collision": {"h": "x", "a": [1.0, 0.0]}}, {"q": ["x", 0.0], "p": [1.0, 0.0]}],
+    )
+    def test_non_numeric_initial_state_rejected(self, tmp_path, capsys, initial):
+        cfg = write_config(tmp_path, {"initial": initial, "t_span": [0.0, 0.1]})
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_n1_collision_launch_needs_kinetic_energy(self, tmp_path, capsys):
+        # n = 1: K = 0 at Q = 0 gives |P0|^2 = 2m(Z + h), so h <= -Z cannot launch
+        cfg = write_config(
+            tmp_path,
+            {
+                "params": {"n": 1, "d": 2},
+                "initial": {"collision": {"h": -1.0, "a": [1.0, 0.0]}},
+                "t_span": [0.0, 0.1],
+            },
+        )
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_unwritable_output_dir(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -76,42 +76,6 @@ class TestEvents:
         assert traj.reason == ode.REASON_TIME_LIMIT
 
 
-class TestFindEvent:
-    def test_posthoc_crossing(self):
-        traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 4.0), TIGHT)
-        hit = ode.find_event(traj, lambda y: y[0], ode.DECREASING)
-        assert hit is not None
-        t_ev, y_ev = hit
-        assert t_ev == pytest.approx(np.pi / 2.0, abs=1e-9)
-        assert abs(y_ev[0]) < 1e-9
-
-    def test_event_at_start_counts(self):
-        traj = ode.integrate(harmonic, [0.0, 1.0], (0.0, 2.0), TIGHT)
-        hit = ode.find_event(traj, lambda y: y[0], ode.ANY)
-        assert hit is not None
-        assert hit[0] == 0.0
-
-    def test_event_at_start_direction_filtered(self):
-        # starts at y[0] = 0 moving upward: an increasing event is at t0,
-        # a decreasing one is the later genuine crossing
-        traj = ode.integrate(harmonic, [0.0, 1.0], (0.0, 4.0), TIGHT)
-        up = ode.find_event(traj, lambda y: y[0], ode.INCREASING)
-        assert up is not None and up[0] == 0.0
-        down = ode.find_event(traj, lambda y: y[0], ode.DECREASING)
-        assert down is not None
-        assert down[0] == pytest.approx(np.pi, abs=1e-9)
-
-    def test_no_crossing_returns_none(self):
-        traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 1.0), TIGHT)
-        assert ode.find_event(traj, lambda y: y[0] - 5.0) is None
-
-    def test_backward_trajectory_event(self):
-        traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, -4.0), TIGHT)
-        hit = ode.find_event(traj, lambda y: y[0], ode.ANY)
-        assert hit is not None
-        assert hit[0] == pytest.approx(-np.pi / 2.0, abs=1e-9)
-
-
 class TestConfig:
     def test_invalid_tolerances_rejected(self):
         with pytest.raises(ValueError):

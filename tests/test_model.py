@@ -11,6 +11,7 @@ from mcgehee.model import (
     hamiltonian,
     l_squared,
     l_squared_point,
+    physical_field,
     potential,
     radial_convexity,
     vector_field,
@@ -81,6 +82,23 @@ class TestPotential:
             # H = ||p||^2/2m - U, so dp/dt = -dH/dq = +dU/dq
             fd = (potential(params, q + e) - potential(params, q - e)) / (2 * h)
             assert dp[i] == pytest.approx(fd, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_physical_field_is_vector_field_bit_for_bit(self, n, d):
+        params = ModelParams(n=n, d=d, m=1.7, Z=0.6)
+        field = physical_field(params)
+        rng = np.random.default_rng(10 * n + d)
+        for _ in range(50):
+            q = rng.normal(size=d) * 10.0 ** rng.uniform(-4, 1)
+            p = rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2)
+            dq, dp = vector_field(params, PhasePoint(q, p))
+            assert np.all(field(0.0, np.concatenate([q, p])) == np.concatenate([dq, dp]))
+
+    def test_physical_field_rejects_collision(self):
+        field = physical_field(ModelParams(n=2, d=2))
+        with pytest.raises(DomainError):
+            field(0.0, np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 class TestHamiltonian:
