@@ -5,6 +5,11 @@ energy (H), the unit Laplace-Runge-Lenz direction (A) and B = L A.  All
 entries except T are constants of the motion, so in chart coordinates the
 flow is the translation T -> T + t.  Collision states are glued in as the
 set {(h, a)} = energy x direction, on which (T, B) = (0, 0).
+
+The chart maps are ODE-free: every orbit is a planar central-force orbit,
+so T and the angle swept since the pericenter are radial integrals, taken
+by fixed-node quadrature.  The covering ODE carries the global flow, and
+`pericenter` keeps the covering-ODE route to the same pericenter.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .model import (
     hamiltonian,
     l_squared_point,
     physical_field,
-    potential,
 )
 
 # |<q,p>| below this fraction of ||q|| ||p|| counts as "on the pericentric
@@ -119,7 +123,8 @@ def pericenter(
     Lifts to covering coordinates and integrates the extended flow to the
     first crossing of Re(P conj(Q)) = 0, backward when x is past its
     pericenter.  T is the physical time since that crossing, positive iff
-    <q, p> > 0.
+    <q, p> > 0.  The chart maps do not use it: it is an independent route
+    to what `chart_forward` computes by quadrature.
     """
     if not in_U_eps(params, x):
         raise ChartDomainError("pericenter search requires a point of U^eps")
@@ -154,96 +159,191 @@ def _lrl_complex(params: ModelParams, P0: complex) -> complex:
     return -(P0**params.n)
 
 
-def _lrl_from_pericenter(params: ModelParams, res: PericenterResult) -> np.ndarray:
-    V = _lrl_complex(params, res.P0)
-    vec = res.frame.to_vector(V)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise RuntimeError("LRL vector vanished; P cannot vanish on the chart domain")
-    return vec / norm
-
-
 def b_vector(L: AngularMomentum, A: np.ndarray) -> np.ndarray:
     """B = L A; perpendicular to A by antisymmetry, ||B|| = scalar momentum."""
     return L.matrix @ np.asarray(A, dtype=float)
 
 
-def chart_forward(
-    params: ModelParams, x: PhasePoint, cfg: ode.IntegratorConfig | None = None
-) -> ChartPoint:
-    res = pericenter(params, x, cfg)
-    A = _lrl_from_pericenter(params, res)
-    L = angular_momentum(x)
-    B = b_vector(L, A)
-    return ChartPoint(T=res.T, H=res.E, B=B, A=A)
+# ---------------------------------------------------------------------------
+# radial quadrature
+# ---------------------------------------------------------------------------
+
+# Gauss-Legendre rule on [0, 1] for the chart's radial integrals.  Their
+# integrands are analytic in the node variable and G >= Z/2 keeps them away
+# from any singularity, so the rule converges geometrically.
+CHART_NODES = 32
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(CHART_NODES)
+_NODES = 0.5 * (_NODES + 1.0)
+_WEIGHTS = 0.5 * _WEIGHTS
+
+
+class _RadialOrbit:
+    """Radial integrals of one planar orbit in sigma = r**(2/n) = |Q|**2.
+
+    The radicand factors exactly at the pericenter s0:
+
+        r**2 p_r**2 = 2m (sigma - s0) G(sigma),   G = G0 + E sigma P(sigma),
+        G0 = Z + E s0**(n-1),   P = sum_{k=1}^{n-1} sigma**(k-1) s0**(n-1-k),
+
+    and G >= Z/2 on U^eps.  With sigma = s0 + u**2 v**2, every integral from
+    the pericenter out to u = sqrt(sigma - s0) is an integral over v in
+    [0, 1] of a smooth function, taken on the fixed nodes.
+    """
+
+    def __init__(self, params: ModelParams, E: float, l: float) -> None:
+        self.n, self.E, self.l = params.n, E, l
+        self.root2m = np.sqrt(2.0 * params.m)
+        self.s0 = _sigma_min(params, E, l * l)
+        self.G0 = params.Z + E * self.s0 ** (params.n - 1)
+        self.K = params.n * params.m / self.root2m
+
+    def _P(self, sigma):
+        P = 0.0 if self.n == 1 else 1.0
+        for j in range(self.n - 2):
+            P = P * sigma + self.s0 ** (j + 1)
+        return P
+
+    def G(self, sigma):
+        return self.G0 + self.E * sigma * self._P(sigma)
+
+    def rate(self, u: float) -> float:
+        """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m)."""
+        sigma = self.s0 + u * u
+        return float(self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
+
+    def time(self, u: float) -> float:
+        """Time from the pericenter out to u."""
+        sigma = self.s0 + (u * _NODES) ** 2
+        vals = sigma ** (self.n - 1) / np.sqrt(self.G(sigma))
+        return float(self.K * u * np.dot(_WEIGHTS, vals))
+
+    def angle(self, u: float) -> float:
+        """Polar angle swept from the pericenter out to u.
+
+        1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
+        the arctan term because l**2 = 2m s0 G0, and a remainder carrying
+        (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
+        tends to n pi/2.
+        """
+        sigma = self.s0 + (u * _NODES) ** 2
+        P = self._P(sigma)
+        rG = np.sqrt(self.G0 + self.E * sigma * P)
+        rG0 = np.sqrt(self.G0)
+        rest = np.dot(_WEIGHTS, -self.E * P / (rG * rG0 * (rG + rG0)))
+        return float(
+            self.n * (np.arctan2(u, np.sqrt(self.s0)) + self.l * u / self.root2m * rest)
+        )
+
+    def solve_time(self, t: float, u_max: float, t_max: float) -> float:
+        """u in [0, u_max] with time(u) = t, where time(u_max) = t_max >= t.
+
+        Newton on the increasing time(u), with a bisection step whenever
+        Newton would leave the bracket.
+        """
+        lo, hi = 0.0, u_max
+        u = u_max * t / t_max
+        for _ in range(100):
+            f = self.time(u) - t
+            if f == 0.0:
+                break
+            if f < 0.0:
+                lo = u
+            else:
+                hi = u
+            rate = self.rate(u)
+            u_new = u - f / rate if rate > 0.0 else lo
+            if not lo < u_new < hi:
+                u_new = 0.5 * (lo + hi)
+            if abs(u_new - u) <= 1e-15 * u_new:
+                return u_new
+            u = u_new
+        return u
+
+
+def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
+    """Chart image (T, H; B, A) of x, by quadrature of the radial integrals.
+
+    In the `plane_reduce` frame x lies at angle 0 and its orbit turns with
+    l = Im(conj(qc) pc) >= 0, taken from the explicit projection (the
+    Lagrange-identity l**2 carries relative noise 1e-16 / sin**2 of the
+    angle between q and p).  The pericenter lies at the swept angle behind
+    x when <q,p> > 0 and ahead of it otherwise; T is positive iff <q,p> > 0.
+    """
+    if not in_U_eps(params, x):
+        raise ChartDomainError("the chart requires a point of U^eps")
+    n = params.n
+    frame, qc, pc = cov.plane_reduce(x)
+    E = hamiltonian(params, x)
+    orbit = _RadialOrbit(params, E, (qc.conjugate() * pc).imag)
+    # u = sqrt(sigma - s0) from <q,p> = r p_r, free of cancellation near s0
+    u = abs(x.radial) / (orbit.root2m * np.sqrt(orbit.G(x.r ** (2.0 / n))))
+    sign = float(np.sign(x.radial))
+    phi = -sign * orbit.angle(u)
+    # the pericenter momentum has direction i e^(i phi); lift it to the branch
+    # at angle phi/n
+    A = frame.to_vector(_lrl_complex(params, 1j * np.exp(1j * phi / n)))
+    B = b_vector(angular_momentum(x), A)
+    return ChartPoint(T=sign * orbit.time(u), H=E, B=B, A=A)
 
 
 def r_min(params: ModelParams, E: float, l2: float) -> float:
     """Pericenter radius: the smallest r >= 0 with E r**2 + Z r**(2/n) = l2/(2m).
 
-    For n = 2 the exact quadratic closed form is used (the bracketed solver
-    loses half the digits at the circular-orbit double root); otherwise
-    bisection plus Newton polish on the monotone branch below the
-    centrifugal maximum.  For E < 0 with supercritical l2 there is no root.
+    For n = 2 the exact quadratic closed form is used; otherwise monotone
+    Newton in sigma = r**(2/n).  For E < 0 with supercritical l2 there is no
+    root.
     """
+    return _sigma_min(params, E, l2) ** (params.n / 2.0)
+
+
+def _sigma_min(params: ModelParams, E: float, l2: float) -> float:
+    """sigma = r**(2/n) at the pericenter."""
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
     if params.n == 2:
         return r_min_kepler(params, E, l2)
-    return _r_min_root(params, E, l2)
+    return _sigma_root(params, E, l2)
 
 
 def _r_min_root(params: ModelParams, E: float, l2: float) -> float:
-    """Bracketed root solve for the pericenter radius, any n >= 1."""
+    """Pericenter radius by the Newton solver, any n >= 1."""
+    return _sigma_root(params, E, l2) ** (params.n / 2.0)
+
+
+def _sigma_root(params: ModelParams, E: float, l2: float) -> float:
+    """Smallest root of f(s) = E s**n + Z s - l2/(2m), s = r**(2/n), by Newton.
+
+    s = l2/(2 m Z) is the root at E = 0 and the start.  Below the
+    centrifugal maximum f is increasing, concave for E < 0 and convex for
+    E > 0, so the iterates climb to the root from below (E < 0) or descend
+    to it from above (E > 0).  The solve stops at the first step that no
+    longer moves that way.
+    """
     m, Z, n = params.m, params.Z, params.n
     rhs = l2 / (2.0 * m)
     if rhs == 0.0:
         return 0.0
-
-    def h(r: float) -> float:
-        return E * r * r + Z * r ** (2.0 / n) - rhs
-
-    def dh(r: float) -> float:
-        return 2.0 * E * r + (2.0 * Z / n) * r ** (2.0 / n - 1.0)
-
     if n == 1:
         if E + Z <= 0.0:
             raise NoPericenterError("n = 1 requires positive kinetic energy E + Z")
-        return float(np.sqrt(rhs / (E + Z)))
-
+        return rhs / (E + Z)
     if E < 0.0:
-        # peak of E r^2 + Z r^(2/n) separates the two roots; take the smaller
-        r_peak = (Z / (n * (-E))) ** (n / (2.0 * (n - 1.0)))
-        if h(r_peak) < 0.0:
+        # the maximum of E s**n + Z s separates the two roots
+        s_peak = (Z / (n * -E)) ** (1.0 / (n - 1.0))
+        if E * s_peak**n + Z * s_peak < rhs:
             raise NoPericenterError(
                 f"no pericenter for E={E}, l2={l2}: angular momentum above the "
                 "circular-orbit threshold"
             )
-        hi = r_peak
-    else:
-        hi = 1.0
-        while h(hi) < 0.0:
-            hi *= 2.0
-    lo = 0.0
+    s = rhs / Z
+    direction = 0.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(hi, 1.0):
+        step = (E * s**n + Z * s - rhs) / (n * E * s ** (n - 1) + Z)
+        if step == 0.0 or direction * step > 0.0:
             break
-    r = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton polish
-        d = dh(r)
-        if d == 0.0:
-            break
-        step = h(r) / d
-        r_new = r - step
-        if r_new <= 0.0 or not np.isfinite(r_new):
-            break
-        r = r_new
-    return float(r)
+        direction = -np.sign(step)
+        s -= step
+    return float(s)
 
 
 def r_min_kepler(params: ModelParams, E: float, l2: float) -> float:
@@ -259,12 +359,35 @@ def r_min_kepler(params: ModelParams, E: float, l2: float) -> float:
     return float((l2 / m) / (Z + np.sqrt(disc)))
 
 
+def _kepler_series(terms: int = 18) -> tuple[np.ndarray, np.ndarray]:
+    """Power series at x = 0 of f(x) = asinh(sqrt(x))/sqrt(x) and
+    g(x) = (sqrt(1 + x) - f(x)) / (2x), valid for either sign of x."""
+    c, b = [1.0], [1.0]  # asin(y)/y in y**2, and binomial(1/2, j)
+    for j in range(terms):
+        c.append(c[-1] * (2 * j + 1) ** 2 / ((2 * j + 2) * (2 * j + 3)))
+        b.append(b[-1] * (0.5 - j) / (j + 1))
+    f = [(-1) ** j * c[j] for j in range(terms)]
+    g = [0.5 * (b[j + 1] - (-1) ** (j + 1) * c[j + 1]) for j in range(terms)]
+    return np.array(f), np.array(g)
+
+
+_KEPLER_F, _KEPLER_G = _kepler_series()
+
+
 def kepler_time_closed_form(params: ModelParams, x: PhasePoint) -> float:
     """Time since pericenter for n = 2, by explicit antiderivatives.
 
-    T = sign(<q,p>) * sqrt(m) * (G(||q||) - G(r_min)) where G is the
-    antiderivative of r / sqrt(2 E r^2 + 2 Z r - l^2/m), evaluated per
-    energy sign.
+    With r = r_min + w**2 the radicand factors as
+    2 E r**2 + 2 Z r - l**2/m = 2 w**2 (k + E w**2), k = Z + 2 E r_min, so
+
+        |T| = sqrt(2m) int_0^w (r_min + s**2) / sqrt(k + E s**2) ds
+            = sqrt(2m) (w / sqrt(k)) (r_min f(x) + w**2 g(x)),  x = E w**2 / k,
+
+    with f(x) = asin(sqrt(-x))/sqrt(-x) for E < 0, where sqrt(-x) is the
+    sine of half the eccentric anomaly, f(x) = asinh(sqrt(x))/sqrt(x) for
+    E > 0, and g(x) = (sqrt(1 + x) - f(x)) / (2x).  Near x = 0 these closed
+    forms cancel, and their power series are summed instead.  w is taken
+    from <q,p> = r p_r, which has no cancellation near the pericenter.
     """
     if params.n != 2:
         raise ValueError("closed-form pericenter time requires n = 2")
@@ -272,33 +395,19 @@ def kepler_time_closed_form(params: ModelParams, x: PhasePoint) -> float:
         raise ChartDomainError("point outside the chart domain")
     m, Z = params.m, params.Z
     E = hamiltonian(params, x)
-    c = l_squared_point(x) / m
     r0 = r_min_kepler(params, E, l_squared_point(x))
-    r1 = x.r
-
-    def radicand(r: float) -> float:
-        return max(2.0 * E * r * r + 2.0 * Z * r - c, 0.0)
-
-    # near-parabolic energies fall through to the E = 0 antiderivative: the
-    # hyperbolic/elliptic branches divide by 2E and lose all digits there
-    parabolic = abs(E) * r1 < 1e-10 * Z
-
-    def G(r: float, s: float) -> float:
-        if parabolic:
-            return s * (Z * r + c) / (3.0 * Z * Z)
-        if E > 0.0:
-            root2e = np.sqrt(2.0 * E)
-            return s / (2.0 * E) - Z / (2.0 * E * root2e) * np.log(
-                2.0 * E * r + Z + root2e * s
-            )
-        disc = Z * Z + 2.0 * E * c
-        arg = np.clip((2.0 * E * r + Z) / np.sqrt(disc), -1.0, 1.0)
-        return s / (2.0 * E) + Z / (2.0 * E * np.sqrt(-2.0 * E)) * np.arcsin(arg)
-
-    # the radical vanishes identically at the pericenter; evaluating it
-    # there numerically leaves sqrt(roundoff) noise, so pass s = 0 exactly
-    diff = G(r1, np.sqrt(radicand(r1))) - G(r0, 0.0)
-    return float(np.sign(x.radial) * np.sqrt(m) * diff)
+    w = abs(x.radial) / np.sqrt(2.0 * m * (Z + E * (x.r + r0)))
+    k = Z + 2.0 * E * r0
+    xk = E * w * w / k
+    if abs(xk) < 0.1:
+        f = np.polynomial.polynomial.polyval(xk, _KEPLER_F)
+        g = np.polynomial.polynomial.polyval(xk, _KEPLER_G)
+    else:
+        y = np.sqrt(abs(xk))
+        f = (np.arcsinh(y) if xk > 0.0 else np.arcsin(y)) / y
+        g = (np.sqrt(1.0 + xk) - f) / (2.0 * xk)
+    T = np.sqrt(2.0 * m) * w / np.sqrt(k) * (r0 * f + w * w * g)
+    return float(np.sign(x.radial) * T)
 
 
 def _pericenter_axis(n: int) -> tuple[bool, float]:
@@ -355,9 +464,10 @@ def chart_inverse(
 ) -> ExtendedPoint:
     """Reconstruct the phase-space point with chart image c.
 
-    (T, B) = (0, 0) is the glued collision point itself.  Otherwise the
-    pericenter state is rebuilt from (H, ||B||, A, B) and flowed by T,
-    through collision when B = 0.
+    (T, B) = (0, 0) is the glued collision point itself, and a collision
+    orbit (B = 0) is flowed from it by T.  Otherwise |T| = time(u) is solved
+    on the radial quadrature, and the state is rebuilt at the swept angle in
+    the pericenter frame spanned by A and B.
     """
     A = np.asarray(c.A, dtype=float)
     B = np.asarray(c.B, dtype=float)
@@ -371,48 +481,38 @@ def chart_inverse(
     ell_ref = params.eps * np.sqrt(
         2.0 * params.m * max(c.H + params.Z * params.eps**-params.alpha, params.Z)
     )
-    collision_orbit = ell < 1e-12 * ell_ref
-    if collision_orbit and c.T == 0.0:
-        return Collision(h=c.H, a=A / np.linalg.norm(A))
-
-    if collision_orbit:
+    if ell < 1e-12 * ell_ref:
+        if c.T == 0.0:
+            return Collision(h=c.H, a=A / np.linalg.norm(A))
         return global_flow(params, Collision(h=c.H, a=A), c.T, cfg)
 
-    r0 = r_min(params, c.H, ell * ell)
-    u_eff = c.H + potential(params, np.array([r0] + [0.0] * (params.d - 1)))
-    if u_eff <= 0.0:
-        raise ChartDomainError("reconstructed pericenter has no real momentum")
-    p_mag = np.sqrt(2.0 * params.m * u_eff)
-    on_q_axis, s = _pericenter_axis(params.n)
+    n = params.n
+    orbit = _RadialOrbit(params, c.H, ell)
+    # the orbit's part in U^eps: r < eps and, for H < 0, H > -Z / (2 n r**alpha)
+    s_max = params.eps ** (2.0 / n)
+    if c.H < 0.0 and n > 1:
+        s_max = min(s_max, (params.Z / (2.0 * n * -c.H)) ** (1.0 / (n - 1.0)))
+    if orbit.s0 >= s_max:
+        raise ChartDomainError("reconstructed pericenter lies outside the chart domain")
+    u_max = np.sqrt(s_max - orbit.s0)
+    t_max = orbit.time(u_max)
+    if abs(c.T) >= t_max:
+        raise ChartDomainError("chart point lies outside the image of the chart")
+    u = orbit.solve_time(abs(c.T), u_max, t_max)
+    sigma = orbit.s0 + u * u
+    r = sigma ** (n / 2.0)
+    sign = float(np.sign(c.T))
+    p_r = sign * u * orbit.root2m * np.sqrt(orbit.G(sigma)) / r
+    turn = np.exp(1j * sign * orbit.angle(u))
+    # pericenter frame: e1 along q, e2 along p there
+    on_q_axis, s = _pericenter_axis(n)
     B_hat = B / ell
     if on_q_axis:
-        e1 = s * A
-        e2 = s * B_hat
+        e1, e2 = s * A, s * B_hat
     else:
-        e1 = -s * B_hat
-        e2 = s * A
-    x0 = PhasePoint(q=r0 * e1, p=p_mag * e2)
-    if not in_U_eps(params, x0):
-        raise ChartDomainError("chart point lies outside the image of the chart")
-    if c.T == 0.0:
-        return Regular(x0)
-    if r0 > _switch_radius(params):
-        return global_flow(params, Regular(x0), c.T, cfg)
-    # deep pericenters: start the flow in covering coordinates with the
-    # exact chart energy.  Building the physical pericenter state first and
-    # letting global_flow recompute its energy loses the energy entirely at
-    # small r0 (kinetic and potential are huge, nearly cancelling terms),
-    # while |Q0| = r0**(1/n) and |P0|**2 = 2m(Z + H |Q0|**(2(n-1))) are
-    # well conditioned for every r0 >= 0.
-    cfg = cfg or _TIGHT
+        e1, e2 = -s * B_hat, s * A
     frame = cov.PlaneFrame(e1=e1, e2=e2)
-    q_mag = r0 ** (1.0 / params.n)
-    P_mag = np.sqrt(
-        2.0 * params.m * (params.Z + c.H * q_mag ** (2 * (params.n - 1)))
-    )
-    y0 = cov.covering_state_y(complex(q_mag), 1j * P_mag)
-    state, used = _covering_segment(params, frame, y0, c.H, c.T, cfg)
-    return global_flow(params, state, c.T - used, cfg)
+    return Regular(cov.plane_embed(frame, r * turn, (p_r + 1j * ell / r) * turn))
 
 
 def project_to_config(x: ExtendedPoint) -> np.ndarray:

@@ -169,8 +169,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     icfg = _integ_config(cfg, args)
     out = _out_dir(args)
     state = _initial_state(cfg, params)
-    t0, t1 = (float(v) for v in cfg.get("t_span", (0.0, 1.0)))
-    n_out = int(cfg.get("output_points", 200))
+    try:
+        t0, t1 = (float(v) for v in cfg.get("t_span", (0.0, 1.0)))
+        n_out = int(cfg.get("output_points", 200))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid t_span or output_points: {exc}") from exc
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ConfigError("t_span must be finite")
+    if n_out < 1:
+        raise ConfigError("output_points must be at least 1")
     ts = np.linspace(t0, t1, n_out) if t1 != t0 else np.array([t0])
 
     header = (
@@ -398,9 +405,10 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
 
     bracket_entries = []
     bracket_max = 0.0
-    signs = {}
+    seen_signs: dict[str, set] = {"ab": set(), "bb": set(), "ll": set()}
     for (n, d) in grid:
         params = ModelParams(n=n, d=d, m=1.0, Z=1.0, eps=0.1)
+        worst = None
         for x in verify.sample_domain_points(params, rng, points):
             rep = verify.bracket_table(params, x)
             for e in rep.entries:
@@ -408,16 +416,26 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
                 if corrupt and e.names == ("H", "T"):
                     resid = abs(e.computed + e.expected)
                 bracket_max = max(bracket_max, resid)
-            signs = {"ab": rep.ab_sign, "bb": rep.bb_sign, "ll": rep.ll_sign}
-        worst = max(rep.entries, key=lambda e: e.residual)
-        bracket_entries.append(
-            {
-                "n": n,
-                "d": d,
-                "worst_pair": list(worst.names),
-                "worst_residual": worst.residual,
-            }
-        )
+                if worst is None or e.residual > worst.residual:
+                    worst = e
+            seen_signs["ab"].add(rep.ab_sign)
+            seen_signs["bb"].add(rep.bb_sign)
+            seen_signs["ll"].add(rep.ll_sign)
+        if worst is not None:
+            bracket_entries.append(
+                {
+                    "n": n,
+                    "d": d,
+                    "worst_pair": list(worst.names),
+                    "worst_residual": worst.residual,
+                }
+            )
+    # a family's sign is reported only when every point that measured it
+    # (sign 0: none, as for L_ij in d = 2) measured the same one
+    signs = {}
+    for k, v in seen_signs.items():
+        v.discard(0.0)
+        signs[k] = v.pop() if len(v) == 1 else 0.0
 
     dirac_max = 0.0
     for d in (2, 3, 4):

@@ -22,7 +22,7 @@ record the measured family sign explicitly instead of absorbing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,27 +110,55 @@ class BracketEntry:
     names: tuple[str, str]
     computed: float
     expected: float
-    residual: float
+
+    @property
+    def residual(self) -> float:
+        return abs(self.computed - self.expected)
 
 
-@dataclass
+# one names tuple per table layout, shared by every report that has it
+_NAME_TABLES: dict[tuple, tuple] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class BracketReport:
-    """All pairwise brackets among {T, H, A_i, B_i} plus the L_ij algebra."""
+    """All pairwise brackets among {T, H, A_i, B_i} plus the L_ij algebra.
 
-    entries: list[BracketEntry] = field(default_factory=list)
+    Kept compact, since callers may hold many reports: a names tuple shared
+    by all reports of the same layout and arrays of the computed and
+    expected values.  `entries` builds the per-pair view on demand.
+    """
+
+    names: tuple[tuple[str, str], ...]
+    computed: np.ndarray
+    expected: np.ndarray
     h_fraction: float = DEFAULT_STEP_FRACTION
     ab_sign: float = 0.0  # measured sign of {A_i,B_j} vs (delta_ij - A_i A_j)
     bb_sign: float = 0.0  # measured sign of {B_i,B_j} vs L_ij
-    ll_sign: float = 0.0  # measured sign of the L_ij structure constants
+    ll_sign: float = 0.0  # measured sign of the L_ij structure constants; 0 in d = 2
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[tuple[tuple[str, str], float, float]], **signs: float
+    ) -> "BracketReport":
+        names, computed, expected = zip(*rows)
+        return cls(
+            _NAME_TABLES.setdefault(names, names),
+            np.array(computed),
+            np.array(expected),
+            **signs,
+        )
+
+    @property
+    def entries(self) -> list[BracketEntry]:
+        return [
+            BracketEntry(nm, float(c), float(e))
+            for nm, c, e in zip(self.names, self.computed, self.expected)
+        ]
 
     @property
     def max_residual(self) -> float:
-        return max((e.residual for e in self.entries), default=0.0)
-
-    def add(self, names: tuple[str, str], computed: float, expected: float) -> None:
-        self.entries.append(
-            BracketEntry(names, computed, expected, abs(computed - expected))
-        )
+        return float(np.max(np.abs(self.computed - self.expected), initial=0.0))
 
 
 def _family_sign(pairs: Sequence[tuple[float, float]]) -> float:
@@ -171,48 +199,53 @@ def bracket_table(
     iB = lambda i: 2 + d + i
     pb = lambda a, b: _bracket_from_gradients(grads[a], grads[b], d)
 
-    report = BracketReport(h_fraction=h_fraction)
-    report.add(("H", "T"), pb(iH, iT), 1.0)
+    rows = [(("H", "T"), pb(iH, iT), 1.0)]
     for i in range(d):
-        report.add(("H", f"A_{i}"), pb(iH, iA(i)), 0.0)
-        report.add(("H", f"B_{i}"), pb(iH, iB(i)), 0.0)
-        report.add(("T", f"A_{i}"), pb(iT, iA(i)), 0.0)
-        report.add(("T", f"B_{i}"), pb(iT, iB(i)), 0.0)
+        rows.append((("H", f"A_{i}"), pb(iH, iA(i)), 0.0))
+        rows.append((("H", f"B_{i}"), pb(iH, iB(i)), 0.0))
+        rows.append((("T", f"A_{i}"), pb(iT, iA(i)), 0.0))
+        rows.append((("T", f"B_{i}"), pb(iT, iB(i)), 0.0))
     for i in range(d):
         for j in range(i + 1, d):
-            report.add((f"A_{i}", f"A_{j}"), pb(iA(i), iA(j)), 0.0)
+            rows.append(((f"A_{i}", f"A_{j}"), pb(iA(i), iA(j)), 0.0))
 
     ab_pairs = [
         (pb(iA(i), iB(j)), (1.0 if i == j else 0.0) - A[i] * A[j])
         for i in range(d)
         for j in range(d)
     ]
-    report.ab_sign = _family_sign(ab_pairs)
+    ab_sign = _family_sign(ab_pairs)
     k = 0
     for i in range(d):
         for j in range(d):
             c, e = ab_pairs[k]
-            report.add((f"A_{i}", f"B_{j}"), c, report.ab_sign * e)
+            rows.append(((f"A_{i}", f"B_{j}"), c, ab_sign * e))
             k += 1
 
     bb_pairs = [
         (pb(iB(i), iB(j)), L[i, j]) for i in range(d) for j in range(i + 1, d)
     ]
-    report.bb_sign = _family_sign(bb_pairs)
+    bb_sign = _family_sign(bb_pairs)
     k = 0
     for i in range(d):
         for j in range(i + 1, d):
             c, e = bb_pairs[k]
-            report.add((f"B_{i}", f"B_{j}"), c, report.bb_sign * e)
+            rows.append(((f"B_{i}", f"B_{j}"), c, bb_sign * e))
             k += 1
 
-    _angular_momentum_algebra(x, report, h_fraction)
-    return report
+    ll_rows, ll_sign = _angular_momentum_algebra(x, h_fraction)
+    return BracketReport.from_rows(
+        rows + ll_rows,
+        h_fraction=h_fraction,
+        ab_sign=ab_sign,
+        bb_sign=bb_sign,
+        ll_sign=ll_sign,
+    )
 
 
 def _angular_momentum_algebra(
-    x: PhasePoint, report: BracketReport, h_fraction: float
-) -> None:
+    x: PhasePoint, h_fraction: float
+) -> tuple[list[tuple[tuple[str, str], float, float]], float]:
     """Structure constants of the L_ij functions themselves (exact FD).
 
     Closed form (up to the convention sign recorded as ll_sign):
@@ -246,9 +279,8 @@ def _angular_momentum_algebra(
             )
             fam.append((computed, expected))
             labels.append((f"L_{i}{j}", f"L_{k}{l}"))
-    report.ll_sign = _family_sign(fam) if fam else 1.0
-    for (names, (c, e)) in zip(labels, fam):
-        report.add(names, c, report.ll_sign * e)
+    sign = _family_sign(fam) if fam else 0.0  # d = 2: nothing to measure
+    return [(names, c, sign * e) for (names, (c, e)) in zip(labels, fam)], sign
 
 
 @dataclass(frozen=True)
@@ -306,7 +338,7 @@ def dirac_bracket_check(
     for i in range(d):
         for k in range(i + 1, d):
             cqq = dirac(grads[i], grads[k])
-            entries.append(BracketEntry((f"q_{i}", f"q_{k}"), cqq, 0.0, abs(cqq)))
+            entries.append(BracketEntry((f"q_{i}", f"q_{k}"), cqq, 0.0))
     qp_pairs = []
     for i in range(d):
         for k in range(d):
@@ -314,14 +346,12 @@ def dirac_bracket_check(
             qp_pairs.append(((i, k), cqp, (1.0 if i == k else 0.0) - q[i] * q[k]))
     s = _family_sign([(c_, e_) for _, c_, e_ in qp_pairs])
     for (i, k), c_, e_ in qp_pairs:
-        entries.append(
-            BracketEntry((f"q_{i}", f"p_{k}"), c_, s * e_, abs(c_ - s * e_))
-        )
+        entries.append(BracketEntry((f"q_{i}", f"p_{k}"), c_, s * e_))
     for i in range(d):
         for k in range(i + 1, d):
             cpp = dirac(grads[d + i], grads[d + k])
             exp = q[i] * p[k] - q[k] * p[i]
-            entries.append(BracketEntry((f"p_{i}", f"p_{k}"), cpp, exp, abs(cpp - exp)))
+            entries.append(BracketEntry((f"p_{i}", f"p_{k}"), cpp, exp))
     return DiracReport(entries=entries, qp_sign=s, c_measured=c)
 
 

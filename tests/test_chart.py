@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mcgehee import chart
+from mcgehee import chart, covering as cov, verify
 from mcgehee.model import (
     ModelParams,
     PhasePoint,
@@ -10,6 +10,75 @@ from mcgehee.model import (
     l_squared_point,
 )
 from mcgehee.verify import sample_domain_points
+
+GRID = [(n, d) for n in (1, 2, 3, 4) for d in (2, 3)]
+
+
+def time_scale(params):
+    """sqrt(m/Z) eps**(1 + alpha/2): the time a transit of U^eps takes."""
+    return np.sqrt(params.m / params.Z) * params.eps ** (1.0 + 0.5 * params.alpha)
+
+
+def oracle_chart(params, x):
+    """Independent oracles for (T, A) and the error allowed in A.
+
+    n = 1 is free motion: A = -p/|p|, T = m <q,p> / |p|**2.  For n = 2, A is
+    the classical Kepler vector.  Otherwise A, and T for n >= 2, come from
+    the covering-ODE pericenter search.  Its state carries rounding of
+    relative size 1e-16 into the pericenter angle, which near a collision
+    orbit is a difference of order sin(angle(q, p)), so its A is only good
+    to about 1e-16 / sin.
+    """
+    if params.n == 1:
+        return params.m * x.radial / np.dot(x.p, x.p), -x.p / np.linalg.norm(x.p), 1e-10
+    res = chart.pericenter(params, x)
+    if params.n == 2:
+        q, p = x.q, x.p
+        A = q * np.dot(p, p) - p * np.dot(q, p) - params.m * params.Z * q / x.r
+        return res.T, A / np.linalg.norm(A), 1e-10
+    A = res.frame.to_vector(chart._lrl_complex(params, res.P0))
+    _, qc, pc = cov.plane_reduce(x)
+    sin = (qc.conjugate() * pc).imag / (x.r * np.linalg.norm(x.p))
+    return res.T, A / np.linalg.norm(A), 1e-10 + (5e-16 / sin if sin > 0.0 else np.inf)
+
+
+def ode_inverse(params, c):
+    """Independent oracle: rebuild the pericenter state from (H, |B|, A, B)
+    and flow it by T with the covering ODE, then the global flow."""
+    n = params.n
+    ell = float(np.linalg.norm(c.B))
+    on_q_axis, s = chart._pericenter_axis(n)
+    B_hat = c.B / ell
+    e1, e2 = (s * c.A, s * B_hat) if on_q_axis else (-s * B_hat, s * c.A)
+    q_mag = chart.r_min(params, c.H, ell * ell) ** (1.0 / n)
+    P_mag = np.sqrt(2.0 * params.m * (params.Z + c.H * q_mag ** (2 * (n - 1))))
+    y0 = cov.covering_state_y(complex(q_mag), 1j * P_mag)
+    frame = cov.PlaneFrame(e1=e1, e2=e2)
+    state, used = chart._covering_segment(params, frame, y0, c.H, c.T, chart._TIGHT)
+    return chart.global_flow(params, state, c.T - used)
+
+
+def oracle_points(params, rng):
+    """Sampled points both ways along their orbit, points on the pericentric
+    surface, and inbound and outbound points close to a collision orbit."""
+    pts = []
+    for x in sample_domain_points(params, rng, 3):
+        pts += [x, PhasePoint(x.q, -x.p)]
+    for x in sample_domain_points(params, rng, 2):
+        p_perp = x.p - np.dot(x.p, x.q) * x.q / x.r**2
+        pts.append(PhasePoint(x.q, p_perp / np.linalg.norm(p_perp) * np.linalg.norm(x.p)))
+    for sin in (1e-7, 1e-6, 1e-5, 1e-4, 3e-4):
+        x = sample_domain_points(params, rng, 1)[0]
+        u = x.q / x.r
+        w = rng.normal(size=params.d)
+        w -= np.dot(w, u) * u
+        w /= np.linalg.norm(w)
+        for radial in (-1.0, 1.0):
+            v = radial * np.sqrt(1.0 - sin * sin) * u + sin * w
+            y = PhasePoint(x.q, np.linalg.norm(x.p) * v)
+            if chart.in_U_eps(params, y):
+                pts.append(y)
+    return pts
 
 
 def kepler_time_quadrature(params, x):
@@ -117,6 +186,27 @@ class TestRMin:
                 chart.r_min_kepler(params, E, l2), rel=1e-10
             )
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_newton_against_bisection_oracle(self, n):
+        params = ModelParams(n=n, d=2, m=1.3, Z=0.7)
+        for E in (-0.5, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 2.0):
+            for l2 in (0.3, 0.6, 0.9):
+                try:
+                    r = chart.r_min(params, E, l2)
+                except chart.NoPericenterError:
+                    continue
+                assert r == pytest.approx(u_eff_bisection_rmin(params, E, l2), rel=1e-12)
+
+    def test_newton_near_the_circular_threshold(self):
+        # l2 just below the circular-orbit maximum: a near-double root
+        params = ModelParams(n=3, d=2)
+        E = -0.5
+        s_peak = (params.Z / (params.n * -E)) ** (1.0 / (params.n - 1))
+        l2_max = 2.0 * params.m * (E * s_peak**params.n + params.Z * s_peak)
+        r = chart.r_min(params, E, l2_max * (1.0 - 1e-10))
+        assert r == pytest.approx(s_peak ** (params.n / 2.0), rel=1e-4)
+        assert r < s_peak ** (params.n / 2.0)
+
     def test_supercritical_l2_has_no_pericenter(self):
         params = ModelParams(n=2, d=2)
         with pytest.raises(chart.NoPericenterError):
@@ -148,6 +238,27 @@ class TestKeplerTime:
         tcf = chart.kepler_time_closed_form(params, x)
         assert tcf == pytest.approx(kepler_time_quadrature(params, x), abs=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_form_matches_chart_quadrature(self, d):
+        # sampled points, and near-parabolic ones on both sides of E = 0,
+        # where the arcsin and logarithm forms used to lose their digits
+        params = ModelParams(n=2, d=d, eps=0.1)
+        rng = np.random.default_rng(102)
+        pts = sample_domain_points(params, rng, 100)
+        for frac in (-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            for _ in range(4):
+                r = rng.uniform(0.25, 0.85) * params.eps
+                u = rng.normal(size=d)
+                v = rng.normal(size=d)
+                p_mag = np.sqrt(2.0 * params.m * (1.0 + frac) * params.Z / r)
+                u /= np.linalg.norm(u)
+                v /= np.linalg.norm(v)
+                pts.append(PhasePoint(r * u, p_mag * v))
+        tau = time_scale(params)
+        for x in pts:
+            T = chart.chart_forward(params, x).T
+            assert abs(T - chart.kepler_time_closed_form(params, x)) <= 1e-13 * tau
+
     def test_matches_numerical_pericenter_time(self):
         params = ModelParams(n=2, d=3, eps=0.1)
         rng = np.random.default_rng(5)
@@ -156,6 +267,97 @@ class TestKeplerTime:
             assert res.T == pytest.approx(
                 chart.kepler_time_closed_form(params, x), abs=1e-10
             )
+
+
+class TestQuadratureChart:
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_forward_matches_covering_ode(self, n, d):
+        params = ModelParams(n=n, d=d, eps=0.1)
+        tau = time_scale(params)
+        for x in oracle_points(params, np.random.default_rng(100 + 10 * n + d)):
+            c = chart.chart_forward(params, x)
+            T, A, a_tol = oracle_chart(params, x)
+            assert abs(c.T - T) <= 1e-10 * tau
+            assert np.max(np.abs(c.A - A)) <= a_tol
+            assert c.H == hamiltonian(params, x)
+
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_inverse_matches_covering_ode(self, n, d):
+        params = ModelParams(n=n, d=d, eps=0.1)
+        for x in oracle_points(params, np.random.default_rng(200 + 10 * n + d)):
+            c = chart.chart_forward(params, x)
+            if np.linalg.norm(c.B) == 0.0:
+                continue  # collision orbits are flowed by global_flow itself
+            back = chart.chart_inverse(params, c)
+            oracle = ode_inverse(params, c)
+            for y in (x, oracle.x):
+                assert np.max(np.abs(back.x.q - y.q)) <= 1e-10
+                assert np.max(np.abs(back.x.p - y.p)) <= 1e-10
+
+    def test_collision_orbit_sweeps_n_quarter_turns(self):
+        # l -> 0: the pericenter sits n pi/2 away from the collision ray
+        for n in (1, 2, 3, 4):
+            params = ModelParams(n=n, d=2, eps=0.1)
+            x = PhasePoint(np.array([0.05, 0.0]), np.array([-40.0, 0.0]))
+            c = chart.chart_forward(params, x)
+            expected = np.array([1.0, 0.0]) * np.real(-(1j**n) * np.exp(0.5j * n * np.pi))
+            assert np.allclose(c.A, expected, atol=1e-15)
+            assert c.A == pytest.approx(oracle_chart(params, x)[1], abs=1e-10)
+
+    def test_inverse_rejects_times_beyond_the_domain(self):
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = sample_domain_points(params, np.random.default_rng(7), 1)[0]
+        c = chart.chart_forward(params, x)
+        # the orbit leaves r < eps after a time of order the transit scale
+        far = chart.ChartPoint(T=10.0 * time_scale(params), H=c.H, B=c.B, A=c.A)
+        with pytest.raises(chart.ChartDomainError):
+            chart.chart_inverse(params, far)
+        # a confined orbit (H < 0) leaves U^eps through its energy floor
+        # before it reaches eps or its apocenter
+        r = 0.05
+        U = params.Z * r**-params.alpha
+        H = -0.9 * U / (2 * params.n)  # just above the domain's energy floor
+        p = np.sqrt(2.0 * params.m * (H + U))
+        y = PhasePoint(np.array([r, 0.0]), p * np.array([-0.6, 0.8]))
+        assert chart.in_U_eps(params, y)
+        cy = chart.chart_forward(params, y)
+        beyond = chart.ChartPoint(T=-10.0 * time_scale(params), H=cy.H, B=cy.B, A=cy.A)
+        with pytest.raises(chart.ChartDomainError):
+            chart.chart_inverse(params, beyond)
+
+    def test_stencil_near_collision_orbit_regression(self):
+        # certify point of seed 3 (n = d = 2, sin angle(q, p) = 4.45e-5):
+        # the ODE chart missed the bracket gate by 23.8x here
+        params = ModelParams(n=2, d=2, eps=0.1)
+        x = PhasePoint(
+            np.array([-0.022630761868712785, -0.013849813959205665]),
+            np.array([-7.423280146597083, -4.543431400706268]),
+        )
+        rep = verify.bracket_table(params, x)
+        assert rep.max_residual <= 1e-3 * 1e-5
+        assert rep.ab_sign == -1.0 and rep.bb_sign == -1.0
+
+    def test_near_parabolic_regression(self):
+        # n = 3, r = 0.775 eps, |H| = 1e-4 .. 1e-3 U(q), pericenters down to
+        # 0.01 eps: the ODE chart missed the bracket gate by up to 7.7x and
+        # the roundtrip gate by up to 1.06x on this grid
+        params = ModelParams(n=3, d=2, eps=0.1)
+        r = 0.775 * params.eps
+        U = params.Z * r**-params.alpha
+        for frac in (-1e-3, -3e-4, -1e-4, 1e-4, 3e-4, 1e-3):
+            E = frac * U
+            p_mag = np.sqrt(2.0 * params.m * (E + U))
+            for rp in (0.01, 0.03, 0.1, 0.3):
+                rp *= params.eps
+                l2 = 2.0 * params.m * (E * rp * rp + params.Z * rp ** (2.0 / params.n))
+                ang = np.pi - np.arcsin(np.sqrt(l2) / (r * p_mag))  # inbound
+                p = p_mag * np.array([np.cos(ang), np.sin(ang)])
+                x = PhasePoint(np.array([r, 0.0]), p)
+                rep = verify.bracket_table(params, x)
+                assert rep.max_residual <= 1e-2 * 1e-5
+                back = chart.chart_inverse(params, chart.chart_forward(params, x))
+                assert np.max(np.abs(back.x.q - x.q)) <= 1e-3 * 1e-8
+                assert np.max(np.abs(back.x.p - x.p)) <= 1e-3 * 1e-8
 
 
 class TestPericenter:

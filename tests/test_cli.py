@@ -104,6 +104,25 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"t_span": [0.0, "a"]},
+            {"t_span": 1.0},
+            {"t_span": [0.0, float("nan")]},
+            {"output_points": "many"},
+            {"output_points": 0},
+        ],
+    )
+    def test_bad_time_grid_rejected(self, tmp_path, capsys, grid):
+        cfg = write_config(
+            tmp_path,
+            {"initial": {"q": [0.05, 0.0], "p": [0.0, 5.0]}, "t_span": [0.0, 0.1], **grid},
+        )
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_unwritable_output_dir(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -241,3 +260,36 @@ class TestVerifyCommand:
             "bb": -1.0,
             "ll": -1.0,
         }
+
+    def test_report_takes_worst_and_signs_over_all_points(self, monkeypatch):
+        # the first point of every (n, d) cell is the worst one and measures a
+        # flipped mixed-family sign; the report must show both
+        from types import SimpleNamespace
+
+        calls = []
+
+        def fake_table(params, x):
+            first = len(calls) % 2 == 0
+            calls.append((params.n, params.d))
+            resid = 1e-3 if first else 1e-9
+            entry = SimpleNamespace(
+                names=("A_0", "B_0") if first else ("H", "T"),
+                computed=resid,
+                expected=0.0,
+                residual=resid,
+            )
+            return SimpleNamespace(
+                entries=[entry], ab_sign=1.0 if first else -1.0, bb_sign=-1.0, ll_sign=-1.0
+            )
+
+        monkeypatch.setattr(cli.verify, "bracket_table", fake_table)
+        for section in ("_conservation_section", "_transit_section"):
+            monkeypatch.setattr(cli, section, lambda rng: {})
+        monkeypatch.setattr(cli, "_roundtrip_section", lambda rng, grid, points: 0.0)
+        args = cli.build_parser().parse_args(["verify", "--seed", "0"])
+        report = cli._verify_report({"verify_points": 2}, args)["bracket_table"]
+        assert len(calls) == 16
+        for cell in report["per_entry"]:
+            assert cell["worst_pair"] == ["A_0", "B_0"]
+            assert cell["worst_residual"] == 1e-3
+        assert report["measured_signs"] == {"ab": 0.0, "bb": -1.0, "ll": -1.0}
