@@ -6,10 +6,11 @@ entries except T are constants of the motion, so in chart coordinates the
 flow is the translation T -> T + t.  Collision states are glued in as the
 set {(h, a)} = energy x direction, on which (T, B) = (0, 0).
 
-The chart maps are ODE-free: every orbit is a planar central-force orbit,
-so T and the angle swept since the pericenter are radial integrals, taken
-by fixed-node quadrature.  The covering ODE carries the global flow, and
-`pericenter` keeps the covering-ODE route to the same pericenter.
+The chart maps are ODE-free on every orbit, collision orbits included:
+each orbit is a planar central-force orbit, so T and the angle swept since
+the pericenter are radial integrals, taken by fixed-node quadrature.  The
+covering ODE carries the global flow, and `pericenter` keeps the
+covering-ODE route to the same pericenter.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .model import (
 # by root finding, not by this tolerance.
 PERICENTER_TOL = 1e-9
 
-# a pericenter crossing with |Q| below this multiple of eps**(1/n) is
-# classified as a collision (below the integration noise floor)
+# a covering state with |Q| below this multiple of eps**(1/n) is classified
+# as the collision itself (below the integration noise floor)
 COLLISION_Q_TOL = 1e-9
 
 _TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
@@ -62,9 +63,6 @@ class ChartPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.T, self.H], self.B, self.A])
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,6 @@ class PericenterResult:
     Q0: complex
     P0: complex
     T: float
-    E: float
-    is_collision: bool
 
 
 def in_U_eps(params: ModelParams, x: PhasePoint) -> bool:
@@ -108,16 +104,14 @@ def in_U_eps(params: ModelParams, x: PhasePoint) -> bool:
     )
 
 
-def on_S_eps(params: ModelParams, x: PhasePoint, tol: float = PERICENTER_TOL) -> bool:
-    """In the chart domain and radially at rest: |<q,p>| < tol ||q|| ||p||."""
+def on_S_eps(params: ModelParams, x: PhasePoint) -> bool:
+    """In the chart domain and radially at rest: |<q,p>| < PERICENTER_TOL ||q|| ||p||."""
     if not in_U_eps(params, x):
         return False
-    return abs(x.radial) < tol * x.r * np.linalg.norm(x.p)
+    return abs(x.radial) < PERICENTER_TOL * x.r * np.linalg.norm(x.p)
 
 
-def pericenter(
-    params: ModelParams, x: PhasePoint, cfg: ode.IntegratorConfig | None = None
-) -> PericenterResult:
+def pericenter(params: ModelParams, x: PhasePoint) -> PericenterResult:
     """Locate the unique pericenter (or collision) of the transit through x.
 
     Lifts to covering coordinates and integrates the extended flow to the
@@ -128,7 +122,6 @@ def pericenter(
     """
     if not in_U_eps(params, x):
         raise ChartDomainError("pericenter search requires a point of U^eps")
-    cfg = cfg or _TIGHT
     frame, y0, E = cov.lift_state(params, x)
     if abs(x.radial) < PERICENTER_TOL * x.r * np.linalg.norm(x.p):
         y1, T = y0, 0.0
@@ -140,12 +133,10 @@ def pericenter(
         )
         tau_max = cov.tau_bound(params, abs(complex(y0[0], y0[1])))
         y1 = cov.transit(
-            params, E, y0, -tau_max if x.radial > 0.0 else tau_max, (event,), cfg
+            params, E, y0, -tau_max if x.radial > 0.0 else tau_max, (event,), _TIGHT
         )
         T = -float(y1[4])
-    Q0 = complex(y1[0], y1[1])
-    is_col = abs(Q0) < COLLISION_Q_TOL * params.eps ** (1.0 / params.n)
-    return PericenterResult(frame, Q0, complex(y1[2], y1[3]), T, E, is_col)
+    return PericenterResult(frame, complex(y1[0], y1[1]), complex(y1[2], y1[3]), T)
 
 
 def _lrl_complex(params: ModelParams, P0: complex) -> complex:
@@ -459,15 +450,13 @@ def _launch_collision(
     return frame, cov.covering_state_y(complex(0.0), complex(P0))
 
 
-def chart_inverse(
-    params: ModelParams, c: ChartPoint, cfg: ode.IntegratorConfig | None = None
-) -> ExtendedPoint:
+def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     """Reconstruct the phase-space point with chart image c.
 
-    (T, B) = (0, 0) is the glued collision point itself, and a collision
-    orbit (B = 0) is flowed from it by T.  Otherwise |T| = time(u) is solved
-    on the radial quadrature, and the state is rebuilt at the swept angle in
-    the pericenter frame spanned by A and B.
+    (T, B) = (0, 0) is the glued collision point itself.  Every other point,
+    collision orbits (B = 0) included, solves |T| = time(u) on the radial
+    quadrature and is rebuilt at the swept angle in the pericenter frame
+    spanned by A and B.
     """
     A = np.asarray(c.A, dtype=float)
     B = np.asarray(c.B, dtype=float)
@@ -477,16 +466,12 @@ def chart_inverse(
         raise ValueError("B must be perpendicular to A")
 
     ell = float(np.linalg.norm(B))
-    # reference angular-momentum scale on the chart domain
-    ell_ref = params.eps * np.sqrt(
-        2.0 * params.m * max(c.H + params.Z * params.eps**-params.alpha, params.Z)
-    )
-    if ell < 1e-12 * ell_ref:
-        if c.T == 0.0:
-            return Collision(h=c.H, a=A / np.linalg.norm(A))
-        return global_flow(params, Collision(h=c.H, a=A), c.T, cfg)
+    if ell == 0.0 and c.T == 0.0:
+        return Collision(h=c.H, a=A / np.linalg.norm(A))
 
     n = params.n
+    if n == 1 and c.H <= -0.5 * params.Z:
+        raise ChartDomainError("H lies below the chart domain's energy floor -Z/2")
     orbit = _RadialOrbit(params, c.H, ell)
     # the orbit's part in U^eps: r < eps and, for H < 0, H > -Z / (2 n r**alpha)
     s_max = params.eps ** (2.0 / n)
@@ -506,7 +491,9 @@ def chart_inverse(
     turn = np.exp(1j * sign * orbit.angle(u))
     # pericenter frame: e1 along q, e2 along p there
     on_q_axis, s = _pericenter_axis(n)
-    B_hat = B / ell
+    # a collision orbit sweeps n quarter turns and lies on the line of A,
+    # whichever unit vector stands in for B / |B|
+    B_hat = B / ell if ell > 0.0 else cov._completion(A)
     if on_q_axis:
         e1, e2 = s * A, s * B_hat
     else:

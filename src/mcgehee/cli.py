@@ -243,19 +243,8 @@ def _energy_zero_orbit(
     rp = chart.r_min(params, 0.0, l * l)
     p_mag = np.sqrt(2.0 * params.m * params.Z * rp ** (-params.alpha))
     y0 = np.array([rp, 0.0, 0.0, p_mag])
-
-    field = physical_field(params)
-    event = ode.EventSpec(
-        g=lambda y: y[0] * y[0] + y[1] * y[1] - r_far * r_far,
-        direction=ode.INCREASING,
-        name="far",
-    )
-    t_budget = 10.0 * np.sqrt(params.m / (2.0 * params.Z)) * r_far ** (
-        2.0 - 1.0 / params.n
-    )
     rows = []
-    for sign in (-1.0, 1.0):
-        traj = ode.integrate(field, y0, (0.0, sign * t_budget), icfg, events=(event,))
+    for sign, traj in zip((-1.0, 1.0), verify.escape(params, y0, r_far, icfg)):
         ts = np.linspace(traj.t0, traj.t_end, points)
         seg = [(t, *traj(t)[:2]) for t in ts]
         rows.extend(seg if sign > 0 else reversed(seg[1:]))
@@ -314,7 +303,7 @@ def _bounded_orbit(
     params: ModelParams, E: float, l: float, t_total: float, points: int,
     icfg: ode.IntegratorConfig,
 ) -> np.ndarray:
-    rp = chart._r_min_root(params, E, l * l)
+    rp = chart.r_min(params, E, l * l)
     p_mag = np.sqrt(2.0 * params.m * (E + params.Z * rp ** (-params.alpha)))
     y0 = np.array([rp, 0.0, 0.0, p_mag])
 
@@ -337,11 +326,7 @@ FIG2_MIDDLE_L = 0.35
 def cmd_figures(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     icfg = _integ_config(cfg, args)
-    try:
-        out = _out_dir(args)
-    except PermissionError as exc:
-        log.error("%s", exc)
-        return EXIT_UNWRITABLE
+    out = _out_dir(args)
     which = args.which
 
     if which in ("fig1", "all"):
@@ -399,9 +384,6 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
     rng = np.random.default_rng(seed)
     points = int(cfg.get("verify_points", 3))
     grid = [(n, d) for n in (1, 2, 3, 4) for d in (2, 3)]
-    # test fixture: deliberately corrupt the expected {H,T} value to force a
-    # threshold violation (negative control for the exit-code contract)
-    corrupt = bool(cfg.get("corrupt_bracket_convention", False))
 
     bracket_entries = []
     bracket_max = 0.0
@@ -412,10 +394,7 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
         for x in verify.sample_domain_points(params, rng, points):
             rep = verify.bracket_table(params, x)
             for e in rep.entries:
-                resid = e.residual
-                if corrupt and e.names == ("H", "T"):
-                    resid = abs(e.computed + e.expected)
-                bracket_max = max(bracket_max, resid)
+                bracket_max = max(bracket_max, e.residual)
                 if worst is None or e.residual > worst.residual:
                     worst = e
             seen_signs["ab"].add(rep.ab_sign)
@@ -530,11 +509,7 @@ def _roundtrip_section(rng, grid, points) -> float:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    try:
-        out = _out_dir(args)
-    except PermissionError as exc:
-        log.error("%s", exc)
-        return EXIT_UNWRITABLE
+    out = _out_dir(args)
     thresholds = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
     report = _verify_report(cfg, args)
     ok = (
@@ -636,6 +611,9 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         print(str(exc), file=sys.stderr)
         return EXIT_UNWRITABLE
+    except RuntimeError as exc:  # HillRegionError included
+        log.error("integration failed: %s", exc)
+        return EXIT_STEP_FAILURE
 
 
 if __name__ == "__main__":

@@ -24,18 +24,18 @@ DECREASING = "decreasing"
 ANY = "any"
 
 
+# runaway guard: an integration taking more steps than this is a step failure
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_step: float = np.inf
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0:
-            raise ValueError("tolerances and max_step must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class Trajectory:
     ts: np.ndarray
     ys: np.ndarray  # shape (len(ts), dim)
     interpolants: list = field(repr=False, default_factory=list)
-    config: IntegratorConfig = field(default_factory=IntegratorConfig)
     reason: str = REASON_TIME_LIMIT
     event_index: Optional[int] = None
 
@@ -101,22 +100,18 @@ def integrate(
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(x0, dtype=float)
-    traj = Trajectory(
-        ts=np.array([t0]), ys=y0[np.newaxis, :].copy(), config=cfg, reason=REASON_TIME_LIMIT
-    )
+    traj = Trajectory(ts=np.array([t0]), ys=y0[np.newaxis, :].copy())
     if t1 == t0:
         return traj
 
-    solver = DOP853(
-        field_fn, t0, y0, t1, rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step
-    )
+    solver = DOP853(field_fn, t0, y0, t1, rtol=cfg.rel_tol, atol=cfg.abs_tol)
     ts = [t0]
     ys = [y0.copy()]
     interps: list = []
     g_prev = [ev.g(y0) for ev in events]
     nsteps = 0
     while solver.status == "running":
-        if nsteps >= cfg.max_steps:
+        if nsteps >= MAX_STEPS:
             traj.reason = REASON_STEP_FAILURE
             break
         solver.step()
@@ -136,8 +131,6 @@ def integrate(
             traj.reason = REASON_EVENT
             traj.event_index = idx
             break
-    else:
-        traj.reason = REASON_TIME_LIMIT
 
     traj.ts = np.array(ts)
     traj.ys = np.array(ys)

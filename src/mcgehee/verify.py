@@ -51,12 +51,9 @@ def _coordinate_scales(z: np.ndarray, d: int) -> np.ndarray:
 
 
 def _gradient(
-    f: Callable[[np.ndarray], float | np.ndarray],
-    z: np.ndarray,
-    h: np.ndarray,
-    richardson: bool = True,
+    f: Callable[[np.ndarray], float | np.ndarray], z: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """4th-order central-difference gradient, optionally Richardson-extrapolated.
+    """4th-order central-difference gradient, Richardson-extrapolated.
 
     For a vector-valued f, row k is the gradient of component k: one
     evaluation of f serves every component.
@@ -73,10 +70,7 @@ def _gradient(
                 vals.append(f(zp))
             return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
 
-        if richardson:
-            cols.append((16.0 * stencil(0.5 * hi) - stencil(hi)) / 15.0)
-        else:
-            cols.append(stencil(hi))
+        cols.append((16.0 * stencil(0.5 * hi) - stencil(hi)) / 15.0)
     return np.stack(cols, axis=-1)
 
 
@@ -132,7 +126,6 @@ class BracketReport:
     names: tuple[tuple[str, str], ...]
     computed: np.ndarray
     expected: np.ndarray
-    h_fraction: float = DEFAULT_STEP_FRACTION
     ab_sign: float = 0.0  # measured sign of {A_i,B_j} vs (delta_ij - A_i A_j)
     bb_sign: float = 0.0  # measured sign of {B_i,B_j} vs L_ij
     ll_sign: float = 0.0  # measured sign of the L_ij structure constants; 0 in d = 2
@@ -170,11 +163,7 @@ def _family_sign(pairs: Sequence[tuple[float, float]]) -> float:
     return 1.0 if plus <= minus else -1.0
 
 
-def bracket_table(
-    params: ModelParams,
-    x: PhasePoint,
-    h_fraction: float = DEFAULT_STEP_FRACTION,
-) -> BracketReport:
+def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
     """Brackets of the chart functions at x, compared to their closed forms.
 
     The mixed family {A_i,B_j}, the momentum family {B_i,B_j} and the
@@ -184,7 +173,7 @@ def bracket_table(
     """
     d = params.d
     z0 = np.concatenate([x.q, x.p])
-    h = h_fraction * _coordinate_scales(z0, d)
+    h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
     def chart_vec(z: np.ndarray) -> np.ndarray:
         c = chart.chart_forward(params, PhasePoint(z[:d], z[d:]))
@@ -233,10 +222,9 @@ def bracket_table(
             rows.append(((f"B_{i}", f"B_{j}"), c, bb_sign * e))
             k += 1
 
-    ll_rows, ll_sign = _angular_momentum_algebra(x, h_fraction)
+    ll_rows, ll_sign = _angular_momentum_algebra(x)
     return BracketReport.from_rows(
         rows + ll_rows,
-        h_fraction=h_fraction,
         ab_sign=ab_sign,
         bb_sign=bb_sign,
         ll_sign=ll_sign,
@@ -244,7 +232,7 @@ def bracket_table(
 
 
 def _angular_momentum_algebra(
-    x: PhasePoint, h_fraction: float
+    x: PhasePoint,
 ) -> tuple[list[tuple[tuple[str, str], float, float]], float]:
     """Structure constants of the L_ij functions themselves (exact FD).
 
@@ -256,7 +244,7 @@ def _angular_momentum_algebra(
     d = len(x.q)
     L = angular_momentum(x)
     z0 = np.concatenate([x.q, x.p])
-    h = h_fraction * _coordinate_scales(z0, d)
+    h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
     def l_fn(i: int, j: int) -> Callable[[np.ndarray], float]:
         return lambda z: z[j] * z[d + i] - z[i] * z[d + j]
@@ -306,9 +294,7 @@ def constraint_f2(z: np.ndarray) -> float:
     return float(np.dot(z[:d], z[d:]))
 
 
-def dirac_bracket_check(
-    x: PhasePoint, h_fraction: float = DEFAULT_STEP_FRACTION
-) -> DiracReport:
+def dirac_bracket_check(x: PhasePoint) -> DiracReport:
     """Dirac brackets of the coordinate functions on T*S^(d-1).
 
     {a,b}_Dirac = {a,b} + (1/c) ({a,F1}{F2,b} - {a,F2}{F1,b}) with the
@@ -321,7 +307,7 @@ def dirac_bracket_check(
     z0 = np.concatenate([x.q, x.p])
     if abs(constraint_f1(z0)) > 1e-10 or abs(constraint_f2(z0)) > 1e-10:
         raise ValueError("point is not on the unit sphere bundle T*S^(d-1)")
-    h = h_fraction * _coordinate_scales(z0, d)
+    h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
     coord = lambda i: (lambda z: float(z[i]))
     fns = [coord(i) for i in range(2 * d)] + [constraint_f1, constraint_f2]
@@ -360,22 +346,19 @@ class ConservationReport:
     h_drift: float
     l_drift: float
     l2_drift: float
-    samples: int
 
     def max_drift(self) -> float:
         return max(self.h_drift, self.l_drift, self.l2_drift)
 
 
-def conservation_report(
-    params: ModelParams, traj: ode.Trajectory, samples: int = 200
-) -> ConservationReport:
-    """Max drift of H, L and the scalar invariant along a physical trajectory.
+def conservation_report(params: ModelParams, traj: ode.Trajectory) -> ConservationReport:
+    """Max drift of H, L and the scalar invariant at 200 times along a trajectory.
 
     The trajectory state vector is (q_1..q_d, p_1..p_d).  Drifts are
     relative to the scale of the conserved quantity at the start.
     """
     d = params.d
-    ts = np.linspace(traj.t0, traj.t_end, samples)
+    ts = np.linspace(traj.t0, traj.t_end, 200)
     x0 = PhasePoint(traj.ys[0][:d], traj.ys[0][d:])
     h0 = hamiltonian(params, x0)
     l0 = angular_momentum(x0).matrix
@@ -391,7 +374,7 @@ def conservation_report(
         dh = max(dh, abs(hamiltonian(params, xt) - h0) / h_scale)
         dl = max(dl, float(np.linalg.norm(angular_momentum(xt).matrix - l0)) / l_scale)
         dl2 = max(dl2, abs(l_squared_point(xt) - l2_0) / l2_scale)
-    return ConservationReport(h_drift=dh, l_drift=dl, l2_drift=dl2, samples=samples)
+    return ConservationReport(h_drift=dh, l_drift=dl, l2_drift=dl2)
 
 
 @dataclass(frozen=True)
@@ -399,8 +382,6 @@ class TransitCheck:
     measured: float
     bound: float
     ok: bool
-    literal_bound: float  # without the mass factor; equals `bound` for m = 1
-    literal_ok: bool
 
 
 def transit_bound(params: ModelParams) -> float:
@@ -416,7 +397,7 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     x_entry must sit on (or just inside) the sphere ||q|| = eps moving
     inward.  The transit is carried by the covering flow so collision
     passages are included; measured time is compared against the uniform
-    bound with the mass factor, and against the bound without it.
+    bound, which carries the mass factor.
     """
     if x_entry.radial >= 0.0:
         raise ValueError("entry state must be moving inward")
@@ -430,32 +411,46 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     exit_event = cov.radius_event(params, params.eps)
     measured = float(cov.transit(params, E, y0, tau_max, (exit_event,), chart._TIGHT)[4])
     bound = transit_bound(params)
-    literal = bound / np.sqrt(params.m)
-    return TransitCheck(
-        measured=measured,
-        bound=bound,
-        ok=measured <= bound,
-        literal_bound=literal,
-        literal_ok=measured <= literal,
-    )
+    return TransitCheck(measured=measured, bound=bound, ok=measured <= bound)
 
 
 def _tail_sweep(params: ModelParams, l: float, r_eval: float) -> float:
     """Residual polar angle swept from radius r_eval out to infinity (E = 0).
 
     In the substitution w = r**(-1/n) the orbit-equation integrand
-    l / (r^2 p_r) dr becomes n l dw / sqrt(2 m Z - l^2 w^2), which is
-    smooth on [0, r_eval**(-1/n)] and integrated by quadrature.  Without
-    this tail the position direction at any affordable radius still
-    deviates from the asymptote by ~ n * (r_min/r_eval)**(1/n), far above
-    the certification tolerance for n >= 3.
+    l / (r^2 p_r) dr becomes n l dw / sqrt(2 m Z - l^2 w^2), whose integral
+    over [0, r_eval**(-1/n)] is n asin(l r_eval**(-1/n) / sqrt(2 m Z)).
+    Without this tail the position direction at any affordable radius
+    still deviates from the asymptote by ~ n * (r_min/r_eval)**(1/n), far
+    above the certification tolerance for n >= 3.
     """
-    from scipy.integrate import quad
+    n = params.n
+    return n * np.arcsin(l * r_eval ** (-1.0 / n) / np.sqrt(2.0 * params.m * params.Z))
 
-    n, m, Z = params.n, params.m, params.Z
-    w_eval = r_eval ** (-1.0 / n)
-    val, _ = quad(lambda w: n * l / np.sqrt(2.0 * m * Z - l * l * w * w), 0.0, w_eval)
-    return val
+
+def escape(
+    params: ModelParams, y0: np.ndarray, r_far: float, cfg: ode.IntegratorConfig
+) -> tuple[ode.Trajectory, ode.Trajectory]:
+    """Backward and forward physical trajectories of an E = 0 state out to r_far.
+
+    Raises RuntimeError when either branch does not reach r_far.
+    """
+    d = params.d
+    event = ode.EventSpec(
+        g=lambda y: sum(y[i] * y[i] for i in range(d)) - r_far * r_far,
+        direction=ode.INCREASING,
+        name="far",
+    )
+    # generous time budget: r grows at least like sqrt(2Z/m) t^(n/(2n-1))
+    t_budget = 10.0 * np.sqrt(params.m / (2.0 * params.Z)) * r_far ** (2.0 - 1.0 / params.n)
+    field = physical_field(params)
+    trajs = []
+    for sign in (-1.0, 1.0):
+        traj = ode.integrate(field, y0, (0.0, sign * t_budget), cfg, events=(event,))
+        if traj.reason != ode.REASON_EVENT:
+            raise RuntimeError("orbit did not reach the evaluation radius")
+        trajs.append(traj)
+    return trajs[0], trajs[1]
 
 
 def asymptotic_direction_pair(
@@ -467,9 +462,9 @@ def asymptotic_direction_pair(
     """Asymptotic unit directions of the orbit in the far past and far future.
 
     x0 must be a non-collision pericenter state of energy zero (within
-    1e-10).  Both branches are integrated to radius radius_factor * r_min;
-    the direction there is then completed to the true asymptote by the
-    convergent tail quadrature of the orbit equation.  For even n the two
+    1e-10).  Both branches `escape` to radius radius_factor * r_min; the
+    direction there is then completed to the true asymptote by the
+    closed-form tail of the orbit equation.  For even n the two
     directions coincide, for odd n they are opposite.
     """
     cfg = cfg or ode.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -490,20 +485,9 @@ def asymptotic_direction_pair(
     l_signed = (qc0.conjugate() * pc0).imag  # in-plane angular momentum
     tail = _tail_sweep(params, abs(l_signed), r_far)
 
-    field = physical_field(params)
-    event = ode.EventSpec(
-        g=lambda y: float(np.dot(y[:d], y[:d])) - r_far * r_far,
-        direction=ode.INCREASING,
-        name="far",
-    )
-    # generous time budget: r grows at least like sqrt(2Z/m) t^(n/(2n-1))
-    t_budget = 10.0 * np.sqrt(params.m / (2.0 * params.Z)) * r_far ** (2.0 - 1.0 / params.n)
-    y0 = np.concatenate([x0.q, x0.p])
     dirs = []
-    for sign in (-1.0, 1.0):
-        traj = ode.integrate(field, y0, (0.0, sign * t_budget), cfg, events=(event,))
-        if traj.reason != ode.REASON_EVENT:
-            raise RuntimeError("orbit did not reach the evaluation radius")
+    branches = escape(params, np.concatenate([x0.q, x0.p]), r_far, cfg)
+    for sign, traj in zip((-1.0, 1.0), branches):
         qf = traj.ys[-1][:d]
         theta = np.angle(frame.to_complex(qf))
         # the angle keeps sweeping in the sense of l_signed out to infinity
@@ -518,7 +502,6 @@ def sample_domain_points(
     rng: np.random.Generator,
     count: int,
     r_range: tuple[float, float] = (0.25, 0.85),
-    speed_margin: tuple[float, float] = (1.1, 3.0),
 ) -> list[PhasePoint]:
     """Random points of the chart domain with margin for difference stencils.
 
@@ -532,7 +515,7 @@ def sample_domain_points(
         u = rng.normal(size=params.d)
         u /= np.linalg.norm(u)
         floor = 2.0 * params.m * (1.0 - 0.5 / params.n) * params.Z * r ** (-params.alpha)
-        p_mag = np.sqrt(floor * rng.uniform(*speed_margin))
+        p_mag = np.sqrt(floor * rng.uniform(1.1, 3.0))
         v = rng.normal(size=params.d)
         v /= np.linalg.norm(v)
         x = PhasePoint(q=r * u, p=p_mag * v)

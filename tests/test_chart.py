@@ -287,7 +287,7 @@ class TestQuadratureChart:
         for x in oracle_points(params, np.random.default_rng(200 + 10 * n + d)):
             c = chart.chart_forward(params, x)
             if np.linalg.norm(c.B) == 0.0:
-                continue  # collision orbits are flowed by global_flow itself
+                continue  # ode_inverse needs B's direction; see TestCollisionOrbitInverse
             back = chart.chart_inverse(params, c)
             oracle = ode_inverse(params, c)
             for y in (x, oracle.x):
@@ -358,6 +358,76 @@ class TestQuadratureChart:
                 back = chart.chart_inverse(params, chart.chart_forward(params, x))
                 assert np.max(np.abs(back.x.q - x.q)) <= 1e-3 * 1e-8
                 assert np.max(np.abs(back.x.p - x.p)) <= 1e-3 * 1e-8
+
+
+def radial_time_quadrature(params, H, r):
+    """Independent oracle: time from the collision out to r along a
+    collision orbit, int_0^r dr / sqrt(2/m (H + Z r**-alpha))."""
+
+    def integrand(s):
+        return 1.0 / np.sqrt(2.0 / params.m * (H + params.Z * s**-params.alpha))
+
+    val, _ = quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+class TestCollisionOrbitInverse:
+    """chart_inverse on B = 0 takes the same radial quadrature as every other
+    orbit; only (T, B) = (0, 0) is the glued collision point."""
+
+    @staticmethod
+    def cases(params, rng):
+        for H in (-0.3, 0.0, 2.0):
+            A = rng.normal(size=params.d)
+            A /= np.linalg.norm(A)
+            t_exit = radial_time_quadrature(params, H, params.eps)
+            for frac in (1e-3, 0.1, 0.5, 0.95):
+                for sign in (-1.0, 1.0):
+                    yield chart.ChartPoint(
+                        T=sign * frac * t_exit, H=H, B=np.zeros(params.d), A=A
+                    )
+
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_time_matches_radial_quadrature(self, n, d):
+        params = ModelParams(n=n, d=d, eps=0.1)
+        tau = time_scale(params)
+        for c in self.cases(params, np.random.default_rng(300 + 10 * n + d)):
+            back = chart.chart_inverse(params, c)
+            assert isinstance(back, chart.Regular)
+            q, p = back.x.q, back.x.p
+            r = np.linalg.norm(q)
+            assert abs(radial_time_quadrature(params, c.H, r) - abs(c.T)) <= 1e-12 * tau
+            # on the line of A, moving outward iff T > 0, at energy H
+            assert np.linalg.norm(q - np.dot(q, c.A) * c.A) <= 1e-14 * r
+            assert np.linalg.norm(p - np.dot(p, c.A) * c.A) <= 1e-14 * np.linalg.norm(p)
+            assert np.sign(back.x.radial) == np.sign(c.T)
+            assert hamiltonian(params, back.x) == pytest.approx(c.H, abs=1e-10)
+
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_matches_global_flow_from_collision(self, n, d):
+        # the collision orbit flowed by the covering ODE from the glued point
+        params = ModelParams(n=n, d=d, eps=0.1)
+        for c in self.cases(params, np.random.default_rng(400 + 10 * n + d)):
+            back = chart.chart_inverse(params, c).x
+            flowed = chart.global_flow(params, chart.Collision(h=c.H, a=c.A), c.T).x
+            assert np.linalg.norm(back.q - flowed.q) <= 1e-7 * back.r
+            assert np.linalg.norm(back.p - flowed.p) <= 1e-7 * np.linalg.norm(back.p)
+
+    def test_time_beyond_the_domain_is_rejected(self):
+        # flowing the glued point by T = 0.05 would reach r = 0.285 > eps
+        params = ModelParams(n=3, d=2, eps=0.1)
+        c = chart.ChartPoint(T=0.05, H=1.0, B=np.zeros(2), A=np.array([1.0, 0.0]))
+        with pytest.raises(chart.ChartDomainError):
+            chart.chart_inverse(params, c)
+
+    def test_n1_energy_below_the_domain_floor_is_rejected(self):
+        # for n = 1 the floor H > -Z/2 of U^eps does not depend on r
+        params = ModelParams(n=1, d=2, eps=0.1)
+        for H in (-0.5, -2.0):
+            for B in (np.zeros(2), np.array([0.0, 1e-3])):
+                c = chart.ChartPoint(T=1e-3, H=H, B=B, A=np.array([1.0, 0.0]))
+                with pytest.raises(chart.ChartDomainError):
+                    chart.chart_inverse(params, c)
 
 
 class TestPericenter:

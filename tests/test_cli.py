@@ -131,6 +131,22 @@ class TestConfigErrors:
         code = run(["simulate", "--config", cfg, "--out", "/proc/mcgehee-denied"])
         assert code == cli.EXIT_UNWRITABLE
 
+    @pytest.mark.parametrize("argv", [["figures", "fig1"], ["verify"]])
+    def test_figures_and_verify_unwritable_output_dir(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = run(argv + ["--out", str(blocker / "out")])
+        assert code == cli.EXIT_UNWRITABLE
+        assert "is not writable" in capsys.readouterr().err
+
+    def test_figures_integration_failure_exits_3(self, tmp_path, monkeypatch):
+        def no_escape(*args):
+            raise RuntimeError("orbit did not reach the evaluation radius")
+
+        monkeypatch.setattr(cli.verify, "escape", no_escape)
+        code = run(["figures", "fig1", "--out", str(tmp_path)])
+        assert code == cli.EXIT_STEP_FAILURE
+
 
 class TestSimulate:
     def test_zero_span_single_row(self, tmp_path):
@@ -244,14 +260,15 @@ class TestFigures:
 
 class TestVerifyCommand:
     def test_corrupted_convention_fails_with_exit_5(self, tmp_path):
+        # negative control: a zero bracket threshold no residual can meet
         cfg = write_config(
-            tmp_path, {"corrupt_bracket_convention": True, "verify_points": 1}
+            tmp_path, {"thresholds": {"bracket": 0.0}, "verify_points": 1}
         )
         code = run(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "0"])
         assert code == cli.EXIT_VERIFY_FAILED
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["ok"] is False
-        # only the deliberately corrupted section is out of tolerance
+        # only the section with the impossible threshold is out of tolerance
         assert report["bracket_table"]["max_residual"] > report["thresholds"]["bracket"]
         assert report["dirac"]["max_residual"] < report["thresholds"]["dirac"]
         assert report["transit_bound"]["violations"] == []

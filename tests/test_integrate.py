@@ -81,4 +81,4 @@ class TestConfig:
         with pytest.raises(ValueError):
             ode.IntegratorConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
-            ode.IntegratorConfig(max_steps=0)
+            ode.IntegratorConfig(abs_tol=-1.0)
