@@ -321,11 +321,15 @@ def _sigma_root(params: ModelParams, E: float, l2: float) -> float:
     if E < 0.0:
         # the maximum of E s**n + Z s separates the two roots
         s_peak = (Z / (n * -E)) ** (1.0 / (n - 1.0))
-        if E * s_peak**n + Z * s_peak < rhs:
+        peak = E * s_peak**n + Z * s_peak
+        if peak < rhs:
             raise NoPericenterError(
                 f"no pericenter for E={E}, l2={l2}: angular momentum above the "
                 "circular-orbit threshold"
             )
+        if peak == rhs:
+            # circular orbit: a double root, where Newton stalls ~sqrt(eps) short
+            return float(s_peak)
     s = rhs / Z
     direction = 0.0
     for _ in range(200):

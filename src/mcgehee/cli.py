@@ -341,17 +341,16 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     if which in ("fig2", "all"):
         params = ModelParams(n=3, d=2, m=1.0, Z=1.0, eps=0.1)
-        E = float(cfg.get("fig2_energy", FIG2_ENERGY))
-        ls = []
-        for target in FIG2_TARGETS:
-            if target is None:
-                ls.append(float(cfg.get("fig2_middle_l", FIG2_MIDDLE_L)))
-            else:
-                ls.append(_periodic_l(params, E, target, (0.1, 1.03)))
-        ls.sort()
+        ls = sorted(
+            FIG2_MIDDLE_L if target is None
+            else _periodic_l(params, FIG2_ENERGY, target, (0.1, 1.03))
+            for target in FIG2_TARGETS
+        )
         curves = []
         for k, l in enumerate(ls):
-            data = _bounded_orbit(params, E, l, t_total=60.0, points=2000, icfg=icfg)
+            data = _bounded_orbit(
+                params, FIG2_ENERGY, l, t_total=60.0, points=2000, icfg=icfg
+            )
             _write_curve_csv(out / f"fig2_orbit{k+1}_l{l:.6f}.csv", data)
             curves.append(data[:, 1:3])
         _svg_polylines(curves, out / "fig2.svg")
@@ -425,7 +424,7 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
         drep = verify.dirac_bracket_check(PhasePoint(q, p))
         dirac_max = max(dirac_max, drep.max_residual)
 
-    conservation = _conservation_section(rng)
+    conservation = _conservation_section()
     transit = _transit_section(rng)
     roundtrip_max = _roundtrip_section(rng, grid, points)
 
@@ -442,7 +441,7 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
     }
 
 
-def _conservation_section(rng: np.random.Generator) -> dict:
+def _conservation_section() -> dict:
     params = ModelParams(n=2, d=3, m=1.0, Z=1.0, eps=0.1)
     q = np.array([1.2, 0.0, 0.3])
     p = np.array([0.1, 0.8, -0.2])
@@ -547,7 +546,11 @@ def cmd_rmin(args: argparse.Namespace) -> int:
         return EXIT_NO_PERICENTER
     print(_fmt(r))
     if params.n == 2:
-        delta = abs(r - chart.r_min_kepler(params, E, l2))
+        # r is the closed form for n = 2; the delta checks the Newton root
+        try:
+            delta = abs(chart._r_min_root(params, E, l2) - r)
+        except chart.NoPericenterError:  # rounding at the circular threshold
+            delta = np.inf
         print(f"closed-form delta: {_fmt(delta)}")
     return EXIT_OK
 

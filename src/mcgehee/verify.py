@@ -22,8 +22,10 @@ record the measured family sign explicitly instead of absorbing it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +40,8 @@ from .model import (
 )
 
 # default finite-difference step as a fraction of the local coordinate
-# scale; chart functions are evaluated by integration, so steps far below
-# this hit the integrator noise floor rather than gaining accuracy
+# scale: rounding in the chart values grows like 1/step, and a larger step
+# differences more near-collision points across the collision orbits
 DEFAULT_STEP_FRACTION = 1e-4
 
 
@@ -60,8 +62,6 @@ def _gradient(
     """
     cols = []
     for i in range(len(z)):
-        hi = h[i]
-
         def stencil(step: float) -> float | np.ndarray:
             vals = []
             for c in (-2.0, -1.0, 1.0, 2.0):
@@ -70,13 +70,18 @@ def _gradient(
                 vals.append(f(zp))
             return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
 
-        cols.append((16.0 * stencil(0.5 * hi) - stencil(hi)) / 15.0)
+        cols.append((16.0 * stencil(0.5 * h[i]) - stencil(h[i])) / 15.0)
     return np.stack(cols, axis=-1)
 
 
-def _bracket_from_gradients(gf: np.ndarray, gg: np.ndarray, d: int) -> float:
-    """{f,g} = <df/dp, dg/dq> - <df/dq, dg/dp>."""
-    return float(np.dot(gf[d:], gg[:d]) - np.dot(gf[:d], gg[d:]))
+def _brackets(J: np.ndarray, d: int) -> np.ndarray:
+    """Matrix of every {f_a, f_b}, where row a of J is the gradient of f_a.
+
+    {f_a, f_b} = <df_a/dp, df_b/dq> - <df_a/dq, df_b/dp>, so the matrix is
+    J_p J_q^T - J_q J_p^T.
+    """
+    Jq, Jp = J[:, :d], J[:, d:]
+    return Jp @ Jq.T - Jq @ Jp.T
 
 
 def poisson_bracket(
@@ -90,13 +95,11 @@ def poisson_bracket(
     z = np.concatenate([x.q, x.p])
     h = h_fraction * _coordinate_scales(z, d)
 
-    def fz(zz: np.ndarray) -> float:
-        return f(PhasePoint(zz[:d], zz[d:]))
+    def fg(zz: np.ndarray) -> np.ndarray:
+        xx = PhasePoint(zz[:d], zz[d:])
+        return np.array([f(xx), g(xx)])
 
-    def gz(zz: np.ndarray) -> float:
-        return g(PhasePoint(zz[:d], zz[d:]))
-
-    return _bracket_from_gradients(_gradient(fz, z, h), _gradient(gz, z, h), d)
+    return float(_brackets(_gradient(fg, z, h), d)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,13 @@ class BracketEntry:
         return abs(self.computed - self.expected)
 
 
-# one names tuple per table layout, shared by every report that has it
-_NAME_TABLES: dict[tuple, tuple] = {}
-
-
 @dataclass(frozen=True, slots=True)
 class BracketReport:
     """All pairwise brackets among {T, H, A_i, B_i} plus the L_ij algebra.
 
     Kept compact, since callers may hold many reports: a names tuple shared
-    by all reports of the same layout and arrays of the computed and
-    expected values.  `entries` builds the per-pair view on demand.
+    by all reports of the same d and arrays of the computed and expected
+    values.  `entries` builds the per-pair view on demand.
     """
 
     names: tuple[tuple[str, str], ...]
@@ -129,18 +128,6 @@ class BracketReport:
     ab_sign: float = 0.0  # measured sign of {A_i,B_j} vs (delta_ij - A_i A_j)
     bb_sign: float = 0.0  # measured sign of {B_i,B_j} vs L_ij
     ll_sign: float = 0.0  # measured sign of the L_ij structure constants; 0 in d = 2
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[tuple[tuple[str, str], float, float]], **signs: float
-    ) -> "BracketReport":
-        names, computed, expected = zip(*rows)
-        return cls(
-            _NAME_TABLES.setdefault(names, names),
-            np.array(computed),
-            np.array(expected),
-            **signs,
-        )
 
     @property
     def entries(self) -> list[BracketEntry]:
@@ -154,121 +141,94 @@ class BracketReport:
         return float(np.max(np.abs(self.computed - self.expected), initial=0.0))
 
 
-def _family_sign(pairs: Sequence[tuple[float, float]]) -> float:
-    """Global sign s minimising sum |computed - s*expected| over the family."""
-    plus = sum(abs(c - e) for c, e in pairs)
-    minus = sum(abs(c + e) for c, e in pairs)
-    if all(abs(e) < 1e-12 for _, e in pairs):
+def _family_sign(computed: np.ndarray, expected: np.ndarray) -> float:
+    """Global sign s minimising sum |computed - s*expected| over the family.
+
+    0 for an empty family: there is nothing to measure.
+    """
+    if expected.size == 0:
+        return 0.0
+    if np.all(np.abs(expected) < 1e-12):
         return 1.0
+    plus = np.sum(np.abs(computed - expected))
+    minus = np.sum(np.abs(computed + expected))
     return 1.0 if plus <= minus else -1.0
+
+
+@functools.cache
+def _table_layout(d: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of `bracket_table` in report order.
+
+    Returns the (f_a, f_b) names of every row, the indices a and b of f_a
+    and f_b in the chart vector (T, H, A, B, L) and the family of the row:
+    0 for {H, T} and the vanishing pairs, then 1 (A, B), 2 (B, B), 3 (L, L).
+    """
+    A = [f"A_{i}" for i in range(d)]
+    B = [f"B_{i}" for i in range(d)]
+    L = [f"L_{i}{j}" for i, j in combinations(range(d), 2)]
+    rows = [("H", "T", 0)]
+    for i in range(d):
+        rows += [(f, g[i], 0) for f in "HT" for g in (A, B)]
+    rows += [(f, g, 0) for f, g in combinations(A, 2)]
+    rows += [(f, g, 1) for f in A for g in B]
+    rows += [(f, g, 2) for f, g in combinations(B, 2)]
+    rows += [(f, g, 3) for f, g in combinations(L, 2)]
+    index = {f: k for k, f in enumerate(["T", "H", *A, *B, *L])}
+    table = np.array([(index[f], index[g], fam) for f, g, fam in rows])
+    table.setflags(write=False)  # cached: shared by every report of this d
+    return tuple((f, g) for f, g, _ in rows), *table.T
 
 
 def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
     """Brackets of the chart functions at x, compared to their closed forms.
 
-    The mixed family {A_i,B_j}, the momentum family {B_i,B_j} and the
-    angular-momentum structure constants are compared up to a single
-    measured global sign per family, recorded on the report (the closed
-    forms fix them only up to the bracket-convention parity).
+    The chart vector is (T, H, A, B) followed by L_ij = q_j p_i - q_i p_j
+    for i < j, so one stencil gives every row.  The mixed family
+    {A_i,B_j}, the momentum family {B_i,B_j} and the angular-momentum
+    structure constants
+
+        {L_ij, L_kl} = s * (delta_il L_jk - delta_ik L_jl
+                            - delta_jl L_ik + delta_jk L_il)
+
+    are compared up to a single measured global sign per family, recorded
+    on the report (the closed forms fix them only up to the
+    bracket-convention parity).
     """
     d = params.d
+    names, a, b, family = _table_layout(d)
+    pi, pj = np.triu_indices(d, 1)
     z0 = np.concatenate([x.q, x.p])
     h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
     def chart_vec(z: np.ndarray) -> np.ndarray:
         c = chart.chart_forward(params, PhasePoint(z[:d], z[d:]))
-        return np.concatenate([[c.T, c.H], c.A, c.B])
+        L = z[pj] * z[d + pi] - z[pi] * z[d + pj]
+        return np.concatenate([[c.T, c.H], c.A, c.B, L])
 
-    grads = _gradient(chart_vec, z0, h)
-    c0 = chart.chart_forward(params, x)
-    A = c0.A
-    L = angular_momentum(x)
-    iT, iH = 0, 1
-    iA = lambda i: 2 + i
-    iB = lambda i: 2 + d + i
-    pb = lambda a, b: _bracket_from_gradients(grads[a], grads[b], d)
-
-    rows = [(("H", "T"), pb(iH, iT), 1.0)]
-    for i in range(d):
-        rows.append((("H", f"A_{i}"), pb(iH, iA(i)), 0.0))
-        rows.append((("H", f"B_{i}"), pb(iH, iB(i)), 0.0))
-        rows.append((("T", f"A_{i}"), pb(iT, iA(i)), 0.0))
-        rows.append((("T", f"B_{i}"), pb(iT, iB(i)), 0.0))
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows.append(((f"A_{i}", f"A_{j}"), pb(iA(i), iA(j)), 0.0))
-
-    ab_pairs = [
-        (pb(iA(i), iB(j)), (1.0 if i == j else 0.0) - A[i] * A[j])
-        for i in range(d)
-        for j in range(d)
-    ]
-    ab_sign = _family_sign(ab_pairs)
-    k = 0
-    for i in range(d):
-        for j in range(d):
-            c, e = ab_pairs[k]
-            rows.append(((f"A_{i}", f"B_{j}"), c, ab_sign * e))
-            k += 1
-
-    bb_pairs = [
-        (pb(iB(i), iB(j)), L[i, j]) for i in range(d) for j in range(i + 1, d)
-    ]
-    bb_sign = _family_sign(bb_pairs)
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            c, e = bb_pairs[k]
-            rows.append(((f"B_{i}", f"B_{j}"), c, bb_sign * e))
-            k += 1
-
-    ll_rows, ll_sign = _angular_momentum_algebra(x)
-    return BracketReport.from_rows(
-        rows + ll_rows,
-        ab_sign=ab_sign,
-        bb_sign=bb_sign,
-        ll_sign=ll_sign,
-    )
-
-
-def _angular_momentum_algebra(
-    x: PhasePoint,
-) -> tuple[list[tuple[tuple[str, str], float, float]], float]:
-    """Structure constants of the L_ij functions themselves (exact FD).
-
-    Closed form (up to the convention sign recorded as ll_sign):
-
-        {L_ij, L_kl} = s * (delta_il L_jk - delta_ik L_jl
-                            - delta_jl L_ik + delta_jk L_il).
-    """
-    d = len(x.q)
-    L = angular_momentum(x)
-    z0 = np.concatenate([x.q, x.p])
-    h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
-
-    def l_fn(i: int, j: int) -> Callable[[np.ndarray], float]:
-        return lambda z: z[j] * z[d + i] - z[i] * z[d + j]
-
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    grads = {ij: _gradient(l_fn(*ij), z0, h) for ij in pairs}
+    M = _brackets(_gradient(chart_vec, z0, h), d)
+    # the closed forms in the index layout of chart_vec, before the family signs
+    A = chart.chart_forward(params, x).A
+    L = angular_momentum(x).matrix
     delta = np.eye(d)
-    fam = []
-    labels = []
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            if (i, j) >= (k, l):
-                continue
-            computed = _bracket_from_gradients(grads[(i, j)], grads[(k, l)], d)
-            expected = (
-                delta[i, l] * L[j, k]
-                - delta[i, k] * L[j, l]
-                - delta[j, l] * L[i, k]
-                + delta[j, k] * L[i, l]
-            )
-            fam.append((computed, expected))
-            labels.append((f"L_{i}{j}", f"L_{k}{l}"))
-    sign = _family_sign(fam) if fam else 0.0  # d = 2: nothing to measure
-    return [(names, c, sign * e) for (names, (c, e)) in zip(labels, fam)], sign
+    i, j, k, l = pi[:, None], pj[:, None], pi, pj
+    E = np.zeros_like(M)
+    E[1, 0] = 1.0  # {H, T}
+    E[2 : 2 + d, 2 + d : 2 + 2 * d] = delta - np.outer(A, A)
+    E[2 + d + pi, 2 + d + pj] = L[pi, pj]
+    E[2 + 2 * d :, 2 + 2 * d :] = (
+        delta[i, l] * L[j, k]
+        - delta[i, k] * L[j, l]
+        - delta[j, l] * L[i, k]
+        + delta[j, k] * L[i, l]
+    )
+    computed, expected = M[a, b], E[a, b]
+    ab_sign, bb_sign, ll_sign = (
+        _family_sign(computed[family == f], expected[family == f]) for f in (1, 2, 3)
+    )
+    expected *= np.array([1.0, ab_sign, bb_sign, ll_sign])[family]
+    return BracketReport(
+        names, computed, expected, ab_sign=ab_sign, bb_sign=bb_sign, ll_sign=ll_sign
+    )
 
 
 @dataclass(frozen=True)
@@ -309,35 +269,24 @@ def dirac_bracket_check(x: PhasePoint) -> DiracReport:
         raise ValueError("point is not on the unit sphere bundle T*S^(d-1)")
     h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
-    coord = lambda i: (lambda z: float(z[i]))
-    fns = [coord(i) for i in range(2 * d)] + [constraint_f1, constraint_f2]
-    grads = [_gradient(f, z0, h) for f in fns]
-    g1, g2 = grads[2 * d], grads[2 * d + 1]
-    pb = lambda ga, gb: _bracket_from_gradients(ga, gb, d)
-    c = pb(g1, g2)
+    # the coordinate functions z_0 .. z_(2d-1), then F1 and F2
+    def fns(z: np.ndarray) -> np.ndarray:
+        return np.concatenate([z, [constraint_f1(z), constraint_f2(z)]])
 
-    def dirac(ga: np.ndarray, gb: np.ndarray) -> float:
-        return pb(ga, gb) + (pb(ga, g1) * pb(g2, gb) - pb(ga, g2) * pb(g1, gb)) / c
+    M = _brackets(_gradient(fns, z0, h), d)
+    F1, F2 = 2 * d, 2 * d + 1
+    c = float(M[F1, F2])
+    D = M + (np.outer(M[:, F1], M[F2]) - np.outer(M[:, F2], M[F1])) / c
 
     q, p = x.q, x.p
-    entries: list[BracketEntry] = []
-    for i in range(d):
-        for k in range(i + 1, d):
-            cqq = dirac(grads[i], grads[k])
-            entries.append(BracketEntry((f"q_{i}", f"q_{k}"), cqq, 0.0))
-    qp_pairs = []
-    for i in range(d):
-        for k in range(d):
-            cqp = dirac(grads[i], grads[d + k])
-            qp_pairs.append(((i, k), cqp, (1.0 if i == k else 0.0) - q[i] * q[k]))
-    s = _family_sign([(c_, e_) for _, c_, e_ in qp_pairs])
-    for (i, k), c_, e_ in qp_pairs:
-        entries.append(BracketEntry((f"q_{i}", f"p_{k}"), c_, s * e_))
-    for i in range(d):
-        for k in range(i + 1, d):
-            cpp = dirac(grads[d + i], grads[d + k])
-            exp = q[i] * p[k] - q[k] * p[i]
-            entries.append(BracketEntry((f"p_{i}", f"p_{k}"), cpp, exp))
+    pairs = list(combinations(range(d), 2))
+    qp = np.eye(d) - np.outer(q, q)
+    s = _family_sign(D[:d, d : 2 * d].ravel(), qp.ravel())
+    label = [f"{v}_{i}" for v in "qp" for i in range(d)]
+    row = lambda a, b, e: BracketEntry((label[a], label[b]), float(D[a, b]), e)
+    entries = [row(i, k, 0.0) for i, k in pairs]
+    entries += [row(i, d + k, s * qp[i, k]) for i in range(d) for k in range(d)]
+    entries += [row(d + i, d + k, q[i] * p[k] - q[k] * p[i]) for i, k in pairs]
     return DiracReport(entries=entries, qp_sign=s, c_measured=c)
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mcgehee import cli
+from mcgehee import chart, cli
+from mcgehee.model import ModelParams
 
 
 def run(argv):
@@ -37,6 +38,26 @@ class TestRmin:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert float(out.splitlines()[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_delta_compares_newton_root_with_closed_form(self, capsys, monkeypatch):
+        # n = 2 prints the closed form; a shifted Newton root must show up in
+        # the delta line (it used to compare the closed form with itself)
+        sigma_root = chart._sigma_root
+        monkeypatch.setattr(chart, "_sigma_root", lambda *a: sigma_root(*a) + 1e-3)
+        params = ModelParams(n=2, d=2, m=1.3, Z=0.8)
+        argv = ["rmin", "--n", "2", "--m", "1.3", "--Z", "0.8", "--E", "-0.3", "--l2", "0.7"]
+        assert run(argv) == cli.EXIT_OK
+        r, delta = capsys.readouterr().out.splitlines()
+        assert float(r) == chart.r_min_kepler(params, -0.3, 0.7)
+        assert float(delta.split(":")[1]) == pytest.approx(1e-3, rel=1e-9)
+
+    def test_delta_is_inf_when_only_the_closed_form_has_a_root(self, capsys):
+        # at the circular threshold the two solvers can disagree by rounding
+        argv = ["rmin", "--n", "2", "--E", "-0.9", "--l2", "0.5555555555555556"]
+        assert run(argv) == cli.EXIT_OK
+        r, delta = capsys.readouterr().out.splitlines()
+        assert float(r) == pytest.approx(0.5555555555555556, rel=1e-15)
+        assert delta == "closed-form delta: inf"
 
     def test_no_pericenter_exit_code(self, capsys):
         code = run(["rmin", "--n", "2", "--E", "-0.5", "--l2", "2"])
@@ -300,8 +321,8 @@ class TestVerifyCommand:
             )
 
         monkeypatch.setattr(cli.verify, "bracket_table", fake_table)
-        for section in ("_conservation_section", "_transit_section"):
-            monkeypatch.setattr(cli, section, lambda rng: {})
+        monkeypatch.setattr(cli, "_conservation_section", lambda: {})
+        monkeypatch.setattr(cli, "_transit_section", lambda rng: {})
         monkeypatch.setattr(cli, "_roundtrip_section", lambda rng, grid, points: 0.0)
         args = cli.build_parser().parse_args(["verify", "--seed", "0"])
         report = cli._verify_report({"verify_points": 2}, args)["bracket_table"]

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,38 @@ class TestBracketTable:
         assert ("H", "T") in names
         assert ("A_0", "B_1") in names
         assert ("B_0", "B_1") in names
+
+
+class TestBracketTableLayout:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_row_is_the_bracket_of_its_named_pair(self, n, d):
+        # rows that expect the same value (0 for most pairs) would pass
+        # max_residual even if swapped; recompute each row from its two names
+        params = ModelParams(n=n, d=d, eps=0.1)
+        x, y = verify.sample_domain_points(params, np.random.default_rng(10 * n + d), 2)
+        rep = verify.bracket_table(params, x)
+        assert verify.bracket_table(params, y).names is rep.names  # one tuple per d
+
+        @functools.cache
+        def chart_at(key: bytes):
+            z = np.frombuffer(key)
+            return chart.chart_forward(params, PhasePoint(z[:d], z[d:]))
+
+        def named(name):
+            c = lambda xp: chart_at(np.concatenate([xp.q, xp.p]).tobytes())
+            if name in ("T", "H"):
+                return lambda xp: getattr(c(xp), name)
+            family, idx = name.split("_")
+            if family == "L":
+                i, j = int(idx[0]), int(idx[1])
+                return lambda xp: xp.q[j] * xp.p[i] - xp.q[i] * xp.p[j]
+            return lambda xp: getattr(c(xp), family)[int(idx)]
+
+        assert len(set(rep.names)) == len(rep.names)
+        for (fa, fb), computed in zip(rep.names, rep.computed):
+            pb = verify.poisson_bracket(named(fa), named(fb), x)
+            assert computed == pytest.approx(pb, abs=1e-12), (fa, fb)
 
 
 class TestDiracBracket:
