@@ -8,15 +8,18 @@ set {(h, a)} = energy x direction, on which (T, B) = (0, 0).
 
 The chart maps are ODE-free on every orbit, collision orbits included:
 each orbit is a planar central-force orbit, so T and the angle swept since
-the pericenter are radial integrals, taken by fixed-node quadrature.  The
-covering ODE carries the global flow, and `pericenter` keeps the
+the pericenter are radial integrals, taken by fixed-node quadrature.  Bound
+orbits get the same treatment between both turning points (`_BoundOrbit`),
+and E = 0 orbits have closed forms (`_ZeroEnergyOrbit`).
+The covering ODE carries the global flow, and `pericenter` keeps the
 covering-ODE route to the same pericenter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -251,6 +254,214 @@ class _RadialOrbit:
         return u
 
 
+class Solve(NamedTuple):
+    """Roots of one vectorised solve of f(x) = t and the work it took."""
+
+    x: np.ndarray
+    iterations: int
+    f: Callable[[np.ndarray], np.ndarray]
+    t: np.ndarray
+
+    def residual(self) -> float:
+        """Worst |f(x) - t| at the returned roots; one more pass of f."""
+        return float(np.max(np.abs(self.f(self.x) - self.t), initial=0.0))
+
+
+_SOLVE_MAX_ITER = 64
+
+
+def _solve_increasing(f, rate, t, x, lo, hi, tol: float) -> Solve:
+    """x in [lo, hi] with f(x) = t for an increasing f, elementwise over t.
+
+    Newton from the first guess x, clipped into the bracket.  The bracket
+    is closed, so a sample where f(x) == t exactly stays where it is, and a
+    Newton step that leaves it bisects instead.  A sample stops once its
+    step is at most tol, or after _SOLVE_MAX_ITER steps.
+    """
+    x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, lo, hi))
+    x = np.clip(x, lo, hi)
+    active = np.ones(x.shape, dtype=bool)
+    iterations = 0
+    while active.any() and iterations < _SOLVE_MAX_ITER:
+        iterations += 1
+        res = f(x[active]) - t[active]
+        xa, la, ha = x[active], lo[active], hi[active]
+        la = np.where(res < 0.0, xa, la)
+        ha = np.where(res > 0.0, xa, ha)
+        new = xa - res / rate(xa)
+        new = np.where((la <= new) & (new <= ha), new, 0.5 * (la + ha))
+        new = np.where(res == 0.0, xa, new)
+        done = np.abs(new - xa) <= tol
+        x[active], lo[active], hi[active] = new, la, ha
+        active[active] = ~done
+    return Solve(x, iterations, f, t)
+
+
+class _ZeroEnergyOrbit:
+    """Radial integrals of one planar E = 0 orbit in closed form.
+
+    At E = 0 the radicand is 2m Z (sigma - s0), so with sigma = s0 + u**2
+    the time since the pericenter is the odd polynomial
+
+        T(u) = k int_0^u (s0 + v**2)**(n-1) dv,   k = n m / sqrt(2m Z),
+
+    and the swept angle is n atan2(u, sqrt(s0)), n pi/2 out to infinity.
+    """
+
+    E = 0.0
+    s1 = period = np.inf
+
+    def __init__(self, params: ModelParams, l: float) -> None:
+        n = self.n = params.n
+        self.l = l
+        self.s0 = _sigma_min(params, 0.0, l * l)
+        self.k = n * params.m / np.sqrt(2.0 * params.m * params.Z)
+        self.apsis = n * np.pi / 2.0
+        # T(u) = u sum_j c_j u**(2j), c_j = k binom(n-1, j) s0**(n-1-j) / (2j+1)
+        self._c = np.array(
+            [self.k * math.comb(n - 1, j) * self.s0 ** (n - 1 - j) / (2 * j + 1) for j in range(n)]
+        )
+
+    def time(self, u):
+        return u * np.polynomial.polynomial.polyval(u * u, self._c)
+
+    def rate(self, u):
+        """dT/du."""
+        return self.k * (self.s0 + u * u) ** (self.n - 1)
+
+    def u_at(self, r: float) -> float:
+        """u on the way out at radius r."""
+        return float(np.sqrt(r ** (2.0 / self.n) - self.s0))
+
+    def sample(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
+        """Radius and polar angle at signed times ts since the pericenter.
+
+        Newton on T(u) = |t| from above: T is at least its first and its last
+        term, so their inverses bound the root, and the convex T descends
+        monotonically from there.  Returns r, theta and the u solve.
+        """
+        ts = np.asarray(ts, dtype=float)
+        tau = np.abs(ts)
+        c = self._c
+        guess = np.minimum(tau / c[0], (tau / c[-1]) ** (1.0 / (2 * self.n - 1)))
+        u_max = float(np.max(guess, initial=0.0))
+        sol = _solve_increasing(self.time, self.rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
+        u = np.copysign(sol.x, ts)
+        theta = self.n * np.arctan2(u, np.sqrt(self.s0))
+        return (self.s0 + u * u) ** (self.n / 2.0), theta, sol
+
+
+# T(phi) varies by up to (s1/s0)**(n-1) in slope, so Newton's first guess
+# comes from a table; the solve stops within a few ulps of pi
+_PHI_TABLE = 129
+_PHI_TOL = 4.0 * np.spacing(np.pi)
+
+
+class _BoundOrbit:
+    """Radial integrals of one bound planar orbit, E < 0 and n >= 2.
+
+    In sigma = r**(2/n) the radicand r**2 p_r**2 = 2m f(sigma) factors as
+
+        f = E sigma**n + Z sigma - l**2/2m = (sigma - s0)(s1 - sigma) R(sigma),
+
+    with R > 0 of degree n - 2 and s0 s1 R(0) = l**2/2m.  With
+    sigma = s0 + (s1 - s0) sin(phi)**2 both turning-point singularities
+    cancel, and from the pericenter (phi = 0) to the apocenter (phi = pi/2)
+
+        T(phi) = K int_0^phi sigma**(n-1) / sqrt(R),   K = n m / sqrt(2m),
+
+    on the chart's Gauss-Legendre nodes.  The orbit is symmetric about its
+    apsides, so every other time reduces to [0, pi/2]: t modulo the radial
+    period, reflected about the apocenter in the second half.
+    """
+
+    def __init__(self, params: ModelParams, E: float, l: float) -> None:
+        n, Z = params.n, params.Z
+        if n < 2 or not E < 0.0:
+            raise ValueError("a bound orbit needs n >= 2 and E < 0")
+        self.n, self.E, self.l = n, E, l
+        self.root2m = np.sqrt(2.0 * params.m)
+        self.K = n * params.m / self.root2m
+        self.s0 = _sigma_min(params, E, l * l)  # NoPericenterError above the threshold
+        # f <= 0 at the zero of E s**n + Z s, and f is decreasing and concave
+        # beyond its peak, so Newton descends from there to the apocenter
+        s_far = (Z / -E) ** (1.0 / (n - 1.0))
+        self.s1 = max(self.s0, _monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far))
+        # f / (sigma - s0) = Z + E sum_j sigma**j s0**(n-1-j), divided by
+        # (s1 - sigma): every coefficient of R is positive, so R has no cancellation
+        g = [E * self.s0 ** (n - 1 - j) for j in range(n)]
+        g[0] += Z
+        coeffs = [g[n - 1]]
+        for j in range(n - 2, 0, -1):
+            coeffs.append(g[j] + self.s1 * coeffs[-1])
+        self.R0 = -coeffs[-1]
+        self._S = [-c for c in coeffs[:-1]]  # S = (R - R0)/sigma, Horner order
+        self.period = 2.0 * float(self.time(np.pi / 2.0))
+        self.apsis = float(self.angle(np.pi / 2.0))
+
+    def sigma(self, phi):
+        return self.s0 + (self.s1 - self.s0) * np.sin(phi) ** 2
+
+    def _RS(self, sigma):
+        S = np.zeros_like(sigma)
+        for c in self._S:
+            S = S * sigma + c
+        return self.R0 + sigma * S, S
+
+    def _quad(self, phi, integrand):
+        """Integral of integrand(sigma) over [0, phi] on the chart's nodes,
+        elementwise over phi; one node at a time, so memory stays O(len(phi))."""
+        total = 0.0
+        for x, w in zip(_NODES, _WEIGHTS):
+            total = total + w * integrand(self.sigma(phi * x))
+        return phi * total
+
+    def _slowness(self, sigma):
+        return sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0])
+
+    def _remainder(self, sigma):
+        R, S = self._RS(sigma)
+        rR, rR0 = np.sqrt(R), np.sqrt(self.R0)
+        return -S / (rR * rR0 * (rR + rR0))
+
+    def rate(self, phi):
+        """dT/dphi."""
+        return self.K * self._slowness(self.sigma(phi))
+
+    def time(self, phi):
+        """Time from the pericenter to phi in [0, pi/2], elementwise."""
+        return self.K * self._quad(np.asarray(phi, dtype=float), self._slowness)
+
+    def angle(self, phi):
+        """Polar angle swept from the pericenter to phi in [0, pi/2].
+
+        As in `_RadialOrbit.angle`, with R = R0 + sigma S the term
+        1/(sigma sqrt(R0)) integrates to the arctan, because
+        l**2 = 2m s0 s1 R0, and the remainder stays smooth as l -> 0.
+        """
+        phi = np.asarray(phi, dtype=float)
+        swept = np.arctan2(np.sqrt(self.s1) * np.sin(phi), np.sqrt(self.s0) * np.cos(phi))
+        return self.n * (swept + self.l / self.root2m * self._quad(phi, self._remainder))
+
+    def sample(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
+        """Radius and polar angle at times ts since the pericenter.
+
+        Each time is reduced modulo the period and solved for phi by Newton,
+        first guess from a table of T; every whole period adds two apsidal
+        angles.  Returns r, theta and the phi solve.
+        """
+        ts = np.asarray(ts, dtype=float)
+        periods, tau = np.divmod(ts, self.period)
+        back = tau > 0.5 * self.period
+        tau = np.where(back, self.period - tau, tau)
+        table = np.linspace(0.0, np.pi / 2.0, _PHI_TABLE)
+        guess = np.interp(tau, self.time(table), table)
+        sol = _solve_increasing(self.time, self.rate, tau, guess, 0.0, np.pi / 2.0, _PHI_TOL)
+        theta = self.angle(sol.x)
+        theta = 2.0 * periods * self.apsis + np.where(back, 2.0 * self.apsis - theta, theta)
+        return self.sigma(sol.x) ** (self.n / 2.0), theta, sol
+
+
 def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
     """Chart image (T, H; B, A) of x, by quadrature of the radial integrals.
 
@@ -330,7 +541,13 @@ def _sigma_root(params: ModelParams, E: float, l2: float) -> float:
         if peak == rhs:
             # circular orbit: a double root, where Newton stalls ~sqrt(eps) short
             return float(s_peak)
-    s = rhs / Z
+    return _monotone_newton(E, Z, n, rhs, rhs / Z)
+
+
+def _monotone_newton(E: float, Z: float, n: int, rhs: float, s: float) -> float:
+    """Root of E s**n + Z s = rhs by Newton from s on a side where the
+    iterates move monotonically toward it; stops at the first step that no
+    longer moves that way."""
     direction = 0.0
     for _ in range(200):
         step = (E * s**n + Z * s - rhs) / (n * E * s ** (n - 1) + Z)

@@ -236,58 +236,29 @@ def _svg_polylines(curves: list[np.ndarray], path: Path, size: int = 600) -> Non
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _energy_zero_orbit(
-    params: ModelParams, l: float, r_far: float, points: int, icfg: ode.IntegratorConfig
-) -> np.ndarray:
-    """Planar E = 0 orbit through its pericenter, sampled in time, as (t, q1, q2)."""
-    rp = chart.r_min(params, 0.0, l * l)
-    p_mag = np.sqrt(2.0 * params.m * params.Z * rp ** (-params.alpha))
-    y0 = np.array([rp, 0.0, 0.0, p_mag])
-    rows = []
-    for sign, traj in zip((-1.0, 1.0), verify.escape(params, y0, r_far, icfg)):
-        ts = np.linspace(traj.t0, traj.t_end, points)
-        seg = [(t, *traj(t)[:2]) for t in ts]
-        rows.extend(seg if sign > 0 else reversed(seg[1:]))
-    return np.array(rows)
+def _log_orbit(kind: str, orbit, sol: chart.Solve) -> None:
+    """One DEBUG line per figure orbit: its constants and the work of its solve."""
+    if not log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
+        return
+    log.debug(
+        "%s orbit E=%r l=%r s0=%r s1=%r period=%r apsis=%r newton_iterations=%d "
+        "worst_residual=%r",
+        kind,
+        *(float(v) for v in (orbit.E, orbit.l, orbit.s0, orbit.s1, orbit.period, orbit.apsis)),
+        sol.iterations,
+        sol.residual(),
+    )
 
 
-def _apsidal_angle(params: ModelParams, E: float, l: float) -> float:
-    """Polar angle swept between consecutive pericenter and apocenter (E < 0).
-
-    The integrand l / (r^2 p_r) has inverse-square-root singularities at the
-    turning points; the substitution r = r_lo + (r_hi - r_lo) sin^2(s)
-    removes both before quadrature.
-    """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    m, Z = params.m, params.Z
-    rhs = l * l / (2.0 * m)
-
-    def h(r: float) -> float:
-        return E * r * r + Z * r ** (2.0 / params.n) - rhs
-
-    r_peak = (Z / (params.n * (-E))) ** (params.n / (2.0 * (params.n - 1.0)))
-    if h(r_peak) <= 0.0:
-        raise chart.NoPericenterError("no bounded annulus for these (E, l)")
-    r_lo = brentq(h, 1e-12 * r_peak, r_peak, xtol=1e-15)
-    r_hi_b = 2.0 * r_peak
-    while h(r_hi_b) > 0.0:
-        r_hi_b *= 2.0
-    r_hi = brentq(h, r_peak, r_hi_b, xtol=1e-15)
-
-    dr = r_hi - r_lo
-
-    def integrand(s: float) -> float:
-        r = r_lo + dr * np.sin(s) ** 2
-        pr2 = 2.0 * m * (E + Z * r ** (-params.alpha)) - l * l / (r * r)
-        if pr2 <= 0.0:
-            return 0.0
-        jac = 2.0 * dr * np.sin(s) * np.cos(s)
-        return l / (r * r * np.sqrt(pr2)) * jac
-
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, limit=200)
-    return val
+def _energy_zero_orbit(params: ModelParams, l: float, r_far: float, points: int) -> np.ndarray:
+    """Planar E = 0 orbit through its pericenter, as (t, q1, q2): both
+    branches out to r_far, each sampled at `points` times."""
+    orbit = chart._ZeroEnergyOrbit(params, l)
+    ts = np.linspace(0.0, orbit.time(orbit.u_at(r_far)), points)
+    ts = np.concatenate((-ts[:0:-1], ts))
+    r, theta, sol = orbit.sample(ts)
+    _log_orbit("zero-energy", orbit, sol)
+    return np.column_stack((ts, r * np.cos(theta), r * np.sin(theta)))
 
 
 def _periodic_l(params: ModelParams, E: float, target: float, bracket: tuple[float, float]) -> float:
@@ -295,24 +266,19 @@ def _periodic_l(params: ModelParams, E: float, target: float, bracket: tuple[flo
     from scipy.optimize import brentq
 
     return brentq(
-        lambda l: _apsidal_angle(params, E, l) - target, *bracket, xtol=1e-13
+        lambda l: chart._BoundOrbit(params, E, l).apsis - target, *bracket, xtol=1e-13
     )
 
 
 def _bounded_orbit(
-    params: ModelParams, E: float, l: float, t_total: float, points: int,
-    icfg: ode.IntegratorConfig,
+    params: ModelParams, E: float, l: float, t_total: float, points: int
 ) -> np.ndarray:
-    rp = chart.r_min(params, E, l * l)
-    p_mag = np.sqrt(2.0 * params.m * (E + params.Z * rp ** (-params.alpha)))
-    y0 = np.array([rp, 0.0, 0.0, p_mag])
-
-    field = physical_field(params)
-    traj = ode.integrate(field, y0, (0.0, t_total), icfg)
-    if traj.reason != ode.REASON_TIME_LIMIT:
-        raise RuntimeError("bounded-orbit integration stopped early")
+    """Bound orbit from its pericenter on the q_1 axis, sampled in time, as (t, q1, q2)."""
+    orbit = chart._BoundOrbit(params, E, l)
     ts = np.linspace(0.0, t_total, points)
-    return np.array([(t, *traj(t)[:2]) for t in ts])
+    r, theta, sol = orbit.sample(ts)
+    _log_orbit("bound", orbit, sol)
+    return np.column_stack((ts, r * np.cos(theta), r * np.sin(theta)))
 
 
 FIG2_ENERGY = -0.5
@@ -324,8 +290,6 @@ FIG2_MIDDLE_L = 0.35
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    icfg = _integ_config(cfg, args)
     out = _out_dir(args)
     which = args.which
 
@@ -334,7 +298,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         for n in (2, 3, 4, 6):
             params = ModelParams(n=n, d=2, m=1.0, Z=1.0, eps=0.1)
             l = np.sqrt(2.0 * params.m * params.Z)  # pericenter radius 1 for every n
-            data = _energy_zero_orbit(params, l, r_far=20.0, points=400, icfg=icfg)
+            data = _energy_zero_orbit(params, l, r_far=20.0, points=400)
             _write_curve_csv(out / f"fig1_n{n}.csv", data)
             curves.append(data[:, 1:3])
         _svg_polylines(curves, out / "fig1.svg")
@@ -348,9 +312,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         )
         curves = []
         for k, l in enumerate(ls):
-            data = _bounded_orbit(
-                params, FIG2_ENERGY, l, t_total=60.0, points=2000, icfg=icfg
-            )
+            data = _bounded_orbit(params, FIG2_ENERGY, l, t_total=60.0, points=2000)
             _write_curve_csv(out / f"fig2_orbit{k+1}_l{l:.6f}.csv", data)
             curves.append(data[:, 1:3])
         _svg_polylines(curves, out / "fig2.svg")
@@ -584,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = subs.add_parser("figures", help="emit orbit-curve CSV + SVG figures")
     fig.add_argument("which", choices=["fig1", "fig2", "all"])
-    _add_common(fig)
+    fig.add_argument("--out", type=str, default=None)  # fixed orbits: no config, no tolerances
     fig.set_defaults(fn=cmd_figures)
 
     ver = subs.add_parser("verify", help="run verification suites, write JSON report")

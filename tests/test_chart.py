@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mcgehee import chart, covering as cov, verify
 from mcgehee.model import (
@@ -595,3 +598,184 @@ class TestGlobalFlow:
         )
         x = PhasePoint(np.array([1.0, 2.0]), np.array([0.0, 0.1]))
         assert np.array_equal(chart.project_to_config(chart.Regular(x)), x.q)
+
+
+def apsidal_quadrature(params, E, l):
+    """Independent oracle: apsidal angle and radial period of a bound orbit.
+
+    Both turning points come from brentq on E r**2 + Z r**(2/n) = l**2/2m,
+    and r = r_lo + (r_hi - r_lo) sin(s)**2 removes the inverse-square-root
+    endpoints of l / (r**2 p_r) and m / p_r before `quad`.
+    """
+    m, Z = params.m, params.Z
+    rhs = l * l / (2.0 * m)
+
+    def h(r):
+        return E * r * r + Z * r ** (2.0 / params.n) - rhs
+
+    r_peak = (Z / (params.n * -E)) ** (params.n / (2.0 * (params.n - 1.0)))
+    r_lo = brentq(h, 1e-300, r_peak, xtol=1e-15)
+    r_hi_b = 2.0 * r_peak
+    while h(r_hi_b) > 0.0:
+        r_hi_b *= 2.0
+    r_hi = brentq(h, r_peak, r_hi_b, xtol=1e-15)
+    dr = r_hi - r_lo
+
+    def integrand(s, angle):
+        r = r_lo + dr * np.sin(s) ** 2
+        pr2 = 2.0 * m * (E + Z * r ** (-params.alpha)) - l * l / (r * r)
+        if pr2 <= 0.0:
+            return 0.0
+        jac = 2.0 * dr * np.sin(s) * np.cos(s)
+        return (l / (r * r) if angle else m) / np.sqrt(pr2) * jac
+
+    tol = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    apsis, _ = quad(integrand, 0.0, np.pi / 2.0, args=(True,), **tol)
+    half, _ = quad(integrand, 0.0, np.pi / 2.0, args=(False,), **tol)
+    return apsis, 2.0 * half
+
+
+def circular_l(params, E):
+    """Angular momentum of the circular orbit of energy E < 0."""
+    s_peak = (params.Z / (params.n * -E)) ** (1.0 / (params.n - 1.0))
+    return np.sqrt(2.0 * params.m * (E * s_peak**params.n + params.Z * s_peak))
+
+
+def kepler_positions(params, E, l, ts):
+    """Independent oracle: n = 2 positions from Kepler's equation, pericenter
+    on the positive q_1 axis at t = 0 and counterclockwise motion."""
+    m, Z = params.m, params.Z
+    a = Z / (2.0 * -E)
+    e = np.sqrt(1.0 + 2.0 * E * l * l / (m * Z * Z))
+    M = np.mod(np.sqrt(Z / (m * a**3)) * ts, 2.0 * np.pi)
+    psi = np.full_like(M, np.pi)  # Newton from pi converges for every M and e < 1
+    for _ in range(60):
+        psi = psi - (psi - e * np.sin(psi) - M) / (1.0 - e * np.cos(psi))
+    return a * (np.cos(psi) - e), a * np.sqrt(1.0 - e * e) * np.sin(psi)
+
+
+class TestBoundOrbit:
+    """`_BoundOrbit`: radial period, apsidal angle and samples of a bound
+    orbit from the radial integrals between its turning points."""
+
+    @pytest.mark.parametrize("m,Z,E,l", [(1.0, 1.0, -0.5, 0.5), (1.3, 0.8, -0.2, 0.05),
+                                         (0.7, 2.0, -3.0, 0.4), (1.0, 1.0, -0.5, 1e-6)])
+    def test_kepler_period_and_apsis(self, m, Z, E, l):
+        params = ModelParams(n=2, d=2, m=m, Z=Z)
+        orbit = chart._BoundOrbit(params, E, l)
+        a = Z / (2.0 * -E)
+        assert orbit.period == pytest.approx(2.0 * np.pi * np.sqrt(m * a**3 / Z), rel=2e-15)
+        assert orbit.apsis == np.pi
+
+    @pytest.mark.parametrize("l", [0.9, 0.5, 0.2, 0.02])
+    def test_kepler_samples_match_keplers_equation(self, l):
+        params = ModelParams(n=2, d=2)
+        ts = np.linspace(0.0, 60.0, 2000)
+        r, theta, sol = chart._BoundOrbit(params, -0.5, l).sample(ts)
+        x, y = kepler_positions(params, -0.5, l, ts)
+        a = 1.0
+        assert np.max(np.hypot(r * np.cos(theta) - x, r * np.sin(theta) - y)) <= 1e-12 * a
+        assert sol.iterations <= 8
+        assert sol.residual() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("l", [0.9, 0.6, 0.35, 0.2])
+    def test_against_quadrature_of_the_orbit_equation(self, n, l):
+        params = ModelParams(n=n, d=2)
+        orbit = chart._BoundOrbit(params, -0.5, l)
+        apsis, period = apsidal_quadrature(params, -0.5, l)
+        assert orbit.apsis == pytest.approx(apsis, rel=1e-10)
+        assert orbit.period == pytest.approx(period, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_apsis_limits(self, n):
+        params = ModelParams(n=n, d=2)
+        l_c = circular_l(params, -0.5)
+        # collision-orbit limit: n quarter turns
+        for l in (1e-4, 1e-7):
+            assert chart._BoundOrbit(params, -0.5, l).apsis == pytest.approx(
+                n * np.pi / 2.0, abs=10.0 * l
+            )
+        # circular limit: pi / sqrt(2 - alpha) = pi sqrt(n / 2)
+        near = chart._BoundOrbit(params, -0.5, (1.0 - 1e-6) * l_c)
+        assert near.apsis / np.pi == pytest.approx(np.sqrt(n / 2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_circular_threshold(self, n):
+        params = ModelParams(n=n, d=2)
+        l_c = circular_l(params, -0.5)
+        with pytest.raises(chart.NoPericenterError):
+            chart._BoundOrbit(params, -0.5, 1.001 * l_c)
+        for l in (l_c, np.nextafter(l_c, 0.0)):
+            try:
+                orbit = chart._BoundOrbit(params, -0.5, l)
+            except chart.NoPericenterError:
+                continue
+            r, theta, _ = orbit.sample(np.linspace(0.0, 10.0, 50))
+            assert np.all(np.isfinite(r)) and np.all(np.isfinite(theta))
+            assert orbit.apsis / np.pi == pytest.approx(np.sqrt(n / 2.0), rel=1e-6)
+
+    @given(
+        n=st.sampled_from([2, 3, 4, 6]),
+        E=st.floats(-3.0, -0.05),
+        frac=st.floats(0.01, 0.95),
+        lam=st.floats(0.1, 10.0),
+    )
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_homogeneity(self, n, E, frac, lam):
+        # q -> lam q, p -> lam**(-alpha/2) p: E -> lam**-alpha E, l -> lam**(1 - alpha/2) l
+        params = ModelParams(n=n, d=2)
+        alpha = params.alpha
+        l = frac * circular_l(params, E)
+        base = chart._BoundOrbit(params, E, l)
+        scaled = chart._BoundOrbit(params, lam**-alpha * E, lam ** (1.0 - alpha / 2.0) * l)
+        assert scaled.period == pytest.approx(lam ** (1.0 + alpha / 2.0) * base.period, rel=1e-13)
+        assert scaled.apsis == pytest.approx(base.apsis, rel=1e-13)
+
+    def test_samples_at_the_apsides(self):
+        params = ModelParams(n=3, d=2)
+        orbit = chart._BoundOrbit(params, -0.5, 0.3)
+        P = orbit.period
+        r, theta, _ = orbit.sample(np.array([0.0, 0.5 * P, 3.0 * P, 3.5 * P]))
+        r_peri, r_apo = orbit.s0**1.5, orbit.s1**1.5
+        assert r[0] == r_peri and theta[0] == 0.0
+        assert r == pytest.approx([r_peri, r_apo, r_peri, r_apo], rel=1e-14)
+        # 3P carries an ulp of rounding, which the fast pericenter passage
+        # turns into about 1e-13 of angle
+        assert theta == pytest.approx(orbit.apsis * np.array([0.0, 1.0, 6.0, 7.0]), rel=1e-12)
+
+    @pytest.mark.parametrize("E", [0.0, 0.5])
+    def test_unbound_energy_rejected(self, E):
+        with pytest.raises(ValueError):
+            chart._BoundOrbit(ModelParams(n=3, d=2), E, 0.3)
+
+
+class TestZeroEnergyOrbit:
+    """`_ZeroEnergyOrbit`: the E = 0 closed forms."""
+
+    @pytest.mark.parametrize("m,Z,l", [(1.0, 1.0, np.sqrt(2.0)), (1.3, 0.8, 0.3)])
+    def test_kepler_matches_barkers_equation(self, m, Z, l):
+        # parabola r = q / cos(nu/2)**2 with q = l**2/2mZ, and Barker's
+        # t = sqrt(2 m q**3 / Z) (D + D**3/3), D = tan(nu/2)
+        params = ModelParams(n=2, d=2, m=m, Z=Z)
+        q = l * l / (2.0 * m * Z)
+        nu = np.linspace(-3.0, 3.0, 101)
+        D = np.tan(nu / 2.0)
+        r, theta, sol = chart._ZeroEnergyOrbit(params, l).sample(
+            np.sqrt(2.0 * m * q**3 / Z) * (D + D**3 / 3.0)
+        )
+        assert r == pytest.approx(q * (1.0 + D * D), rel=1e-13)
+        assert theta == pytest.approx(nu, abs=1e-13)
+        assert sol.iterations <= 8
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_samples_reach_the_requested_radius(self, n):
+        params = ModelParams(n=n, d=2)
+        orbit = chart._ZeroEnergyOrbit(params, 0.7)
+        radii = np.array([orbit.s0 ** (n / 2.0), 1.0, 5.0, 20.0])
+        t = np.array([orbit.time(orbit.u_at(rho)) for rho in radii])
+        r, theta, sol = orbit.sample(np.concatenate((-t, t)))
+        assert r == pytest.approx(np.concatenate((radii, radii)), rel=1e-13)
+        assert np.array_equal(theta[:4], -theta[4:])  # the branches mirror
+        assert np.all(np.abs(theta) < orbit.apsis)
+        assert sol.residual() <= 1e-13 * t[-1]

@@ -1,10 +1,11 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from mcgehee import chart, cli
-from mcgehee.model import ModelParams
+from mcgehee import chart, cli, integrate as ode, verify
+from mcgehee.model import ModelParams, physical_field
 
 
 def run(argv):
@@ -160,12 +161,17 @@ class TestConfigErrors:
         assert code == cli.EXIT_UNWRITABLE
         assert "is not writable" in capsys.readouterr().err
 
-    def test_figures_integration_failure_exits_3(self, tmp_path, monkeypatch):
-        def no_escape(*args):
-            raise RuntimeError("orbit did not reach the evaluation radius")
+    @pytest.mark.parametrize(
+        "which,routine",
+        [("fig1", "_energy_zero_orbit"), ("fig2", "_bounded_orbit")],
+        ids=["fig1", "fig2"],
+    )
+    def test_figures_orbit_failure_exits_3(self, tmp_path, monkeypatch, which, routine):
+        def fail(*args, **kwargs):
+            raise RuntimeError("orbit sampling failed")
 
-        monkeypatch.setattr(cli.verify, "escape", no_escape)
-        code = run(["figures", "fig1", "--out", str(tmp_path)])
+        monkeypatch.setattr(cli, routine, fail)
+        code = run(["figures", which, "--out", str(tmp_path)])
         assert code == cli.EXIT_STEP_FAILURE
 
 
@@ -261,9 +267,7 @@ class TestSimulate:
 
 class TestFigures:
     def test_fig1_outputs(self, tmp_path):
-        code = run(
-            ["figures", "fig1", "--out", str(tmp_path), "--rel-tol", "1e-8", "--abs-tol", "1e-8"]
-        )
+        code = run(["figures", "fig1", "--out", str(tmp_path)])
         assert code == cli.EXIT_OK
         svg = (tmp_path / "fig1.svg").read_text()
         assert svg.startswith("<svg") and svg.count("<polyline") == 4
@@ -277,6 +281,93 @@ class TestFigures:
             ]
             assert min(rmins) == pytest.approx(1.0, abs=1e-3)
             assert max(rmins) >= 19.0
+
+
+    @pytest.mark.parametrize(
+        "option", [["--rel-tol", "1e-8"], ["--abs-tol", "1e-8"], ["--config", "c.json"], ["--n", "3"]]
+    )
+    def test_options_figures_does_not_read_are_rejected(self, tmp_path, option):
+        # its orbits are fixed and integrate no ODE
+        with pytest.raises(SystemExit) as exc:
+            run(["figures", "fig1", "--out", str(tmp_path)] + option)
+        assert exc.value.code == cli.EXIT_CONFIG
+
+
+def read_curve(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+class TestFigureOrbits:
+    """figures samples every orbit from its radial integrals; the oracles
+    here integrate the physical field instead."""
+
+    @pytest.fixture(scope="class")
+    def figs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("figs")
+        assert run(["figures", "all", "--out", str(out)]) == cli.EXIT_OK
+        return out
+
+    def test_runs_no_ode(self, tmp_path, monkeypatch):
+        def no_ode(*args, **kwargs):
+            raise AssertionError("figures integrated an ODE")
+
+        monkeypatch.setattr(ode, "integrate", no_ode)
+        assert run(["figures", "all", "--out", str(tmp_path)]) == cli.EXIT_OK
+
+    def test_fig2_hits_its_apsidal_targets(self):
+        params = ModelParams(n=3, d=2)
+        for target in (4.0 * np.pi / 3.0, 10.0 * np.pi / 7.0):
+            l = cli._periodic_l(params, cli.FIG2_ENERGY, target, (0.1, 1.03))
+            assert abs(chart._BoundOrbit(params, cli.FIG2_ENERGY, l).apsis - target) <= 1e-12
+
+    def test_fig2_matches_dop853_over_two_periods(self, figs):
+        # DOP853 at rtol 1e-13 is itself about 9e-9 r_apo off after two periods
+        # of the l = 0.213 orbit, so the oracle runs at rtol 3e-14
+        params = ModelParams(n=3, d=2)
+        tight = ode.IntegratorConfig(rel_tol=3e-14, abs_tol=1e-15)
+        paths = sorted(figs.glob("fig2_orbit*.csv"))
+        assert len(paths) == 3
+        for path in paths:
+            data = read_curve(path)
+            rp = data[0, 1]
+            p_mag = np.sqrt(2.0 * (cli.FIG2_ENERGY + rp ** -params.alpha))
+            orbit = chart._BoundOrbit(params, cli.FIG2_ENERGY, rp * p_mag)
+            rows = data[data[:, 0] <= 2.0 * orbit.period]
+            y0 = np.array([rp, 0.0, 0.0, p_mag])
+            traj = ode.integrate(physical_field(params), y0, (0.0, rows[-1, 0]), tight)
+            q = np.array([traj(t)[:2] for t in rows[:, 0]])
+            err = np.max(np.hypot(*(q - rows[:, 1:3]).T))
+            assert err <= 1e-8 * orbit.s1**1.5
+
+    def test_fig1_matches_escape_and_the_parabola(self, figs):
+        for n in (2, 3, 4, 6):
+            params = ModelParams(n=n, d=2)
+            data = read_curve(figs / f"fig1_n{n}.csv")
+            half = (len(data) + 1) // 2
+            y0 = np.array([data[half - 1, 1], 0.0, 0.0, np.sqrt(2.0)])
+            for rows, traj in zip(
+                (data[:half][::-1], data[half - 1:]),
+                verify.escape(params, y0, 20.0, chart._TIGHT),
+            ):
+                assert traj.t_end == pytest.approx(rows[-1, 0], rel=1e-9)
+                ts = np.clip(rows[:, 0], *sorted((traj.t0, traj.t_end)))
+                q = np.array([traj(t)[:2] for t in ts])
+                assert np.max(np.hypot(*(q - rows[:, 1:3]).T)) <= 1e-8 * 20.0
+        # n = 2 at E = 0 is the parabola r (1 + cos theta) = 2 r_min, r_min = 1
+        data = read_curve(figs / "fig1_n2.csv")
+        r = np.hypot(data[:, 1], data[:, 2])
+        assert np.max(np.abs(r + data[:, 1] - 2.0)) / 2.0 <= 1e-8
+
+    def test_debug_log_reports_each_orbit(self, tmp_path, figs, caplog):
+        with caplog.at_level(logging.DEBUG, logger="mcgehee"):
+            assert run(["figures", "all", "--out", str(tmp_path)]) == cli.EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if "orbit E=" in r.getMessage()]
+        assert len(lines) == 7
+        for line in lines:
+            for field in ("s0=", "s1=", "period=", "apsis=", "newton_iterations=", "worst_residual="):
+                assert field in line
+        for path in figs.iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
 class TestVerifyCommand:
