@@ -8,11 +8,13 @@ set {(h, a)} = energy x direction, on which (T, B) = (0, 0).
 
 The chart maps are ODE-free on every orbit, collision orbits included:
 each orbit is a planar central-force orbit, so T and the angle swept since
-the pericenter are radial integrals, taken by fixed-node quadrature.  Bound
-orbits get the same treatment between both turning points (`_BoundOrbit`),
-and E = 0 orbits have closed forms (`_ZeroEnergyOrbit`).
-The covering ODE carries the global flow, and `pericenter` keeps the
-covering-ODE route to the same pericenter.
+the pericenter are radial integrals, taken by fixed-node quadrature.  The
+forward map acts on stacked states, one row each (`chart_forward_rows`),
+and `chart_forward` is its batch of one.  Bound orbits get the same
+treatment between both turning points (`_BoundOrbit`), and E = 0 orbits
+have closed forms (`_ZeroEnergyOrbit`).  The covering ODE carries the
+global flow, and `pericenter` keeps the covering-ODE route to the same
+pericenter.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ import numpy as np
 from . import covering as cov
 from . import integrate as ode
 from .model import (
-    AngularMomentum,
     DomainError,
     ModelParams,
     PhasePoint,
-    angular_momentum,
     hamiltonian,
     l_squared_point,
     physical_field,
+    row_dot,
 )
 
 # |<q,p>| below this fraction of ||q|| ||p|| counts as "on the pericentric
@@ -100,11 +101,22 @@ def in_U_eps(params: ModelParams, x: PhasePoint) -> bool:
     unique pericenter, while every collision orbit satisfies it.
     """
     x.require_noncollision()
-    if x.r >= params.eps:
-        return False
-    return hamiltonian(params, x) > -params.Z / (
-        2.0 * params.n * x.r**params.alpha
-    )
+    return bool(_in_domain(params, x.r, hamiltonian(params, x)))
+
+
+def _in_domain(params: ModelParams, r, H):
+    """The test of U^eps on r = ||q|| > 0 and H, elementwise."""
+    return (r < params.eps) & (H > -params.Z / (2.0 * params.n * _pow(r, params.alpha)))
+
+
+def _pow(x, y):
+    """x**y rounded as Python's float power rounds it, for arrays too.
+
+    `**` on a float64 array takes a vectorised power that differs from the
+    C library's pow in the last bit for a few percent of inputs, so a row
+    of an array would not match the same value computed as a float.
+    """
+    return np.float_power(x, y)
 
 
 def on_S_eps(params: ModelParams, x: PhasePoint) -> bool:
@@ -150,12 +162,7 @@ def _lrl_complex(params: ModelParams, P0: complex) -> complex:
     pericenter.  The value is invariant under the covering transformations
     (multiplication by n-th roots of unity) either way.
     """
-    return -(P0**params.n)
-
-
-def b_vector(L: AngularMomentum, A: np.ndarray) -> np.ndarray:
-    """B = L A; perpendicular to A by antisymmetry, ||B|| = scalar momentum."""
-    return L.matrix @ np.asarray(A, dtype=float)
+    return -np.power(P0, params.n)
 
 
 # ---------------------------------------------------------------------------
@@ -172,46 +179,56 @@ _WEIGHTS = 0.5 * _WEIGHTS
 
 
 class _RadialOrbit:
-    """Radial integrals of one planar orbit in sigma = r**(2/n) = |Q|**2.
+    """Radial integrals of a stack of planar orbits in sigma = r**(2/n) = |Q|**2.
 
-    The radicand factors exactly at the pericenter s0:
+    E and l are (k,) arrays, one orbit per row, and every method maps a (k,)
+    array of u to one value per orbit.  The radicand factors exactly at the
+    pericenter s0:
 
         r**2 p_r**2 = 2m (sigma - s0) G(sigma),   G = G0 + E sigma P(sigma),
         G0 = Z + E s0**(n-1),   P = sum_{k=1}^{n-1} sigma**(k-1) s0**(n-1-k),
 
     and G >= Z/2 on U^eps.  With sigma = s0 + u**2 v**2, every integral from
     the pericenter out to u = sqrt(sigma - s0) is an integral over v in
-    [0, 1] of a smooth function, taken on the fixed nodes.
+    [0, 1] of a smooth function, taken on the fixed nodes: a (k, 32) array.
     """
 
-    def __init__(self, params: ModelParams, E: float, l: float) -> None:
-        self.n, self.E, self.l = params.n, E, l
+    def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
+        n = self.n = params.n
+        self.E, self.l = E, l
         self.root2m = np.sqrt(2.0 * params.m)
         self.s0 = _sigma_min(params, E, l * l)
-        self.G0 = params.Z + E * self.s0 ** (params.n - 1)
-        self.K = params.n * params.m / self.root2m
+        self.G0 = params.Z + E * _pow(self.s0, n - 1)
+        self.K = n * params.m / self.root2m
+        # the constants as columns against the nodes, and the powers of s0 in P
+        self._E, self._s0, self._G0 = E[:, None], self.s0[:, None], self.G0[:, None]
+        self._s0_powers = [_pow(self._s0, j + 1) for j in range(n - 2)]
 
-    def _P(self, sigma):
+    def _P(self, sigma: np.ndarray):
         P = 0.0 if self.n == 1 else 1.0
-        for j in range(self.n - 2):
-            P = P * sigma + self.s0 ** (j + 1)
+        for c in self._s0_powers:
+            P = P * sigma + c
         return P
 
-    def G(self, sigma):
-        return self.G0 + self.E * sigma * self._P(sigma)
+    def G(self, sigma: np.ndarray) -> np.ndarray:
+        """G on a (k, j) array of sigma, row i on orbit i."""
+        return self._G0 + self._E * sigma * self._P(sigma)
 
-    def rate(self, u: float) -> float:
+    def _nodes(self, u: np.ndarray) -> np.ndarray:
+        return self._s0 + (u[:, None] * _NODES) ** 2
+
+    def rate(self, u: np.ndarray) -> np.ndarray:
         """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m)."""
-        sigma = self.s0 + u * u
-        return float(self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
+        sigma = (self.s0 + u * u)[:, None]
+        return (self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))[:, 0]
 
-    def time(self, u: float) -> float:
+    def time(self, u: np.ndarray) -> np.ndarray:
         """Time from the pericenter out to u."""
-        sigma = self.s0 + (u * _NODES) ** 2
+        sigma = self._nodes(u)
         vals = sigma ** (self.n - 1) / np.sqrt(self.G(sigma))
-        return float(self.K * u * np.dot(_WEIGHTS, vals))
+        return self.K * u * row_dot(vals, _WEIGHTS)
 
-    def angle(self, u: float) -> float:
+    def angle(self, u: np.ndarray) -> np.ndarray:
         """Polar angle swept from the pericenter out to u.
 
         1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
@@ -219,39 +236,12 @@ class _RadialOrbit:
         (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
         tends to n pi/2.
         """
-        sigma = self.s0 + (u * _NODES) ** 2
+        sigma = self._nodes(u)
         P = self._P(sigma)
-        rG = np.sqrt(self.G0 + self.E * sigma * P)
-        rG0 = np.sqrt(self.G0)
-        rest = np.dot(_WEIGHTS, -self.E * P / (rG * rG0 * (rG + rG0)))
-        return float(
-            self.n * (np.arctan2(u, np.sqrt(self.s0)) + self.l * u / self.root2m * rest)
-        )
-
-    def solve_time(self, t: float, u_max: float, t_max: float) -> float:
-        """u in [0, u_max] with time(u) = t, where time(u_max) = t_max >= t.
-
-        Newton on the increasing time(u), with a bisection step whenever
-        Newton would leave the bracket.
-        """
-        lo, hi = 0.0, u_max
-        u = u_max * t / t_max
-        for _ in range(100):
-            f = self.time(u) - t
-            if f == 0.0:
-                break
-            if f < 0.0:
-                lo = u
-            else:
-                hi = u
-            rate = self.rate(u)
-            u_new = u - f / rate if rate > 0.0 else lo
-            if not lo < u_new < hi:
-                u_new = 0.5 * (lo + hi)
-            if abs(u_new - u) <= 1e-15 * u_new:
-                return u_new
-            u = u_new
-        return u
+        rG = np.sqrt(self._G0 + self._E * sigma * P)
+        rG0 = np.sqrt(self._G0)
+        rest = row_dot(-self._E * P / (rG * rG0 * (rG + rG0)), _WEIGHTS)
+        return self.n * (np.arctan2(u, np.sqrt(self.s0)) + self.l * u / self.root2m * rest)
 
 
 class Solve(NamedTuple):
@@ -280,20 +270,24 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float) -> Solve:
     """
     x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, lo, hi))
     x = np.clip(x, lo, hi)
-    active = np.ones(x.shape, dtype=bool)
+    # the unfinished samples: their indices into x and their own copies
+    rows, xa, ta = np.arange(x.size), x.ravel(), t.ravel()
+    lo, hi = lo.ravel(), hi.ravel()
     iterations = 0
-    while active.any() and iterations < _SOLVE_MAX_ITER:
+    while rows.size and iterations < _SOLVE_MAX_ITER:
         iterations += 1
-        res = f(x[active]) - t[active]
-        xa, la, ha = x[active], lo[active], hi[active]
-        la = np.where(res < 0.0, xa, la)
-        ha = np.where(res > 0.0, xa, ha)
+        res = f(xa) - ta
+        lo = np.where(res < 0.0, xa, lo)
+        hi = np.where(res > 0.0, xa, hi)
         new = xa - res / rate(xa)
-        new = np.where((la <= new) & (new <= ha), new, 0.5 * (la + ha))
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         new = np.where(res == 0.0, xa, new)
         done = np.abs(new - xa) <= tol
-        x[active], lo[active], hi[active] = new, la, ha
-        active[active] = ~done
+        x.flat[rows] = new
+        if done.any():
+            keep = ~done
+            rows, new, ta, lo, hi = rows[keep], new[keep], ta[keep], lo[keep], hi[keep]
+        xa = new
     return Solve(x, iterations, f, t)
 
 
@@ -386,7 +380,7 @@ class _BoundOrbit:
         # f <= 0 at the zero of E s**n + Z s, and f is decreasing and concave
         # beyond its peak, so Newton descends from there to the apocenter
         s_far = (Z / -E) ** (1.0 / (n - 1.0))
-        self.s1 = max(self.s0, _monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far))
+        self.s1 = max(self.s0, float(_monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far).x))
         # f / (sigma - s0) = Z + E sum_j sigma**j s0**(n-1-j), divided by
         # (s1 - sigma): every coefficient of R is positive, so R has no cancellation
         g = [E * self.s0 ** (n - 1 - j) for j in range(n)]
@@ -462,30 +456,55 @@ class _BoundOrbit:
         return self.sigma(sol.x) ** (self.n / 2.0), theta, sol
 
 
-def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
-    """Chart image (T, H; B, A) of x, by quadrature of the radial integrals.
+class ChartRows(NamedTuple):
+    """Chart images of stacked states: T and H are (k,), B and A (k, d)."""
 
-    In the `plane_reduce` frame x lies at angle 0 and its orbit turns with
-    l = Im(conj(qc) pc) >= 0, taken from the explicit projection (the
+    T: np.ndarray
+    H: np.ndarray
+    B: np.ndarray
+    A: np.ndarray
+
+
+def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
+    """Chart images of the states z = (q, p), one row of a (k, 2d) array each.
+
+    In its `plane_reduce` frame a state lies at angle 0 and its orbit turns
+    with l = Im(conj(qc) pc) >= 0, taken from the explicit projection (the
     Lagrange-identity l**2 carries relative noise 1e-16 / sin**2 of the
     angle between q and p).  The pericenter lies at the swept angle behind
-    x when <q,p> > 0 and ahead of it otherwise; T is positive iff <q,p> > 0.
+    the state when <q,p> > 0 and ahead of it otherwise; T is positive iff
+    <q,p> > 0.  Every step acts on rows alone, so a row's image does not
+    depend on the other rows of z.  Raises ChartDomainError when any row
+    lies outside U^eps.
     """
-    if not in_U_eps(params, x):
+    n, d = params.n, params.d
+    z = np.asarray(z, dtype=float)
+    q, p = z[:, :d], z[:, d:]
+    e1, e2, qc, pc = cov.plane_reduce_rows(q, p)  # DomainError at q = 0
+    r = np.sqrt(row_dot(q, q))
+    # H, to the bit as `hamiltonian` gives it for each row
+    E = row_dot(p, p) / (2.0 * params.m) - params.Z * _pow(r, -params.alpha)
+    if not _in_domain(params, r, E).all():
         raise ChartDomainError("the chart requires a point of U^eps")
-    n = params.n
-    frame, qc, pc = cov.plane_reduce(x)
-    E = hamiltonian(params, x)
-    orbit = _RadialOrbit(params, E, (qc.conjugate() * pc).imag)
+    orbit = _RadialOrbit(params, E, qc.real * pc.imag - qc.imag * pc.real)
     # u = sqrt(sigma - s0) from <q,p> = r p_r, free of cancellation near s0
-    u = abs(x.radial) / (orbit.root2m * np.sqrt(orbit.G(x.r ** (2.0 / n))))
-    sign = float(np.sign(x.radial))
+    radial = row_dot(q, p)
+    u = np.abs(radial) / (orbit.root2m * np.sqrt(orbit.G(_pow(r, 2.0 / n)[:, None])[:, 0]))
+    sign = np.sign(radial)
     phi = -sign * orbit.angle(u)
     # the pericenter momentum has direction i e^(i phi); lift it to the branch
     # at angle phi/n
-    A = frame.to_vector(_lrl_complex(params, 1j * np.exp(1j * phi / n)))
-    B = b_vector(angular_momentum(x), A)
-    return ChartPoint(T=sign * orbit.time(u), H=E, B=B, A=A)
+    lrl = _lrl_complex(params, 1j * np.exp(1j * (phi / n)))
+    A = lrl.real[:, None] * e1 + lrl.imag[:, None] * e2
+    L = p[:, :, None] * q[:, None, :] - q[:, :, None] * p[:, None, :]  # L_ij = q_j p_i - q_i p_j
+    B = (L @ A[:, :, None])[:, :, 0]
+    return ChartRows(T=sign * orbit.time(u), H=E, B=B, A=A)
+
+
+def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
+    """Chart image (T, H; B, A) of x: `chart_forward_rows` of one row."""
+    c = chart_forward_rows(params, np.concatenate([x.q, x.p])[None])
+    return ChartPoint(T=float(c.T[0]), H=float(c.H[0]), B=c.B[0], A=c.A[0])
 
 
 def r_min(params: ModelParams, E: float, l2: float) -> float:
@@ -498,9 +517,9 @@ def r_min(params: ModelParams, E: float, l2: float) -> float:
     return _sigma_min(params, E, l2) ** (params.n / 2.0)
 
 
-def _sigma_min(params: ModelParams, E: float, l2: float) -> float:
-    """sigma = r**(2/n) at the pericenter."""
-    if l2 < 0:
+def _sigma_min(params: ModelParams, E, l2):
+    """sigma = r**(2/n) at the pericenter; elementwise, a float for scalars."""
+    if np.any(np.asarray(l2) < 0):
         raise ValueError("l2 must be non-negative")
     if params.n == 2:
         return r_min_kepler(params, E, l2)
@@ -512,63 +531,89 @@ def _r_min_root(params: ModelParams, E: float, l2: float) -> float:
     return _sigma_root(params, E, l2) ** (params.n / 2.0)
 
 
-def _sigma_root(params: ModelParams, E: float, l2: float) -> float:
+def _float_if_scalar(x: np.ndarray):
+    return x if x.ndim else float(x)
+
+
+def _sigma_root(params: ModelParams, E, l2):
     """Smallest root of f(s) = E s**n + Z s - l2/(2m), s = r**(2/n), by Newton.
 
-    s = l2/(2 m Z) is the root at E = 0 and the start.  Below the
-    centrifugal maximum f is increasing, concave for E < 0 and convex for
-    E > 0, so the iterates climb to the root from below (E < 0) or descend
-    to it from above (E > 0).  The solve stops at the first step that no
-    longer moves that way.
+    Elementwise over E and l2; a float for scalars.  s = l2/(2 m Z) is the
+    root at E = 0 and the start.  Below the centrifugal maximum f is
+    increasing, concave for E < 0 and convex for E > 0, so the iterates
+    climb to the root from below (E < 0) or descend to it from above
+    (E > 0).  Raises NoPericenterError when any row has no root.
     """
     m, Z, n = params.m, params.Z, params.n
+    E, l2 = np.asarray(E, dtype=float), np.asarray(l2, dtype=float)
     rhs = l2 / (2.0 * m)
-    if rhs == 0.0:
-        return 0.0
     if n == 1:
-        if E + Z <= 0.0:
+        if ((E + Z <= 0.0) & (rhs != 0.0)).any():
             raise NoPericenterError("n = 1 requires positive kinetic energy E + Z")
-        return rhs / (E + Z)
-    if E < 0.0:
-        # the maximum of E s**n + Z s separates the two roots
-        s_peak = (Z / (n * -E)) ** (1.0 / (n - 1.0))
-        peak = E * s_peak**n + Z * s_peak
-        if peak < rhs:
-            raise NoPericenterError(
-                f"no pericenter for E={E}, l2={l2}: angular momentum above the "
-                "circular-orbit threshold"
-            )
-        if peak == rhs:
-            # circular orbit: a double root, where Newton stalls ~sqrt(eps) short
-            return float(s_peak)
-    return _monotone_newton(E, Z, n, rhs, rhs / Z)
+        return _float_if_scalar(rhs / np.where(rhs == 0.0, 1.0, E + Z))
+    # for E < 0 the maximum of E s**n + Z s separates the two roots; rows
+    # with E >= 0 take E = -1 here and are masked out
+    bound = E < 0.0
+    Eb = np.where(bound, E, -1.0)
+    s_peak = _pow(Z / (n * -Eb), 1.0 / (n - 1.0))
+    peak = Eb * _pow(s_peak, n) + Z * s_peak
+    above = bound & (peak < rhs)
+    if above.any():
+        k = np.argmax(above)
+        raise NoPericenterError(
+            f"no pericenter for E={E.flat[k]}, l2={l2.flat[k]}: angular momentum "
+            "above the circular-orbit threshold"
+        )
+    s = _monotone_newton(E, Z, n, rhs, rhs / Z).x
+    # circular orbit: a double root, where Newton stops ~sqrt(eps) short
+    return _float_if_scalar(np.where(bound & (peak == rhs), s_peak, s))
 
 
-def _monotone_newton(E: float, Z: float, n: int, rhs: float, s: float) -> float:
-    """Root of E s**n + Z s = rhs by Newton from s on a side where the
-    iterates move monotonically toward it; stops at the first step that no
-    longer moves that way."""
-    direction = 0.0
-    for _ in range(200):
-        step = (E * s**n + Z * s - rhs) / (n * E * s ** (n - 1) + Z)
-        if step == 0.0 or direction * step > 0.0:
+# the monotone Newton converges in a handful of steps from its usual starts
+# and closes at least a fraction 1/n of the distance per step from a far one;
+# the cap only bounds a runaway start
+_NEWTON_MAX_ITER = 200
+
+
+def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
+    """Roots of E s**n + Z s = rhs by Newton from s, elementwise over E, rhs
+    and s, each start on a side where its iterates move monotonically
+    toward its root.
+
+    A row stops at the first step that no longer moves that way or no
+    longer changes s (a step below half an ulp of s), and keeps its value
+    from then on, so its root does not depend on the other rows.
+    """
+    E, rhs, s = (np.asarray(v, dtype=float) for v in (E, rhs, s))
+    slope = n * E
+    last, done = 0.0, False  # per row after the first step: its sign, and the stop
+    iterations = 0
+    while iterations < _NEWTON_MAX_ITER:
+        iterations += 1
+        step = (E * _pow(s, n) + Z * s - rhs) / (slope * _pow(s, n - 1) + Z)
+        new = s - step
+        done |= (new == s) | (last * step < 0.0)
+        s = np.where(done, s, new)
+        if done.all():
             break
-        direction = -np.sign(step)
-        s -= step
-    return float(s)
+        last = np.sign(step)
+    return Solve(s, iterations, lambda x: E * _pow(x, n) + Z * x, rhs)
 
 
-def r_min_kepler(params: ModelParams, E: float, l2: float) -> float:
-    """Closed-form Kepler pericenter radius (n = 2 only)."""
+def r_min_kepler(params: ModelParams, E, l2):
+    """Closed-form Kepler pericenter radius (n = 2 only); elementwise, a
+    float for scalars."""
     if params.n != 2:
         raise ValueError("closed form only available for n = 2")
     m, Z = params.m, params.Z
+    E, l2 = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(E, l2))
     disc = Z * Z + 2.0 * E * l2 / m
-    if disc < 0.0:
-        raise NoPericenterError(f"no pericenter for E={E}, l2={l2}")
+    if np.any(disc < 0.0):
+        k = int(np.argmax(disc < 0.0))
+        raise NoPericenterError(f"no pericenter for E={E.flat[k]}, l2={l2.flat[k]}")
     # conjugate form of (-Z + sqrt(disc)) / (2E): no cancellation as E -> 0,
     # reduces to the parabolic branch l2/(2 m Z) at E = 0 exactly
-    return float((l2 / m) / (Z + np.sqrt(disc)))
+    return _float_if_scalar((l2 / m) / (Z + np.sqrt(disc)))
 
 
 def _kepler_series(terms: int = 18) -> tuple[np.ndarray, np.ndarray]:
@@ -693,23 +738,25 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     n = params.n
     if n == 1 and c.H <= -0.5 * params.Z:
         raise ChartDomainError("H lies below the chart domain's energy floor -Z/2")
-    orbit = _RadialOrbit(params, c.H, ell)
+    orbit = _RadialOrbit(params, np.array([c.H]), np.array([ell]))
     # the orbit's part in U^eps: r < eps and, for H < 0, H > -Z / (2 n r**alpha)
     s_max = params.eps ** (2.0 / n)
     if c.H < 0.0 and n > 1:
         s_max = min(s_max, (params.Z / (2.0 * n * -c.H)) ** (1.0 / (n - 1.0)))
-    if orbit.s0 >= s_max:
+    if orbit.s0[0] >= s_max:
         raise ChartDomainError("reconstructed pericenter lies outside the chart domain")
     u_max = np.sqrt(s_max - orbit.s0)
     t_max = orbit.time(u_max)
-    if abs(c.T) >= t_max:
+    t = np.array([abs(c.T)])
+    if t[0] >= t_max[0]:
         raise ChartDomainError("chart point lies outside the image of the chart")
-    u = orbit.solve_time(abs(c.T), u_max, t_max)
+    tol = 4.0 * np.spacing(u_max[0])
+    u = _solve_increasing(orbit.time, orbit.rate, t, u_max * t / t_max, 0.0, u_max, tol).x
     sigma = orbit.s0 + u * u
-    r = sigma ** (n / 2.0)
+    r = float(sigma[0] ** (n / 2.0))
     sign = float(np.sign(c.T))
-    p_r = sign * u * orbit.root2m * np.sqrt(orbit.G(sigma)) / r
-    turn = np.exp(1j * sign * orbit.angle(u))
+    p_r = sign * u[0] * orbit.root2m * np.sqrt(orbit.G(sigma[:, None])[0, 0]) / r
+    turn = np.exp(1j * sign * orbit.angle(u)[0])
     # pericenter frame: e1 along q, e2 along p there
     on_q_axis, s = _pericenter_axis(n)
     # a collision orbit sweeps n quarter turns and lies on the line of A,

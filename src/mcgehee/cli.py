@@ -20,8 +20,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import chart, integrate as ode, verify
+from . import __version__, chart, integrate as ode, verify
 from .model import (
     ModelParams,
     PhasePoint,
@@ -351,13 +352,13 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
     seen_signs: dict[str, set] = {"ab": set(), "bb": set(), "ll": set()}
     for (n, d) in grid:
         params = ModelParams(n=n, d=d, m=1.0, Z=1.0, eps=0.1)
-        worst = None
+        worst = worst_x = None
         for x in verify.sample_domain_points(params, rng, points):
             rep = verify.bracket_table(params, x)
             for e in rep.entries:
                 bracket_max = max(bracket_max, e.residual)
                 if worst is None or e.residual > worst.residual:
-                    worst = e
+                    worst, worst_x = e, x
             seen_signs["ab"].add(rep.ab_sign)
             seen_signs["bb"].add(rep.bb_sign)
             seen_signs["ll"].add(rep.ll_sign)
@@ -368,6 +369,9 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
                     "d": d,
                     "worst_pair": list(worst.names),
                     "worst_residual": worst.residual,
+                    # the worst point itself: bracket_table there gives the row again
+                    "q": worst_x.q.tolist(),
+                    "p": worst_x.p.tolist(),
                 }
             )
     # a family's sign is reported only when every point that measured it
@@ -391,6 +395,8 @@ def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
     roundtrip_max = _roundtrip_section(rng, grid, points)
 
     return {
+        "seed": seed,
+        "versions": {"mcgehee": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "bracket_table": {
             "max_residual": bracket_max,
             "per_entry": bracket_entries,

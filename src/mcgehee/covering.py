@@ -23,6 +23,7 @@ from .model import (
     ModelParams,
     PhasePoint,
     hamiltonian,
+    row_dot,
 )
 
 # Rescaled-time normalisation for the K-flow taken with the n-scaled
@@ -84,18 +85,44 @@ def _completion(e1: np.ndarray) -> np.ndarray:
     return e2 / np.linalg.norm(e2)
 
 
-def is_collinear(x: PhasePoint) -> bool:
-    """True when p has no resolvable component orthogonal to q.
+def _split_rows(q: np.ndarray, p: np.ndarray):
+    """e1 = q/||q||, the part of p orthogonal to q, its squared norm and
+    whether it is resolvable, for stacked (k, d) positions and momenta.
 
-    Computed from the explicit orthogonal projection rather than the
-    Lagrange identity ||q||^2 ||p||^2 - <q,p>^2, whose cancellation noise
-    exceeds the threshold for exactly radial states.
+    Collinearity is read off the explicit orthogonal projection rather than
+    the Lagrange identity ||q||^2 ||p||^2 - <q,p>^2, whose cancellation
+    noise exceeds the threshold for exactly radial states.
     """
-    x.require_noncollision()
-    e1 = x.q / x.r
-    p_perp = x.p - np.dot(x.p, e1) * e1
-    pp = float(np.dot(x.p, x.p))
-    return float(np.dot(p_perp, p_perp)) <= COLLINEAR_L2_FRACTION * pp
+    r = np.sqrt(row_dot(q, q))
+    if (r == 0.0).any():
+        raise DomainError("q = 0 is outside the unregularised phase space")
+    e1 = q / r[:, None]
+    p_perp = p - row_dot(p, e1)[:, None] * e1
+    perp2 = row_dot(p_perp, p_perp)
+    return e1, p_perp, perp2, perp2 <= COLLINEAR_L2_FRACTION * row_dot(p, p)
+
+
+def is_collinear(x: PhasePoint) -> bool:
+    """True when p has no resolvable component orthogonal to q."""
+    return bool(_split_rows(x.q[None], x.p[None])[3][0])
+
+
+def plane_reduce_rows(
+    q: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`plane_reduce` of stacked (k, d) positions and momenta.
+
+    Returns the (k, d) frame vectors e1 and e2 and the (k,) complex qc and
+    pc; every row is what `plane_reduce` gives for that state alone, bit
+    for bit.
+    """
+    e1, p_perp, perp2, collinear = _split_rows(q, p)
+    e2 = p_perp / np.sqrt(np.where(collinear, 1.0, perp2))[:, None]
+    for i in np.flatnonzero(collinear):
+        e2[i] = _completion(e1[i])
+    qc = row_dot(q, e1) + 1j * row_dot(q, e2)
+    pc = row_dot(p, e1) + 1j * row_dot(p, e2)
+    return e1, e2, qc, pc
 
 
 def plane_reduce(x: PhasePoint) -> tuple[PlaneFrame, complex, complex]:
@@ -104,15 +131,8 @@ def plane_reduce(x: PhasePoint) -> tuple[PlaneFrame, complex, complex]:
     e1 = q/||q||; e2 = unit component of p orthogonal to q, or a
     deterministic completion when q and p are collinear.
     """
-    x.require_noncollision()
-    e1 = x.q / x.r
-    p_perp = x.p - np.dot(x.p, e1) * e1
-    if is_collinear(x):
-        e2 = _completion(e1)
-    else:
-        e2 = p_perp / np.linalg.norm(p_perp)
-    frame = PlaneFrame(e1=e1, e2=e2)
-    return frame, frame.to_complex(x.q), frame.to_complex(x.p)
+    e1, e2, qc, pc = plane_reduce_rows(x.q[None], x.p[None])
+    return PlaneFrame(e1=e1[0], e2=e2[0]), complex(qc[0]), complex(pc[0])
 
 
 def plane_embed(frame: PlaneFrame, qc: complex, pc: complex) -> PhasePoint:

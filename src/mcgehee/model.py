@@ -100,6 +100,16 @@ class AngularMomentum:
         return float(self.matrix[ij])
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (last axis), bit for bit as np.dot.
+
+    A stacked matmul of 1 x k by k x 1 blocks takes the same dot kernel as
+    np.dot on each row, whatever the number of rows; a sum or einsum
+    rounds differently, and a matrix-vector product depends on the shape.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def potential(params: ModelParams, q: np.ndarray) -> float:
     """U_n(q) = Z * ||q||**(-alpha_n).  Constant Z for n = 1."""
     r = float(np.linalg.norm(q))

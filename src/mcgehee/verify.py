@@ -37,6 +37,7 @@ from .model import (
     hamiltonian,
     l_squared_point,
     physical_field,
+    row_dot,
 )
 
 # default finite-difference step as a fraction of the local coordinate
@@ -52,26 +53,25 @@ def _coordinate_scales(z: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([np.full(d, q_scale), np.full(d, p_scale)])
 
 
-def _gradient(
-    f: Callable[[np.ndarray], float | np.ndarray], z: np.ndarray, h: np.ndarray
-) -> np.ndarray:
+def _gradient(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, h: np.ndarray):
     """4th-order central-difference gradient, Richardson-extrapolated.
 
-    For a vector-valued f, row k is the gradient of component k: one
-    evaluation of f serves every component.
+    f maps a (k, len(z)) array of points to the (k, m) array of its m
+    components there, and is called once: on the whole stencil, 8 points
+    per coordinate, and on z itself.  Returns the (m, len(z)) Jacobian,
+    whose row a is the gradient of component a, and f(z).
     """
-    cols = []
-    for i in range(len(z)):
-        def stencil(step: float) -> float | np.ndarray:
-            vals = []
-            for c in (-2.0, -1.0, 1.0, 2.0):
-                zp = z.copy()
-                zp[i] += c * step
-                vals.append(f(zp))
-            return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
-
-        cols.append((16.0 * stencil(0.5 * h[i]) - stencil(h[i])) / 15.0)
-    return np.stack(cols, axis=-1)
+    size = len(z)
+    steps = np.stack([0.5 * h, h], axis=1)  # the Richardson pair per coordinate
+    points = np.tile(z, (size, 2, 4, 1))
+    coord = np.arange(size)
+    points[coord, :, :, coord] += np.array([-2.0, -1.0, 1.0, 2.0]) * steps[:, :, None]
+    vals = f(np.vstack([points.reshape(-1, size), z]))
+    v = vals[:-1].reshape(size, 2, 4, -1)
+    diff = (v[:, :, 0] - 8.0 * v[:, :, 1] + 8.0 * v[:, :, 2] - v[:, :, 3]) / (
+        12.0 * steps[:, :, None]
+    )
+    return ((16.0 * diff[:, 0] - diff[:, 1]) / 15.0).T, vals[-1]
 
 
 def _brackets(J: np.ndarray, d: int) -> np.ndarray:
@@ -95,11 +95,11 @@ def poisson_bracket(
     z = np.concatenate([x.q, x.p])
     h = h_fraction * _coordinate_scales(z, d)
 
-    def fg(zz: np.ndarray) -> np.ndarray:
-        xx = PhasePoint(zz[:d], zz[d:])
-        return np.array([f(xx), g(xx)])
+    def fg(rows: np.ndarray) -> np.ndarray:
+        points = (PhasePoint(zz[:d], zz[d:]) for zz in rows)
+        return np.array([(f(xx), g(xx)) for xx in points])
 
-    return float(_brackets(_gradient(fg, z, h), d)[0, 1])
+    return float(_brackets(_gradient(fg, z, h)[0], d)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,10 @@ def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
     """Brackets of the chart functions at x, compared to their closed forms.
 
     The chart vector is (T, H, A, B) followed by L_ij = q_j p_i - q_i p_j
-    for i < j, so one stencil gives every row.  The mixed family
-    {A_i,B_j}, the momentum family {B_i,B_j} and the angular-momentum
-    structure constants
+    for i < j, so one stencil gives every row, and one call of
+    `chart.chart_forward_rows` evaluates it on the whole stencil and at x.
+    The mixed family {A_i,B_j}, the momentum family {B_i,B_j} and the
+    angular-momentum structure constants
 
         {L_ij, L_kl} = s * (delta_il L_jk - delta_ik L_jl
                             - delta_jl L_ik + delta_jk L_il)
@@ -201,13 +202,14 @@ def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
     h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
     def chart_vec(z: np.ndarray) -> np.ndarray:
-        c = chart.chart_forward(params, PhasePoint(z[:d], z[d:]))
-        L = z[pj] * z[d + pi] - z[pi] * z[d + pj]
-        return np.concatenate([[c.T, c.H], c.A, c.B, L])
+        c = chart.chart_forward_rows(params, z)
+        L = z[:, pj] * z[:, d + pi] - z[:, pi] * z[:, d + pj]
+        return np.column_stack([c.T, c.H, c.A, c.B, L])
 
-    M = _brackets(_gradient(chart_vec, z0, h), d)
+    J, centre = _gradient(chart_vec, z0, h)
+    M = _brackets(J, d)
     # the closed forms in the index layout of chart_vec, before the family signs
-    A = chart.chart_forward(params, x).A
+    A = centre[2 : 2 + d]
     L = angular_momentum(x).matrix
     delta = np.eye(d)
     i, j, k, l = pi[:, None], pj[:, None], pi, pj
@@ -242,16 +244,16 @@ class DiracReport:
         return max((e.residual for e in self.entries), default=0.0)
 
 
-def constraint_f1(z: np.ndarray) -> float:
-    """F1 = <q,q> - 1."""
-    d = len(z) // 2
-    return float(np.dot(z[:d], z[:d])) - 1.0
+def constraint_f1(z: np.ndarray):
+    """F1 = <q,q> - 1 of z = (q, p), or of each row of a stack of them."""
+    d = z.shape[-1] // 2
+    return row_dot(z[..., :d], z[..., :d]) - 1.0
 
 
-def constraint_f2(z: np.ndarray) -> float:
-    """F2 = <q,p>."""
-    d = len(z) // 2
-    return float(np.dot(z[:d], z[d:]))
+def constraint_f2(z: np.ndarray):
+    """F2 = <q,p> of z = (q, p), or of each row of a stack of them."""
+    d = z.shape[-1] // 2
+    return row_dot(z[..., :d], z[..., d:])
 
 
 def dirac_bracket_check(x: PhasePoint) -> DiracReport:
@@ -271,9 +273,9 @@ def dirac_bracket_check(x: PhasePoint) -> DiracReport:
 
     # the coordinate functions z_0 .. z_(2d-1), then F1 and F2
     def fns(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([z, [constraint_f1(z), constraint_f2(z)]])
+        return np.column_stack([z, constraint_f1(z), constraint_f2(z)])
 
-    M = _brackets(_gradient(fns, z0, h), d)
+    M = _brackets(_gradient(fns, z0, h)[0], d)
     F1, F2 = 2 * d, 2 * d + 1
     c = float(M[F1, F2])
     D = M + (np.outer(M[:, F1], M[F2]) - np.outer(M[:, F2], M[F1])) / c

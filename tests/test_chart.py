@@ -210,6 +210,19 @@ class TestRMin:
         assert r == pytest.approx(s_peak ** (params.n / 2.0), rel=1e-4)
         assert r < s_peak ** (params.n / 2.0)
 
+    def test_newton_stops_when_its_step_no_longer_moves_s(self):
+        # the step falls below half an ulp of s with its sign unchanged:
+        # s - step == s, and the solve used to run out its 200 iterations
+        params = ModelParams(n=3, d=2)
+        E, l2 = 57.16806425569641, 0.2290364125009525
+        rhs = l2 / (2.0 * params.m)
+        sol = chart._monotone_newton(E, params.Z, params.n, rhs, rhs / params.Z)
+        assert sol.iterations <= 12
+        assert float(sol.x) == chart._sigma_root(params, E, l2)
+        assert chart.r_min(params, E, l2) == pytest.approx(
+            u_eff_bisection_rmin(params, E, l2), rel=1e-12
+        )
+
     def test_supercritical_l2_has_no_pericenter(self):
         params = ModelParams(n=2, d=2)
         with pytest.raises(chart.NoPericenterError):
@@ -779,3 +792,92 @@ class TestZeroEnergyOrbit:
         assert np.array_equal(theta[:4], -theta[4:])  # the branches mirror
         assert np.all(np.abs(theta) < orbit.apsis)
         assert sol.residual() <= 1e-13 * t[-1]
+
+
+def stencil_rows(params, x):
+    """The 8 * 2d + 1 points at which `bracket_table` evaluates the chart."""
+    z = np.concatenate([x.q, x.p])
+    h = verify.DEFAULT_STEP_FRACTION * verify._coordinate_scales(z, params.d)
+    seen = []
+
+    def record(rows):
+        seen.append(rows.copy())
+        return np.zeros((len(rows), 1))
+
+    verify._gradient(record, z, h)
+    (rows,) = seen
+    return rows
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestChartRows:
+    @pytest.mark.parametrize("n,d", GRID)
+    def test_each_row_equals_the_row_alone(self, n, d):
+        params = ModelParams(n=n, d=d, eps=0.1)
+        x = sample_domain_points(params, np.random.default_rng(50 + 10 * n + d), 1)[0]
+        rows = stencil_rows(params, x)
+        assert rows.shape == (8 * 2 * d + 1, 2 * d)
+        batch = chart.chart_forward_rows(params, rows)
+        shuffled = chart.chart_forward_rows(params, rows[::-1])
+        for i, z in enumerate(rows):
+            alone = chart.chart_forward_rows(params, z[None])
+            point = chart.chart_forward(params, PhasePoint(z[:d], z[d:]))
+            for field in ("T", "H", "A", "B"):
+                value = getattr(batch, field)[i]
+                assert same_bits(value, getattr(alone, field)[0]), field
+                assert same_bits(value, getattr(shuffled, field)[-1 - i]), field
+                assert same_bits(value, getattr(point, field)), field
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_row_outside_the_domain_rejects_the_batch(self, n):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x, y = sample_domain_points(params, np.random.default_rng(n), 2)
+        far = np.concatenate([x.q * (1.5 * params.eps / x.r), x.p])
+        # at rest inside the sphere: below the energy floor -Z / (2 n r**alpha)
+        slow = np.concatenate([y.q, np.zeros(2)])
+        good = np.concatenate([x.q, x.p])
+        for bad in (far, slow):
+            with pytest.raises(chart.ChartDomainError):
+                chart.chart_forward_rows(params, np.stack([good, bad, good]))
+        with pytest.raises(chart.DomainError):  # q = 0
+            chart.chart_forward_rows(params, np.stack([good, np.concatenate([[0.0, 0.0], x.p])]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_supercritical_row_has_no_pericenter(self, n):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        E = np.array([-0.5, -0.5, 0.3])
+        l_circ = circular_l(params, -0.5)
+        l = np.array([0.5 * l_circ, 1.01 * l_circ, 0.5 * l_circ])
+        with pytest.raises(chart.NoPericenterError):
+            chart._RadialOrbit(params, E, l)
+        orbit = chart._RadialOrbit(params, E[[0, 2]], l[[0, 2]])
+        for k, (Ek, lk) in enumerate(zip(E[[0, 2]], l[[0, 2]])):
+            assert orbit.s0[k] == chart._sigma_min(params, Ek, lk * lk)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exactly_radial_row_takes_the_completion_frame(self, d):
+        params = ModelParams(n=3, d=d, eps=0.1)
+        x = sample_domain_points(params, np.random.default_rng(d), 1)[0]
+        u = x.q / x.r
+        radial = np.concatenate([x.q, -np.linalg.norm(x.p) * u])
+        rows = np.stack([np.concatenate([x.q, x.p]), radial])
+        e1, e2, _, _ = cov.plane_reduce_rows(rows[:, :d], rows[:, d:])
+        assert same_bits(e2[1], cov._completion(e1[1]))
+        c = chart.chart_forward_rows(params, rows)
+        alone = chart.chart_forward(params, PhasePoint(radial[:d], radial[d:]))
+        assert same_bits(c.A[1], alone.A) and same_bits(c.T[1], alone.T)
+        # a collision orbit: its pericenter direction is the line of q, and
+        # B = 0 up to the rounding of p = -|p| q / |q|
+        assert abs(abs(np.dot(c.A[1], u)) - 1.0) < 1e-15
+        assert np.linalg.norm(c.B[1]) <= 1e-15 * x.r * np.linalg.norm(x.p)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kepler_rows_match_the_closed_form(self, d):
+        params = ModelParams(n=2, d=d, eps=0.1)
+        pts = sample_domain_points(params, np.random.default_rng(7 + d), 40)
+        c = chart.chart_forward_rows(params, np.stack([np.concatenate([x.q, x.p]) for x in pts]))
+        closed = [chart.kepler_time_closed_form(params, x) for x in pts]
+        assert np.max(np.abs(c.T - closed)) <= 1e-13 * time_scale(params)

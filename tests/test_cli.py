@@ -3,9 +3,11 @@ import logging
 
 import numpy as np
 import pytest
+import scipy
 
+import mcgehee
 from mcgehee import chart, cli, integrate as ode, verify
-from mcgehee.model import ModelParams, physical_field
+from mcgehee.model import ModelParams, PhasePoint, physical_field
 
 
 def run(argv):
@@ -389,6 +391,27 @@ class TestVerifyCommand:
             "bb": -1.0,
             "ll": -1.0,
         }
+
+    def test_report_reproduces_its_worst_points(self, tmp_path):
+        # the report alone names the seed, the versions and each cell's worst
+        # point, and bracket_table there gives the recorded worst row again
+        cfg = write_config(tmp_path, {"verify_points": 1})
+        run(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "11"])
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["seed"] == 11
+        assert report["versions"] == {
+            "mcgehee": mcgehee.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        cells = report["bracket_table"]["per_entry"]
+        assert len(cells) == 8
+        for cell in cells:
+            params = ModelParams(n=cell["n"], d=cell["d"], m=1.0, Z=1.0, eps=0.1)
+            rep = verify.bracket_table(params, PhasePoint(cell["q"], cell["p"]))
+            worst = max(rep.entries, key=lambda e: e.residual)
+            assert list(worst.names) == cell["worst_pair"]
+            assert worst.residual == cell["worst_residual"]
 
     def test_report_takes_worst_and_signs_over_all_points(self, monkeypatch):
         # the first point of every (n, d) cell is the worst one and measures a

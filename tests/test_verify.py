@@ -48,6 +48,86 @@ class TestPoissonBracket:
         assert errs[2] < errs[1] / 8.0
 
 
+def loop_gradient(f, z, h):
+    """Reference gradient: the same stencil and Richardson step, one point
+    and one coordinate at a time."""
+    cols = []
+    for i in range(len(z)):
+
+        def stencil(step):
+            vals = []
+            for c in (-2.0, -1.0, 1.0, 2.0):
+                zp = z.copy()
+                zp[i] += c * step
+                vals.append(f(zp))
+            return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
+
+        cols.append((16.0 * stencil(0.5 * h[i]) - stencil(h[i])) / 15.0)
+    return np.stack(cols, axis=-1)
+
+
+def loop_bracket(f, g, x):
+    d = len(x.q)
+    z = np.concatenate([x.q, x.p])
+    h = verify.DEFAULT_STEP_FRACTION * verify._coordinate_scales(z, d)
+    point = lambda zz: PhasePoint(zz[:d], zz[d:])
+    J = loop_gradient(lambda zz: np.array([f(point(zz)), g(point(zz))]), z, h)
+    return float(verify._brackets(J, d)[0, 1])
+
+
+class TestBatchedGradient:
+    def test_one_call_on_the_stencil_and_the_point(self):
+        z = np.array([0.3, -0.2, 0.5, 1.1])
+        h = np.array([1e-3, 2e-3, 3e-3, 4e-3])
+        calls = []
+
+        def f(rows):
+            calls.append(rows.shape)
+            return np.column_stack([np.sin(rows[:, 0]) * rows[:, 3], rows[:, 1] ** 3])
+
+        J, at_z = verify._gradient(f, z, h)
+        assert calls == [(8 * len(z) + 1, len(z))]
+        assert np.array_equal(at_z, f(z[None])[0])
+        exact = np.array([[np.cos(0.3) * 1.1, 0.0, 0.0, np.sin(0.3)], [0.0, 3 * 0.04, 0.0, 0.0]])
+        assert np.max(np.abs(J - exact)) < 1e-10
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 2)])
+    def test_poisson_bracket_unchanged(self, n, d):
+        params = ModelParams(n=n, d=d, eps=0.1)
+        T = lambda xp: chart.chart_forward(params, xp).T
+        H = lambda xp: hamiltonian(params, xp)
+        A0 = lambda xp: chart.chart_forward(params, xp).A[0]
+        B1 = lambda xp: chart.chart_forward(params, xp).B[1]
+        x = verify.sample_domain_points(params, np.random.default_rng(n + d), 1)[0]
+        for f, g in ((H, T), (A0, B1)):
+            assert verify.poisson_bracket(f, g, x) == pytest.approx(
+                loop_bracket(f, g, x), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dirac_bracket_unchanged(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(3):
+            q = rng.normal(size=d)
+            q /= np.linalg.norm(q)
+            p = rng.normal(size=d)
+            p -= np.dot(p, q) * q
+            rep = verify.dirac_bracket_check(PhasePoint(q, p))
+            z = np.concatenate([q, p])
+            h = verify.DEFAULT_STEP_FRACTION * verify._coordinate_scales(z, d)
+            fns = lambda zz: np.concatenate(
+                [zz, [np.dot(zz[:d], zz[:d]) - 1.0, np.dot(zz[:d], zz[d:])]]
+            )
+            M = verify._brackets(loop_gradient(fns, z, h), d)
+            c = M[2 * d, 2 * d + 1]
+            D = M + (np.outer(M[:, 2 * d], M[2 * d + 1]) - np.outer(M[:, 2 * d + 1], M[2 * d])) / c
+            assert rep.c_measured == pytest.approx(c, abs=1e-12)
+            label = [f"{v}_{i}" for v in "qp" for i in range(d)]
+            for e in rep.entries:
+                a, b = (label.index(name) for name in e.names)
+                assert e.computed == pytest.approx(D[a, b], abs=1e-12)
+
+
 class TestBracketTable:
     def test_kepler_point_full_table(self):
         params = ModelParams(n=2, d=3, eps=0.1)
