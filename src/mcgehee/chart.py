@@ -6,15 +6,18 @@ entries except T are constants of the motion, so in chart coordinates the
 flow is the translation T -> T + t.  Collision states are glued in as the
 set {(h, a)} = energy x direction, on which (T, B) = (0, 0).
 
-The chart maps are ODE-free on every orbit, collision orbits included:
-each orbit is a planar central-force orbit, so T and the angle swept since
-the pericenter are radial integrals, taken by fixed-node quadrature.  The
-forward map acts on stacked states, one row each (`chart_forward_rows`),
-and `chart_forward` is its batch of one.  Bound orbits get the same
-treatment between both turning points (`_BoundOrbit`), and E = 0 orbits
-have closed forms (`_ZeroEnergyOrbit`).  The covering ODE carries the
-global flow, and `pericenter` keeps the covering-ODE route to the same
-pericenter.
+The chart maps and the global flow are ODE-free on every orbit, collision
+orbits included: each orbit is a planar central-force orbit, so T and the
+angle swept since the pericenter are radial integrals, taken by fixed-node
+quadrature.  The forward map acts on stacked states, one row each
+(`chart_forward_rows`), and `chart_forward` is its batch of one.  Bound
+orbits get the same treatment between both turning points (`_BoundOrbit`),
+and E = 0 orbits have closed forms (`_ZeroEnergyOrbit`).  `global_flow` is
+the translation T -> T + t on every orbit, not only in U^eps: it places a
+state on its orbit, advances its time since the pericenter, modulo the
+radial period on bound orbits, and solves for the new radius.
+`pericenter` keeps the covering-ODE route to the chart's pericenter as an
+independent check.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .model import (
     PhasePoint,
     hamiltonian,
     l_squared_point,
-    physical_field,
     row_dot,
 )
 
@@ -41,10 +43,6 @@ from .model import (
 # surface" for the boolean predicate; the chart itself resolves the crossing
 # by root finding, not by this tolerance.
 PERICENTER_TOL = 1e-9
-
-# a covering state with |Q| below this multiple of eps**(1/n) is classified
-# as the collision itself (below the integration noise floor)
-COLLISION_Q_TOL = 1e-9
 
 _TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
@@ -69,12 +67,12 @@ class ChartPoint:
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Regular:
     x: PhasePoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Collision:
     h: float
     a: np.ndarray
@@ -191,6 +189,15 @@ class _RadialOrbit:
     and G >= Z/2 on U^eps.  With sigma = s0 + u**2 v**2, every integral from
     the pericenter out to u = sqrt(sigma - s0) is an integral over v in
     [0, 1] of a smooth function, taken on the fixed nodes: a (k, 32) array.
+
+    For E > 0 the zeros of G nearest the real axis lie near
+    u_S exp(+-i pi/(2n-2)), u_S = (Z/E)**(1/(2n-2)), where the kinetic
+    energy at infinity overtakes the potential, and one panel much longer
+    than their distance from the axis would lose digits.  Beyond
+    u_P = 4 sin(pi/(2n-2)) u_S the integrals are therefore summed over the
+    panels [0, u_P], [u_P, 2 u_P], [2 u_P, 4 u_P], ..., each far enough from
+    those zeros for its 32-node rule; a row with u <= u_P keeps the single
+    panel, bit for bit.
     """
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
@@ -200,6 +207,11 @@ class _RadialOrbit:
         self.s0 = _sigma_min(params, E, l * l)
         self.G0 = params.Z + E * _pow(self.s0, n - 1)
         self.K = n * params.m / self.root2m
+        # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
+        self._inv_u_P = 0.0 * E
+        if n > 1:
+            u_S_inv = _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0))
+            self._inv_u_P = u_S_inv / (4.0 * np.sin(np.pi / (2.0 * n - 2.0)))
         # the constants as columns against the nodes, and the powers of s0 in P
         self._E, self._s0, self._G0 = E[:, None], self.s0[:, None], self.G0[:, None]
         self._s0_powers = [_pow(self._s0, j + 1) for j in range(n - 2)]
@@ -214,8 +226,20 @@ class _RadialOrbit:
         """G on a (k, j) array of sigma, row i on orbit i."""
         return self._G0 + self._E * sigma * self._P(sigma)
 
-    def _nodes(self, u: np.ndarray) -> np.ndarray:
-        return self._s0 + (u[:, None] * _NODES) ** 2
+    def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sigma on the nodes of every panel out to u, a (k, 32 P) array,
+        and the (k, P) panel widths; a row that needs fewer than P panels
+        ends in panels of width 0."""
+        ratio = (u * self._inv_u_P).max()
+        if not ratio > 1.0:
+            return self._s0 + (u[:, None] * _NODES) ** 2, u[:, None]
+        with np.errstate(divide="ignore"):
+            u_P = 1.0 / self._inv_u_P
+        edges = np.minimum(u_P[:, None] * 2.0 ** np.arange(int(np.ceil(np.log2(ratio))) + 1), u[:, None])
+        start = np.concatenate((np.zeros((len(u), 1)), edges), axis=1)
+        width = np.concatenate((edges, u[:, None]), axis=1) - start
+        nodes = start[:, :, None] + width[:, :, None] * _NODES
+        return self._s0 + nodes.reshape(len(u), -1) ** 2, width
 
     def rate(self, u: np.ndarray) -> np.ndarray:
         """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m)."""
@@ -224,9 +248,9 @@ class _RadialOrbit:
 
     def time(self, u: np.ndarray) -> np.ndarray:
         """Time from the pericenter out to u."""
-        sigma = self._nodes(u)
+        sigma, width = self._nodes(u)
         vals = sigma ** (self.n - 1) / np.sqrt(self.G(sigma))
-        return self.K * u * row_dot(vals, _WEIGHTS)
+        return _panel_sum(self.K * width, vals)
 
     def angle(self, u: np.ndarray) -> np.ndarray:
         """Polar angle swept from the pericenter out to u.
@@ -236,12 +260,61 @@ class _RadialOrbit:
         (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
         tends to n pi/2.
         """
-        sigma = self._nodes(u)
+        sigma, width = self._nodes(u)
         P = self._P(sigma)
         rG = np.sqrt(self._G0 + self._E * sigma * P)
         rG0 = np.sqrt(self._G0)
-        rest = row_dot(-self._E * P / (rG * rG0 * (rG + rG0)), _WEIGHTS)
-        return self.n * (np.arctan2(u, np.sqrt(self.s0)) + self.l * u / self.root2m * rest)
+        rest = _panel_sum(self.l[:, None] * width / self.root2m, -self._E * P / (rG * rG0 * (rG + rG0)))
+        return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
+
+    def step(self, sigma: float, radial, t: float) -> tuple[float, float, float, float]:
+        """`_BoundOrbit.step` for a one-row orbit with E >= 0, in u.
+
+        T is odd in the signed u = side sqrt(sigma - s0), so Newton on
+        T(u) = |tau| starts from the tangent at the start; at the collision,
+        where dT/du = 0, it starts from the E = 0 estimate T ~ u**(2n-1).
+        T is convex in u with T(0) = 0, so T(u/2) <= T(u)/2: doubling or
+        halving the guess brackets the root in [u_hi/2, u_hi].
+        """
+        n = self.n
+        if radial is None:
+            tau0 = theta0 = 0.0
+            guess = np.zeros(1)
+        else:
+            side0 = np.sign(radial)
+            u0 = abs(radial) / (self.root2m * np.sqrt(self.G(np.array([[sigma]]))[:, 0]))
+            tau0 = float(side0 * self.time(u0)[0])
+            theta0 = float(side0 * self.angle(u0)[0])
+            guess = np.abs(side0 * u0 + t / self.rate(u0))
+        tau = tau0 + t
+        target = np.array([abs(tau)])
+        if not guess[0] > 0.0:
+            guess = ((2 * n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * n - 1))
+        hi = 0.0 * guess
+        if target[0] > 0.0:
+            hi, T_hi = guess, self.time(guess)[0]
+            while T_hi < target[0]:
+                hi = 2.0 * hi
+                T_hi = self.time(hi)[0]
+            while T_hi > 2.0 * target[0] and self.time(0.5 * hi)[0] >= target[0]:
+                hi = 0.5 * hi
+        u = _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0])).x
+        side = np.sign(tau)
+        sigma1 = self.s0 + u * u
+        radial1 = float(side * u[0] * self.root2m * np.sqrt(self.G(sigma1[:, None])[0, 0]))
+        return float(sigma1[0] ** (n / 2.0)), radial1, float(side * self.angle(u)[0]) - theta0, -theta0
+
+
+def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """sum_p scale[:, p] * (Gauss-Legendre sum of panel p of vals), the
+    panels added in order, so trailing panels of width 0 add exact zeros."""
+    if scale.shape[1] == 1:
+        return scale[:, 0] * row_dot(vals, _WEIGHTS)
+    parts = row_dot(vals.reshape(scale.shape + (CHART_NODES,)), _WEIGHTS)
+    total = scale[:, 0] * parts[:, 0]
+    for p in range(1, scale.shape[1]):
+        total = total + scale[:, p] * parts[:, p]
+    return total
 
 
 class Solve(NamedTuple):
@@ -260,13 +333,14 @@ class Solve(NamedTuple):
 _SOLVE_MAX_ITER = 64
 
 
-def _solve_increasing(f, rate, t, x, lo, hi, tol: float) -> Solve:
+def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
     """x in [lo, hi] with f(x) = t for an increasing f, elementwise over t.
 
     Newton from the first guess x, clipped into the bracket.  The bracket
     is closed, so a sample where f(x) == t exactly stays where it is, and a
-    Newton step that leaves it bisects instead.  A sample stops once its
-    step is at most tol, or after _SOLVE_MAX_ITER steps.
+    Newton step that leaves it, or is not finite where the rate is 0,
+    bisects instead.  A sample stops once its
+    step is at most tol + rtol |x|, or after _SOLVE_MAX_ITER steps.
     """
     x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, lo, hi))
     x = np.clip(x, lo, hi)
@@ -279,10 +353,11 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float) -> Solve:
         res = f(xa) - ta
         lo = np.where(res < 0.0, xa, lo)
         hi = np.where(res > 0.0, xa, hi)
-        new = xa - res / rate(xa)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rate 0: bisect
+            new = xa - res / rate(xa)
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         new = np.where(res == 0.0, xa, new)
-        done = np.abs(new - xa) <= tol
+        done = np.abs(new - xa) <= (tol + rtol * np.abs(new) if rtol else tol)
         x.flat[rows] = new
         if done.any():
             keep = ~done
@@ -346,9 +421,30 @@ class _ZeroEnergyOrbit:
 
 
 # T(phi) varies by up to (s1/s0)**(n-1) in slope, so Newton's first guess
-# comes from a table; the solve stops within a few ulps of pi
-_PHI_TABLE = 129
-_PHI_TOL = 4.0 * np.spacing(np.pi)
+# comes from a table; the solve stops within a few ulps of phi, which near a
+# collision or a deep pericenter can be far below 1
+_PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
+_PHI_RTOL = 4.0 * np.spacing(1.0)
+
+
+# an orbit whose l**2/2m lies within this fraction of the circular value
+# counts as near circular for `_BoundOrbit.through`
+_NEAR_CIRCULAR = 1e-2
+
+
+def _offset_root(c, gap: float, side: float) -> float:
+    """The root y on the given side of 0 of sum_j c[j] y**(j+2) = -gap,
+    c[0] < 0, by Newton from the root of the quadratic term."""
+    y = side * math.sqrt(max(gap, 0.0) / -c[0])
+    if len(c) == 1 or y == 0.0:
+        return y
+    for _ in range(_SOLVE_MAX_ITER):
+        F = gap + sum(cj * y ** (j + 2) for j, cj in enumerate(c))
+        step = F / sum((j + 2) * cj * y ** (j + 1) for j, cj in enumerate(c))
+        y -= step
+        if abs(step) <= 2.0 * np.spacing(y):
+            break
+    return y
 
 
 class _BoundOrbit:
@@ -366,21 +462,24 @@ class _BoundOrbit:
 
     on the chart's Gauss-Legendre nodes.  The orbit is symmetric about its
     apsides, so every other time reduces to [0, pi/2]: t modulo the radial
-    period, reflected about the apocenter in the second half.
+    period into [-P/2, P/2], then its distance from the pericenter.
     """
 
-    def __init__(self, params: ModelParams, E: float, l: float) -> None:
+    def __init__(self, params: ModelParams, E: float, l: float, turning=None) -> None:
         n, Z = params.n, params.Z
         if n < 2 or not E < 0.0:
             raise ValueError("a bound orbit needs n >= 2 and E < 0")
         self.n, self.E, self.l = n, E, l
         self.root2m = np.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
-        self.s0 = _sigma_min(params, E, l * l)  # NoPericenterError above the threshold
-        # f <= 0 at the zero of E s**n + Z s, and f is decreasing and concave
-        # beyond its peak, so Newton descends from there to the apocenter
-        s_far = (Z / -E) ** (1.0 / (n - 1.0))
-        self.s1 = max(self.s0, float(_monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far).x))
+        if turning is not None:
+            self.s0, self.s1 = turning
+        else:
+            self.s0 = _sigma_min(params, E, l * l)  # NoPericenterError above the threshold
+            # f <= 0 at the zero of E s**n + Z s, and f is decreasing and concave
+            # beyond its peak, so Newton descends from there to the apocenter
+            s_far = (Z / -E) ** (1.0 / (n - 1.0))
+            self.s1 = max(self.s0, float(_monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far).x))
         # f / (sigma - s0) = Z + E sum_j sigma**j s0**(n-1-j), divided by
         # (s1 - sigma): every coefficient of R is positive, so R has no cancellation
         g = [E * self.s0 ** (n - 1 - j) for j in range(n)]
@@ -393,22 +492,42 @@ class _BoundOrbit:
         self.period = 2.0 * float(self.time(np.pi / 2.0))
         self.apsis = float(self.angle(np.pi / 2.0))
 
+    @classmethod
+    def through(cls, params: ModelParams, E: float, l: float, sigma: float, radial: float) -> "_BoundOrbit":
+        """The bound orbit of the state at sigma = r**(2/n) with <q,p> = radial.
+
+        Near a circular orbit both turning points sit near the peak s_c of
+        E s**n + Z s, and their distance from it follows from the small gap
+        between the peak's value and l**2/2m.  Taken as that difference,
+        the gap carries an error of eps_mach times the peak, which moves the
+        turning points by sqrt(eps_mach).  There the gap is read off the
+        state instead, as radial**2/2m - (f(sigma) - f(s_c)), a sum of two
+        terms >= 0, and each turning point solves f(s_c + y) - f(s_c) = -gap
+        in its offset y from the peak.
+        """
+        n, Z = params.n, params.Z
+        s_c, peak = _peak(Z, n, E)
+        if peak - l * l / (2.0 * params.m) > _NEAR_CIRCULAR * peak:
+            return cls(params, E, l)
+        # f(s_c + y) - f(s_c) = sum_j c[j] y**(j+2), as f'(s_c) = 0
+        c = [E * math.comb(n, j) * s_c ** (n - j) for j in range(2, n + 1)]
+        d = sigma - s_c
+        gap = radial * radial / (2.0 * params.m) - sum(cj * d ** (j + 2) for j, cj in enumerate(c))
+        return cls(params, E, l, turning=[s_c + _offset_root(c, gap, side) for side in (-1.0, 1.0)])
+
     def sigma(self, phi):
         return self.s0 + (self.s1 - self.s0) * np.sin(phi) ** 2
 
     def _RS(self, sigma):
-        S = np.zeros_like(sigma)
+        S = 0.0
         for c in self._S:
             S = S * sigma + c
         return self.R0 + sigma * S, S
 
     def _quad(self, phi, integrand):
         """Integral of integrand(sigma) over [0, phi] on the chart's nodes,
-        elementwise over phi; one node at a time, so memory stays O(len(phi))."""
-        total = 0.0
-        for x, w in zip(_NODES, _WEIGHTS):
-            total = total + w * integrand(self.sigma(phi * x))
-        return phi * total
+        elementwise over phi: one (..., 32) array, as `_RadialOrbit` takes it."""
+        return phi * row_dot(integrand(self.sigma(phi[..., None] * _NODES)), _WEIGHTS)
 
     def _slowness(self, sigma):
         return sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0])
@@ -437,23 +556,97 @@ class _BoundOrbit:
         swept = np.arctan2(np.sqrt(self.s1) * np.sin(phi), np.sqrt(self.s0) * np.cos(phi))
         return self.n * (swept + self.l / self.root2m * self._quad(phi, self._remainder))
 
+    def radial(self, phi):
+        """|r p_r| at phi: sqrt(2m f(sigma)) with f = (s1 - s0)**2 sin**2 cos**2 R."""
+        sigma = self.sigma(phi)
+        return self.root2m * np.sqrt(self._RS(sigma)[0]) * (self.s1 - self.s0) * np.sin(phi) * np.cos(phi)
+
+    def phase(self, sigma: float, radial: float) -> float:
+        """phi in [0, pi/2] of a state at sigma = r**(2/n) with <q,p> = radial.
+
+        sin(phi)**2 = (sigma - s0)/(s1 - s0) and cos(phi)**2 = (s1 - sigma)/(s1 - s0)
+        each cancel near their own turning point, so the larger of the two
+        is taken from its difference and the smaller from
+        sin(phi) cos(phi) = |radial| / (sqrt(2m R(sigma)) (s1 - s0)).
+        """
+        width = self.s1 - self.s0
+        if width == 0.0:  # circular: every phase is the same state
+            return 0.0
+        sin_cos = abs(radial) / (self.root2m * np.sqrt(self._RS(np.asarray(sigma))[0]) * width)
+        if sigma - self.s0 <= self.s1 - sigma:
+            c = np.sqrt((self.s1 - sigma) / width)
+            return float(np.arctan2(sin_cos / c, c))
+        s = np.sqrt(max(sigma - self.s0, 0.0) / width)
+        return float(np.arctan2(s, sin_cos / s))
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """T on a grid of phi by the trapezoidal rule on dT/dphi, scaled to
+        end at P/2: good to about 1e-4 of T, enough for Newton's first guess."""
+        rate = self.rate(_PHI_GRID)
+        T = np.concatenate(([0.0], np.cumsum(rate[1:] + rate[:-1])))
+        return T * (0.5 * self.period / T[-1]), _PHI_GRID
+
+    def place(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
+        """Whole periods k, side and phi of each time: ts = k P + side T(phi).
+
+        ts is reduced into [-P/2, P/2] exactly (fmod, then a shift by P
+        that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
+        its relative precision however many periods lie before it.  phi
+        solves T(phi) = |tau| by Newton, first guess from a table of T.
+        """
+        ts = np.asarray(ts, dtype=float)
+        P = self.period
+        tau = np.fmod(ts, P)
+        tau = np.where(tau > 0.5 * P, tau - P, np.where(tau < -0.5 * P, tau + P, tau))
+        k = np.round((ts - tau) / P)
+        t = np.abs(tau)
+        table = self._table()
+        guess = np.where(t < table[0][1], self._first_phi(t), np.interp(t, *table))
+        sol = _solve_increasing(self.time, self.rate, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
+        return k, np.sign(tau), sol
+
+    def _first_phi(self, t):
+        """Newton's first guess for phi at times t below the table's first step.
+
+        Near phi = 0, sigma = s0 + (s1 - s0) phi**2 and R = R(s0) make T a
+        polynomial in phi, at least its first term rate(0) phi and its last
+        term K (s1 - s0)**(n-1) phi**(2n-1) / ((2n-1) sqrt(R(s0))); the
+        smaller inverse of the two is the guess.
+        """
+        n, width = self.n, self.s1 - self.s0
+        last = self.K * width ** (n - 1) / ((2 * n - 1) * np.sqrt(self._RS(np.asarray(self.s0))[0]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # s0 = 0 or s1 = s0: one term
+            return np.fmin(t / self.rate(0.0), (t / last) ** (1.0 / (2 * n - 1)))
+
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
         """Radius and polar angle at times ts since the pericenter.
 
-        Each time is reduced modulo the period and solved for phi by Newton,
-        first guess from a table of T; every whole period adds two apsidal
-        angles.  Returns r, theta and the phi solve.
+        Every whole period adds two apsidal angles.  Returns r, theta and
+        the phi solve.
         """
-        ts = np.asarray(ts, dtype=float)
-        periods, tau = np.divmod(ts, self.period)
-        back = tau > 0.5 * self.period
-        tau = np.where(back, self.period - tau, tau)
-        table = np.linspace(0.0, np.pi / 2.0, _PHI_TABLE)
-        guess = np.interp(tau, self.time(table), table)
-        sol = _solve_increasing(self.time, self.rate, tau, guess, 0.0, np.pi / 2.0, _PHI_TOL)
-        theta = self.angle(sol.x)
-        theta = 2.0 * periods * self.apsis + np.where(back, 2.0 * self.apsis - theta, theta)
+        k, side, sol = self.place(ts)
+        theta = 2.0 * k * self.apsis + side * self.angle(sol.x)
         return self.sigma(sol.x) ** (self.n / 2.0), theta, sol
+
+    def step(self, sigma: float, radial, t: float) -> tuple[float, float, float, float]:
+        """(r, <q,p>, swept angle, pericenter angle) of this orbit's state at
+        sigma with <q,p> = radial, advanced by t; angles from the start.
+
+        The start sits at time tau0 = +-T(phi0) since its pericenter, on the
+        outbound side when radial >= 0, so a state at rest is the
+        apocenter; radial None is the collision itself.
+        """
+        if radial is None:
+            tau0 = theta0 = 0.0
+        else:
+            phi0 = self.phase(sigma, radial)
+            side0 = 1.0 if radial >= 0.0 else -1.0
+            tau0, theta0 = side0 * float(self.time(phi0)), side0 * float(self.angle(phi0))
+        k, side, sol = self.place(np.array([tau0 + t]))
+        phi, side = sol.x[0], side[0]
+        pericenter = 2.0 * k[0] * self.apsis - theta0
+        swept = pericenter + float(side * self.angle(phi))
+        return float(self.sigma(phi) ** (self.n / 2.0)), float(side * self.radial(phi)), swept, pericenter
 
 
 class ChartRows(NamedTuple):
@@ -535,6 +728,13 @@ def _float_if_scalar(x: np.ndarray):
     return x if x.ndim else float(x)
 
 
+def _peak(Z: float, n: int, E):
+    """sigma and value of the maximum of E s**n + Z s (E < 0, n >= 2): the
+    circular orbit of energy E has l**2/2m equal to that value."""
+    s_peak = _pow(Z / (n * -E), 1.0 / (n - 1.0))
+    return s_peak, E * _pow(s_peak, n) + Z * s_peak
+
+
 def _sigma_root(params: ModelParams, E, l2):
     """Smallest root of f(s) = E s**n + Z s - l2/(2m), s = r**(2/n), by Newton.
 
@@ -554,9 +754,7 @@ def _sigma_root(params: ModelParams, E, l2):
     # for E < 0 the maximum of E s**n + Z s separates the two roots; rows
     # with E >= 0 take E = -1 here and are masked out
     bound = E < 0.0
-    Eb = np.where(bound, E, -1.0)
-    s_peak = _pow(Z / (n * -Eb), 1.0 / (n - 1.0))
-    peak = Eb * _pow(s_peak, n) + Z * s_peak
+    s_peak, peak = _peak(Z, n, np.where(bound, E, -1.0))
     above = bound & (peak < rhs)
     if above.any():
         k = np.argmax(above)
@@ -582,8 +780,21 @@ def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
 
     A row stops at the first step that no longer moves that way or no
     longer changes s (a step below half an ulp of s), and keeps its value
-    from then on, so its root does not depend on the other rows.
+    from then on, so its root does not depend on the other rows.  A single
+    root takes the same steps in Python floats, which round as the array
+    arithmetic does but skip numpy's per-call cost.
     """
+    f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
+    if np.ndim(E) == np.ndim(rhs) == np.ndim(s) == 0:
+        E, rhs, s = float(E), float(rhs), float(s)
+        last = 0.0
+        for iterations in range(1, _NEWTON_MAX_ITER + 1):
+            step = (E * s**n + Z * s - rhs) / (n * E * s ** (n - 1) + Z)
+            new = s - step
+            if new == s or last * step < 0.0:
+                break
+            s, last = new, step
+        return Solve(np.float64(s), iterations, f, rhs)
     E, rhs, s = (np.asarray(v, dtype=float) for v in (E, rhs, s))
     slope = n * E
     last, done = 0.0, False  # per row after the first step: its sign, and the stop
@@ -597,7 +808,7 @@ def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
         if done.all():
             break
         last = np.sign(step)
-    return Solve(s, iterations, lambda x: E * _pow(x, n) + Z * x, rhs)
+    return Solve(s, iterations, f, rhs)
 
 
 def r_min_kepler(params: ModelParams, E, l2):
@@ -681,39 +892,13 @@ def _pericenter_axis(n: int) -> tuple[bool, float]:
     return False, float(np.sign(w.imag))
 
 
-def _collision_momentum_angle(n: int) -> float:
-    """Angle of P0 in a frame with e1 = A for a collision pericenter.
-
-    Solves P0**n = -|P0|**n in that frame; any root works (they differ by a
-    covering transformation), and for n odd the real negative root keeps the
-    whole trajectory on the e1-axis.
-    """
-    if n % 2 == 1:
-        return np.pi
-    return np.pi / n
-
-
-def _launch_collision(
-    params: ModelParams, h: float, a: np.ndarray
-) -> tuple[cov.PlaneFrame, np.ndarray]:
-    """Covering initial data (at the glued point itself) for Collision(h, a).
-
-    K = 0 at Q = 0 fixes |P0|**2 = 2 m Z for n >= 2, where the energy term
-    carries the factor |Q|**(2(n-1)) = 0, and |P0|**2 = 2 m (Z + h) for
-    n = 1, where that factor is 1.
-    """
-    a = np.asarray(a, dtype=float)
-    a_norm = np.linalg.norm(a)
-    if not (np.isfinite(a_norm) and a_norm > 0.0):
-        raise DomainError("collision direction a must be nonzero and finite")
-    if params.n == 1 and not h > -params.Z:
-        raise DomainError("an n = 1 collision launch needs kinetic energy h + Z > 0")
-    e1 = a / a_norm
-    e2 = cov._completion(e1)
-    frame = cov.PlaneFrame(e1=e1, e2=e2)
-    p_mag = np.sqrt(2.0 * params.m * (params.Z + h if params.n == 1 else params.Z))
-    P0 = p_mag * np.exp(1j * _collision_momentum_angle(params.n))
-    return frame, cov.covering_state_y(complex(0.0), complex(P0))
+def _pericenter_frame(n: int, A: np.ndarray, B_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame (e1, e2) in which an orbit with chart axes A and B_hat has
+    its pericenter on the positive e1 axis and turns counterclockwise."""
+    on_q_axis, s = _pericenter_axis(n)
+    if on_q_axis:
+        return s * A, s * B_hat
+    return -s * B_hat, s * A
 
 
 def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
@@ -758,14 +943,10 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     p_r = sign * u[0] * orbit.root2m * np.sqrt(orbit.G(sigma[:, None])[0, 0]) / r
     turn = np.exp(1j * sign * orbit.angle(u)[0])
     # pericenter frame: e1 along q, e2 along p there
-    on_q_axis, s = _pericenter_axis(n)
     # a collision orbit sweeps n quarter turns and lies on the line of A,
     # whichever unit vector stands in for B / |B|
     B_hat = B / ell if ell > 0.0 else cov._completion(A)
-    if on_q_axis:
-        e1, e2 = s * A, s * B_hat
-    else:
-        e1, e2 = -s * B_hat, s * A
+    e1, e2 = _pericenter_frame(n, A, B_hat)
     frame = cov.PlaneFrame(e1=e1, e2=e2)
     return Regular(cov.plane_embed(frame, r * turn, (p_r + 1j * ell / r) * turn))
 
@@ -782,44 +963,6 @@ def project_to_config(x: ExtendedPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _switch_radius(params: ModelParams) -> float:
-    return 0.5 * params.eps
-
-
-def _covering_segment(
-    params: ModelParams,
-    frame: cov.PlaneFrame,
-    y0: np.ndarray,
-    E: float,
-    t_budget: float,
-    cfg: ode.IntegratorConfig,
-) -> tuple[ExtendedPoint, float]:
-    """Advance a near-origin segment by covering integration.
-
-    Stops at the switch radius or when the physical-time budget is spent;
-    returns the resulting extended point and the physical time consumed.
-    """
-    r_exit = _switch_radius(params)
-    events = (
-        cov.radius_event(params, r_exit),
-        ode.EventSpec(g=lambda y: y[4] - t_budget, direction=ode.ANY, name="t-budget"),
-    )
-    tau_max = cov.tau_bound(params, r_exit ** (1.0 / params.n), slack=50.0)
-    y1 = cov.transit(
-        params, E, y0, tau_max if t_budget > 0 else -tau_max, events, cfg
-    )
-    used = float(y1[4])
-    Q1 = complex(y1[0], y1[1])
-    P1 = complex(y1[2], y1[3])
-    if abs(Q1) < COLLISION_Q_TOL * params.eps ** (1.0 / params.n):
-        # the budget ran out exactly at (numerically: on top of) the collision
-        V = _lrl_complex(params, P1)
-        a = frame.to_vector(V)
-        return Collision(h=E, a=a / np.linalg.norm(a)), used
-    qc, pc = cov.project(params, Q1, P1)
-    return Regular(cov.plane_embed(frame, qc, pc)), used
-
-
 def global_flow(
     params: ModelParams,
     x0: ExtendedPoint,
@@ -828,50 +971,72 @@ def global_flow(
 ) -> ExtendedPoint:
     """Flow on the completed phase space: defined for every start and every t.
 
-    Away from the origin the physical field is integrated directly; any
-    segment that approaches the origin (including exact collisions) is
-    carried by the covering flow, which is smooth there.
+    In chart coordinates the flow is the translation T -> T + t, and every
+    orbit, not only its part in U^eps, reduces to radial quadratures.  A
+    step reduces the state to its plane, reads E and l, places the start on
+    its orbit at its time since the pericenter, advances that time by t,
+    solves for the new radius by Newton, and rotates by the swept angle:
+    bound orbits (E < 0) by `_BoundOrbit`, modulo their radial period;
+    unbound ones by `_RadialOrbit`; n = 1 on a straight line.  A collision
+    orbit (l = 0) passes through the collision with the parity of n, a
+    state at rest is its apocenter, and a step that ends exactly on the
+    collision returns `Collision`.  `Collision(h, a)` starts at the
+    pericenter of the collision orbit that `chart_inverse` builds on the
+    line of a.  No ODE is integrated, so `cfg` is not read; it is accepted
+    for callers that still pass one.
     """
-    cfg = cfg or _TIGHT
     state: ExtendedPoint = Regular(x0) if isinstance(x0, PhasePoint) else x0
     if t == 0.0:
         return state
-    d = params.d
-    r_switch = _switch_radius(params)
-    remaining = float(t)
-    t_tol = 1e-13 * max(1.0, abs(t))
-    field = physical_field(params)
+    if params.n == 1:
+        return _line_flow(params, state, float(t))
+    if isinstance(state, Collision):
+        a = state.a / np.linalg.norm(state.a)
+        e1, e2 = _pericenter_frame(params.n, a, cov._completion(a))
+        E, l, sigma, radial = state.h, 0.0, 0.0, None
+    else:
+        x = state.x
+        # every resolved part of p across q counts: the chart's collinearity
+        # threshold would round a small l to 0 and turn the orbit
+        e1, e2, qc, pc = (v[0] for v in cov.plane_reduce_rows(x.q[None], x.p[None], 0.0))
+        E = hamiltonian(params, x)
+        l = float(qc.real * pc.imag - qc.imag * pc.real)
+        if l < 0.0:  # rounding on a collision orbit: turn the frame instead
+            e2, l = -e2, -l
+        sigma, radial = _pow(x.r, 2.0 / params.n), x.radial
+    # an orbit whose apocenter lies beyond the float range (E > -1e-154 for
+    # n = 2) flows as E = 0: no step can tell the two apart
+    if E < 0.0 and math.log(params.Z / -E) * params.n / (params.n - 1.0) < 700.0:
+        orbit = _BoundOrbit.through(params, E, l, sigma, radial)
+    else:
+        orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
+    r, radial1, swept, pericenter = orbit.step(sigma, radial, float(t))
+    if r * r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
+        lrl = _lrl_complex(params, 1j * np.exp(1j * (pericenter / params.n)))
+        a = lrl.real * e1 + lrl.imag * e2
+        return Collision(h=E, a=a / np.linalg.norm(a))
+    return _embed(e1, e2, r, radial1, l, swept)
 
-    for _ in range(10_000):
-        if abs(remaining) <= t_tol:
-            return state
-        if isinstance(state, Collision):
-            frame, y0 = _launch_collision(params, state.h, state.a)
-            state, used = _covering_segment(params, frame, y0, state.h, remaining, cfg)
-            remaining -= used
-            continue
-        xp = state.x
-        inward = np.sign(remaining) * xp.radial < 0.0
-        if xp.r <= r_switch * (1.0 + 1e-12) and inward:
-            frame, y0, E = cov.lift_state(params, xp)
-            state, used = _covering_segment(params, frame, y0, E, remaining, cfg)
-            remaining -= used
-            continue
-        events = (
-            ode.EventSpec(
-                g=lambda y: float(np.dot(y[:d], y[:d])) - r_switch * r_switch,
-                direction=ode.DECREASING,
-                name="enter",
-            ),
-        )
-        traj = ode.integrate(
-            field, np.concatenate([xp.q, xp.p]), (0.0, remaining), cfg, events=events
-        )
-        if traj.reason == ode.REASON_STEP_FAILURE:
-            raise RuntimeError("physical integration failed away from the origin")
-        y1 = traj.ys[-1]
-        state = Regular(PhasePoint(y1[:d], y1[d:]))
-        remaining -= float(traj.t_end)
-        if traj.reason == ode.REASON_TIME_LIMIT:
-            return state
-    raise RuntimeError("global flow did not converge (too many segments)")
+
+def _embed(e1, e2, r: float, radial: float, l: float, angle: float) -> Regular:
+    """The state at radius r with <q,p> = radial and angular momentum l,
+    turned by angle from e1 toward e2."""
+    c, s = np.cos(angle), np.sin(angle)
+    u, v = c * e1 + s * e2, c * e2 - s * e1
+    return Regular(PhasePoint(r * u, (radial / r) * u + (l / r) * v))
+
+
+def _line_flow(params: ModelParams, state: ExtendedPoint, t: float) -> ExtendedPoint:
+    """n = 1: free motion at constant momentum.  `Collision(h, a)` leaves
+    along -a at speed sqrt(2m(Z + h)), as A = -p/|p| has it; a line that
+    reaches the origin exactly returns `Collision`."""
+    if isinstance(state, Collision):
+        if not state.h > -params.Z:
+            raise DomainError("an n = 1 collision launch needs kinetic energy h + Z > 0")
+        p = -np.sqrt(2.0 * params.m * (params.Z + state.h)) * state.a / np.linalg.norm(state.a)
+        return Regular(PhasePoint(p * (t / params.m), p))
+    x = state.x
+    q = x.q + x.p * (t / params.m)
+    if not q.any():
+        return Collision(h=hamiltonian(params, x), a=-x.p / np.linalg.norm(x.p))
+    return Regular(PhasePoint(q, x.p))

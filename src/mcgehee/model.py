@@ -54,7 +54,7 @@ class ModelParams:
         return 2.0 * (1.0 - 1.0 / self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhasePoint:
     """A position/momentum pair (q, p) with q != 0."""
 

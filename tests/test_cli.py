@@ -178,6 +178,27 @@ class TestConfigErrors:
 
 
 class TestSimulate:
+    def test_integrator_config_is_rejected(self, tmp_path, capsys):
+        # simulate integrates no ODE, so a tolerance it would not read is an error
+        cfg = write_config(
+            tmp_path,
+            {
+                "initial": {"q": [0.05, 0.0], "p": [-6.0, 0.0]},
+                "integrator": {"rel_tol": 1e-12},
+            },
+        )
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "'integrator'" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("option", [["--rel-tol", "1e-8"], ["--abs-tol", "1e-8"]])
+    @pytest.mark.parametrize("command", ["simulate", "verify", "rmin"])
+    def test_tolerance_options_are_gone(self, tmp_path, command, option):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--out", str(tmp_path)] + option)
+        assert exc.value.code == cli.EXIT_CONFIG
+
     def test_zero_span_single_row(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -51,6 +51,26 @@ class TestPlaneReduction:
         assert not cov.is_collinear(x)
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_frame_is_orthonormal_near_collision_orbits(self, d):
+        # one projection of p against e1 leaves <e1, e2> of about
+        # 4e-16 / sin(angle(q, p)); the second pass leaves rounding alone
+        rng = np.random.default_rng(60 + d)
+        ulp = np.spacing(1.0)
+        for sin in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+            for _ in range(50):
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                w = rng.normal(size=d)
+                w -= np.dot(w, u) * u
+                w /= np.linalg.norm(w)
+                v = rng.choice([-1.0, 1.0]) * np.sqrt(1.0 - sin * sin) * u + sin * w
+                q, p = rng.uniform(0.01, 1.0) * u, rng.uniform(0.1, 100.0) * v
+                e1, e2, _, _ = cov.plane_reduce_rows(q[None], p[None])
+                assert abs(np.dot(e1[0], e2[0])) <= 4.0 * ulp
+                assert abs(np.linalg.norm(e2[0]) - 1.0) <= 4.0 * ulp
+
+
 class TestLiftProject:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lift_project_roundtrip(self, n):
