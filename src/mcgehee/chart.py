@@ -425,6 +425,8 @@ class _ZeroEnergyOrbit:
 # collision or a deep pericenter can be far below 1
 _PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
 _PHI_RTOL = 4.0 * np.spacing(1.0)
+# `_BoundOrbit.sample` places at most this many times per pass
+_SAMPLE_CHUNK = 512
 
 
 # an orbit whose l**2/2m lies within this fraction of the circular value
@@ -619,14 +621,24 @@ class _BoundOrbit:
             return np.fmin(t / self.rate(0.0), (t / last) ** (1.0 / (2 * n - 1)))
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
-        """Radius and polar angle at times ts since the pericenter.
+        """Radius and polar angle at the times ts (1-D) since the pericenter.
 
-        Every whole period adds two apsidal angles.  Returns r, theta and
-        the phi solve.
+        Every whole period adds two apsidal angles.  `place` takes at most
+        _SAMPLE_CHUNK times per pass (rows are solved alone, so a time's bits
+        do not depend on its chunk).  Returns r, theta and the phi solve over
+        all times, with the most iterations of any chunk.
         """
-        k, side, sol = self.place(ts)
-        theta = 2.0 * k * self.apsis + side * self.angle(sol.x)
-        return self.sigma(sol.x) ** (self.n / 2.0), theta, sol
+        ts = np.asarray(ts, dtype=float)
+        r, theta, phi, t = (np.empty_like(ts) for _ in range(4))
+        iterations = 0
+        for i in range(0, len(ts), _SAMPLE_CHUNK):
+            part = slice(i, i + _SAMPLE_CHUNK)
+            k, side, sol = self.place(ts[part])
+            phi[part], t[part] = sol.x, sol.t
+            theta[part] = 2.0 * k * self.apsis + side * self.angle(sol.x)
+            r[part] = self.sigma(sol.x) ** (self.n / 2.0)
+            iterations = max(iterations, sol.iterations)
+        return r, theta, Solve(phi, iterations, self.time, t)
 
     def step(self, sigma: float, radial, t: float) -> tuple[float, float, float, float]:
         """(r, <q,p>, swept angle, pericenter angle) of this orbit's state at

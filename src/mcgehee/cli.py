@@ -202,11 +202,6 @@ def _svg_polylines(curves: list[np.ndarray], path: Path, size: int = 600) -> Non
     span = max(float(np.max(hi - lo)), 1e-12)
     pad = 0.05 * span
 
-    def to_px(pt: np.ndarray) -> tuple[float, float]:
-        x = (pt[0] - lo[0] + pad) / (span + 2 * pad) * size
-        y = size - (pt[1] - lo[1] + pad) / (span + 2 * pad) * size
-        return x, y
-
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -214,7 +209,9 @@ def _svg_polylines(curves: list[np.ndarray], path: Path, size: int = 600) -> Non
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     for k, curve in enumerate(curves):
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in curve))
+        x = (curve[:, 0] - lo[0] + pad) / (span + 2 * pad) * size
+        y = size - (curve[:, 1] - lo[1] + pad) / (span + 2 * pad) * size
+        pts = " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" '
             f'stroke="{colors[k % len(colors)]}" stroke-width="1"/>'
@@ -309,7 +306,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def _write_curve_csv(path: Path, data: np.ndarray) -> None:
     lines = ["t,q_1,q_2"]
-    lines += [",".join(_fmt(v) for v in row) for row in data]
+    lines += [",".join(map(repr, row)) for row in data.tolist()]  # repr(float) is _fmt
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

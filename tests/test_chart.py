@@ -782,6 +782,23 @@ class TestBoundOrbit:
         # turns into about 1e-13 of angle
         assert theta == pytest.approx(orbit.apsis * np.array([0.0, 1.0, 6.0, 7.0]), rel=1e-12)
 
+    @pytest.mark.parametrize("n,l", [(2, 0.5), (3, 0.35)])
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 2000])
+    def test_chunked_sample_is_the_one_pass_sample(self, monkeypatch, count, n, l):
+        orbit = chart._BoundOrbit(ModelParams(n=n, d=2), -0.5, l)
+        # many periods on both sides of the pericenter
+        ts = np.random.default_rng(count).uniform(-40.0, 60.0, count) * orbit.period
+        k, side, one = orbit.place(ts)
+        theta = 2.0 * k * orbit.apsis + side * orbit.angle(one.x)
+        r = orbit.sigma(one.x) ** (n / 2.0)
+        place, passes = orbit.place, []
+        monkeypatch.setattr(orbit, "place", lambda part: passes.append(len(part)) or place(part))
+        r_got, theta_got, sol = orbit.sample(ts)
+        assert passes == [min(chart._SAMPLE_CHUNK, count - i) for i in range(0, count, chart._SAMPLE_CHUNK)]
+        assert same_bits(r_got, r) and same_bits(theta_got, theta)
+        assert same_bits(sol.x, one.x) and same_bits(sol.t, one.t)
+        assert sol.iterations == one.iterations and sol.residual() == one.residual()
+
     @pytest.mark.parametrize("E", [0.0, 0.5])
     def test_unbound_energy_rejected(self, E):
         with pytest.raises(ValueError):

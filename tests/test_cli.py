@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -389,8 +390,119 @@ class TestFigureOrbits:
         for line in lines:
             for field in ("s0=", "s1=", "period=", "apsis=", "newton_iterations=", "worst_residual="):
                 assert field in line
+        # a bound orbit's residual covers all of its times, not one chunk of them
+        params = ModelParams(n=3, d=2)
+        bound = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in lines if line.startswith("bound")]
+        assert len(bound) == 3
+        for fields in bound:
+            orbit = chart._BoundOrbit(params, float(fields["E"]), float(fields["l"]))
+            _, _, sol = orbit.place(np.linspace(0.0, 60.0, 2000))
+            assert float(fields["worst_residual"]) == np.max(np.abs(orbit.time(sol.x) - sol.t))
         for path in figs.iterdir():
             assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def oracle_curve_csv(path, data):
+    """The per-value CSV writer that `cli._write_curve_csv` replaced."""
+    lines = ["t,q_1,q_2"]
+    lines += [",".join(cli._fmt(v) for v in row) for row in data]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_svg_polylines(curves, path, size=600):
+    """The per-point SVG writer that `cli._svg_polylines` replaced."""
+    all_pts = np.vstack(curves)
+    lo = all_pts.min(axis=0)
+    hi = all_pts.max(axis=0)
+    span = max(float(np.max(hi - lo)), 1e-12)
+    pad = 0.05 * span
+
+    def to_px(pt):
+        x = (pt[0] - lo[0] + pad) / (span + 2 * pad) * size
+        y = size - (pt[1] - lo[1] + pad) / (span + 2 * pad) * size
+        return x, y
+
+    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    for k, curve in enumerate(curves):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in curve))
+        parts.append(
+            f'<polyline points="{pts}" fill="none" '
+            f'stroke="{colors[k % len(colors)]}" stroke-width="1"/>'
+        )
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+
+
+EDGE_ROWS = np.array(
+    [
+        [-0.0, 5e-324, 1e-5],
+        [1e16, 1e22, -1e22],
+        [-5e-324, -1e-5, -1e16],
+        [0.1, -2.0 / 3.0, 123456.789],
+        [0.0, -0.0, 1.0 + 2.0**-52],
+    ]
+)
+
+
+def rounding_ties(lo=-1.3, span=3.0, size=600):
+    """A curve in the square [lo, lo + span]**2 whose pixel coordinates land
+    exactly on ties of the .2f format (k + 1/8, ..., k + 7/8), so that an
+    ulp of difference in the pixel arithmetic flips a printed digit."""
+    pad = 0.05 * span
+    pts = [lo, lo + span]
+    for k in range(28, 572):
+        target = k + 0.125 * (2 * (k % 4) + 1)
+        v = np.float64(lo + target / size * (span + 2 * pad) - pad)
+        for _ in range(64):
+            px = (v - lo + pad) / (span + 2 * pad) * size
+            if px == target:
+                pts.append(v)
+                break
+            v = np.nextafter(v, np.inf if px < target else -np.inf)
+    assert len(pts) > 300
+    pts = np.array(pts)
+    return np.column_stack((pts, pts[::-1]))
+
+
+class TestWriters:
+    """The array writers give the bytes of the per-value oracles above."""
+
+    def test_figures_match_the_oracle_writers(self, tmp_path, monkeypatch):
+        assert run(["figures", "all", "--out", str(tmp_path / "new")]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "_write_curve_csv", oracle_curve_csv)
+        monkeypatch.setattr(cli, "_svg_polylines", oracle_svg_polylines)
+        assert run(["figures", "all", "--out", str(tmp_path / "old")]) == cli.EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "old").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "new").iterdir()) and len(names) == 9
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+    @pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[:1], -EDGE_ROWS])
+    def test_csv_edge_values(self, tmp_path, rows):
+        cli._write_curve_csv(tmp_path / "new.csv", rows)
+        oracle_curve_csv(tmp_path / "old.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            [EDGE_ROWS[:, :2], EDGE_ROWS[:, 1:]],
+            [EDGE_ROWS[[0, 2, 4], :2]],  # span of tiny and signed zero values
+            [np.array([[0.25, -0.5]])],  # one point: the span floor 1e-12
+            [np.array([[-0.0, 5e-324]]), np.array([[-0.0, 5e-324]])],
+            [np.array([[3.0, -1e-5], [3.0, 1e-5]]), -EDGE_ROWS[3:, :2]],
+            [rounding_ties()],
+        ],
+    )
+    def test_svg_edge_values(self, tmp_path, curves):
+        cli._svg_polylines(curves, tmp_path / "new.svg")
+        oracle_svg_polylines(curves, tmp_path / "old.svg")
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
 
 
 class TestVerifyCommand:

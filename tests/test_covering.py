@@ -3,19 +3,13 @@ import pytest
 
 from mcgehee import covering as cov
 from mcgehee import integrate as ode
-from mcgehee.model import DomainError, ModelParams, PhasePoint, hamiltonian, vector_field
+from mcgehee.model import DomainError, ModelParams, PhasePoint, hamiltonian, physical_field
 
 TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
 def physical_trajectory(params, x0, t_span, cfg=TIGHT):
-    d = params.d
-
-    def field(t, y):
-        dq, dp = vector_field(params, PhasePoint(y[:d], y[d:]))
-        return np.concatenate([dq, dp])
-
-    return ode.integrate(field, np.concatenate([x0.q, x0.p]), t_span, cfg)
+    return ode.integrate(physical_field(params), np.concatenate([x0.q, x0.p]), t_span, cfg)
 
 
 class TestPlaneReduction:

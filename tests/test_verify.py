@@ -11,7 +11,7 @@ from mcgehee.model import (
     angular_momentum,
     hamiltonian,
     l_squared,
-    vector_field,
+    physical_field,
 )
 
 
@@ -256,22 +256,14 @@ class TestConservation:
         params = ModelParams(n=2, d=2)
         x0 = PhasePoint(np.array([1.0, 0.0]), np.array([0.1, 0.9]))
 
-        def field(t, y):
-            dq, dp = vector_field(params, PhasePoint(y[:2], y[2:]))
-            return np.concatenate([dq, dp])
-
-        traj = ode.integrate(field, [1.0, 0.0, 0.1, 0.9], (0.0, 30.0))
+        traj = ode.integrate(physical_field(params), [1.0, 0.0, 0.1, 0.9], (0.0, 30.0))
         rep = verify.conservation_report(params, traj)
         assert rep.max_drift() < 1e-8
 
     def test_free_motion_conserves_momentum(self):
         params = ModelParams(n=1, d=2)
 
-        def field(t, y):
-            dq, dp = vector_field(params, PhasePoint(y[:2], y[2:]))
-            return np.concatenate([dq, dp])
-
-        traj = ode.integrate(field, [1.0, 0.5, 0.3, -0.2], (0.0, 10.0))
+        traj = ode.integrate(physical_field(params), [1.0, 0.5, 0.3, -0.2], (0.0, 10.0))
         assert np.allclose(traj.ys[-1][2:], [0.3, -0.2], atol=1e-13)
         assert verify.conservation_report(params, traj).max_drift() < 1e-10
 
