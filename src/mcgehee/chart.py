@@ -22,6 +22,7 @@ independent check.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
@@ -45,6 +46,8 @@ from .model import (
 PERICENTER_TOL = 1e-9
 
 _TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
+
+log = logging.getLogger(__name__)
 
 
 class ChartDomainError(DomainError):
@@ -267,7 +270,7 @@ class _RadialOrbit:
         rest = _panel_sum(self.l[:, None] * width / self.root2m, -self._E * P / (rG * rG0 * (rG + rG0)))
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
-    def step(self, sigma: float, radial, t: float) -> tuple[float, float, float, float]:
+    def step(self, sigma: float, radial, t: float) -> "Step":
         """`_BoundOrbit.step` for a one-row orbit with E >= 0, in u.
 
         T is odd in the signed u = side sqrt(sigma - s0), so Newton on
@@ -298,11 +301,13 @@ class _RadialOrbit:
                 T_hi = self.time(hi)[0]
             while T_hi > 2.0 * target[0] and self.time(0.5 * hi)[0] >= target[0]:
                 hi = 0.5 * hi
-        u = _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0])).x
+        sol = _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
+        u = sol.x
         side = np.sign(tau)
         sigma1 = self.s0 + u * u
         radial1 = float(side * u[0] * self.root2m * np.sqrt(self.G(sigma1[:, None])[0, 0]))
-        return float(sigma1[0] ** (n / 2.0)), radial1, float(side * self.angle(u)[0]) - theta0, -theta0
+        swept = float(side * self.angle(u)[0]) - theta0
+        return Step(float(sigma1[0] ** (n / 2.0)), radial1, swept, -theta0, 0.0, sol.iterations)
 
 
 def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -315,6 +320,18 @@ def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:
     for p in range(1, scale.shape[1]):
         total = total + scale[:, p] * parts[:, p]
     return total
+
+
+class Step(NamedTuple):
+    """One orbit's state advanced by a time: radius, <q,p>, the angle swept
+    and the pericenter's angle, both from the start, and the work."""
+
+    r: float
+    radial: float
+    swept: float
+    pericenter: float
+    periods: float  # whole radial periods since the start's pericenter
+    iterations: int  # of the Newton solve for the end
 
 
 class Solve(NamedTuple):
@@ -341,7 +358,14 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> S
     Newton step that leaves it, or is not finite where the rate is 0,
     bisects instead.  A sample stops once its
     step is at most tol + rtol |x|, or after _SOLVE_MAX_ITER steps.
+    A single sample takes the same steps in Python floats (`_solve_one`).
     """
+    one = np.size(x) == np.size(lo) == np.size(hi) == 1
+    return (_solve_one if one else _solve_rows)(f, rate, t, x, lo, hi, tol, rtol)
+
+
+def _solve_rows(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
+    """`_solve_increasing` on arrays, any number of samples."""
     x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, lo, hi))
     x = np.clip(x, lo, hi)
     # the unfinished samples: their indices into x and their own copies
@@ -364,6 +388,48 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> S
             rows, new, ta, lo, hi = rows[keep], new[keep], ta[keep], lo[keep], hi[keep]
         xa = new
     return Solve(x, iterations, f, t)
+
+
+def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
+    """`_solve_rows` on one sample in Python floats, which round as the
+    array arithmetic does but skip numpy's per-call cost.
+
+    f and rate still see (1,) arrays, so their powers round as for the
+    rows.  The clip keeps np.clip's choices (NaN from any NaN, the bound on
+    a tie of signed zeros), and a zero rate gives numpy's quotient, an
+    infinity with the signs of res and rate, so the step bisects.
+    """
+    shape = (1,) * max(np.ndim(x), np.ndim(lo), np.ndim(hi))
+    xa, ta, lo, hi = (float(np.asarray(v).item()) for v in (x, t, lo, hi))
+    if xa != xa or lo != lo or hi != hi:
+        xa = math.nan
+    else:
+        xa = xa if xa > lo else lo
+        xa = xa if xa < hi else hi
+    iterations = 0
+    while iterations < _SOLVE_MAX_ITER:
+        iterations += 1
+        at = np.array([xa])
+        res = float(f(at)[0]) - ta
+        if res < 0.0:
+            lo = xa
+        elif res > 0.0:
+            hi = xa
+        if res == 0.0:
+            new = xa
+        else:
+            slope = float(rate(at)[0])
+            if slope != 0.0:
+                new = xa - res / slope
+            else:
+                new = xa - (math.copysign(math.inf, res) * math.copysign(1.0, slope) if res == res else res)
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+        done = abs(new - xa) <= (tol + rtol * abs(new) if rtol else tol)
+        xa = new
+        if done:
+            break
+    return Solve(np.full(shape, xa), iterations, f, t)
 
 
 class _ZeroEnergyOrbit:
@@ -491,8 +557,8 @@ class _BoundOrbit:
             coeffs.append(g[j] + self.s1 * coeffs[-1])
         self.R0 = -coeffs[-1]
         self._S = [-c for c in coeffs[:-1]]  # S = (R - R0)/sigma, Horner order
-        self.period = 2.0 * float(self.time(np.pi / 2.0))
-        self.apsis = float(self.angle(np.pi / 2.0))
+        half_period, self.apsis = (float(v) for v in self.time_angle(np.pi / 2.0))
+        self.period = 2.0 * half_period
 
     @classmethod
     def through(cls, params: ModelParams, E: float, l: float, sigma: float, radial: float) -> "_BoundOrbit":
@@ -526,37 +592,47 @@ class _BoundOrbit:
             S = S * sigma + c
         return self.R0 + sigma * S, S
 
-    def _quad(self, phi, integrand):
-        """Integral of integrand(sigma) over [0, phi] on the chart's nodes,
-        elementwise over phi: one (..., 32) array, as `_RadialOrbit` takes it."""
-        return phi * row_dot(integrand(self.sigma(phi[..., None] * _NODES)), _WEIGHTS)
-
-    def _slowness(self, sigma):
-        return sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0])
-
-    def _remainder(self, sigma):
+    def _nodes(self, phi):
+        """sigma on the chart's nodes of [0, phi], elementwise over phi (a
+        (..., 32) array, as `_RadialOrbit` takes it), and sqrt(R) and S there."""
+        sigma = self.sigma(phi[..., None] * _NODES)
         R, S = self._RS(sigma)
-        rR, rR0 = np.sqrt(R), np.sqrt(self.R0)
-        return -S / (rR * rR0 * (rR + rR0))
+        return sigma, np.sqrt(R), S
+
+    def _time(self, phi, sigma, rR):
+        return self.K * (phi * row_dot(sigma ** (self.n - 1) / rR, _WEIGHTS))
+
+    def _angle(self, phi, rR, S):
+        """As in `_RadialOrbit.angle`, with R = R0 + sigma S the term
+        1/(sigma sqrt(R0)) integrates to the arctan, because
+        l**2 = 2m s0 s1 R0, and the remainder stays smooth as l -> 0."""
+        swept = np.arctan2(np.sqrt(self.s1) * np.sin(phi), np.sqrt(self.s0) * np.cos(phi))
+        rR0 = np.sqrt(self.R0)
+        remainder = phi * row_dot(-S / (rR * rR0 * (rR + rR0)), _WEIGHTS)
+        return self.n * (swept + self.l / self.root2m * remainder)
 
     def rate(self, phi):
         """dT/dphi."""
-        return self.K * self._slowness(self.sigma(phi))
+        sigma = self.sigma(phi)
+        return self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
 
     def time(self, phi):
         """Time from the pericenter to phi in [0, pi/2], elementwise."""
-        return self.K * self._quad(np.asarray(phi, dtype=float), self._slowness)
+        phi = np.asarray(phi, dtype=float)
+        sigma, rR, _ = self._nodes(phi)
+        return self._time(phi, sigma, rR)
 
     def angle(self, phi):
-        """Polar angle swept from the pericenter to phi in [0, pi/2].
-
-        As in `_RadialOrbit.angle`, with R = R0 + sigma S the term
-        1/(sigma sqrt(R0)) integrates to the arctan, because
-        l**2 = 2m s0 s1 R0, and the remainder stays smooth as l -> 0.
-        """
+        """Polar angle swept from the pericenter to phi in [0, pi/2]."""
         phi = np.asarray(phi, dtype=float)
-        swept = np.arctan2(np.sqrt(self.s1) * np.sin(phi), np.sqrt(self.s0) * np.cos(phi))
-        return self.n * (swept + self.l / self.root2m * self._quad(phi, self._remainder))
+        _, rR, S = self._nodes(phi)
+        return self._angle(phi, rR, S)
+
+    def time_angle(self, phi):
+        """(time(phi), angle(phi)) from one pass over the nodes."""
+        phi = np.asarray(phi, dtype=float)
+        sigma, rR, S = self._nodes(phi)
+        return self._time(phi, sigma, rR), self._angle(phi, rR, S)
 
     def radial(self, phi):
         """|r p_r| at phi: sqrt(2m f(sigma)) with f = (s1 - s0)**2 sin**2 cos**2 R."""
@@ -603,7 +679,10 @@ class _BoundOrbit:
         k = np.round((ts - tau) / P)
         t = np.abs(tau)
         table = self._table()
-        guess = np.where(t < table[0][1], self._first_phi(t), np.interp(t, *table))
+        guess = np.interp(t, *table)
+        low = t < table[0][1]
+        if low.any():
+            guess[low] = self._first_phi(t[low])
         sol = _solve_increasing(self.time, self.rate, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
         return k, np.sign(tau), sol
 
@@ -640,7 +719,7 @@ class _BoundOrbit:
             iterations = max(iterations, sol.iterations)
         return r, theta, Solve(phi, iterations, self.time, t)
 
-    def step(self, sigma: float, radial, t: float) -> tuple[float, float, float, float]:
+    def step(self, sigma: float, radial, t: float) -> Step:
         """(r, <q,p>, swept angle, pericenter angle) of this orbit's state at
         sigma with <q,p> = radial, advanced by t; angles from the start.
 
@@ -653,12 +732,13 @@ class _BoundOrbit:
         else:
             phi0 = self.phase(sigma, radial)
             side0 = 1.0 if radial >= 0.0 else -1.0
-            tau0, theta0 = side0 * float(self.time(phi0)), side0 * float(self.angle(phi0))
+            tau0, theta0 = (side0 * float(v) for v in self.time_angle(phi0))
         k, side, sol = self.place(np.array([tau0 + t]))
         phi, side = sol.x[0], side[0]
         pericenter = 2.0 * k[0] * self.apsis - theta0
         swept = pericenter + float(side * self.angle(phi))
-        return float(self.sigma(phi) ** (self.n / 2.0)), float(side * self.radial(phi)), swept, pericenter
+        r = float(self.sigma(phi) ** (self.n / 2.0))
+        return Step(r, float(side * self.radial(phi)), swept, pericenter, float(k[0]), sol.iterations)
 
 
 class ChartRows(NamedTuple):
@@ -996,12 +1076,31 @@ def global_flow(
     pericenter of the collision orbit that `chart_inverse` builds on the
     line of a.  No ODE is integrated, so `cfg` is not read; it is accepted
     for callers that still pass one.
+
+    Raises DomainError when the start's radius, energy, angular momentum or
+    orbit constants, or the end state, are not finite: a start or a time
+    beyond the float range.  Under DEBUG logging each call logs one line: the
+    orbit class, the whole radial periods and the Newton iterations.
     """
     state: ExtendedPoint = Regular(x0) if isinstance(x0, PhasePoint) else x0
     if t == 0.0:
         return state
+    t = float(t)
+    _require_finite("time", state, t, t)
     if params.n == 1:
-        return _line_flow(params, state, float(t))
+        end, kind, work = _line_flow(params, state, t), "n = 1 line", (0.0, 0)
+        if isinstance(end, Regular):
+            _require_finite("end state", state, t, *end.x.q, *end.x.p)
+    else:
+        end, kind, work = _orbit_flow(params, state, t)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d", kind, t, *work)
+    return end
+
+
+def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
+    """`global_flow` for n >= 2: the end state, the orbit's class, and the
+    step's whole periods and Newton iterations."""
     if isinstance(state, Collision):
         a = state.a / np.linalg.norm(state.a)
         e1, e2 = _pericenter_frame(params.n, a, cov._completion(a))
@@ -1016,18 +1115,29 @@ def global_flow(
         if l < 0.0:  # rounding on a collision orbit: turn the frame instead
             e2, l = -e2, -l
         sigma, radial = _pow(x.r, 2.0 / params.n), x.radial
+    _require_finite("start's radius, energy or angular momentum", state, t, sigma, E, l * l, radial or 0.0)
     # an orbit whose apocenter lies beyond the float range (E > -1e-154 for
     # n = 2) flows as E = 0: no step can tell the two apart
     if E < 0.0 and math.log(params.Z / -E) * params.n / (params.n - 1.0) < 700.0:
         orbit = _BoundOrbit.through(params, E, l, sigma, radial)
+        _require_finite("start's orbit", state, t, orbit.s0, orbit.s1, orbit.period, orbit.apsis)
     else:
         orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
-    r, radial1, swept, pericenter = orbit.step(sigma, radial, float(t))
-    if r * r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
-        lrl = _lrl_complex(params, 1j * np.exp(1j * (pericenter / params.n)))
+        _require_finite("start's orbit", state, t, orbit.s0[0], orbit.G0[0])
+    step = orbit.step(sigma, radial, t)
+    _require_finite("end state", state, t, step.r, step.radial, step.swept, step.pericenter)
+    kind = "collision orbit" if l == 0.0 else "bound" if isinstance(orbit, _BoundOrbit) else "unbound"
+    work = step.periods, step.iterations
+    if step.r * step.r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
+        lrl = _lrl_complex(params, 1j * np.exp(1j * (step.pericenter / params.n)))
         a = lrl.real * e1 + lrl.imag * e2
-        return Collision(h=E, a=a / np.linalg.norm(a))
-    return _embed(e1, e2, r, radial1, l, swept)
+        return Collision(h=E, a=a / np.linalg.norm(a)), kind, work
+    return _embed(e1, e2, step.r, step.radial, l, step.swept), kind, work
+
+
+def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"global_flow: the {what} is not finite, from {state} after t={t!r}")
 
 
 def _embed(e1, e2, r: float, radial: float, l: float, angle: float) -> Regular:

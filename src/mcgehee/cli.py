@@ -5,9 +5,9 @@ values.  Outputs are CSV (comma-separated, '.' decimal point, shortest
 round-trip float formatting), JSON reports and hand-rolled SVG polyline
 figures.  Identical configuration produces byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 integration step failure,
-4 unwritable output directory, 5 verification threshold violation,
-6 no pericenter for the requested (E, l2).
+Exit codes: 0 success, 2 config error, 3 flow step failure (the failing
+state is logged), 4 unwritable output directory, 5 verification threshold
+violation, 6 no pericenter for the requested (E, l2).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import scipy
 
 from . import __version__, chart, integrate as ode, verify
 from .model import (
+    DomainError,
     ModelParams,
     PhasePoint,
     hamiltonian,
@@ -114,6 +115,8 @@ def _initial_state(cfg: dict, params: ModelParams) -> chart.ExtendedPoint:
         if "collision" in init:
             c = init["collision"]
             h = float(c["h"])
+            if not np.isfinite(h):
+                raise ConfigError("collision energy h must be finite")
             a = np.asarray(c["a"], dtype=float)
             if len(a) != params.d:
                 raise ConfigError("collision direction has wrong dimension")
@@ -127,11 +130,19 @@ def _initial_state(cfg: dict, params: ModelParams) -> chart.ExtendedPoint:
         p = np.asarray(init["p"], dtype=float)
         if len(q) != params.d or len(p) != params.d:
             raise ConfigError("initial state has wrong dimension")
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
+            raise ConfigError("initial q and p must be finite")
         x = PhasePoint(q, p)
         x.require_noncollision()
     except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise ConfigError(f"invalid initial state: {exc}") from exc
     return chart.Regular(x)
+
+
+def _describe(state: chart.ExtendedPoint) -> str:
+    if isinstance(state, chart.Collision):
+        return f"collision h={state.h!r} a={state.a.tolist()}"
+    return f"q={state.x.q.tolist()} p={state.x.p.tolist()}"
 
 
 def _state_row(params: ModelParams, t: float, state: chart.ExtendedPoint) -> list[str]:
@@ -178,11 +189,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         + ["H", "l2", "in_U_eps"]
     )
     rows = [header]
-    current = chart.global_flow(params, state, ts[0]) if ts[0] != 0.0 else state
-    rows.append(_state_row(params, ts[0], current))
-    for k in range(1, len(ts)):
-        current = chart.global_flow(params, current, float(ts[k] - ts[k - 1]))
-        rows.append(_state_row(params, float(ts[k]), current))
+    current, k = state, 0
+    try:
+        current = chart.global_flow(params, state, ts[0]) if ts[0] != 0.0 else state
+        rows.append(_state_row(params, ts[0], current))
+        for k in range(1, len(ts)):
+            current = chart.global_flow(params, current, float(ts[k] - ts[k - 1]))
+            rows.append(_state_row(params, float(ts[k]), current))
+    except DomainError as exc:
+        t = float(ts[k - 1]) if k else 0.0
+        log.error("flow step from t=%r failed at the state %s: %s", t, _describe(current), exc)
+        return EXIT_STEP_FAILURE
 
     path = out / cfg.get("trajectory_file", "trajectory.csv")
     path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")

@@ -923,3 +923,139 @@ class TestChartRows:
         c = chart.chart_forward_rows(params, np.stack([np.concatenate([x.q, x.p]) for x in pts]))
         closed = [chart.kepler_time_closed_form(params, x) for x in pts]
         assert np.max(np.abs(c.T - closed)) <= 1e-13 * time_scale(params)
+
+
+class TestOneRowSolve:
+    """A one-row solve takes `_solve_one`, in Python floats; `_solve_rows`,
+    the array path, is its oracle: the same x bits after the same number
+    of iterations."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every one-row solve of the code under test, checked against the
+        array path on the same inputs; returns the solves checked."""
+        seen = []
+
+        def solve(f, rate, t, x, lo, hi, tol, rtol=0.0):
+            if not np.size(x) == np.size(lo) == np.size(hi) == 1:
+                return chart._solve_rows(f, rate, t, x, lo, hi, tol, rtol)
+            got = chart._solve_one(f, rate, t, x, lo, hi, tol, rtol)
+            want = chart._solve_rows(f, rate, t, x, lo, hi, tol, rtol)
+            assert got.x.shape == want.x.shape and same_bits(got.x, want.x)
+            assert got.iterations == want.iterations
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(chart, "_solve_increasing", solve)
+        return seen
+
+    @staticmethod
+    def both(*args):
+        got, want = chart._solve_one(*args), chart._solve_rows(*args)
+        assert got.x.shape == want.x.shape and same_bits(got.x, want.x)
+        assert got.iterations == want.iterations
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bound_place(self, checked, n):
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(n)
+        fracs = (0.0, 1e-6, 0.3, 0.9, 0.999)
+        for frac in fracs:
+            orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
+            P = orbit.period
+            # the pericenter, the series guess below the table's first step,
+            # the apocenter and many periods on both sides
+            times = [0.0, 1e-12 * P, 1e-4 * P, 0.5 * P, *rng.uniform(-40.0, 60.0, 20) * P]
+            for t in times:
+                orbit.place(np.array([t]))
+        assert len(checked) == len(fracs) * len(times)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_global_flow_steps(self, checked, n):
+        # unbound and bound starts, and launches from the collision set
+        params = ModelParams(n=n, d=3)
+        rng = np.random.default_rng(10 + n)
+        starts = [chart.Collision(h=h, a=np.array([0.0, 0.6, 0.8])) for h in (-0.5, 0.0, 2.0)]
+        starts += [chart.Regular(PhasePoint(0.05 * rng.normal(size=3), 10.0 * rng.normal(size=3)))
+                   for _ in range(10)]
+        steps = (1e-6, 1e-3, 0.3, -0.02, 40.0)
+        for state in starts:
+            for t in steps:
+                chart.global_flow(params, state, t)
+        assert len(checked) == len(starts) * len(steps)
+        assert {type(s.x) for s in checked} == {np.ndarray}
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in (2, 3, 4) for d in (2, 3)])
+    def test_chart_inverse(self, checked, n, d):
+        params = ModelParams(n=n, d=d)
+        points = sample_domain_points(params, np.random.default_rng(n * d), 8)
+        for x in points:
+            chart.chart_inverse(params, chart.chart_forward(params, x))
+        a = np.eye(d)[0]
+        for T in (1e-7, -1e-4):  # collision orbits, B = 0
+            chart.chart_inverse(params, chart.ChartPoint(T=T, H=-0.5, B=np.zeros(d), A=a))
+        assert len(checked) == len(points) + 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_zero_rate_bisects(self, n, bound):
+        # collision orbits: dT/dx = 0 at the pericenter x = 0, so the first
+        # Newton step divides by zero and bisects instead
+        params = ModelParams(n=n, d=2)
+        if bound:
+            orbit, hi = chart._BoundOrbit(params, -0.5, 0.0), np.pi / 2.0
+        else:
+            orbit, hi = chart._RadialOrbit(params, np.array([0.5]), np.array([0.0])), 1.0
+        assert orbit.rate(np.zeros(1))[0] == 0.0
+        root = np.array([0.3])
+        sol = self.both(orbit.time, orbit.rate, orbit.time(root), np.zeros(1), 0.0, hi, 4.0 * np.spacing(hi))
+        assert sol.iterations > 1 and abs(sol.x[0] - root[0]) <= 1e-14
+
+    def test_exact_target_keeps_the_guess(self):
+        orbit = chart._BoundOrbit(ModelParams(n=3, d=2), -0.5, 0.35)
+        guess = np.array([0.7])
+        sol = self.both(orbit.time, orbit.rate, orbit.time(guess), guess, 0.0, np.pi / 2.0, 0.0, chart._PHI_RTOL)
+        assert sol.iterations == 1 and same_bits(sol.x, guess)
+
+    def test_runs_to_the_iteration_cap(self):
+        # no step is at most a negative tolerance
+        orbit = chart._BoundOrbit(ModelParams(n=3, d=2), -0.5, 0.35)
+        sol = self.both(orbit.time, orbit.rate, np.array([0.2]), np.array([0.1]), 0.0, np.pi / 2.0, -1.0)
+        assert sol.iterations == chart._SOLVE_MAX_ITER
+
+    @pytest.mark.parametrize(
+        "x,lo,hi",
+        [(-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (2.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.5, 1.0, 0.0),
+         (0.5, -0.0, -0.0)],
+    )
+    @pytest.mark.parametrize("target", [0.0, -0.0, 0.125, 2.0])
+    def test_clip_and_signed_zeros(self, x, lo, hi, target):
+        # np.clip's choices: the bound on a tie of signed zeros, hi when lo > hi
+        cube = lambda v: v * v * v  # noqa: E731
+        self.both(cube, lambda v: 3.0 * v * v, np.array([target]), np.array([x]), lo, hi, 1e-15)
+
+    def test_one_row_takes_the_float_path(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("wrong path")
+
+        params = ModelParams(n=3, d=2)
+        monkeypatch.setattr(chart, "_solve_rows", fail)
+        for p in ([0.0, 1.0], [0.0, 50.0]):  # bound and unbound
+            chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array(p)), 0.3)
+        x = sample_domain_points(params, np.random.default_rng(0), 1)[0]
+        chart.chart_inverse(params, chart.chart_forward(params, x))
+        chart._BoundOrbit(params, -0.5, 0.35).sample(np.array([0.7]))
+        monkeypatch.undo()
+        monkeypatch.setattr(chart, "_solve_one", fail)
+        chart._BoundOrbit(params, -0.5, 0.35).sample(np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_time_angle_is_time_and_angle(self, n):
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(n)
+        for frac in (0.0, 0.35, 0.999):
+            orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
+            for phi in (np.pi / 2.0, 0.0, np.array([0.3]), rng.uniform(0.0, np.pi / 2.0, 50)):
+                T, theta = orbit.time_angle(phi)
+                assert same_bits(T, orbit.time(phi)) and same_bits(theta, orbit.angle(phi))

@@ -8,7 +8,7 @@ import scipy
 
 import mcgehee
 from mcgehee import chart, cli, integrate as ode, verify
-from mcgehee.model import ModelParams, PhasePoint, physical_field
+from mcgehee.model import DomainError, ModelParams, PhasePoint, physical_field
 
 
 def run(argv):
@@ -115,6 +115,24 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            {"q": [float("nan"), 0.0], "p": [1.0, 0.0]},
+            {"q": [0.05, 0.0], "p": [0.0, float("inf")]},
+            {"q": [float("-inf"), 0.0], "p": [0.0, 1.0]},
+            {"collision": {"h": float("nan"), "a": [1.0, 0.0]}},
+            {"collision": {"h": float("inf"), "a": [1.0, 0.0]}},
+        ],
+    )
+    def test_non_finite_initial_state_rejected(self, tmp_path, capsys, initial):
+        # these wrote a CSV of nan rows and exited 0
+        cfg = write_config(tmp_path, {"initial": initial, "t_span": [0.0, 0.1]})
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_n1_collision_launch_needs_kinetic_energy(self, tmp_path, capsys):
         # n = 1: K = 0 at Q = 0 gives |P0|^2 = 2m(Z + h), so h <= -Z cannot launch
         cfg = write_config(
@@ -199,6 +217,47 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run([command, "--out", str(tmp_path)] + option)
         assert exc.value.code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "initial,t_span,failed_at",
+        [
+            # the end state of the first step overflows
+            ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e150], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
+            # |q|**2 overflows: the start's radius is not finite
+            ({"q": [1e200, 0.0], "p": [0.0, 1.0]}, [0.0, 1.0], "t=0.0 failed at the state q=[1e+200, 0.0] p=[0.0, 1.0]"),
+            # the orbit constants of a finite start overflow
+            ({"q": [1e120, 0.0], "p": [0.0, 1.0]}, [0.5, 1.0], "t=0.0 failed at the state q=[1e+120, 0.0] p=[0.0, 1.0]"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_flow_exits_3_with_the_state(self, tmp_path, caplog, initial, t_span, failed_at):
+        cfg = write_config(
+            tmp_path, {"params": {"n": 3, "d": 2}, "initial": initial, "t_span": t_span, "output_points": 3}
+        )
+        code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_STEP_FAILURE
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert line.startswith(f"flow step from {failed_at}: ") and "not finite" in line
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_failing_later_step_logs_its_start(self, tmp_path, caplog, monkeypatch):
+        flow = chart.global_flow
+        calls = []
+
+        def fail_third(params, state, t):
+            calls.append(state)
+            if len(calls) == 3:
+                raise DomainError("not finite")
+            return flow(params, state, t)
+
+        monkeypatch.setattr(chart, "global_flow", fail_third)
+        cfg = write_config(
+            tmp_path, {"initial": {"q": [0.05, 0.0], "p": [0.0, 5.0]}, "t_span": [0.0, 0.1], "output_points": 5}
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
+        q, p = calls[2].x.q.tolist(), calls[2].x.p.tolist()
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert line == f"flow step from t=0.05 failed at the state q={q} p={p}: not finite"
 
     def test_zero_span_single_row(self, tmp_path):
         cfg = write_config(

@@ -6,13 +6,22 @@ circular orbits, and the symmetries of the flow (group law, time reversal,
 O(d) equivariance and the homogeneity scaling).
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcgehee import chart, covering as cov, integrate as ode
-from mcgehee.model import ModelParams, PhasePoint, hamiltonian, l_squared_point, physical_field
+from mcgehee.model import (
+    DomainError,
+    ModelParams,
+    PhasePoint,
+    hamiltonian,
+    l_squared_point,
+    physical_field,
+)
 
 TIGHT = ode.IntegratorConfig(rel_tol=3e-14, abs_tol=1e-15)
 
@@ -179,6 +188,78 @@ class TestOrbitClasses:
         a, b = flow(params, x, 0.1), chart.global_flow(params, x, 0.1, loose).x
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
+
+
+class TestNonFinite:
+    """A start or a time beyond the float range raises DomainError instead
+    of returning a state of infinities and NaNs."""
+
+    @pytest.mark.parametrize(
+        "q,p,t,what",
+        [
+            ([0.05, 0.0], [0.0, 20.0], 1e150, "end state"),  # ended as q = (-inf, inf), p = NaN
+            ([1e120, 0.0], [0.0, 1.0], 1.0, "start's orbit"),  # ended as NaN
+            ([1e200, 0.0], [0.0, 1.0], 1.0, "start's radius"),  # |q|**2 overflows; raised OverflowError
+            ([0.05, 0.0], [0.0, 1.0], float("inf"), "time"),
+            ([0.05, 0.0], [0.0, 1.0], float("nan"), "time"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_raises_domain_error(self, q, p, t, what):
+        params = ModelParams(n=3, d=2, eps=0.1)
+        with pytest.raises(DomainError, match=f"the {what}.* not finite"):
+            chart.global_flow(params, PhasePoint(np.array(q), np.array(p)), t)
+
+    @pytest.mark.parametrize("n,h", [(1, float("inf")), (3, float("nan")), (3, float("inf"))])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_collision_start_with_non_finite_energy(self, n, h):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        with pytest.raises(DomainError, match="not finite"):
+            chart.global_flow(params, chart.Collision(h=h, a=np.array([1.0, 0.0])), 0.1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_n1_line_beyond_the_float_range(self):
+        params = ModelParams(n=1, d=2, eps=0.1)
+        with pytest.raises(DomainError, match="the end state is not finite"):
+            chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([1e300, 0.0])), 1e10)
+
+    def test_far_but_finite_steps_still_flow(self):
+        # a bound orbit reduces any finite time modulo its period
+        params = ModelParams(n=3, d=2, eps=0.1)
+        out = flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 0.1])), 1e300)
+        assert np.isfinite(out.q).all() and np.isfinite(out.p).all()
+
+
+class TestDebugLog:
+    @pytest.mark.parametrize(
+        "n,start,t,kind,periods",
+        [
+            (3, PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9])), 0.01, "bound", "0.0"),
+            # from the pericenter of a Kepler orbit with E = -1/2, so a = 1 and P = 2 pi
+            (2, PhasePoint(np.array([0.4, 0.0]), np.array([0.0, 2.0])), 10.25 * 2.0 * np.pi,
+             "bound", "10.0"),
+            (3, PhasePoint(np.array([0.05, 0.0]), np.array([-12.0, 1.0])), 0.01, "unbound", "0.0"),
+            (3, chart.Collision(h=-0.5, a=np.array([1.0, 0.0])), 0.01, "collision orbit", "0.0"),
+            (2, PhasePoint(np.array([0.05, 0.0]), np.array([3.0, 0.0])), 0.01, "collision orbit", "0.0"),
+            (1, PhasePoint(np.array([0.05, 0.0]), np.array([3.0, 1.0])), 0.01, "n = 1 line", "0.0"),
+        ],
+        ids=["bound", "bound-periods", "unbound", "collision-start", "radial", "line"],
+    )
+    def test_one_line_per_call(self, caplog, n, start, t, kind, periods):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        with caplog.at_level(logging.DEBUG, logger="mcgehee"):
+            chart.global_flow(params, start, t)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith(f"global_flow {kind} orbit t={t!r} periods={periods} newton_iterations=")
+        iterations = int(line.rsplit("=", 1)[1])
+        assert (iterations == 0) == (n == 1) and iterations <= chart._SOLVE_MAX_ITER
+
+    def test_silent_below_debug(self, caplog, monkeypatch):
+        # the line is built only when DEBUG is on
+        monkeypatch.setattr(chart.log, "debug", lambda *args: pytest.fail("logged"))
+        with caplog.at_level(logging.INFO, logger="mcgehee"):
+            chart.global_flow(ModelParams(n=3, d=2), PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9])), 0.01)
+        assert not caplog.records
 
 # ---------------------------------------------------------------------------
 # metamorphic properties
