@@ -9,15 +9,16 @@ set {(h, a)} = energy x direction, on which (T, B) = (0, 0).
 The chart maps and the global flow are ODE-free on every orbit, collision
 orbits included: each orbit is a planar central-force orbit, so T and the
 angle swept since the pericenter are radial integrals, taken by fixed-node
-quadrature.  The forward map acts on stacked states, one row each
-(`chart_forward_rows`), and `chart_forward` is its batch of one.  Bound
-orbits get the same treatment between both turning points (`_BoundOrbit`),
-and E = 0 orbits have closed forms (`_ZeroEnergyOrbit`).  `global_flow` is
-the translation T -> T + t on every orbit, not only in U^eps: it places a
-state on its orbit, advances its time since the pericenter, modulo the
-radial period on bound orbits, and solves for the new radius.
-`pericenter` keeps the covering-ODE route to the chart's pericenter as an
-independent check.
+quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
+both turning points (`_BoundOrbit`, E < 0), or in closed form
+(`_ZeroEnergyOrbit`, E = 0).  The three share one interface (phase,
+time_angle, place, state), which `chart_forward_rows` (stacked states;
+`chart_forward` is its batch of one) and `chart_inverse` read.
+`global_flow` is the translation T -> T + t on every orbit, not only in
+U^eps: `_step` places the start, advances its time since the pericenter,
+modulo the radial period on bound orbits, and solves for the new
+coordinate; `_sample` places many times at once.  `pericenter` keeps the
+covering-ODE route to the chart's pericenter as an independent check.
 """
 
 from __future__ import annotations
@@ -177,14 +178,16 @@ CHART_NODES = 32
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(CHART_NODES)
 _NODES = 0.5 * (_NODES + 1.0)
 _WEIGHTS = 0.5 * _WEIGHTS
+# u beyond which sigma = s0 + u**2 overflows
+_U_MAX = np.sqrt(np.finfo(float).max)
 
 
 class _RadialOrbit:
     """Radial integrals of a stack of planar orbits in sigma = r**(2/n) = |Q|**2.
 
-    E and l are (k,) arrays, one orbit per row, and every method maps a (k,)
-    array of u to one value per orbit.  The radicand factors exactly at the
-    pericenter s0:
+    E and l are (k,) arrays, one orbit per row, and every method but `place`
+    and `state` (one row) maps a (k,) array of u to one value per orbit.
+    The radicand factors exactly at the pericenter s0:
 
         r**2 p_r**2 = 2m (sigma - s0) G(sigma),   G = G0 + E sigma P(sigma),
         G0 = Z + E s0**(n-1),   P = sum_{k=1}^{n-1} sigma**(k-1) s0**(n-1-k),
@@ -197,10 +200,9 @@ class _RadialOrbit:
     u_S exp(+-i pi/(2n-2)), u_S = (Z/E)**(1/(2n-2)), where the kinetic
     energy at infinity overtakes the potential, and one panel much longer
     than their distance from the axis would lose digits.  Beyond
-    u_P = 4 sin(pi/(2n-2)) u_S the integrals are therefore summed over the
-    panels [0, u_P], [u_P, 2 u_P], [2 u_P, 4 u_P], ..., each far enough from
-    those zeros for its 32-node rule; a row with u <= u_P keeps the single
-    panel, bit for bit.
+    u_P = 4 sin(pi/(2n-2)) u_S the integrals are summed over the panels
+    [0, u_P], [u_P, 2 u_P], [2 u_P, 4 u_P], ..., each far enough from those
+    zeros for its 32-node rule; a row with u <= u_P keeps one panel, bit for bit.
     """
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
@@ -229,6 +231,14 @@ class _RadialOrbit:
         """G on a (k, j) array of sigma, row i on orbit i."""
         return self._G0 + self._E * sigma * self._P(sigma)
 
+    def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r far out,
+        where G or sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) sum_j (s0/sigma)**j."""
+        w, S = self._s0 / sigma, 0.0
+        for _ in range(self.n - 1):
+            S = S * w + 1.0
+        return _pow(sigma, self.n / 2.0 - 1.0), np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S)
+
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma on the nodes of every panel out to u, a (k, 32 P) array,
         and the (k, P) panel widths; a row that needs fewer than P panels
@@ -249,85 +259,104 @@ class _RadialOrbit:
         sigma = (self.s0 + u * u)[:, None]
         return (self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))[:, 0]
 
-    def time(self, u: np.ndarray) -> np.ndarray:
-        """Time from the pericenter out to u."""
-        sigma, width = self._nodes(u)
-        vals = sigma ** (self.n - 1) / np.sqrt(self.G(sigma))
-        return _panel_sum(self.K * width, vals)
+    def _time(self, sigma, width) -> np.ndarray:
+        scale = self.K * width
+        T = _panel_sum(scale, sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
+        if width.shape[1] == 1 or T.max() < np.inf:  # within u_P, E sigma**(n-1) = O(Z)
+            return T
+        power, g = self._far(sigma)
+        return np.where(np.isfinite(T), T, _panel_sum(scale, power / g))
 
-    def angle(self, u: np.ndarray) -> np.ndarray:
-        """Polar angle swept from the pericenter out to u.
-
-        1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
+    def _angle(self, u, sigma, width) -> np.ndarray:
+        """1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
         the arctan term because l**2 = 2m s0 G0, and a remainder carrying
         (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
-        tends to n pi/2.
-        """
-        sigma, width = self._nodes(u)
+        tends to n pi/2."""
         P = self._P(sigma)
-        rG = np.sqrt(self._G0 + self._E * sigma * P)
-        rG0 = np.sqrt(self._G0)
+        rG, rG0 = np.sqrt(self._G0 + self._E * sigma * P), np.sqrt(self._G0)
         rest = _panel_sum(self.l[:, None] * width / self.root2m, -self._E * P / (rG * rG0 * (rG + rG0)))
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
-    def step(self, sigma: float, radial, t: float) -> "Step":
-        """`_BoundOrbit.step` for a one-row orbit with E >= 0, in u.
+    def time(self, u: np.ndarray) -> np.ndarray:
+        """Time from the pericenter out to u."""
+        return self._time(*self._nodes(u))
 
-        T is odd in the signed u = side sqrt(sigma - s0), so Newton on
-        T(u) = |tau| starts from the tangent at the start; at the collision,
-        where dT/du = 0, it starts from the E = 0 estimate T ~ u**(2n-1).
-        T is convex in u with T(0) = 0, so T(u/2) <= T(u)/2: doubling or
-        halving the guess brackets the root in [u_hi/2, u_hi].
+    def time_angle(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Time and polar angle swept out to u, from one pass over the nodes."""
+        sigma, width = self._nodes(u)
+        return self._time(sigma, width), self._angle(u, sigma, width)
+
+    def phase(self, sigma, radial) -> np.ndarray:
+        """u at sigma = r**(2/n) and <q,p> = radial, one per row:
+        |radial| = sqrt(2m G) u, free of cancellation near s0."""
+        return np.abs(radial) / (self.root2m * np.sqrt(self.G(np.reshape(sigma, (-1, 1)))[:, 0]))
+
+    def state(self, u) -> tuple[float, float, float]:
+        """r, |p_r| = sqrt(2m G) u / r and the swept angle at a float u on a
+        one-row orbit; far out, where r |p_r| overflows, from sqrt(G) / r."""
+        sigma = self.s0 + u * u
+        r = sigma[0] ** (self.n / 2.0)
+        rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
+        p_r = rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
+        u = np.array([u])
+        return r, p_r, self._angle(u, *self._nodes(u))[0]
+
+    def place(self, ts, start=None) -> tuple[None, np.ndarray, Solve]:
+        """No whole periods, the side and u of one time ts since the pericenter.
+
+        T is odd in the signed u = side sqrt(sigma - s0): Newton on T(u) = |ts|
+        starts from the tangent at the start (u0, side0, t), t the time since
+        it, or at the collision (start None) from the E = 0 estimate.  T is
+        convex with T(0) = 0, so the bracket is [hi/2, hi], hi = guess 2**e:
+        e the nearest 0 with T(hi/2) < |ts| <= T(hi), or 0 for T(guess) in
+        [|ts|, 2 |ts|], by steps that double away from 0, then bisection.  T
+        beyond the float range, or u beyond _U_MAX, counts as too high.
         """
-        n = self.n
-        if radial is None:
-            tau0 = theta0 = 0.0
+        target = np.abs(ts)
+        if start is None:
             guess = np.zeros(1)
         else:
-            side0 = np.sign(radial)
-            u0 = abs(radial) / (self.root2m * np.sqrt(self.G(np.array([[sigma]]))[:, 0]))
-            tau0 = float(side0 * self.time(u0)[0])
-            theta0 = float(side0 * self.angle(u0)[0])
+            u0, side0, t = start
             guess = np.abs(side0 * u0 + t / self.rate(u0))
-        tau = tau0 + t
-        target = np.array([abs(tau)])
         if not guess[0] > 0.0:
-            guess = ((2 * n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * n - 1))
-        hi = 0.0 * guess
-        if target[0] > 0.0:
-            hi, T_hi = guess, self.time(guess)[0]
-            while T_hi < target[0]:
-                hi = 2.0 * hi
-                T_hi = self.time(hi)[0]
-            while T_hi > 2.0 * target[0] and self.time(0.5 * hi)[0] >= target[0]:
-                hi = 0.5 * hi
-        sol = _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
-        u = sol.x
-        side = np.sign(tau)
-        sigma1 = self.s0 + u * u
-        radial1 = float(side * u[0] * self.root2m * np.sqrt(self.G(sigma1[:, None])[0, 0]))
-        swept = float(side * self.angle(u)[0]) - theta0
-        return Step(float(sigma1[0] ** (n / 2.0)), radial1, swept, -theta0, 0.0, sol.iterations)
+            guess = ((2 * self.n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * self.n - 1))
+        guess = np.fmin(guess, _U_MAX)  # a tangent beyond the float range
+        hi = np.ldexp(guess, self._power(guess, target[0])) if target[0] > 0.0 else 0.0 * guess
+        return None, np.sign(ts), _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
+
+    def _power(self, guess: np.ndarray, target: float) -> int:
+        def high(e: int) -> bool:
+            u = np.ldexp(guess, e)
+            return not (u[0] < _U_MAX and self.time(u)[0] < target)
+
+        T = self.time(guess)[0]
+        if target <= T <= 2.0 * target:
+            return 0
+        up = T < target  # then e = 0 is low, else high
+        a, b = 0, (1 if up else -1)  # a on e = 0's side, b beyond it
+        while high(b) != up:
+            a, b = b, 2 * b
+        while abs(b - a) > 1:
+            mid = (a + b) // 2
+            a, b = (mid, b) if high(mid) != up else (a, mid)
+        return b if up else a
 
 
 def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """sum_p scale[:, p] * (Gauss-Legendre sum of panel p of vals), the
-    panels added in order, so trailing panels of width 0 add exact zeros."""
+    panels added in order (a running sum), so trailing panels of width 0
+    add exact zeros."""
     if scale.shape[1] == 1:
         return scale[:, 0] * row_dot(vals, _WEIGHTS)
     parts = row_dot(vals.reshape(scale.shape + (CHART_NODES,)), _WEIGHTS)
-    total = scale[:, 0] * parts[:, 0]
-    for p in range(1, scale.shape[1]):
-        total = total + scale[:, p] * parts[:, p]
-    return total
+    return np.add.accumulate(scale * parts, axis=1)[:, -1]
 
 
 class Step(NamedTuple):
-    """One orbit's state advanced by a time: radius, <q,p>, the angle swept
-    and the pericenter's angle, both from the start, and the work."""
+    """A state advanced on its orbit, its angles from the start, and the work."""
 
     r: float
-    radial: float
+    p_r: float
     swept: float
     pericenter: float
     periods: float  # whole radial periods since the start's pericenter
@@ -355,10 +384,10 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> S
 
     Newton from the first guess x, clipped into the bracket.  The bracket
     is closed, so a sample where f(x) == t exactly stays where it is, and a
-    Newton step that leaves it, or is not finite where the rate is 0,
-    bisects instead.  A sample stops once its
-    step is at most tol + rtol |x|, or after _SOLVE_MAX_ITER steps.
-    A single sample takes the same steps in Python floats (`_solve_one`).
+    Newton step that leaves it, or is not finite where the rate is 0 or
+    overflows, bisects instead.  A sample stops once its step is at most
+    tol + rtol |x|, or after _SOLVE_MAX_ITER steps.  A single sample takes
+    the same steps in Python floats (`_solve_one`).
     """
     one = np.size(x) == np.size(lo) == np.size(hi) == 1
     return (_solve_one if one else _solve_rows)(f, rate, t, x, lo, hi, tol, rtol)
@@ -450,7 +479,8 @@ class _ZeroEnergyOrbit:
         n = self.n = params.n
         self.l = l
         self.s0 = _sigma_min(params, 0.0, l * l)
-        self.k = n * params.m / np.sqrt(2.0 * params.m * params.Z)
+        self.root2mZ = np.sqrt(2.0 * params.m * params.Z)
+        self.k = n * params.m / self.root2mZ
         self.apsis = n * np.pi / 2.0
         # T(u) = u sum_j c_j u**(2j), c_j = k binom(n-1, j) s0**(n-1-j) / (2j+1)
         self._c = np.array(
@@ -464,26 +494,35 @@ class _ZeroEnergyOrbit:
         """dT/du."""
         return self.k * (self.s0 + u * u) ** (self.n - 1)
 
+    def angle(self, u):
+        return self.n * np.arctan2(u, np.sqrt(self.s0))
+
+    def time_angle(self, u):
+        return self.time(u), self.angle(u)
+
+    def phase(self, sigma, radial):
+        """u at <q,p> = radial: |radial| = sqrt(2m Z) u."""
+        return abs(radial) / self.root2mZ
+
+    def state(self, u):
+        """r, |p_r| and the swept angle at u."""
+        r = (self.s0 + u * u) ** (self.n / 2.0)
+        return r, self.root2mZ * u / r, self.angle(u)
+
     def u_at(self, r: float) -> float:
         """u on the way out at radius r."""
         return float(np.sqrt(r ** (2.0 / self.n) - self.s0))
 
-    def sample(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
-        """Radius and polar angle at signed times ts since the pericenter.
-
-        Newton on T(u) = |t| from above: T is at least its first and its last
-        term, so their inverses bound the root, and the convex T descends
-        monotonically from there.  Returns r, theta and the u solve.
-        """
-        ts = np.asarray(ts, dtype=float)
+    def place(self, ts, start=None) -> tuple[None, np.ndarray, Solve]:
+        """No whole periods, the side and u of the times ts since the pericenter:
+        Newton on T(u) = |t| from the smaller inverse of T's first and last
+        terms, above the root, down the convex T; the step tolerance is 4
+        ulps of the pass's largest guess."""
         tau = np.abs(ts)
         c = self._c
         guess = np.minimum(tau / c[0], (tau / c[-1]) ** (1.0 / (2 * self.n - 1)))
         u_max = float(np.max(guess, initial=0.0))
-        sol = _solve_increasing(self.time, self.rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
-        u = np.copysign(sol.x, ts)
-        theta = self.n * np.arctan2(u, np.sqrt(self.s0))
-        return (self.s0 + u * u) ** (self.n / 2.0), theta, sol
+        return None, np.sign(ts), _solve_increasing(self.time, self.rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
 
 
 # T(phi) varies by up to (s1/s0)**(n-1) in slope, so Newton's first guess
@@ -491,8 +530,6 @@ class _ZeroEnergyOrbit:
 # collision or a deep pericenter can be far below 1
 _PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
 _PHI_RTOL = 4.0 * np.spacing(1.0)
-# `_BoundOrbit.sample` places at most this many times per pass
-_SAMPLE_CHUNK = 512
 
 
 # an orbit whose l**2/2m lies within this fraction of the circular value
@@ -593,11 +630,12 @@ class _BoundOrbit:
         return self.R0 + sigma * S, S
 
     def _nodes(self, phi):
-        """sigma on the chart's nodes of [0, phi], elementwise over phi (a
-        (..., 32) array, as `_RadialOrbit` takes it), and sqrt(R) and S there."""
+        """phi as an array, sigma on the chart's nodes of [0, phi] (..., 32),
+        and sqrt(R) and S there."""
+        phi = np.asarray(phi, dtype=float)
         sigma = self.sigma(phi[..., None] * _NODES)
         R, S = self._RS(sigma)
-        return sigma, np.sqrt(R), S
+        return phi, sigma, np.sqrt(R), S
 
     def _time(self, phi, sigma, rR):
         return self.K * (phi * row_dot(sigma ** (self.n - 1) / rR, _WEIGHTS))
@@ -618,26 +656,25 @@ class _BoundOrbit:
 
     def time(self, phi):
         """Time from the pericenter to phi in [0, pi/2], elementwise."""
-        phi = np.asarray(phi, dtype=float)
-        sigma, rR, _ = self._nodes(phi)
-        return self._time(phi, sigma, rR)
+        return self._time(*self._nodes(phi)[:3])
 
     def angle(self, phi):
         """Polar angle swept from the pericenter to phi in [0, pi/2]."""
-        phi = np.asarray(phi, dtype=float)
-        _, rR, S = self._nodes(phi)
+        phi, _, rR, S = self._nodes(phi)
         return self._angle(phi, rR, S)
 
     def time_angle(self, phi):
         """(time(phi), angle(phi)) from one pass over the nodes."""
-        phi = np.asarray(phi, dtype=float)
-        sigma, rR, S = self._nodes(phi)
+        phi, sigma, rR, S = self._nodes(phi)
         return self._time(phi, sigma, rR), self._angle(phi, rR, S)
 
-    def radial(self, phi):
-        """|r p_r| at phi: sqrt(2m f(sigma)) with f = (s1 - s0)**2 sin**2 cos**2 R."""
+    def state(self, phi):
+        """r, |p_r| and the swept angle at phi, elementwise: r |p_r| is
+        sqrt(2m f(sigma)) with f = (s1 - s0)**2 sin**2 cos**2 R."""
         sigma = self.sigma(phi)
-        return self.root2m * np.sqrt(self._RS(sigma)[0]) * (self.s1 - self.s0) * np.sin(phi) * np.cos(phi)
+        r = sigma ** (self.n / 2.0)
+        rpr = self.root2m * np.sqrt(self._RS(sigma)[0]) * (self.s1 - self.s0) * np.sin(phi) * np.cos(phi)
+        return r, rpr / r, self.angle(phi)
 
     def phase(self, sigma: float, radial: float) -> float:
         """phi in [0, pi/2] of a state at sigma = r**(2/n) with <q,p> = radial.
@@ -664,13 +701,14 @@ class _BoundOrbit:
         T = np.concatenate(([0.0], np.cumsum(rate[1:] + rate[:-1])))
         return T * (0.5 * self.period / T[-1]), _PHI_GRID
 
-    def place(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
+    def place(self, ts, start=None) -> tuple[np.ndarray, np.ndarray, Solve]:
         """Whole periods k, side and phi of each time: ts = k P + side T(phi).
 
         ts is reduced into [-P/2, P/2] exactly (fmod, then a shift by P
         that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
         its relative precision however many periods lie before it.  phi
-        solves T(phi) = |tau| by Newton, first guess from a table of T.
+        solves T(phi) = |tau| by Newton, first guess from a table of T, so
+        the start is not needed.
         """
         ts = np.asarray(ts, dtype=float)
         P = self.period
@@ -699,46 +737,55 @@ class _BoundOrbit:
         with np.errstate(divide="ignore", invalid="ignore"):  # s0 = 0 or s1 = s0: one term
             return np.fmin(t / self.rate(0.0), (t / last) ** (1.0 / (2 * n - 1)))
 
-    def sample(self, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
-        """Radius and polar angle at the times ts (1-D) since the pericenter.
 
-        Every whole period adds two apsidal angles.  `place` takes at most
-        _SAMPLE_CHUNK times per pass (rows are solved alone, so a time's bits
-        do not depend on its chunk).  Returns r, theta and the phi solve over
-        all times, with the most iterations of any chunk.
-        """
-        ts = np.asarray(ts, dtype=float)
-        r, theta, phi, t = (np.empty_like(ts) for _ in range(4))
-        iterations = 0
-        for i in range(0, len(ts), _SAMPLE_CHUNK):
-            part = slice(i, i + _SAMPLE_CHUNK)
-            k, side, sol = self.place(ts[part])
-            phi[part], t[part] = sol.x, sol.t
-            theta[part] = 2.0 * k * self.apsis + side * self.angle(sol.x)
-            r[part] = self.sigma(sol.x) ** (self.n / 2.0)
-            iterations = max(iterations, sol.iterations)
-        return r, theta, Solve(phi, iterations, self.time, t)
+def _step(orbit, sigma: float, radial, t: float) -> Step:
+    """(r, p_r, swept angle, pericenter angle) of a one-row orbit's state
+    at sigma = r**(2/n) with <q,p> = radial, advanced by t; angles from the
+    start.  Every orbit class has the methods used here and in `_sample`:
+    phase (a state's orbit coordinate x, u or phi), time_angle, place
+    (whole periods or None, side and the Newton solve of times since the
+    pericenter) and state (r, |p_r| and the angle at x).
 
-    def step(self, sigma: float, radial, t: float) -> Step:
-        """(r, <q,p>, swept angle, pericenter angle) of this orbit's state at
-        sigma with <q,p> = radial, advanced by t; angles from the start.
+    The start sits at tau0 = +-T(x0) since its pericenter, outbound when
+    radial >= 0 (a state at rest is the apocenter); radial None is the
+    collision.  Each whole period turns the pericenter by two apsidal
+    angles.  x stays a float: powers of a (1,) array round differently.
+    """
+    tau0, theta0, start = 0.0, 0.0, None
+    if radial is not None:
+        x0 = orbit.phase(sigma, radial)
+        side0 = 1.0 if radial >= 0.0 else -1.0
+        tau0, theta0 = (side0 * v.item() for v in orbit.time_angle(x0))
+        start = (x0, side0, t)
+    k, side, sol = orbit.place(np.array([tau0 + t]), start)
+    x, side = sol.x[0], side[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision
+        r, p_r, angle = orbit.state(x)
+    pericenter = -theta0 if k is None else 2.0 * k[0] * orbit.apsis - theta0
+    periods = 0.0 if k is None else float(k[0])
+    return Step(float(r), float(side * p_r), pericenter + float(side * angle), pericenter, periods, sol.iterations)
 
-        The start sits at time tau0 = +-T(phi0) since its pericenter, on the
-        outbound side when radial >= 0, so a state at rest is the
-        apocenter; radial None is the collision itself.
-        """
-        if radial is None:
-            tau0 = theta0 = 0.0
-        else:
-            phi0 = self.phase(sigma, radial)
-            side0 = 1.0 if radial >= 0.0 else -1.0
-            tau0, theta0 = (side0 * float(v) for v in self.time_angle(phi0))
-        k, side, sol = self.place(np.array([tau0 + t]))
-        phi, side = sol.x[0], side[0]
-        pericenter = 2.0 * k[0] * self.apsis - theta0
-        swept = pericenter + float(side * self.angle(phi))
-        r = float(self.sigma(phi) ** (self.n / 2.0))
-        return Step(r, float(side * self.radial(phi)), swept, pericenter, float(k[0]), sol.iterations)
+
+_SAMPLE_CHUNK = 512  # times per `place` in `_sample`
+
+
+def _sample(orbit, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
+    """r, polar angle and the solve (with the most iterations of any pass)
+    of an orbit at the times ts (1-D) since its pericenter, _SAMPLE_CHUNK
+    times per `place`; a bound orbit solves each time alone, so its bits do
+    not depend on its chunk.  Every whole period adds two apsidal angles."""
+    ts = np.asarray(ts, dtype=float)
+    r, theta, x, t = (np.empty_like(ts) for _ in range(4))
+    iterations = 0
+    for i in range(0, len(ts), _SAMPLE_CHUNK):
+        part = slice(i, i + _SAMPLE_CHUNK)
+        k, side, sol = orbit.place(ts[part])
+        x[part], t[part] = sol.x, sol.t
+        with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision
+            r[part], _, angle = orbit.state(sol.x)
+        theta[part] = side * angle if k is None else 2.0 * k * orbit.apsis + side * angle
+        iterations = max(iterations, sol.iterations)
+    return r, theta, Solve(x, iterations, orbit.time, t)
 
 
 class ChartRows(NamedTuple):
@@ -754,13 +801,11 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
     """Chart images of the states z = (q, p), one row of a (k, 2d) array each.
 
     In its `plane_reduce` frame a state lies at angle 0 and its orbit turns
-    with l = Im(conj(qc) pc) >= 0, taken from the explicit projection (the
-    Lagrange-identity l**2 carries relative noise 1e-16 / sin**2 of the
-    angle between q and p).  The pericenter lies at the swept angle behind
-    the state when <q,p> > 0 and ahead of it otherwise; T is positive iff
-    <q,p> > 0.  Every step acts on rows alone, so a row's image does not
-    depend on the other rows of z.  Raises ChartDomainError when any row
-    lies outside U^eps.
+    with l = Im(conj(qc) pc) >= 0.  The pericenter lies at the swept angle
+    behind the state when <q,p> > 0 and ahead of it otherwise; T is
+    positive iff <q,p> > 0.  Every step acts on rows alone, so a row's image
+    does not depend on the other rows of z.  Raises ChartDomainError when
+    any row lies outside U^eps.
     """
     n, d = params.n, params.d
     z = np.asarray(z, dtype=float)
@@ -772,18 +817,17 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
     if not _in_domain(params, r, E).all():
         raise ChartDomainError("the chart requires a point of U^eps")
     orbit = _RadialOrbit(params, E, qc.real * pc.imag - qc.imag * pc.real)
-    # u = sqrt(sigma - s0) from <q,p> = r p_r, free of cancellation near s0
     radial = row_dot(q, p)
-    u = np.abs(radial) / (orbit.root2m * np.sqrt(orbit.G(_pow(r, 2.0 / n)[:, None])[:, 0]))
     sign = np.sign(radial)
-    phi = -sign * orbit.angle(u)
+    T, phi = orbit.time_angle(orbit.phase(_pow(r, 2.0 / n), radial))
+    phi = -sign * phi
     # the pericenter momentum has direction i e^(i phi); lift it to the branch
     # at angle phi/n
     lrl = _lrl_complex(params, 1j * np.exp(1j * (phi / n)))
     A = lrl.real[:, None] * e1 + lrl.imag[:, None] * e2
     L = p[:, :, None] * q[:, None, :] - q[:, :, None] * p[:, None, :]  # L_ij = q_j p_i - q_i p_j
     B = (L @ A[:, :, None])[:, :, 0]
-    return ChartRows(T=sign * orbit.time(u), H=E, B=B, A=A)
+    return ChartRows(T=sign * T, H=E, B=B, A=A)
 
 
 def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
@@ -1029,11 +1073,9 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
         raise ChartDomainError("chart point lies outside the image of the chart")
     tol = 4.0 * np.spacing(u_max[0])
     u = _solve_increasing(orbit.time, orbit.rate, t, u_max * t / t_max, 0.0, u_max, tol).x
-    sigma = orbit.s0 + u * u
-    r = float(sigma[0] ** (n / 2.0))
+    r, p_r, angle = orbit.state(u[0])
     sign = float(np.sign(c.T))
-    p_r = sign * u[0] * orbit.root2m * np.sqrt(orbit.G(sigma[:, None])[0, 0]) / r
-    turn = np.exp(1j * sign * orbit.angle(u)[0])
+    p_r, turn = sign * p_r, np.exp(1j * sign * angle)
     # pericenter frame: e1 along q, e2 along p there
     # a collision orbit sweeps n quarter turns and lies on the line of A,
     # whichever unit vector stands in for B / |B|
@@ -1065,17 +1107,14 @@ def global_flow(
 
     In chart coordinates the flow is the translation T -> T + t, and every
     orbit, not only its part in U^eps, reduces to radial quadratures.  A
-    step reduces the state to its plane, reads E and l, places the start on
-    its orbit at its time since the pericenter, advances that time by t,
-    solves for the new radius by Newton, and rotates by the swept angle:
-    bound orbits (E < 0) by `_BoundOrbit`, modulo their radial period;
-    unbound ones by `_RadialOrbit`; n = 1 on a straight line.  A collision
-    orbit (l = 0) passes through the collision with the parity of n, a
-    state at rest is its apocenter, and a step that ends exactly on the
-    collision returns `Collision`.  `Collision(h, a)` starts at the
-    pericenter of the collision orbit that `chart_inverse` builds on the
-    line of a.  No ODE is integrated, so `cfg` is not read; it is accepted
-    for callers that still pass one.
+    step reduces the state to its plane, reads E and l, advances it on its
+    orbit by `_step` and rotates by the swept angle: bound orbits (E < 0) on
+    `_BoundOrbit`, unbound ones on `_RadialOrbit`, n = 1 on a straight line.
+    A collision orbit (l = 0) passes through the collision with the parity
+    of n, and a step that ends exactly on the collision returns `Collision`.
+    `Collision(h, a)` starts at the pericenter of the collision orbit that
+    `chart_inverse` builds on the line of a.  No ODE is integrated, so `cfg`
+    is not read; it is accepted for callers that still pass one.
 
     Raises DomainError when the start's radius, energy, angular momentum or
     orbit constants, or the end state, are not finite: a start or a time
@@ -1107,9 +1146,7 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
         E, l, sigma, radial = state.h, 0.0, 0.0, None
     else:
         x = state.x
-        # every resolved part of p across q counts: the chart's collinearity
-        # threshold would round a small l to 0 and turn the orbit
-        e1, e2, qc, pc = (v[0] for v in cov.plane_reduce_rows(x.q[None], x.p[None], 0.0))
+        e1, e2, qc, pc = (v[0] for v in cov.plane_reduce_rows(x.q[None], x.p[None]))
         E = hamiltonian(params, x)
         l = float(qc.real * pc.imag - qc.imag * pc.real)
         if l < 0.0:  # rounding on a collision orbit: turn the frame instead
@@ -1124,15 +1161,16 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
     else:
         orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
         _require_finite("start's orbit", state, t, orbit.s0[0], orbit.G0[0])
-    step = orbit.step(sigma, radial, t)
-    _require_finite("end state", state, t, step.r, step.radial, step.swept, step.pericenter)
+    step = _step(orbit, sigma, radial, t)
+    _require_finite("end state", state, t, step.r, step.swept, step.pericenter)
     kind = "collision orbit" if l == 0.0 else "bound" if isinstance(orbit, _BoundOrbit) else "unbound"
     work = step.periods, step.iterations
     if step.r * step.r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
         lrl = _lrl_complex(params, 1j * np.exp(1j * (step.pericenter / params.n)))
         a = lrl.real * e1 + lrl.imag * e2
         return Collision(h=E, a=a / np.linalg.norm(a)), kind, work
-    return _embed(e1, e2, step.r, step.radial, l, step.swept), kind, work
+    _require_finite("end state", state, t, step.p_r)
+    return _embed(e1, e2, step.r, step.p_r, l, step.swept), kind, work
 
 
 def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -> None:
@@ -1140,12 +1178,12 @@ def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -
         raise DomainError(f"global_flow: the {what} is not finite, from {state} after t={t!r}")
 
 
-def _embed(e1, e2, r: float, radial: float, l: float, angle: float) -> Regular:
-    """The state at radius r with <q,p> = radial and angular momentum l,
-    turned by angle from e1 toward e2."""
+def _embed(e1, e2, r: float, p_r: float, l: float, angle: float) -> Regular:
+    """The state at radius r with radial momentum p_r and angular momentum
+    l, turned by angle from e1 toward e2."""
     c, s = np.cos(angle), np.sin(angle)
     u, v = c * e1 + s * e2, c * e2 - s * e1
-    return Regular(PhasePoint(r * u, (radial / r) * u + (l / r) * v))
+    return Regular(PhasePoint(r * u, p_r * u + (l / r) * v))
 
 
 def _line_flow(params: ModelParams, state: ExtendedPoint, t: float) -> ExtendedPoint:

@@ -5,8 +5,8 @@ values.  Outputs are CSV (comma-separated, '.' decimal point, shortest
 round-trip float formatting), JSON reports and hand-rolled SVG polyline
 figures.  Identical configuration produces byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 3 flow step failure (the failing
-state is logged), 4 unwritable output directory, 5 verification threshold
+Exit codes: 0 success, 2 config error, 3 flow step or figure orbit failure
+(the failing state or orbit is logged), 4 unwritable output directory, 5 verification threshold
 violation, 6 no pericenter for the requested (E, l2).
 """
 
@@ -237,28 +237,15 @@ def _svg_polylines(curves: list[np.ndarray], path: Path, size: int = 600) -> Non
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _log_orbit(kind: str, orbit, sol: chart.Solve) -> None:
-    """One DEBUG line per figure orbit: its constants and the work of its solve."""
-    if not log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
-        return
-    log.debug(
-        "%s orbit E=%r l=%r s0=%r s1=%r period=%r apsis=%r newton_iterations=%d "
-        "worst_residual=%r",
-        kind,
-        *(float(v) for v in (orbit.E, orbit.l, orbit.s0, orbit.s1, orbit.period, orbit.apsis)),
-        sol.iterations,
-        sol.residual(),
-    )
-
-
-def _energy_zero_orbit(params: ModelParams, l: float, r_far: float, points: int) -> np.ndarray:
-    """Planar E = 0 orbit through its pericenter, as (t, q1, q2): both
-    branches out to r_far, each sampled at `points` times."""
-    orbit = chart._ZeroEnergyOrbit(params, l)
-    ts = np.linspace(0.0, orbit.time(orbit.u_at(r_far)), points)
-    ts = np.concatenate((-ts[:0:-1], ts))
-    r, theta, sol = orbit.sample(ts)
-    _log_orbit("zero-energy", orbit, sol)
+def _orbit_curve(kind: str, orbit, ts: np.ndarray) -> np.ndarray:
+    """An orbit with its pericenter on the q_1 axis, sampled at the times ts
+    since the pericenter, as (t, q1, q2).  Logs one DEBUG line: the orbit's
+    constants and the work of its solve."""
+    r, theta, sol = chart._sample(orbit, ts)
+    if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
+        constants = (float(v) for v in (orbit.E, orbit.l, orbit.s0, orbit.s1, orbit.period, orbit.apsis))
+        log.debug("%s orbit E=%r l=%r s0=%r s1=%r period=%r apsis=%r newton_iterations=%d worst_residual=%r",
+                  kind, *constants, sol.iterations, sol.residual())
     return np.column_stack((ts, r * np.cos(theta), r * np.sin(theta)))
 
 
@@ -269,17 +256,6 @@ def _periodic_l(params: ModelParams, E: float, target: float, bracket: tuple[flo
     return brentq(
         lambda l: chart._BoundOrbit(params, E, l).apsis - target, *bracket, xtol=1e-13
     )
-
-
-def _bounded_orbit(
-    params: ModelParams, E: float, l: float, t_total: float, points: int
-) -> np.ndarray:
-    """Bound orbit from its pericenter on the q_1 axis, sampled in time, as (t, q1, q2)."""
-    orbit = chart._BoundOrbit(params, E, l)
-    ts = np.linspace(0.0, t_total, points)
-    r, theta, sol = orbit.sample(ts)
-    _log_orbit("bound", orbit, sol)
-    return np.column_stack((ts, r * np.cos(theta), r * np.sin(theta)))
 
 
 FIG2_ENERGY = -0.5
@@ -293,17 +269,16 @@ FIG2_MIDDLE_L = 0.35
 def cmd_figures(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     which = args.which
-
+    figures = {}  # figure -> its orbits as (file stem, kind, orbit, times)
     if which in ("fig1", "all"):
-        curves = []
+        figures["fig1"] = []
         for n in (2, 3, 4, 6):
             params = ModelParams(n=n, d=2, m=1.0, Z=1.0, eps=0.1)
             l = np.sqrt(2.0 * params.m * params.Z)  # pericenter radius 1 for every n
-            data = _energy_zero_orbit(params, l, r_far=20.0, points=400)
-            _write_curve_csv(out / f"fig1_n{n}.csv", data)
-            curves.append(data[:, 1:3])
-        _svg_polylines(curves, out / "fig1.svg")
-
+            orbit = chart._ZeroEnergyOrbit(params, l)
+            # both branches out to r = 20, 400 times each
+            ts = np.linspace(0.0, orbit.time(orbit.u_at(20.0)), 400)
+            figures["fig1"].append((f"fig1_n{n}", "zero-energy", orbit, np.concatenate((-ts[:0:-1], ts))))
     if which in ("fig2", "all"):
         params = ModelParams(n=3, d=2, m=1.0, Z=1.0, eps=0.1)
         ls = sorted(
@@ -311,13 +286,21 @@ def cmd_figures(args: argparse.Namespace) -> int:
             else _periodic_l(params, FIG2_ENERGY, target, (0.1, 1.03))
             for target in FIG2_TARGETS
         )
+        figures["fig2"] = [
+            (f"fig2_orbit{k+1}_l{l:.6f}", "bound", chart._BoundOrbit(params, FIG2_ENERGY, l), np.linspace(0.0, 60.0, 2000))
+            for k, l in enumerate(ls)
+        ]
+    for figure, orbits in figures.items():
         curves = []
-        for k, l in enumerate(ls):
-            data = _bounded_orbit(params, FIG2_ENERGY, l, t_total=60.0, points=2000)
-            _write_curve_csv(out / f"fig2_orbit{k+1}_l{l:.6f}.csv", data)
+        for name, kind, orbit, ts in orbits:
+            try:
+                data = _orbit_curve(kind, orbit, ts)
+            except RuntimeError as exc:
+                log.error("figure orbit %s (%s, E=%r, l=%r) failed: %s", name, kind, float(orbit.E), float(orbit.l), exc)
+                return EXIT_STEP_FAILURE
+            _write_curve_csv(out / f"{name}.csv", data)
             curves.append(data[:, 1:3])
-        _svg_polylines(curves, out / "fig2.svg")
-
+        _svg_polylines(curves, out / f"{figure}.svg")
     return EXIT_OK
 
 
@@ -580,8 +563,8 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         print(str(exc), file=sys.stderr)
         return EXIT_UNWRITABLE
-    except RuntimeError as exc:  # HillRegionError included
-        log.error("integration failed: %s", exc)
+    except RuntimeError as exc:  # one that the command did not report itself
+        log.error("%s failed: %s", args.command, exc)
         return EXIT_STEP_FAILURE
 
 

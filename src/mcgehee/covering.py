@@ -34,10 +34,6 @@ from .model import (
 # physical time linearly and fails that oracle.
 C_N = 1.0
 
-# below this fraction of ||p||^2, the component of p orthogonal to q is
-# numerically meaningless and the state is treated as collinear
-COLLINEAR_L2_FRACTION = 1e-16
-
 
 class HillRegionError(RuntimeError):
     """E < 0 state outside the lifted Hill region: the K-flow is inconsistent."""
@@ -85,16 +81,17 @@ def _completion(e1: np.ndarray) -> np.ndarray:
     return e2 / np.linalg.norm(e2)
 
 
-def _split_rows(q: np.ndarray, p: np.ndarray, fraction: float = COLLINEAR_L2_FRACTION):
-    """e1 = q/||q||, the part of p orthogonal to q, its squared norm and
-    whether it is unresolvable (squared norm at most `fraction` ||p||^2),
-    for stacked (k, d) positions and momenta.
+def plane_reduce_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`plane_reduce` of stacked (k, d) positions and momenta.
 
-    Collinearity is read off the explicit orthogonal projection rather than
-    the Lagrange identity ||q||^2 ||p||^2 - <q,p>^2, whose cancellation
-    noise exceeds the threshold for exactly radial states.  p is projected
-    twice: one pass leaves a part along e1 of relative size 1e-16 / sin of
-    the angle between q and p, the second leaves rounding alone.
+    Returns the (k, d) frame vectors e1 = q/||q|| and e2 and the (k,)
+    complex qc and pc, each row bit for bit as `plane_reduce` gives it.  e2
+    is the unit part of p orthogonal to q from the explicit projection, not
+    the Lagrange identity, whose cancellation swamps a small angle between q
+    and p.  p is projected twice: one pass leaves a part along e1 of
+    relative size 1e-16 / sin of that angle, the second rounding alone.
+    Only a row whose orthogonal part squares to 0 (is 0, or below about
+    1e-162) takes the completion frame.
     """
     r = np.sqrt(row_dot(q, q))
     if (r == 0.0).any():
@@ -103,26 +100,7 @@ def _split_rows(q: np.ndarray, p: np.ndarray, fraction: float = COLLINEAR_L2_FRA
     p_perp = p - row_dot(p, e1)[:, None] * e1
     p_perp = p_perp - row_dot(p_perp, e1)[:, None] * e1
     perp2 = row_dot(p_perp, p_perp)
-    return e1, p_perp, perp2, perp2 <= fraction * row_dot(p, p)
-
-
-def is_collinear(x: PhasePoint) -> bool:
-    """True when p has no resolvable component orthogonal to q."""
-    return bool(_split_rows(x.q[None], x.p[None])[3][0])
-
-
-def plane_reduce_rows(
-    q: np.ndarray, p: np.ndarray, fraction: float = COLLINEAR_L2_FRACTION
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`plane_reduce` of stacked (k, d) positions and momenta.
-
-    Returns the (k, d) frame vectors e1 and e2 and the (k,) complex qc and
-    pc; every row is what `plane_reduce` gives for that state alone, bit
-    for bit.  A row whose p has a part orthogonal to q of squared norm at
-    most `fraction` ||p||^2 takes the completion frame; `fraction` = 0
-    keeps every part that is not exactly 0.
-    """
-    e1, p_perp, perp2, collinear = _split_rows(q, p, fraction)
+    collinear = perp2 == 0.0
     e2 = p_perp / np.sqrt(np.where(collinear, 1.0, perp2))[:, None]
     for i in np.flatnonzero(collinear):
         e2[i] = _completion(e1[i])

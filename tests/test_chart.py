@@ -12,6 +12,7 @@ from mcgehee.model import (
     hamiltonian,
     l_squared_point,
     physical_field,
+    row_dot,
 )
 from mcgehee.verify import sample_domain_points
 
@@ -509,6 +510,46 @@ class TestChartRoundtrip:
             assert np.allclose(back.x.q, x.q, atol=1e-8)
             assert np.allclose(back.x.p, x.p, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nearly_radial_roundtrip(self, n):
+        # p leans off the line of q by 1e-12 to 4e-9: a collinearity
+        # threshold gave these states the completion frame, dropped their l
+        # and missed by |p| s, up to 2.3e-6
+        params = ModelParams(n=n, d=3, eps=0.1)
+        for s in np.geomspace(1e-12, 4e-9, 12):
+            x = PhasePoint(np.array([0.03, 0.0, 0.0]), np.array([-40.0, 40.0 * s, 12.0 * s]))
+            back = chart.chart_inverse(params, chart.chart_forward(params, x))
+            assert np.max(np.abs(back.x.q - x.q)) <= 1e-8
+            assert np.max(np.abs(back.x.p - x.p)) <= 1e-8
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 4]),
+        d=st.sampled_from([3, 4]),
+        log_sin=st.floats(-14.0, -6.0),
+        r=st.floats(0.005, 0.095),
+        speed=st.floats(1.05, 4.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_nearly_radial_roundtrip_property(self, n, d, log_sin, r, speed, sign, seed):
+        # sin of the angle between q and p log-uniform in [1e-14, 1e-6]
+        params = ModelParams(n=n, d=d, eps=0.1)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        w = rng.normal(size=d)
+        w -= np.dot(w, u) * u
+        w /= np.linalg.norm(w)
+        sin = 10.0**log_sin
+        # above the domain's energy floor -Z / (2 n r**alpha)
+        p_mag = np.sqrt(speed * 2.0 * (1.0 - 0.5 / n) * r ** -params.alpha)
+        x = PhasePoint(r * u, p_mag * (sign * np.sqrt(1.0 - sin * sin) * u + sin * w))
+        back = chart.chart_inverse(params, chart.chart_forward(params, x))
+        assert isinstance(back, chart.Regular)
+        assert np.max(np.abs(back.x.q - x.q)) <= 1e-8
+        assert np.max(np.abs(back.x.p - x.p)) <= 1e-8
+
     def test_chart_point_structure(self):
         params = ModelParams(n=2, d=3, eps=0.1)
         x = PhasePoint(np.array([0.04, 0.02, 0.0]), np.array([-5.0, 3.0, 1.0]))
@@ -709,7 +750,7 @@ class TestBoundOrbit:
     def test_kepler_samples_match_keplers_equation(self, l):
         params = ModelParams(n=2, d=2)
         ts = np.linspace(0.0, 60.0, 2000)
-        r, theta, sol = chart._BoundOrbit(params, -0.5, l).sample(ts)
+        r, theta, sol = chart._sample(chart._BoundOrbit(params, -0.5, l), ts)
         x, y = kepler_positions(params, -0.5, l, ts)
         a = 1.0
         assert np.max(np.hypot(r * np.cos(theta) - x, r * np.sin(theta) - y)) <= 1e-12 * a
@@ -749,7 +790,7 @@ class TestBoundOrbit:
                 orbit = chart._BoundOrbit(params, -0.5, l)
             except chart.NoPericenterError:
                 continue
-            r, theta, _ = orbit.sample(np.linspace(0.0, 10.0, 50))
+            r, theta, _ = chart._sample(orbit, np.linspace(0.0, 10.0, 50))
             assert np.all(np.isfinite(r)) and np.all(np.isfinite(theta))
             assert orbit.apsis / np.pi == pytest.approx(np.sqrt(n / 2.0), rel=1e-6)
 
@@ -774,7 +815,7 @@ class TestBoundOrbit:
         params = ModelParams(n=3, d=2)
         orbit = chart._BoundOrbit(params, -0.5, 0.3)
         P = orbit.period
-        r, theta, _ = orbit.sample(np.array([0.0, 0.5 * P, 3.0 * P, 3.5 * P]))
+        r, theta, _ = chart._sample(orbit, np.array([0.0, 0.5 * P, 3.0 * P, 3.5 * P]))
         r_peri, r_apo = orbit.s0**1.5, orbit.s1**1.5
         assert r[0] == r_peri and theta[0] == 0.0
         assert r == pytest.approx([r_peri, r_apo, r_peri, r_apo], rel=1e-14)
@@ -793,7 +834,7 @@ class TestBoundOrbit:
         r = orbit.sigma(one.x) ** (n / 2.0)
         place, passes = orbit.place, []
         monkeypatch.setattr(orbit, "place", lambda part: passes.append(len(part)) or place(part))
-        r_got, theta_got, sol = orbit.sample(ts)
+        r_got, theta_got, sol = chart._sample(orbit, ts)
         assert passes == [min(chart._SAMPLE_CHUNK, count - i) for i in range(0, count, chart._SAMPLE_CHUNK)]
         assert same_bits(r_got, r) and same_bits(theta_got, theta)
         assert same_bits(sol.x, one.x) and same_bits(sol.t, one.t)
@@ -816,8 +857,8 @@ class TestZeroEnergyOrbit:
         q = l * l / (2.0 * m * Z)
         nu = np.linspace(-3.0, 3.0, 101)
         D = np.tan(nu / 2.0)
-        r, theta, sol = chart._ZeroEnergyOrbit(params, l).sample(
-            np.sqrt(2.0 * m * q**3 / Z) * (D + D**3 / 3.0)
+        r, theta, sol = chart._sample(
+            chart._ZeroEnergyOrbit(params, l), np.sqrt(2.0 * m * q**3 / Z) * (D + D**3 / 3.0)
         )
         assert r == pytest.approx(q * (1.0 + D * D), rel=1e-13)
         assert theta == pytest.approx(nu, abs=1e-13)
@@ -829,11 +870,43 @@ class TestZeroEnergyOrbit:
         orbit = chart._ZeroEnergyOrbit(params, 0.7)
         radii = np.array([orbit.s0 ** (n / 2.0), 1.0, 5.0, 20.0])
         t = np.array([orbit.time(orbit.u_at(rho)) for rho in radii])
-        r, theta, sol = orbit.sample(np.concatenate((-t, t)))
+        r, theta, sol = chart._sample(orbit, np.concatenate((-t, t)))
         assert r == pytest.approx(np.concatenate((radii, radii)), rel=1e-13)
         assert np.array_equal(theta[:4], -theta[4:])  # the branches mirror
         assert np.all(np.abs(theta) < orbit.apsis)
         assert sol.residual() <= 1e-13 * t[-1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_closed_forms_check_the_radial_orbit(self, n):
+        # at E = 0, G = Z: T's integrand is a polynomial of degree 2n - 2,
+        # which the 32-node rule integrates exactly, and the sweep's
+        # remainder vanishes, leaving n atan2(u, sqrt(s0))
+        params = ModelParams(n=n, d=2)
+        u = np.geomspace(1e-6, 1e3, 400)
+        for l in (1e-3, 0.3, np.sqrt(2.0), 5.0):
+            closed = chart._ZeroEnergyOrbit(params, l)
+            orbit = chart._RadialOrbit(params, np.zeros(u.size), np.full(u.size, l))
+            T, theta = orbit.time_angle(u)
+            assert np.max(np.abs(T / closed.time(u) - 1.0)) <= 1e-14
+            exact = n * np.arctan2(u, np.sqrt(l * l / (2.0 * params.m * params.Z)))
+            assert np.max(np.abs(theta - exact) / np.spacing(exact)) <= 4.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_step_through_the_orbit_interface(self, n):
+        # `_step` places a start on either class of E = 0 orbit alike
+        params = ModelParams(n=n, d=2)
+        closed = chart._ZeroEnergyOrbit(params, 0.3)
+        orbit = chart._RadialOrbit(params, np.zeros(1), np.array([0.3]))
+        for u0, side0 in ((0.0, 1.0), (0.4, 1.0), (2.0, -1.0), (None, 1.0)):
+            sigma = 0.0 if u0 is None else closed.s0 + u0 * u0
+            radial = None if u0 is None else side0 * closed.root2mZ * u0
+            for t in (1e-3, -0.2, 5.0, -40.0):
+                got, want = chart._step(closed, sigma, radial, t), chart._step(orbit, sigma, radial, t)
+                assert got.r == pytest.approx(want.r, rel=1e-13)
+                assert got.p_r == pytest.approx(want.p_r, rel=1e-13)
+                assert got.swept == pytest.approx(want.swept, rel=1e-13, abs=1e-15)
+                assert got.pericenter == pytest.approx(want.pericenter, rel=1e-13, abs=1e-15)
+                assert got.periods == want.periods == 0.0
 
 
 def stencil_rows(params, x):
@@ -853,6 +926,29 @@ def stencil_rows(params, x):
 
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def loop_panel_sum(scale, vals):
+    """`chart._panel_sum` as a loop over the panels: the reference for its
+    running sum."""
+    parts = row_dot(vals.reshape(scale.shape + (chart.CHART_NODES,)), chart._WEIGHTS)
+    total = scale[:, 0] * parts[:, 0]
+    for p in range(1, scale.shape[1]):
+        total = total + scale[:, p] * parts[:, p]
+    return total
+
+
+@pytest.mark.parametrize("E", [0.5, 146.0])
+def test_panel_sum_is_the_loop_over_panels(E):
+    # many rows far out on orbits with E > 0, where T takes up to ~1000
+    # panels, some rows ending in panels of width 0
+    params = ModelParams(n=3, d=2)
+    u = 10.0 ** np.random.default_rng(3).uniform(-2.0, 150.0, 64)
+    orbit = chart._RadialOrbit(params, np.full(64, E), np.full(64, 0.3))
+    sigma, width = orbit._nodes(u)
+    vals = 1.0 / np.sqrt(sigma)
+    assert width.shape[1] > 100 and (width[:, -1] == 0.0).any()
+    assert same_bits(chart._panel_sum(orbit.K * width, vals), loop_panel_sum(orbit.K * width, vals))
 
 
 class TestChartRows:
@@ -904,17 +1000,23 @@ class TestChartRows:
         params = ModelParams(n=3, d=d, eps=0.1)
         x = sample_domain_points(params, np.random.default_rng(d), 1)[0]
         u = x.q / x.r
-        radial = np.concatenate([x.q, -np.linalg.norm(x.p) * u])
-        rows = np.stack([np.concatenate([x.q, x.p]), radial])
+        # p = -|p| q / |q| rounded keeps a part across q of about 1e-17 |p|,
+        # and its own frame; p on a coordinate axis with q has none
+        rounded = np.concatenate([x.q, -np.linalg.norm(x.p) * u])
+        axis = np.eye(d)[d - 1]
+        exact = np.concatenate([x.r * axis, -np.linalg.norm(x.p) * axis])
+        rows = np.stack([np.concatenate([x.q, x.p]), rounded, exact])
         e1, e2, _, _ = cov.plane_reduce_rows(rows[:, :d], rows[:, d:])
-        assert same_bits(e2[1], cov._completion(e1[1]))
+        assert same_bits(e2[2], cov._completion(e1[2]))
         c = chart.chart_forward_rows(params, rows)
-        alone = chart.chart_forward(params, PhasePoint(radial[:d], radial[d:]))
-        assert same_bits(c.A[1], alone.A) and same_bits(c.T[1], alone.T)
-        # a collision orbit: its pericenter direction is the line of q, and
-        # B = 0 up to the rounding of p = -|p| q / |q|
-        assert abs(abs(np.dot(c.A[1], u)) - 1.0) < 1e-15
-        assert np.linalg.norm(c.B[1]) <= 1e-15 * x.r * np.linalg.norm(x.p)
+        for k, line in ((1, u), (2, axis)):
+            alone = chart.chart_forward(params, PhasePoint(rows[k, :d], rows[k, d:]))
+            assert same_bits(c.A[k], alone.A) and same_bits(c.T[k], alone.T)
+            # a collision orbit: its pericenter direction is the line of q,
+            # and B = 0 up to the rounding of p = -|p| q / |q|
+            assert abs(abs(np.dot(c.A[k], line)) - 1.0) < 1e-15
+            assert np.linalg.norm(c.B[k]) <= 1e-15 * x.r * np.linalg.norm(x.p)
+        assert not c.B[2].any()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kepler_rows_match_the_closed_form(self, d):
@@ -1045,10 +1147,10 @@ class TestOneRowSolve:
             chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array(p)), 0.3)
         x = sample_domain_points(params, np.random.default_rng(0), 1)[0]
         chart.chart_inverse(params, chart.chart_forward(params, x))
-        chart._BoundOrbit(params, -0.5, 0.35).sample(np.array([0.7]))
+        chart._sample(chart._BoundOrbit(params, -0.5, 0.35), np.array([0.7]))
         monkeypatch.undo()
         monkeypatch.setattr(chart, "_solve_one", fail)
-        chart._BoundOrbit(params, -0.5, 0.35).sample(np.linspace(0.0, 1.0, 5))
+        chart._sample(chart._BoundOrbit(params, -0.5, 0.35), np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_time_angle_is_time_and_angle(self, n):

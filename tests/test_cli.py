@@ -183,17 +183,22 @@ class TestConfigErrors:
         assert "is not writable" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "which,routine",
-        [("fig1", "_energy_zero_orbit"), ("fig2", "_bounded_orbit")],
+        "which,orbit",
+        [("fig1", "fig1_n2 (zero-energy, E=0.0, l=1.4142135623730951)"), ("fig2", "fig2_orbit1_l0.")],
         ids=["fig1", "fig2"],
     )
-    def test_figures_orbit_failure_exits_3(self, tmp_path, monkeypatch, which, routine):
+    def test_figures_orbit_failure_exits_3(self, tmp_path, monkeypatch, caplog, which, orbit):
         def fail(*args, **kwargs):
             raise RuntimeError("orbit sampling failed")
 
-        monkeypatch.setattr(cli, routine, fail)
+        monkeypatch.setattr(cli, "_orbit_curve", fail)
         code = run(["figures", which, "--out", str(tmp_path)])
         assert code == cli.EXIT_STEP_FAILURE
+        # the first orbit of the figure, named with its constants
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert line.startswith(f"figure orbit {orbit}")
+        assert line.endswith(" failed: orbit sampling failed")
+        assert not list(tmp_path.glob("*.svg"))
 
 
 class TestSimulate:
@@ -221,8 +226,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "initial,t_span,failed_at",
         [
-            # the end state of the first step overflows
-            ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e150], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
+            # the end state of the first step overflows: r = 8.5e308
+            ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e308], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
             # |q|**2 overflows: the start's radius is not finite
             ({"q": [1e200, 0.0], "p": [0.0, 1.0]}, [0.0, 1.0], "t=0.0 failed at the state q=[1e+200, 0.0] p=[0.0, 1.0]"),
             # the orbit constants of a finite start overflow

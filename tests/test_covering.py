@@ -28,21 +28,30 @@ class TestPlaneReduction:
 
     def test_collinear_states_get_deterministic_frame(self):
         x = PhasePoint(np.array([0.5, 0.0]), np.array([-2.0, 0.0]))
-        assert cov.is_collinear(x)
         frame, qc, pc = cov.plane_reduce(x)
+        assert np.array_equal(frame.e2, cov._completion(frame.e1))
         assert np.isfinite(frame.e2).all()
         assert abs(np.dot(frame.e1, frame.e2)) < 1e-14
+        assert pc.imag == 0.0
         # repeatable
         frame2, _, _ = cov.plane_reduce(x)
         assert np.array_equal(frame.e2, frame2.e2)
 
-    def test_nearly_radial_is_collinear(self):
-        x = PhasePoint(np.array([0.05, 0.0]), np.array([-6.0, 6e-9]))
-        assert cov.is_collinear(x)
+    @pytest.mark.parametrize("lean", [6e-9, 1e-15, 1e-150])
+    def test_nearly_radial_keeps_its_plane(self, lean):
+        # only a p whose part across q squares to 0 takes the completion
+        # frame; any larger part spans the plane and carries l
+        x = PhasePoint(np.array([0.05, 0.0]), np.array([-6.0, lean]))
+        frame, qc, pc = cov.plane_reduce(x)
+        assert np.array_equal(frame.e2, [0.0, 1.0])
+        assert qc == 0.05 and pc.imag == lean
+        flipped, _, _ = cov.plane_reduce(PhasePoint(x.q, np.array([-6.0, -lean])))
+        assert np.array_equal(flipped.e2, [0.0, -1.0])
 
     def test_generic_state_not_collinear(self):
         x = PhasePoint(np.array([0.05, 0.0]), np.array([-6.0, 1.0]))
-        assert not cov.is_collinear(x)
+        frame, _, pc = cov.plane_reduce(x)
+        assert np.array_equal(frame.e2, [0.0, 1.0]) and pc == complex(-6.0, 1.0)
 
 
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -8,6 +8,8 @@ both versions, when others are installed.
 """
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -37,3 +39,12 @@ def test_outputs_keep_their_recorded_digests():
     if installed != RECORDED_VERSIONS:
         pytest.skip(f"digests recorded with {RECORDED_VERSIONS}, installed {installed}")
     assert load_digests().digests() == RECORDED
+
+
+def test_src_line_count_is_wc_l():
+    wc = shutil.which("wc")
+    if wc is None:
+        pytest.skip("no wc on this system")
+    src = Path(__file__).resolve().parents[1] / "src" / "mcgehee"
+    out = subprocess.run([wc, "-l", *sorted(map(str, src.glob("*.py")))], capture_output=True, text=True, check=True)
+    assert load_digests().src_lines() == int(out.stdout.split()[-2])  # the "total" line

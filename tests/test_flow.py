@@ -197,7 +197,7 @@ class TestNonFinite:
     @pytest.mark.parametrize(
         "q,p,t,what",
         [
-            ([0.05, 0.0], [0.0, 20.0], 1e150, "end state"),  # ended as q = (-inf, inf), p = NaN
+            ([0.05, 0.0], [0.0, 20.0], 1e308, "end state"),  # r = 1.7e309
             ([1e120, 0.0], [0.0, 1.0], 1.0, "start's orbit"),  # ended as NaN
             ([1e200, 0.0], [0.0, 1.0], 1.0, "start's radius"),  # |q|**2 overflows; raised OverflowError
             ([0.05, 0.0], [0.0, 1.0], float("inf"), "time"),
@@ -228,6 +228,49 @@ class TestNonFinite:
         params = ModelParams(n=3, d=2, eps=0.1)
         out = flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 0.1])), 1e300)
         assert np.isfinite(out.q).all() and np.isfinite(out.p).all()
+
+
+class TestHugeTimes:
+    """Unbound orbits far beyond any physical time scale: the flow stays
+    finite until r itself leaves the float range."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unbound_orbit_recedes_at_its_asymptotic_speed(self):
+        # the tangent first guess overshoots by up to 1e200 here, and T's
+        # integrand overflows on the way out
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 20.0]))
+        speed = np.sqrt(2.0 * hamiltonian(params, x) / params.m)
+        for t in (1e60, 1e80, 1e100, 1e150, -1e200, 1e250, 1e300, 1.05e307):
+            y = chart.global_flow(params, x, t)
+            assert isinstance(y, chart.Regular)
+            # |q| by hypot: its square overflows
+            assert np.hypot(*y.x.q) / abs(t) == pytest.approx(speed, rel=1e-12)
+            assert np.hypot(*y.x.p) == pytest.approx(params.m * speed, rel=1e-12)
+        with pytest.raises(DomainError, match="the end state is not finite"):
+            chart.global_flow(params, x, 1.06e307)  # r = 1.81e308
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_power_search_is_the_linear_scan(self, n):
+        # the bracket [hi/2, hi] that doubling or halving the guess one step
+        # at a time finds, to the bit, in far fewer evaluations of T
+        def scan(orbit, guess, target):
+            hi, T_hi = guess, orbit.time(guess)[0]
+            while T_hi < target:
+                hi = 2.0 * hi
+                T_hi = orbit.time(hi)[0]
+            while T_hi > 2.0 * target and orbit.time(0.5 * hi)[0] >= target:
+                hi = 0.5 * hi
+            return hi
+
+        rng = np.random.default_rng(n)
+        for E, l in ((0.0, 0.3), (0.5, 0.0), (2.0, 1.0), (150.0, 1.0)):
+            orbit = chart._RadialOrbit(ModelParams(n=n, d=2), np.array([E]), np.array([l]))
+            for _ in range(12):
+                guess = np.array([10.0 ** rng.uniform(-4.0, 12.0)])
+                target = 10.0 ** rng.uniform(-6.0, 20.0)
+                hi = np.ldexp(guess, orbit._power(guess, target))
+                assert hi.tobytes() == scan(orbit, guess, target).tobytes()
 
 
 class TestDebugLog:

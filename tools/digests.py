@@ -1,4 +1,5 @@
-"""Print the sha256 prefixes of the CLI outputs that refactors must keep.
+"""Print the sha256 prefixes of the CLI outputs that refactors must keep,
+and the size of the library.
 
     python tools/digests.py
 
@@ -7,7 +8,8 @@ Runs, in-process on the checkout this file sits in, the three fixed
 fresh temporary directory.  A file digest is the first 16 hex digits of
 the sha256 of its bytes; the figures tree hashes each file as
 name + NUL + bytes + NUL in sorted name order and prints the first 16 and
-the last 6 hex digits.
+the last 6 hex digits.  The last line is the line count of
+src/mcgehee/*.py, as `wc -l` gives it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from mcgehee import cli  # noqa: E402
 
@@ -75,9 +78,15 @@ def digests() -> dict[str, str]:
     return found
 
 
+def src_lines() -> int:
+    """Lines of src/mcgehee/*.py: newline characters, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (SRC / "mcgehee").glob("*.py"))
+
+
 def main() -> None:
     for name, digest in digests().items():
         print(f"{name:<24}{digest}")
+    print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
 
 
 if __name__ == "__main__":
