@@ -231,13 +231,14 @@ class _RadialOrbit:
         """G on a (k, j) array of sigma, row i on orbit i."""
         return self._G0 + self._E * sigma * self._P(sigma)
 
-    def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r far out,
-        where G or sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) sum_j (s0/sigma)**j."""
+    def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sigma**(n/2 - 1), g = sqrt(G / sigma**n) = sqrt(G) / r and
+        S = P / sigma**(n-2) = sum_j (s0/sigma)**j far out, where G, P or
+        sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) S."""
         w, S = self._s0 / sigma, 0.0
         for _ in range(self.n - 1):
             S = S * w + 1.0
-        return _pow(sigma, self.n / 2.0 - 1.0), np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S)
+        return _pow(sigma, self.n / 2.0 - 1.0), np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S), S
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma on the nodes of every panel out to u, a (k, 32 P) array,
@@ -264,17 +265,24 @@ class _RadialOrbit:
         T = _panel_sum(scale, sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
         if width.shape[1] == 1 or T.max() < np.inf:  # within u_P, E sigma**(n-1) = O(Z)
             return T
-        power, g = self._far(sigma)
+        power, g, _ = self._far(sigma)
         return np.where(np.isfinite(T), T, _panel_sum(scale, power / g))
 
     def _angle(self, u, sigma, width) -> np.ndarray:
         """1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
         the arctan term because l**2 = 2m s0 G0, and a remainder carrying
         (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
-        tends to n pi/2."""
+        tends to n pi/2.  Far out, where P overflows (n >= 5), the remainder's
+        integrand is -E S / (sigma**2 g sqrt(G0) (g + sqrt(G0) / r)), with
+        `_far`'s S and g."""
         P = self._P(sigma)
         rG, rG0 = np.sqrt(self._G0 + self._E * sigma * P), np.sqrt(self._G0)
-        rest = _panel_sum(self.l[:, None] * width / self.root2m, -self._E * P / (rG * rG0 * (rG + rG0)))
+        scale = self.l[:, None] * width / self.root2m
+        rest = _panel_sum(scale, -self._E * P / (rG * rG0 * (rG + rG0)))
+        if width.shape[1] > 1 and not np.isfinite(rest).all():  # one panel: E sigma P = O(Z)
+            power, g, S = self._far(sigma)
+            far = -self._E * S / (sigma * sigma * g * rG0 * (g + rG0 / (sigma * power)))
+            rest = np.where(np.isfinite(rest), rest, _panel_sum(scale, far))
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
     def time(self, u: np.ndarray) -> np.ndarray:
@@ -385,7 +393,8 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> S
     Newton from the first guess x, clipped into the bracket.  The bracket
     is closed, so a sample where f(x) == t exactly stays where it is, and a
     Newton step that leaves it, or is not finite where the rate is 0 or
-    overflows, bisects instead.  A sample stops once its step is at most
+    overflows, bisects instead.  A NaN f(x) counts as too high, as f beyond
+    the float range does.  A sample stops once its step is at most
     tol + rtol |x|, or after _SOLVE_MAX_ITER steps.  A single sample takes
     the same steps in Python floats (`_solve_one`).
     """
@@ -405,7 +414,7 @@ def _solve_rows(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
         iterations += 1
         res = f(xa) - ta
         lo = np.where(res < 0.0, xa, lo)
-        hi = np.where(res > 0.0, xa, hi)
+        hi = np.where(res <= 0.0, hi, xa)  # a NaN residual counts as too high
         with np.errstate(divide="ignore", invalid="ignore"):  # rate 0: bisect
             new = xa - res / rate(xa)
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
@@ -442,7 +451,7 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
         res = float(f(at)[0]) - ta
         if res < 0.0:
             lo = xa
-        elif res > 0.0:
+        elif not res <= 0.0:  # NaN too
             hi = xa
         if res == 0.0:
             new = xa
@@ -917,20 +926,37 @@ def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
     A row stops at the first step that no longer moves that way or no
     longer changes s (a step below half an ulp of s), and keeps its value
     from then on, so its root does not depend on the other rows.  A single
-    root takes the same steps in Python floats, which round as the array
-    arithmetic does but skip numpy's per-call cost.
+    root (0-d or size-1 input) takes the same steps in Python floats
+    (`_newton_one`), unless a power overflows or the slope is 0 there: then
+    the arrays' inf or NaN (`_newton_rows`) is the answer.
     """
+    ndim = max(np.ndim(E), np.ndim(rhs), np.ndim(s))
+    if ndim and not np.size(E) == np.size(rhs) == np.size(s) == 1:
+        return _newton_rows(E, Z, n, rhs, s)
+    try:
+        return _newton_one(E, Z, n, rhs, s, (1,) * ndim)
+    except (OverflowError, ZeroDivisionError):
+        return _newton_rows(E, Z, n, rhs, s)
+
+
+def _newton_one(E, Z: float, n: int, rhs, s, shape: tuple) -> Solve:
+    """`_newton_rows` on one root in Python floats; the root is an array of
+    that shape, or a float64 for shape ()."""
     f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
-    if np.ndim(E) == np.ndim(rhs) == np.ndim(s) == 0:
-        E, rhs, s = float(E), float(rhs), float(s)
-        last = 0.0
-        for iterations in range(1, _NEWTON_MAX_ITER + 1):
-            step = (E * s**n + Z * s - rhs) / (n * E * s ** (n - 1) + Z)
-            new = s - step
-            if new == s or last * step < 0.0:
-                break
-            s, last = new, step
-        return Solve(np.float64(s), iterations, f, rhs)
+    E, t, s = (float(np.asarray(v).item()) for v in (E, rhs, s))
+    last = 0.0  # the sign of the last step, as np.sign gives it to the rows
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        step = (E * s**n + Z * s - t) / (n * E * s ** (n - 1) + Z)
+        new = s - step
+        if new == s or last * step < 0.0:
+            break
+        s, last = new, math.copysign(1.0, step)
+    return Solve(np.full(shape, s) if shape else np.float64(s), iterations, f, rhs)
+
+
+def _newton_rows(E, Z: float, n: int, rhs, s) -> Solve:
+    """`_monotone_newton` on arrays, any number of roots."""
+    f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
     E, rhs, s = (np.asarray(v, dtype=float) for v in (E, rhs, s))
     slope = n * E
     last, done = 0.0, False  # per row after the first step: its sign, and the stop

@@ -250,6 +250,54 @@ class TestRMin:
                 one = chart._monotone_newton(E, 1.0, n, rhs, s)
                 assert same_bits(one.x, rows.x[1]) and one.iterations == rows.iterations
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the double root's slope can be 0
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        sign=st.sampled_from([-1.0, 1.0]),
+        log_E=st.floats(-6.0, 3.0),
+        log_rhs=st.floats(-8.0, 1.0),
+        start=st.sampled_from(["pericenter", "apocenter", "double root"]),
+        shapes=st.sampled_from([((1,), (1,), (1,)), ((), (1,), ()), ((1,), (), (1, 1))]),
+    )
+    def test_one_root_takes_the_steps_of_the_array_loop(self, n, sign, log_E, log_rhs, start, shapes):
+        # size-1 input runs in Python floats: the array loop's root, bit for
+        # bit, from both starts and at the circular orbit's double root
+        E, rhs = sign * 10.0**log_E, 10.0**log_rhs
+        s = rhs
+        if start != "pericenter":
+            if E > 0.0 or n == 1:
+                return
+            peak = chart._peak(1.0, n, E)[1]
+            if start == "double root":
+                rhs, s = peak, peak
+            elif peak < rhs:
+                return
+            else:
+                s = (1.0 / -E) ** (1.0 / (n - 1.0))
+        args = [np.full(shape, v) for shape, v in zip(shapes, (E, rhs, s))]
+        one = chart._monotone_newton(args[0], 1.0, n, args[1], args[2])
+        rows = chart._newton_rows(args[0], 1.0, n, args[1], args[2])
+        assert one.x.shape == rows.x.shape and same_bits(one.x, rows.x)
+        assert one.iterations == rows.iterations
+
+    def test_chart_calls_solve_one_root_in_floats(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("array loop")
+
+        params = ModelParams(n=3, d=2)
+        x = sample_domain_points(params, np.random.default_rng(0), 1)[0]
+        monkeypatch.setattr(chart, "_newton_rows", fail)
+        chart.chart_inverse(params, chart.chart_forward(params, x))
+        chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 50.0])), 0.3)
+
+    def test_overflowing_root_takes_the_array_loop(self):
+        # s**n overflows a Python float: the arrays' answer, inf or NaN
+        args = (np.array([1.0]), 1.0, 3, np.array([1e300]), np.array([1e300]))
+        with np.errstate(all="ignore"):
+            one, rows = chart._monotone_newton(*args), chart._newton_rows(*args)
+        assert not np.isfinite(one.x[0]) and same_bits(one.x, rows.x)
+
     def test_supercritical_l2_has_no_pericenter(self):
         params = ModelParams(n=2, d=2)
         with pytest.raises(chart.NoPericenterError):
@@ -1136,6 +1184,19 @@ class TestOneRowSolve:
         # np.clip's choices: the bound on a tie of signed zeros, hi when lo > hi
         cube = lambda v: v * v * v  # noqa: E731
         self.both(cube, lambda v: 3.0 * v * v, np.array([target]), np.array([x]), lo, hi, 1e-15)
+
+    @pytest.mark.parametrize("guess", [5.0, 9.0, 2.5])
+    def test_nan_residual_counts_as_too_high(self, guess):
+        # f is x - 1 up to 2 and NaN beyond: the root is 1, not the midpoint
+        # of a bracket that a NaN residual never narrows
+        def f(x):
+            return np.where(x <= 2.0, x - 1.0, np.nan)
+
+        one = lambda x: np.ones_like(x)  # noqa: E731
+        sol = self.both(f, one, np.zeros(1), np.array([guess]), 0.0, 10.0, 1e-15)
+        assert abs(sol.x[0] - 1.0) <= 4.0 * np.spacing(1.0)
+        rows = chart._solve_rows(f, one, np.zeros(3), np.full(3, guess), 0.0, 10.0, 1e-15)
+        assert np.all(np.abs(rows.x - 1.0) <= 4.0 * np.spacing(1.0))
 
     def test_one_row_takes_the_float_path(self, monkeypatch):
         def fail(*args):

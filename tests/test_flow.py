@@ -250,6 +250,21 @@ class TestHugeTimes:
         with pytest.raises(DomainError, match="the end state is not finite"):
             chart.global_flow(params, x, 1.06e307)  # r = 1.81e308
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_swept_angle_stays_finite_where_P_overflows(self, n):
+        # P(sigma) ~ sigma**(n-2) overflows long before r does for n >= 5
+        params = ModelParams(n=n, d=3, eps=0.1)
+        x = PhasePoint(np.array([0.05, 0.01, 0.0]), np.array([0.3, 20.0, 1.0]))
+        speed = np.sqrt(2.0 * hamiltonian(params, x) / params.m)
+        for t in (1e300, -1e300):
+            q = chart.global_flow(params, x, t).x.q
+            near = chart.global_flow(params, x, np.copysign(1e100, t)).x.q
+            r = np.hypot(np.hypot(q[0], q[1]), q[2])
+            assert r / abs(t) == pytest.approx(speed, rel=1e-12)
+            # the direction has settled by t = 1e100, where P is finite
+            assert np.abs(q / r - near / np.linalg.norm(near)).max() <= 1e-15
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_power_search_is_the_linear_scan(self, n):
         # the bracket [hi/2, hi] that doubling or halving the guess one step

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from mcgehee import integrate as ode
+from mcgehee import chart, covering as cov, integrate as ode
+from mcgehee.model import ModelParams, PhasePoint, physical_field
 
 
 def harmonic(t, y):
@@ -82,3 +84,95 @@ class TestConfig:
             ode.IntegratorConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             ode.IntegratorConfig(abs_tol=-1.0)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The t_old of every interpolant built, caught on the solver class's
+    `dense_output`, the method the benchmark's tracer hooks too."""
+    built = []
+
+    class Spy(ode.DOP853):
+        def dense_output(self):
+            built.append(self.t_old)
+            return super().dense_output()
+
+    monkeypatch.setattr(ode, "DOP853", Spy)
+    return built
+
+
+def entry_transit(n: int):
+    """A covering transit of U^eps from its sphere, inward, to the exit
+    event, as criterion 5 measures it: its params, energy, start, span,
+    event and the run."""
+    params = ModelParams(n=n, d=2, eps=0.1)
+    x = PhasePoint(np.array([0.1, 0.0]), np.array([-3.0, 0.4]))
+    _, y0, E = cov.lift_state(params, x)
+    span = (0.0, cov.tau_bound(params, params.eps ** (1.0 / n)))
+    event = cov.radius_event(params, params.eps)
+    traj = cov.integrate_covering(params, E, y0, span, chart._TIGHT, events=(event,))
+    return params, E, y0, span, event, traj
+
+
+class TestLazyDenseOutput:
+    """A step's interpolant is built on its first read; scipy's solve_ivp,
+    which builds every one right after its step, is the reference, bit for
+    bit, at the same tolerances."""
+
+    @staticmethod
+    def reference(field, y0, span, **kwargs):
+        cfg = chart._TIGHT
+        return solve_ivp(field, span, y0, method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                         dense_output=True, **kwargs)
+
+    def test_physical_orbit_matches_solve_ivp(self):
+        params = ModelParams(n=3, d=2)
+        field, y0, span = physical_field(params), np.array([0.3, 0.1, 0.2, 0.9]), (0.0, 3.0)
+        traj = ode.integrate(field, y0, span, chart._TIGHT)
+        ref = self.reference(field, y0, span)
+        assert len(traj.ts) > 20
+        assert same_bits(traj.ts, ref.t) and same_bits(traj.ys, ref.y.T)
+        # off the nodes, where the two pick the same step
+        ts = [t for t in np.linspace(*span, 997) if t not in traj.ts]
+        assert len(ts) >= 995
+        assert same_bits([traj(t) for t in ts], [ref.sol(t) for t in ts])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_event_ended_transit_matches_solve_ivp_before_the_event_step(self, n):
+        params, E, y0, span, event, traj = entry_transit(n)
+        assert traj.reason == ode.REASON_EVENT
+
+        def g(t, y):
+            return event.g(y)
+
+        g.terminal, g.direction = True, 1
+        ref = self.reference(cov.covering_field(params, E), y0, span, events=g)
+        # the same steps up to the event, which each localises its own way
+        assert same_bits(traj.ts[:-1], ref.t[:-1]) and same_bits(traj.ys[:-1], ref.y.T[:-1])
+        ts = np.linspace(traj.ts[0], traj.ts[-2], 499)[1:-1]
+        ts = [t for t in ts if t not in traj.ts]
+        assert same_bits([traj(t) for t in ts], [ref.sol(t) for t in ts])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_event_ended_transit_builds_one_interpolant(self, builds, n):
+        params, E, y0, span, event, traj = entry_transit(n)
+        assert len(traj.ts) > 5 and builds == [traj.ts[-2]]  # the event step's
+        builds.clear()
+        end = cov.transit(params, E, y0, span[1], (event,), chart._TIGHT)
+        assert same_bits(end, traj.ys[-1]) and len(builds) == 1
+
+    def test_a_segment_is_built_once(self, builds):
+        traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 3.0), TIGHT)
+        assert builds == [] and len(traj.ts) > 3
+        t = 0.5 * (traj.ts[1] + traj.ts[2])
+        first = traj(t)
+        assert builds == [traj.ts[1]]
+        assert same_bits(traj(t), first)
+        traj(traj.ts[1])  # the segment's start node reads the same segment
+        assert builds == [traj.ts[1]]
+        traj(traj.ts[-1])
+        assert builds == [traj.ts[1], traj.ts[-2]]
