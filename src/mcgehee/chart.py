@@ -23,6 +23,7 @@ covering-ODE route to the chart's pericenter as an independent check.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -116,9 +117,39 @@ def _pow(x, y):
 
     `**` on a float64 array takes a vectorised power that differs from the
     C library's pow in the last bit for a few percent of inputs, so a row
-    of an array would not match the same value computed as a float.
+    of an array would not match the same value computed as a float.  A
+    float x takes math.pow, the same C pow without numpy's per-call cost,
+    unless the power overflows or has no real value; the result is a
+    float64 either way.
     """
+    if isinstance(x, float):
+        try:
+            return np.float64(math.pow(x, y))
+        except (OverflowError, ValueError):
+            pass
     return np.float_power(x, y)
+
+
+def _ndim(x) -> int:
+    """np.ndim, without the array it builds for a Python float."""
+    return 0 if isinstance(x, float) else np.ndim(x)
+
+
+def _size(x) -> int:
+    """np.size, without the array it builds for a Python float."""
+    return 1 if isinstance(x, float) else np.size(x)
+
+
+def _item(x) -> float:
+    """The Python float of size-1 input."""
+    return x if type(x) is float else float(np.asarray(x).item())
+
+
+def _as_one(value: float, *inputs):
+    """value as the one-element result of elementwise inputs: a float for
+    scalars, else an array of their broadcast shape."""
+    ndim = max(_ndim(x) for x in inputs)
+    return value if ndim == 0 else np.array(value).reshape((1,) * ndim)
 
 
 def on_S_eps(params: ModelParams, x: PhasePoint) -> bool:
@@ -238,7 +269,9 @@ class _RadialOrbit:
         w, S = self._s0 / sigma, 0.0
         for _ in range(self.n - 1):
             S = S * w + 1.0
-        return _pow(sigma, self.n / 2.0 - 1.0), np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S), S
+        with np.errstate(over="ignore", divide="ignore"):  # sigma**n beyond the float range either way
+            g = np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S)
+        return _pow(sigma, self.n / 2.0 - 1.0), g, S
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma on the nodes of every panel out to u, a (k, 32 P) array,
@@ -256,33 +289,58 @@ class _RadialOrbit:
         return self._s0 + nodes.reshape(len(u), -1) ** 2, width
 
     def rate(self, u: np.ndarray) -> np.ndarray:
-        """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m)."""
+        """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); beyond
+        the float range far out, where Newton bisects instead."""
         sigma = (self.s0 + u * u)[:, None]
-        return (self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))[:, 0]
 
     def _time(self, sigma, width) -> np.ndarray:
+        """Far out, where G overflows (the integrand would read 0) or
+        sigma**(n-1) does too (NaN), the integrand is `_far`'s power / g."""
         scale = self.K * width
-        T = _panel_sum(scale, sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
-        if width.shape[1] == 1 or T.max() < np.inf:  # within u_P, E sigma**(n-1) = O(Z)
+        if width.shape[1] == 1:  # within u_P, E sigma**(n-1) = O(Z)
+            return _panel_sum(scale, sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the far form replaces what overflows
+            rG = np.sqrt(self.G(sigma))
+            vals = sigma ** (self.n - 1) / rG
+        T = _panel_sum(scale, vals)
+        if T.max() < np.inf and rG.max() < np.inf:
             return T
         power, g, _ = self._far(sigma)
-        return np.where(np.isfinite(T), T, _panel_sum(scale, power / g))
+        far = power / g
+        return np.where(np.isfinite(T), _panel_sum(scale, np.where(rG < np.inf, vals, far)), _panel_sum(scale, far))
 
     def _angle(self, u, sigma, width) -> np.ndarray:
         """1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
         the arctan term because l**2 = 2m s0 G0, and a remainder carrying
         (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
-        tends to n pi/2.  Far out, where P overflows (n >= 5), the remainder's
-        integrand is -E S / (sigma**2 g sqrt(G0) (g + sqrt(G0) / r)), with
-        `_far`'s S and g."""
-        P = self._P(sigma)
-        rG, rG0 = np.sqrt(self._G0 + self._E * sigma * P), np.sqrt(self._G0)
+        tends to n pi/2.
+
+        Where the remainder's denominator overflows (far out, or a large l),
+        its integrand is -1 / (sqrt(G0) (y + sigma + sqrt(y) sqrt(y + sigma)))
+        with y = G0 / (E P), which overflows nowhere.  A row whose sum is not
+        finite (P overflows, n >= 5) takes -E S / (sigma**2 g sqrt(G0)
+        (g + sqrt(G0) / r)) throughout, with `_far`'s S and g."""
         scale = self.l[:, None] * width / self.root2m
-        rest = _panel_sum(scale, -self._E * P / (rG * rG0 * (rG + rG0)))
-        if width.shape[1] > 1 and not np.isfinite(rest).all():  # one panel: E sigma P = O(Z)
-            power, g, S = self._far(sigma)
-            far = -self._E * S / (sigma * sigma * g * rG0 * (g + rG0 / (sigma * power)))
-            rest = np.where(np.isfinite(rest), rest, _panel_sum(scale, far))
+        with np.errstate(over="ignore", invalid="ignore"):  # the scaled forms replace what overflows
+            P = self._P(sigma)
+            rG, rG0 = np.sqrt(self._G0 + self._E * sigma * P), np.sqrt(self._G0)
+            den = rG * rG0 * (rG + rG0)
+            vals = -self._E * P / den
+        rest = _panel_sum(scale, vals)
+        if not den.max() < np.inf:
+            with np.errstate(over="ignore", divide="ignore"):
+                y = self._G0 / (self._E * P)
+                scaled = -1.0 / (rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma)))
+            mixed = _panel_sum(scale, np.where(den < np.inf, vals, scaled))
+            if np.isfinite(rest).all():
+                rest = mixed
+            else:
+                power, g, S = self._far(sigma)
+                with np.errstate(over="ignore"):  # sigma**2 beyond the float range: 0
+                    far = -self._E * S / (sigma * sigma * g * rG0 * (g + rG0 / (sigma * power)))
+                rest = np.where(np.isfinite(rest), mixed, _panel_sum(scale, far))
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
     def time(self, u: np.ndarray) -> np.ndarray:
@@ -303,8 +361,11 @@ class _RadialOrbit:
         """r, |p_r| = sqrt(2m G) u / r and the swept angle at a float u on a
         one-row orbit; far out, where r |p_r| overflows, from sqrt(G) / r."""
         sigma = self.s0 + u * u
-        r = sigma[0] ** (self.n / 2.0)
-        rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
+        # r |p_r| beyond the float range takes the far form; r beyond it ends
+        # the step with a DomainError
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = sigma[0] ** (self.n / 2.0)
+            rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
         p_r = rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
         u = np.array([u])
         return r, p_r, self._angle(u, *self._nodes(u))[0]
@@ -325,7 +386,8 @@ class _RadialOrbit:
             guess = np.zeros(1)
         else:
             u0, side0, t = start
-            guess = np.abs(side0 * u0 + t / self.rate(u0))
+            with np.errstate(over="ignore"):  # a tangent beyond the float range: see fmin
+                guess = np.abs(side0 * u0 + t / self.rate(u0))
         if not guess[0] > 0.0:
             guess = ((2 * self.n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * self.n - 1))
         guess = np.fmin(guess, _U_MAX)  # a tangent beyond the float range
@@ -335,9 +397,13 @@ class _RadialOrbit:
     def _power(self, guess: np.ndarray, target: float) -> int:
         def high(e: int) -> bool:
             u = np.ldexp(guess, e)
-            return not (u[0] < _U_MAX and self.time(u)[0] < target)
+            if not u[0] < _U_MAX:
+                return True
+            with np.errstate(over="ignore", invalid="ignore"):  # T beyond the float range is high
+                return not self.time(u)[0] < target
 
-        T = self.time(guess)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = self.time(guess)[0]
         if target <= T <= 2.0 * target:
             return 0
         up = T < target  # then e = 0 is low, else high
@@ -398,7 +464,7 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> S
     tol + rtol |x|, or after _SOLVE_MAX_ITER steps.  A single sample takes
     the same steps in Python floats (`_solve_one`).
     """
-    one = np.size(x) == np.size(lo) == np.size(hi) == 1
+    one = _size(x) == _size(lo) == _size(hi) == 1
     return (_solve_one if one else _solve_rows)(f, rate, t, x, lo, hi, tol, rtol)
 
 
@@ -437,7 +503,7 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
     a tie of signed zeros), and a zero rate gives numpy's quotient, an
     infinity with the signs of res and rate, so the step bisects.
     """
-    shape = (1,) * max(np.ndim(x), np.ndim(lo), np.ndim(hi))
+    shape = (1,) * max(_ndim(x), _ndim(lo), _ndim(hi))
     xa, ta, lo, hi = (float(np.asarray(v).item()) for v in (x, t, lo, hi))
     if xa != xa or lo != lo or hi != hi:
         xa = math.nan
@@ -467,7 +533,7 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
         xa = new
         if done:
             break
-    return Solve(np.full(shape, xa), iterations, f, t)
+    return Solve(np.array(xa).reshape(shape), iterations, f, t)
 
 
 class _ZeroEnergyOrbit:
@@ -538,7 +604,10 @@ class _ZeroEnergyOrbit:
 # comes from a table; the solve stops within a few ulps of phi, which near a
 # collision or a deep pericenter can be far below 1
 _PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
+_SIN2_GRID = np.sin(_PHI_GRID) ** 2
 _PHI_RTOL = 4.0 * np.spacing(1.0)
+# the chart's nodes and 1: phi itself, where T's integrand is dT/dphi / K
+_NODES_AND_END = np.append(_NODES, 1.0)
 
 
 # an orbit whose l**2/2m lies within this fraction of the circular value
@@ -577,6 +646,13 @@ class _BoundOrbit:
     on the chart's Gauss-Legendre nodes.  The orbit is symmetric about its
     apsides, so every other time reduces to [0, pi/2]: t modulo the radial
     period into [-P/2, P/2], then its distance from the pericenter.
+
+    One state (a `global_flow` step) pays for each quadrature once: the
+    period and apsidal angle come from the node pass of the start's phase
+    (`time_angle` of a float), each Newton round of a one-time `place`
+    reads T and dT/dphi from one pass (`time` of one phase), and the glue
+    runs in Python floats.  Many phases (`_sample`) take the array paths,
+    which compute the same bits.
     """
 
     def __init__(self, params: ModelParams, E: float, l: float, turning=None) -> None:
@@ -584,7 +660,7 @@ class _BoundOrbit:
         if n < 2 or not E < 0.0:
             raise ValueError("a bound orbit needs n >= 2 and E < 0")
         self.n, self.E, self.l = n, E, l
-        self.root2m = np.sqrt(2.0 * params.m)
+        self.root2m = math.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
         if turning is not None:
             self.s0, self.s1 = turning
@@ -603,8 +679,20 @@ class _BoundOrbit:
             coeffs.append(g[j] + self.s1 * coeffs[-1])
         self.R0 = -coeffs[-1]
         self._S = [-c for c in coeffs[:-1]]  # S = (R - R0)/sigma, Horner order
-        half_period, self.apsis = (float(v) for v in self.time_angle(np.pi / 2.0))
-        self.period = 2.0 * half_period
+        self._slope = None  # (phi, dT/dphi) of the last one-phase `time`
+
+    @functools.cached_property
+    def _apsides(self) -> tuple[float, float]:
+        """Half the radial period and the apsidal angle: T and the angle at pi/2."""
+        return tuple(float(v) for v in self._time_angle(np.pi / 2.0))
+
+    @property
+    def period(self) -> float:
+        return 2.0 * self._apsides[0]
+
+    @property
+    def apsis(self) -> float:
+        return self._apsides[1]
 
     @classmethod
     def through(cls, params: ModelParams, E: float, l: float, sigma: float, radial: float) -> "_BoundOrbit":
@@ -638,11 +726,11 @@ class _BoundOrbit:
             S = S * sigma + c
         return self.R0 + sigma * S, S
 
-    def _nodes(self, phi):
-        """phi as an array, sigma on the chart's nodes of [0, phi] (..., 32),
-        and sqrt(R) and S there."""
+    def _nodes(self, phi, nodes=_NODES):
+        """phi as an array, sigma on the nodes of [0, phi] (..., 32), and
+        sqrt(R) and S there."""
         phi = np.asarray(phi, dtype=float)
-        sigma = self.sigma(phi[..., None] * _NODES)
+        sigma = self.sigma(phi[..., None] * nodes)
         R, S = self._RS(sigma)
         return phi, sigma, np.sqrt(R), S
 
@@ -659,23 +747,43 @@ class _BoundOrbit:
         return self.n * (swept + self.l / self.root2m * remainder)
 
     def rate(self, phi):
-        """dT/dphi."""
+        """dT/dphi; at the phase of the last one-phase `time`, from its pass."""
+        if self._slope is not None and self._slope[0] is phi:
+            return self._slope[1]
         sigma = self.sigma(phi)
         return self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
 
     def time(self, phi):
-        """Time from the pericenter to phi in [0, pi/2], elementwise."""
-        return self._time(*self._nodes(phi)[:3])
+        """Time from the pericenter to phi in [0, pi/2], elementwise.
+
+        One phase (a (1,) array: a Newton round) takes phi itself as a 33rd
+        node, which the weights leave out; the integrand there is
+        dT/dphi / K, kept for `rate` at that phase."""
+        if np.shape(phi) != (1,):
+            return self._time(*self._nodes(phi)[:3])
+        x, sigma, rR, _ = self._nodes(phi, _NODES_AND_END)
+        vals = sigma ** (self.n - 1) / rR
+        self._slope = (phi, self.K * vals[:, CHART_NODES])
+        return self.K * (x * row_dot(vals[:, :CHART_NODES], _WEIGHTS))
 
     def angle(self, phi):
         """Polar angle swept from the pericenter to phi in [0, pi/2]."""
         phi, _, rR, S = self._nodes(phi)
         return self._angle(phi, rR, S)
 
-    def time_angle(self, phi):
-        """(time(phi), angle(phi)) from one pass over the nodes."""
+    def _time_angle(self, phi):
         phi, sigma, rR, S = self._nodes(phi)
         return self._time(phi, sigma, rR), self._angle(phi, rR, S)
+
+    def time_angle(self, phi):
+        """(time(phi), angle(phi)) from one pass over the nodes.  One phase
+        (a float) of an orbit whose apsides are not known yet stacks pi/2
+        on it, so that the same pass gives the period and apsidal angle."""
+        if _ndim(phi) or "_apsides" in self.__dict__:
+            return self._time_angle(phi)
+        T, theta = self._time_angle(np.array([np.pi / 2.0, phi]))
+        self._apsides = (float(T[0]), float(theta[0]))
+        return T[1], theta[1]
 
     def state(self, phi):
         """r, |p_r| and the swept angle at phi, elementwise: r |p_r| is
@@ -696,17 +804,18 @@ class _BoundOrbit:
         width = self.s1 - self.s0
         if width == 0.0:  # circular: every phase is the same state
             return 0.0
-        sin_cos = abs(radial) / (self.root2m * np.sqrt(self._RS(np.asarray(sigma))[0]) * width)
+        sin_cos = abs(radial) / (self.root2m * np.sqrt(self._RS(sigma)[0]) * width)
         if sigma - self.s0 <= self.s1 - sigma:
-            c = np.sqrt((self.s1 - sigma) / width)
+            c = math.sqrt((self.s1 - sigma) / width)
             return float(np.arctan2(sin_cos / c, c))
-        s = np.sqrt(max(sigma - self.s0, 0.0) / width)
+        s = math.sqrt(max(sigma - self.s0, 0.0) / width)
         return float(np.arctan2(s, sin_cos / s))
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """T on a grid of phi by the trapezoidal rule on dT/dphi, scaled to
         end at P/2: good to about 1e-4 of T, enough for Newton's first guess."""
-        rate = self.rate(_PHI_GRID)
+        sigma = self.s0 + (self.s1 - self.s0) * _SIN2_GRID
+        rate = self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
         T = np.concatenate(([0.0], np.cumsum(rate[1:] + rate[:-1])))
         return T * (0.5 * self.period / T[-1]), _PHI_GRID
 
@@ -717,10 +826,13 @@ class _BoundOrbit:
         that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
         its relative precision however many periods lie before it.  phi
         solves T(phi) = |tau| by Newton, first guess from a table of T, so
-        the start is not needed.
+        the start is not needed.  One finite time on an orbit of finite,
+        nonzero period takes the same steps in Python floats (`_place_one`).
         """
         ts = np.asarray(ts, dtype=float)
         P = self.period
+        if ts.shape == (1,) and math.isfinite(ts[0]) and 0.0 < P < math.inf:
+            return self._place_one(ts)
         tau = np.fmod(ts, P)
         tau = np.where(tau > 0.5 * P, tau - P, np.where(tau < -0.5 * P, tau + P, tau))
         k = np.round((ts - tau) / P)
@@ -732,6 +844,29 @@ class _BoundOrbit:
             guess[low] = self._first_phi(t[low])
         sol = _solve_increasing(self.time, self.rate, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
         return k, np.sign(tau), sol
+
+    def _place_one(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, Solve]:
+        """`place` of one time: fmod, the shift, np.round (half to even, and
+        the sign of a zero) and np.sign in floats."""
+        ts = ts.item()
+        P = self.period
+        tau = math.fmod(ts, P)
+        if tau > 0.5 * P:
+            tau -= P
+        elif tau < -0.5 * P:
+            tau += P
+        k = (ts - tau) / P
+        if math.isfinite(k):
+            k = math.copysign(round(k), k)
+        t = abs(tau)
+        T = self._table()[0]
+        if t < T[1]:
+            guess = self._first_phi(np.array([t]))[0]
+        else:
+            guess = float(np.interp(t, T, _PHI_GRID))
+        side = 1.0 if tau > 0.0 else -1.0 if tau < 0.0 else tau - tau  # NaN stays NaN
+        sol = _solve_increasing(self.time, self.rate, np.array([t]), np.array([guess]), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
+        return np.array([k]), np.array([side]), sol
 
     def _first_phi(self, t):
         """Newton's first guess for phi at times t below the table's first step.
@@ -857,7 +992,7 @@ def r_min(params: ModelParams, E: float, l2: float) -> float:
 
 def _sigma_min(params: ModelParams, E, l2):
     """sigma = r**(2/n) at the pericenter; elementwise, a float for scalars."""
-    if np.any(np.asarray(l2) < 0):
+    if (l2 < 0.0) if _ndim(l2) == 0 else np.any(np.asarray(l2) < 0):
         raise ValueError("l2 must be non-negative")
     if params.n == 2:
         return r_min_kepler(params, E, l2)
@@ -867,10 +1002,6 @@ def _sigma_min(params: ModelParams, E, l2):
 def _r_min_root(params: ModelParams, E: float, l2: float) -> float:
     """Pericenter radius by the Newton solver, any n >= 1."""
     return _sigma_root(params, E, l2) ** (params.n / 2.0)
-
-
-def _float_if_scalar(x: np.ndarray):
-    return x if x.ndim else float(x)
 
 
 def _peak(Z: float, n: int, E):
@@ -883,19 +1014,26 @@ def _peak(Z: float, n: int, E):
 def _sigma_root(params: ModelParams, E, l2):
     """Smallest root of f(s) = E s**n + Z s - l2/(2m), s = r**(2/n), by Newton.
 
-    Elementwise over E and l2; a float for scalars.  s = l2/(2 m Z) is the
-    root at E = 0 and the start.  Below the centrifugal maximum f is
-    increasing, concave for E < 0 and convex for E > 0, so the iterates
+    Elementwise over E and l2; a float for scalars.  One root (size-1
+    input) is found in Python floats (`_sigma_root_one`).  s = l2/(2 m Z)
+    is the root at E = 0 and the start.  Below the centrifugal maximum f
+    is increasing, concave for E < 0 and convex for E > 0, so the iterates
     climb to the root from below (E < 0) or descend to it from above
-    (E > 0).  Raises NoPericenterError when any row has no root.
+    (E > 0).  Where E s**n overflows at
+    that start, or the start lies so far above the root that the iteration
+    cap stops Newton on its way down, the root is found from
+    s = (l2/(2m E))**(1/n) instead, where f = Z s > 0 too.  Raises
+    NoPericenterError when any row has no root.
     """
     m, Z, n = params.m, params.Z, params.n
+    if _size(E) == _size(l2) == 1:
+        return _as_one(_sigma_root_one(_item(E), _item(l2), m, Z, n), E, l2)
     E, l2 = np.asarray(E, dtype=float), np.asarray(l2, dtype=float)
     rhs = l2 / (2.0 * m)
     if n == 1:
         if ((E + Z <= 0.0) & (rhs != 0.0)).any():
-            raise NoPericenterError("n = 1 requires positive kinetic energy E + Z")
-        return _float_if_scalar(rhs / np.where(rhs == 0.0, 1.0, E + Z))
+            raise NoPericenterError(_N1_NO_PERICENTER)
+        return rhs / np.where(rhs == 0.0, 1.0, E + Z)
     # for E < 0 the maximum of E s**n + Z s separates the two roots; rows
     # with E >= 0 take E = -1 here and are masked out
     bound = E < 0.0
@@ -903,13 +1041,63 @@ def _sigma_root(params: ModelParams, E, l2):
     above = bound & (peak < rhs)
     if above.any():
         k = np.argmax(above)
-        raise NoPericenterError(
-            f"no pericenter for E={E.flat[k]}, l2={l2.flat[k]}: angular momentum "
-            "above the circular-orbit threshold"
-        )
-    s = _monotone_newton(E, Z, n, rhs, rhs / Z).x
+        raise NoPericenterError(_above_threshold(E.flat[k], l2.flat[k]))
+    s = rhs / Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = (E > 0.0) & ~(E * _pow(s, n) < np.inf)
+    if far.any():
+        s = np.where(far, _pow(rhs / np.where(far, E, 1.0), 1.0 / n), s)
+    sol = _monotone_newton(E, Z, n, rhs, s)
+    s = sol.x
+    if sol.iterations == _NEWTON_MAX_ITER:
+        late = _cut_short(E, Z, n, rhs, s)
+        if late.any():
+            start = np.where(late, _pow(rhs / np.where(late, E, 1.0), 1.0 / n), s)
+            s = np.where(late, _monotone_newton(E, Z, n, rhs, start).x, s)
     # circular orbit: a double root, where Newton stops ~sqrt(eps) short
-    return _float_if_scalar(np.where(bound & (peak == rhs), s_peak, s))
+    return np.where(bound & (peak == rhs), s_peak, s)
+
+
+_N1_NO_PERICENTER = "n = 1 requires positive kinetic energy E + Z"
+
+
+def _above_threshold(E: float, l2: float) -> str:
+    return f"no pericenter for E={E}, l2={l2}: angular momentum above the circular-orbit threshold"
+
+
+def _sigma_root_one(E: float, l2: float, m: float, Z: float, n: int) -> float:
+    """`_sigma_root` of one float E and l2, in Python floats."""
+    rhs = l2 / (2.0 * m)
+    if n == 1:
+        if E + Z <= 0.0 and rhs != 0.0:
+            raise NoPericenterError(_N1_NO_PERICENTER)
+        return rhs / (1.0 if rhs == 0.0 else E + Z)
+    bound = E < 0.0
+    if bound:
+        s_peak, peak = _peak(Z, n, E)
+        if peak < rhs:
+            raise NoPericenterError(_above_threshold(E, l2))
+    s = rhs / Z
+    try:
+        far = E > 0.0 and not E * math.pow(s, n) < math.inf
+    except OverflowError:
+        far = True
+    if far:
+        s = _pow(rhs / E, 1.0 / n)
+    sol = _monotone_newton(E, Z, n, rhs, s)
+    s = float(sol.x)
+    if sol.iterations == _NEWTON_MAX_ITER and _cut_short(E, Z, n, rhs, s):
+        s = float(_monotone_newton(E, Z, n, rhs, _pow(rhs / E, 1.0 / n)).x)
+    return float(s_peak) if bound and peak == rhs else s
+
+
+def _cut_short(E, Z: float, n: int, rhs, s):
+    """Where the iteration cap, not convergence, stopped Newton at s: E > 0
+    and the next step still moves s down (a stopped row's next step is the
+    one that stopped it: zero, or up)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (E * _pow(s, n) + Z * s - rhs) / (n * E * _pow(s, n - 1) + Z)
+    return (E > 0.0) & (step > 0.0) & (s - step != s)
 
 
 # the monotone Newton converges in a handful of steps from its usual starts
@@ -930,8 +1118,8 @@ def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
     (`_newton_one`), unless a power overflows or the slope is 0 there: then
     the arrays' inf or NaN (`_newton_rows`) is the answer.
     """
-    ndim = max(np.ndim(E), np.ndim(rhs), np.ndim(s))
-    if ndim and not np.size(E) == np.size(rhs) == np.size(s) == 1:
+    ndim = max(_ndim(E), _ndim(rhs), _ndim(s))
+    if ndim and not _size(E) == _size(rhs) == _size(s) == 1:
         return _newton_rows(E, Z, n, rhs, s)
     try:
         return _newton_one(E, Z, n, rhs, s, (1,) * ndim)
@@ -975,18 +1163,34 @@ def _newton_rows(E, Z: float, n: int, rhs, s) -> Solve:
 
 def r_min_kepler(params: ModelParams, E, l2):
     """Closed-form Kepler pericenter radius (n = 2 only); elementwise, a
-    float for scalars."""
+    float for scalars; one radius (size-1 input) in Python floats.  Where
+    Z**2 + 2 E l2/m overflows, its root is sqrt(2E/m) sqrt(l2)."""
     if params.n != 2:
         raise ValueError("closed form only available for n = 2")
     m, Z = params.m, params.Z
+    if _size(E) == _size(l2) == 1:
+        return _as_one(_r_min_kepler_one(_item(E), _item(l2), m, Z), E, l2)
     E, l2 = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(E, l2))
-    disc = Z * Z + 2.0 * E * l2 / m
+    with np.errstate(over="ignore"):
+        disc = Z * Z + 2.0 * E * l2 / m
     if np.any(disc < 0.0):
         k = int(np.argmax(disc < 0.0))
         raise NoPericenterError(f"no pericenter for E={E.flat[k]}, l2={l2.flat[k]}")
+    root = np.sqrt(disc)
+    if not root.max(initial=0.0) < np.inf:
+        root = np.where(disc < np.inf, root, np.sqrt(2.0 * np.abs(E) / m) * np.sqrt(l2))
     # conjugate form of (-Z + sqrt(disc)) / (2E): no cancellation as E -> 0,
     # reduces to the parabolic branch l2/(2 m Z) at E = 0 exactly
-    return _float_if_scalar((l2 / m) / (Z + np.sqrt(disc)))
+    return (l2 / m) / (Z + root)
+
+
+def _r_min_kepler_one(E: float, l2: float, m: float, Z: float) -> float:
+    """`r_min_kepler` of one float E and l2, in Python floats."""
+    disc = Z * Z + 2.0 * E * l2 / m
+    if disc < 0.0:
+        raise NoPericenterError(f"no pericenter for E={E}, l2={l2}")
+    root = math.sqrt(disc) if disc < math.inf else math.sqrt(2.0 * E / m) * math.sqrt(l2)
+    return (l2 / m) / (Z + root)
 
 
 def _kepler_series(terms: int = 18) -> tuple[np.ndarray, np.ndarray]:
@@ -1181,15 +1385,18 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
     _require_finite("start's radius, energy or angular momentum", state, t, sigma, E, l * l, radial or 0.0)
     # an orbit whose apocenter lies beyond the float range (E > -1e-154 for
     # n = 2) flows as E = 0: no step can tell the two apart
-    if E < 0.0 and math.log(params.Z / -E) * params.n / (params.n - 1.0) < 700.0:
+    bound = E < 0.0 and math.log(params.Z / -E) * params.n / (params.n - 1.0) < 700.0
+    if bound:
         orbit = _BoundOrbit.through(params, E, l, sigma, radial)
-        _require_finite("start's orbit", state, t, orbit.s0, orbit.s1, orbit.period, orbit.apsis)
+        _require_finite("start's orbit", state, t, orbit.s0, orbit.s1)
     else:
         orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
         _require_finite("start's orbit", state, t, orbit.s0[0], orbit.G0[0])
     step = _step(orbit, sigma, radial, t)
+    if bound:  # the step's first node pass gave them
+        _require_finite("start's orbit", state, t, orbit.period, orbit.apsis)
     _require_finite("end state", state, t, step.r, step.swept, step.pericenter)
-    kind = "collision orbit" if l == 0.0 else "bound" if isinstance(orbit, _BoundOrbit) else "unbound"
+    kind = "collision orbit" if l == 0.0 else "bound" if bound else "unbound"
     work = step.periods, step.iterations
     if step.r * step.r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
         lrl = _lrl_complex(params, 1j * np.exp(1j * (step.pericenter / params.n)))

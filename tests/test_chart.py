@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -1222,3 +1222,123 @@ class TestOneRowSolve:
             for phi in (np.pi / 2.0, 0.0, np.array([0.3]), rng.uniform(0.0, np.pi / 2.0, 50)):
                 T, theta = orbit.time_angle(phi)
                 assert same_bits(T, orbit.time(phi)) and same_bits(theta, orbit.angle(phi))
+
+
+class TestOneStatePath:
+    """A one-state bound step pays for each quadrature once: each Newton
+    round reads T and dT/dphi from one node pass, the period and the start
+    share one stacked pass, and the turning points and placement glue run
+    in Python floats.  The many-row paths are its oracles, bit for bit."""
+
+    FRACS = (0.0, 1e-6, 0.35, 0.999)  # of the circular orbit's l
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fused_round_is_time_and_rate(self, n):
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(n)
+        for frac in self.FRACS:
+            orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
+            for x in (0.0, np.pi / 2.0, 1e-9, *rng.uniform(0.0, np.pi / 2.0, 20)):
+                phi = np.array([x])
+                T = orbit.time(phi)  # one phase: phi is the pass's 33rd node
+                dT = orbit.rate(phi)  # read from that pass
+                assert orbit._slope[0] is phi
+                rows = np.array([x, x])  # two phases: 32 nodes, and dT/dphi alone
+                assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stacked_pass_is_two_passes(self, n):
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(10 + n)
+        for frac in self.FRACS:
+            l = frac * circular_l(params, -0.5)
+            for x in (0.0, np.pi / 2.0, *rng.uniform(0.0, np.pi / 2.0, 10)):
+                stacked, alone = chart._BoundOrbit(params, -0.5, l), chart._BoundOrbit(params, -0.5, l)
+                passes = []
+                one_pass = stacked._time_angle
+                stacked._time_angle = lambda phi: (passes.append(np.shape(phi)), one_pass(phi))[1]
+                T, theta = stacked.time_angle(x)  # a float: pi/2 stacked on it
+                half, apsis = alone._time_angle(np.pi / 2.0)
+                assert same_bits(T, alone._time_angle(x)[0]) and same_bits(theta, alone._time_angle(x)[1])
+                assert same_bits(stacked.period, 2.0 * float(half)) and same_bits(stacked.apsis, float(apsis))
+                assert passes == [(2,)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the rows' double root can divide by 0
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        case=st.sampled_from(["bound", "double root", "near circular", "cut", "unbound", "far", "cap", "l = 0"]),
+        a=st.floats(0.0, 1.0),
+        b=st.floats(-6.0, 3.0),
+    )
+    @example(n=2, case="far", a=1.0, b=3.0)
+    @example(n=3, case="far", a=0.5, b=0.0)
+    @example(n=3, case="cap", a=1.0, b=0.0)
+    @example(n=6, case="cap", a=0.5, b=-6.0)
+    @example(n=4, case="double root", a=0.0, b=0.0)
+    def test_scalar_turning_points_are_the_rows(self, n, case, a, b):
+        # floats in, the rows' bits out: the pericenter, the peak of
+        # E s**n + Z s, NoPericenterError alike
+        params = ModelParams(n=n, d=2)
+        m, Z = params.m, params.Z
+        E = -(10.0**b)
+        if case == "cut":  # just inside E > -1e-154 (n = 2), where bound orbits end
+            E = -Z * np.exp(-700.0 * (n - 1.0) / n) * (1.0 + 1e-3 * a)
+        elif case in ("unbound", "far", "cap") or (case == "l = 0" and a > 0.5):
+            # far: E s**n (n >= 3) or 2 E l2/m (n = 2) overflows at the root's start
+            E = 10.0 ** {"cap": b + 40.0 * a, "far": b + 6.0}.get(case, b)
+        if E < 0.0:
+            s_peak, peak = chart._peak(Z, n, E)
+            rows_peak = chart._peak(Z, n, np.full(2, E))
+            assert same_bits(s_peak, rows_peak[0][0]) and same_bits(peak, rows_peak[1][0])
+            rhs = {"double root": peak, "near circular": peak * (1.0 - 1e-2 * a), "l = 0": 0.0}.get(case, a * peak)
+        else:
+            rhs = {"far": 10.0 ** (200.0 + 100.0 * a), "cap": 10.0**b * E, "l = 0": 0.0}.get(case, 10.0 ** (16 * a - 8))
+        l2 = 2.0 * m * rhs
+        try:
+            one = chart._sigma_min(params, E, l2)
+        except chart.NoPericenterError:
+            with pytest.raises(chart.NoPericenterError):
+                chart._sigma_min(params, np.full(2, E), np.full(2, l2))
+            return
+        rows = chart._sigma_min(params, np.full(2, E), np.full(2, l2))
+        assert type(one) is float and same_bits(np.float64(one), rows[0])
+        assert np.isfinite(one)
+        if case == "near circular" and rhs > 0.0:
+            s_c = chart._peak(Z, n, E)[0]
+            sigma = s_c * (1.0 + 1e-3 * (a - 0.5))
+            orbit = chart._BoundOrbit.through(params, E, np.sqrt(l2), sigma, 0.0)
+            assert orbit.s0 <= s_c <= orbit.s1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_time_place_is_the_array_place(self, n):
+        # the float glue (fmod, the half-period shift, round, the sign, the
+        # table guess) against the arrays: k, side, phi and the iterations
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(20 + n)
+        for frac in self.FRACS:
+            orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
+            P, first = orbit.period, orbit._table()[0][1]
+            times = [0.0, -0.0, 1e-300, 0.3 * first, -0.7 * first, first, P, -P, 7.0 * P, 0.5 * P,
+                     -0.5 * P, 2.5 * P, -3.5 * P, 1e300, -1e300, *rng.uniform(-50.0, 50.0, 20) * P]
+            for t in times:
+                k, side, sol = orbit.place(np.array([t]))
+                K, S, rows = orbit.place(np.array([t, t]))
+                assert same_bits(k, K[:1]) and same_bits(side, S[:1]) and same_bits(sol.x, rows.x[:1])
+                assert sol.iterations == rows.iterations
+
+    def test_one_state_step_takes_the_one_state_path(self, monkeypatch):
+        # a bound global_flow step: one stacked pass, fused Newton rounds,
+        # then the end angle; no rows solve and no separate period pass
+        params = ModelParams(n=3, d=2)
+        shapes = []
+        one_pass = chart._BoundOrbit._time_angle
+
+        def spy(self, phi):
+            shapes.append(np.shape(phi))
+            return one_pass(self, phi)
+
+        monkeypatch.setattr(chart._BoundOrbit, "_time_angle", spy)
+        monkeypatch.setattr(chart, "_solve_rows", None)
+        chart.global_flow(params, PhasePoint(np.array([0.25, 0.0]), np.array([0.3, 1.3])), 0.7)
+        assert shapes == [(2,)]

@@ -230,8 +230,9 @@ class TestSimulate:
             ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e308], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
             # |q|**2 overflows: the start's radius is not finite
             ({"q": [1e200, 0.0], "p": [0.0, 1.0]}, [0.0, 1.0], "t=0.0 failed at the state q=[1e+200, 0.0] p=[0.0, 1.0]"),
-            # the orbit constants of a finite start overflow
-            ({"q": [1e120, 0.0], "p": [0.0, 1.0]}, [0.5, 1.0], "t=0.0 failed at the state q=[1e+120, 0.0] p=[0.0, 1.0]"),
+            # the orbit constants of a finite start overflow: 3E, the slope of
+            # the pericenter root's Newton, does
+            ({"q": [1e-100, 0.0], "p": [1.2e154, 0.0]}, [0.5, 1.0], "t=0.0 failed at the state q=[1e-100, 0.0] p=[1.2e+154, 0.0]"),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -263,6 +264,22 @@ class TestSimulate:
         q, p = calls[2].x.q.tolist(), calls[2].x.p.tolist()
         (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert line == f"flow step from t=0.05 failed at the state q={q} p={p}: not finite"
+
+    def test_far_out_second_step_flows(self, tmp_path):
+        # the first step of 5e149 ends near |q| = 8.5e150, where E s**n
+        # overflows at the pericenter root's first start s = l**2/(2mZ)
+        cfg = write_config(
+            tmp_path,
+            {"params": {"n": 3, "d": 2}, "initial": {"q": [0.05, 0.0], "p": [0.0, 20.0]},
+             "t_span": [0.0, 1e150], "output_points": 3},
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        rows = [list(map(float, line.split(",")[:6])) for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [0.0, 5e149, 1e150]
+        speed = np.sqrt(2.0 * rows[0][5])  # sqrt(2H/m), m = 1: the far-out speed
+        for t, q1, q2, p1, p2, _ in rows[1:]:
+            assert np.hypot(q1, q2) / t == pytest.approx(speed, rel=1e-12)
+            assert np.hypot(p1, p2) == pytest.approx(speed, rel=1e-12)
 
     def test_zero_span_single_row(self, tmp_path):
         cfg = write_config(

@@ -7,6 +7,7 @@ O(d) equivariance and the homogeneity scaling).
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -198,7 +199,8 @@ class TestNonFinite:
         "q,p,t,what",
         [
             ([0.05, 0.0], [0.0, 20.0], 1e308, "end state"),  # r = 1.7e309
-            ([1e120, 0.0], [0.0, 1.0], 1.0, "start's orbit"),  # ended as NaN
+            # 3E overflows: the pericenter root's Newton slope, and so s0, is NaN
+            ([1e-100, 0.0], [1.2e154, 0.0], 1.0, "start's orbit"),
             ([1e200, 0.0], [0.0, 1.0], 1.0, "start's radius"),  # |q|**2 overflows; raised OverflowError
             ([0.05, 0.0], [0.0, 1.0], float("inf"), "time"),
             ([0.05, 0.0], [0.0, 1.0], float("nan"), "time"),
@@ -232,9 +234,10 @@ class TestNonFinite:
 
 class TestHugeTimes:
     """Unbound orbits far beyond any physical time scale: the flow stays
-    finite until r itself leaves the float range."""
+    finite until r itself leaves the float range, and warns of nothing on
+    the way, though its first attempts overflow where the far forms take
+    over."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unbound_orbit_recedes_at_its_asymptotic_speed(self):
         # the tangent first guess overshoots by up to 1e200 here, and T's
         # integrand overflows on the way out
@@ -250,7 +253,6 @@ class TestHugeTimes:
         with pytest.raises(DomainError, match="the end state is not finite"):
             chart.global_flow(params, x, 1.06e307)  # r = 1.81e308
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("n", [5, 6])
     def test_swept_angle_stays_finite_where_P_overflows(self, n):
         # P(sigma) ~ sigma**(n-2) overflows long before r does for n >= 5
@@ -264,6 +266,58 @@ class TestHugeTimes:
             assert r / abs(t) == pytest.approx(speed, rel=1e-12)
             # the direction has settled by t = 1e100, where P is finite
             assert np.abs(q / r - near / np.linalg.norm(near)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_valid_huge_steps_warn_of_nothing(self, n):
+        # the steps return the right state; an overflow on the way is the
+        # far forms' business, not the caller's.  At t = 1e229 (n = 3) G
+        # overflows where sigma**2 does not, so T's integrand takes its far
+        # form there
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 20.0]))
+        speed = np.sqrt(2.0 * hamiltonian(params, x) / params.m)
+        for t in (1e60, -1e60, 1e100, 1e150, -1e150, 1e200, 1e229, -1e229, 1e250, 1e300, -1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                y = chart.global_flow(params, x, t).x
+            assert np.hypot(*y.q) / abs(t) == pytest.approx(speed, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "q,p",
+        [
+            # the state `simulate` reaches after one step of 5e149 from
+            # q = (0.05, 0), p = (0, 20) (n = 3): E s**n overflows at the
+            # pericenter root's first start s = l**2/(2mZ), and far out the
+            # remainder of the swept angle overflows its denominator
+            # (l = 6.7e148)
+            ([-1.67e150, 8.37e150], [-3.34, 16.7]),
+            ([1e120, 0.0], [0.0, 1.0]),
+        ],
+    )
+    def test_far_out_start_moves_on_a_straight_line(self, q, p):
+        # the force at r = 1e120 bends nothing in float precision
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = PhasePoint(np.array(q), np.array(p))
+        for t in (1.0, -1.0, 1e20, 1e100, 1e150, -1e150, 1e160, -1e160, 1e200, 1e250, 1e300, -1e300):
+            y = chart.global_flow(params, x, t).x
+            line = x.q + x.p * (t / params.m)
+            scale = np.hypot(*line)
+            assert np.hypot(*(y.q / scale - line / scale)) <= 1e-12
+            assert np.hypot(*(y.p - x.p)) <= 1e-12 * np.hypot(*x.p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_huge_energy_start_moves_on_a_straight_line(self, n):
+        # kinetic energy up to 1e160 times the potential at r = 1: from
+        # s = l**2/(2mZ) the pericenter root needs more Newton steps than
+        # the cap allows (n >= 3), and the n = 2 discriminant overflows
+        params = ModelParams(n=n, d=2, eps=0.1)
+        for P in (1e20, 1e40, 1e80):
+            x = PhasePoint(np.array([1.0, 0.0]), np.array([-0.3 * P, P]))
+            for t in (1e-3 / P, 1.0 / P, 1e3 / P, -1.0 / P):
+                y = chart.global_flow(params, x, t).x
+                line = x.q + x.p * (t / params.m)
+                assert np.linalg.norm(y.q - line) <= 1e-12 * np.linalg.norm(line)
+                assert np.linalg.norm(y.p - x.p) <= 1e-12 * P
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_power_search_is_the_linear_scan(self, n):
