@@ -23,6 +23,7 @@ covering-ODE route to the chart's pericenter as an independent check.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -209,8 +210,20 @@ CHART_NODES = 32
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(CHART_NODES)
 _NODES = 0.5 * (_NODES + 1.0)
 _WEIGHTS = 0.5 * _WEIGHTS
+# the nodes and 1: the end of [0, x] itself, where T's integrand is dT/dx / K
+_NODES_AND_END = np.append(_NODES, 1.0)
 # u beyond which sigma = s0 + u**2 overflows
 _U_MAX = np.sqrt(np.finfo(float).max)
+# a bound far enough below the float range that products of three such
+# values stay in it (`_RadialOrbit._tame`)
+_TAME = 1e100
+_CALM = contextlib.nullcontext()
+
+
+def _quiet(tame: bool, **ignore):
+    """np.errstate(**ignore), or no context where `tame` says that nothing
+    can overflow."""
+    return _CALM if tame else np.errstate(**ignore)
 
 
 class _RadialOrbit:
@@ -234,6 +247,10 @@ class _RadialOrbit:
     u_P = 4 sin(pi/(2n-2)) u_S the integrals are summed over the panels
     [0, u_P], [u_P, 2 u_P], [2 u_P, 4 u_P], ..., each far enough from those
     zeros for its 32-node rule; a row with u <= u_P keeps one panel, bit for bit.
+
+    One orbit (a `global_flow` step, `chart_inverse`) reads T and dT/du of a
+    Newton round from one node pass (`time` of one u), and enters no
+    np.errstate where nothing can overflow (`_tame`).
     """
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
@@ -251,6 +268,19 @@ class _RadialOrbit:
         # the constants as columns against the nodes, and the powers of s0 in P
         self._E, self._s0, self._G0 = E[:, None], self.s0[:, None], self.G0[:, None]
         self._s0_powers = [_pow(self._s0, j + 1) for j in range(n - 2)]
+        self._slope = None  # (u, dT/du) of the last one-row `time`
+        # nothing can overflow on one row out to u**2 = _u2_tame (-1: nowhere):
+        # there sigma**(n-1) max(1, n E) <= _TAME, so G <= 2 _TAME, and with
+        # E, G0, K and sqrt(2m) <= _TAME every product stays finite
+        self._u2_tame = -1.0
+        if E.shape == (1,) and all(v <= _TAME for v in (E[0], self.G0[0], self.K, self.root2m)):
+            self._u2_tame = (_TAME / max(1.0, n * float(E[0]))) ** (1.0 / max(1, n - 1)) - float(self.s0[0])
+
+    def _tame(self, u) -> bool:
+        """Whether nothing out to u (a float or a (1,) array) can overflow, so
+        that no np.errstate is needed: entering one costs about 1 us."""
+        x = u if isinstance(u, float) else u[0] if u.shape == (1,) else math.inf
+        return x * x <= self._u2_tame
 
     def _P(self, sigma: np.ndarray):
         P = 0.0 if self.n == 1 else 1.0
@@ -290,9 +320,12 @@ class _RadialOrbit:
 
     def rate(self, u: np.ndarray) -> np.ndarray:
         """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); beyond
-        the float range far out, where Newton bisects instead."""
+        the float range far out, where Newton bisects instead.  At the u of
+        the last one-row `time`, from its pass."""
+        if self._slope is not None and self._slope[0] is u:
+            return self._slope[1]
         sigma = (self.s0 + u * u)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet(self._tame(u), over="ignore", invalid="ignore"):
             return (self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))[:, 0]
 
     def _time(self, sigma, width) -> np.ndarray:
@@ -319,33 +352,48 @@ class _RadialOrbit:
 
         Where the remainder's denominator overflows (far out, or a large l),
         its integrand is -1 / (sqrt(G0) (y + sigma + sqrt(y) sqrt(y + sigma)))
-        with y = G0 / (E P), which overflows nowhere.  A row whose sum is not
-        finite (P overflows, n >= 5) takes -E S / (sigma**2 g sqrt(G0)
-        (g + sqrt(G0) / r)) throughout, with `_far`'s S and g."""
+        with y = G0 / (E P), which overflows nowhere (y = (G0 / E) / P where
+        E P overflows: a huge E).  A row where P itself overflows (n >= 5)
+        takes -E S / (sigma**2 g sqrt(G0) (g + sqrt(G0) / r)) throughout, with
+        `_far`'s S and g, where that sum is finite."""
         scale = self.l[:, None] * width / self.root2m
-        with np.errstate(over="ignore", invalid="ignore"):  # the scaled forms replace what overflows
+        tame = self._tame(u)
+        with _quiet(tame, over="ignore", invalid="ignore"):  # the scaled forms replace what overflows
             P = self._P(sigma)
             rG, rG0 = np.sqrt(self._G0 + self._E * sigma * P), np.sqrt(self._G0)
             den = rG * rG0 * (rG + rG0)
             vals = -self._E * P / den
         rest = _panel_sum(scale, vals)
-        if not den.max() < np.inf:
-            with np.errstate(over="ignore", divide="ignore"):
-                y = self._G0 / (self._E * P)
+        if not (tame or math.isfinite(float(den.max()) + float(rest.sum()))):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                EP = self._E * P
+                y = np.where(EP < np.inf, self._G0 / EP, self._G0 / self._E / P)
                 scaled = -1.0 / (rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma)))
-            mixed = _panel_sum(scale, np.where(den < np.inf, vals, scaled))
+            mixed = _panel_sum(scale, np.where((den < np.inf) & np.isfinite(vals), vals, scaled))
             if np.isfinite(rest).all():
                 rest = mixed
             else:
                 power, g, S = self._far(sigma)
-                with np.errstate(over="ignore"):  # sigma**2 beyond the float range: 0
-                    far = -self._E * S / (sigma * sigma * g * rG0 * (g + rG0 / (sigma * power)))
-                rest = np.where(np.isfinite(rest), mixed, _panel_sum(scale, far))
+                # sigma**2 beyond the float range: 0; near a huge E's pericenter
+                # G0 / sigma**n and E S overflow, so only rows where P does take it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    far = _panel_sum(scale, -self._E * S / (sigma * sigma * g * rG0 * (g + rG0 / (sigma * power))))
+                wild = np.isinf(np.broadcast_to(P, sigma.shape)).any(axis=1) & np.isfinite(far)
+                rest = np.where(np.isfinite(rest) | ~wild, mixed, far)
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
     def time(self, u: np.ndarray) -> np.ndarray:
-        """Time from the pericenter out to u."""
-        return self._time(*self._nodes(u))
+        """Time from the pericenter out to u.
+
+        One row within u_P (a (1,) u: a Newton round) takes u itself as a
+        33rd node, which the weights leave out; dT/du there is kept for
+        `rate` at that u, in `rate`'s order of operations."""
+        if u.shape != (1,) or u[0] * self._inv_u_P[0] > 1.0:
+            return self._time(*self._nodes(u))
+        sigma = self._s0 + (u[:, None] * _NODES_AND_END) ** 2
+        power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
+        self._slope = (u, self.K * power[:, CHART_NODES] / rG[:, CHART_NODES])
+        return _panel_sum(self.K * u[:, None], (power / rG)[:, :CHART_NODES])
 
     def time_angle(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Time and polar angle swept out to u, from one pass over the nodes."""
@@ -354,8 +402,14 @@ class _RadialOrbit:
 
     def phase(self, sigma, radial) -> np.ndarray:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
-        |radial| = sqrt(2m G) u, free of cancellation near s0."""
-        return np.abs(radial) / (self.root2m * np.sqrt(self.G(np.reshape(sigma, (-1, 1)))[:, 0]))
+        |radial| = sqrt(2m G) u, free of cancellation near s0.  A row where G
+        overflows (E near the float range) cannot be placed: its u is NaN."""
+        sigma = np.reshape(sigma, (-1, 1))
+        tame = sigma.shape == (1, 1) and sigma[0, 0] - self.s0[0] <= self._u2_tame
+        with _quiet(tame, over="ignore"):
+            rG = np.sqrt(self.G(sigma))[:, 0]
+        u = np.abs(radial) / (self.root2m * rG)
+        return u if tame or rG.max() < np.inf else np.where(rG < np.inf, u, np.nan)
 
     def state(self, u) -> tuple[float, float, float]:
         """r, |p_r| = sqrt(2m G) u / r and the swept angle at a float u on a
@@ -363,7 +417,7 @@ class _RadialOrbit:
         sigma = self.s0 + u * u
         # r |p_r| beyond the float range takes the far form; r beyond it ends
         # the step with a DomainError
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet(self._tame(u), over="ignore", invalid="ignore"):
             r = sigma[0] ** (self.n / 2.0)
             rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
         p_r = rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
@@ -386,7 +440,7 @@ class _RadialOrbit:
             guess = np.zeros(1)
         else:
             u0, side0, t = start
-            with np.errstate(over="ignore"):  # a tangent beyond the float range: see fmin
+            with np.errstate(over="ignore", divide="ignore"):  # a tangent beyond the float range: see fmin
                 guess = np.abs(side0 * u0 + t / self.rate(u0))
         if not guess[0] > 0.0:
             guess = ((2 * self.n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * self.n - 1))
@@ -399,10 +453,10 @@ class _RadialOrbit:
             u = np.ldexp(guess, e)
             if not u[0] < _U_MAX:
                 return True
-            with np.errstate(over="ignore", invalid="ignore"):  # T beyond the float range is high
+            with _quiet(self._tame(u), over="ignore", invalid="ignore"):  # T beyond the float range is high
                 return not self.time(u)[0] < target
 
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet(self._tame(guess), over="ignore", invalid="ignore"):
             T = self.time(guess)[0]
         if target <= T <= 2.0 * target:
             return 0
@@ -434,7 +488,7 @@ class Step(NamedTuple):
     swept: float
     pericenter: float
     periods: float  # whole radial periods since the start's pericenter
-    iterations: int  # of the Newton solve for the end
+    solve: Solve  # the Newton solve for the end
 
 
 class Solve(NamedTuple):
@@ -606,8 +660,6 @@ class _ZeroEnergyOrbit:
 _PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
 _SIN2_GRID = np.sin(_PHI_GRID) ** 2
 _PHI_RTOL = 4.0 * np.spacing(1.0)
-# the chart's nodes and 1: phi itself, where T's integrand is dT/dphi / K
-_NODES_AND_END = np.append(_NODES, 1.0)
 
 
 # an orbit whose l**2/2m lies within this fraction of the circular value
@@ -898,16 +950,20 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     tau0, theta0, start = 0.0, 0.0, None
     if radial is not None:
         x0 = orbit.phase(sigma, radial)
+        if not math.isfinite(_item(x0)):  # the start cannot be placed: no step
+            return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
         side0 = 1.0 if radial >= 0.0 else -1.0
         tau0, theta0 = (side0 * v.item() for v in orbit.time_angle(x0))
         start = (x0, side0, t)
     k, side, sol = orbit.place(np.array([tau0 + t]), start)
     x, side = sol.x[0], side[0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision
+    # p_r is unbounded at the collision: r = 0 where s0 = 0, or r underflows
+    s0 = _item(orbit.s0)
+    with _quiet(s0 > 0.0 and math.log(s0) * orbit.n > -1380.0, divide="ignore", invalid="ignore"):
         r, p_r, angle = orbit.state(x)
     pericenter = -theta0 if k is None else 2.0 * k[0] * orbit.apsis - theta0
     periods = 0.0 if k is None else float(k[0])
-    return Step(float(r), float(side * p_r), pericenter + float(side * angle), pericenter, periods, sol.iterations)
+    return Step(float(r), float(side * p_r), pericenter + float(side * angle), pericenter, periods, sol)
 
 
 _SAMPLE_CHUNK = 512  # times per `place` in `_sample`
@@ -1043,10 +1099,12 @@ def _sigma_root(params: ModelParams, E, l2):
         k = np.argmax(above)
         raise NoPericenterError(_above_threshold(E.flat[k], l2.flat[k]))
     s = rhs / Z
-    with np.errstate(over="ignore", invalid="ignore"):
-        far = (E > 0.0) & ~(E * _pow(s, n) < np.inf)
-    if far.any():
-        s = np.where(far, _pow(rhs / np.where(far, E, 1.0), 1.0 / n), s)
+    E_max = float(E.max(initial=-math.inf))
+    if E_max > 0.0 and not (E_max < math.inf and float(s.max(initial=0.0)) <= 1.0):  # else E s**n <= E
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = (E > 0.0) & ~(E * _pow(s, n) < np.inf)
+        if far.any():
+            s = np.where(far, _pow(rhs / np.where(far, E, 1.0), 1.0 / n), s)
     sol = _monotone_newton(E, Z, n, rhs, s)
     s = sol.x
     if sol.iterations == _NEWTON_MAX_ITER:
@@ -1132,9 +1190,12 @@ def _newton_one(E, Z: float, n: int, rhs, s, shape: tuple) -> Solve:
     that shape, or a float64 for shape ()."""
     f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
     E, t, s = (float(np.asarray(v).item()) for v in (E, rhs, s))
+    nE = n * E
     last = 0.0  # the sign of the last step, as np.sign gives it to the rows
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        step = (E * s**n + Z * s - t) / (n * E * s ** (n - 1) + Z)
+        power = s ** (n - 1)
+        slope = nE * power if abs(nE) < math.inf else n * (E * power)
+        step = (E * s**n + Z * s - t) / (slope + Z)
         new = s - step
         if new == s or last * step < 0.0:
             break
@@ -1143,21 +1204,29 @@ def _newton_one(E, Z: float, n: int, rhs, s, shape: tuple) -> Solve:
 
 
 def _newton_rows(E, Z: float, n: int, rhs, s) -> Solve:
-    """`_monotone_newton` on arrays, any number of roots."""
+    """`_monotone_newton` on arrays, any number of roots.
+
+    The slope is n E s**(n-1) + Z, except where n E overflows (E beyond
+    1.8e308 / n): there it is n (E s**(n-1)), which at s = 0 is 0, where
+    (n E) 0 would be NaN."""
     f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
     E, rhs, s = (np.asarray(v, dtype=float) for v in (E, rhs, s))
-    slope = n * E
+    wide = not float(np.abs(E).max(initial=0.0)) * n < math.inf
     last, done = 0.0, False  # per row after the first step: its sign, and the stop
     iterations = 0
-    while iterations < _NEWTON_MAX_ITER:
-        iterations += 1
-        step = (E * _pow(s, n) + Z * s - rhs) / (slope * _pow(s, n - 1) + Z)
-        new = s - step
-        done |= (new == s) | (last * step < 0.0)
-        s = np.where(done, s, new)
-        if done.all():
-            break
-        last = np.sign(step)
+    with _quiet(not wide, over="ignore", invalid="ignore"):
+        nE = n * E
+        while iterations < _NEWTON_MAX_ITER:
+            iterations += 1
+            power = _pow(s, n - 1)
+            slope = np.where(np.isinf(nE), n * (E * power), nE * power) if wide else nE * power
+            step = (E * _pow(s, n) + Z * s - rhs) / (slope + Z)
+            new = s - step
+            done |= (new == s) | (last * step < 0.0)
+            s = np.where(done, s, new)
+            if done.all():
+                break
+            last = np.sign(step)
     return Solve(s, iterations, f, rhs)
 
 
@@ -1349,7 +1418,8 @@ def global_flow(
     Raises DomainError when the start's radius, energy, angular momentum or
     orbit constants, or the end state, are not finite: a start or a time
     beyond the float range.  Under DEBUG logging each call logs one line: the
-    orbit class, the whole radial periods and the Newton iterations.
+    orbit class, the whole radial periods, the Newton iterations and the
+    final |T(x) - t| of the solve (one more pass of T, taken only then).
     """
     state: ExtendedPoint = Regular(x0) if isinstance(x0, PhasePoint) else x0
     if t == 0.0:
@@ -1357,31 +1427,32 @@ def global_flow(
     t = float(t)
     _require_finite("time", state, t, t)
     if params.n == 1:
-        end, kind, work = _line_flow(params, state, t), "n = 1 line", (0.0, 0)
+        end, kind, periods, sol = _line_flow(params, state, t), "n = 1 line", 0.0, None
         if isinstance(end, Regular):
             _require_finite("end state", state, t, *end.x.q, *end.x.p)
     else:
-        end, kind, work = _orbit_flow(params, state, t)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d", kind, t, *work)
+        end, kind, periods, sol = _orbit_flow(params, state, t)
+    if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
+        log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d residual=%r", kind, t, periods,
+                  *((sol.iterations, sol.residual()) if sol is not None else (0, 0.0)))
     return end
 
 
 def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
     """`global_flow` for n >= 2: the end state, the orbit's class, and the
-    step's whole periods and Newton iterations."""
+    step's whole periods and Newton solve."""
     if isinstance(state, Collision):
         a = state.a / np.linalg.norm(state.a)
         e1, e2 = _pericenter_frame(params.n, a, cov._completion(a))
         E, l, sigma, radial = state.h, 0.0, 0.0, None
     else:
-        x = state.x
-        e1, e2, qc, pc = (v[0] for v in cov.plane_reduce_rows(x.q[None], x.p[None]))
-        E = hamiltonian(params, x)
-        l = float(qc.real * pc.imag - qc.imag * pc.real)
+        frame, qc, pc = cov.plane_reduce(state.x)
+        e1, e2 = frame.e1, frame.e2
+        r, E, radial = _radius_energy_radial(params, state.x)
+        l = qc.real * pc.imag - qc.imag * pc.real
         if l < 0.0:  # rounding on a collision orbit: turn the frame instead
             e2, l = -e2, -l
-        sigma, radial = _pow(x.r, 2.0 / params.n), x.radial
+        sigma = _pow(r, 2.0 / params.n)
     _require_finite("start's radius, energy or angular momentum", state, t, sigma, E, l * l, radial or 0.0)
     # an orbit whose apocenter lies beyond the float range (E > -1e-154 for
     # n = 2) flows as E = 0: no step can tell the two apart
@@ -1393,17 +1464,27 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
         orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
         _require_finite("start's orbit", state, t, orbit.s0[0], orbit.G0[0])
     step = _step(orbit, sigma, radial, t)
-    if bound:  # the step's first node pass gave them
-        _require_finite("start's orbit", state, t, orbit.period, orbit.apsis)
+    # the step's first node pass gave the period and apsis, and places the start
+    _require_finite("start's orbit", state, t, *((orbit.period, orbit.apsis) if bound else (step.pericenter,)))
     _require_finite("end state", state, t, step.r, step.swept, step.pericenter)
     kind = "collision orbit" if l == 0.0 else "bound" if bound else "unbound"
-    work = step.periods, step.iterations
     if step.r * step.r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
         lrl = _lrl_complex(params, 1j * np.exp(1j * (step.pericenter / params.n)))
         a = lrl.real * e1 + lrl.imag * e2
-        return Collision(h=E, a=a / np.linalg.norm(a)), kind, work
+        return Collision(h=E, a=a / np.linalg.norm(a)), kind, step.periods, step.solve
     _require_finite("end state", state, t, step.p_r)
-    return _embed(e1, e2, step.r, step.p_r, l, step.swept), kind, work
+    return _embed(e1, e2, step.r, step.p_r, l, step.swept), kind, step.periods, step.solve
+
+
+def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:
+    """x.r, `hamiltonian` and x.radial of one state, bit for bit, from the
+    three dot products <q,q>, <p,p> and <q,p> alone."""
+    q, p = x.q, x.p
+    r = math.sqrt(np.dot(q, q))
+    if r == 0.0:  # before the float power, which raises ZeroDivisionError at 0
+        raise DomainError("q = 0 is outside the unregularised phase space")
+    E = float(np.dot(p, p)) / (2.0 * params.m) - params.Z * r ** (-params.alpha)
+    return r, E, float(np.dot(q, p))
 
 
 def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -> None:
@@ -1414,7 +1495,7 @@ def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -
 def _embed(e1, e2, r: float, p_r: float, l: float, angle: float) -> Regular:
     """The state at radius r with radial momentum p_r and angular momentum
     l, turned by angle from e1 toward e2."""
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = math.cos(angle), math.sin(angle)
     u, v = c * e1 + s * e2, c * e2 - s * e1
     return Regular(PhasePoint(r * u, p_r * u + (l / r) * v))
 

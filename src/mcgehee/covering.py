@@ -13,6 +13,7 @@ dt/dtau = c_n * |Q|**(2(n-1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +114,29 @@ def plane_reduce(x: PhasePoint) -> tuple[PlaneFrame, complex, complex]:
     """Reduce to the invariant plane; qc comes out real and positive.
 
     e1 = q/||q||; e2 = unit component of p orthogonal to q, or a
-    deterministic completion when q and p are collinear.
+    deterministic completion when q and p are collinear.  The steps of
+    `plane_reduce_rows` on one state, bit for bit: np.dot of the 1-d
+    vectors takes the dot kernel of `row_dot`, and qc and pc are built as
+    the rows' x + 1j*y rounds them: 0 + y and x + 0*y, which change a
+    finite dot product in nothing (it sums from +0, so it is never -0)
+    and make the real part NaN where y is infinite.
     """
-    e1, e2, qc, pc = plane_reduce_rows(x.q[None], x.p[None])
-    return PlaneFrame(e1=e1[0], e2=e2[0]), complex(qc[0]), complex(pc[0])
+    q, p = x.q, x.p
+    r = math.sqrt(np.dot(q, q))
+    if r == 0.0:
+        raise DomainError("q = 0 is outside the unregularised phase space")
+    e1 = q / r
+    p_perp = p - np.dot(p, e1) * e1
+    p_perp = p_perp - np.dot(p_perp, e1) * e1
+    perp2 = float(np.dot(p_perp, p_perp))
+    e2 = _completion(e1) if perp2 == 0.0 else p_perp / math.sqrt(perp2)
+    return PlaneFrame(e1=e1, e2=e2), _in_plane(q, e1, e2), _in_plane(p, e1, e2)
+
+
+def _in_plane(v: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> complex:
+    """<v, e1> + i <v, e2>, rounded as the rows' x + 1j*y rounds it."""
+    x, y = float(np.dot(v, e1)), float(np.dot(v, e2))
+    return complex(x + 0.0 * y, 0.0 + y)
 
 
 def plane_embed(frame: PlaneFrame, qc: complex, pc: complex) -> PhasePoint:

@@ -1342,3 +1342,102 @@ class TestOneStatePath:
         monkeypatch.setattr(chart, "_solve_rows", None)
         chart.global_flow(params, PhasePoint(np.array([0.25, 0.0]), np.array([0.3, 1.3])), 0.7)
         assert shapes == [(2,)]
+
+
+class TestOneStateUnbound:
+    """A one-state unbound step: each Newton round within u_P reads T and
+    dT/du from one node pass, the start's r, E and <q,p> come from three dot
+    products, and no np.errstate is entered where nothing can overflow.
+    The many-row paths and the model's functions are its oracles, bit for
+    bit."""
+
+    ORBITS = [(E, l) for E in (0.0, 0.3, 40.0, 1e6) for l in (0.0, 1e-9, 0.2, 3.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_fused_round_is_time_and_rate(self, n):
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(30 + n)
+        fused = 0
+        for E, l in self.ORBITS:
+            orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+            u_P = 1.0 / orbit._inv_u_P[0] if orbit._inv_u_P[0] > 0.0 else 10.0
+            for x in (0.0, 1e-9, u_P, *(u_P * rng.uniform(0.0, 3.0, 12))):
+                u = np.array([x])
+                T = orbit.time(u)  # one u within u_P: u is the pass's 33rd node
+                dT = orbit.rate(u)  # read from that pass
+                within = not x * orbit._inv_u_P[0] > 1.0
+                assert (orbit._slope is not None and orbit._slope[0] is u) == within
+                fused += within
+                rows = np.array([x, x])  # two u: 32 nodes, and dT/du alone
+                assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
+        assert fused > 100
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        log_E=st.floats(-300.0, 300.0),
+        log_l=st.floats(-150.0, 150.0),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_tame_values_do_not_overflow(self, n, log_E, log_l, frac):
+        # out to u**2 = _u2_tame, the one-row rate, state, angle and time run
+        # without np.errstate: nothing there may overflow or divide by 0
+        params = ModelParams(n=n, d=2)
+        orbit = chart._RadialOrbit(params, np.array([10.0**log_E]), np.array([10.0**log_l]))
+        if not orbit._u2_tame >= 0.0:
+            return
+        x = np.sqrt(frac * orbit._u2_tame) * (1.0 - 1e-12)
+        u = np.array([x])
+        assert orbit._tame(u) and orbit._tame(float(x))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            orbit.rate(u)
+            orbit.time(u)
+            if orbit.s0[0] > 0.0 and np.log(orbit.s0[0]) * n > -1380.0:  # else r may be 0: see `_step`
+                orbit.state(float(x))
+            orbit.time_angle(u)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(2, 5),
+        m=st.sampled_from([1.0, 0.7, 3.0]),
+        log_r=st.floats(-100.0, 100.0),
+        log_p=st.floats(-100.0, 100.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_start_constants_are_the_models(self, n, d, m, log_r, log_p, seed):
+        # r, E and <q,p> from three dot products against x.r, `hamiltonian`
+        # and x.radial; an energy beyond the float range raises alike
+        params = ModelParams(n=n, d=d, m=m, Z=1.3)
+        rng = np.random.default_rng(seed)
+        x = PhasePoint(10.0**log_r * rng.normal(size=d), 10.0**log_p * rng.normal(size=d))
+        try:
+            want = (x.r, hamiltonian(params, x), x.radial)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                chart._radius_energy_radial(params, x)
+            return
+        got = chart._radius_energy_radial(params, x)
+        assert [type(v) for v in got] == [float] * 3
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    def test_start_at_the_origin_raises_domain_error(self):
+        params = ModelParams(n=3, d=2)
+        x = PhasePoint(np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(chart.DomainError):
+            chart._radius_energy_radial(params, x)
+        with pytest.raises(chart.DomainError):
+            chart.global_flow(params, x, 0.1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_huge_energy_root_is_the_rows(self, n):
+        # where n E overflows (E = |p|**2/2m of a finite |p|**2 reaches it
+        # from n = 3), the Newton slope is n (E s**(n-1)): a radial orbit's
+        # pericenter is 0, not NaN, on both paths
+        params = ModelParams(n=n, d=2)
+        for E in (1.7976e308 / n * 1.0001, 3e307, 8.9e307):
+            for l2 in (0.0, 1e-20, 1.0, 1e150):
+                one = chart._sigma_min(params, E, l2)
+                rows = chart._sigma_min(params, np.full(2, E), np.full(2, l2))
+                assert np.isfinite(one) and same_bits(np.float64(one), rows[0])
+                assert (one == 0.0) == (l2 == 0.0)

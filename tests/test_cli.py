@@ -230,9 +230,8 @@ class TestSimulate:
             ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e308], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
             # |q|**2 overflows: the start's radius is not finite
             ({"q": [1e200, 0.0], "p": [0.0, 1.0]}, [0.0, 1.0], "t=0.0 failed at the state q=[1e+200, 0.0] p=[0.0, 1.0]"),
-            # the orbit constants of a finite start overflow: 3E, the slope of
-            # the pericenter root's Newton, does
-            ({"q": [1e-100, 0.0], "p": [1.2e154, 0.0]}, [0.5, 1.0], "t=0.0 failed at the state q=[1e-100, 0.0] p=[1.2e+154, 0.0]"),
+            # G overflows at a finite start, which cannot be placed on its orbit
+            ({"q": [3.0, 0.0], "p": [1e154, 1e150]}, [0.5, 1.0], "t=0.0 failed at the state q=[3.0, 0.0] p=[1e+154, 1e+150]"),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgehee import covering as cov
 from mcgehee import integrate as ode
@@ -72,6 +74,43 @@ class TestPlaneReduction:
                 e1, e2, _, _ = cov.plane_reduce_rows(q[None], p[None])
                 assert abs(np.dot(e1[0], e2[0])) <= 4.0 * ulp
                 assert abs(np.linalg.norm(e2[0]) - 1.0) <= 4.0 * ulp
+
+
+    @given(
+        d=st.integers(2, 5),
+        log_sin=st.floats(-14.0, -6.0),
+        collinear=st.booleans(),
+        axes=st.booleans(),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_one_state_is_the_rows_to_the_bit(self, d, log_sin, collinear, axes, sign, seed):
+        # the float body of `plane_reduce` against its rows twin: nearly and
+        # exactly collinear states, and states on the axes, whose dot
+        # products have signed zeros
+        rng = np.random.default_rng(seed)
+        if axes:
+            u, w = np.zeros(d), np.zeros(d)
+            u[rng.integers(d)], w[rng.integers(d)] = sign, rng.choice([-1.0, 1.0])
+        else:
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            w = rng.normal(size=d)
+            w -= np.dot(w, u) * u
+            w /= np.linalg.norm(w)
+        sin = 0.0 if collinear else 10.0**log_sin
+        q = rng.uniform(0.01, 1.0) * u
+        p = rng.uniform(0.1, 100.0) * (sign * np.sqrt(1.0 - sin * sin) * u + sin * w)
+        frame, qc, pc = cov.plane_reduce(PhasePoint(q, p))
+        e1, e2, QC, PC = cov.plane_reduce_rows(q[None], p[None])
+        assert type(qc) is complex and type(pc) is complex
+        assert frame.e1.tobytes() == e1[0].tobytes() and frame.e2.tobytes() == e2[0].tobytes()
+        assert np.complex128(qc).tobytes() == QC[0].tobytes() and np.complex128(pc).tobytes() == PC[0].tobytes()
+
+    def test_q_zero_raises(self):
+        with pytest.raises(DomainError):
+            cov.plane_reduce(PhasePoint(np.zeros(3), np.array([1.0, 0.0, 0.0])))
 
 
 class TestLiftProject:

@@ -199,11 +199,13 @@ class TestNonFinite:
         "q,p,t,what",
         [
             ([0.05, 0.0], [0.0, 20.0], 1e308, "end state"),  # r = 1.7e309
-            # 3E overflows: the pericenter root's Newton slope, and so s0, is NaN
-            ([1e-100, 0.0], [1.2e154, 0.0], 1.0, "start's orbit"),
+            # G overflows at the start (E sigma P beyond the float range), so
+            # the start cannot be placed on its orbit
+            ([3.0, 0.0], [1e154, 1e150], 1.0, "start's orbit"),
             ([1e200, 0.0], [0.0, 1.0], 1.0, "start's radius"),  # |q|**2 overflows; raised OverflowError
             ([0.05, 0.0], [0.0, 1.0], float("inf"), "time"),
             ([0.05, 0.0], [0.0, 1.0], float("nan"), "time"),
+            ([1e-100, 0.0], [1.9e154, 0.0], 1.0, "start's radius, energy"),  # E overflows
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -211,6 +213,17 @@ class TestNonFinite:
         params = ModelParams(n=3, d=2, eps=0.1)
         with pytest.raises(DomainError, match=f"the {what}.* not finite"):
             chart.global_flow(params, PhasePoint(np.array(q), np.array(p)), t)
+
+    @pytest.mark.parametrize(
+        "n,q,p",
+        [(n, [3.0, 0.0], [1e154, 1e150]) for n in (3, 4, 5, 6)] + [(n, [1.0, 0.0], [5.4e153, 8.4e153]) for n in (5, 6)],
+    )
+    def test_start_that_cannot_be_placed_warns_of_nothing(self, n, q, p):
+        # G overflows at the start: its phase is NaN, and the step stops
+        # there instead of carrying NaNs through the quadratures
+        params = ModelParams(n=n, d=2, eps=0.1)
+        with pytest.raises(DomainError, match="the start's orbit is not finite"):
+            chart.global_flow(params, PhasePoint(np.array(q), np.array(p)), -1e-20)
 
     @pytest.mark.parametrize("n,h", [(1, float("inf")), (3, float("nan")), (3, float("inf"))])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -319,6 +332,29 @@ class TestHugeTimes:
                 assert np.linalg.norm(y.q - line) <= 1e-12 * np.linalg.norm(line)
                 assert np.linalg.norm(y.p - x.p) <= 1e-12 * P
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "q,p",
+        [
+            # n E overflows the pericenter Newton's slope, which read NaN at s = 0
+            ([1e-100, 0.0], [1.2e154, 0.0]),
+            # E P overflows in the swept angle's remainder, whose far form
+            # then read 0 (n = 3: the state turned by pi) or overflowed
+            ([1e-10, 0.0], [0.0, 1.2e154]),
+            ([1e-3, 0.0], [0.0, 1e150]),
+            ([1e-10, 0.0, 0.0], [3e153, 1.1e154, 1e150]),
+        ],
+    )
+    def test_huge_energy_near_the_origin_moves_on_a_straight_line(self, n, q, p):
+        params = ModelParams(n=n, d=len(q), eps=0.1)
+        x = PhasePoint(np.array(q), np.array(p))
+        scale = 1e150  # |q|**2 and |p|**2 overflow at these scales
+        for t in (1e-20, 1e-3, 1.0):
+            y = chart.global_flow(params, x, t).x
+            line = x.q + x.p * (t / params.m)
+            assert np.linalg.norm((y.q - line) / scale) <= 1e-12 * np.linalg.norm(line / scale)
+            assert np.linalg.norm((y.p - x.p) / scale) <= 1e-12 * np.linalg.norm(x.p / scale)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_power_search_is_the_linear_scan(self, n):
         # the bracket [hi/2, hi] that doubling or halving the guess one step
@@ -363,12 +399,16 @@ class TestDebugLog:
             chart.global_flow(params, start, t)
         (line,) = [r.getMessage() for r in caplog.records]
         assert line.startswith(f"global_flow {kind} orbit t={t!r} periods={periods} newton_iterations=")
-        iterations = int(line.rsplit("=", 1)[1])
+        fields = dict(f.split("=") for f in line.split() if "=" in f)
+        iterations, residual = int(fields["newton_iterations"]), float(fields["residual"])
         assert (iterations == 0) == (n == 1) and iterations <= chart._SOLVE_MAX_ITER
+        # the final |T(x) - t| of the solve, near the rounding of the time it solved for
+        assert (residual == 0.0) if n == 1 else (0.0 <= residual <= 1e-13 * abs(t))
 
     def test_silent_below_debug(self, caplog, monkeypatch):
-        # the line is built only when DEBUG is on
+        # the line, and the residual's extra pass of T, only when DEBUG is on
         monkeypatch.setattr(chart.log, "debug", lambda *args: pytest.fail("logged"))
+        monkeypatch.setattr(chart.Solve, "residual", lambda self: pytest.fail("residual taken"))
         with caplog.at_level(logging.INFO, logger="mcgehee"):
             chart.global_flow(ModelParams(n=3, d=2), PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9])), 0.01)
         assert not caplog.records
