@@ -292,16 +292,16 @@ class _RadialOrbit:
         """G on a (k, j) array of sigma, row i on orbit i."""
         return self._G0 + self._E * sigma * self._P(sigma)
 
-    def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """sigma**(n/2 - 1), g = sqrt(G / sigma**n) = sqrt(G) / r and
-        S = P / sigma**(n-2) = sum_j (s0/sigma)**j far out, where G, P or
-        sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) S."""
+    def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r far out,
+        where G or sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) S
+        with S = P / sigma**(n-2) = sum_j (s0/sigma)**j."""
         w, S = self._s0 / sigma, 0.0
         for _ in range(self.n - 1):
             S = S * w + 1.0
         with np.errstate(over="ignore", divide="ignore"):  # sigma**n beyond the float range either way
             g = np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S)
-        return _pow(sigma, self.n / 2.0 - 1.0), g, S
+        return _pow(sigma, self.n / 2.0 - 1.0), g
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma on the nodes of every panel out to u, a (k, 32 P) array,
@@ -340,7 +340,7 @@ class _RadialOrbit:
         T = _panel_sum(scale, vals)
         if T.max() < np.inf and rG.max() < np.inf:
             return T
-        power, g, _ = self._far(sigma)
+        power, g = self._far(sigma)
         far = power / g
         return np.where(np.isfinite(T), _panel_sum(scale, np.where(rG < np.inf, vals, far)), _panel_sum(scale, far))
 
@@ -353,9 +353,8 @@ class _RadialOrbit:
         Where the remainder's denominator overflows (far out, or a large l),
         its integrand is -1 / (sqrt(G0) (y + sigma + sqrt(y) sqrt(y + sigma)))
         with y = G0 / (E P), which overflows nowhere (y = (G0 / E) / P where
-        E P overflows: a huge E).  A row where P itself overflows (n >= 5)
-        takes -E S / (sigma**2 g sqrt(G0) (g + sqrt(G0) / r)) throughout, with
-        `_far`'s S and g, where that sum is finite."""
+        E P overflows: a huge E).  Where P itself overflows (n >= 5), y = 0
+        and the integrand is -1 / (sqrt(G0) sigma), the exact integrand's limit."""
         scale = self.l[:, None] * width / self.root2m
         tame = self._tame(u)
         with _quiet(tame, over="ignore", invalid="ignore"):  # the scaled forms replace what overflows
@@ -369,17 +368,7 @@ class _RadialOrbit:
                 EP = self._E * P
                 y = np.where(EP < np.inf, self._G0 / EP, self._G0 / self._E / P)
                 scaled = -1.0 / (rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma)))
-            mixed = _panel_sum(scale, np.where((den < np.inf) & np.isfinite(vals), vals, scaled))
-            if np.isfinite(rest).all():
-                rest = mixed
-            else:
-                power, g, S = self._far(sigma)
-                # sigma**2 beyond the float range: 0; near a huge E's pericenter
-                # G0 / sigma**n and E S overflow, so only rows where P does take it
-                with np.errstate(over="ignore", invalid="ignore"):
-                    far = _panel_sum(scale, -self._E * S / (sigma * sigma * g * rG0 * (g + rG0 / (sigma * power))))
-                wild = np.isinf(np.broadcast_to(P, sigma.shape)).any(axis=1) & np.isfinite(far)
-                rest = np.where(np.isfinite(rest) | ~wild, mixed, far)
+            rest = _panel_sum(scale, np.where((den < np.inf) & np.isfinite(vals), vals, scaled))
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
     def time(self, u: np.ndarray) -> np.ndarray:
@@ -1233,7 +1222,8 @@ def _newton_rows(E, Z: float, n: int, rhs, s) -> Solve:
 def r_min_kepler(params: ModelParams, E, l2):
     """Closed-form Kepler pericenter radius (n = 2 only); elementwise, a
     float for scalars; one radius (size-1 input) in Python floats.  Where
-    Z**2 + 2 E l2/m overflows, its root is sqrt(2E/m) sqrt(l2)."""
+    Z**2 + 2 (E l2)/m overflows, its root is sqrt(2/m) sqrt(E) sqrt(l2),
+    which overflows neither at 2 E nor at 2 E / m."""
     if params.n != 2:
         raise ValueError("closed form only available for n = 2")
     m, Z = params.m, params.Z
@@ -1241,13 +1231,13 @@ def r_min_kepler(params: ModelParams, E, l2):
         return _as_one(_r_min_kepler_one(_item(E), _item(l2), m, Z), E, l2)
     E, l2 = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(E, l2))
     with np.errstate(over="ignore"):
-        disc = Z * Z + 2.0 * E * l2 / m
+        disc = Z * Z + 2.0 * (E * l2) / m
     if np.any(disc < 0.0):
         k = int(np.argmax(disc < 0.0))
         raise NoPericenterError(f"no pericenter for E={E.flat[k]}, l2={l2.flat[k]}")
     root = np.sqrt(disc)
     if not root.max(initial=0.0) < np.inf:
-        root = np.where(disc < np.inf, root, np.sqrt(2.0 * np.abs(E) / m) * np.sqrt(l2))
+        root = np.where(disc < np.inf, root, np.sqrt(2.0 / m) * np.sqrt(np.abs(E)) * np.sqrt(l2))
     # conjugate form of (-Z + sqrt(disc)) / (2E): no cancellation as E -> 0,
     # reduces to the parabolic branch l2/(2 m Z) at E = 0 exactly
     return (l2 / m) / (Z + root)
@@ -1255,10 +1245,10 @@ def r_min_kepler(params: ModelParams, E, l2):
 
 def _r_min_kepler_one(E: float, l2: float, m: float, Z: float) -> float:
     """`r_min_kepler` of one float E and l2, in Python floats."""
-    disc = Z * Z + 2.0 * E * l2 / m
+    disc = Z * Z + 2.0 * (E * l2) / m
     if disc < 0.0:
         raise NoPericenterError(f"no pericenter for E={E}, l2={l2}")
-    root = math.sqrt(disc) if disc < math.inf else math.sqrt(2.0 * E / m) * math.sqrt(l2)
+    root = math.sqrt(disc) if disc < math.inf else math.sqrt(2.0 / m) * math.sqrt(E) * math.sqrt(l2)
     return (l2 / m) / (Z + root)
 
 

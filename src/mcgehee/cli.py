@@ -1,12 +1,14 @@
 """Command-line harness: simulate, figures, verify, rmin.
 
 Configuration is a single JSON document; command-line flags override file
-values.  Outputs are CSV (comma-separated, '.' decimal point, shortest
-round-trip float formatting), JSON reports and hand-rolled SVG polyline
-figures.  Identical configuration produces byte-identical outputs.
+values.  `COMMANDS` holds the flags and config keys each command reads, and
+an unread key or a malformed value is a config error.  Outputs are CSV
+(comma-separated, '.' decimal point, shortest round-trip float formatting),
+JSON reports and hand-rolled SVG polyline figures.  Identical configuration
+produces byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 flow step or figure orbit failure
-(the failing state or orbit is logged), 4 unwritable output directory, 5 verification threshold
+(the failing state or orbit is logged), 4 unwritable output directory or file, 5 verification threshold
 violation, 6 no pericenter for the requested (E, l2).
 """
 
@@ -15,8 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -56,47 +60,93 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+def _converter(text: str, convert, ok):
+    """Converts the value of a config key or a flag (a string); a boolean, or
+    a value that `convert` or `ok(value, converted)` refuses, must be `text`."""
+    def converted(name: str, v):
+        with suppress(TypeError, ValueError, OverflowError):
+            x = convert(v)
+            if not isinstance(v, bool) and ok(v, x):
+                return x
+        raise ConfigError(f"{name} must be {text}, got {v!r}")
+
+    return converted
+
+
+def _number(kind, text: str, test):
+    """A finite number or numeric string; an int refuses a fraction."""
+    return _converter(text, kind, lambda v, x: (x == v or isinstance(v, str)) and math.isfinite(x) and test(x))
+
+
+_FINITE = _number(float, "finite", lambda x: True)
+_POSITIVE = _number(float, "finite and > 0", lambda x: x > 0.0)
+_COUNT = _number(int, "an integer >= 1", lambda k: k >= 1)
+_VECTOR = _converter("finite numbers in a list", lambda v: np.asarray(v, dtype=float), lambda v, x: (
+    isinstance(v, list) and bool not in map(type, v) and x.ndim == 1 and np.isfinite(x).all()))
+_FILE = _converter("a file name, written into --out", lambda v: v, lambda v, x: (
+    isinstance(v, str) and v not in ("", ".", "..") and Path(v).name == v))
+DEFAULT_THRESHOLDS = {"bracket": 1e-5, "dirac": 1e-6, "conservation": 1e-8, "roundtrip": 1e-8}
+MODEL = {"n": _COUNT, "d": _number(int, "an integer d >= 2 (on a line the chart construction does not apply)", lambda k: k >= 2),
+         "m": _POSITIVE, "Z": _POSITIVE, "eps": _POSITIVE}
+
+# What each command reads: its config keys with their converters (a dict is
+# a nested object), and its flags besides --config.  A flag other than --out
+# overrides the key of its name, in `params` for the model's five.
+COMMANDS = {
+    "simulate": ({
+        "params": MODEL,
+        "initial": {"q": _VECTOR, "p": _VECTOR, "collision": {"h": _FINITE, "a": _VECTOR}},
+        "t_span": _converter("two finite numbers in a list", lambda v: [_FINITE("", t) for t in v],
+                             lambda v, x: isinstance(v, list) and len(x) == 2),
+        "output_points": _COUNT, "trajectory_file": _FILE,
+    }, ("out", *MODEL)),
+    "verify": ({
+        "seed": _number(int, "an integer >= 0", lambda k: k >= 0), "verify_points": _COUNT,
+        # as given: the report repeats them
+        "thresholds": dict.fromkeys(DEFAULT_THRESHOLDS, _converter(
+            "finite and >= 0", lambda v: v, lambda v, x: type(v) in (int, float) and 0 <= v < math.inf)),
+        "report_file": _FILE,
+    }, ("out", "seed")),
+    "rmin": ({"params": MODEL, "E": _FINITE, "l2": _number(float, "finite and >= 0", lambda x: x >= 0.0)},
+             (*MODEL, "E", "l2")),
+}
+
+
+def _section(obj, keys: dict, command: str, path: str = "") -> dict:
+    """One config object at `path` ('params.'), its keys converted; a key that `command` does not read is an error."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{repr(path[:-1]) if path else 'config root'} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"config key {path + key!r} is not read by {command}")
+    return {
+        key: _section(value, keys[key], command, f"{path}{key}.") if isinstance(keys[key], dict)
+        else keys[key](repr(path + key), value)
+        for key, value in obj.items()
+    }
+
+
+def _read_config(args: argparse.Namespace) -> dict:
+    """What `args.command` reads: its config file's keys, with its flags over them, every value converted."""
+    keys, flags = COMMANDS[args.command]
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    cfg = _section(cfg, keys, args.command)
+    for flag in flags:
+        value = getattr(args, flag)
+        if flag != "out" and value is not None:
+            section = cfg.setdefault("params", {}) if flag in MODEL else cfg
+            section[flag] = (MODEL.get(flag) or keys[flag])(f"--{flag}", value)
     return cfg
 
 
-def _params_from(cfg: dict, args: argparse.Namespace) -> ModelParams:
-    p = dict(cfg.get("params", {}))
-    for key in ("n", "d", "m", "Z", "eps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            p[key] = val
-    p.setdefault("n", 2)
-    p.setdefault("d", 2)
-    if p.get("d", 2) < 2:
-        raise ConfigError(
-            "d = 1 is not supported: on the line the regularised phase space "
-            "has two components and the chart construction does not apply; "
-            "use d >= 2"
-        )
-    try:
-        return ModelParams(
-            n=int(p["n"]),
-            d=int(p["d"]),
-            m=float(p.get("m", 1.0)),
-            Z=float(p.get("Z", 1.0)),
-            eps=float(p.get("eps", 0.1)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(getattr(args, "out", None) or ".")
+    out = Path(args.out or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"
@@ -107,34 +157,25 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _initial_state(cfg: dict, params: ModelParams) -> chart.ExtendedPoint:
-    init = cfg.get("initial")
+def _initial_state(init: dict | None, params: ModelParams) -> chart.ExtendedPoint:
     if init is None:
         raise ConfigError("config must provide an 'initial' state")
+    if not (init.keys() == {"q", "p"} or init.keys() == {"collision"} and init["collision"].keys() == {"h", "a"}):
+        raise ConfigError("'initial' needs 'q' and 'p', or a 'collision' with 'h' and 'a', not both")
+    if any(len(v) != params.d for v in ([init["collision"]["a"]] if "collision" in init else init.values())):
+        raise ConfigError(f"initial state has wrong dimension: d = {params.d}")
+    if "collision" in init:
+        h, a = init["collision"]["h"], init["collision"]["a"]
+        a_norm = np.linalg.norm(a)
+        if not 0.0 < a_norm < np.inf:
+            raise ConfigError("collision direction a must be nonzero and finite")
+        if params.n == 1 and not h > -params.Z:
+            raise ConfigError("an n = 1 collision launch needs kinetic energy h + Z > 0")
+        return chart.Collision(h=h, a=a / a_norm)
+    x = PhasePoint(init["q"], init["p"])
     try:
-        if "collision" in init:
-            c = init["collision"]
-            h = float(c["h"])
-            if not np.isfinite(h):
-                raise ConfigError("collision energy h must be finite")
-            a = np.asarray(c["a"], dtype=float)
-            if len(a) != params.d:
-                raise ConfigError("collision direction has wrong dimension")
-            a_norm = np.linalg.norm(a)
-            if not (np.isfinite(a_norm) and a_norm > 0.0):
-                raise ConfigError("collision direction a must be nonzero and finite")
-            if params.n == 1 and not h > -params.Z:
-                raise ConfigError("an n = 1 collision launch needs kinetic energy h + Z > 0")
-            return chart.Collision(h=h, a=a / a_norm)
-        q = np.asarray(init["q"], dtype=float)
-        p = np.asarray(init["p"], dtype=float)
-        if len(q) != params.d or len(p) != params.d:
-            raise ConfigError("initial state has wrong dimension")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ConfigError("initial q and p must be finite")
-        x = PhasePoint(q, p)
         x.require_noncollision()
-    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
+    except DomainError as exc:
         raise ConfigError(f"invalid initial state: {exc}") from exc
     return chart.Regular(x)
 
@@ -165,21 +206,12 @@ def _state_row(params: ModelParams, t: float, state: chart.ExtendedPoint) -> lis
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    if "integrator" in cfg:
-        raise ConfigError("config key 'integrator' is not read: simulate integrates no ODE")
-    params = _params_from(cfg, args)
+    cfg = _read_config(args)
+    params = ModelParams(**{"n": 2, "d": 2, **cfg.get("params", {})})
+    state = _initial_state(cfg.get("initial"), params)
     out = _out_dir(args)
-    state = _initial_state(cfg, params)
-    try:
-        t0, t1 = (float(v) for v in cfg.get("t_span", (0.0, 1.0)))
-        n_out = int(cfg.get("output_points", 200))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid t_span or output_points: {exc}") from exc
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ConfigError("t_span must be finite")
-    if n_out < 1:
-        raise ConfigError("output_points must be at least 1")
+    t0, t1 = cfg.get("t_span", (0.0, 1.0))
+    n_out = cfg.get("output_points", 200)
     ts = np.linspace(t0, t1, n_out) if t1 != t0 else np.array([t0])
 
     header = (
@@ -314,20 +346,8 @@ def _write_curve_csv(path: Path, data: np.ndarray) -> None:
 # verify
 
 
-DEFAULT_THRESHOLDS = {
-    "bracket": 1e-5,
-    "dirac": 1e-6,
-    "conservation": 1e-8,
-    "roundtrip": 1e-8,
-}
-
-
-def _verify_report(cfg: dict, args: argparse.Namespace) -> dict:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
+def _verify_report(seed: int, points: int) -> dict:
     rng = np.random.default_rng(seed)
-    points = int(cfg.get("verify_points", 3))
     grid = [(n, d) for n in (1, 2, 3, 4) for d in (2, 3)]
 
     bracket_entries = []
@@ -458,10 +478,10 @@ def _roundtrip_section(rng, grid, points) -> float:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read_config(args)
     out = _out_dir(args)
     thresholds = {**DEFAULT_THRESHOLDS, **cfg.get("thresholds", {})}
-    report = _verify_report(cfg, args)
+    report = _verify_report(cfg.get("seed", 0), cfg.get("verify_points", 3))
     ok = (
         report["bracket_table"]["max_residual"] < thresholds["bracket"]
         and report["dirac"]["max_residual"] < thresholds["dirac"]
@@ -485,10 +505,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_rmin(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    params = _params_from(cfg, args)
-    E = args.E if args.E is not None else float(cfg.get("E", 0.0))
-    l2 = args.l2 if args.l2 is not None else float(cfg.get("l2", 0.0))
+    cfg = _read_config(args)
+    params = ModelParams(**{"n": 2, "d": 2, **cfg.get("params", {})})
+    E, l2 = cfg.get("E", 0.0), cfg.get("l2", 0.0)
     try:
         r = chart.r_min(params, E, l2)
     except chart.NoPericenterError as exc:
@@ -509,15 +528,13 @@ def cmd_rmin(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=str, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--m", type=float, default=None)
-    sub.add_argument("--Z", type=float, default=None)
-    sub.add_argument("--eps", type=float, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+def _add_command(subs, command: str, fn, help: str) -> None:
+    """A subparser with --config and the command's flags in `COMMANDS`."""
+    sub = subs.add_parser(command, help=help)
+    sub.add_argument("--config")
+    for flag in COMMANDS[command][1]:
+        sub.add_argument(f"--{flag}")
+    sub.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,26 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regularised Hamiltonian flow for homogeneous attractive potentials",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="integrate a scenario, write trajectory CSV")
-    _add_common(sim)
-    sim.set_defaults(fn=cmd_simulate)
+    _add_command(subs, "simulate", cmd_simulate, "integrate a scenario, write trajectory CSV")
 
     fig = subs.add_parser("figures", help="emit orbit-curve CSV + SVG figures")
     fig.add_argument("which", choices=["fig1", "fig2", "all"])
     fig.add_argument("--out", type=str, default=None)  # fixed orbits: no config, no tolerances
     fig.set_defaults(fn=cmd_figures)
 
-    ver = subs.add_parser("verify", help="run verification suites, write JSON report")
-    _add_common(ver)
-    ver.set_defaults(fn=cmd_verify)
-
-    rmin = subs.add_parser("rmin", help="pericenter radius for given (E, l2)")
-    _add_common(rmin)
-    rmin.add_argument("--E", type=float, default=None)
-    rmin.add_argument("--l2", type=float, default=None)
-    rmin.set_defaults(fn=cmd_rmin)
-
+    _add_command(subs, "verify", cmd_verify, "run verification suites, write JSON report")
+    _add_command(subs, "rmin", cmd_rmin, "pericenter radius for given (E, l2)")
     return parser
 
 
@@ -559,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PermissionError as exc:
+    except OSError as exc:  # an output directory or file that cannot be written
         log.error("%s", exc)
         print(str(exc), file=sys.stderr)
         return EXIT_UNWRITABLE

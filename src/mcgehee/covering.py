@@ -1,8 +1,11 @@
 """Planar reduction and the n-fold branched covering q = Q**n.
 
-Motion is confined to an invariant plane (or line).  There it is lifted
-through (q, p) = (Q**n, P * conj(Q)**(1-n)) and integrated in a rescaled
-time tau for the polynomial Hamiltonian
+Motion is confined to an invariant plane (or line), which the chart and
+`global_flow` take from `plane_reduce`.  The covering ODE is the independent
+route through collisions of the oracles (`chart.pericenter`, criterion 5's
+transit check and the tests).  A planar state is lifted through
+(q, p) = (Q**n, P * conj(Q)**(1-n)) and integrated in a rescaled time tau
+for the polynomial Hamiltonian
 
     K(Q, P) = |P|**2 / (2 m) - E |Q|**(2(n-1)) - Z,
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import re
@@ -69,7 +70,128 @@ class TestRmin:
         assert "no pericenter" in capsys.readouterr().err
 
 
+class TestParser:
+    ACCEPTED = {
+        "simulate": {"--config", "--out", "--n", "--d", "--m", "--Z", "--eps"},
+        "verify": {"--config", "--out", "--seed"},
+        "rmin": {"--config", "--n", "--d", "--m", "--Z", "--eps", "--E", "--l2"},
+        "figures": {"which", "--out"},
+    }
+
+    def test_each_command_accepts_only_what_it_reads(self):
+        (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert subs.choices.keys() == self.ACCEPTED.keys()
+        for command, sub in subs.choices.items():
+            accepted = set()
+            for action in sub._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    accepted |= set(action.option_strings) or {action.dest}
+            assert accepted == self.ACCEPTED[command], command
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("simulate", "--seed"), ("rmin", "--seed"), ("rmin", "--out")]
+        + [("verify", flag) for flag in ("--n", "--d", "--m", "--Z", "--eps")],
+    )
+    def test_dropped_flags_exit_2(self, tmp_path, command, flag):
+        # each was accepted and never read
+        out = [] if command == "rmin" else ["--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *out, flag, "3"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
+
+START = {"initial": {"q": [1.0, 0.0], "p": [0.0, 1.0]}, "t_span": [0.0, 0.1], "output_points": 3}
+
+
+def config_error(capsys):
+    """The `config error:` line on stderr; nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = [line for line in captured.err.splitlines() if line.startswith("config error: ")]
+    return line
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("verify", {"verify_points": "abc"}, "'verify_points'"),
+            ("verify", {"verify_points": 0}, "'verify_points'"),  # checked nothing and passed
+            ("verify", {"seed": "x"}, "'seed'"),
+            ("verify", {"seed": -1}, "'seed'"),
+            ("verify", {"thresholds": {"bracket": "x"}}, "'thresholds.bracket'"),
+            ("verify", {"thresholds": [1e-5]}, "'thresholds'"),
+            ("verify", {"report_file": 5}, "'report_file'"),
+            ("rmin", {"E": "abc"}, "'E'"),
+            ("rmin", {"E": -0.5, "l2": -1.0}, "'l2'"),
+            ("simulate", {**START, "trajectory_file": 5}, "'trajectory_file'"),
+            ("simulate", {**START, "trajectory_file": "../trajectory.csv"}, "'trajectory_file'"),
+            ("simulate", {**START, "params": [1, 2]}, "'params'"),
+            ("simulate", {**START, "params": {"n": True}}, "'params.n'"),
+            ("simulate", {**START, "output_points": 2.5}, "'output_points'"),
+            ("simulate", {**START, "initial": 5}, "'initial'"),
+            ("simulate", {**START, "initial": {"q": [True, 0.0], "p": [0.0, 1.0]}}, "'initial.q'"),
+            # took the collision and dropped q and p
+            ("simulate", {**START, "initial": {**START["initial"], "collision": {"h": -0.5, "a": [1.0, 0.0]}}}, "'initial'"),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, key):
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+        assert run(argv if command == "rmin" else argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert key in config_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,cfg,key",
+        [
+            ("simulate", {**START, "seed": 3}, "'seed'"),
+            ("simulate", {**START, "params": {"n": 2, "k": 1}}, "'params.k'"),
+            ("simulate", {**START, "initial": {**START["initial"], "v": [1.0, 0.0]}}, "'initial.v'"),
+            ("simulate", {**START, "initial": {"collision": {"h": -0.5, "a": [1.0, 0.0], "t": 0.0}}}, "'initial.collision.t'"),
+            ("verify", {"params": {"n": 3}}, "'params'"),
+            ("verify", {"thresholds": {"brackets": 1e-5}}, "'thresholds.brackets'"),
+            ("rmin", {"E": -0.5, "l2": 1.0, "t_span": [0.0, 1.0]}, "'t_span'"),
+            ("rmin", {"E": -0.5, "l2": 1.0, "params": {"N": 3}}, "'params.N'"),
+        ],
+    )
+    def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, cfg)]
+        assert run(argv if command == "rmin" else argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        assert config_error(capsys) == f"config error: config key {key} is not read by {command}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--seed", "-1"], "--seed"),
+            (["rmin", "--E", "nan"], "--E"),
+            (["rmin", "--n", "2.5"], "--n"),
+            (["simulate", "--m", "0"], "--m"),
+        ],
+    )
+    def test_malformed_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
+        # the flags go through the config's converters
+        out = [] if argv[0] == "rmin" else ["--out", str(tmp_path / "out")]
+        assert run(argv + out) == cli.EXIT_CONFIG
+        assert config_error(capsys).startswith(f"config error: {flag} must be ")
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_override_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"params": {"n": 3, "m": 2.0}, "E": 0.5, "l2": 1.0})
+        assert run(["rmin", "--config", cfg, "--n", "2", "--l2", "2"]) == cli.EXIT_OK
+        r = float(capsys.readouterr().out.splitlines()[0])
+        assert r == chart.r_min_kepler(ModelParams(n=2, d=2, m=2.0), 0.5, 2.0)
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"{'n': 2}"], ids=["not UTF-8", "not JSON"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, data):
+        (tmp_path / "c.json").write_bytes(data)
+        assert run(["rmin", "--config", str(tmp_path / "c.json")]) == cli.EXIT_CONFIG
+        assert config_error(capsys).startswith("config error: cannot read config ")
+
     def test_missing_config_file(self, capsys):
         code = run(["rmin", "--config", "/nonexistent/config.json"])
         assert code == cli.EXIT_CONFIG
@@ -174,6 +296,13 @@ class TestConfigErrors:
         code = run(["simulate", "--config", cfg, "--out", "/proc/mcgehee-denied"])
         assert code == cli.EXIT_UNWRITABLE
 
+    def test_unwritable_output_file_exits_4(self, tmp_path, capsys):
+        # a directory where the CSV goes: the write raised IsADirectoryError
+        (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, START)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_UNWRITABLE
+        assert "trajectory.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["figures", "fig1"], ["verify"]])
     def test_figures_and_verify_unwritable_output_dir(self, tmp_path, capsys, argv):
         blocker = tmp_path / "a-file"
@@ -219,8 +348,9 @@ class TestSimulate:
     @pytest.mark.parametrize("option", [["--rel-tol", "1e-8"], ["--abs-tol", "1e-8"]])
     @pytest.mark.parametrize("command", ["simulate", "verify", "rmin"])
     def test_tolerance_options_are_gone(self, tmp_path, command, option):
+        out = [] if command == "rmin" else ["--out", str(tmp_path)]  # rmin writes no file
         with pytest.raises(SystemExit) as exc:
-            run([command, "--out", str(tmp_path)] + option)
+            run([command, *out] + option)
         assert exc.value.code == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize(
@@ -651,8 +781,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "_conservation_section", lambda: {})
         monkeypatch.setattr(cli, "_transit_section", lambda rng: {})
         monkeypatch.setattr(cli, "_roundtrip_section", lambda rng, grid, points: 0.0)
-        args = cli.build_parser().parse_args(["verify", "--seed", "0"])
-        report = cli._verify_report({"verify_points": 2}, args)["bracket_table"]
+        report = cli._verify_report(seed=0, points=2)["bracket_table"]
         assert len(calls) == 16
         for cell in report["per_entry"]:
             assert cell["worst_pair"] == ["A_0", "B_0"]

@@ -280,6 +280,32 @@ class TestHugeTimes:
             # the direction has settled by t = 1e100, where P is finite
             assert np.abs(q / r - near / np.linalg.norm(near)).max() <= 1e-15
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_swept_angle_where_P_overflows_is_mpmaths(self, n):
+        # out to a u where P(sigma) ~ sigma**(n-2) overflows on some nodes
+        # (r stays within the float range): the remainder's scaled form
+        # there is the exact integrand's limit, against mpmath at 30 digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        params = ModelParams(n=n, d=2)
+        for E, l in ((200.5, 0.3), (1e10, 1e-3), (3.0, 1e5)):
+            orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+            s0 = mp.mpf(float(orbit.s0[0]))
+
+            def integrand(v):
+                sigma = s0 + v * v
+                G = params.Z + E * sum(sigma ** (n - 1 - j) * s0**j for j in range(n))
+                return 1 / (sigma * mp.sqrt(G))
+
+            for u in (1e30, 1e55, 1e60) if n == 5 else (1e30, 1e40, 1e50):  # r <= 1e300
+                sigma, _ = orbit._nodes(np.array([u]))
+                with np.errstate(over="ignore"):
+                    assert np.isinf(orbit._P(sigma)).any() == (u > 1e30)
+                points = [0, *(mp.sqrt(s0) * 4**k for k in range(-1, 200) if mp.sqrt(s0) * 4**k < u), u]
+                exact = n * l / mp.sqrt(2 * params.m) * mp.quad(integrand, points)
+                angle = orbit.time_angle(np.array([u]))[1][0]
+                assert abs(angle - float(exact)) <= 1e-13 * float(exact)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_valid_huge_steps_warn_of_nothing(self, n):
         # the steps return the right state; an overflow on the way is the
@@ -354,6 +380,25 @@ class TestHugeTimes:
             line = x.q + x.p * (t / params.m)
             assert np.linalg.norm((y.q - line) / scale) <= 1e-12 * np.linalg.norm(line / scale)
             assert np.linalg.norm((y.p - x.p) / scale) <= 1e-12 * np.linalg.norm(x.p / scale)
+
+    @pytest.mark.parametrize("p", [[1e154, 0.0], [1e154, 1e150]])
+    def test_kepler_energy_near_the_float_range_moves_on_its_line(self, p):
+        # n = 2 with m < 1: 2 E overflows where E l2 does not (E = 1e308),
+        # which made the radial start's pericenter NaN and the other's
+        # discriminant root inf
+        params = ModelParams(n=2, d=2, m=0.5)
+        x = PhasePoint(np.array([1e-100, 0.0]), np.array(p))
+        scale = 1e150
+        for t in (1e-160, 1e-3):
+            y = chart.global_flow(params, x, t).x
+            line = x.q + x.p * (t / params.m)
+            assert np.linalg.norm((y.q - line) / scale) <= 1e-12 * np.linalg.norm(line / scale)
+            assert np.linalg.norm((y.p - x.p) / scale) <= 1e-12 * np.linalg.norm(x.p / scale)
+        E = hamiltonian(params, x)
+        for l2 in (0.0, 1e-92, 1e100, 1e300):  # E l2 overflows from 1e100, the second start's l2
+            rows = chart.r_min_kepler(params, np.array([E, E]), np.array([l2, l2]))
+            one = chart.r_min_kepler(params, E, l2)
+            assert np.isfinite(rows).all() and rows[0].tobytes() == rows[1].tobytes() == np.float64(one).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_power_search_is_the_linear_scan(self, n):
