@@ -293,14 +293,20 @@ class _RadialOrbit:
         return self._G0 + self._E * sigma * self._P(sigma)
 
     def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r far out,
-        where G or sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) S
-        with S = P / sigma**(n-2) = sum_j (s0/sigma)**j."""
+        """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r where G
+        or sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) S with
+        S = P / sigma**(n-2) = sum_j (s0/sigma)**j.  Where (E / sigma) S
+        overflows too (E near the float range), g = sqrt(E) sqrt(G0 / E /
+        sigma**n + S / sigma), the same sqrt(E) sqrt(G0/E + sigma P) / r."""
         w, S = self._s0 / sigma, 0.0
         for _ in range(self.n - 1):
             S = S * w + 1.0
         with np.errstate(over="ignore", divide="ignore"):  # sigma**n beyond the float range either way
-            g = np.sqrt(self._G0 / _pow(sigma, self.n) + self._E / sigma * S)
+            power = _pow(sigma, self.n)
+            g = np.sqrt(self._G0 / power + self._E / sigma * S)
+        if not g.max() < np.inf:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rows of E <= 0 keep g
+                g = np.where(g < np.inf, g, np.sqrt(self._E) * np.sqrt(self._G0 / self._E / power + S / sigma))
         return _pow(sigma, self.n / 2.0 - 1.0), g
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,14 +397,18 @@ class _RadialOrbit:
 
     def phase(self, sigma, radial) -> np.ndarray:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
-        |radial| = sqrt(2m G) u, free of cancellation near s0.  A row where G
-        overflows (E near the float range) cannot be placed: its u is NaN."""
+        |radial| = sqrt(2m G) u, free of cancellation near s0.  Where G
+        overflows (E near the float range), u = |radial| / (r sqrt(2m) g)
+        with `_far`'s g = sqrt(G) / r."""
         sigma = np.reshape(sigma, (-1, 1))
         tame = sigma.shape == (1, 1) and sigma[0, 0] - self.s0[0] <= self._u2_tame
         with _quiet(tame, over="ignore"):
             rG = np.sqrt(self.G(sigma))[:, 0]
         u = np.abs(radial) / (self.root2m * rG)
-        return u if tame or rG.max() < np.inf else np.where(rG < np.inf, u, np.nan)
+        if tame or rG.max() < np.inf:
+            return u
+        g = self._far(sigma)[1][:, 0]
+        return np.where(rG < np.inf, u, np.abs(radial) / _pow(sigma[:, 0], self.n / 2.0) / (self.root2m * g))
 
     def state(self, u) -> tuple[float, float, float]:
         """r, |p_r| = sqrt(2m G) u / r and the swept angle at a float u on a

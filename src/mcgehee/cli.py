@@ -81,6 +81,8 @@ def _number(kind, text: str, test):
 _FINITE = _number(float, "finite", lambda x: True)
 _POSITIVE = _number(float, "finite and > 0", lambda x: x > 0.0)
 _COUNT = _number(int, "an integer >= 1", lambda k: k >= 1)
+# every output row is held in memory until the CSV is written
+MAX_OUTPUT_POINTS = 10**7
 _VECTOR = _converter("finite numbers in a list", lambda v: np.asarray(v, dtype=float), lambda v, x: (
     isinstance(v, list) and bool not in map(type, v) and x.ndim == 1 and np.isfinite(x).all()))
 _FILE = _converter("a file name, written into --out", lambda v: v, lambda v, x: (
@@ -98,7 +100,8 @@ COMMANDS = {
         "initial": {"q": _VECTOR, "p": _VECTOR, "collision": {"h": _FINITE, "a": _VECTOR}},
         "t_span": _converter("two finite numbers in a list", lambda v: [_FINITE("", t) for t in v],
                              lambda v, x: isinstance(v, list) and len(x) == 2),
-        "output_points": _COUNT, "trajectory_file": _FILE,
+        "output_points": _number(int, f"an integer from 1 to {MAX_OUTPUT_POINTS}", lambda k: 1 <= k <= MAX_OUTPUT_POINTS),
+        "trajectory_file": _FILE,
     }, ("out", *MODEL)),
     "verify": ({
         "seed": _number(int, "an integer >= 0", lambda k: k >= 0), "verify_points": _COUNT,

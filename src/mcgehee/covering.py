@@ -2,10 +2,9 @@
 
 Motion is confined to an invariant plane (or line), which the chart and
 `global_flow` take from `plane_reduce`.  The covering ODE is the independent
-route through collisions of the oracles (`chart.pericenter`, criterion 5's
-transit check and the tests).  A planar state is lifted through
-(q, p) = (Q**n, P * conj(Q)**(1-n)) and integrated in a rescaled time tau
-for the polynomial Hamiltonian
+route through collisions of the oracles: `chart.pericenter` and the tests.
+A planar state is lifted through (q, p) = (Q**n, P * conj(Q)**(1-n)) and
+integrated in a rescaled time tau for the polynomial Hamiltonian
 
     K(Q, P) = |P|**2 / (2 m) - E |Q|**(2(n-1)) - Z,
 
@@ -241,16 +240,6 @@ def lift_state(params: ModelParams, x: PhasePoint) -> tuple[PlaneFrame, np.ndarr
     frame, qc, pc = plane_reduce(x)
     Q, P = lift(params, qc, pc, 0)
     return frame, covering_state_y(Q, P), hamiltonian(params, x)
-
-
-def radius_event(params: ModelParams, r: float) -> ode.EventSpec:
-    """Outward crossing of the physical radius r, i.e. |Q|**2 = r**(2/n)."""
-    q2 = r ** (2.0 / params.n)
-    return ode.EventSpec(
-        g=lambda y: y[0] * y[0] + y[1] * y[1] - q2,
-        direction=ode.INCREASING,
-        name="radius",
-    )
 
 
 def transit(

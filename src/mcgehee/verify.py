@@ -346,9 +346,14 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     """Physical time spent inside the near-collision domain on one transit.
 
     x_entry must sit on (or just inside) the sphere ||q|| = eps moving
-    inward.  The transit is carried by the covering flow so collision
-    passages are included; measured time is compared against the uniform
-    bound, which carries the mass factor.
+    inward.  The transit runs from x_entry through its pericenter, or
+    through the collision when l = 0, back out to ||q|| = eps, so its time
+    is T(u_in) + T(u_out): the chart's radial quadrature (`chart._RadialOrbit`)
+    from the pericenter out to the entry state and out to the sphere.  No
+    ODE is integrated.  The measured time is compared against the uniform
+    bound, which carries the mass factor.  Raises ValueError when x_entry
+    is not an inward state on or inside the sphere in the chart domain, or
+    when its orbit turns back before it reaches the sphere again.
     """
     if x_entry.radial >= 0.0:
         raise ValueError("entry state must be moving inward")
@@ -357,10 +362,16 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     if not chart.in_U_eps(params, PhasePoint(x_entry.q * (1 - 1e-12), x_entry.p)):
         raise ValueError("entry state is outside the chart domain")
 
-    _, y0, E = cov.lift_state(params, x_entry)
-    tau_max = cov.tau_bound(params, params.eps ** (1.0 / params.n))
-    exit_event = cov.radius_event(params, params.eps)
-    measured = float(cov.transit(params, E, y0, tau_max, (exit_event,), chart._TIGHT)[4])
+    n = params.n
+    r, E, radial = chart._radius_energy_radial(params, x_entry)
+    _, qc, pc = cov.plane_reduce(x_entry)
+    orbit = chart._RadialOrbit(params, np.array([E]), np.array([abs(qc.real * pc.imag - qc.imag * pc.real)]))
+    sigma_eps = params.eps ** (2.0 / n)
+    if not (orbit.s0[0] < sigma_eps and orbit.G(np.array([[sigma_eps]]))[0, 0] > 0.0):
+        raise ValueError("entry state's orbit turns back before it reaches the chart radius")
+    u_in = orbit.phase(chart._pow(r, 2.0 / n), radial)
+    u_out = np.sqrt(sigma_eps - orbit.s0)
+    measured = float(orbit.time(u_in)[0] + orbit.time(u_out)[0])
     bound = transit_bound(params)
     return TransitCheck(measured=measured, bound=bound, ok=measured <= bound)
 

@@ -16,6 +16,8 @@ from mcgehee.model import (
 )
 from mcgehee.verify import sample_domain_points
 
+from covering_oracle import radius_event
+
 GRID = [(n, d) for n in (1, 2, 3, 4) for d in (2, 3)]
 
 
@@ -56,7 +58,7 @@ def ode_inverse(params, c):
     y0 = cov.covering_state_y(complex(q_mag), 1j * P_mag)
     r_exit = 0.5 * params.eps
     events = (
-        cov.radius_event(params, r_exit),
+        radius_event(params, r_exit),
         ode.EventSpec(g=lambda y: y[4] - c.T, direction=ode.ANY, name="t-budget"),
     )
     tau_max = cov.tau_bound(params, r_exit ** (1.0 / n), slack=50.0)

@@ -135,6 +135,9 @@ class TestConfigErrors:
             ("simulate", {**START, "initial": {"q": [True, 0.0], "p": [0.0, 1.0]}}, "'initial.q'"),
             # took the collision and dropped q and p
             ("simulate", {**START, "initial": {**START["initial"], "collision": {"h": -0.5, "a": [1.0, 0.0]}}}, "'initial'"),
+            # numpy's "Maximum allowed size exceeded", after the output directory was made
+            ("simulate", {**START, "output_points": 10**20}, "'output_points'"),
+            ("simulate", {**START, "output_points": cli.MAX_OUTPUT_POINTS + 1}, "'output_points'"),
         ],
     )
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, key):
@@ -143,6 +146,10 @@ class TestConfigErrors:
         assert run(argv if command == "rmin" else argv + ["--out", str(out)]) == cli.EXIT_CONFIG
         assert key in config_error(capsys)
         assert not out.exists()
+
+    def test_output_points_cap_is_accepted(self):
+        convert = cli.COMMANDS["simulate"][0]["output_points"]
+        assert convert("'output_points'", cli.MAX_OUTPUT_POINTS) == cli.MAX_OUTPUT_POINTS
 
     @pytest.mark.parametrize(
         "command,cfg,key",
@@ -360,8 +367,8 @@ class TestSimulate:
             ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e308], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
             # |q|**2 overflows: the start's radius is not finite
             ({"q": [1e200, 0.0], "p": [0.0, 1.0]}, [0.0, 1.0], "t=0.0 failed at the state q=[1e+200, 0.0] p=[0.0, 1.0]"),
-            # G overflows at a finite start, which cannot be placed on its orbit
-            ({"q": [3.0, 0.0], "p": [1e154, 1e150]}, [0.5, 1.0], "t=0.0 failed at the state q=[3.0, 0.0] p=[1e+154, 1e+150]"),
+            # G overflows at the start, which flows; the step's end at r = 5e313 is not finite
+            ({"q": [3.0, 0.0], "p": [1e154, 1e150]}, [0.0, 1e160], "t=0.0 failed at the state q=[3.0, 0.0] p=[1e+154, 1e+150]"),
         ],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

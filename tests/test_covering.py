@@ -7,6 +7,8 @@ from mcgehee import covering as cov
 from mcgehee import integrate as ode
 from mcgehee.model import DomainError, ModelParams, PhasePoint, hamiltonian, physical_field
 
+from covering_oracle import radius_event
+
 TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
@@ -211,7 +213,7 @@ def through_collision(params, x_in, backward=False):
     tau_max = cov.tau_bound(params, abs(complex(y0[0], y0[1])))
     y1 = cov.transit(
         params, E, y0, -tau_max if backward else tau_max,
-        (cov.radius_event(params, x_in.r),), None,
+        (radius_event(params, x_in.r),), None,
     )
     qc, pc = cov.project(params, complex(y1[0], y1[1]), complex(y1[2], y1[3]))
     return cov.plane_embed(frame, qc, pc), abs(float(y1[4]))

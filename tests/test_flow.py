@@ -199,9 +199,9 @@ class TestNonFinite:
         "q,p,t,what",
         [
             ([0.05, 0.0], [0.0, 20.0], 1e308, "end state"),  # r = 1.7e309
-            # G overflows at the start (E sigma P beyond the float range), so
-            # the start cannot be placed on its orbit
-            ([3.0, 0.0], [1e154, 1e150], 1.0, "start's orbit"),
+            # G overflows at the start (E sigma P beyond the float range); it
+            # flows, and only its end at r = 1e314 fails
+            ([3.0, 0.0], [1e154, 1e150], 1e160, "end state"),
             ([1e200, 0.0], [0.0, 1.0], 1.0, "start's radius"),  # |q|**2 overflows; raised OverflowError
             ([0.05, 0.0], [0.0, 1.0], float("inf"), "time"),
             ([0.05, 0.0], [0.0, 1.0], float("nan"), "time"),
@@ -218,12 +218,39 @@ class TestNonFinite:
         "n,q,p",
         [(n, [3.0, 0.0], [1e154, 1e150]) for n in (3, 4, 5, 6)] + [(n, [1.0, 0.0], [5.4e153, 8.4e153]) for n in (5, 6)],
     )
-    def test_start_that_cannot_be_placed_warns_of_nothing(self, n, q, p):
-        # G overflows at the start: its phase is NaN, and the step stops
-        # there instead of carrying NaNs through the quadratures
+    def test_start_where_G_overflows_moves_on_a_straight_line(self, n, q, p):
+        # G = G0 + E sigma P overflows at the start, and for n >= 5 from
+        # (1, 0) so does `_far`'s (E / sigma) S: the start's phase, T and p_r
+        # take sqrt(E) out.  The kinetic energy dwarfs the potential by 1e300.
         params = ModelParams(n=n, d=2, eps=0.1)
-        with pytest.raises(DomainError, match="the start's orbit is not finite"):
-            chart.global_flow(params, PhasePoint(np.array(q), np.array(p)), -1e-20)
+        x = PhasePoint(np.array(q), np.array(p))
+        scale = 1e150  # |p|**2 overflows at this scale
+        for t in (-1e-154, 1.0):  # back by about |q|, and out to |q| = |p|
+            y = chart.global_flow(params, x, t).x
+            line = x.q + x.p * (t / params.m)
+            assert np.linalg.norm((y.q - line) / scale) <= 1e-12 * np.linalg.norm(line / scale)
+            assert np.linalg.norm((y.p - x.p) / scale) <= 1e-12 * np.linalg.norm(x.p / scale)
+
+    def test_random_starts_where_G_overflows_flow(self):
+        # |p| near 1e154 at r from 1 to 10, with l**2 in the float range
+        rng = np.random.default_rng(7)
+        overflows = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            params = ModelParams(n=n, d=2, eps=0.1)
+            a, b = rng.uniform(0.0, 2.0 * np.pi, 2)
+            r, P = 10.0 ** rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(153.6, 154.1)
+            if r * P * abs(np.sin(a - b)) > 1e154:
+                continue
+            x = PhasePoint(r * np.array([np.cos(a), np.sin(a)]), P * np.array([np.cos(b), np.sin(b)]))
+            with np.errstate(over="ignore"):
+                overflows += hamiltonian(params, x) * r ** (2.0 * (n - 1) / n) > np.finfo(float).max / (n - 1)
+            t = rng.choice([-1.0, 1.0]) * r / P * 10.0 ** rng.uniform(-3.0, 3.0)
+            y = chart.global_flow(params, x, t).x
+            line = x.q + x.p * (t / params.m)
+            assert np.linalg.norm((y.q - line) / 1e150) <= 1e-12 * np.linalg.norm(line / 1e150)
+            assert np.linalg.norm((y.p - x.p) / 1e150) <= 1e-12 * P / 1e150
+        assert overflows >= 10
 
     @pytest.mark.parametrize("n,h", [(1, float("inf")), (3, float("nan")), (3, float("inf"))])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

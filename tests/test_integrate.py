@@ -5,6 +5,8 @@ from scipy.integrate import solve_ivp
 from mcgehee import chart, covering as cov, integrate as ode
 from mcgehee.model import ModelParams, PhasePoint, physical_field
 
+from covering_oracle import radius_event
+
 
 def harmonic(t, y):
     return (y[1], -y[0])
@@ -113,7 +115,7 @@ def entry_transit(n: int):
     x = PhasePoint(np.array([0.1, 0.0]), np.array([-3.0, 0.4]))
     _, y0, E = cov.lift_state(params, x)
     span = (0.0, cov.tau_bound(params, params.eps ** (1.0 / n)))
-    event = cov.radius_event(params, params.eps)
+    event = radius_event(params, params.eps)
     traj = cov.integrate_covering(params, E, y0, span, chart._TIGHT, events=(event,))
     return params, E, y0, span, event, traj
 

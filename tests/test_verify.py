@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from mcgehee.model import (
     l_squared,
     physical_field,
 )
+
+from covering_oracle import transit_time
 
 
 class TestPoissonBracket:
@@ -300,6 +303,98 @@ class TestTransitBound:
         params = ModelParams(n=2, d=2, eps=0.1)
         x = PhasePoint(np.array([0.1, 0.0]), np.array([5.0, 0.0]))
         with pytest.raises(ValueError):
+            verify.transit_time_check(params, x)
+
+
+def entry_state(params, rng, cos, kinetic):
+    """Inward state at r = eps (1 - 1e-12) along a random unit u, its momentum
+    at an angle of cosine `cos` to u and its kinetic energy `kinetic` times
+    the chart domain's floor there."""
+    r = params.eps * (1.0 - 1e-12)
+    u = rng.normal(size=params.d)
+    u /= np.linalg.norm(u)
+    w = rng.normal(size=params.d)
+    w -= np.dot(w, u) * u
+    w /= np.linalg.norm(w)
+    v = -u if cos == -1.0 else cos * u + math.sqrt(1.0 - cos * cos) * w
+    floor = 2.0 * params.m * (1.0 - 0.5 / params.n) * params.Z * r ** (-params.alpha)
+    return PhasePoint(r * u, math.sqrt(kinetic * floor) * v)
+
+
+class TestTransitQuadrature:
+    """`transit_time_check` measures T(u_in) + T(u_out) on the chart's radial
+    quadrature; closed forms and the covering ODE check it."""
+
+    ORACLE = ode.IntegratorConfig(rel_tol=3e-14, abs_tol=1e-16)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_n1_is_the_chord(self, d):
+        """Free motion: m (sqrt(eps**2 - b**2) + sqrt(r**2 - b**2)) / |p| with
+        b the impact parameter, where sqrt(r**2 - b**2) = |<q,p>| / |p| and
+        eps**2 - b**2 = (eps - r)(eps + r) + <q,p>**2 / |p|**2."""
+        params = ModelParams(n=1, d=d, m=1.7, Z=0.6, eps=0.1)
+        rng = np.random.default_rng(d)
+        for cos in (-1.0, -0.9, -0.5, -0.2):
+            for kinetic in (1.01, 3.0, 1e4):
+                x = entry_state(params, rng, cos, kinetic)
+                speed = np.linalg.norm(x.p)
+                inner = -x.radial / speed
+                eps, r = params.eps, x.r
+                chord = params.m * (math.sqrt((eps - r) * (eps + r) + inner * inner) + inner) / speed
+                assert verify.transit_time_check(params, x).measured == pytest.approx(chord, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("m", [1.0, 0.3])
+    def test_n2_radial_is_the_closed_form(self, m):
+        """Out from the collision to r on a radial Kepler orbit of energy
+        E > 0: [sqrt(r (r + a)) - a asinh(sqrt(r / a))] / sqrt(2E/m), a = Z/E."""
+        params = ModelParams(n=2, d=3, m=m, Z=1.3, eps=0.1)
+        rng = np.random.default_rng(2)
+        for factor in (1.0, 4.0, 1e3):  # E = factor Z/r, so a is about eps / factor
+            x = entry_state(params, rng, -1.0, (1.0 + factor) / 0.75)  # the floor is 1.5 m Z/r
+            r, E = x.r, hamiltonian(params, x)
+            assert E == pytest.approx(factor * params.Z / r)
+            a = params.Z / E
+
+            def out_to(rho):
+                return (math.sqrt(rho * (rho + a)) - a * math.asinh(math.sqrt(rho / a))) / math.sqrt(2.0 * E / m)
+
+            expected = out_to(r) + out_to(params.eps)
+            assert verify.transit_time_check(params, x).measured == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_covering_ode(self, n, d):
+        """DOP853 through the pericenter or the collision, out to the sphere:
+        collision orbits (cos = -1), l near 0, and entries out to 1.15 degrees
+        from the tangent.  Nearer the tangent the transit's depth eps - r_min
+        is a small difference, and any float route to it loses about
+        1e-16 / cos**2 of the transit time."""
+        params = ModelParams(n=n, d=d, m=1.5, Z=0.7, eps=0.1)
+        rng = np.random.default_rng([n, d])
+        for cos in (-1.0, -0.999999, -0.5, -0.05, -0.02):
+            for kinetic in (1.0001, 4.0, 100.0):
+                x = entry_state(params, rng, cos, kinetic)
+                expected = transit_time(params, x, self.ORACLE)
+                assert verify.transit_time_check(params, x).measured == pytest.approx(expected, rel=1e-11, abs=0)
+
+    def test_integrates_no_ode(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ODE was integrated")
+
+        monkeypatch.setattr(ode, "integrate", refuse)
+        for n in (1, 2, 3):
+            params = ModelParams(n=n, d=2, eps=0.1)
+            check = verify.transit_time_check(params, entry_state(params, np.random.default_rng(n), -0.5, 2.0))
+            assert check.ok and check.measured > 0.0
+
+    def test_orbit_turning_back_inside_the_sphere_is_rejected(self):
+        """From r = eps/10 inward at E = -24 (the chart domain needs E > -25
+        there) the radial Kepler orbit turns back at r = Z/|E| = eps/2.4."""
+        params = ModelParams(n=2, d=2, eps=0.1)
+        r, E = 0.01, -24.0
+        x = PhasePoint(np.array([r, 0.0]), np.array([-math.sqrt(2.0 * (E + 1.0 / r)), 0.0]))
+        assert hamiltonian(params, x) == pytest.approx(E)
+        with pytest.raises(ValueError, match="turns back"):
             verify.transit_time_check(params, x)
 
 
