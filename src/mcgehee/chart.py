@@ -17,8 +17,9 @@ time_angle, place, state), which `chart_forward_rows` (stacked states;
 `global_flow` is the translation T -> T + t on every orbit, not only in
 U^eps: `_step` places the start, advances its time since the pericenter,
 modulo the radial period on bound orbits, and solves for the new
-coordinate; `_sample` places many times at once.  `pericenter` keeps the
-covering-ODE route to the chart's pericenter as an independent check.
+coordinate.  `trajectory` places one start's orbit at many times by
+`_sample`.  `pericenter` keeps the covering-ODE route to the chart's
+pericenter as an independent check.
 """
 
 from __future__ import annotations
@@ -325,14 +326,18 @@ class _RadialOrbit:
         return self._s0 + nodes.reshape(len(u), -1) ** 2, width
 
     def rate(self, u: np.ndarray) -> np.ndarray:
-        """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); beyond
-        the float range far out, where Newton bisects instead.  At the u of
-        the last one-row `time`, from its pass."""
+        """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); far out,
+        where sqrt(G) or sigma**(n-1) overflows, K sigma**(n/2-1) / g with
+        `_far`'s g.  At the u of the last one-row `time`, from its pass."""
         if self._slope is not None and self._slope[0] is u:
             return self._slope[1]
-        sigma = (self.s0 + u * u)[:, None]
-        with _quiet(self._tame(u), over="ignore", invalid="ignore"):
-            return (self.K * sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))[:, 0]
+        sigma, tame = (self.s0 + u * u)[:, None], self._tame(u)
+        with _quiet(tame, over="ignore", invalid="ignore"):
+            power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
+            if tame or (power.max() < np.inf and rG.max() < np.inf):
+                return (self.K * power / rG)[:, 0]
+            far_power, g = self._far(sigma)
+            return np.where((power < np.inf) & (rG < np.inf), self.K * power / rG, self.K * far_power / g)[:, 0]
 
     def _time(self, sigma, width) -> np.ndarray:
         """Far out, where G overflows (the integrand would read 0) or
@@ -480,7 +485,8 @@ def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 class Step(NamedTuple):
-    """A state advanced on its orbit, its angles from the start, and the work."""
+    """A state advanced on its orbit (floats; arrays of many, `_sample`), its
+    angles from the start, and the work."""
 
     r: float
     p_r: float
@@ -933,6 +939,20 @@ class _BoundOrbit:
             return np.fmin(t / self.rate(0.0), (t / last) ** (1.0 / (2 * n - 1)))
 
 
+def _place_start(orbit, sigma: float, radial):
+    """The start's time tau0 and angle theta0 since its pericenter, and its
+    coordinate and side (x0, side0) as `place`'s start: (0, 0, None) on the
+    collision (radial None), None where the start cannot be placed."""
+    if radial is None:
+        return 0.0, 0.0, None
+    x0 = orbit.phase(sigma, radial)
+    if not math.isfinite(_item(x0)):
+        return None
+    side0 = 1.0 if radial >= 0.0 else -1.0
+    tau0, theta0 = (side0 * v.item() for v in orbit.time_angle(x0))
+    return tau0, theta0, (x0, side0)
+
+
 def _step(orbit, sigma: float, radial, t: float) -> Step:
     """(r, p_r, swept angle, pericenter angle) of a one-row orbit's state
     at sigma = r**(2/n) with <q,p> = radial, advanced by t; angles from the
@@ -946,15 +966,11 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     collision.  Each whole period turns the pericenter by two apsidal
     angles.  x stays a float: powers of a (1,) array round differently.
     """
-    tau0, theta0, start = 0.0, 0.0, None
-    if radial is not None:
-        x0 = orbit.phase(sigma, radial)
-        if not math.isfinite(_item(x0)):  # the start cannot be placed: no step
-            return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
-        side0 = 1.0 if radial >= 0.0 else -1.0
-        tau0, theta0 = (side0 * v.item() for v in orbit.time_angle(x0))
-        start = (x0, side0, t)
-    k, side, sol = orbit.place(np.array([tau0 + t]), start)
+    placed = _place_start(orbit, sigma, radial)
+    if placed is None:  # no step
+        return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
+    tau0, theta0, at = placed
+    k, side, sol = orbit.place(np.array([tau0 + t]), None if at is None else (*at, t))
     x, side = sol.x[0], side[0]
     # p_r is unbounded at the collision: r = 0 where s0 = 0, or r underflows
     s0 = _item(orbit.s0)
@@ -968,23 +984,33 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
 _SAMPLE_CHUNK = 512  # times per `place` in `_sample`
 
 
-def _sample(orbit, ts) -> tuple[np.ndarray, np.ndarray, Solve]:
-    """r, polar angle and the solve (with the most iterations of any pass)
-    of an orbit at the times ts (1-D) since its pericenter, _SAMPLE_CHUNK
-    times per `place`; a bound orbit solves each time alone, so its bits do
-    not depend on its chunk.  Every whole period adds two apsidal angles."""
+def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
+    """`_step` at many times: an orbit's states at the times ts (1-D) since
+    its pericenter, angles from a start at angle theta0, and the solve (with
+    the most iterations of any pass).  A bound or E = 0 orbit places
+    _SAMPLE_CHUNK times per `place`, each solved alone, so its bits do not
+    depend on its chunk.  `_RadialOrbit` places one time per `place`: the
+    first from `start`, (x0, side0, t) as `place` takes it, each other from
+    the previous row's u and side and the time since it."""
     ts = np.asarray(ts, dtype=float)
-    r, theta, x, t = (np.empty_like(ts) for _ in range(4))
+    r, p_r, swept, pericenter, periods, x, t = (np.empty_like(ts) for _ in range(7))
+    one = isinstance(orbit, _RadialOrbit)  # its `state` takes one u
+    chunk = 1 if one else _SAMPLE_CHUNK
     iterations = 0
-    for i in range(0, len(ts), _SAMPLE_CHUNK):
-        part = slice(i, i + _SAMPLE_CHUNK)
-        k, side, sol = orbit.place(ts[part])
+    for i in range(0, len(ts), chunk):
+        part = slice(i, i + chunk)
+        k, side, sol = orbit.place(ts[part], start)
         x[part], t[part] = sol.x, sol.t
         with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision
-            r[part], _, angle = orbit.state(sol.x)
-        theta[part] = side * angle if k is None else 2.0 * k * orbit.apsis + side * angle
+            r[part], p, angle = orbit.state(sol.x[0] if one else sol.x)
+        p_r[part] = side * p
+        pericenter[part] = -theta0 if k is None else 2.0 * k * orbit.apsis - theta0
+        swept[part] = pericenter[part] + side * angle  # in `_step`'s order
+        periods[part] = 0.0 if k is None else k
         iterations = max(iterations, sol.iterations)
-    return r, theta, Solve(x, iterations, orbit.time, t)
+        if one and i + 1 < len(ts):
+            start = (sol.x, side, ts[i + 1] - ts[i])
+    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, orbit.time, t))
 
 
 class ChartRows(NamedTuple):
@@ -1428,8 +1454,6 @@ def global_flow(
     _require_finite("time", state, t, t)
     if params.n == 1:
         end, kind, periods, sol = _line_flow(params, state, t), "n = 1 line", 0.0, None
-        if isinstance(end, Regular):
-            _require_finite("end state", state, t, *end.x.q, *end.x.p)
     else:
         end, kind, periods, sol = _orbit_flow(params, state, t)
     if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
@@ -1438,9 +1462,37 @@ def global_flow(
     return end
 
 
-def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
-    """`global_flow` for n >= 2: the end state, the orbit's class, and the
-    step's whole periods and Newton solve."""
+def trajectory(params: ModelParams, x0: ExtendedPoint, ts) -> list[ExtendedPoint]:
+    """`global_flow(params, x0, t)` at every time t of ts, as one orbit.
+
+    The start is reduced to its plane, its orbit built and the start placed
+    once, and `_sample` places every time since the pericenter.  Rows keep
+    `global_flow`'s behaviour: a row at t = 0 is the start, a row on the
+    collision is `Collision`, n = 1 rows move on the line, and the first
+    time that `global_flow` refuses raises its DomainError.  Under DEBUG
+    logging each call logs one line: the orbit class, the rows, the most
+    whole periods, the most Newton iterations and the worst |T(x) - t|.
+    """
+    state: ExtendedPoint = Regular(x0) if isinstance(x0, PhasePoint) else x0
+    ts = np.asarray(ts, dtype=float).tolist()
+    for t in ts:
+        _require_finite("time", state, t, t)
+    moved = [t for t in ts if t != 0.0]
+    rows, kind, periods, sol = [state] * len(ts), "no", 0.0, None  # no row moves
+    if moved and params.n == 1:
+        rows, kind = [_line_flow(params, state, t) if t != 0.0 else state for t in ts], "n = 1 line"
+    elif moved:
+        rows, kind, periods, sol = _orbit_flow(params, state, moved[0], ts)
+    if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
+        log.debug("trajectory %s orbit rows=%d periods=%r newton_iterations=%d residual=%r", kind, len(ts), periods,
+                  *((sol.iterations, sol.residual()) if sol is not None else (0, 0.0)))
+    return rows
+
+
+def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | None = None):
+    """`global_flow` for n >= 2 by `_step`, or with times ts `trajectory`'s
+    rows by `_sample`, t their first nonzero time: the end state or rows, the
+    orbit's class, the most whole periods and the Newton solve."""
     if isinstance(state, Collision):
         a = state.a / np.linalg.norm(state.a)
         e1, e2 = _pericenter_frame(params.n, a, cov._completion(a))
@@ -1463,17 +1515,29 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float):
     else:
         orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
         _require_finite("start's orbit", state, t, orbit.s0[0], orbit.G0[0])
-    step = _step(orbit, sigma, radial, t)
-    # the step's first node pass gave the period and apsis, and places the start
-    _require_finite("start's orbit", state, t, *((orbit.period, orbit.apsis) if bound else (step.pericenter,)))
-    _require_finite("end state", state, t, step.r, step.swept, step.pericenter)
+    if ts is None:
+        step = _step(orbit, sigma, radial, t)
+        placed = step.pericenter
+    else:  # `_step`'s start placement, once
+        tau0, placed, at = _place_start(orbit, sigma, radial) or (math.nan, math.nan, None)
+        step = _sample(orbit, [tau0 + t for t in ts], placed, None if at is None else (*at, ts[0]))
+    # the first node pass gave the period and apsis, and placed the start at a finite angle
+    _require_finite("start's orbit", state, t, *((orbit.period, orbit.apsis) if bound else (placed,)))
     kind = "collision orbit" if l == 0.0 else "bound" if bound else "unbound"
-    if step.r * step.r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
-        lrl = _lrl_complex(params, 1j * np.exp(1j * (step.pericenter / params.n)))
-        a = lrl.real * e1 + lrl.imag * e2
-        return Collision(h=E, a=a / np.linalg.norm(a)), kind, step.periods, step.solve
-    _require_finite("end state", state, t, step.p_r)
-    return _embed(e1, e2, step.r, step.p_r, l, step.swept), kind, step.periods, step.solve
+
+    def end(t, r, p_r, swept, pericenter) -> ExtendedPoint:
+        _require_finite("end state", state, t, r, swept, pericenter)
+        if r * r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
+            lrl = _lrl_complex(params, 1j * np.exp(1j * (pericenter / params.n)))
+            a = lrl.real * e1 + lrl.imag * e2
+            return Collision(h=E, a=a / np.linalg.norm(a))
+        _require_finite("end state", state, t, p_r)
+        return _embed(e1, e2, r, p_r, l, swept)
+
+    if ts is None:
+        return end(t, *step[:4]), kind, step.periods, step.solve
+    rows = [end(t, *row) if t != 0.0 else state for t, *row in zip(ts, *(v.tolist() for v in step[:4]))]
+    return rows, kind, float(np.max(np.abs(step.periods))), step.solve
 
 
 def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:
@@ -1508,9 +1572,10 @@ def _line_flow(params: ModelParams, state: ExtendedPoint, t: float) -> ExtendedP
         if not state.h > -params.Z:
             raise DomainError("an n = 1 collision launch needs kinetic energy h + Z > 0")
         p = -np.sqrt(2.0 * params.m * (params.Z + state.h)) * state.a / np.linalg.norm(state.a)
-        return Regular(PhasePoint(p * (t / params.m), p))
-    x = state.x
-    q = x.q + x.p * (t / params.m)
-    if not q.any():
-        return Collision(h=hamiltonian(params, x), a=-x.p / np.linalg.norm(x.p))
-    return Regular(PhasePoint(q, x.p))
+        q = p * (t / params.m)
+    else:
+        q, p = state.x.q + state.x.p * (t / params.m), state.x.p
+        if not q.any():
+            return Collision(h=hamiltonian(params, state.x), a=-p / np.linalg.norm(p))
+    _require_finite("end state", state, t, *q, *p)
+    return Regular(PhasePoint(q, p))

@@ -190,22 +190,11 @@ def _describe(state: chart.ExtendedPoint) -> str:
 
 
 def _state_row(params: ModelParams, t: float, state: chart.ExtendedPoint) -> list[str]:
-    if isinstance(state, chart.Collision):
-        row = [_fmt(t)]
-        row += [_fmt(0.0)] * params.d
-        row += [""] * params.d  # momentum undefined at collision
-        row += [_fmt(state.h), _fmt(0.0), "1"]
-        return row
+    if isinstance(state, chart.Collision):  # momentum undefined at collision
+        return [_fmt(t)] + [_fmt(0.0)] * params.d + [""] * params.d + [_fmt(state.h), _fmt(0.0), "1"]
     x = state.x
-    row = [_fmt(t)]
-    row += [_fmt(v) for v in x.q]
-    row += [_fmt(v) for v in x.p]
-    row += [
-        _fmt(hamiltonian(params, x)),
-        _fmt(l_squared_point(x)),
-        "1" if chart.in_U_eps(params, x) else "0",
-    ]
-    return row
+    values = (t, *x.q, *x.p, hamiltonian(params, x), l_squared_point(x))
+    return [_fmt(v) for v in values] + ["1" if chart.in_U_eps(params, x) else "0"]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -217,24 +206,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_out = cfg.get("output_points", 200)
     ts = np.linspace(t0, t1, n_out) if t1 != t0 else np.array([t0])
 
-    header = (
-        ["t"]
-        + [f"q_{i+1}" for i in range(params.d)]
-        + [f"p_{i+1}" for i in range(params.d)]
-        + ["H", "l2", "in_U_eps"]
-    )
-    rows = [header]
-    current, k = state, 0
+    header = ["t", *(f"{v}_{i+1}" for v in "qp" for i in range(params.d)), "H", "l2", "in_U_eps"]
     try:
-        current = chart.global_flow(params, state, ts[0]) if ts[0] != 0.0 else state
-        rows.append(_state_row(params, ts[0], current))
-        for k in range(1, len(ts)):
-            current = chart.global_flow(params, current, float(ts[k] - ts[k - 1]))
-            rows.append(_state_row(params, float(ts[k]), current))
-    except DomainError as exc:
-        t = float(ts[k - 1]) if k else 0.0
-        log.error("flow step from t=%r failed at the state %s: %s", t, _describe(current), exc)
+        points = chart.trajectory(params, state, ts)
+    except DomainError as exc:  # its message names the failing time
+        log.error("flow from t=0.0 failed at the state %s: %s", _describe(state), exc)
         return EXIT_STEP_FAILURE
+    rows = [header] + [_state_row(params, t, point) for t, point in zip(ts.tolist(), points)]
 
     path = out / cfg.get("trajectory_file", "trajectory.csv")
     path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
@@ -276,7 +254,8 @@ def _orbit_curve(kind: str, orbit, ts: np.ndarray) -> np.ndarray:
     """An orbit with its pericenter on the q_1 axis, sampled at the times ts
     since the pericenter, as (t, q1, q2).  Logs one DEBUG line: the orbit's
     constants and the work of its solve."""
-    r, theta, sol = chart._sample(orbit, ts)
+    sample = chart._sample(orbit, ts)
+    r, theta, sol = sample.r, sample.swept, sample.solve
     if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
         constants = (float(v) for v in (orbit.E, orbit.l, orbit.s0, orbit.s1, orbit.period, orbit.apsis))
         log.debug("%s orbit E=%r l=%r s0=%r s1=%r period=%r apsis=%r newton_iterations=%d worst_residual=%r",

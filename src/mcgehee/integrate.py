@@ -4,11 +4,6 @@ Thin driver around scipy's DOP853 stepper (8th-order embedded pair with
 7th-order dense output).  Supports backward time spans, records the reason
 integration stopped, and localises surface crossings on the dense
 interpolant by bracketed root finding.
-
-A step's dense output costs three more field evaluations, so it is built on
-first read: each accepted step keeps its stages and endpoints, and its
-interpolant is built when an event changes sign on it or a `Trajectory`
-call evaluates it, then kept.  An event-ended run builds one.
 """
 
 from __future__ import annotations
@@ -54,8 +49,7 @@ class EventSpec:
 
 @dataclass
 class Trajectory:
-    """Dense solution of an ODE: nodes, per-step interpolants (each built on
-    its first call), stop reason."""
+    """Dense solution of an ODE: nodes, per-step interpolants, stop reason."""
 
     ts: np.ndarray
     ys: np.ndarray  # shape (len(ts), dim)
@@ -125,7 +119,7 @@ def integrate(
         if solver.status == "failed":
             traj.reason = REASON_STEP_FAILURE
             break
-        interp = _StepInterpolant(solver)
+        interp = solver.dense_output()
         interps.append(interp)
         ts.append(solver.t)
         ys.append(solver.y.copy())
@@ -142,35 +136,6 @@ def integrate(
     traj.ys = np.array(ys)
     traj.interpolants = interps
     return traj
-
-
-class _StepInterpolant:
-    """The dense output of one accepted step, built on its first call.
-
-    Keeps what the interpolant reads, the step's stage matrix (a copy: the
-    solver reuses it) and endpoints, and builds it through the solver
-    class's own `dense_output` on a bare instance holding them, so the bits
-    are those of building it right after the step.
-    """
-
-    __slots__ = ("solver", "stages", "h", "t_old", "t", "y_old", "y", "dense")
-
-    def __init__(self, solver) -> None:
-        self.solver, self.stages, self.dense = solver, solver.K_extended.copy(), None
-        self.h, self.t_old, self.t = solver.h_previous, solver.t_old, solver.t
-        self.y_old, self.y = solver.y_old, solver.y
-
-    def __call__(self, t):
-        if self.dense is None:
-            solver = self.solver
-            step = object.__new__(type(solver))
-            step.__dict__.update(
-                fun=solver.fun, n=solver.n, K_extended=self.stages,
-                h_previous=self.h, t_old=self.t_old, t=self.t,
-                y_old=self.y_old, y=self.y, f=self.stages[solver.n_stages],
-            )
-            self.dense = step.dense_output()
-        return self.dense(t)
 
 
 def _direction_ok(direction: str, g_lo: float, g_hi: float) -> bool:

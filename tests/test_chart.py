@@ -800,7 +800,7 @@ class TestBoundOrbit:
     def test_kepler_samples_match_keplers_equation(self, l):
         params = ModelParams(n=2, d=2)
         ts = np.linspace(0.0, 60.0, 2000)
-        r, theta, sol = chart._sample(chart._BoundOrbit(params, -0.5, l), ts)
+        r, _, theta, _, _, sol = chart._sample(chart._BoundOrbit(params, -0.5, l), ts)
         x, y = kepler_positions(params, -0.5, l, ts)
         a = 1.0
         assert np.max(np.hypot(r * np.cos(theta) - x, r * np.sin(theta) - y)) <= 1e-12 * a
@@ -840,7 +840,7 @@ class TestBoundOrbit:
                 orbit = chart._BoundOrbit(params, -0.5, l)
             except chart.NoPericenterError:
                 continue
-            r, theta, _ = chart._sample(orbit, np.linspace(0.0, 10.0, 50))
+            r, _, theta, _, _, _ = chart._sample(orbit, np.linspace(0.0, 10.0, 50))
             assert np.all(np.isfinite(r)) and np.all(np.isfinite(theta))
             assert orbit.apsis / np.pi == pytest.approx(np.sqrt(n / 2.0), rel=1e-6)
 
@@ -865,7 +865,7 @@ class TestBoundOrbit:
         params = ModelParams(n=3, d=2)
         orbit = chart._BoundOrbit(params, -0.5, 0.3)
         P = orbit.period
-        r, theta, _ = chart._sample(orbit, np.array([0.0, 0.5 * P, 3.0 * P, 3.5 * P]))
+        r, _, theta, _, _, _ = chart._sample(orbit, np.array([0.0, 0.5 * P, 3.0 * P, 3.5 * P]))
         r_peri, r_apo = orbit.s0**1.5, orbit.s1**1.5
         assert r[0] == r_peri and theta[0] == 0.0
         assert r == pytest.approx([r_peri, r_apo, r_peri, r_apo], rel=1e-14)
@@ -883,8 +883,8 @@ class TestBoundOrbit:
         theta = 2.0 * k * orbit.apsis + side * orbit.angle(one.x)
         r = orbit.sigma(one.x) ** (n / 2.0)
         place, passes = orbit.place, []
-        monkeypatch.setattr(orbit, "place", lambda part: passes.append(len(part)) or place(part))
-        r_got, theta_got, sol = chart._sample(orbit, ts)
+        monkeypatch.setattr(orbit, "place", lambda part, start: passes.append(len(part)) or place(part, start))
+        r_got, _, theta_got, _, _, sol = chart._sample(orbit, ts)
         assert passes == [min(chart._SAMPLE_CHUNK, count - i) for i in range(0, count, chart._SAMPLE_CHUNK)]
         assert same_bits(r_got, r) and same_bits(theta_got, theta)
         assert same_bits(sol.x, one.x) and same_bits(sol.t, one.t)
@@ -907,7 +907,7 @@ class TestZeroEnergyOrbit:
         q = l * l / (2.0 * m * Z)
         nu = np.linspace(-3.0, 3.0, 101)
         D = np.tan(nu / 2.0)
-        r, theta, sol = chart._sample(
+        r, _, theta, _, _, sol = chart._sample(
             chart._ZeroEnergyOrbit(params, l), np.sqrt(2.0 * m * q**3 / Z) * (D + D**3 / 3.0)
         )
         assert r == pytest.approx(q * (1.0 + D * D), rel=1e-13)
@@ -920,7 +920,7 @@ class TestZeroEnergyOrbit:
         orbit = chart._ZeroEnergyOrbit(params, 0.7)
         radii = np.array([orbit.s0 ** (n / 2.0), 1.0, 5.0, 20.0])
         t = np.array([orbit.time(orbit.u_at(rho)) for rho in radii])
-        r, theta, sol = chart._sample(orbit, np.concatenate((-t, t)))
+        r, _, theta, _, _, sol = chart._sample(orbit, np.concatenate((-t, t)))
         assert r == pytest.approx(np.concatenate((radii, radii)), rel=1e-13)
         assert np.array_equal(theta[:4], -theta[4:])  # the branches mirror
         assert np.all(np.abs(theta) < orbit.apsis)

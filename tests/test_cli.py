@@ -337,6 +337,16 @@ class TestConfigErrors:
         assert not list(tmp_path.glob("*.svg"))
 
 
+def first_refused(params, start, t_span, count):
+    """The first of simulate's output times at which `global_flow` raises."""
+    for t in np.linspace(*t_span, count).tolist():
+        try:
+            chart.global_flow(params, start, t)
+        except DomainError:
+            return t
+    return None
+
+
 class TestSimulate:
     def test_integrator_config_is_rejected(self, tmp_path, capsys):
         # simulate integrates no ODE, so a tolerance it would not read is an error
@@ -363,11 +373,11 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "initial,t_span,failed_at",
         [
-            # the end state of the first step overflows: r = 8.5e308
+            # the end state at the second output, t = 5e307, overflows: r = 8.5e308
             ({"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e308], "t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]"),
             # |q|**2 overflows: the start's radius is not finite
             ({"q": [1e200, 0.0], "p": [0.0, 1.0]}, [0.0, 1.0], "t=0.0 failed at the state q=[1e+200, 0.0] p=[0.0, 1.0]"),
-            # G overflows at the start, which flows; the step's end at r = 5e313 is not finite
+            # G overflows at the start, which flows; its end at t = 5e159 (r = 5e313) is not finite
             ({"q": [3.0, 0.0], "p": [1e154, 1e150]}, [0.0, 1e160], "t=0.0 failed at the state q=[3.0, 0.0] p=[1e+154, 1e+150]"),
         ],
     )
@@ -379,27 +389,46 @@ class TestSimulate:
         code = run(["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_STEP_FAILURE
         (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert line.startswith(f"flow step from {failed_at}: ") and "not finite" in line
+        # the start, and the first output time at which `global_flow` refuses
+        assert line.startswith(f"flow from {failed_at}: ") and "not finite" in line
+        start = PhasePoint(np.array(initial["q"]), np.array(initial["p"]))
+        assert line.endswith(f" after t={first_refused(ModelParams(n=3, d=2), start, t_span, 3)!r}")
         assert not (tmp_path / "trajectory.csv").exists()
 
-    def test_failing_later_step_logs_its_start(self, tmp_path, caplog, monkeypatch):
-        flow = chart.global_flow
-        calls = []
-
-        def fail_third(params, state, t):
-            calls.append(state)
-            if len(calls) == 3:
-                raise DomainError("not finite")
-            return flow(params, state, t)
-
-        monkeypatch.setattr(chart, "global_flow", fail_third)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_later_step_logs_its_start(self, tmp_path, caplog):
+        # r = 1.7e308 at the 2nd of 11 outputs, t = 1e307, beyond the float range at the 3rd
+        initial, t_span = {"q": [0.05, 0.0], "p": [0.0, 20.0]}, [0.0, 1e308]
         cfg = write_config(
-            tmp_path, {"initial": {"q": [0.05, 0.0], "p": [0.0, 5.0]}, "t_span": [0.0, 0.1], "output_points": 5}
+            tmp_path, {"params": {"n": 3, "d": 2}, "initial": initial, "t_span": t_span, "output_points": 11}
         )
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
-        q, p = calls[2].x.q.tolist(), calls[2].x.p.tolist()
+        start = PhasePoint(np.array(initial["q"]), np.array(initial["p"]))
+        t = first_refused(ModelParams(n=3, d=2), start, t_span, 11)
+        assert t == np.linspace(*t_span, 11)[2]
         (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert line == f"flow step from t=0.05 failed at the state q={q} p={p}: not finite"
+        assert line.startswith("flow from t=0.0 failed at the state q=[0.05, 0.0] p=[0.0, 20.0]: ")
+        assert line.endswith(f"the end state is not finite, from {chart.Regular(start)} after t={t!r}")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_rows_are_the_trajectory(self, tmp_path):
+        # a launch from the collision set, its t = 0 row on the collision
+        cfg = write_config(tmp_path, {
+            "params": {"n": 3, "d": 2}, "initial": {"collision": {"h": -0.5, "a": [1.0, 0.0]}},
+            "t_span": [-1.0, 2.0], "output_points": 31,
+        })
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        ts = np.linspace(-1.0, 2.0, 31)
+        points = chart.trajectory(ModelParams(n=3, d=2), chart.Collision(h=-0.5, a=np.array([1.0, 0.0])), ts)
+        lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == 31 and lines[10] == "0.0,0.0,0.0,,,-0.5,0.0,1"
+        for line, t, point in zip(lines, ts.tolist(), points):
+            values = line.split(",")
+            assert float(values[0]) == t
+            if isinstance(point, chart.Regular):
+                assert np.array(values[1:5], dtype=float).tobytes() == np.concatenate((point.x.q, point.x.p)).tobytes()
+            else:
+                assert values[3:5] == ["", ""] and float(values[5]) == point.h
 
     def test_far_out_second_step_flows(self, tmp_path):
         # the first step of 5e149 ends near |q| = 8.5e150, where E s**n

@@ -22,9 +22,9 @@ from mcgehee.model import ModelParams, PhasePoint
 
 RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 RECORDED = {
-    "simulate n=2": "000500df8639f575",
-    "simulate n=3 collision": "74a4fe6bcf2b24e5",
-    "simulate n=4": "6dc5c2086648c7ad",
+    "simulate n=2": "5a02f115aa1e27e5",
+    "simulate n=3 collision": "c064500ab27edff4",
+    "simulate n=4": "8e91bb58dfde1944",
     "verify": "1935278b256042be",
     "figures all tree": "faf7943792bc9e51…95b2e3",
 }

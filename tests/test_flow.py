@@ -7,6 +7,7 @@ O(d) equivariance and the homogeneity scaling).
 """
 
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ from mcgehee.model import (
     l_squared_point,
     physical_field,
 )
+
+from test_digests import flow_calls
 
 TIGHT = ode.IntegratorConfig(rel_tol=3e-14, abs_tol=1e-15)
 
@@ -230,6 +233,21 @@ class TestNonFinite:
             line = x.q + x.p * (t / params.m)
             assert np.linalg.norm((y.q - line) / scale) <= 1e-12 * np.linalg.norm(line / scale)
             assert np.linalg.norm((y.p - x.p) / scale) <= 1e-12 * np.linalg.norm(x.p / scale)
+
+    @pytest.mark.parametrize(
+        "q,p,t",
+        [([3.0, 0.0], [1e154, 1e150], 1e-155), ([3.0, 0.0], [1e154, 1e150], 1.0), ([0.3, 0.0], [1e150, 1e146], 1.0)],
+    )
+    def test_newton_where_G_overflows_takes_few_rounds(self, q, p, t):
+        # dT/du from `_far`'s g where sqrt(G) overflows: rate 0 there made
+        # Newton bisect, 47-52 rounds for these starts
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = PhasePoint(np.array(q), np.array(p))
+        end, kind, _, sol = chart._orbit_flow(params, chart.Regular(x), t)
+        assert kind == "unbound" and sol.iterations <= 10
+        line, scale = x.q + x.p * (t / params.m), 1e150  # |p|**2 overflows at this scale
+        assert np.linalg.norm((end.x.q - line) / scale) <= 1e-14 * np.linalg.norm(line / scale)
+        assert np.linalg.norm((end.x.p - x.p) / scale) <= 1e-14 * np.linalg.norm(x.p / scale)
 
     def test_random_starts_where_G_overflows_flow(self):
         # |p| near 1e154 at r from 1 to 10, with l**2 in the float range
@@ -484,6 +502,121 @@ class TestDebugLog:
         with caplog.at_level(logging.INFO, logger="mcgehee"):
             chart.global_flow(ModelParams(n=3, d=2), PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9])), 0.01)
         assert not caplog.records
+
+class TestTrajectory:
+    """`chart.trajectory`: one orbit placed at many times, row for row
+    `global_flow` from the same start."""
+
+    # multiples of each call's time: both signs, a 0, and out of order
+    TIMES = (0.5, -1.0, 0.0, 0.01, -0.3, 1.0, 3.0, 10.0)
+
+    def test_rows_are_global_flows(self):
+        # bit for bit on most rows; where an unbound row's Newton starts from
+        # the row before, or a bound row's powers round as an array's, within
+        # 4e-15 of the state's scale (1.5e-15 measured)
+        same = total = 0
+        for params, start, t in flow_calls():
+            ts = [c * t for c in self.TIMES]
+            for s, row in zip(ts, chart.trajectory(params, start, ts)):
+                want = chart.global_flow(params, start, s)
+                assert type(row) is type(want)
+                total += 1
+                if isinstance(want, chart.Collision):
+                    same += row.h == want.h and row.a.tobytes() == want.a.tobytes()
+                    assert row.h == want.h and np.allclose(row.a, want.a, rtol=0.0, atol=4e-15)
+                    continue
+                same += row.x.q.tobytes() == want.x.q.tobytes() and row.x.p.tobytes() == want.x.p.tobytes()
+                assert state_error(params, row.x, want.x) <= 4e-15
+        assert total == 1600 and same >= 0.9 * total  # 1523 measured
+
+    def test_rows_at_zero_are_the_start(self):
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9]))
+        launch = chart.Collision(h=-0.5, a=np.array([1.0, 0.0]))
+        for start in (x, launch):
+            rows = chart.trajectory(params, start, [0.0, 0.2, 0.0, -0.0])
+            assert [type(r) for r in rows] == [type(rows[0]), chart.Regular, type(rows[0]), type(rows[0])]
+            assert rows[0] is rows[2] is rows[3] and (rows[0] is launch or rows[0].x is x)
+        assert chart.trajectory(params, x, [0.0])[0].x is x and chart.trajectory(params, x, []) == []
+
+    def test_rows_on_the_collision(self):
+        # a launch from the collision set is back on it after whole periods
+        # of its collision orbit, where `global_flow` returns `Collision` too
+        params = ModelParams(n=2, d=2, eps=0.1)
+        launch = chart.Collision(h=-0.5, a=np.array([0.6, 0.8]))
+        P = chart._BoundOrbit(params, -0.5, 0.0).period  # 2 pi: a = 1; the times are its multiples in floats
+        rows = chart.trajectory(params, launch, [0.5 * P, P, 2.0 * P, -P])
+        for row, t in zip(rows, (0.5 * P, P, 2.0 * P, -P)):
+            want = chart.global_flow(params, launch, t)
+            assert type(row) is type(want)
+        assert isinstance(rows[1], chart.Collision) and rows[1].h == -0.5
+        assert np.allclose(rows[1].a, launch.a, rtol=0.0, atol=1e-15)
+
+    def test_n1_rows_move_on_the_line(self):
+        params = ModelParams(n=1, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.05, 0.0]), np.array([-3.0, 0.0]))
+        hit = 0.05 / 3.0
+        rows = chart.trajectory(params, x, [0.01, hit, 0.1])
+        for row, t in zip(rows, (0.01, hit, 0.1)):
+            want = chart.global_flow(params, x, t)
+            assert type(row) is type(want)
+            assert isinstance(row, chart.Collision) or row.x.q.tobytes() == want.x.q.tobytes()
+
+    @pytest.mark.parametrize(
+        "n,start,ts,what,failing",
+        [
+            (3, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 20.0])), [0.0, 1e307, 2e307, 3e307], "end state", 2e307),
+            (3, PhasePoint(np.array([1e200, 0.0]), np.array([0.0, 1.0])), [0.0, 0.5, 1.0], "start's radius", 0.5),
+            (3, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 1.0])), [0.0, 0.5, float("inf")], "time", float("inf")),
+            (1, PhasePoint(np.array([0.05, 0.0]), np.array([1e300, 0.0])), [1.0, 1e10], "end state", 1e10),
+        ],
+        ids=["end", "start", "time", "line"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_refused_time_raises(self, n, start, ts, what, failing):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        message = f"the {what}.* not finite.* after t={re.escape(repr(failing))}$"
+        with pytest.raises(DomainError, match=message):
+            chart.trajectory(params, start, ts)
+        with pytest.raises(DomainError, match=message):
+            chart.global_flow(params, start, failing)
+
+    @pytest.mark.parametrize("E,l", [(0.7, 0.2), (5.0, 0.0)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sample_on_a_radial_orbit_is_step_by_step(self, monkeypatch, n, E, l):
+        # one time per `place`, each from the row before, against `_step`
+        # from the pericenter (radial None) at each time alone; the two
+        # Newton solves start apart and stop within their tolerance, a few
+        # ulps of u, which r = sigma**(n/2) scales by n (1.4e-15 measured)
+        params = ModelParams(n=n, d=2)
+        orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+        ts = np.linspace(-3.0, 5.0, 41)
+        place, passes = orbit.place, []
+        monkeypatch.setattr(orbit, "place", lambda part, start: passes.append(len(part)) or place(part, start))
+        got = chart._sample(orbit, ts)
+        assert passes == [1] * len(ts)
+        monkeypatch.undo()
+        for k, t in enumerate(ts.tolist()):
+            want = chart._step(orbit, 0.0, None, t)
+            assert got.periods[k] == want.periods == 0.0 and got.pericenter[k] == want.pericenter
+            for field in ("r", "p_r", "swept"):
+                assert getattr(got, field)[k] == pytest.approx(getattr(want, field), rel=4e-15, abs=1e-300, nan_ok=True)
+            if k == 0:  # from the same start, so the same bits
+                assert (got.r[0], got.p_r[0], got.swept[0]) == (want.r, want.p_r, want.swept)
+        assert got.solve.residual() <= 1e-15 * ts.max()
+
+    def test_one_debug_line_per_call(self, caplog):
+        params = ModelParams(n=2, d=2, eps=0.1)
+        # from the pericenter of a Kepler orbit with E = -1/2, so a = 1 and P = 2 pi
+        x = PhasePoint(np.array([0.4, 0.0]), np.array([0.0, 2.0]))
+        with caplog.at_level(logging.DEBUG, logger="mcgehee"):
+            chart.trajectory(params, x, [0.0, 1.0, -10.25 * 2.0 * np.pi, 3.0])
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith("trajectory bound orbit rows=4 periods=10.0 newton_iterations=")
+        fields = dict(f.split("=") for f in line.split() if "=" in f)
+        assert 0 < int(fields["newton_iterations"]) <= chart._SOLVE_MAX_ITER
+        assert 0.0 <= float(fields["residual"]) <= 1e-13 * 65.0
+
 
 # ---------------------------------------------------------------------------
 # metamorphic properties

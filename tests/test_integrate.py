@@ -92,21 +92,6 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """The t_old of every interpolant built, caught on the solver class's
-    `dense_output`, the method the benchmark's tracer hooks too."""
-    built = []
-
-    class Spy(ode.DOP853):
-        def dense_output(self):
-            built.append(self.t_old)
-            return super().dense_output()
-
-    monkeypatch.setattr(ode, "DOP853", Spy)
-    return built
-
-
 def entry_transit(n: int):
     """A covering transit of U^eps from its sphere, inward, to the exit
     event, as criterion 5 measures it: its params, energy, start, span,
@@ -121,9 +106,8 @@ def entry_transit(n: int):
 
 
 class TestLazyDenseOutput:
-    """A step's interpolant is built on its first read; scipy's solve_ivp,
-    which builds every one right after its step, is the reference, bit for
-    bit, at the same tolerances."""
+    """Each step's dense output, against scipy's solve_ivp at the same
+    tolerances, bit for bit."""
 
     @staticmethod
     def reference(field, y0, span, **kwargs):
@@ -158,23 +142,3 @@ class TestLazyDenseOutput:
         ts = np.linspace(traj.ts[0], traj.ts[-2], 499)[1:-1]
         ts = [t for t in ts if t not in traj.ts]
         assert same_bits([traj(t) for t in ts], [ref.sol(t) for t in ts])
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_event_ended_transit_builds_one_interpolant(self, builds, n):
-        params, E, y0, span, event, traj = entry_transit(n)
-        assert len(traj.ts) > 5 and builds == [traj.ts[-2]]  # the event step's
-        builds.clear()
-        end = cov.transit(params, E, y0, span[1], (event,), chart._TIGHT)
-        assert same_bits(end, traj.ys[-1]) and len(builds) == 1
-
-    def test_a_segment_is_built_once(self, builds):
-        traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 3.0), TIGHT)
-        assert builds == [] and len(traj.ts) > 3
-        t = 0.5 * (traj.ts[1] + traj.ts[2])
-        first = traj(t)
-        assert builds == [traj.ts[1]]
-        assert same_bits(traj(t), first)
-        traj(traj.ts[1])  # the segment's start node reads the same segment
-        assert builds == [traj.ts[1]]
-        traj(traj.ts[-1])
-        assert builds == [traj.ts[1], traj.ts[-2]]
