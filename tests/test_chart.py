@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +142,27 @@ def u_eff_bisection_rmin(params, E, l2):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_sigma_root(params, E, l2, dps=40):
+    """Independent oracle: the smallest root of E s**n + Z s = l2/(2m) by
+    bisection at `dps` digits, on [0, min(l2/(2mZ), (l2/(2mE))**(1/n))] for
+    E > 0 and on [l2/(2mZ), the peak of E s**n + Z s] for E < 0, where f is
+    increasing (by the geometric mean while the bracket spans a factor 2)."""
+    with mp.workdps(dps):
+        E, Z, n = mp.mpf(E), mp.mpf(params.Z), params.n
+        rhs = mp.mpf(l2) / (2 * mp.mpf(params.m))
+        if E > 0:
+            lo, hi = mp.mpf(0), min(rhs / Z, (rhs / E) ** (mp.mpf(1) / n))
+        else:
+            lo, hi = rhs / Z, (Z / (n * -E)) ** (mp.mpf(1) / (n - 1))
+        while hi - lo > lo * mp.mpf(10) ** -dps:
+            mid = mp.sqrt(lo * hi) if lo > 0 and hi > 2 * lo else (lo + hi) / 2
+            if E * mid**n + Z * mid < rhs:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
 
 class TestDomain:
@@ -299,6 +321,69 @@ class TestRMin:
         with np.errstate(all="ignore"):
             one, rows = chart._monotone_newton(*args), chart._newton_rows(*args)
         assert not np.isfinite(one.x[0]) and same_bits(one.x, rows.x)
+
+    @staticmethod
+    def root_sample():
+        """About 200 seeded (params, E, l2): n = 3-8, m in {0.3, 1, 3}, E and
+        l2 log-uniform over the float range; per cell a third of the draws
+        bound (l2 below the circular threshold) and a quarter with
+        l2/(2mE) below the normal floats.  Bound draws keep |E| a decade
+        above where the threshold's s_peak**n overflows (|E| near
+        (Z/n) 1.8e308**(-(n-1)/n)), which `_peak` does not handle."""
+        rng = np.random.default_rng(18)
+        sample = []
+        for n in range(3, 9):
+            for m in (0.3, 1.0, 3.0):
+                params = ModelParams(n=n, d=2, m=m)
+                log_E_bound = np.log10(params.Z / n) - (n - 1) / n * np.log10(np.finfo(float).max) + 1.0
+                draws = []
+                for j in range(11):
+                    if j % 3 == 1:
+                        E = -(10.0 ** rng.uniform(log_E_bound, 307.0))
+                        log_peak = np.log10(chart._peak(params.Z, n, E)[1])
+                        rhs = 10.0 ** rng.uniform(-300.0, log_peak - 0.01)
+                    elif j % 4 == 0:  # l2/(2mE) from 1e-300/E to 1e-308
+                        log_E = rng.uniform(10.0, 307.0)
+                        E, rhs = 10.0**log_E, 10.0 ** (log_E + rng.uniform(-300.0 - log_E, -308.0))
+                    else:
+                        E, rhs = 10.0 ** rng.uniform(-300.0, 307.0), 10.0 ** rng.uniform(-300.0, 307.0)
+                    draws.append((E, 2.0 * m * rhs))
+                sample.append((params, draws))
+        return sample
+
+    def test_root_over_the_float_range(self, monkeypatch):
+        # one root and the rows alike to the bit; each within 1e-13 of
+        # mpmath and found in at most 8 Newton rounds, l2/(2mE) below the
+        # normal floats included; draws whose l2/(2mE) overflows or whose
+        # root leaves the float range are not checked against mpmath
+        rounds = []
+        newton = chart._monotone_newton
+
+        def counted(*args):
+            sol = newton(*args)
+            rounds.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(chart, "_monotone_newton", counted)
+        checked = tiny = 0
+        for params, draws in self.root_sample():
+            Es, l2s = (np.array(v) for v in zip(*draws))
+            rows = chart._sigma_root(params, Es, l2s)
+            for k, (E, l2) in enumerate(draws):
+                rounds.clear()
+                one = chart._sigma_root(params, E, l2)
+                assert type(one) is float and same_bits(np.float64(one), rows[k])
+                rhs = l2 / (2.0 * params.m)
+                if E > 0.0 and not rhs / E < np.inf:
+                    continue
+                want = mp_sigma_root(params, E, l2)
+                if not np.finfo(float).tiny <= want <= np.finfo(float).max:
+                    continue
+                assert abs(one - want) <= 1e-13 * want, (params, E, l2)
+                assert max(rounds) <= 8, (params, E, l2)
+                checked += 1
+                tiny += E > 0.0 and rhs / E < np.finfo(float).tiny
+        assert checked >= 150 and tiny >= 20
 
     def test_supercritical_l2_has_no_pericenter(self):
         params = ModelParams(n=2, d=2)
@@ -1287,7 +1372,8 @@ class TestOneStatePath:
         if case == "cut":  # just inside E > -1e-154 (n = 2), where bound orbits end
             E = -Z * np.exp(-700.0 * (n - 1.0) / n) * (1.0 + 1e-3 * a)
         elif case in ("unbound", "far", "cap") or (case == "l = 0" and a > 0.5):
-            # far: E s**n (n >= 3) or 2 E l2/m (n = 2) overflows at the root's start
+            # far: E s**n at s = l2/(2mZ) (n >= 3) or 2 E l2/m (n = 2) overflows;
+            # cap: l2/(2mZ) lies many powers of 2 above the root
             E = 10.0 ** {"cap": b + 40.0 * a, "far": b + 6.0}.get(case, b)
         if E < 0.0:
             s_peak, peak = chart._peak(Z, n, E)

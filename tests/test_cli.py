@@ -11,6 +11,8 @@ import mcgehee
 from mcgehee import chart, cli, integrate as ode, verify
 from mcgehee.model import DomainError, ModelParams, PhasePoint, physical_field
 
+from test_chart import mp_sigma_root
+
 
 def run(argv):
     return cli.main(argv)
@@ -63,6 +65,17 @@ class TestRmin:
         r, delta = capsys.readouterr().out.splitlines()
         assert float(r) == pytest.approx(0.5555555555555556, rel=1e-15)
         assert delta == "closed-form delta: inf"
+
+    @pytest.mark.parametrize(
+        "m, E, l2", [("0.3", "4.144e279", "5.256e-86"), ("1", "1e250", "1e-80")]
+    )
+    def test_root_where_l2_over_2mE_underflows(self, capsys, m, E, l2):
+        # s**n underflows at the root: r_min is 4.5977164e-183 and
+        # 7.0710678e-166, where Z s = l2/(2m) alone read ~1.4e-162
+        assert run(["rmin", "--n", "3", "--m", m, "--E", E, "--l2", l2]) == cli.EXIT_OK
+        params = ModelParams(n=3, d=2, m=float(m))
+        want = mp_sigma_root(params, float(E), float(l2)) ** 1.5
+        assert abs(float(capsys.readouterr().out.splitlines()[0]) - want) <= 1e-13 * want
 
     def test_no_pericenter_exit_code(self, capsys):
         code = run(["rmin", "--n", "2", "--E", "-0.5", "--l2", "2"])

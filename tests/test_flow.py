@@ -25,9 +25,10 @@ from mcgehee.model import (
     physical_field,
 )
 
-from test_digests import flow_calls
+from test_digests import load_digests
 
 TIGHT = ode.IntegratorConfig(rel_tol=3e-14, abs_tol=1e-15)
+flow_calls = load_digests().flow_calls
 
 
 def physical_flow(params, x, t):

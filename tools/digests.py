@@ -8,8 +8,9 @@ Runs, in-process on the checkout this file sits in, the three fixed
 fresh temporary directory.  A file digest is the first 16 hex digits of
 the sha256 of its bytes; the figures tree hashes each file as
 name + NUL + bytes + NUL in sorted name order and prints the first 16 and
-the last 6 hex digits.  The last line is the line count of
-src/mcgehee/*.py, as `wc -l` gives it.
+the last 6 hex digits.  The next line hashes the end states of about 200
+seeded `global_flow` calls (`flow_calls`, `flow_digest`).  The last line
+is the line count of src/mcgehee/*.py, as `wc -l` gives it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from mcgehee import cli  # noqa: E402
+from mcgehee import chart, cli  # noqa: E402
+from mcgehee.model import ModelParams, PhasePoint  # noqa: E402
 
 SIMULATE = {
     "simulate n=2": {
@@ -78,6 +82,57 @@ def digests() -> dict[str, str]:
     return found
 
 
+FLOW_KINDS = ("bound", "unbound", "collision launch", "at rest", "radial")
+
+
+def flow_calls():
+    """About 200 seeded `global_flow` calls: n = 1-5, d = 2, 3, and in each
+    cell bound, unbound, at-rest and radial starts and launches from the
+    collision set, each stepped by a signed time from 1e-3 to 1e2 times the
+    time scale sqrt(m/Z) r**(1 + alpha/2) at its radius."""
+    rng = np.random.default_rng(20261018)
+    calls = []
+    for n in (1, 2, 3, 4, 5):
+        for d in (2, 3):
+            params = ModelParams(n=n, d=d, eps=0.1)
+            for j in range(20):
+                kind = FLOW_KINDS[j % len(FLOW_KINDS)]
+                r = 10.0 ** rng.uniform(-2.0, 0.0)
+                u = rng.normal(size=d)
+                u /= np.linalg.norm(u)
+                v = rng.normal(size=d)
+                v -= np.dot(v, u) * u
+                v /= np.linalg.norm(v)
+                potential = params.Z * r**-params.alpha
+                kinetic = {"bound": rng.uniform(0.05, 0.95), "unbound": 10.0 ** rng.uniform(0.02, 2.0)}.get(kind, 1.0)
+                speed = np.sqrt(2.0 * params.m * kinetic * potential)
+                if kind == "collision launch":
+                    start = chart.Collision(h=potential * rng.uniform(-0.9, 2.0), a=u)
+                elif kind == "at rest":
+                    start = PhasePoint(r * u, np.zeros(d))
+                elif kind == "radial":
+                    start = PhasePoint(r * u, speed * rng.choice([-1.0, 1.0]) * u)
+                else:
+                    lean = rng.uniform(-1.0, 1.0)
+                    start = PhasePoint(r * u, speed * (lean * u + np.sqrt(1.0 - lean * lean) * v))
+                scale = np.sqrt(params.m / params.Z) * r ** (1.0 + 0.5 * params.alpha)
+                t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 2.0) * scale
+                calls.append((params, start, t))
+    return calls
+
+
+def flow_digest(calls) -> str:
+    """The first 16 hex digits of the sha256 of every end state's bits."""
+    h = hashlib.sha256()
+    for params, start, t in calls:
+        end = chart.global_flow(params, start, t)
+        if isinstance(end, chart.Collision):
+            h.update(b"collision" + np.float64(end.h).tobytes() + end.a.tobytes())
+        else:
+            h.update(end.x.q.tobytes() + end.x.p.tobytes())
+    return h.hexdigest()[:16]
+
+
 def src_lines() -> int:
     """Lines of src/mcgehee/*.py: newline characters, as `wc -l` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (SRC / "mcgehee").glob("*.py"))
@@ -86,6 +141,7 @@ def src_lines() -> int:
 def main() -> None:
     for name, digest in digests().items():
         print(f"{name:<24}{digest}")
+    print(f"{'global_flow':<24}{flow_digest(flow_calls())}")
     print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
 
 
