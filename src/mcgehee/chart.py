@@ -1069,11 +1069,8 @@ def r_min(params: ModelParams, E: float, l2: float) -> float:
     For n = 2 the exact quadratic closed form is used; otherwise monotone
     Newton in sigma = r**(2/n).  For E < 0 with supercritical l2 there is no
     root.  For n >= 3 it is right within 1e-13 relative (against a 40-digit
-    bisection) where r is a normal float and E = 0, or E > 0 with
-    l2/(2mE) finite, or E < 0 with s**n finite at the circular orbit's
-    s = (Z/(n|E|))**(1/(n-1)).  Where l2/(2mE) overflows it is right while
-    (l2/(2mZ))**n is finite, else NaN; for E < 0 nearer 0 than that every
-    l2 raises NoPericenterError.
+    bisection) wherever r is a normal float, for E < 0 while l2 lies 2.3 %
+    or more below the circular-orbit threshold, near which the root is double.
     """
     return _sigma_min(params, E, l2) ** (params.n / 2.0)
 
@@ -1093,10 +1090,11 @@ def _r_min_root(params: ModelParams, E: float, l2: float) -> float:
 
 
 def _peak(Z: float, n: int, E):
-    """sigma and value of the maximum of E s**n + Z s (E < 0, n >= 2): the
-    circular orbit of energy E has l**2/2m equal to that value."""
+    """sigma and value of the maximum of E s**n + Z s (E < 0, n >= 2), the
+    l**2/2m of the circular orbit of energy E; as n E s_peak**(n-1) = -Z,
+    the value is Z s_peak (n-1)/n, with no s_peak**n to overflow."""
     s_peak = _pow(Z / (n * -E), 1.0 / (n - 1.0))
-    return s_peak, E * _pow(s_peak, n) + Z * s_peak
+    return s_peak, Z * s_peak * ((n - 1.0) / n)
 
 
 def _sigma_root(params: ModelParams, E, l2):
@@ -1109,11 +1107,11 @@ def _sigma_root(params: ModelParams, E, l2):
     to it from above (E > 0).  The start is l2/(2 m Z), the root at E = 0,
     and for E > 0 the smaller of it and (l2/(2 m E))**(1/n): both lie
     above the root, where E s**n or Z s is at least half of l2/(2m), so
-    the smaller lies within a factor 2 of it.  Where l2/(2 m E) is below
-    the normal floats, s**n underflows at the root: there, one root at a
-    time, s = b x with x**n + c x = 1, b = (l2/(2m))**(1/n) / E**(1/n) and
-    c = Z b / (l2/(2m)), whose larger term is at least 1/2 at its root; x
-    starts at min(1, 1/c), above it by the same argument.
+    the smaller lies within a factor 2 of it.  Where l2/(2 m |E|) is not
+    a normal float, s**n under- or overflows at the root: there, one root
+    at a time, s = b x with ±x**n + c x = 1 (± the sign of E), where
+    b = (l2/(2m))**(1/n) / |E|**(1/n), c = Z b / (l2/(2m)), and x starts,
+    by the same arguments, at min(1, 1/c) (E > 0) or 1/c (E < 0).
     Raises NoPericenterError when any row has no root.
     """
     m, Z, n = params.m, params.Z, params.n
@@ -1139,8 +1137,9 @@ def _sigma_root(params: ModelParams, E, l2):
         ratio = rhs / E
         s = np.fmin(rhs / Z, _pow(ratio, 1.0 / n))
     s = _monotone_newton(E, Z, n, rhs, s).x
-    # l2/(2mE) below the normal floats: one root at a time, as `_sigma_root_one` finds it
-    for k in np.flatnonzero((E > 0.0) & (ratio < _TINY) & (rhs > 0.0)):
+    # l2/(2m|E|) outside the normal floats: one root at a time, as `_sigma_root_one` finds it
+    size = np.abs(ratio)
+    for k in np.flatnonzero((E != 0.0) & ~((size >= _TINY) & (size < np.inf)) & (rhs > 0.0)):
         s.flat[k] = _sigma_root_one(float(E.flat[k]), float(l2.flat[k]), m, Z, n)
     # circular orbit: a double root, where Newton stops ~sqrt(eps) short
     return np.where(bound & (peak == rhs), s_peak, s)
@@ -1160,20 +1159,21 @@ def _sigma_root_one(E: float, l2: float, m: float, Z: float, n: int) -> float:
         if E + Z <= 0.0 and rhs != 0.0:
             raise NoPericenterError(_N1_NO_PERICENTER)
         return rhs / (1.0 if rhs == 0.0 else E + Z)
-    bound = E < 0.0
-    if bound:
+    if E < 0.0:
         s_peak, peak = _peak(Z, n, E)
         if peak < rhs:
             raise NoPericenterError(_above_threshold(E, l2))
+        if peak == rhs:  # circular orbit: see `_sigma_root`
+            return float(s_peak)
+    if rhs > 0.0 and E != 0.0 and not _TINY <= rhs / abs(E) < math.inf:  # s = b x: see `_sigma_root`
+        b = math.pow(rhs, 1.0 / n) / math.pow(abs(E), 1.0 / n)
+        c = Z * b / rhs
+        x0 = 1.0 / c if E < 0.0 else 1.0 / max(1.0, c)
+        return b * float(_monotone_newton(math.copysign(1.0, E), c, n, 1.0, x0).x)
     s = rhs / Z
     if E > 0.0:
-        if rhs / E < _TINY and rhs > 0.0:  # s = b x: see `_sigma_root`
-            b = math.pow(rhs, 1.0 / n) / math.pow(E, 1.0 / n)
-            c = Z * b / rhs
-            return b * float(_monotone_newton(1.0, c, n, 1.0, 1.0 / max(1.0, c)).x)
         s = min(s, math.pow(rhs / E, 1.0 / n))
-    s = float(_monotone_newton(E, Z, n, rhs, s).x)
-    return float(s_peak) if bound and peak == rhs else s
+    return float(_monotone_newton(E, Z, n, rhs, s).x)
 
 
 # from the pericenter root's starts (within a factor 2 of the root for

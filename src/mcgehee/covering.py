@@ -173,17 +173,11 @@ def covering_field(params: ModelParams, E: float):
 
     Polynomial in the state, finite at Q = 0; dt_phys/dtau vanishes at the
     branch point, so collision is crossed at finite tau with zero
-    instantaneous physical-time rate.
+    instantaneous physical-time rate.  At n = 1 it is the free flow: coef = 0
+    and q2**0 = 1.
     """
     n = params.n
     m = params.m
-    if n == 1:
-
-        def field(tau, y):
-            return (y[2] / m, y[3] / m, 0.0, 0.0, C_N)
-
-        return field
-
     coef = 2.0 * (n - 1) / n * E
 
     def field(tau, y):

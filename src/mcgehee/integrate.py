@@ -1,9 +1,9 @@
 """Adaptive ODE integration with dense output and event localisation.
 
 Thin driver around scipy's DOP853 stepper (8th-order embedded pair with
-7th-order dense output).  Supports backward time spans, records the reason
-integration stopped, and localises surface crossings on the dense
-interpolant by bracketed root finding.
+7th-order dense output, read through scipy's `OdeSolution`).  Supports
+backward time spans, records the reason integration stopped, and localises
+surface crossings on the dense interpolant by bracketed root finding.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 REASON_TIME_LIMIT = "time-limit"
@@ -49,11 +49,11 @@ class EventSpec:
 
 @dataclass
 class Trajectory:
-    """Dense solution of an ODE: nodes, per-step interpolants, stop reason."""
+    """Dense solution of an ODE: nodes, scipy's `OdeSolution`, stop reason."""
 
     ts: np.ndarray
     ys: np.ndarray  # shape (len(ts), dim)
-    interpolants: list = field(repr=False, default_factory=list)
+    sol: Optional[OdeSolution] = field(repr=False, default=None)
     reason: str = REASON_TIME_LIMIT
     event_index: Optional[int] = None
 
@@ -65,23 +65,11 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    @property
-    def forward(self) -> bool:
-        return self.t_end >= self.t0
-
-    def _segment(self, t: float) -> int:
-        ts = self.ts
-        if self.forward:
-            i = int(np.searchsorted(ts, t, side="right")) - 1
-        else:
-            i = int(np.searchsorted(-ts, -t, side="right")) - 1
-        return min(max(i, 0), len(self.interpolants) - 1)
-
     def __call__(self, t: float) -> np.ndarray:
-        """Evaluate the dense interpolant at time t within the covered span."""
-        if not self.interpolants:
+        """Evaluate the dense output at time t within the covered span."""
+        if self.sol is None:
             return self.ys[0].copy()
-        return np.asarray(self.interpolants[self._segment(t)](t), dtype=float)
+        return self.sol(t)
 
 
 def integrate(
@@ -128,13 +116,16 @@ def integrate(
             idx, t_ev, y_ev = hit
             ts[-1] = t_ev
             ys[-1] = y_ev
+            if t_ev == ts[-2]:  # a root at the step's start: its previous node is the event
+                del ts[-1], ys[-1], interps[-1]
             traj.reason = REASON_EVENT
             traj.event_index = idx
             break
 
     traj.ts = np.array(ts)
     traj.ys = np.array(ys)
-    traj.interpolants = interps
+    if interps:  # at a node, the step that starts there, whose interpolant gives the node
+        traj.sol = OdeSolution(traj.ts, interps, alt_segment=True)
     return traj
 
 

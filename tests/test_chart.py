@@ -1,3 +1,5 @@
+import collections
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -326,22 +328,21 @@ class TestRMin:
     def root_sample():
         """About 200 seeded (params, E, l2): n = 3-8, m in {0.3, 1, 3}, E and
         l2 log-uniform over the float range; per cell a third of the draws
-        bound (l2 below the circular threshold) and a quarter with
-        l2/(2mE) below the normal floats.  Bound draws keep |E| a decade
-        above where the threshold's s_peak**n overflows (|E| near
-        (Z/n) 1.8e308**(-(n-1)/n)), which `_peak` does not handle."""
+        bound (l2 below the circular threshold, half of them within a
+        decade of it) and a quarter with l2/(2mE) below the normal floats.
+        Bound draws reach |E| below (Z/n) 1.8e308**(-(n-1)/n), where the
+        threshold's s_peak**n overflows."""
         rng = np.random.default_rng(18)
         sample = []
         for n in range(3, 9):
             for m in (0.3, 1.0, 3.0):
                 params = ModelParams(n=n, d=2, m=m)
-                log_E_bound = np.log10(params.Z / n) - (n - 1) / n * np.log10(np.finfo(float).max) + 1.0
                 draws = []
                 for j in range(11):
                     if j % 3 == 1:
-                        E = -(10.0 ** rng.uniform(log_E_bound, 307.0))
+                        E = -(10.0 ** rng.uniform(-300.0, 307.0))
                         log_peak = np.log10(chart._peak(params.Z, n, E)[1])
-                        rhs = 10.0 ** rng.uniform(-300.0, log_peak - 0.01)
+                        rhs = 10.0 ** rng.uniform(-300.0 if j % 2 else log_peak - 1.0, log_peak - 0.01)
                     elif j % 4 == 0:  # l2/(2mE) from 1e-300/E to 1e-308
                         log_E = rng.uniform(10.0, 307.0)
                         E, rhs = 10.0**log_E, 10.0 ** (log_E + rng.uniform(-300.0 - log_E, -308.0))
@@ -353,9 +354,10 @@ class TestRMin:
 
     def test_root_over_the_float_range(self, monkeypatch):
         # one root and the rows alike to the bit; each within 1e-13 of
-        # mpmath and found in at most 8 Newton rounds, l2/(2mE) below the
-        # normal floats included; draws whose l2/(2mE) overflows or whose
-        # root leaves the float range are not checked against mpmath
+        # mpmath and found in at most 8 Newton rounds, l2/(2m|E|) outside
+        # the normal floats on either side and for either sign of E
+        # included; draws whose root leaves the float range are not
+        # checked against mpmath
         rounds = []
         newton = chart._monotone_newton
 
@@ -365,7 +367,7 @@ class TestRMin:
             return sol
 
         monkeypatch.setattr(chart, "_monotone_newton", counted)
-        checked = tiny = 0
+        checked, wide = 0, collections.Counter()
         for params, draws in self.root_sample():
             Es, l2s = (np.array(v) for v in zip(*draws))
             rows = chart._sigma_root(params, Es, l2s)
@@ -373,17 +375,16 @@ class TestRMin:
                 rounds.clear()
                 one = chart._sigma_root(params, E, l2)
                 assert type(one) is float and same_bits(np.float64(one), rows[k])
-                rhs = l2 / (2.0 * params.m)
-                if E > 0.0 and not rhs / E < np.inf:
-                    continue
                 want = mp_sigma_root(params, E, l2)
                 if not np.finfo(float).tiny <= want <= np.finfo(float).max:
                     continue
                 assert abs(one - want) <= 1e-13 * want, (params, E, l2)
                 assert max(rounds) <= 8, (params, E, l2)
                 checked += 1
-                tiny += E > 0.0 and rhs / E < np.finfo(float).tiny
-        assert checked >= 150 and tiny >= 20
+                ratio = float(l2) / (2.0 * params.m) / abs(float(E))  # inf, not a warning
+                if not np.finfo(float).tiny <= ratio < np.inf:
+                    wide[E > 0.0, ratio < 1.0] += 1
+        assert checked >= 150 and sum(wide.values()) >= 20 and len(wide) == 4, wide
 
     def test_supercritical_l2_has_no_pericenter(self):
         params = ModelParams(n=2, d=2)

@@ -60,11 +60,19 @@ class TestRmin:
 
     def test_delta_is_inf_when_only_the_closed_form_has_a_root(self, capsys):
         # at the circular threshold the two solvers can disagree by rounding
+        argv = ["rmin", "--n", "2", "--E=-4.008359581379921", "--l2", "0.1247393079010815"]
+        assert run(argv) == cli.EXIT_OK
+        r, delta = capsys.readouterr().out.splitlines()
+        assert float(r) == pytest.approx(0.1247393079010815, rel=1e-15)
+        assert delta == "closed-form delta: inf"
+
+    def test_delta_is_0_where_both_have_the_threshold_root(self, capsys):
+        # the input that read inf before the threshold's value lost its s**n
         argv = ["rmin", "--n", "2", "--E", "-0.9", "--l2", "0.5555555555555556"]
         assert run(argv) == cli.EXIT_OK
         r, delta = capsys.readouterr().out.splitlines()
         assert float(r) == pytest.approx(0.5555555555555556, rel=1e-15)
-        assert delta == "closed-form delta: inf"
+        assert delta == "closed-form delta: 0.0"
 
     @pytest.mark.parametrize(
         "m, E, l2", [("0.3", "4.144e279", "5.256e-86"), ("1", "1e250", "1e-80")]
@@ -75,6 +83,28 @@ class TestRmin:
         assert run(["rmin", "--n", "3", "--m", m, "--E", E, "--l2", l2]) == cli.EXIT_OK
         params = ModelParams(n=3, d=2, m=float(m))
         want = mp_sigma_root(params, float(E), float(l2)) ** 1.5
+        assert abs(float(capsys.readouterr().out.splitlines()[0]) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize(
+        "n, m, E, l2",
+        [
+            (3, "1", "1e-135", "1e174"),
+            (4, "1", "1e-200", "1e250"),
+            (3, "1", "-1e-206", "1"),
+            (3, "3", "-2.4356567905771474e-223", "4.425618870325849e+111"),
+            (4, "3", "-2.642260754640359e+301", "7.05047477931947e-101"),
+        ],
+    )
+    def test_root_where_s_to_the_n_leaves_the_floats(self, capsys, n, m, E, l2):
+        # l2/(2mE) overflows at the first two (r_min 2.236068e154 and
+        # 7.0710678e224, which read nan) and the circular orbit's s**n at
+        # the third (r_min 0.35355339, which read "no pericenter"); at 95 %
+        # and 74 % of the circular threshold's l2, s**n overflows at the
+        # fourth (r_min 2.8807519e166, which read "no pericenter") and
+        # underflows at the fifth (r_min 1.5300004e-202, which read
+        # 1.3808110e-202)
+        assert run(["rmin", "--n", str(n), "--m", m, f"--E={E}", "--l2", l2]) == cli.EXIT_OK
+        want = mp_sigma_root(ModelParams(n=n, d=2, m=float(m)), float(E), float(l2)) ** (n / 2)
         assert abs(float(capsys.readouterr().out.splitlines()[0]) - want) <= 1e-13 * want
 
     def test_no_pericenter_exit_code(self, capsys):

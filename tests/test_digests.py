@@ -65,3 +65,9 @@ def test_global_flow_keeps_its_recorded_digest():
     calls = digests.flow_calls()
     assert len(calls) == 200 and {type(s) for _, s, _ in calls} == {PhasePoint, chart.Collision}
     assert digests.flow_digest(calls) == RECORDED_FLOW
+
+
+def test_knobs_are_every_flag_and_config_key():
+    # flags: simulate 7, verify 3, rmin 8 and figures' --out; keys: simulate
+    # 12 (params 5, initial 4), verify 7 (thresholds 4) and rmin 7 (params 5)
+    assert load_digests().knobs() == (19, 26)

@@ -74,10 +74,35 @@ class TestEvents:
         assert traj.reason == ode.REASON_EVENT
         assert traj.t_end == pytest.approx(np.pi, abs=1e-9)
 
+    def test_root_at_the_step_start_ends_on_the_previous_node(self, monkeypatch):
+        # brentq returns its lower end for a step shorter than its tolerance;
+        # the step goes, and the node before it is the event
+        monkeypatch.setattr(ode, "brentq", lambda f, a, b, **kw: a)
+        ev = ode.EventSpec(g=lambda y: y[0], direction=ode.DECREASING)
+        full = ode.integrate(harmonic, [1.0, 0.0], (0.0, 10.0), TIGHT)
+        traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 10.0), TIGHT, events=(ev,))
+        assert traj.reason == ode.REASON_EVENT and traj.event_index == 0
+        k = len(traj.ts)
+        assert traj.ts[-1] < np.pi / 2.0 < full.ts[k]
+        assert same_bits(traj.ts, full.ts[:k]) and same_bits(traj.ys, full.ys[:k])
+        for t in np.linspace(traj.t0, traj.t_end, 7)[:-1]:
+            assert same_bits(traj(t), full(t))
+        assert np.allclose(traj(traj.t_end), traj.ys[-1], rtol=0.0, atol=1e-12)
+
     def test_no_event_runs_to_time_limit(self):
         ev = ode.EventSpec(g=lambda y: y[0] - 5.0)
         traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 4.0), TIGHT, events=(ev,))
         assert traj.reason == ode.REASON_TIME_LIMIT
+
+
+class TestCoveringField:
+    def test_n1_is_the_free_flow(self):
+        # the general field at n = 1: P/m, no force and dt_phys/dtau = C_N
+        params = ModelParams(n=1, d=2, m=1.7)
+        y = (0.3, -0.4, 1.1, -0.6, 2.0)
+        got = cov.covering_field(params, E=0.8)(0.0, y)
+        want = (1.1 / 1.7, -0.6 / 1.7, 0.0, 0.0, cov.C_N)
+        assert got == want and type(got[0]) is float
 
 
 class TestConfig:

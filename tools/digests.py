@@ -9,12 +9,14 @@ fresh temporary directory.  A file digest is the first 16 hex digits of
 the sha256 of its bytes; the figures tree hashes each file as
 name + NUL + bytes + NUL in sorted name order and prints the first 16 and
 the last 6 hex digits.  The next line hashes the end states of about 200
-seeded `global_flow` calls (`flow_calls`, `flow_digest`).  The last line
-is the line count of src/mcgehee/*.py, as `wc -l` gives it.
+seeded `global_flow` calls (`flow_calls`, `flow_digest`).  The last two
+lines are the line count of src/mcgehee/*.py, as `wc -l` gives it, and the
+knobs a user can set: the CLI's flags and its config keys (`knobs`).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -138,11 +140,26 @@ def src_lines() -> int:
     return sum(path.read_bytes().count(b"\n") for path in (SRC / "mcgehee").glob("*.py"))
 
 
+def knobs() -> tuple[int, int]:
+    """The CLI's flags (each option string of each command, but --help) and
+    its config keys (each leaf of `cli.COMMANDS`, nested keys included)."""
+    (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = sum(len(a.option_strings) for sub in subs.choices.values() for a in sub._actions
+                if not isinstance(a, argparse._HelpAction))
+
+    def leaves(keys: dict) -> int:
+        return sum(leaves(v) if isinstance(v, dict) else 1 for v in keys.values())
+
+    return flags, sum(leaves(keys) for keys, _ in cli.COMMANDS.values())
+
+
 def main() -> None:
     for name, digest in digests().items():
         print(f"{name:<24}{digest}")
     print(f"{'global_flow':<24}{flow_digest(flow_calls())}")
     print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
+    flags, keys = knobs()
+    print(f"{'CLI flags, config keys':<24}{flags}, {keys}")
 
 
 if __name__ == "__main__":
