@@ -12,8 +12,8 @@ angle swept since the pericenter are radial integrals, taken by fixed-node
 quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
 both turning points (`_BoundOrbit`, E < 0), or in closed form
 (`_ZeroEnergyOrbit`, E = 0).  The three share one interface (phase,
-time_angle, place, state), which `chart_forward_rows` (stacked states;
-`chart_forward` is its batch of one) and `chart_inverse` read.
+time_angle, place, state), which `chart_forward_rows` (stacked states),
+`chart_forward` (one state, its row bit for bit) and `chart_inverse` read.
 `global_flow` is the translation T -> T + t on every orbit, not only in
 U^eps: `_step` places the start, advances its time since the pericenter,
 modulo the radial period on bound orbits, and solves for the new
@@ -251,8 +251,9 @@ class _RadialOrbit:
     [0, u_P], [u_P, 2 u_P], [2 u_P, 4 u_P], ..., each far enough from those
     zeros for its 32-node rule; a row with u <= u_P keeps one panel, bit for bit.
 
-    One orbit (a `global_flow` step, `chart_inverse`) reads T and dT/du of a
-    Newton round from one node pass (`time` of one u), and enters no
+    One orbit (a `global_flow` step, `chart_forward`, `chart_inverse`) finds
+    its constants in Python floats, with the rows' bits, reads T and dT/du
+    of a Newton round from one node pass (`time` of one u), and enters no
     np.errstate where nothing can overflow (`_tame`).
     """
 
@@ -260,24 +261,29 @@ class _RadialOrbit:
         n = self.n = params.n
         self.E, self.l = E, l
         self.root2m = np.sqrt(2.0 * params.m)
-        self.s0 = _sigma_min(params, E, l * l)
-        self.G0 = params.Z + E * _pow(self.s0, n - 1)
         self.K = n * params.m / self.root2m
-        # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
-        self._inv_u_P = 0.0 * E
-        if n > 1:
-            u_S_inv = _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0))
-            self._inv_u_P = u_S_inv / (4.0 * np.sin(np.pi / (2.0 * n - 2.0)))
-        # the constants as columns against the nodes, and the powers of s0 in P
-        self._E, self._s0, self._G0 = E[:, None], self.s0[:, None], self.G0[:, None]
-        self._s0_powers = [_pow(self._s0, j + 1) for j in range(n - 2)]
         self._slope = None  # (u, dT/du) of the last one-row `time`
         # nothing can overflow on one row out to u**2 = _u2_tame (-1: nowhere):
         # there sigma**(n-1) max(1, n E) <= _TAME, so G <= 2 _TAME, and with
         # E, G0, K and sqrt(2m) <= _TAME every product stays finite
         self._u2_tame = -1.0
-        if E.shape == (1,) and all(v <= _TAME for v in (E[0], self.G0[0], self.K, self.root2m)):
-            self._u2_tame = (_TAME / max(1.0, n * float(E[0]))) ** (1.0 / max(1, n - 1)) - float(self.s0[0])
+        if E.shape == (1,):  # `_sigma_min` of one row ends in these one-root solvers
+            e, l2, m, Z = float(E[0]), float(l[0]) * float(l[0]), params.m, params.Z
+            s0 = _r_min_kepler_one(e, l2, m, Z) if n == 2 else _sigma_root_one(e, l2, m, Z, n)
+            G0 = Z + e * _pow(s0, n - 1)
+            inv_u_P = 0.0 * e if n == 1 else _pow(max(e, 0.0) / Z, 0.5 / (n - 1.0)) / _panel_scale(n)
+            if all(v <= _TAME for v in (e, G0, self.K, self.root2m)):
+                self._u2_tame = (_TAME / max(1.0, n * e)) ** (1.0 / max(1, n - 1)) - s0
+            self.s0, self.G0, self._inv_u_P = np.array([s0]), np.array([G0]), np.array([inv_u_P])
+            self._s0_powers = [_pow(s0, j + 1) for j in range(n - 2)]  # the powers of s0 in P
+        else:
+            self.s0 = _sigma_min(params, E, l * l)
+            self.G0 = params.Z + E * _pow(self.s0, n - 1)
+            # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
+            self._inv_u_P = 0.0 * E if n == 1 else _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0)) / _panel_scale(n)
+            self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]
+        # the constants as columns against the nodes
+        self._E, self._s0, self._G0 = E[:, None], self.s0[:, None], self.G0[:, None]
 
     def _tame(self, u) -> bool:
         """Whether nothing out to u (a float or a (1,) array) can overflow, so
@@ -476,6 +482,10 @@ class _RadialOrbit:
         return b if up else a
 
 
+# u_P / u_S = 4 sin(pi/(2n-2)) of `_RadialOrbit`, n >= 2
+_panel_scale = functools.cache(lambda n: 4.0 * np.sin(np.pi / (2.0 * n - 2.0)))
+
+
 def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """sum_p scale[:, p] * (Gauss-Legendre sum of panel p of vals), the
     panels added in order (a running sum), so trailing panels of width 0
@@ -565,7 +575,7 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
     infinity with the signs of res and rate, so the step bisects.
     """
     shape = (1,) * max(_ndim(x), _ndim(lo), _ndim(hi))
-    xa, ta, lo, hi = (float(np.asarray(v).item()) for v in (x, t, lo, hi))
+    xa, ta, lo, hi = (_item(v) for v in (x, t, lo, hi))
     if xa != xa or lo != lo or hi != hi:
         xa = math.nan
     else:
@@ -1032,19 +1042,48 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
     behind the state when <q,p> > 0 and ahead of it otherwise; T is
     positive iff <q,p> > 0.  Every step acts on rows alone, so a row's image
     does not depend on the other rows of z.  Raises ChartDomainError when
-    any row lies outside U^eps.
+    any row lies outside U^eps, naming a non-finite energy.
     """
-    n, d = params.n, params.d
+    d = params.d
     z = np.asarray(z, dtype=float)
     q, p = z[:, :d], z[:, d:]
-    e1, e2, qc, pc = cov.plane_reduce_rows(q, p)  # DomainError at q = 0
-    r = np.sqrt(row_dot(q, q))
-    # H, to the bit as `hamiltonian` gives it for each row
-    E = row_dot(p, p) / (2.0 * params.m) - params.Z * _pow(r, -params.alpha)
-    if not _in_domain(params, r, E).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # a row beyond the float range is refused below
+        e1, e2, qc, pc = cov.plane_reduce_rows(q, p)  # DomainError at q = 0
+        r = np.sqrt(row_dot(q, q))
+        # H, to the bit as `hamiltonian` gives it for each row
+        E = row_dot(p, p) / (2.0 * params.m) - params.Z * _pow(r, -params.alpha)
+    _require_domain(params, r, E)
+    return _chart_rows(params, q, p, e1, e2, r, E, qc.real * pc.imag - qc.imag * pc.real, row_dot(q, p))
+
+
+def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
+    """Chart image (T, H; B, A) of x: its row of `chart_forward_rows`, bit for
+    bit, with r, E and the plane in floats (`_radius_energy_radial`, `plane_reduce`)."""
+    r, E, radial = _radius_energy_radial(params, x)  # DomainError at q = 0
+    _require_domain(params, r, E)
+    frame, qc, pc = cov.plane_reduce(x)
+    l = qc.real * pc.imag - qc.imag * pc.real
+    c = _chart_rows(params, x.q[None], x.p[None], frame.e1, frame.e2, r, np.array([E]), np.array([l]), radial)
+    return ChartPoint(T=float(c.T[0]), H=E, B=c.B[0], A=c.A[0])
+
+
+def _require_domain(params: ModelParams, r, E) -> None:
+    """ChartDomainError unless every (r, E), floats or (k,) arrays, lies in U^eps,
+    naming a non-finite energy (<p, p> beyond the float range); floats skip
+    the reductions, which cost microseconds on numpy's scalars."""
+    one = isinstance(E, float)
+    if not (math.isfinite(E) if one else np.isfinite(E).all()):
+        raise ChartDomainError(f"the energy H={E if one else E[~np.isfinite(E)][0]} is not finite: outside U^eps")
+    inside = _in_domain(params, r, E)
+    if not (inside if one else inside.all()):
         raise ChartDomainError("the chart requires a point of U^eps")
-    orbit = _RadialOrbit(params, E, qc.real * pc.imag - qc.imag * pc.real)
-    radial = row_dot(q, p)
+
+
+def _chart_rows(params: ModelParams, q, p, e1, e2, r, E, l, radial) -> ChartRows:
+    """Chart images of (k, d) states q, p from their frames (e1, e2), r, E,
+    l and <q,p>: (k,) arrays, or for one state e1, e2 (d,) and r, radial floats."""
+    n = params.n
+    orbit = _RadialOrbit(params, E, l)
     sign = np.sign(radial)
     T, phi = orbit.time_angle(orbit.phase(_pow(r, 2.0 / n), radial))
     phi = -sign * phi
@@ -1055,12 +1094,6 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
     L = p[:, :, None] * q[:, None, :] - q[:, :, None] * p[:, None, :]  # L_ij = q_j p_i - q_i p_j
     B = (L @ A[:, :, None])[:, :, 0]
     return ChartRows(T=sign * T, H=E, B=B, A=A)
-
-
-def chart_forward(params: ModelParams, x: PhasePoint) -> ChartPoint:
-    """Chart image (T, H; B, A) of x: `chart_forward_rows` of one row."""
-    c = chart_forward_rows(params, np.concatenate([x.q, x.p])[None])
-    return ChartPoint(T=float(c.T[0]), H=float(c.H[0]), B=c.B[0], A=c.A[0])
 
 
 def r_min(params: ModelParams, E: float, l2: float) -> float:
@@ -1207,7 +1240,7 @@ def _newton_one(E, Z: float, n: int, rhs, s, shape: tuple) -> Solve:
     """`_newton_rows` on one root in Python floats; the root is an array of
     that shape, or a float64 for shape ()."""
     f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
-    E, t, s = (float(np.asarray(v).item()) for v in (E, rhs, s))
+    E, t, s = (_item(v) for v in (E, rhs, s))
     nE = n * E
     last = 0.0  # the sign of the last step, as np.sign gives it to the rows
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
@@ -1491,9 +1524,10 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
         e1, e2 = _pericenter_frame(params.n, a, cov._completion(a))
         E, l, sigma, radial = state.h, 0.0, 0.0, None
     else:
+        r, E, radial = _radius_energy_radial(params, state.x)
+        _require_finite("start's radius, energy or angular momentum", state, t, r, E, radial)
         frame, qc, pc = cov.plane_reduce(state.x)
         e1, e2 = frame.e1, frame.e2
-        r, E, radial = _radius_energy_radial(params, state.x)
         l = qc.real * pc.imag - qc.imag * pc.real
         if l < 0.0:  # rounding on a collision orbit: turn the frame instead
             e2, l = -e2, -l
@@ -1535,13 +1569,18 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
 
 def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:
     """x.r, `hamiltonian` and x.radial of one state, bit for bit, from the
-    three dot products <q,q>, <p,p> and <q,p> alone."""
+    three dot products <q,q>, <p,p> and <q,p> alone.  Below |q|**2 + |p|**2
+    = 1.69e308 no dot product of q, p or their plane's frame overflows;
+    above, these are taken without numpy's warnings, for the caller to
+    refuse an inf or NaN."""
     q, p = x.q, x.p
-    r = math.sqrt(np.dot(q, q))
+    with _quiet(math.hypot(*q.tolist(), *p.tolist()) < 1.3e154, over="ignore", invalid="ignore"):
+        qq, pp, qp = np.dot(q, q), np.dot(p, p), np.dot(q, p)
+    r = math.sqrt(qq)
     if r == 0.0:  # before the float power, which raises ZeroDivisionError at 0
         raise DomainError("q = 0 is outside the unregularised phase space")
-    E = float(np.dot(p, p)) / (2.0 * params.m) - params.Z * r ** (-params.alpha)
-    return r, E, float(np.dot(q, p))
+    E = float(pp) / (2.0 * params.m) - params.Z * r ** (-params.alpha)
+    return r, E, float(qp)
 
 
 def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -> None:

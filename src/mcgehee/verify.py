@@ -47,9 +47,11 @@ DEFAULT_STEP_FRACTION = 1e-4
 
 
 def _coordinate_scales(z: np.ndarray, d: int) -> np.ndarray:
-    """Per-coordinate step scales: position block and momentum block."""
-    q_scale = max(float(np.linalg.norm(z[:d])), 1e-3)
-    p_scale = max(float(np.linalg.norm(z[d:])), 1.0)
+    """Per-coordinate step scales: position block and momentum block; inf
+    where a norm overflows, which the chart then refuses."""
+    with np.errstate(over="ignore"):
+        q_scale = max(float(np.linalg.norm(z[:d])), 1e-3)
+        p_scale = max(float(np.linalg.norm(z[d:])), 1.0)
     return np.concatenate([np.full(d, q_scale), np.full(d, p_scale)])
 
 
@@ -63,10 +65,11 @@ def _gradient(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, h: np.ndarra
     """
     size = len(z)
     steps = np.stack([0.5 * h, h], axis=1)  # the Richardson pair per coordinate
-    points = np.tile(z, (size, 2, 4, 1))
+    points = np.empty((8 * size + 1, size))
+    points[:] = z  # the stencil, then z itself
     coord = np.arange(size)
-    points[coord, :, :, coord] += np.array([-2.0, -1.0, 1.0, 2.0]) * steps[:, :, None]
-    vals = f(np.vstack([points.reshape(-1, size), z]))
+    points[:-1].reshape(size, 2, 4, size)[coord, :, :, coord] += np.array([-2.0, -1.0, 1.0, 2.0]) * steps[:, :, None]
+    vals = f(points)
     v = vals[:-1].reshape(size, 2, 4, -1)
     diff = (v[:, :, 0] - 8.0 * v[:, :, 1] + 8.0 * v[:, :, 2] - v[:, :, 3]) / (
         12.0 * steps[:, :, None]
@@ -148,20 +151,21 @@ def _family_sign(computed: np.ndarray, expected: np.ndarray) -> float:
     """
     if expected.size == 0:
         return 0.0
-    if np.all(np.abs(expected) < 1e-12):
+    if (np.abs(expected) < 1e-12).all():
         return 1.0
-    plus = np.sum(np.abs(computed - expected))
-    minus = np.sum(np.abs(computed + expected))
+    plus = np.abs(computed - expected).sum()
+    minus = np.abs(computed + expected).sum()
     return 1.0 if plus <= minus else -1.0
 
 
 @functools.cache
-def _table_layout(d: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of `bracket_table` in report order.
+def _table_layout(d: int) -> tuple:
+    """Rows of `bracket_table` in report order, and its index arrays.
 
     Returns the (f_a, f_b) names of every row, the indices a and b of f_a
-    and f_b in the chart vector (T, H, A, B, L) and the family of the row:
-    0 for {H, T} and the vanishing pairs, then 1 (A, B), 2 (B, B), 3 (L, L).
+    and f_b in the chart vector (T, H, A, B, L), the family of the row:
+    0 for {H, T} and the vanishing pairs, then 1 (A, B), 2 (B, B), 3 (L, L),
+    the rows of families 1-3 as masks, and i and j of each L_ij, i < j.
     """
     A = [f"A_{i}" for i in range(d)]
     B = [f"B_{i}" for i in range(d)]
@@ -174,9 +178,12 @@ def _table_layout(d: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
     rows += [(f, g, 2) for f, g in combinations(B, 2)]
     rows += [(f, g, 3) for f, g in combinations(L, 2)]
     index = {f: k for k, f in enumerate(["T", "H", *A, *B, *L])}
-    table = np.array([(index[f], index[g], fam) for f, g, fam in rows])
-    table.setflags(write=False)  # cached: shared by every report of this d
-    return tuple((f, g) for f, g, _ in rows), *table.T
+    a, b, family = np.array([(index[f], index[g], fam) for f, g, fam in rows]).T
+    members = tuple(family == f for f in (1, 2, 3))
+    pi, pj = np.triu_indices(d, 1)
+    for v in (a, b, family, *members, pi, pj):
+        v.setflags(write=False)  # cached: shared by every report of this d
+    return tuple((f, g) for f, g, _ in rows), a, b, family, members, pi, pj
 
 
 def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
@@ -196,8 +203,7 @@ def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
     bracket-convention parity).
     """
     d = params.d
-    names, a, b, family = _table_layout(d)
-    pi, pj = np.triu_indices(d, 1)
+    names, a, b, family, members, pi, pj = _table_layout(d)
     z0 = np.concatenate([x.q, x.p])
     h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
@@ -224,9 +230,7 @@ def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
         + delta[j, k] * L[i, l]
     )
     computed, expected = M[a, b], E[a, b]
-    ab_sign, bb_sign, ll_sign = (
-        _family_sign(computed[family == f], expected[family == f]) for f in (1, 2, 3)
-    )
+    ab_sign, bb_sign, ll_sign = (_family_sign(computed[f], expected[f]) for f in members)
     expected *= np.array([1.0, ab_sign, bb_sign, ll_sign])[family]
     return BracketReport(
         names, computed, expected, ab_sign=ab_sign, bb_sign=bb_sign, ll_sign=ll_sign

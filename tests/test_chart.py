@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from mcgehee import chart, covering as cov, integrate as ode, verify
+from mcgehee import chart, cli, covering as cov, integrate as ode, verify
 from mcgehee.model import (
     ModelParams,
     PhasePoint,
@@ -1119,6 +1120,29 @@ class TestChartRows:
         with pytest.raises(chart.DomainError):  # q = 0
             chart.chart_forward_rows(params, np.stack([good, np.concatenate([[0.0, 0.0], x.p])]))
 
+    @pytest.mark.parametrize(
+        "q,p,match",
+        [
+            ([0.05, 0.0], [1e155, 0.0], "energy H=inf is not finite"),  # |p|**2 overflows
+            ([0.05, 0.0], [0.0, 1e155], "energy H=inf is not finite"),  # and so does |p_perp|**2
+            ([0.05, 0.0], [3e200, -4e200], "energy H=inf is not finite"),
+            ([1e200, 0.0], [0.0, 1.0], "point of U\\^eps"),  # |q|**2 overflows: r = inf
+        ],
+    )
+    def test_state_beyond_the_float_range_is_refused_without_a_warning(self, q, p, match):
+        params = ModelParams(n=3, d=2, eps=0.1)
+        good, bad = np.array([0.05, 0.0, 0.0, 20.0]), np.array(q + p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(chart.ChartDomainError, match=match):
+                chart.chart_forward(params, PhasePoint(bad[:2], bad[2:]))
+            for rows in (bad[None], np.stack([good, bad, good])):  # one bad row refuses the batch
+                with pytest.raises(chart.ChartDomainError, match=match):
+                    chart.chart_forward_rows(params, rows)
+            with pytest.raises(chart.ChartDomainError, match=match):
+                verify.bracket_table(params, PhasePoint(bad[:2], bad[2:]))
+            assert np.isfinite(chart.chart_forward_rows(params, np.stack([good, good])).T).all()
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_supercritical_row_has_no_pericenter(self, n):
         params = ModelParams(n=n, d=2, eps=0.1)
@@ -1127,6 +1151,8 @@ class TestChartRows:
         l = np.array([0.5 * l_circ, 1.01 * l_circ, 0.5 * l_circ])
         with pytest.raises(chart.NoPericenterError):
             chart._RadialOrbit(params, E, l)
+        with pytest.raises(chart.NoPericenterError):  # one row, in floats
+            chart._RadialOrbit(params, E[1:2], l[1:2])
         orbit = chart._RadialOrbit(params, E[[0, 2]], l[[0, 2]])
         for k, (Ek, lk) in enumerate(zip(E[[0, 2]], l[[0, 2]])):
             assert orbit.s0[k] == chart._sigma_min(params, Ek, lk * lk)
@@ -1161,6 +1187,61 @@ class TestChartRows:
         c = chart.chart_forward_rows(params, np.stack([np.concatenate([x.q, x.p]) for x in pts]))
         closed = [chart.kepler_time_closed_form(params, x) for x in pts]
         assert np.max(np.abs(c.T - closed)) <= 1e-13 * time_scale(params)
+
+
+class TestOneRowOrbit:
+    """A one-row `_RadialOrbit` finds its constants in Python floats, by
+    `_sigma_min`'s one-root solvers; the same row of a stacked orbit, which
+    takes the rows' solvers, is its oracle, bit for bit."""
+
+    # (E, l): E < 0, E = 0 and E > 0, then l**2/(2m|E|) below the normal
+    # floats (E > 0, E < 0) and beyond the float range (E > 0, E < 0)
+    ORBITS = [(-0.3, 0.2), (-0.3, 0.0), (0.0, 0.2), (0.0, 0.0), (0.7, 0.2), (40.0, 3.0), (1e6, 1e-9)]
+    SCALED = [(1e250, 1e-40), (-1e10, 1e-150), (1e-300, 1e5), (-1e-300, 1e5)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_constants_are_the_stacked_rows(self, n):
+        params = ModelParams(n=n, d=2)
+        orbits = self.ORBITS + [(E, l) for E, l in self.SCALED if n > 1 or E > -1.0]
+        if n >= 3:  # these take `_sigma_root`'s scaled root on both paths
+            for E, l in self.SCALED:
+                assert not chart._TINY <= l * l / (2.0 * params.m * abs(E)) < np.inf
+        E, l = (np.array(v) for v in zip(*orbits))
+        stacked = chart._RadialOrbit(params, E, l)
+        for k in range(len(E)):
+            one = chart._RadialOrbit(params, E[k : k + 1], l[k : k + 1])
+            assert one.s0.shape == one.G0.shape == one._inv_u_P.shape == (1,)
+            for name in ("s0", "G0", "_inv_u_P"):
+                assert same_bits(getattr(one, name), getattr(stacked, name)[k : k + 1]), (name, E[k], l[k])
+            assert len(one._s0_powers) == len(stacked._s0_powers) == max(n - 2, 0)
+            for power, column in zip(one._s0_powers, stacked._s0_powers):
+                assert same_bits(np.float64(power), column[k, 0])
+
+
+def test_production_paths_integrate_no_ode(monkeypatch, tmp_path):
+    # the chart, `bracket_table`, `transit_time_check`, `global_flow`,
+    # `trajectory` and `figures` are quadratures: no covering or physical ODE
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ODE was integrated")
+
+    monkeypatch.setattr(ode, "integrate", refuse)
+    for n, d in GRID:
+        params = ModelParams(n=n, d=d, eps=0.1)
+        rng = np.random.default_rng(90 + 10 * n + d)
+        for x in sample_domain_points(params, rng, 2):
+            verify.bracket_table(params, x)
+            assert isinstance(chart.chart_inverse(params, chart.chart_forward(params, x)), chart.Regular)
+        verify.transit_time_check(params, cli._random_entry_state(params, rng))
+        u = np.eye(d)[0]
+        starts = [
+            PhasePoint(0.05 * u, np.array([0.0, 0.8 * np.sqrt(2.0 * params.Z * 0.05**-params.alpha)] + [0.0] * (d - 2))),
+            PhasePoint(0.05 * u, np.array([0.0, 2.0 * np.sqrt(2.0 * params.Z * 0.05**-params.alpha)] + [0.0] * (d - 2))),
+            chart.Collision(h=-0.5 if n > 1 else 0.5, a=u),
+        ]
+        for start in starts:
+            chart.global_flow(params, start, 0.01)
+            chart.trajectory(params, start, [0.0, 0.01, 0.02])
+    assert cli.main(["figures", "all", "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 class TestOneRowSolve:

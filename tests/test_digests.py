@@ -1,6 +1,7 @@
 """The standing digests of `tools/digests.py`: three fixed `simulate`
-scenarios, the default `verify` report, the `figures all` tree and the end
-states of about 200 seeded `global_flow` calls (`RECORDED_FLOW`).
+scenarios, the default `verify` report, the `figures all` tree, the end
+states of about 200 seeded `global_flow` calls (`RECORDED_FLOW`) and the
+certify outputs of 80 seeded chart-domain points (`RECORDED_CERTIFY`).
 
 A refactor keeps every output byte, so these must not move.  numpy and
 scipy may round differently from one release to the next, so the values
@@ -65,6 +66,19 @@ def test_global_flow_keeps_its_recorded_digest():
     calls = digests.flow_calls()
     assert len(calls) == 200 and {type(s) for _, s, _ in calls} == {PhasePoint, chart.Collision}
     assert digests.flow_digest(calls) == RECORDED_FLOW
+
+
+RECORDED_CERTIFY = "9d6cda641c5ddadd"
+
+
+def test_certify_outputs_keep_their_recorded_digest():
+    installed = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if installed != RECORDED_VERSIONS:
+        pytest.skip(f"digest recorded with {RECORDED_VERSIONS}, installed {installed}")
+    digests = load_digests()
+    calls = digests.certify_calls()
+    assert len(calls) == 80 and {p.n for p, _, _ in calls} == {1, 2, 3, 4, 5}
+    assert digests.certify_digest(calls) == RECORDED_CERTIFY
 
 
 def test_knobs_are_every_flag_and_config_key():

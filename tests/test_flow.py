@@ -218,6 +218,19 @@ class TestNonFinite:
         with pytest.raises(DomainError, match=f"the {what}.* not finite"):
             chart.global_flow(params, PhasePoint(np.array(q), np.array(p)), t)
 
+    @pytest.mark.parametrize("q", [[1e155, 0.0], [1e200, 0.0]])
+    def test_start_beyond_the_float_range_raises_without_a_warning(self, q):
+        # |q|**2 overflows: the DomainError comes before numpy's overflow
+        # warnings from the dot products of the start
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = PhasePoint(np.array(q), np.array([3e-101, 4e-101]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="the start's radius.* not finite"):
+                chart.global_flow(params, x, 1.0)
+            with pytest.raises(DomainError, match="the start's radius.* not finite"):
+                chart.trajectory(params, x, [0.5, 1.0])
+
     @pytest.mark.parametrize(
         "n,q,p",
         [(n, [3.0, 0.0], [1e154, 1e150]) for n in (3, 4, 5, 6)] + [(n, [1.0, 0.0], [5.4e153, 8.4e153]) for n in (5, 6)],

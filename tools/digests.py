@@ -9,8 +9,10 @@ fresh temporary directory.  A file digest is the first 16 hex digits of
 the sha256 of its bytes; the figures tree hashes each file as
 name + NUL + bytes + NUL in sorted name order and prints the first 16 and
 the last 6 hex digits.  The next line hashes the end states of about 200
-seeded `global_flow` calls (`flow_calls`, `flow_digest`).  The last two
-lines are the line count of src/mcgehee/*.py, as `wc -l` gives it, and the
+seeded `global_flow` calls (`flow_calls`, `flow_digest`), and the one
+after it the certify outputs of 80 seeded chart-domain points: the bracket
+table, the chart roundtrip and the transit time (`certify_calls`,
+`certify_digest`).  The last two lines are the line count of src/mcgehee/*.py, as `wc -l` gives it, and the
 knobs a user can set: the CLI's flags and its config keys (`knobs`).
 """
 
@@ -28,7 +30,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from mcgehee import chart, cli  # noqa: E402
+from mcgehee import chart, cli, verify  # noqa: E402
 from mcgehee.model import ModelParams, PhasePoint  # noqa: E402
 
 SIMULATE = {
@@ -123,15 +125,48 @@ def flow_calls():
     return calls
 
 
+def _state_bytes(state) -> bytes:
+    if isinstance(state, chart.Collision):
+        return b"collision" + np.float64(state.h).tobytes() + state.a.tobytes()
+    return state.x.q.tobytes() + state.x.p.tobytes()
+
+
 def flow_digest(calls) -> str:
     """The first 16 hex digits of the sha256 of every end state's bits."""
     h = hashlib.sha256()
     for params, start, t in calls:
-        end = chart.global_flow(params, start, t)
-        if isinstance(end, chart.Collision):
-            h.update(b"collision" + np.float64(end.h).tobytes() + end.a.tobytes())
-        else:
-            h.update(end.x.q.tobytes() + end.x.p.tobytes())
+        h.update(_state_bytes(chart.global_flow(params, start, t)))
+    return h.hexdigest()[:16]
+
+
+def certify_calls():
+    """8 seeded `verify.sample_domain_points` per cell, n = 1-5, d = 2, 3,
+    each with an inward entry state on the chart's sphere, drawn as
+    `cli._random_entry_state` draws it."""
+    rng = np.random.default_rng(20261019)
+    calls = []
+    for n in (1, 2, 3, 4, 5):
+        for d in (2, 3):
+            params = ModelParams(n=n, d=d, eps=0.1)
+            for x in verify.sample_domain_points(params, rng, 8):
+                calls.append((params, x, cli._random_entry_state(params, rng)))
+    return calls
+
+
+def certify_digest(calls) -> str:
+    """The first 16 hex digits of the sha256 of each point's certify
+    outputs: the bracket table's computed and expected values and its three
+    family signs, the chart image and the roundtrip state, and the transit
+    time of its entry state."""
+    h = hashlib.sha256()
+    for params, x, entry in calls:
+        report = verify.bracket_table(params, x)
+        h.update(report.computed.tobytes() + report.expected.tobytes())
+        h.update(np.array([report.ab_sign, report.bb_sign, report.ll_sign]).tobytes())
+        c = chart.chart_forward(params, x)
+        h.update(np.array([c.T, c.H, *c.B, *c.A]).tobytes())
+        h.update(_state_bytes(chart.chart_inverse(params, c)))
+        h.update(np.float64(verify.transit_time_check(params, entry).measured).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -157,6 +192,7 @@ def main() -> None:
     for name, digest in digests().items():
         print(f"{name:<24}{digest}")
     print(f"{'global_flow':<24}{flow_digest(flow_calls())}")
+    print(f"{'certify':<24}{certify_digest(certify_calls())}")
     print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
     flags, keys = knobs()
     print(f"{'CLI flags, config keys':<24}{flags}, {keys}")
