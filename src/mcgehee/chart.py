@@ -105,8 +105,8 @@ def in_U_eps(params: ModelParams, x: PhasePoint) -> bool:
     The energy inequality excludes (too) low circular orbits, which have no
     unique pericenter, while every collision orbit satisfies it.
     """
-    x.require_noncollision()
-    return bool(_in_domain(params, x.r, hamiltonian(params, x)))
+    r, H, _ = _radius_energy_radial(params, x)  # DomainError at q = 0
+    return math.isfinite(H) and bool(_in_domain(params, r, H))
 
 
 def _in_domain(params: ModelParams, r, H):

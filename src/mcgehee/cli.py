@@ -31,7 +31,6 @@ from .model import (
     DomainError,
     ModelParams,
     PhasePoint,
-    hamiltonian,
     l_squared_point,
     physical_field,
 )
@@ -193,8 +192,9 @@ def _state_row(params: ModelParams, t: float, state: chart.ExtendedPoint) -> lis
     if isinstance(state, chart.Collision):  # momentum undefined at collision
         return [_fmt(t)] + [_fmt(0.0)] * params.d + [""] * params.d + [_fmt(state.h), _fmt(0.0), "1"]
     x = state.x
-    values = (t, *x.q, *x.p, hamiltonian(params, x), l_squared_point(x))
-    return [_fmt(v) for v in values] + ["1" if chart.in_U_eps(params, x) else "0"]
+    r, H, _ = chart._radius_energy_radial(params, x)
+    values = (t, *x.q, *x.p, H, l_squared_point(x))
+    return [_fmt(v) for v in values] + ["1" if chart._in_domain(params, r, H) else "0"]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

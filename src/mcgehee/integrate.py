@@ -1,9 +1,9 @@
-"""Adaptive ODE integration with dense output and event localisation.
+"""Adaptive ODE integration with dense output and terminal events.
 
-Thin driver around scipy's DOP853 stepper (8th-order embedded pair with
-7th-order dense output, read through scipy's `OdeSolution`).  Supports
-backward time spans, records the reason integration stopped, and localises
-surface crossings on the dense interpolant by bracketed root finding.
+A thin adapter over scipy's `solve_ivp` with the DOP853 method (8th-order
+embedded pair with 7th-order dense output, read through scipy's
+`OdeSolution`).  It supports backward time spans, records the reason
+integration stopped, and caps the work of a runaway integration.
 """
 
 from __future__ import annotations
@@ -12,16 +12,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.optimize import brentq
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.optimize import brentq  # noqa: F401  unused (solve_ivp has its own); bench/tracing.py rebinds it
 
 REASON_TIME_LIMIT = "time-limit"
 REASON_EVENT = "event"
 REASON_STEP_FAILURE = "step-failure"
 
-INCREASING = "increasing"
-DECREASING = "decreasing"
-ANY = "any"
+# event directions, as solve_ivp encodes them
+INCREASING = 1
+DECREASING = -1
+ANY = 0
 
 
 # runaway guard: an integration taking more steps than this is a step failure
@@ -43,7 +44,7 @@ class EventSpec:
     """Terminal surface crossing g(state) = 0 watched during integration."""
 
     g: Callable[[np.ndarray], float]
-    direction: str = ANY  # INCREASING | DECREASING | ANY
+    direction: int = ANY  # INCREASING | DECREASING | ANY
     name: str = ""
 
 
@@ -81,83 +82,40 @@ def integrate(
 ) -> Trajectory:
     """Integrate dx/dt = field_fn(t, x) over t_span (forward or backward).
 
-    Any event in `events` is terminal: the trajectory is cut at the first
-    matching crossing, localised on the dense output.  Step failure is
-    recorded in the trajectory's `reason`, never raised.
+    Any event in `events` is terminal: the trajectory ends at the first
+    crossing in its direction, as `solve_ivp` finds it.  A g that is 0 at
+    the start counts as a crossing, so such an event ends the run there.
+    Step failure, and a run past MAX_STEPS steps' worth of field
+    evaluations, are recorded in the trajectory's `reason`, never raised.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(x0, dtype=float)
-    traj = Trajectory(ts=np.array([t0]), ys=y0[np.newaxis, :].copy())
     if t1 == t0:
-        return traj
+        return Trajectory(ts=np.array([t0]), ys=y0[np.newaxis, :].copy())
 
-    solver = DOP853(field_fn, t0, y0, t1, rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    ts = [t0]
-    ys = [y0.copy()]
-    interps: list = []
-    g_prev = [ev.g(y0) for ev in events]
-    nsteps = 0
-    while solver.status == "running":
-        if nsteps >= MAX_STEPS:
-            traj.reason = REASON_STEP_FAILURE
-            break
-        solver.step()
-        nsteps += 1
-        if solver.status == "failed":
-            traj.reason = REASON_STEP_FAILURE
-            break
-        interp = solver.dense_output()
-        interps.append(interp)
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-        hit = _check_events(events, g_prev, solver.y, interp, ts[-2], solver.t)
-        if hit is not None:
-            idx, t_ev, y_ev = hit
-            ts[-1] = t_ev
-            ys[-1] = y_ev
-            if t_ev == ts[-2]:  # a root at the step's start: its previous node is the event
-                del ts[-1], ys[-1], interps[-1]
-            traj.reason = REASON_EVENT
-            traj.event_index = idx
-            break
+    # 12 stages per step and 3 for its interpolant; past the budget the
+    # field reads NaN, every step is rejected and the solver fails
+    budget = [15 * MAX_STEPS]
 
-    traj.ts = np.array(ts)
-    traj.ys = np.array(ys)
-    if interps:  # at a node, the step that starts there, whose interpolant gives the node
-        traj.sol = OdeSolution(traj.ts, interps, alt_segment=True)
-    return traj
+    def counted(t, y):
+        budget[0] -= 1
+        return field_fn(t, y) if budget[0] >= 0 else np.full_like(y, np.nan)
 
+    def terminal(ev: EventSpec):
+        def g(t, y):
+            return ev.g(y)
 
-def _direction_ok(direction: str, g_lo: float, g_hi: float) -> bool:
-    if direction == ANY:
-        return True
-    if direction == INCREASING:
-        return g_hi > g_lo
-    if direction == DECREASING:
-        return g_hi < g_lo
-    raise ValueError(f"unknown event direction {direction!r}")
+        g.terminal, g.direction = True, ev.direction
+        return g
 
-
-def _check_events(events, g_prev, y_new, interp, t_lo, t_hi):
-    """First matching sign change on [t_lo, t_hi]; updates g_prev in place."""
-    best = None
-    for i, ev in enumerate(events):
-        g_new = ev.g(y_new)
-        g_old = g_prev[i]
-        g_prev[i] = g_new
-        # strict sign change: a zero at the segment start (e.g. a handoff
-        # exactly on the watched surface) must not re-trigger immediately
-        if not (g_old * g_new < 0.0) or not _direction_ok(ev.direction, g_old, g_new):
-            continue
-        t_ev = brentq(
-            lambda t: ev.g(np.asarray(interp(t), dtype=float)),
-            min(t_lo, t_hi),
-            max(t_lo, t_hi),
-            xtol=1e-15 * max(1.0, abs(t_hi)),
-            rtol=8.881784197001252e-16,
-        )
-        if best is None or abs(t_ev - t_lo) < abs(best[1] - t_lo):
-            best = (i, t_ev, np.asarray(interp(t_ev), dtype=float))
-    return best
-
+    res = solve_ivp(counted, (t0, t1), y0, method=DOP853, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    dense_output=True, events=[terminal(ev) for ev in events] or None)
+    fired = [i for i, te in enumerate(res.t_events or ()) if len(te)]
+    return Trajectory(
+        ts=res.t,
+        ys=res.y.T,
+        sol=res.sol if res.sol.n_segments else None,
+        reason={0: REASON_TIME_LIMIT, 1: REASON_EVENT}.get(res.status, REASON_STEP_FAILURE),
+        event_index=fired[0] if fired else None,
+    )

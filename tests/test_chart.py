@@ -1611,3 +1611,33 @@ class TestOneStateUnbound:
                 rows = chart._sigma_min(params, np.full(2, E), np.full(2, l2))
                 assert np.isfinite(one) and same_bits(np.float64(one), rows[0])
                 assert (one == 0.0) == (l2 == 0.0)
+
+
+class TestOverflowingMomentum:
+    """States whose |p|**2 overflows are outside the chart domain, and the
+    domain tests and their callers say so without a RuntimeWarning."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [[0.0, 1e155], [-1e155, 1.0]])
+    def test_domain_tests_read_false(self, n, p):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        for q in ([0.05, 0.0], [0.0999, 0.0]):
+            x = PhasePoint(np.array(q), np.array(p))
+            assert chart.in_U_eps(params, x) is False
+            assert chart.on_S_eps(params, x) is False
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pericenter_and_closed_form_refuse(self, n):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 1e155]))
+        with pytest.raises(chart.ChartDomainError):
+            chart.pericenter(params, x)
+        with pytest.raises(chart.ChartDomainError if n == 2 else ValueError):
+            chart.kepler_time_closed_form(params, x)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_transit_time_check_refuses_the_entry_state(self, n):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.0999, 0.0]), np.array([-1e155, 1.0]))
+        with pytest.raises(ValueError, match="outside the chart domain"):
+            verify.transit_time_check(params, x)

@@ -85,3 +85,10 @@ def test_knobs_are_every_flag_and_config_key():
     # flags: simulate 7, verify 3, rmin 8 and figures' --out; keys: simulate
     # 12 (params 5, initial 4), verify 7 (thresholds 4) and rmin 7 (params 5)
     assert load_digests().knobs() == (19, 26)
+
+
+SRC_CEILING = 3285  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+
+
+def test_src_stays_under_its_ceiling():
+    assert load_digests().src_lines() <= SRC_CEILING
