@@ -24,6 +24,7 @@ pericenter as an independent check.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import logging
@@ -40,6 +41,7 @@ from .model import (
     ModelParams,
     PhasePoint,
     hamiltonian,
+    inverse_power,
     l_squared_point,
     row_dot,
 )
@@ -671,12 +673,20 @@ class _ZeroEnergyOrbit:
         return None, np.sign(ts), _solve_increasing(self.time, self.rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
 
 
-# T(phi) varies by up to (s1/s0)**(n-1) in slope, so Newton's first guess
-# comes from a table; the solve stops within a few ulps of phi, which near a
-# collision or a deep pericenter can be far below 1
+# dT/dphi is even, pi-periodic and real-analytic, so its cosine series
+# sum_k a_k cos(2k phi) from the samples at every 4th grid point (DCT-I,
+# a = _DCT @ samples) gives T = a_0 phi + sum_k a_k sin(2k phi) / 2k to
+# round-off of T(pi/2), on the grid as _SINES @ a.  Newton's first guess
+# inverts that table; the solve stops within a few ulps of phi
 _PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
 _SIN2_GRID = np.sin(_PHI_GRID) ** 2
 _PHI_RTOL = 4.0 * np.spacing(1.0)
+_TWO_K = 2.0 * np.arange(1, 33)
+_ONES = np.ones(32, dtype=complex)
+_SERIES_RTOL = 1e-8
+_HALF_ENDS = np.r_[0.5, np.ones(31), 0.5]  # DCT-I counts the end samples and coefficients half
+_DCT = np.cos(np.pi / 32.0 * np.outer(np.arange(33), np.arange(33))) * np.outer(_HALF_ENDS, _HALF_ENDS) / 16.0
+_SINES = np.column_stack((_PHI_GRID, np.sin(np.outer(_PHI_GRID, _TWO_K)) / _TWO_K))
 
 
 # an orbit whose l**2/2m lies within this fraction of the circular value
@@ -716,12 +726,14 @@ class _BoundOrbit:
     apsides, so every other time reduces to [0, pi/2]: t modulo the radial
     period into [-P/2, P/2], then its distance from the pericenter.
 
-    One state (a `global_flow` step) pays for each quadrature once: the
-    period and apsidal angle come from the node pass of the start's phase
-    (`time_angle` of a float), each Newton round of a one-time `place`
-    reads T and dT/dphi from one pass (`time` of one phase), and the glue
-    runs in Python floats.  Many phases (`_sample`) take the array paths,
-    which compute the same bits.
+    Newton's first guess (`_guess`) inverts T on a grid, read from the
+    cosine series of dT/dphi (33 samples give T to round-off), so the
+    quadrature Newton mostly confirms it in one round.  One state (a
+    `global_flow` step) pays for each quadrature once: the period and
+    apsidal angle come from the node pass of the start's phase (`time_angle`
+    of a float), each Newton round reads T and dT/dphi from one pass (`time`
+    of one phase), and the glue and the guess run in Python floats.  Many
+    phases (`_sample`) take the array paths, which compute the same bits.
     """
 
     def __init__(self, params: ModelParams, E: float, l: float, turning=None) -> None:
@@ -880,13 +892,66 @@ class _BoundOrbit:
         s = math.sqrt(max(sigma - self.s0, 0.0) / width)
         return float(np.arctan2(s, sin_cos / s))
 
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """T on a grid of phi by the trapezoidal rule on dT/dphi, scaled to
-        end at P/2: good to about 1e-4 of T, enough for Newton's first guess."""
+    @functools.cached_property
+    def _series(self):
+        """T on _PHI_GRID from the cosine series of dT/dphi, kept increasing
+        against round-off, dT/dphi there, and a_0, a_k / 2k and a_k (k >= 1)."""
         sigma = self.s0 + (self.s1 - self.s0) * _SIN2_GRID
         rate = self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
-        T = np.concatenate(([0.0], np.cumsum(rate[1:] + rate[:-1])))
-        return T * (0.5 * self.period / T[-1]), _PHI_GRID
+        a = _DCT @ rate[::4]
+        return np.maximum.accumulate(_SINES @ a), rate, float(a[0]), a[1:] / _TWO_K, a[1:]
+
+    def _guess(self, t):
+        """Newton's first guess for phi at times t in [0, P/2], elementwise:
+        `_first_phi` below the table's first step, pi/2 from its last, else
+        cubic Hermite on the step's (T, phi, 1 / rate) (linear where it leaves
+        the step), then up to two Newton steps on the series, kept while they
+        stay in the step and taken while they exceed _SERIES_RTOL."""
+        T, rate, a0, b, a = self._series
+        guess, j = np.full(t.shape, np.pi / 2.0), np.searchsorted(T, t, "right") - 1
+        low, mid = j < 1, np.flatnonzero((j >= 1) & (j < 128))
+        j, tm = j[mid], t[mid]
+        lo, hi, T0, h = _PHI_GRID[j], _PHI_GRID[j + 1], T[j], T[j + 1] - T[j]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a rate of 0 or underflowing
+            s, d = (tm - T0) / h, hi - lo
+            phi = lo + s * d + s * (1.0 - s) * ((h / rate[j] - d) * (1.0 - s) - (h / rate[j + 1] - d) * s)
+            phi = np.where((lo <= phi) & (phi <= hi), phi, lo + s * d)
+            live = np.arange(phi.size)
+            for _ in range(2):
+                x = phi[live]
+                z = np.multiply.accumulate(np.broadcast_to(np.exp(2j * x)[:, None], (x.size, a.size)), axis=1)  # exp(2ik x), k = 1..32
+                slope = a0 + row_dot(z.real, a)
+                new = x - (a0 * x + row_dot(z.imag, b) - tm[live]) / slope
+                ok = (slope > 0.0) & (lo[live] <= new) & (new <= hi[live])
+                phi[live[ok]] = new[ok]
+                live = live[ok & (np.abs(new - x) > _SERIES_RTOL * new)]
+        guess[mid] = phi
+        if low.any():
+            guess[low] = self._first_phi(t[low])
+        return guess
+
+    def _guess_one(self, t: float) -> float:
+        """`_guess` of one time: in Python floats and np.dot, but below the
+        table's first step, from its last and at a rate of 0 by `_guess`."""
+        T, rate, a0, b, a = self._series
+        j = bisect.bisect_right(T, t) - 1
+        if not (1 <= j < 128 and rate[j] > 0.0 and rate[j + 1] > 0.0):
+            return float(self._guess(np.array([t]))[0])
+        lo, hi, T0, T1 = (float(v) for v in (_PHI_GRID[j], _PHI_GRID[j + 1], T[j], T[j + 1]))
+        s, d, h = (t - T0) / (T1 - T0), hi - lo, T1 - T0
+        phi = lo + s * d + s * (1.0 - s) * ((h / float(rate[j]) - d) * (1.0 - s) - (h / float(rate[j + 1]) - d) * s)
+        if not lo <= phi <= hi:
+            phi = lo + s * d
+        for _ in range(2):
+            z = np.multiply.accumulate(np.exp(2j * phi) * _ONES)  # exp(2ik phi), the rows' bits
+            slope = a0 + float(np.dot(z.real, a))
+            new = phi - (a0 * phi + float(np.dot(z.imag, b)) - t) / slope if slope > 0.0 else math.nan
+            if not lo <= new <= hi:
+                break
+            phi, new = new, phi
+            if not abs(phi - new) > _SERIES_RTOL * phi:
+                break
+        return phi
 
     def place(self, ts, start=None) -> tuple[np.ndarray, np.ndarray, Solve]:
         """Whole periods k, side and phi of each time: ts = k P + side T(phi).
@@ -894,9 +959,9 @@ class _BoundOrbit:
         ts is reduced into [-P/2, P/2] exactly (fmod, then a shift by P
         that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
         its relative precision however many periods lie before it.  phi
-        solves T(phi) = |tau| by Newton, first guess from a table of T, so
-        the start is not needed.  One finite time on an orbit of finite,
-        nonzero period takes the same steps in Python floats (`_place_one`).
+        solves T(phi) = |tau| by Newton from `_guess`, which needs no start.
+        One finite time on an orbit of finite, nonzero period takes the same
+        steps in Python floats (`_place_one`).
         """
         ts = np.asarray(ts, dtype=float)
         P = self.period
@@ -906,12 +971,7 @@ class _BoundOrbit:
         tau = np.where(tau > 0.5 * P, tau - P, np.where(tau < -0.5 * P, tau + P, tau))
         k = np.round((ts - tau) / P)
         t = np.abs(tau)
-        table = self._table()
-        guess = np.interp(t, *table)
-        low = t < table[0][1]
-        if low.any():
-            guess[low] = self._first_phi(t[low])
-        sol = _solve_increasing(self.time, self.rate, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
+        sol = _solve_increasing(self.time, self.rate, t, self._guess(t), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
         return k, np.sign(tau), sol
 
     def _place_one(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, Solve]:
@@ -928,11 +988,7 @@ class _BoundOrbit:
         if math.isfinite(k):
             k = math.copysign(round(k), k)
         t = abs(tau)
-        T = self._table()[0]
-        if t < T[1]:
-            guess = self._first_phi(np.array([t]))[0]
-        else:
-            guess = float(np.interp(t, T, _PHI_GRID))
+        guess = self._guess_one(t)
         side = 1.0 if tau > 0.0 else -1.0 if tau < 0.0 else tau - tau  # NaN stays NaN
         sol = _solve_increasing(self.time, self.rate, np.array([t]), np.array([guess]), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
         return np.array([k]), np.array([side]), sol
@@ -940,15 +996,18 @@ class _BoundOrbit:
     def _first_phi(self, t):
         """Newton's first guess for phi at times t below the table's first step.
 
-        Near phi = 0, sigma = s0 + (s1 - s0) phi**2 and R = R(s0) make T a
-        polynomial in phi, at least its first term rate(0) phi and its last
-        term K (s1 - s0)**(n-1) phi**(2n-1) / ((2n-1) sqrt(R(s0))); the
-        smaller inverse of the two is the guess.
+        Near phi = 0, T is at least rate(0) phi and, in u = sin(phi), its
+        last term L u**(2n-1) (1 + (2n-1) c u**2), with L = K (s1 - s0)**(n-1)
+        / ((2n-1) sqrt(R(s0))) and c from 1/sqrt(1 - u**2) and R' ~ S at s0.
+        The smaller inverse of the two is the guess, near a collision to O(u**4).
         """
         n, width = self.n, self.s1 - self.s0
-        last = self.K * width ** (n - 1) / ((2 * n - 1) * np.sqrt(self._RS(np.asarray(self.s0))[0]))
+        R, S = self._RS(np.asarray(self.s0))
+        last = self.K * width ** (n - 1) / ((2 * n - 1) * np.sqrt(R))
+        c = (0.5 - 0.5 * width * S / R) / (2 * n + 1)
         with np.errstate(divide="ignore", invalid="ignore"):  # s0 = 0 or s1 = s0: one term
-            return np.fmin(t / self.rate(0.0), (t / last) ** (1.0 / (2 * n - 1)))
+            u = (t / last) ** (1.0 / (2 * n - 1))
+            return np.fmin(t / self.rate(0.0), np.arcsin(u * (1.0 - c * u * u)))
 
 
 def _place_start(orbit, sigma: float, radial):
@@ -1579,7 +1638,7 @@ def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, fl
     r = math.sqrt(qq)
     if r == 0.0:  # before the float power, which raises ZeroDivisionError at 0
         raise DomainError("q = 0 is outside the unregularised phase space")
-    E = float(pp) / (2.0 * params.m) - params.Z * r ** (-params.alpha)
+    E = float(pp) / (2.0 * params.m) - params.Z * inverse_power(r, params.alpha)
     return r, E, float(qp)
 
 

@@ -65,15 +65,6 @@ class CoveringState:
     t_phys: float
     E: float
 
-    def constraint(self, params: ModelParams) -> float:
-        """K(Q, P); zero along covering trajectories of energy E."""
-        q2 = abs(self.Q) ** 2
-        return (
-            abs(self.P) ** 2 / (2.0 * params.m)
-            - self.E * q2 ** (params.n - 1)
-            - params.Z
-        )
-
 
 def _completion(e1: np.ndarray) -> np.ndarray:
     """Deterministic unit vector orthogonal to e1 (collinear states)."""

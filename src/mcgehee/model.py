@@ -115,7 +115,16 @@ def potential(params: ModelParams, q: np.ndarray) -> float:
     r = float(np.linalg.norm(q))
     if r == 0.0:
         raise DomainError("potential undefined at q = 0")
-    return params.Z * r ** (-params.alpha)
+    return params.Z * inverse_power(r, params.alpha)
+
+
+def inverse_power(r: float, alpha: float) -> float:
+    """r**(-alpha) for a float r > 0, inf where it overflows (Python's
+    float power raises OverflowError there)."""
+    try:
+        return r ** (-alpha)
+    except OverflowError:
+        return np.inf
 
 
 def hamiltonian(params: ModelParams, x: PhasePoint) -> float:

@@ -87,24 +87,6 @@ def _brackets(J: np.ndarray, d: int) -> np.ndarray:
     return Jp @ Jq.T - Jq @ Jp.T
 
 
-def poisson_bracket(
-    f: Callable[[PhasePoint], float],
-    g: Callable[[PhasePoint], float],
-    x: PhasePoint,
-    h_fraction: float = DEFAULT_STEP_FRACTION,
-) -> float:
-    """Finite-difference {f, g}(x) under the fixed sign convention."""
-    d = len(x.q)
-    z = np.concatenate([x.q, x.p])
-    h = h_fraction * _coordinate_scales(z, d)
-
-    def fg(rows: np.ndarray) -> np.ndarray:
-        points = (PhasePoint(zz[:d], zz[d:]) for zz in rows)
-        return np.array([(f(xx), g(xx)) for xx in points])
-
-    return float(_brackets(_gradient(fg, z, h)[0], d)[0, 1])
-
-
 @dataclass(frozen=True)
 class BracketEntry:
     names: tuple[str, str]

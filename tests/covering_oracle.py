@@ -5,7 +5,8 @@ The tests import these helpers; no library path integrates to a radius.
 physical radius outward, and `transit_time` carries an inward entry state
 through its pericenter, or through the collision, out to the sphere of
 radius eps with DOP853: an independent route to what
-`verify.transit_time_check` takes by quadrature.
+`verify.transit_time_check` takes by quadrature.  `constraint` is the
+covering Hamiltonian K(Q, P) of a `covering.CoveringState`.
 """
 
 from mcgehee import covering as cov, integrate as ode
@@ -22,3 +23,8 @@ def transit_time(params, x_entry, cfg):
     _, y0, E = cov.lift_state(params, x_entry)
     tau_max = cov.tau_bound(params, params.eps ** (1.0 / params.n))
     return float(cov.transit(params, E, y0, tau_max, (radius_event(params, params.eps),), cfg)[4])
+
+
+def constraint(params, state):
+    """K(Q, P); zero along covering trajectories of energy state.E."""
+    return abs(state.P) ** 2 / (2.0 * params.m) - state.E * (abs(state.Q) ** 2) ** (params.n - 1) - params.Z

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from mcgehee import chart, cli, covering as cov, integrate as ode, verify
 from mcgehee.model import (
+    DomainError,
     ModelParams,
     PhasePoint,
     hamiltonian,
@@ -1488,7 +1489,7 @@ class TestOneStatePath:
         rng = np.random.default_rng(20 + n)
         for frac in self.FRACS:
             orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
-            P, first = orbit.period, orbit._table()[0][1]
+            P, first = orbit.period, orbit._series[0][1]
             times = [0.0, -0.0, 1e-300, 0.3 * first, -0.7 * first, first, P, -P, 7.0 * P, 0.5 * P,
                      -0.5 * P, 2.5 * P, -3.5 * P, 1e300, -1e300, *rng.uniform(-50.0, 50.0, 20) * P]
             for t in times:
@@ -1512,6 +1513,60 @@ class TestOneStatePath:
         monkeypatch.setattr(chart, "_solve_rows", None)
         chart.global_flow(params, PhasePoint(np.array([0.25, 0.0]), np.array([0.3, 1.3])), 0.7)
         assert shapes == [(2,)]
+
+
+class TestSeriesGuess:
+    """Newton's first guess on a bound orbit reads T on _PHI_GRID from the
+    cosine series of dT/dphi: the quadrature's T to round-off of T(pi/2)."""
+
+    @staticmethod
+    def orbits(params):
+        """Collision (s0 = 0), deep (s0/s1 <= 1e-6), middling, near-circular
+        and circular (width 0) orbits at three energies."""
+        for E in (-0.5, -3.0, -1e-3):
+            l_c = circular_l(params, E)
+            for frac in (0.0, 1e-9, 1e-3, 0.35, 0.999, 1.0 - 1e-9):
+                yield chart._BoundOrbit(params, E, frac * l_c)
+            s_c = chart._peak(params.Z, params.n, E)[0]
+            yield chart._BoundOrbit(params, E, l_c, turning=(s_c, s_c))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_table_is_the_quadrature(self, n):
+        params = ModelParams(n=n, d=2)
+        kinds = collections.Counter()
+        for orbit in self.orbits(params):
+            T = orbit._series[0]
+            kinds["collision" if orbit.s0 == 0.0 else "deep" if orbit.s0 <= 1e-6 * orbit.s1 else
+                  "circular" if orbit.s1 == orbit.s0 else "other"] += 1
+            # 1e-15 of T(pi/2) measured
+            assert np.max(np.abs(T - orbit.time(chart._PHI_GRID))) <= 1e-13 * (0.5 * orbit.period)
+            assert np.all(np.diff(T) >= 0.0) and T[0] == 0.0
+        assert kinds["collision"] == 3 and kinds["deep"] >= 6 and kinds["circular"] == 3
+
+    def test_kepler_series_has_two_terms(self):
+        # n = 2: sigma = r = a (1 - e cos 2 phi), so 2 phi is the eccentric
+        # anomaly and T = (P / 2 pi)(2 phi - e sin 2 phi), Kepler's equation
+        params = ModelParams(n=2, d=2)
+        for frac in (0.0, 0.35, 0.999):
+            orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
+            _, _, a0, _, a = orbit._series
+            e = (orbit.s1 - orbit.s0) / (orbit.s1 + orbit.s0)
+            assert a0 == pytest.approx(orbit.period / np.pi, rel=1e-15)
+            assert a[0] == pytest.approx(-e * a0, rel=1e-14, abs=1e-15 * a0)
+            assert np.max(np.abs(a[1:])) <= 1e-14 * a0  # the DCT rounds: 2e-15 measured
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_guess_is_the_root_within_a_round(self, n):
+        # from the guess the quadrature's Newton ends in one round, apart
+        # from a few times where T is a small part of T(pi/2): means of
+        # 1.005-1.021 and at most 2 rounds measured
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(40 + n)
+        rounds = []
+        for orbit in self.orbits(params):
+            for t in rng.uniform(0.0, 0.5, 20) * orbit.period:
+                rounds.append(orbit._place_one(np.array([t]))[2].iterations)
+        assert np.mean(rounds) <= 1.2 and max(rounds) <= 3
 
 
 class TestOneStateUnbound:
@@ -1611,6 +1666,28 @@ class TestOneStateUnbound:
                 rows = chart._sigma_min(params, np.full(2, E), np.full(2, l2))
                 assert np.isfinite(one) and same_bits(np.float64(one), rows[0])
                 assert (one == 0.0) == (l2 == 0.0)
+
+
+class TestOverflowingPotential:
+    """A state where |q|**(-alpha) overflows (n = 50, |q| = 1e-160) has
+    energy -inf, and the domain test, the chart and the flow refuse it with
+    their own errors, without a RuntimeWarning or OverflowError."""
+
+    PARAMS = ModelParams(n=50, d=2, eps=0.1)
+    X = PhasePoint(np.array([1e-160, 0.0]), np.array([0.0, 1.0]))
+
+    def test_energy_is_minus_infinity(self):
+        assert hamiltonian(self.PARAMS, self.X) == -np.inf
+        assert chart._radius_energy_radial(self.PARAMS, self.X)[1:] == (-np.inf, 0.0)
+        assert chart.in_U_eps(self.PARAMS, self.X) is False
+
+    def test_flow_and_chart_refuse(self):
+        with pytest.raises(DomainError, match="not finite"):
+            chart.global_flow(self.PARAMS, self.X, 0.1)
+        with pytest.raises(DomainError, match="not finite"):
+            chart.trajectory(self.PARAMS, self.X, [0.1])
+        with pytest.raises(chart.ChartDomainError, match="H=-inf is not finite"):
+            chart.chart_forward(self.PARAMS, self.X)
 
 
 class TestOverflowingMomentum:

@@ -438,6 +438,18 @@ class TestSimulate:
         assert line.endswith(f" after t={first_refused(ModelParams(n=3, d=2), start, t_span, 3)!r}")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_overflowing_potential_exits_3(self, tmp_path, caplog):
+        # |q|**(-alpha) beyond the float range (n = 50, |q| = 1e-160): the
+        # energy is -inf and the start is refused, with no RuntimeWarning
+        initial = {"q": [1e-160, 0.0], "p": [0.0, 1.0]}
+        cfg = write_config(
+            tmp_path, {"params": {"n": 50, "d": 2}, "initial": initial, "t_span": [0.0, 0.02], "output_points": 5}
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert line.startswith("flow from t=0.0 failed at the state q=[1e-160, 0.0] p=[0.0, 1.0]: ") and "not finite" in line
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_later_step_logs_its_start(self, tmp_path, caplog):
         # r = 1.7e308 at the 2nd of 11 outputs, t = 1e307, beyond the float range at the 3rd

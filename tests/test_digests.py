@@ -23,11 +23,11 @@ from mcgehee.model import PhasePoint
 
 RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 RECORDED = {
-    "simulate n=2": "5a02f115aa1e27e5",
-    "simulate n=3 collision": "c064500ab27edff4",
-    "simulate n=4": "8e91bb58dfde1944",
+    "simulate n=2": "08e3b7e0864f4fb5",
+    "simulate n=3 collision": "717d844509b5498f",
+    "simulate n=4": "c8487f782460a61a",
     "verify": "1935278b256042be",
-    "figures all tree": "faf7943792bc9e51…95b2e3",
+    "figures all tree": "05bf6f0b02b0e3a6…25d8f4",
 }
 
 
@@ -55,7 +55,7 @@ def test_src_line_count_is_wc_l():
     assert load_digests().src_lines() == int(out.stdout.split()[-2])  # the "total" line
 
 
-RECORDED_FLOW = "ec51494bc050ef94"
+RECORDED_FLOW = "e6792271d706a02a"
 
 
 def test_global_flow_keeps_its_recorded_digest():
@@ -87,7 +87,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3285  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3326  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

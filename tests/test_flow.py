@@ -543,6 +543,12 @@ class TestTrajectory:
                 assert state_error(params, row.x, want.x) <= 4e-15
         assert total == 1600 and same >= 0.9 * total  # 1523 measured
 
+    def test_bound_steps_take_about_one_newton_round(self):
+        # Newton's first guess from the orbit's cosine series: the work line
+        # of tools/digests.py, 1.08 measured (2.98 with the trapezoid table)
+        rounds = load_digests().flow_rounds(flow_calls())
+        assert len(rounds["bound"]) >= 80 and np.mean(rounds["bound"]) <= 1.2
+
     def test_rows_at_zero_are_the_start(self):
         params = ModelParams(n=3, d=2, eps=0.1)
         x = PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9]))

@@ -12,8 +12,11 @@ the last 6 hex digits.  The next line hashes the end states of about 200
 seeded `global_flow` calls (`flow_calls`, `flow_digest`), and the one
 after it the certify outputs of 80 seeded chart-domain points: the bracket
 table, the chart roundtrip and the transit time (`certify_calls`,
-`certify_digest`).  The last two lines are the line count of src/mcgehee/*.py, as `wc -l` gives it, and the
-knobs a user can set: the CLI's flags and its config keys (`knobs`).
+`certify_digest`).  The work line gives the mean and the most Newton
+rounds of the bound and the unbound `global_flow` solves over
+`flow_calls` (`flow_rounds`).  The last two lines are the line count of
+src/mcgehee/*.py, as `wc -l` gives it, and the knobs a user can set: the
+CLI's flags and its config keys (`knobs`).
 """
 
 from __future__ import annotations
@@ -170,6 +173,28 @@ def certify_digest(calls) -> str:
     return h.hexdigest()[:16]
 
 
+def flow_rounds(calls) -> dict[str, list[int]]:
+    """The Newton rounds (`Solve.iterations`) of each call's `global_flow`
+    step, "bound" on a `_BoundOrbit` and "unbound" on the others, read by
+    wrapping `chart._step` while the calls run."""
+    rounds = {"bound": [], "unbound": []}
+    step = chart._step
+
+    def counted(orbit, *args):
+        out = step(orbit, *args)
+        if out.solve is not None:
+            rounds["bound" if isinstance(orbit, chart._BoundOrbit) else "unbound"].append(out.solve.iterations)
+        return out
+
+    chart._step = counted
+    try:
+        for params, start, t in calls:
+            chart.global_flow(params, start, t)
+    finally:
+        chart._step = step
+    return rounds
+
+
 def src_lines() -> int:
     """Lines of src/mcgehee/*.py: newline characters, as `wc -l` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (SRC / "mcgehee").glob("*.py"))
@@ -193,6 +218,8 @@ def main() -> None:
         print(f"{name:<24}{digest}")
     print(f"{'global_flow':<24}{flow_digest(flow_calls())}")
     print(f"{'certify':<24}{certify_digest(certify_calls())}")
+    rounds = flow_rounds(flow_calls())
+    print(f"{'Newton rounds':<24}" + ", ".join(f"{k} mean {np.mean(v):.3f} max {max(v)}" for k, v in rounds.items()))
     print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
     flags, keys = knobs()
     print(f"{'CLI flags, config keys':<24}{flags}, {keys}")
