@@ -43,6 +43,8 @@ from .model import (
     hamiltonian,
     inverse_power,
     l_squared_point,
+    radius,
+    radius_rows,
     row_dot,
 )
 
@@ -349,14 +351,20 @@ class _RadialOrbit:
             far_power, g = self._far(sigma)
             return np.where((power < np.inf) & (rG < np.inf), self.K * power / rG, self.K * far_power / g)[:, 0]
 
-    def _time(self, sigma, width) -> np.ndarray:
+    def _roots(self, sigma, tame: bool) -> tuple[np.ndarray, np.ndarray]:
+        """P and sqrt(G) on the nodes sigma, for `_time` and `_angle`; where
+        they overflow (not `_tame`), the far forms there replace them."""
+        with _quiet(tame, over="ignore", invalid="ignore"):
+            P = self._P(sigma)
+            return P, np.sqrt(self._G0 + self._E * sigma * P)
+
+    def _time(self, sigma, width, rG) -> np.ndarray:
         """Far out, where G overflows (the integrand would read 0) or
         sigma**(n-1) does too (NaN), the integrand is `_far`'s power / g."""
         scale = self.K * width
         if width.shape[1] == 1:  # within u_P, E sigma**(n-1) = O(Z)
-            return _panel_sum(scale, sigma ** (self.n - 1) / np.sqrt(self.G(sigma)))
+            return _panel_sum(scale, sigma ** (self.n - 1) / rG)
         with np.errstate(over="ignore", invalid="ignore"):  # the far form replaces what overflows
-            rG = np.sqrt(self.G(sigma))
             vals = sigma ** (self.n - 1) / rG
         T = _panel_sum(scale, vals)
         if T.max() < np.inf and rG.max() < np.inf:
@@ -365,7 +373,7 @@ class _RadialOrbit:
         far = power / g
         return np.where(np.isfinite(T), _panel_sum(scale, np.where(rG < np.inf, vals, far)), _panel_sum(scale, far))
 
-    def _angle(self, u, sigma, width) -> np.ndarray:
+    def _angle(self, u, sigma, width, P, rG, tame: bool) -> np.ndarray:
         """1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
         the arctan term because l**2 = 2m s0 G0, and a remainder carrying
         (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
@@ -377,10 +385,8 @@ class _RadialOrbit:
         E P overflows: a huge E).  Where P itself overflows (n >= 5), y = 0
         and the integrand is -1 / (sqrt(G0) sigma), the exact integrand's limit."""
         scale = self.l[:, None] * width / self.root2m
-        tame = self._tame(u)
         with _quiet(tame, over="ignore", invalid="ignore"):  # the scaled forms replace what overflows
-            P = self._P(sigma)
-            rG, rG0 = np.sqrt(self._G0 + self._E * sigma * P), np.sqrt(self._G0)
+            rG0 = np.sqrt(self._G0)
             den = rG * rG0 * (rG + rG0)
             vals = -self._E * P / den
         rest = _panel_sum(scale, vals)
@@ -399,7 +405,8 @@ class _RadialOrbit:
         33rd node, which the weights leave out; dT/du there is kept for
         `rate` at that u, in `rate`'s order of operations."""
         if u.shape != (1,) or u[0] * self._inv_u_P[0] > 1.0:
-            return self._time(*self._nodes(u))
+            sigma, width = self._nodes(u)
+            return self._time(sigma, width, self._roots(sigma, self._tame(u))[1])
         sigma = self._s0 + (u[:, None] * _NODES_AND_END) ** 2
         power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
         self._slope = (u, self.K * power[:, CHART_NODES] / rG[:, CHART_NODES])
@@ -407,8 +414,9 @@ class _RadialOrbit:
 
     def time_angle(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Time and polar angle swept out to u, from one pass over the nodes."""
-        sigma, width = self._nodes(u)
-        return self._time(sigma, width), self._angle(u, sigma, width)
+        sigma, width, tame = *self._nodes(u), self._tame(u)
+        P, rG = self._roots(sigma, tame)
+        return self._time(sigma, width, rG), self._angle(u, sigma, width, P, rG, tame)
 
     def phase(self, sigma, radial) -> np.ndarray:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
@@ -436,15 +444,17 @@ class _RadialOrbit:
             rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
         p_r = rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
         u = np.array([u])
-        return r, p_r, self._angle(u, *self._nodes(u))[0]
+        sigma, width, tame = *self._nodes(u), self._tame(u)
+        return r, p_r, self._angle(u, sigma, width, *self._roots(sigma, tame), tame)[0]
 
     def place(self, ts, start=None) -> tuple[None, np.ndarray, Solve]:
         """No whole periods, the side and u of one time ts since the pericenter.
 
         T is odd in the signed u = side sqrt(sigma - s0): Newton on T(u) = |ts|
         starts from the tangent at the start (u0, side0, t), t the time since
-        it, or at the collision (start None) from the E = 0 estimate.  T is
-        convex with T(0) = 0, so the bracket is [hi/2, hi], hi = guess 2**e:
+        it, or at the collision (start None) from the E = 0 estimate, or
+        from free motion (`_free`) where that guess is many doublings off.  T
+        is convex with T(0) = 0, so the bracket is [hi/2, hi], hi = guess 2**e:
         e the nearest 0 with T(hi/2) < |ts| <= T(hi), or 0 for T(guess) in
         [|ts|, 2 |ts|], by steps that double away from 0, then bisection.  T
         beyond the float range, or u beyond _U_MAX, counts as too high.
@@ -459,8 +469,21 @@ class _RadialOrbit:
         if not guess[0] > 0.0:
             guess = ((2 * self.n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * self.n - 1))
         guess = np.fmin(guess, _U_MAX)  # a tangent beyond the float range
+        free = self._free(float(target[0]))
+        if free > 0.0 and not free / 16.0 <= guess[0] <= 16.0 * free:
+            guess = np.array([min(free, _U_MAX)])
         hi = np.ldexp(guess, self._power(guess, target[0])) if target[0] > 0.0 else 0.0 * guess
         return None, np.sign(ts), _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
+
+    def _free(self, target: float) -> float:
+        """u where T's far form K u**n / (n sqrt(E)), free motion, reaches
+        target; 0 for E <= 0, or unless u**2 dwarfs s0 and (G0/E)**(1/(n-1))."""
+        E, n = float(self.E[0]), self.n
+        if not (E > 0.0 and target > 0.0):
+            return 0.0
+        u = (n / self.K) ** (1.0 / n) * E ** (0.5 / n) * target ** (1.0 / n)
+        inner = max(float(self.s0[0]), (float(self.G0[0]) / E) ** (1.0 / (n - 1.0)))
+        return u if u * u >= 16.0 * inner else 0.0
 
     def _power(self, guess: np.ndarray, target: float) -> int:
         def high(e: int) -> bool:
@@ -1108,7 +1131,7 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
     q, p = z[:, :d], z[:, d:]
     with np.errstate(over="ignore", invalid="ignore"):  # a row beyond the float range is refused below
         e1, e2, qc, pc = cov.plane_reduce_rows(q, p)  # DomainError at q = 0
-        r = np.sqrt(row_dot(q, q))
+        r = radius_rows(q, row_dot(q, q))
         # H, to the bit as `hamiltonian` gives it for each row
         E = row_dot(p, p) / (2.0 * params.m) - params.Z * _pow(r, -params.alpha)
     _require_domain(params, r, E)
@@ -1585,6 +1608,8 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
     else:
         r, E, radial = _radius_energy_radial(params, state.x)
         _require_finite("start's radius, energy or angular momentum", state, t, r, E, radial)
+        if r < _SMALL:
+            return _scaled_flow(params, state, t, ts, -math.frexp(r)[1] // params.n)
         frame, qc, pc = cov.plane_reduce(state.x)
         e1, e2 = frame.e1, frame.e2
         l = qc.real * pc.imag - qc.imag * pc.real
@@ -1613,7 +1638,7 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
 
     def end(t, r, p_r, swept, pericenter) -> ExtendedPoint:
         _require_finite("end state", state, t, r, swept, pericenter)
-        if r * r == 0.0:  # on the collision, or so near that |q| underflows: A is its direction
+        if r == 0.0:  # on the collision: A is its direction
             lrl = _lrl_complex(params, 1j * np.exp(1j * (pericenter / params.n)))
             a = lrl.real * e1 + lrl.imag * e2
             return Collision(h=E, a=a / np.linalg.norm(a))
@@ -1626,6 +1651,37 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
     return rows, kind, float(np.max(np.abs(step.periods))), step.solve
 
 
+# |q| below which sigma**n = |q|**2 is not a normal float
+_SMALL = math.sqrt(_TINY)
+
+
+def _scaled_flow(params: ModelParams, state: Regular, t: float, ts: list | None, k: int):
+    """`_orbit_flow` of a start with |q| < _SMALL, whose orbit constants in
+    sigma would lose digits, as the flow of its image under the scaling
+    q -> 2**(n k) q, p -> 2**((1-n) k) p, t -> 2**((2n-1) k) t, H -> 2**(2(1-n) k) H,
+    which the homogeneous potential keeps and which is exact in floats."""
+    a, b, c = params.n * k, (1 - params.n) * k, (2 * params.n - 1) * k
+    big = Regular(PhasePoint(np.ldexp(state.x.q, a), np.ldexp(state.x.p, b)))
+    with np.errstate(over="ignore"):  # a time beyond the float range is refused below
+        times = np.ldexp([t] + (ts or []), c).tolist()
+    _require_finite("scaled time", state, t, *times)
+    ends, kind, periods, sol = _orbit_flow(params, big, times[0], None if ts is None else times[1:])
+
+    def back(end: ExtendedPoint, s: float) -> ExtendedPoint:
+        if s == 0.0:
+            return state
+        with np.errstate(over="ignore"):  # an end beyond the float range is refused
+            if isinstance(end, Collision):
+                h = float(np.ldexp(end.h, -2 * b))
+                _require_finite("end state", state, s, h)
+                return Collision(h=h, a=end.a)
+            q, p = np.ldexp(end.x.q, -a), np.ldexp(end.x.p, -b)
+            _require_finite("end state", state, s, *q, *p)
+            return Regular(PhasePoint(q, p))
+
+    return back(ends, t) if ts is None else [back(*row) for row in zip(ends, ts)], kind, periods, sol
+
+
 def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:
     """x.r, `hamiltonian` and x.radial of one state, bit for bit, from the
     three dot products <q,q>, <p,p> and <q,p> alone.  Below |q|**2 + |p|**2
@@ -1635,7 +1691,7 @@ def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, fl
     q, p = x.q, x.p
     with _quiet(math.hypot(*q.tolist(), *p.tolist()) < 1.3e154, over="ignore", invalid="ignore"):
         qq, pp, qp = np.dot(q, q), np.dot(p, p), np.dot(q, p)
-    r = math.sqrt(qq)
+    r = radius(q, qq)
     if r == 0.0:  # before the float power, which raises ZeroDivisionError at 0
         raise DomainError("q = 0 is outside the unregularised phase space")
     E = float(pp) / (2.0 * params.m) - params.Z * inverse_power(r, params.alpha)

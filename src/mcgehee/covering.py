@@ -26,6 +26,8 @@ from .model import (
     ModelParams,
     PhasePoint,
     hamiltonian,
+    radius,
+    radius_rows,
     row_dot,
 )
 
@@ -85,9 +87,9 @@ def plane_reduce_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     and p.  p is projected twice: one pass leaves a part along e1 of
     relative size 1e-16 / sin of that angle, the second rounding alone.
     Only a row whose orthogonal part squares to 0 (is 0, or below about
-    1e-162) takes the completion frame.
+    1e-162) takes the completion frame.  Its r = ||q|| is `radius_rows`.
     """
-    r = np.sqrt(row_dot(q, q))
+    r = radius_rows(q, row_dot(q, q))
     if (r == 0.0).any():
         raise DomainError("q = 0 is outside the unregularised phase space")
     e1 = q / r[:, None]
@@ -115,7 +117,7 @@ def plane_reduce(x: PhasePoint) -> tuple[PlaneFrame, complex, complex]:
     and make the real part NaN where y is infinite.
     """
     q, p = x.q, x.p
-    r = math.sqrt(np.dot(q, q))
+    r = radius(q, np.dot(q, q))
     if r == 0.0:
         raise DomainError("q = 0 is outside the unregularised phase space")
     e1 = q / r

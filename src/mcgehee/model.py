@@ -10,6 +10,7 @@ The Hamiltonian is H(q, p) = ||p||**2 / (2 m) - U_n(q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ class PhasePoint:
 
     @property
     def r(self) -> float:
-        return float(np.linalg.norm(self.q))
+        return radius(self.q, np.dot(self.q, self.q))
 
     @property
     def radial(self) -> float:
@@ -110,9 +111,32 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+# the smallest normal float: a <q,q> below it has lost digits
+_TINY = float(np.finfo(float).tiny)
+
+
+def radius_rows(q: np.ndarray, qq: np.ndarray) -> np.ndarray:
+    """||q|| of each row of a (k, d) array q from qq = <q,q>.  Where qq is
+    not a normal float (|q| below about 1.5e-154) and q is not 0, sqrt(qq)
+    has lost digits or reads 0: r is then taken from q scaled by a power
+    of two, which is exact."""
+    r = np.sqrt(qq)
+    small = qq < _TINY
+    if small.any():
+        k = -np.frexp(np.abs(q[small]).max(axis=1))[1]
+        scaled = np.ldexp(q[small], k[:, None])
+        r[small] = np.ldexp(np.sqrt(row_dot(scaled, scaled)), -k)
+    return r
+
+
+def radius(q: np.ndarray, qq) -> float:
+    """`radius_rows` of one state, bit for bit; in floats where qq is normal."""
+    return math.sqrt(qq) if qq >= _TINY else float(radius_rows(q[None], np.array([qq]))[0])
+
+
 def potential(params: ModelParams, q: np.ndarray) -> float:
     """U_n(q) = Z * ||q||**(-alpha_n).  Constant Z for n = 1."""
-    r = float(np.linalg.norm(q))
+    r = radius(q, np.dot(q, q))
     if r == 0.0:
         raise DomainError("potential undefined at q = 0")
     return params.Z * inverse_power(r, params.alpha)
@@ -136,8 +160,16 @@ def hamiltonian(params: ModelParams, x: PhasePoint) -> float:
 def _canonical(
     params: ModelParams, q: np.ndarray, p: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """dq = p/m, dp = -alpha_n Z q r**(-alpha_n - 2) with r = ||q|| > 0."""
-    return p / params.m, -params.alpha * params.Z * q * r ** (-params.alpha - 2.0)
+    """dq = p/m, dp = -alpha_n Z q r**(-alpha_n - 2) with r = ||q|| > 0.
+    Raises DomainError where r**(-alpha_n - 2) leaves the float range for
+    n >= 2; for n = 1 the force is 0 at every r."""
+    try:
+        power = r ** (-params.alpha - 2.0)
+    except OverflowError:
+        if params.n > 1:
+            raise DomainError(f"the force at q={q.tolist()} is beyond the float range") from None
+        power = 0.0
+    return p / params.m, -params.alpha * params.Z * q * power
 
 
 def vector_field(params: ModelParams, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +184,7 @@ def physical_field(params: ModelParams):
 
     def field(t, y):
         q, p = y[:d], y[d:]
-        r = float(np.linalg.norm(q))
+        r = radius(q, np.dot(q, q))
         if r == 0.0:
             raise DomainError("q = 0 is outside the unregularised phase space")
         return np.concatenate(_canonical(params, q, p, r))

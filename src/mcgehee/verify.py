@@ -23,6 +23,7 @@ record the measured family sign explicitly instead of absorbing it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -50,27 +51,33 @@ def _coordinate_scales(z: np.ndarray, d: int) -> np.ndarray:
     """Per-coordinate step scales: position block and momentum block; inf
     where a norm overflows, which the chart then refuses."""
     with np.errstate(over="ignore"):
-        q_scale = max(float(np.linalg.norm(z[:d])), 1e-3)
-        p_scale = max(float(np.linalg.norm(z[d:])), 1.0)
-    return np.concatenate([np.full(d, q_scale), np.full(d, p_scale)])
+        qq, pp = np.dot(z[:d], z[:d]), np.dot(z[d:], z[d:])
+    return np.repeat([max(math.sqrt(qq), 1e-3), max(math.sqrt(pp), 1.0)], d)
+
+
+# a coordinate's 6 stencil offsets in steps h, and where the h/2 stencil
+# (-h, -h/2, h/2, h) and the h stencil (-2h, -h, h, 2h) read them
+_OFFSETS, _PAIR = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]), np.array([1, 2, 3, 4, 0, 1, 4, 5])
+_HALF_AND_ONE = np.array([0.5, 1.0])
 
 
 def _gradient(f: Callable[[np.ndarray], np.ndarray], z: np.ndarray, h: np.ndarray):
     """4th-order central-difference gradient, Richardson-extrapolated.
 
     f maps a (k, len(z)) array of points to the (k, m) array of its m
-    components there, and is called once: on the whole stencil, 8 points
-    per coordinate, and on z itself.  Returns the (m, len(z)) Jacobian,
-    whose row a is the gradient of component a, and f(z).
+    components there, and is called once: on the whole stencil, 6 points
+    per coordinate (the h/2 and h stencils share z +- h, to the bit), and
+    on z itself.  Returns the (m, len(z)) Jacobian, whose row a is the
+    gradient of component a, and f(z).
     """
     size = len(z)
-    steps = np.stack([0.5 * h, h], axis=1)  # the Richardson pair per coordinate
-    points = np.empty((8 * size + 1, size))
+    steps = h[:, None] * _HALF_AND_ONE  # the Richardson pair per coordinate
+    points = np.empty((6 * size + 1, size))
     points[:] = z  # the stencil, then z itself
     coord = np.arange(size)
-    points[:-1].reshape(size, 2, 4, size)[coord, :, :, coord] += np.array([-2.0, -1.0, 1.0, 2.0]) * steps[:, :, None]
+    points[:-1].reshape(size, 6, size)[coord, :, coord] += _OFFSETS * h[:, None]
     vals = f(points)
-    v = vals[:-1].reshape(size, 2, 4, -1)
+    v = vals[:-1].reshape(size, 6, -1)[:, _PAIR].reshape(size, 2, 4, -1)
     diff = (v[:, :, 0] - 8.0 * v[:, :, 1] + 8.0 * v[:, :, 2] - v[:, :, 3]) / (
         12.0 * steps[:, :, None]
     )
@@ -145,27 +152,30 @@ def _table_layout(d: int) -> tuple:
     """Rows of `bracket_table` in report order, and its index arrays.
 
     Returns the (f_a, f_b) names of every row, the indices a and b of f_a
-    and f_b in the chart vector (T, H, A, B, L), the family of the row:
-    0 for {H, T} and the vanishing pairs, then 1 (A, B), 2 (B, B), 3 (L, L),
-    the rows of families 1-3 as masks, and i and j of each L_ij, i < j.
+    and f_b in the chart vector (T, H, A, B, L), the slices of the rows of
+    families 1 (A, B), 2 (B, B) and 3 (L, L), which follow {H, T} and the
+    vanishing pairs, i < j of each L_ij, i, j, k, l of each {L_ij, L_kl}
+    row, and the identity matrix delta.
     """
     A = [f"A_{i}" for i in range(d)]
     B = [f"B_{i}" for i in range(d)]
     L = [f"L_{i}{j}" for i, j in combinations(range(d), 2)]
-    rows = [("H", "T", 0)]
+    rows = [("H", "T")]
     for i in range(d):
-        rows += [(f, g[i], 0) for f in "HT" for g in (A, B)]
-    rows += [(f, g, 0) for f, g in combinations(A, 2)]
-    rows += [(f, g, 1) for f in A for g in B]
-    rows += [(f, g, 2) for f, g in combinations(B, 2)]
-    rows += [(f, g, 3) for f, g in combinations(L, 2)]
+        rows += [(f, g[i]) for f in "HT" for g in (A, B)]
+    rows += combinations(A, 2)
+    spans = []
+    for family in ([(f, g) for f in A for g in B], list(combinations(B, 2)), list(combinations(L, 2))):
+        spans.append(slice(len(rows), len(rows) + len(family)))
+        rows += family
     index = {f: k for k, f in enumerate(["T", "H", *A, *B, *L])}
-    a, b, family = np.array([(index[f], index[g], fam) for f, g, fam in rows]).T
-    members = tuple(family == f for f in (1, 2, 3))
+    a, b = np.array([(index[f], index[g]) for f, g in rows]).T
     pi, pj = np.triu_indices(d, 1)
-    for v in (a, b, family, *members, pi, pj):
+    P, Q = np.array(list(combinations(range(len(pi)), 2)), dtype=int).reshape(-1, 2).T
+    arrays = (a, b, pi, pj, pi[P], pj[P], pi[Q], pj[Q], np.eye(d))
+    for v in arrays:
         v.setflags(write=False)  # cached: shared by every report of this d
-    return tuple((f, g) for f, g, _ in rows), a, b, family, members, pi, pj
+    return tuple(rows), spans, arrays
 
 
 def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
@@ -182,10 +192,12 @@ def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
 
     are compared up to a single measured global sign per family, recorded
     on the report (the closed forms fix them only up to the
-    bracket-convention parity).
+    bracket-convention parity).  The closed forms are taken on the report's
+    rows alone, with A from the chart at x and L rounded as
+    `angular_momentum` rounds it.
     """
     d = params.d
-    names, a, b, family, members, pi, pj = _table_layout(d)
+    names, spans, (a, b, pi, pj, i, j, k, l, delta) = _table_layout(d)
     z0 = np.concatenate([x.q, x.p])
     h = DEFAULT_STEP_FRACTION * _coordinate_scales(z0, d)
 
@@ -195,28 +207,20 @@ def bracket_table(params: ModelParams, x: PhasePoint) -> BracketReport:
         return np.column_stack([c.T, c.H, c.A, c.B, L])
 
     J, centre = _gradient(chart_vec, z0, h)
-    M = _brackets(J, d)
-    # the closed forms in the index layout of chart_vec, before the family signs
+    computed = _brackets(J, d)[a, b]
     A = centre[2 : 2 + d]
-    L = angular_momentum(x).matrix
-    delta = np.eye(d)
-    i, j, k, l = pi[:, None], pj[:, None], pi, pj
-    E = np.zeros_like(M)
-    E[1, 0] = 1.0  # {H, T}
-    E[2 : 2 + d, 2 + d : 2 + 2 * d] = delta - np.outer(A, A)
-    E[2 + d + pi, 2 + d + pj] = L[pi, pj]
-    E[2 + 2 * d :, 2 + 2 * d :] = (
-        delta[i, l] * L[j, k]
-        - delta[i, k] * L[j, l]
-        - delta[j, l] * L[i, k]
-        + delta[j, k] * L[i, l]
-    )
-    computed, expected = M[a, b], E[a, b]
-    ab_sign, bb_sign, ll_sign = (_family_sign(computed[f], expected[f]) for f in members)
-    expected *= np.array([1.0, ab_sign, bb_sign, ll_sign])[family]
-    return BracketReport(
-        names, computed, expected, ab_sign=ab_sign, bb_sign=bb_sign, ll_sign=ll_sign
-    )
+    M = x.p[:, None] * x.q - x.q[:, None] * x.p  # np.outer's products
+    L = 0.5 * (M - M.T)
+    ab, bb, ll = spans
+    expected = np.zeros(len(names))
+    expected[0] = 1.0  # {H, T}; the pairs before family 1 vanish
+    expected[ab] = (delta - A[:, None] * A).ravel()
+    expected[bb] = L[pi, pj]
+    expected[ll] = delta[i, l] * L[j, k] - delta[i, k] * L[j, l] - delta[j, l] * L[i, k] + delta[j, k] * L[i, l]
+    signs = [_family_sign(computed[s], expected[s]) for s in spans]
+    for s, sign in zip(spans, signs):
+        expected[s] *= sign
+    return BracketReport(names, computed, expected, *signs)
 
 
 @dataclass(frozen=True)

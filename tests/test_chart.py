@@ -1048,7 +1048,7 @@ class TestZeroEnergyOrbit:
 
 
 def stencil_rows(params, x):
-    """The 8 * 2d + 1 points at which `bracket_table` evaluates the chart."""
+    """The 6 * 2d + 1 points at which `bracket_table` evaluates the chart."""
     z = np.concatenate([x.q, x.p])
     h = verify.DEFAULT_STEP_FRACTION * verify._coordinate_scales(z, params.d)
     seen = []
@@ -1095,7 +1095,7 @@ class TestChartRows:
         params = ModelParams(n=n, d=d, eps=0.1)
         x = sample_domain_points(params, np.random.default_rng(50 + 10 * n + d), 1)[0]
         rows = stencil_rows(params, x)
-        assert rows.shape == (8 * 2 * d + 1, 2 * d)
+        assert rows.shape == (6 * 2 * d + 1, 2 * d)
         batch = chart.chart_forward_rows(params, rows)
         shuffled = chart.chart_forward_rows(params, rows[::-1])
         for i, z in enumerate(rows):

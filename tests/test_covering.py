@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mcgehee import covering as cov
 from mcgehee import integrate as ode
-from mcgehee.model import DomainError, ModelParams, PhasePoint, hamiltonian, physical_field
+from mcgehee.model import DomainError, ModelParams, PhasePoint, hamiltonian, physical_field, radius, radius_rows
 
 from covering_oracle import constraint, radius_event
 
@@ -113,6 +113,28 @@ class TestPlaneReduction:
     def test_q_zero_raises(self):
         with pytest.raises(DomainError):
             cov.plane_reduce(PhasePoint(np.zeros(3), np.array([1.0, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_subnormal_q_squared_keeps_every_digit(self, d):
+        # <q,q> below the smallest normal float: sqrt(<q,q>) read |q| =
+        # 1e-160 as 9.99994e-161, and 0 at 1e-170.  Scaling q by 2**k, p
+        # fixed, scales r exactly and keeps e1, e2 and pc, to the bit
+        rng = np.random.default_rng(d)
+        for scale in (1e-160, 1e-170, 1e-300):
+            for q in (np.eye(d)[0], rng.normal(size=d)):
+                q = q / np.linalg.norm(q)
+                p = rng.normal(size=d)
+                k = -int(np.log2(scale))
+                big, tiny = PhasePoint(q, p), PhasePoint(np.ldexp(q, -k), p)
+                (F, QC, PC), (f, qc, pc) = cov.plane_reduce(big), cov.plane_reduce(tiny)
+                assert f.e1.tobytes() == F.e1.tobytes() and f.e2.tobytes() == F.e2.tobytes() and pc == PC
+                r = radius(tiny.q, np.dot(tiny.q, tiny.q))
+                assert r == np.ldexp(radius(q, np.dot(q, q)), -k) > 0.0
+                assert abs(qc.real - r) <= 1e-15 * r and abs(QC.real - 1.0) <= 1e-15
+                e1, e2, qc_rows, pc_rows = cov.plane_reduce_rows(np.stack([q, tiny.q]), np.stack([p, p]))
+                assert e1[1].tobytes() == f.e1.tobytes() and e2[1].tobytes() == f.e2.tobytes()
+                assert np.complex128(qc).tobytes() == qc_rows[1].tobytes() and np.complex128(pc).tobytes() == pc_rows[1].tobytes()
+                assert radius_rows(tiny.q[None], np.dot(tiny.q, tiny.q)[None])[0] == r
 
 
 class TestLiftProject:

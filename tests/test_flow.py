@@ -263,6 +263,28 @@ class TestNonFinite:
         assert np.linalg.norm((end.x.q - line) / scale) <= 1e-14 * np.linalg.norm(line / scale)
         assert np.linalg.norm((end.x.p - x.p) / scale) <= 1e-14 * np.linalg.norm(x.p / scale)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_far_start_brackets_in_few_passes(self, n):
+        # the tangent from the start, 1e-154 in time from its pericenter,
+        # lay 2**340 from the root: 25 passes of T in 45 ms for n = 3; the
+        # free motion's u starts within a factor 2.  Same end state: the
+        # digits recorded before, to 4 ulp
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x = PhasePoint(np.array([3.0, 0.0]), np.array([1e154, 1e150]))
+        passes, time = [], chart._RadialOrbit.time
+
+        def counted(orbit, u):
+            passes.append(u)
+            return time(orbit, u)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chart._RadialOrbit, "time", counted)
+            y = chart.global_flow(params, x, 1.0).x
+        assert len(passes) <= 10
+        recorded = {3: [1e154, 1.0000000000025543e150], 4: [1.0000000000000002e154, 9.999999999825704e149]}[n]
+        for got in (y.q, y.p):
+            assert np.all(np.abs(got - recorded) <= 4.0 * np.spacing(np.abs(np.array(recorded))))
+
     def test_random_starts_where_G_overflows_flow(self):
         # |p| near 1e154 at r from 1 to 10, with l**2 in the float range
         rng = np.random.default_rng(7)
@@ -302,6 +324,41 @@ class TestNonFinite:
         params = ModelParams(n=3, d=2, eps=0.1)
         out = flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 0.1])), 1e300)
         assert np.isfinite(out.q).all() and np.isfinite(out.p).all()
+
+
+class TestTinyRadius:
+    """Starts with |q| below 1.5e-154 flow as their images under the
+    scaling q -> 2**(n k) q, p -> 2**((1-n) k) p, t -> 2**((2n-1) k) t of
+    the homogeneous potential; before, a bound orbit's constants in sigma,
+    where sigma**n = |q|**2 is not a normal float, lost up to 8e-3 at
+    |q| = 1e-160 for n = 3, 4, and |q| = 1e-170 read as q = 0.  The n = 2 flows are held
+    to Kepler's in `test_reference.py`."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("q0,p", [(1e-160, [0.0, 1e-30]), (1e-170, [1e50, 1e60]), (1e-170, [1e110, -1e105])])
+    def test_flow_is_the_scaled_flow(self, n, q0, p):
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x = PhasePoint(np.array([q0, 0.0]), np.array(p))
+        k = 2 - np.frexp(q0)[1] // n  # 2**(n k) |q| near 2**(2n): not the library's scaling
+        X = PhasePoint(np.ldexp(x.q, n * k), np.ldexp(x.p, (1 - n) * k))
+        for f in (1e-3, 0.3, 7.0):
+            t = f * np.linalg.norm(X.q) ** (1.0 + 0.5 * params.alpha)
+            want = flow(params, X, t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = flow(params, x, np.ldexp(t, (1 - 2 * n) * k))
+            big = PhasePoint(np.ldexp(got.q, n * k), np.ldexp(got.p, (1 - n) * k))
+            assert state_error(params, big, want) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_time_beyond_the_scaled_float_range_raises(self):
+        # t = 1e30 from |q| = 1e-170 is 2**940 times that in the scaled flow
+        params = ModelParams(n=3, d=2, eps=0.1)
+        x = PhasePoint(np.array([1e-170, 0.0]), np.array([1e50, 1e60]))
+        with pytest.raises(DomainError, match="the scaled time is not finite"):
+            chart.global_flow(params, x, 1e30)
+        with pytest.raises(DomainError, match="the scaled time is not finite"):
+            chart.trajectory(params, x, [0.0, 1e-290, -1e30])
 
 
 class TestHugeTimes:

@@ -167,3 +167,39 @@ class TestRadialConvexity:
             np.dot(x.p, x.p) / params.m
             - params.alpha * params.Z * x.r ** (-params.alpha)
         )
+
+
+class TestTinyRadius:
+    # <q,q> below the smallest normal float: np.linalg.norm read |q| = 1e-160
+    # as 9.99994e-161 and 1e-170 as 0, so `require_noncollision` and
+    # `potential` refused it as q = 0
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-200])
+    def test_radius_scales_exactly(self, scale):
+        rng = np.random.default_rng(3)
+        k = -int(np.log2(scale))
+        for q in (np.array([1.0, 0.0, 0.0]), rng.normal(size=3)):
+            big, tiny = PhasePoint(q, np.ones(3)), PhasePoint(np.ldexp(q, -k), np.ones(3))
+            assert tiny.r == np.ldexp(big.r, -k) > 0.0
+            tiny.require_noncollision()
+        params = ModelParams(n=3, d=3)
+        x = PhasePoint(np.array([scale, 0.0, 0.0]), np.zeros(3))
+        assert x.r == scale and potential(params, x.q) == scale ** -params.alpha
+
+class TestForceBeyondTheFloatRange:
+    # |q|**(-alpha-2) overflows for n = 50 at |q| = 1e-160: Python's float
+    # power raised a bare OverflowError
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_raises_domain_error(self):
+        params = ModelParams(n=50, d=2)
+        x = PhasePoint(np.array([1e-160, 0.0]), np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match="beyond the float range"):
+            vector_field(params, x)
+        with pytest.raises(DomainError, match="beyond the float range"):
+            physical_field(params)(0.0, np.concatenate([x.q, x.p]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_n1_has_no_force(self):
+        params = ModelParams(n=1, d=2)
+        x = PhasePoint(np.array([1e-160, 0.0]), np.array([0.0, 1.0]))
+        dq, dp = vector_field(params, x)
+        assert np.array_equal(dq, x.p) and not dp.any()

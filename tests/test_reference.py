@@ -16,11 +16,13 @@ the reference; a chain of restarts from rounded states drifted from it by
 """
 
 import json
+import math
 
 import mpmath as mp
 import numpy as np
+import pytest
 
-from mcgehee import cli
+from mcgehee import chart, cli
 from mcgehee.model import ModelParams, PhasePoint
 
 from test_digests import load_digests
@@ -152,3 +154,45 @@ class TestSimulateIsKeplers:
         rows = simulate_rows(tmp_path, cfg)[49::50]
         assert len(rows) == 40
         assert worst_error(params, ([1.0, 0.0], [0.0, 0.3]), rows) <= 5e-12
+
+
+class TestTinyRadius:
+    """Starts with |q| below 1.5e-154, where <q,q> and sigma**n = |q|**2
+    are not normal floats: before, r and the plane lost up to 5.6e-6 at
+    |q| = 1e-160, bound orbits up to 2e-4, and |q| = 1e-170 read as q = 0.
+    The reference's Newton stops on an absolute step, so it runs on the
+    start scaled by the Kepler symmetry q -> 4**k q, p -> 2**-k p,
+    t -> 8**k t, which is exact in floats and in mpmath."""
+
+    @pytest.mark.parametrize(
+        "q,p",
+        [
+            ([1e-160, 0.0, 0.0], [0.0, 1e-30, 0.0]),  # bound, nearly radial
+            ([6e-171, 8e-171, 0.0], [3e84, -1e85, 2e84]),  # unbound
+            ([1e-170, 2e-171, 3e-171], [1e50, 1e60, 0.0]),  # bound
+            ([1e-200, 0.0, 0.0], [1e99, 1e99, 0.0]),  # unbound
+        ],
+    )
+    def test_flow_is_keplers(self, q, p):
+        params = ModelParams(n=2, d=3)
+        q, p = np.array(q), np.array(p)
+        k = 3 - math.frexp(float(np.abs(q).max()))[1] // 2  # not the library's scaling
+        Q, P = np.ldexp(q, 2 * k), np.ldexp(p, -k)
+        for f in (0.01, 0.7, 5.0):
+            t = f * np.linalg.norm(Q) ** 1.5
+            want = kepler_flow(params, Q, P, t)
+            got = chart.global_flow(params, PhasePoint(q, p), math.ldexp(t, -3 * k)).x
+            big = PhasePoint(np.ldexp(got.q, 2 * k), np.ldexp(got.p, -k))
+            assert state_error(params, big, want) <= 1e-14
+
+    def test_trajectory_rows_are_keplers(self):
+        params = ModelParams(n=2, d=2)
+        q, p = np.array([1e-170, 2e-171]), np.array([1e50, 1e60])
+        k = 3 - math.frexp(float(np.abs(q).max()))[1] // 2
+        Q, P = np.ldexp(q, 2 * k), np.ldexp(p, -k)
+        ts = [0.0, 0.3, 2.0, 9.0]
+        rows = chart.trajectory(params, PhasePoint(q, p), [math.ldexp(t, -3 * k) for t in ts])
+        assert rows[0].x.q is q and rows[0].x.p is p  # the start itself
+        for t, row in zip(ts[1:], rows[1:]):
+            big = PhasePoint(np.ldexp(row.x.q, 2 * k), np.ldexp(row.x.p, -k))
+            assert state_error(params, big, kepler_flow(params, Q, P, t)) <= 1e-14

@@ -15,7 +15,7 @@ from mcgehee.model import (
     physical_field,
 )
 
-from bracket_oracle import poisson_bracket
+from bracket_oracle import expected_values, poisson_bracket
 from covering_oracle import transit_time
 
 
@@ -90,10 +90,26 @@ class TestBatchedGradient:
             return np.column_stack([np.sin(rows[:, 0]) * rows[:, 3], rows[:, 1] ** 3])
 
         J, at_z = verify._gradient(f, z, h)
-        assert calls == [(8 * len(z) + 1, len(z))]
+        assert calls == [(6 * len(z) + 1, len(z))]
         assert np.array_equal(at_z, f(z[None])[0])
         exact = np.array([[np.cos(0.3) * 1.1, 0.0, 0.0, np.sin(0.3)], [0.0, 3 * 0.04, 0.0, 0.0]])
         assert np.max(np.abs(J - exact)) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_shared_points_keep_every_bit_of_the_loop(self, d):
+        # the h/2 and h stencils share z +- h; evaluated once, each still
+        # gives the loop's value to the bit, for a function of each row alone
+        rng = np.random.default_rng(d)
+        z = rng.uniform(-1.0, 1.0, 2 * d)
+        h = 10.0 ** rng.uniform(-5.0, -2.0, 2 * d)
+
+        def f(rows):
+            x, y = rows[..., 0], rows[..., -1]
+            return np.stack([x * y - rows[..., 1], y * y * y + x / (1.0 + x * x), (x - y) / (2.0 + y * rows[..., 1])], axis=-1)
+
+        J, at_z = verify._gradient(f, z, h)
+        assert np.array_equal(J, loop_gradient(f, z, h))
+        assert np.array_equal(at_z, f(z))
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 2)])
     def test_poisson_bracket_unchanged(self, n, d):
@@ -171,6 +187,19 @@ class TestBracketTable:
 
 
 class TestBracketTableLayout:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_expected_values_are_the_full_matrix_constructions(self, n, d):
+        # the closed forms taken on the table's rows alone keep every bit
+        # of their construction on the whole matrix, signs included
+        params = ModelParams(n=n, d=d, eps=0.1)
+        for x in verify.sample_domain_points(params, np.random.default_rng(100 * n + d), 2):
+            rep = verify.bracket_table(params, x)
+            expected, signs = expected_values(params, x, rep)
+            assert rep.expected.tobytes() == expected.tobytes()
+            assert [rep.ab_sign, rep.bb_sign, rep.ll_sign] == signs
+            assert rep.max_residual < 1e-5
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("d", [2, 3])
     def test_every_row_is_the_bracket_of_its_named_pair(self, n, d):

@@ -14,7 +14,10 @@ after it the certify outputs of 80 seeded chart-domain points: the bracket
 table, the chart roundtrip and the transit time (`certify_calls`,
 `certify_digest`).  The work line gives the mean and the most Newton
 rounds of the bound and the unbound `global_flow` solves over
-`flow_calls` (`flow_rounds`).  The last two lines are the line count of
+`flow_calls` (`flow_rounds`), and the certify work line the stencil
+rows of a bracket table for each d and the mean and the most Newton
+rounds of `chart_inverse` over `certify_calls` (`certify_work`).  The
+last two lines are the line count of
 src/mcgehee/*.py, as `wc -l` gives it, and the knobs a user can set: the
 CLI's flags and its config keys (`knobs`).
 """
@@ -195,6 +198,35 @@ def flow_rounds(calls) -> dict[str, list[int]]:
     return rounds
 
 
+def certify_work(calls) -> tuple[dict[int, int], list[int]]:
+    """The stencil rows of each d's bracket table (the rows that
+    `chart.chart_forward_rows` takes there) and the Newton rounds of each
+    call's `chart_inverse`, read by wrapping `chart.chart_forward_rows`
+    and `chart._solve_increasing` while the calls run."""
+    rows, rounds = {}, []
+    forward_rows, solve = chart.chart_forward_rows, chart._solve_increasing
+
+    def counted_rows(params, z):
+        rows[params.d] = len(z)
+        return forward_rows(params, z)
+
+    def counted_solve(*args):
+        out = solve(*args)
+        rounds.append(out.iterations)
+        return out
+
+    try:
+        chart.chart_forward_rows = counted_rows
+        for params, x, _ in calls:
+            verify.bracket_table(params, x)
+        chart.chart_forward_rows, chart._solve_increasing = forward_rows, counted_solve
+        for params, x, _ in calls:
+            chart.chart_inverse(params, chart.chart_forward(params, x))
+    finally:
+        chart.chart_forward_rows, chart._solve_increasing = forward_rows, solve
+    return rows, rounds
+
+
 def src_lines() -> int:
     """Lines of src/mcgehee/*.py: newline characters, as `wc -l` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (SRC / "mcgehee").glob("*.py"))
@@ -220,6 +252,9 @@ def main() -> None:
     print(f"{'certify':<24}{certify_digest(certify_calls())}")
     rounds = flow_rounds(flow_calls())
     print(f"{'Newton rounds':<24}" + ", ".join(f"{k} mean {np.mean(v):.3f} max {max(v)}" for k, v in rounds.items()))
+    rows, inverse = certify_work(certify_calls())
+    print(f"{'certify work':<24}stencil rows " + ", ".join(f"d={d} {k}" for d, k in sorted(rows.items()))
+          + f"; chart_inverse rounds mean {np.mean(inverse):.3f} max {max(inverse)}")
     print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
     flags, keys = knobs()
     print(f"{'CLI flags, config keys':<24}{flags}, {keys}")
