@@ -540,6 +540,7 @@ class Solve(NamedTuple):
     iterations: int
     f: Callable[[np.ndarray], np.ndarray]
     t: np.ndarray
+    carried: np.ndarray | None = None  # `carry` at the roots, to first order from the last round
 
     def residual(self) -> float:
         """Worst |f(x) - t| at the returned roots; one more pass of f."""
@@ -549,7 +550,7 @@ class Solve(NamedTuple):
 _SOLVE_MAX_ITER = 64
 
 
-def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
+def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None, first=None) -> Solve:
     """x in [lo, hi] with f(x) = t for an increasing f, elementwise over t.
 
     Newton from the first guess x, clipped into the bracket.  The bracket
@@ -559,44 +560,56 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> S
     the float range does.  A sample stops once its step is at most
     tol + rtol |x|, or after _SOLVE_MAX_ITER steps.  A single sample takes
     the same steps in Python floats (`_solve_one`).
+
+    carry(x), called after f(x) at the same x, gives the value and the rate
+    of a second function there, which the solve carries to each root as
+    value + rate (root - x) from its last round.  first, (f, rate) or with
+    carry (f, rate, value, value's rate) at the guess x (inside the
+    bracket), is the first round's pass, taken already.
     """
     one = _size(x) == _size(lo) == _size(hi) == 1
-    return (_solve_one if one else _solve_rows)(f, rate, t, x, lo, hi, tol, rtol)
+    return (_solve_one if one else _solve_rows)(f, rate, t, x, lo, hi, tol, rtol, carry, first)
 
 
-def _solve_rows(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
+def _solve_rows(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None, first=None) -> Solve:
     """`_solve_increasing` on arrays, any number of samples."""
     x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, lo, hi))
     x = np.clip(x, lo, hi)
+    carried = None if carry is None else np.full(x.shape, np.nan)
     # the unfinished samples: their indices into x and their own copies
     rows, xa, ta = np.arange(x.size), x.ravel(), t.ravel()
     lo, hi = lo.ravel(), hi.ravel()
     iterations = 0
     while rows.size and iterations < _SOLVE_MAX_ITER:
         iterations += 1
-        res = f(xa) - ta
+        fx, slope, *values = first or (f(xa), None)
+        first = None
+        res = fx - ta
         lo = np.where(res < 0.0, xa, lo)
         hi = np.where(res <= 0.0, hi, xa)  # a NaN residual counts as too high
         with np.errstate(divide="ignore", invalid="ignore"):  # rate 0: bisect
-            new = xa - res / rate(xa)
+            new = xa - res / (rate(xa) if slope is None else slope)
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         new = np.where(res == 0.0, xa, new)
         done = np.abs(new - xa) <= (tol + rtol * np.abs(new) if rtol else tol)
+        if carry is not None:  # before x, of which xa may be a view, moves
+            value, value_rate = values or carry(xa)
+            carried.flat[rows] = value + value_rate * (new - xa)
         x.flat[rows] = new
         if done.any():
             keep = ~done
             rows, new, ta, lo, hi = rows[keep], new[keep], ta[keep], lo[keep], hi[keep]
         xa = new
-    return Solve(x, iterations, f, t)
+    return Solve(x, iterations, f, t, carried)
 
 
-def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
+def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None, first=None) -> Solve:
     """`_solve_rows` on one sample in Python floats, which round as the
     array arithmetic does but skip numpy's per-call cost.
 
-    f and rate still see (1,) arrays, so their powers round as for the
-    rows.  The clip keeps np.clip's choices (NaN from any NaN, the bound on
-    a tie of signed zeros), and a zero rate gives numpy's quotient, an
+    f, rate and carry still see (1,) arrays, so their powers round as for
+    the rows.  The clip keeps np.clip's choices (NaN from any NaN, the bound
+    on a tie of signed zeros), and a zero rate gives numpy's quotient, an
     infinity with the signs of res and rate, so the step bisects.
     """
     shape = (1,) * max(_ndim(x), _ndim(lo), _ndim(hi))
@@ -606,11 +619,14 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
     else:
         xa = xa if xa > lo else lo
         xa = xa if xa < hi else hi
+    carried = math.nan
     iterations = 0
     while iterations < _SOLVE_MAX_ITER:
         iterations += 1
         at = np.array([xa])
-        res = float(f(at)[0]) - ta
+        fx, slope, *values = first or (float(f(at)[0]), None)
+        first = None
+        res = fx - ta
         if res < 0.0:
             lo = xa
         elif not res <= 0.0:  # NaN too
@@ -618,7 +634,7 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
         if res == 0.0:
             new = xa
         else:
-            slope = float(rate(at)[0])
+            slope = float(rate(at)[0]) if slope is None else slope
             if slope != 0.0:
                 new = xa - res / slope
             else:
@@ -626,10 +642,13 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0) -> Solve:
             if not lo <= new <= hi:
                 new = 0.5 * (lo + hi)
         done = abs(new - xa) <= (tol + rtol * abs(new) if rtol else tol)
+        if carry is not None:
+            value, value_rate = values or (float(v[0]) for v in carry(at))
+            carried = value + value_rate * (new - xa)
         xa = new
         if done:
             break
-    return Solve(np.array(xa).reshape(shape), iterations, f, t)
+    return Solve(np.array(xa).reshape(shape), iterations, f, t, None if carry is None else np.array(carried).reshape(shape))
 
 
 class _ZeroEnergyOrbit:
@@ -707,6 +726,7 @@ _PHI_RTOL = 4.0 * np.spacing(1.0)
 _TWO_K = 2.0 * np.arange(1, 33)
 _ONES = np.ones(32, dtype=complex)
 _SERIES_RTOL = 1e-8
+_SERIES_PERIODS = 2
 _HALF_ENDS = np.r_[0.5, np.ones(31), 0.5]  # DCT-I counts the end samples and coefficients half
 _DCT = np.cos(np.pi / 32.0 * np.outer(np.arange(33), np.arange(33))) * np.outer(_HALF_ENDS, _HALF_ENDS) / 16.0
 _SINES = np.column_stack((_PHI_GRID, np.sin(np.outer(_PHI_GRID, _TWO_K)) / _TWO_K))
@@ -749,14 +769,15 @@ class _BoundOrbit:
     apsides, so every other time reduces to [0, pi/2]: t modulo the radial
     period into [-P/2, P/2], then its distance from the pericenter.
 
-    Newton's first guess (`_guess`) inverts T on a grid, read from the
-    cosine series of dT/dphi (33 samples give T to round-off), so the
-    quadrature Newton mostly confirms it in one round.  One state (a
-    `global_flow` step) pays for each quadrature once: the period and
-    apsidal angle come from the node pass of the start's phase (`time_angle`
-    of a float), each Newton round reads T and dT/dphi from one pass (`time`
-    of one phase), and the glue and the guess run in Python floats.  Many
-    phases (`_sample`) take the array paths, which compute the same bits.
+    Every node pass (`_fused`) gives T and the swept angle together with
+    their rates at phi, its 33rd node.  Newton's first guess (`_guess`)
+    inverts T on a grid, read from the cosine series of dT/dphi (33 samples
+    give T to round-off), so Newton mostly confirms it in one round, and
+    the end angle is carried from that round to the root to first order.
+    A `global_flow` step (`_bound_step`) reads its guess off the series
+    alone, and so takes one stacked pass: the apsides, the start and
+    Newton's first round.  Many phases (`_sample`) take the array paths,
+    which compute the same bits.
     """
 
     def __init__(self, params: ModelParams, E: float, l: float, turning=None) -> None:
@@ -783,12 +804,12 @@ class _BoundOrbit:
             coeffs.append(g[j] + self.s1 * coeffs[-1])
         self.R0 = -coeffs[-1]
         self._S = [-c for c in coeffs[:-1]]  # S = (R - R0)/sigma, Horner order
-        self._slope = None  # (phi, dT/dphi) of the last one-phase `time`
+        self._last = None  # (phi, dT/dphi, angle, angle rate) of the last `_round`
 
     @functools.cached_property
     def _apsides(self) -> tuple[float, float]:
         """Half the radial period and the apsidal angle: T and the angle at pi/2."""
-        return tuple(float(v) for v in self._time_angle(np.pi / 2.0))
+        return tuple(float(v[0]) for v in self._fused(np.array([np.pi / 2.0]))[:2])
 
     @property
     def period(self) -> float:
@@ -825,77 +846,95 @@ class _BoundOrbit:
         return self.s0 + (self.s1 - self.s0) * np.sin(phi) ** 2
 
     def _RS(self, sigma):
-        S = 0.0
-        for c in self._S:
+        if not self._S:  # n = 2: R = R0
+            return self.R0, 0.0
+        S = self._S[0]
+        for c in self._S[1:]:
             S = S * sigma + c
         return self.R0 + sigma * S, S
 
-    def _nodes(self, phi, nodes=_NODES):
-        """phi as an array, sigma on the nodes of [0, phi] (..., 32), and
-        sqrt(R) and S there."""
-        phi = np.asarray(phi, dtype=float)
-        sigma = self.sigma(phi[..., None] * nodes)
-        R, S = self._RS(sigma)
-        return phi, sigma, np.sqrt(R), S
+    def _fused(self, phi):
+        """T, the swept angle, dT/dphi and the angle's rate at phi in
+        [0, pi/2], elementwise, from one pass over the nodes of [0, phi]
+        and phi itself as a 33rd node, which the weights leave out.
 
-    def _time(self, phi, sigma, rR):
-        return self.K * (phi * row_dot(sigma ** (self.n - 1) / rR, _WEIGHTS))
-
-    def _angle(self, phi, rR, S):
-        """As in `_RadialOrbit.angle`, with R = R0 + sigma S the term
+        As in `_RadialOrbit.angle`, with R = R0 + sigma S the term
         1/(sigma sqrt(R0)) integrates to the arctan, because
-        l**2 = 2m s0 s1 R0, and the remainder stays smooth as l -> 0."""
-        swept = np.arctan2(np.sqrt(self.s1) * np.sin(phi), np.sqrt(self.s0) * np.cos(phi))
-        rR0 = np.sqrt(self.R0)
-        remainder = phi * row_dot(-S / (rR * rR0 * (rR + rR0)), _WEIGHTS)
-        return self.n * (swept + self.l / self.root2m * remainder)
+        l**2 = 2m s0 s1 R0, and the remainder's integrand
+        -S / (sqrt(R R0) (sqrt(R) + sqrt(R0))) stays smooth as l -> 0 (and
+        is 0 for n = 2).  The arctan's rate is sqrt(s0 s1)/sigma, 0 on a
+        collision orbit, whose angle jumps at the pericenter.
+        """
+        phi = np.asarray(phi, dtype=float)
+        sin = np.sin(phi[..., None] * _NODES_AND_END)  # sin(phi) last
+        sigma = self.s0 + (self.s1 - self.s0) * (sin * sin)
+        R, S = self._RS(sigma)
+        rR = np.sqrt(R)
+        vals = (sigma if self.n == 2 else sigma ** (self.n - 1)) / rR
+        T = self.K * (phi * row_dot(vals[..., :CHART_NODES], _WEIGHTS))
+        end = sigma[..., CHART_NODES]
+        swept = np.arctan2(math.sqrt(self.s1) * sin[..., CHART_NODES], math.sqrt(self.s0) * np.cos(phi))
+        angle_rate = math.sqrt(self.s0) * math.sqrt(self.s1) / end if self.s0 > 0.0 else 0.0 * end
+        if self._S:
+            c = -self.l / (self.root2m * math.sqrt(self.R0))
+            g = S / (rR * (rR + math.sqrt(self.R0)))
+            swept = swept + c * (phi * row_dot(g[..., :CHART_NODES], _WEIGHTS))
+            angle_rate = angle_rate + c * g[..., CHART_NODES]
+        return T, self.n * swept, self.K * vals[..., CHART_NODES], self.n * angle_rate
+
+    def _round(self, phi):
+        """T at phi from `_fused`, keeping the pass's rates and angle at phi
+        for `rate` and `_angle_at`: a fused Newton round."""
+        T, angle, rate, angle_rate = self._fused(phi)
+        self._last = (phi, rate, angle, angle_rate)
+        return T
+
+    def _angle_at(self, phi):
+        """The angle and its rate at the phi of the last `_round`."""
+        return self._last[2:] if self._last[0] is phi else self._fused(phi)[1::2]
 
     def rate(self, phi):
-        """dT/dphi; at the phase of the last one-phase `time`, from its pass."""
-        if self._slope is not None and self._slope[0] is phi:
-            return self._slope[1]
+        """dT/dphi; at the phi of the last `_round`, from its pass."""
+        if self._last is not None and self._last[0] is phi:
+            return self._last[1]
         sigma = self.sigma(phi)
         return self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
 
     def time(self, phi):
-        """Time from the pericenter to phi in [0, pi/2], elementwise.
-
-        One phase (a (1,) array: a Newton round) takes phi itself as a 33rd
-        node, which the weights leave out; the integrand there is
-        dT/dphi / K, kept for `rate` at that phase."""
-        if np.shape(phi) != (1,):
-            return self._time(*self._nodes(phi)[:3])
-        x, sigma, rR, _ = self._nodes(phi, _NODES_AND_END)
-        vals = sigma ** (self.n - 1) / rR
-        self._slope = (phi, self.K * vals[:, CHART_NODES])
-        return self.K * (x * row_dot(vals[:, :CHART_NODES], _WEIGHTS))
+        """Time from the pericenter to phi in [0, pi/2], elementwise."""
+        return self._fused(phi)[0]
 
     def angle(self, phi):
         """Polar angle swept from the pericenter to phi in [0, pi/2]."""
-        phi, _, rR, S = self._nodes(phi)
-        return self._angle(phi, rR, S)
-
-    def _time_angle(self, phi):
-        phi, sigma, rR, S = self._nodes(phi)
-        return self._time(phi, sigma, rR), self._angle(phi, rR, S)
+        return self._fused(phi)[1]
 
     def time_angle(self, phi):
-        """(time(phi), angle(phi)) from one pass over the nodes.  One phase
-        (a float) of an orbit whose apsides are not known yet stacks pi/2
-        on it, so that the same pass gives the period and apsidal angle."""
-        if _ndim(phi) or "_apsides" in self.__dict__:
-            return self._time_angle(phi)
-        T, theta = self._time_angle(np.array([np.pi / 2.0, phi]))
-        self._apsides = (float(T[0]), float(theta[0]))
-        return T[1], theta[1]
+        """(time(phi), angle(phi)) from one pass over the nodes."""
+        return self._fused(phi)[:2]
+
+    def start(self, x0, side0: float, phi=None):
+        """The time tau0 and angle theta0 since the pericenter of a start at
+        phase x0 on side side0 (x0 None: the pericenter), from one pass
+        stacked on pi/2, which also gives the apsides.  A phase phi joins
+        the pass: its T, dT/dphi, angle and angle rate (`place`'s first
+        round) come third, else None."""
+        phis = [np.pi / 2.0] + ([] if x0 is None else [x0]) + ([] if phi is None else [phi])
+        T, angle, rate, angle_rate = (v.tolist() for v in self._fused(np.array(phis)))
+        self._apsides = (T[0], angle[0])
+        placed = (0.0, 0.0) if x0 is None else (side0 * T[1], side0 * angle[1])
+        return *placed, None if phi is None else (T[-1], rate[-1], angle[-1], angle_rate[-1])
 
     def state(self, phi):
-        """r, |p_r| and the swept angle at phi, elementwise: r |p_r| is
-        sqrt(2m f(sigma)) with f = (s1 - s0)**2 sin**2 cos**2 R."""
-        sigma = self.sigma(phi)
-        r = sigma ** (self.n / 2.0)
-        rpr = self.root2m * np.sqrt(self._RS(sigma)[0]) * (self.s1 - self.s0) * np.sin(phi) * np.cos(phi)
-        return r, rpr / r, self.angle(phi)
+        """r and |p_r| at phi, elementwise: r |p_r| is sqrt(2m f(sigma))
+        with f = (s1 - s0)**2 sin**2 cos**2 R.  One phase (a float) is taken
+        in floats, with the rows' bits: math's sin, cos and sqrt round as
+        numpy's do, and r's power is taken on a (1,) array."""
+        one = isinstance(phi, float)
+        sin, cos, sqrt = (math.sin(phi), math.cos(phi), math.sqrt) if one else (np.sin(phi), np.cos(phi), np.sqrt)
+        sigma = self.s0 + (self.s1 - self.s0) * (sin * sin)
+        r = (np.array([sigma]) ** (self.n / 2.0)).item() if one else sigma ** (self.n / 2.0)
+        rpr = sqrt(self._RS(sigma)[0]) * (sin * cos) * (self.root2m * (self.s1 - self.s0))
+        return r, rpr / r if not one or r else math.nan  # p_r is unbounded at the collision, r = 0
 
     def phase(self, sigma: float, radial: float) -> float:
         """phi in [0, pi/2] of a state at sigma = r**(2/n) with <q,p> = radial.
@@ -923,6 +962,13 @@ class _BoundOrbit:
         rate = self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
         a = _DCT @ rate[::4]
         return np.maximum.accumulate(_SINES @ a), rate, float(a[0]), a[1:] / _TWO_K, a[1:]
+
+    def _series_one(self, phi: float) -> tuple[float, float]:
+        """T and dT/dphi at one phase from the series, in Python floats and
+        np.dot; sin(2k phi) and cos(2k phi) as the rows of `_guess` take them."""
+        _, _, a0, b, a = self._series
+        z = np.multiply.accumulate(np.exp(2j * phi) * _ONES)  # exp(2ik phi), k = 1..32
+        return a0 * phi + float(np.dot(z.imag, b)), a0 + float(np.dot(z.real, a))
 
     def _guess(self, t):
         """Newton's first guess for phi at times t in [0, P/2], elementwise:
@@ -954,9 +1000,9 @@ class _BoundOrbit:
         return guess
 
     def _guess_one(self, t: float) -> float:
-        """`_guess` of one time: in Python floats and np.dot, but below the
-        table's first step, from its last and at a rate of 0 by `_guess`."""
-        T, rate, a0, b, a = self._series
+        """`_guess` of one time, in floats; below the table's first step,
+        from its last and at a rate of 0 by `_guess`."""
+        T, rate = self._series[:2]
         j = bisect.bisect_right(T, t) - 1
         if not (1 <= j < 128 and rate[j] > 0.0 and rate[j + 1] > 0.0):
             return float(self._guess(np.array([t]))[0])
@@ -966,9 +1012,8 @@ class _BoundOrbit:
         if not lo <= phi <= hi:
             phi = lo + s * d
         for _ in range(2):
-            z = np.multiply.accumulate(np.exp(2j * phi) * _ONES)  # exp(2ik phi), the rows' bits
-            slope = a0 + float(np.dot(z.real, a))
-            new = phi - (a0 * phi + float(np.dot(z.imag, b)) - t) / slope if slope > 0.0 else math.nan
+            value, slope = self._series_one(phi)
+            new = phi - (value - t) / slope if slope > 0.0 else math.nan
             if not lo <= new <= hi:
                 break
             phi, new = new, phi
@@ -976,44 +1021,55 @@ class _BoundOrbit:
                 break
         return phi
 
-    def place(self, ts, start=None) -> tuple[np.ndarray, np.ndarray, Solve]:
-        """Whole periods k, side and phi of each time: ts = k P + side T(phi).
+    def _series_guess_one(self, ts: float):
+        """(k, side, guess) of one time, reduced by the series' period
+        pi a_0 in place of P; None where that period or ts is not finite,
+        or below the table's first step, where the series time has lost
+        its relative precision."""
+        T, _, a0 = self._series[:3]
+        P = np.pi * a0
+        if not (math.isfinite(ts) and 0.0 < P < math.inf):
+            return None
+        k, side, t = _reduce_one(ts, P)
+        return (k, side, self._guess_one(t)) if t >= T[1] and abs(k) <= _SERIES_PERIODS else None
+
+    def place(self, ts, start=None, first=None) -> tuple[np.ndarray, np.ndarray, Solve]:
+        """Whole periods k, side and phi of each time: ts = k P + side T(phi),
+        and the solve carries the swept angle at each phi (`Solve.carried`).
 
         ts is reduced into [-P/2, P/2] exactly (fmod, then a shift by P
         that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
         its relative precision however many periods lie before it.  phi
-        solves T(phi) = |tau| by Newton from `_guess`, which needs no start.
-        One finite time on an orbit of finite, nonzero period takes the same
-        steps in Python floats (`_place_one`).
+        solves T(phi) = |tau| by fused Newton rounds (`_round`) from
+        `_guess`, which needs no start.  The guess reduces the times start
+        (default ts) by the series' period pi a_0 in place of P, and ts
+        itself where the whole periods or side differ.  One finite time on
+        an orbit of finite, nonzero period takes the same steps in Python
+        floats (`_place_one`), with first: the reduction and guess of
+        start, and the first round's pass at the guess (`start`).
         """
         ts = np.asarray(ts, dtype=float)
+        start = ts if start is None else np.asarray(start, dtype=float)
         P = self.period
         if ts.shape == (1,) and math.isfinite(ts[0]) and 0.0 < P < math.inf:
-            return self._place_one(ts)
-        tau = np.fmod(ts, P)
-        tau = np.where(tau > 0.5 * P, tau - P, np.where(tau < -0.5 * P, tau + P, tau))
-        k = np.round((ts - tau) / P)
-        t = np.abs(tau)
-        sol = _solve_increasing(self.time, self.rate, t, self._guess(t), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
-        return k, np.sign(tau), sol
+            return self._place_one(ts.item(), first or self._series_guess_one(start.item()))
+        k, side, t = _reduce(ts, P)
+        T, _, a0 = self._series[:3]
+        with np.errstate(invalid="ignore"):  # a series period of 0 or inf: no match below
+            ks, sides, ta = _reduce(start, np.pi * a0)
+        series = (ks == k) & (sides == side) & (ta >= T[1]) & (np.abs(ks) <= _SERIES_PERIODS)
+        guess = self._guess(np.where(series, ta, t))
+        return k, side, _solve_increasing(self._round, self.rate, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL,
+                                          self._angle_at)
 
-    def _place_one(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, Solve]:
-        """`place` of one time: fmod, the shift, np.round (half to even, and
-        the sign of a zero) and np.sign in floats."""
-        ts = ts.item()
-        P = self.period
-        tau = math.fmod(ts, P)
-        if tau > 0.5 * P:
-            tau -= P
-        elif tau < -0.5 * P:
-            tau += P
-        k = (ts - tau) / P
-        if math.isfinite(k):
-            k = math.copysign(round(k), k)
-        t = abs(tau)
-        guess = self._guess_one(t)
-        side = 1.0 if tau > 0.0 else -1.0 if tau < 0.0 else tau - tau  # NaN stays NaN
-        sol = _solve_increasing(self.time, self.rate, np.array([t]), np.array([guess]), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
+    def _place_one(self, ts: float, guess) -> tuple[np.ndarray, np.ndarray, Solve]:
+        """`place` of one time in floats, from `_series_guess_one` of its
+        start and, following it, its first round, if taken already."""
+        k, side, t = _reduce_one(ts, self.period)
+        if guess is None or guess[:2] != (k, side):
+            guess = (k, side, self._guess_one(t))
+        sol = _solve_increasing(self._round, self.rate, np.array([t]), np.array([guess[2]]), 0.0, np.pi / 2.0, 0.0,
+                                _PHI_RTOL, self._angle_at, guess[3:] or None)
         return np.array([k]), np.array([side]), sol
 
     def _first_phi(self, t):
@@ -1033,16 +1089,44 @@ class _BoundOrbit:
             return np.fmin(t / self.rate(0.0), np.arcsin(u * (1.0 - c * u * u)))
 
 
+def _reduce(ts, P):
+    """Whole periods k, side and |tau| of times ts = k P + tau, tau in
+    [-P/2, P/2]: fmod, then a shift by P that Sterbenz's lemma keeps exact."""
+    tau = np.fmod(ts, P)
+    tau = np.where(tau > 0.5 * P, tau - P, np.where(tau < -0.5 * P, tau + P, tau))
+    return np.round((ts - tau) / P), np.sign(tau), np.abs(tau)
+
+
+def _reduce_one(ts: float, P: float) -> tuple[float, float, float]:
+    """`_reduce` of one finite time by a finite, nonzero P in floats:
+    np.round's half to even and the sign of a zero, np.sign's NaN."""
+    tau = math.fmod(ts, P)
+    if tau > 0.5 * P:
+        tau -= P
+    elif tau < -0.5 * P:
+        tau += P
+    k = (ts - tau) / P
+    if math.isfinite(k):
+        k = math.copysign(round(k), k)
+    side = 1.0 if tau > 0.0 else -1.0 if tau < 0.0 else tau - tau  # NaN stays NaN
+    return k, side, abs(tau)
+
+
 def _place_start(orbit, sigma: float, radial):
     """The start's time tau0 and angle theta0 since its pericenter, and its
     coordinate and side (x0, side0) as `place`'s start: (0, 0, None) on the
-    collision (radial None), None where the start cannot be placed."""
+    collision (radial None), None where the start cannot be placed.  A
+    bound orbit's start takes one pass with its apsides (`_BoundOrbit.start`)
+    and returns, in place of (x0, side0), its time on the series, from
+    which `place` reduces the guesses."""
     if radial is None:
         return 0.0, 0.0, None
     x0 = orbit.phase(sigma, radial)
     if not math.isfinite(_item(x0)):
         return None
     side0 = 1.0 if radial >= 0.0 else -1.0
+    if isinstance(orbit, _BoundOrbit):
+        return *orbit.start(x0, side0)[:2], side0 * orbit._series_one(x0)[0]
     tau0, theta0 = (side0 * v.item() for v in orbit.time_angle(x0))
     return tau0, theta0, (x0, side0)
 
@@ -1053,13 +1137,16 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     start.  Every orbit class has the methods used here and in `_sample`:
     phase (a state's orbit coordinate x, u or phi), time_angle, place
     (whole periods or None, side and the Newton solve of times since the
-    pericenter) and state (r, |p_r| and the angle at x).
+    pericenter) and state (r, |p_r| and, but on a bound orbit, the angle at
+    x).  A bound orbit takes `_bound_step`.
 
     The start sits at tau0 = +-T(x0) since its pericenter, outbound when
     radial >= 0 (a state at rest is the apocenter); radial None is the
     collision.  Each whole period turns the pericenter by two apsidal
     angles.  x stays a float: powers of a (1,) array round differently.
     """
+    if isinstance(orbit, _BoundOrbit):
+        return _bound_step(orbit, sigma, radial, t)
     placed = _place_start(orbit, sigma, radial)
     if placed is None:  # no step
         return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
@@ -1075,6 +1162,28 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     return Step(float(r), float(side * p_r), pericenter + float(side * angle), pericenter, periods, sol)
 
 
+def _bound_step(orbit: _BoundOrbit, sigma: float, radial, t: float) -> Step:
+    """`_step` on a bound orbit: one node pass where Newton's first round
+    confirms a guess read off the series alone (`_series_guess_one` of
+    tau0' + t, tau0' the start's time on the series), stacked on pi/2 and
+    the start (`_BoundOrbit.start`).  `place` takes the guess where its
+    whole periods and side are the exact ones, and goes on in fused rounds
+    while the step exceeds 4 ulp of phi.  The end angle is carried from the
+    last round; r and p_r are closed forms at phi, with `_sample`'s bits.
+    """
+    x0, side0 = (None, 0.0) if radial is None else (orbit.phase(sigma, radial), 1.0 if radial >= 0.0 else -1.0)
+    if x0 is not None and not math.isfinite(x0):  # no step
+        return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
+    tau0_series = 0.0 if x0 is None else side0 * orbit._series_one(x0)[0]
+    guess = orbit._series_guess_one(tau0_series + t)
+    tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[2])
+    k, side, sol = orbit.place(np.array([tau0 + t]), np.array([tau0_series + t]), guess and (*guess, *first))
+    r, p_r = orbit.state(sol.x.item())
+    k, side = float(k[0]), float(side[0])
+    pericenter = 2.0 * k * orbit.apsis - theta0
+    return Step(r, side * p_r, pericenter + side * sol.carried.item(), pericenter, k, sol)
+
+
 _SAMPLE_CHUNK = 512  # times per `place` in `_sample`
 
 
@@ -1083,9 +1192,11 @@ def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
     its pericenter, angles from a start at angle theta0, and the solve (with
     the most iterations of any pass).  A bound or E = 0 orbit places
     _SAMPLE_CHUNK times per `place`, each solved alone, so its bits do not
-    depend on its chunk.  `_RadialOrbit` places one time per `place`: the
-    first from `start`, (x0, side0, t) as `place` takes it, each other from
-    the previous row's u and side and the time since it."""
+    depend on its chunk; a bound orbit's start, if given, is the times on
+    the series that its guesses reduce, and its angles are carried from
+    the solve.  `_RadialOrbit` places one time per `place`: the first from
+    `start`, (x0, side0, t) as `place` takes it, each other from the
+    previous row's u and side and the time since it."""
     ts = np.asarray(ts, dtype=float)
     r, p_r, swept, pericenter, periods, x, t = (np.empty_like(ts) for _ in range(7))
     one = isinstance(orbit, _RadialOrbit)  # its `state` takes one u
@@ -1093,13 +1204,13 @@ def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
     iterations = 0
     for i in range(0, len(ts), chunk):
         part = slice(i, i + chunk)
-        k, side, sol = orbit.place(ts[part], start)
+        k, side, sol = orbit.place(ts[part], start if one or start is None else start[part])
         x[part], t[part] = sol.x, sol.t
         with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision
-            r[part], p, angle = orbit.state(sol.x[0] if one else sol.x)
+            r[part], p, *angle = orbit.state(sol.x[0] if one else sol.x)
         p_r[part] = side * p
         pericenter[part] = -theta0 if k is None else 2.0 * k * orbit.apsis - theta0
-        swept[part] = pericenter[part] + side * angle  # in `_step`'s order
+        swept[part] = pericenter[part] + side * (sol.carried if sol.carried is not None else angle[0])
         periods[part] = 0.0 if k is None else k
         iterations = max(iterations, sol.iterations)
         if one and i + 1 < len(ts):
@@ -1504,8 +1615,8 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     t = np.array([abs(c.T)])
     if t[0] >= t_max[0]:
         raise ChartDomainError("chart point lies outside the image of the chart")
-    tol = 4.0 * np.spacing(u_max[0])
-    u = _solve_increasing(orbit.time, orbit.rate, t, u_max * t / t_max, 0.0, u_max, tol).x
+    # a step of 4 ulp of u itself: u may lie far below u_max
+    u = _solve_increasing(orbit.time, orbit.rate, t, u_max * t / t_max, 0.0, u_max, 0.0, 4.0 * np.spacing(1.0)).x
     r, p_r, angle = orbit.state(u[0])
     sign = float(np.sign(c.T))
     p_r, turn = sign * p_r, np.exp(1j * sign * angle)
@@ -1631,7 +1742,8 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
         placed = step.pericenter
     else:  # `_step`'s start placement, once
         tau0, placed, at = _place_start(orbit, sigma, radial) or (math.nan, math.nan, None)
-        step = _sample(orbit, [tau0 + t for t in ts], placed, None if at is None else (*at, ts[0]))
+        start = None if at is None else [at + t for t in ts] if bound else (*at, ts[0])
+        step = _sample(orbit, [tau0 + t for t in ts], placed, start)
     # the first node pass gave the period and apsis, and placed the start at a finite angle
     _require_finite("start's orbit", state, t, *((orbit.period, orbit.apsis) if bound else (placed,)))
     kind = "collision orbit" if l == 0.0 else "bound" if bound else "unbound"

@@ -204,11 +204,20 @@ def l_squared(L: AngularMomentum) -> float:
 
 
 def l_squared_point(x: PhasePoint) -> float:
-    """||q||^2 ||p||^2 - <q,p>^2, the Lagrange-identity form of the invariant."""
+    """||q||^2 ||p||^2 - <q,p>^2, the Lagrange-identity form of the invariant.
+
+    Where <q,q> or <p,p> is not a normal float, their digits are lost, so
+    q and p are scaled by powers of two first, which is exact."""
     qq = float(np.dot(x.q, x.q))
     pp = float(np.dot(x.p, x.p))
     qp = float(np.dot(x.q, x.p))
-    return qq * pp - qp * qp
+    if qq >= _TINY and pp >= _TINY:
+        return qq * pp - qp * qp
+    a, b = (-math.frexp(float(np.abs(v).max(initial=0.0)))[1] for v in (x.q, x.p))
+    q, p = np.ldexp(x.q, a), np.ldexp(x.p, b)
+    scaled = float(np.dot(q, q)) * float(np.dot(p, p)) - float(np.dot(q, p)) ** 2
+    with np.errstate(over="ignore"):  # an l**2 beyond the float range reads inf
+        return float(np.ldexp(scaled, -2 * (a + b)))
 
 
 def radial_convexity(params: ModelParams, x: PhasePoint) -> float:

@@ -688,6 +688,19 @@ class TestChartRoundtrip:
         assert np.max(np.abs(back.x.q - x.q)) <= 1e-8
         assert np.max(np.abs(back.x.p - x.p)) <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("r", [1e-150, 1e-100, 1e-30])
+    def test_roundtrip_far_below_u_max(self, n, r):
+        # |p|**2 at 1.5 times the domain's floor, so u lies far below the
+        # chart's u_max: Newton stopping on 4 ulp of u_max left q off by 15 %
+        # (n = 2) and 63 % (n = 4) at r = 1e-150; 4 ulp of u itself, 1.6e-15
+        params = ModelParams(n=n, d=2, eps=0.1)
+        floor = 2.0 * params.m * params.Z * r**-params.alpha * (1.0 - 0.5 / n)
+        x = PhasePoint(np.array([r, 0.0]), np.sqrt(1.5 * floor) * np.array([0.6, 0.8]))
+        back = chart.chart_inverse(params, chart.chart_forward(params, x)).x
+        assert np.linalg.norm(back.q - x.q) <= 4e-15 * r
+        assert np.linalg.norm(back.p - x.p) <= 4e-15 * np.linalg.norm(x.p)
+
     def test_chart_point_structure(self):
         params = ModelParams(n=2, d=3, eps=0.1)
         x = PhasePoint(np.array([0.04, 0.02, 0.0]), np.array([-5.0, 3.0, 1.0]))
@@ -968,7 +981,7 @@ class TestBoundOrbit:
         # many periods on both sides of the pericenter
         ts = np.random.default_rng(count).uniform(-40.0, 60.0, count) * orbit.period
         k, side, one = orbit.place(ts)
-        theta = 2.0 * k * orbit.apsis + side * orbit.angle(one.x)
+        theta = 2.0 * k * orbit.apsis + side * one.carried  # the angle from the solve's last round
         r = orbit.sigma(one.x) ** (n / 2.0)
         place, passes = orbit.place, []
         monkeypatch.setattr(orbit, "place", lambda part, start: passes.append(len(part)) or place(part, start))
@@ -1256,13 +1269,15 @@ class TestOneRowSolve:
         array path on the same inputs; returns the solves checked."""
         seen = []
 
-        def solve(f, rate, t, x, lo, hi, tol, rtol=0.0):
+        def solve(f, rate, t, x, lo, hi, tol, rtol=0.0, carry=None, first=None):
+            args = (f, rate, t, x, lo, hi, tol, rtol, carry, first)
             if not np.size(x) == np.size(lo) == np.size(hi) == 1:
-                return chart._solve_rows(f, rate, t, x, lo, hi, tol, rtol)
-            got = chart._solve_one(f, rate, t, x, lo, hi, tol, rtol)
-            want = chart._solve_rows(f, rate, t, x, lo, hi, tol, rtol)
+                return chart._solve_rows(*args)
+            got = chart._solve_one(*args)
+            want = chart._solve_rows(*args)
             assert got.x.shape == want.x.shape and same_bits(got.x, want.x)
             assert got.iterations == want.iterations
+            assert (got.carried is None) == (carry is None) and (carry is None or same_bits(got.carried, want.carried))
             seen.append(got)
             return got
 
@@ -1396,9 +1411,10 @@ class TestOneRowSolve:
 
 class TestOneStatePath:
     """A one-state bound step pays for each quadrature once: each Newton
-    round reads T and dT/dphi from one node pass, the period and the start
-    share one stacked pass, and the turning points and placement glue run
-    in Python floats.  The many-row paths are its oracles, bit for bit."""
+    round reads T, dT/dphi, the angle and its rate from one node pass, the
+    period, the start and Newton's first round share one stacked pass, and
+    the turning points and placement glue run in Python floats.  The
+    many-row paths are its oracles, bit for bit."""
 
     FRACS = (0.0, 1e-6, 0.35, 0.999)  # of the circular orbit's l
 
@@ -1410,28 +1426,42 @@ class TestOneStatePath:
             orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
             for x in (0.0, np.pi / 2.0, 1e-9, *rng.uniform(0.0, np.pi / 2.0, 20)):
                 phi = np.array([x])
-                T = orbit.time(phi)  # one phase: phi is the pass's 33rd node
+                T = orbit._round(phi)  # phi is the pass's 33rd node
                 dT = orbit.rate(phi)  # read from that pass
-                assert orbit._slope[0] is phi
-                rows = np.array([x, x])  # two phases: 32 nodes, and dT/dphi alone
+                angle, angle_rate = orbit._angle_at(phi)  # and so are these
+                assert orbit._last[0] is phi
+                rows = np.array([x, x])  # two phases: their own pass, and dT/dphi in closed form
                 assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
+                assert same_bits(angle, orbit.angle(rows)[:1])
+                if 0.05 < x < np.pi / 2.0 - 0.05:  # the angle's rate against a central difference
+                    h = 1e-5
+                    step = orbit.angle(np.array([x + h])) - orbit.angle(np.array([x - h]))
+                    assert angle_rate[0] == pytest.approx(step[0] / (2.0 * h), rel=1e-7, abs=1e-7 * n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_stacked_pass_is_two_passes(self, n):
+        # the start's pass, pi/2, the start and Newton's first phase stacked,
+        # against each phase's own pass
         params = ModelParams(n=n, d=2)
         rng = np.random.default_rng(10 + n)
         for frac in self.FRACS:
             l = frac * circular_l(params, -0.5)
-            for x in (0.0, np.pi / 2.0, *rng.uniform(0.0, np.pi / 2.0, 10)):
+            for x, phi in zip((0.0, np.pi / 2.0, None, *rng.uniform(0.0, np.pi / 2.0, 10)),
+                              (None, 0.3, 1.0, *rng.uniform(0.0, np.pi / 2.0, 10))):
                 stacked, alone = chart._BoundOrbit(params, -0.5, l), chart._BoundOrbit(params, -0.5, l)
                 passes = []
-                one_pass = stacked._time_angle
-                stacked._time_angle = lambda phi: (passes.append(np.shape(phi)), one_pass(phi))[1]
-                T, theta = stacked.time_angle(x)  # a float: pi/2 stacked on it
-                half, apsis = alone._time_angle(np.pi / 2.0)
-                assert same_bits(T, alone._time_angle(x)[0]) and same_bits(theta, alone._time_angle(x)[1])
-                assert same_bits(stacked.period, 2.0 * float(half)) and same_bits(stacked.apsis, float(apsis))
-                assert passes == [(2,)]
+                one_pass = stacked._fused
+                stacked._fused = lambda p: (passes.append(np.shape(p)), one_pass(p))[1]
+                tau0, theta0, first = stacked.start(x, -1.0, phi)
+                half, apsis = alone.time_angle(np.array([np.pi / 2.0]))
+                assert same_bits(stacked.period, 2.0 * half[0]) and same_bits(stacked.apsis, apsis[0])
+                want = np.zeros(2) if x is None else -np.array([v[0] for v in alone.time_angle(np.array([x]))])
+                assert same_bits(np.array([tau0, theta0]), want)
+                if phi is None:
+                    assert first is None
+                else:
+                    assert same_bits(np.array(first), np.array([v[0] for v in alone._fused(np.array([phi]))])[[0, 2, 1, 3]])
+                assert passes == [(1 + (x is not None) + (phi is not None),)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the rows' double root can divide by 0
     @settings(derandomize=True, max_examples=500, deadline=None)
@@ -1499,20 +1529,27 @@ class TestOneStatePath:
                 assert sol.iterations == rows.iterations
 
     def test_one_state_step_takes_the_one_state_path(self, monkeypatch):
-        # a bound global_flow step: one stacked pass, fused Newton rounds,
-        # then the end angle; no rows solve and no separate period pass
+        # a bound global_flow step: one stacked pass of pi/2, the start and
+        # Newton's first guess, whose round confirms it and carries the end
+        # angle; no rows solve, no separate period pass and no angle pass
         params = ModelParams(n=3, d=2)
         shapes = []
-        one_pass = chart._BoundOrbit._time_angle
+        one_pass = chart._BoundOrbit._fused
 
         def spy(self, phi):
             shapes.append(np.shape(phi))
             return one_pass(self, phi)
 
-        monkeypatch.setattr(chart._BoundOrbit, "_time_angle", spy)
+        monkeypatch.setattr(chart._BoundOrbit, "_fused", spy)
         monkeypatch.setattr(chart, "_solve_rows", None)
-        chart.global_flow(params, PhasePoint(np.array([0.25, 0.0]), np.array([0.3, 1.3])), 0.7)
-        assert shapes == [(2,)]
+        x = PhasePoint(np.array([0.25, 0.0]), np.array([0.3, 1.3]))  # P = 0.214
+        chart.global_flow(params, x, 0.1)
+        assert shapes == [(3,)]
+        # beyond _SERIES_PERIODS periods the guess waits for the exact period:
+        # the start's pass, then a round
+        shapes.clear()
+        chart.global_flow(params, x, 0.7)
+        assert shapes == [(2,), (1,)]
 
 
 class TestSeriesGuess:
@@ -1565,7 +1602,7 @@ class TestSeriesGuess:
         rounds = []
         for orbit in self.orbits(params):
             for t in rng.uniform(0.0, 0.5, 20) * orbit.period:
-                rounds.append(orbit._place_one(np.array([t]))[2].iterations)
+                rounds.append(orbit.place(np.array([t]))[2].iterations)
         assert np.mean(rounds) <= 1.2 and max(rounds) <= 3
 
 

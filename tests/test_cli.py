@@ -1,8 +1,10 @@
 import argparse
 import json
 import logging
+import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -544,6 +546,24 @@ class TestSimulate:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
         hs = [float(line.split(",")[5]) for line in lines]
         assert max(hs) - min(hs) < 1e-8
+
+    def test_l2_column_below_the_normal_floats(self, tmp_path):
+        # <q,q> = 1e-340 is not a normal float: l**2 read -1e-240 at t = 0,
+        # and -1e-114 later, before q and p were scaled by powers of two
+        q, p = [1e-170, 0.0], [1e50, 1e60]
+        cfg = write_config(tmp_path, {"params": {"n": 3, "d": 2, "eps": 0.1}, "initial": {"q": q, "p": p},
+                                      "t_span": [0.0, 1e-230], "output_points": 5})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        column = lines[0].split(",").index("l2")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        exact = float((mpmath.mpf(q[0]) * mpmath.mpf(p[1]) - mpmath.mpf(q[1]) * mpmath.mpf(p[0])) ** 2)
+        assert len(rows) == 5 and rows[0][column] == pytest.approx(exact, rel=1e-15, abs=0.0)
+        for row in rows[1:]:
+            # p nearly along q: |q|**2 |p|**2 - <q,p>**2 keeps l**2 only to
+            # a few ulps of |q|**2 |p|**2
+            qp_scale = (math.hypot(*row[1:3]) * math.hypot(*row[3:5])) ** 2
+            assert abs(row[column] - exact) <= 1e-15 * qp_scale
 
     def test_collision_launch_scenario(self, tmp_path):
         # start at the collision itself and launch outward; the energy

@@ -23,11 +23,11 @@ from mcgehee.model import PhasePoint
 
 RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 RECORDED = {
-    "simulate n=2": "08e3b7e0864f4fb5",
-    "simulate n=3 collision": "717d844509b5498f",
-    "simulate n=4": "c8487f782460a61a",
+    "simulate n=2": "021d7db16109e0bf",
+    "simulate n=3 collision": "96c058ff588f907f",
+    "simulate n=4": "bf2136a44ecca152",
     "verify": "1935278b256042be",
-    "figures all tree": "05bf6f0b02b0e3a6…25d8f4",
+    "figures all tree": "84b5d538cd535125…e1ab47",
 }
 
 
@@ -55,7 +55,7 @@ def test_src_line_count_is_wc_l():
     assert load_digests().src_lines() == int(out.stdout.split()[-2])  # the "total" line
 
 
-RECORDED_FLOW = "e6792271d706a02a"
+RECORDED_FLOW = "3ab923edcb565730"
 
 
 def test_global_flow_keeps_its_recorded_digest():
@@ -87,7 +87,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3420  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3541  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

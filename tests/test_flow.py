@@ -606,6 +606,16 @@ class TestTrajectory:
         rounds = load_digests().flow_rounds(flow_calls())
         assert len(rounds["bound"]) >= 80 and np.mean(rounds["bound"]) <= 1.2
 
+    def test_bound_steps_take_few_node_passes(self):
+        # one pass stacks pi/2, the start and Newton's first round where the
+        # series guess holds; steps over more than two periods, or ending
+        # where the series time has lost its relative precision, take the
+        # start's pass and then their rounds: the work line of
+        # tools/digests.py, 123 passes for 86 steps measured (3.081 a step
+        # with separate start, Newton and angle passes)
+        passes = load_digests().flow_passes(flow_calls())
+        assert len(passes) >= 80 and np.mean(passes) <= 1.431
+
     def test_rows_at_zero_are_the_start(self):
         params = ModelParams(n=3, d=2, eps=0.1)
         x = PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9]))

@@ -12,9 +12,10 @@ the last 6 hex digits.  The next line hashes the end states of about 200
 seeded `global_flow` calls (`flow_calls`, `flow_digest`), and the one
 after it the certify outputs of 80 seeded chart-domain points: the bracket
 table, the chart roundtrip and the transit time (`certify_calls`,
-`certify_digest`).  The work line gives the mean and the most Newton
+`certify_digest`).  The work lines give the mean and the most Newton
 rounds of the bound and the unbound `global_flow` solves over
-`flow_calls` (`flow_rounds`), and the certify work line the stencil
+`flow_calls` (`flow_rounds`) and the mean and the most node passes of a
+bound step (`flow_passes`), and the certify work line the stencil
 rows of a bracket table for each d and the mean and the most Newton
 rounds of `chart_inverse` over `certify_calls` (`certify_work`).  The
 last two lines are the line count of
@@ -198,6 +199,33 @@ def flow_rounds(calls) -> dict[str, list[int]]:
     return rounds
 
 
+def flow_passes(calls) -> list[int]:
+    """The `_BoundOrbit` node passes (`_fused`) of each call's bound
+    `global_flow` step, read by wrapping `chart._step` and
+    `chart._BoundOrbit._fused` while the calls run."""
+    passes, count = [], [0]
+    step, fused = chart._step, chart._BoundOrbit._fused
+
+    def counted_fused(orbit, phi):
+        count[0] += 1
+        return fused(orbit, phi)
+
+    def counted_step(orbit, *args):
+        before = count[0]
+        out = step(orbit, *args)
+        if isinstance(orbit, chart._BoundOrbit):
+            passes.append(count[0] - before)
+        return out
+
+    chart._step, chart._BoundOrbit._fused = counted_step, counted_fused
+    try:
+        for params, start, t in calls:
+            chart.global_flow(params, start, t)
+    finally:
+        chart._step, chart._BoundOrbit._fused = step, fused
+    return passes
+
+
 def certify_work(calls) -> tuple[dict[int, int], list[int]]:
     """The stencil rows of each d's bracket table (the rows that
     `chart.chart_forward_rows` takes there) and the Newton rounds of each
@@ -252,6 +280,8 @@ def main() -> None:
     print(f"{'certify':<24}{certify_digest(certify_calls())}")
     rounds = flow_rounds(flow_calls())
     print(f"{'Newton rounds':<24}" + ", ".join(f"{k} mean {np.mean(v):.3f} max {max(v)}" for k, v in rounds.items()))
+    passes = flow_passes(flow_calls())
+    print(f"{'bound node passes':<24}mean {np.mean(passes):.3f} max {max(passes)} per step")
     rows, inverse = certify_work(certify_calls())
     print(f"{'certify work':<24}stencil rows " + ", ".join(f"d={d} {k}" for d, k in sorted(rows.items()))
           + f"; chart_inverse rounds mean {np.mean(inverse):.3f} max {max(inverse)}")
