@@ -12,14 +12,16 @@ angle swept since the pericenter are radial integrals, taken by fixed-node
 quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
 both turning points (`_BoundOrbit`, E < 0), or in closed form
 (`_ZeroEnergyOrbit`, E = 0).  The three share one interface (phase,
-time_angle, place, state), which `chart_forward_rows` (stacked states),
-`chart_forward` (one state, its row bit for bit) and `chart_inverse` read.
-`global_flow` is the translation T -> T + t on every orbit, not only in
-U^eps: `_step` places the start, advances its time since the pericenter,
-modulo the radial period on bound orbits, and solves for the new
-coordinate.  `trajectory` places one start's orbit at many times by
-`_sample`.  `pericenter` keeps the covering-ODE route to the chart's
-pericenter as an independent check.
+place, state); each Newton round of `place` is one pass (`time_rate`,
+`_BoundOrbit._fused`) giving T and its rate, and on a bound orbit the
+swept angle and its rate.  `chart_forward_rows` (stacked states),
+`chart_forward` (one state, its row bit for bit) and `chart_inverse`
+read `_RadialOrbit`.  `global_flow` is the translation T -> T + t on
+every orbit, not only in U^eps: `_step` places the start, advances its
+time since the pericenter, modulo the radial period on bound orbits, and
+solves for the new coordinate.  `trajectory` places one start's orbit at
+many times by `_sample`.  `pericenter` keeps the covering-ODE route to
+the chart's pericenter as an independent check.
 """
 
 from __future__ import annotations
@@ -257,8 +259,8 @@ class _RadialOrbit:
 
     One orbit (a `global_flow` step, `chart_forward`, `chart_inverse`) finds
     its constants in Python floats, with the rows' bits, reads T and dT/du
-    of a Newton round from one node pass (`time` of one u), and enters no
-    np.errstate where nothing can overflow (`_tame`).
+    of a Newton round from one node pass (`time_rate` of one u), and enters
+    no np.errstate where nothing can overflow (`_tame`).
     """
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
@@ -266,7 +268,6 @@ class _RadialOrbit:
         self.E, self.l = E, l
         self.root2m = np.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
-        self._slope = None  # (u, dT/du) of the last one-row `time`
         # nothing can overflow on one row out to u**2 = _u2_tame (-1: nowhere):
         # there sigma**(n-1) max(1, n E) <= _TAME, so G <= 2 _TAME, and with
         # E, G0, K and sqrt(2m) <= _TAME every product stays finite
@@ -340,9 +341,7 @@ class _RadialOrbit:
     def rate(self, u: np.ndarray) -> np.ndarray:
         """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); far out,
         where sqrt(G) or sigma**(n-1) overflows, K sigma**(n/2-1) / g with
-        `_far`'s g.  At the u of the last one-row `time`, from its pass."""
-        if self._slope is not None and self._slope[0] is u:
-            return self._slope[1]
+        `_far`'s g."""
         sigma, tame = (self.s0 + u * u)[:, None], self._tame(u)
         with _quiet(tame, over="ignore", invalid="ignore"):
             power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
@@ -399,18 +398,20 @@ class _RadialOrbit:
         return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
 
     def time(self, u: np.ndarray) -> np.ndarray:
-        """Time from the pericenter out to u.
+        """Time from the pericenter out to u."""
+        sigma, width = self._nodes(u)
+        return self._time(sigma, width, self._roots(sigma, self._tame(u))[1])
 
-        One row within u_P (a (1,) u: a Newton round) takes u itself as a
-        33rd node, which the weights leave out; dT/du there is kept for
-        `rate` at that u, in `rate`'s order of operations."""
+    def time_rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(time(u), rate(u)): a Newton round's pass.  One row within u_P
+        (a (1,) u) takes u itself as a 33rd node, which the weights leave
+        out, and reads dT/du there in `rate`'s order of operations."""
         if u.shape != (1,) or u[0] * self._inv_u_P[0] > 1.0:
-            sigma, width = self._nodes(u)
-            return self._time(sigma, width, self._roots(sigma, self._tame(u))[1])
+            return self.time(u), self.rate(u)
         sigma = self._s0 + (u[:, None] * _NODES_AND_END) ** 2
         power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
-        self._slope = (u, self.K * power[:, CHART_NODES] / rG[:, CHART_NODES])
-        return _panel_sum(self.K * u[:, None], (power / rG)[:, :CHART_NODES])
+        return (_panel_sum(self.K * u[:, None], (power / rG)[:, :CHART_NODES]),
+                self.K * power[:, CHART_NODES] / rG[:, CHART_NODES])
 
     def time_angle(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Time and polar angle swept out to u, from one pass over the nodes."""
@@ -473,7 +474,7 @@ class _RadialOrbit:
         if free > 0.0 and not free / 16.0 <= guess[0] <= 16.0 * free:
             guess = np.array([min(free, _U_MAX)])
         hi = np.ldexp(guess, self._power(guess, target[0])) if target[0] > 0.0 else 0.0 * guess
-        return None, np.sign(ts), _solve_increasing(self.time, self.rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
+        return None, np.sign(ts), _solve_increasing(self.time_rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
 
     def _free(self, target: float) -> float:
         """u where T's far form K u**n / (n sqrt(E)), free motion, reaches
@@ -538,20 +539,26 @@ class Solve(NamedTuple):
 
     x: np.ndarray
     iterations: int
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Callable  # the pass: x -> (value, rate) or (value, rate, carried, carried's rate)
     t: np.ndarray
-    carried: np.ndarray | None = None  # `carry` at the roots, to first order from the last round
+    carried: np.ndarray | None = None  # the pass's carried value at the roots, to first order from the last round
 
     def residual(self) -> float:
         """Worst |f(x) - t| at the returned roots; one more pass of f."""
-        return float(np.max(np.abs(self.f(self.x) - self.t), initial=0.0))
+        return float(np.max(np.abs(self.f(self.x)[0] - self.t), initial=0.0))
 
 
 _SOLVE_MAX_ITER = 64
 
 
-def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None, first=None) -> Solve:
+def _solve_increasing(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> Solve:
     """x in [lo, hi] with f(x) = t for an increasing f, elementwise over t.
+
+    f is one Newton round's pass: f(x) gives the value and its rate at x,
+    or also the value and rate of a second function there, which the
+    solve carries to each root as value + rate (root - x) from its last
+    round (`Solve.carried`).  first, the same tuple at the guess x (inside
+    the bracket), is the first round's pass, taken already.
 
     Newton from the first guess x, clipped into the bracket.  The bracket
     is closed, so a sample where f(x) == t exactly stays where it is, and a
@@ -560,41 +567,35 @@ def _solve_increasing(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carr
     the float range does.  A sample stops once its step is at most
     tol + rtol |x|, or after _SOLVE_MAX_ITER steps.  A single sample takes
     the same steps in Python floats (`_solve_one`).
-
-    carry(x), called after f(x) at the same x, gives the value and the rate
-    of a second function there, which the solve carries to each root as
-    value + rate (root - x) from its last round.  first, (f, rate) or with
-    carry (f, rate, value, value's rate) at the guess x (inside the
-    bracket), is the first round's pass, taken already.
     """
     one = _size(x) == _size(lo) == _size(hi) == 1
-    return (_solve_one if one else _solve_rows)(f, rate, t, x, lo, hi, tol, rtol, carry, first)
+    return (_solve_one if one else _solve_rows)(f, t, x, lo, hi, tol, rtol, first)
 
 
-def _solve_rows(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None, first=None) -> Solve:
+def _solve_rows(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> Solve:
     """`_solve_increasing` on arrays, any number of samples."""
     x, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, lo, hi))
     x = np.clip(x, lo, hi)
-    carried = None if carry is None else np.full(x.shape, np.nan)
+    carried = None
     # the unfinished samples: their indices into x and their own copies
     rows, xa, ta = np.arange(x.size), x.ravel(), t.ravel()
     lo, hi = lo.ravel(), hi.ravel()
     iterations = 0
     while rows.size and iterations < _SOLVE_MAX_ITER:
         iterations += 1
-        fx, slope, *values = first or (f(xa), None)
+        fx, slope, *values = first or f(xa)
         first = None
         res = fx - ta
         lo = np.where(res < 0.0, xa, lo)
         hi = np.where(res <= 0.0, hi, xa)  # a NaN residual counts as too high
         with np.errstate(divide="ignore", invalid="ignore"):  # rate 0: bisect
-            new = xa - res / (rate(xa) if slope is None else slope)
+            new = xa - res / slope
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         new = np.where(res == 0.0, xa, new)
         done = np.abs(new - xa) <= (tol + rtol * np.abs(new) if rtol else tol)
-        if carry is not None:  # before x, of which xa may be a view, moves
-            value, value_rate = values or carry(xa)
-            carried.flat[rows] = value + value_rate * (new - xa)
+        if values:  # before x, of which xa may be a view, moves
+            carried = np.full(x.shape, np.nan) if carried is None else carried
+            carried.flat[rows] = values[0] + values[1] * (new - xa)
         x.flat[rows] = new
         if done.any():
             keep = ~done
@@ -603,14 +604,15 @@ def _solve_rows(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None
     return Solve(x, iterations, f, t, carried)
 
 
-def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None, first=None) -> Solve:
+def _solve_one(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> Solve:
     """`_solve_rows` on one sample in Python floats, which round as the
     array arithmetic does but skip numpy's per-call cost.
 
-    f, rate and carry still see (1,) arrays, so their powers round as for
-    the rows.  The clip keeps np.clip's choices (NaN from any NaN, the bound
-    on a tie of signed zeros), and a zero rate gives numpy's quotient, an
-    infinity with the signs of res and rate, so the step bisects.
+    f still sees a (1,) array, so its powers round as for the rows, and
+    each round's pass is converted to floats once.  The clip keeps
+    np.clip's choices (NaN from any NaN, the bound on a tie of signed
+    zeros), and a zero rate gives numpy's quotient, an infinity with the
+    signs of res and rate, so the step bisects.
     """
     shape = (1,) * max(_ndim(x), _ndim(lo), _ndim(hi))
     xa, ta, lo, hi = (_item(v) for v in (x, t, lo, hi))
@@ -619,12 +621,11 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None,
     else:
         xa = xa if xa > lo else lo
         xa = xa if xa < hi else hi
-    carried = math.nan
+    carried = None
     iterations = 0
     while iterations < _SOLVE_MAX_ITER:
         iterations += 1
-        at = np.array([xa])
-        fx, slope, *values = first or (float(f(at)[0]), None)
+        fx, slope, *values = first or [v.item() for v in f(np.array([xa]))]
         first = None
         res = fx - ta
         if res < 0.0:
@@ -634,7 +635,6 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None,
         if res == 0.0:
             new = xa
         else:
-            slope = float(rate(at)[0]) if slope is None else slope
             if slope != 0.0:
                 new = xa - res / slope
             else:
@@ -642,13 +642,12 @@ def _solve_one(f, rate, t, x, lo, hi, tol: float, rtol: float = 0.0, carry=None,
             if not lo <= new <= hi:
                 new = 0.5 * (lo + hi)
         done = abs(new - xa) <= (tol + rtol * abs(new) if rtol else tol)
-        if carry is not None:
-            value, value_rate = values or (float(v[0]) for v in carry(at))
-            carried = value + value_rate * (new - xa)
+        if values:
+            carried = values[0] + values[1] * (new - xa)
         xa = new
         if done:
             break
-    return Solve(np.array(xa).reshape(shape), iterations, f, t, None if carry is None else np.array(carried).reshape(shape))
+    return Solve(np.array(xa).reshape(shape), iterations, f, t, None if carried is None else np.array(carried).reshape(shape))
 
 
 class _ZeroEnergyOrbit:
@@ -680,9 +679,9 @@ class _ZeroEnergyOrbit:
     def time(self, u):
         return u * np.polynomial.polynomial.polyval(u * u, self._c)
 
-    def rate(self, u):
-        """dT/du."""
-        return self.k * (self.s0 + u * u) ** (self.n - 1)
+    def time_rate(self, u):
+        """T and dT/du at u: a Newton round's pass."""
+        return self.time(u), self.k * (self.s0 + u * u) ** (self.n - 1)
 
     def angle(self, u):
         return self.n * np.arctan2(u, np.sqrt(self.s0))
@@ -712,7 +711,7 @@ class _ZeroEnergyOrbit:
         c = self._c
         guess = np.minimum(tau / c[0], (tau / c[-1]) ** (1.0 / (2 * self.n - 1)))
         u_max = float(np.max(guess, initial=0.0))
-        return None, np.sign(ts), _solve_increasing(self.time, self.rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
+        return None, np.sign(ts), _solve_increasing(self.time_rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
 
 
 # dT/dphi is even, pi-periodic and real-analytic, so its cosine series
@@ -721,7 +720,6 @@ class _ZeroEnergyOrbit:
 # round-off of T(pi/2), on the grid as _SINES @ a.  Newton's first guess
 # inverts that table; the solve stops within a few ulps of phi
 _PHI_GRID = np.linspace(0.0, np.pi / 2.0, 129)
-_SIN2_GRID = np.sin(_PHI_GRID) ** 2
 _PHI_RTOL = 4.0 * np.spacing(1.0)
 _TWO_K = 2.0 * np.arange(1, 33)
 _ONES = np.ones(32, dtype=complex)
@@ -769,15 +767,16 @@ class _BoundOrbit:
     apsides, so every other time reduces to [0, pi/2]: t modulo the radial
     period into [-P/2, P/2], then its distance from the pericenter.
 
-    Every node pass (`_fused`) gives T and the swept angle together with
-    their rates at phi, its 33rd node.  Newton's first guess (`_guess`)
-    inverts T on a grid, read from the cosine series of dT/dphi (33 samples
-    give T to round-off), so Newton mostly confirms it in one round, and
-    the end angle is carried from that round to the root to first order.
-    A `global_flow` step (`_bound_step`) reads its guess off the series
-    alone, and so takes one stacked pass: the apsides, the start and
-    Newton's first round.  Many phases (`_sample`) take the array paths,
-    which compute the same bits.
+    Every node pass (`_fused`) is one Newton round: T, dT/dphi, the swept
+    angle and its rate at phi, its 33rd node.  Newton's first guess
+    (`_guess`) inverts T on a grid, read from the cosine series of dT/dphi
+    (33 samples give T to round-off), so Newton mostly confirms it in one
+    round, and the solve carries the end angle from that round to the root
+    to first order.  A `global_flow` step (`_bound_step`) reads its guess
+    off the series alone, and so takes one stacked pass: the apsides, the
+    start and Newton's first round.  Many phases (`_sample`) take the array
+    paths, which compute the same bits.  Between calls the orbit keeps only
+    its cached `_apsides` and `_series`.
     """
 
     def __init__(self, params: ModelParams, E: float, l: float, turning=None) -> None:
@@ -804,12 +803,11 @@ class _BoundOrbit:
             coeffs.append(g[j] + self.s1 * coeffs[-1])
         self.R0 = -coeffs[-1]
         self._S = [-c for c in coeffs[:-1]]  # S = (R - R0)/sigma, Horner order
-        self._last = None  # (phi, dT/dphi, angle, angle rate) of the last `_round`
 
     @functools.cached_property
     def _apsides(self) -> tuple[float, float]:
         """Half the radial period and the apsidal angle: T and the angle at pi/2."""
-        return tuple(float(v[0]) for v in self._fused(np.array([np.pi / 2.0]))[:2])
+        return tuple(float(v[0]) for v in self._fused(np.array([np.pi / 2.0]))[::2])
 
     @property
     def period(self) -> float:
@@ -854,11 +852,11 @@ class _BoundOrbit:
         return self.R0 + sigma * S, S
 
     def _fused(self, phi):
-        """T, the swept angle, dT/dphi and the angle's rate at phi in
-        [0, pi/2], elementwise, from one pass over the nodes of [0, phi]
-        and phi itself as a 33rd node, which the weights leave out.
+        """T, dT/dphi, the swept angle and its rate at phi in [0, pi/2],
+        elementwise, from one pass over the nodes of [0, phi] and phi
+        itself as a 33rd node, which the weights leave out.
 
-        As in `_RadialOrbit.angle`, with R = R0 + sigma S the term
+        As in `_RadialOrbit._angle`, with R = R0 + sigma S the term
         1/(sigma sqrt(R0)) integrates to the arctan, because
         l**2 = 2m s0 s1 R0, and the remainder's integrand
         -S / (sqrt(R R0) (sqrt(R) + sqrt(R0))) stays smooth as l -> 0 (and
@@ -880,37 +878,16 @@ class _BoundOrbit:
             g = S / (rR * (rR + math.sqrt(self.R0)))
             swept = swept + c * (phi * row_dot(g[..., :CHART_NODES], _WEIGHTS))
             angle_rate = angle_rate + c * g[..., CHART_NODES]
-        return T, self.n * swept, self.K * vals[..., CHART_NODES], self.n * angle_rate
-
-    def _round(self, phi):
-        """T at phi from `_fused`, keeping the pass's rates and angle at phi
-        for `rate` and `_angle_at`: a fused Newton round."""
-        T, angle, rate, angle_rate = self._fused(phi)
-        self._last = (phi, rate, angle, angle_rate)
-        return T
-
-    def _angle_at(self, phi):
-        """The angle and its rate at the phi of the last `_round`."""
-        return self._last[2:] if self._last[0] is phi else self._fused(phi)[1::2]
+        return T, self.K * vals[..., CHART_NODES], self.n * swept, self.n * angle_rate
 
     def rate(self, phi):
-        """dT/dphi; at the phi of the last `_round`, from its pass."""
-        if self._last is not None and self._last[0] is phi:
-            return self._last[1]
+        """dT/dphi, elementwise, in closed form."""
         sigma = self.sigma(phi)
         return self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
 
     def time(self, phi):
         """Time from the pericenter to phi in [0, pi/2], elementwise."""
         return self._fused(phi)[0]
-
-    def angle(self, phi):
-        """Polar angle swept from the pericenter to phi in [0, pi/2]."""
-        return self._fused(phi)[1]
-
-    def time_angle(self, phi):
-        """(time(phi), angle(phi)) from one pass over the nodes."""
-        return self._fused(phi)[:2]
 
     def start(self, x0, side0: float, phi=None):
         """The time tau0 and angle theta0 since the pericenter of a start at
@@ -919,7 +896,7 @@ class _BoundOrbit:
         the pass: its T, dT/dphi, angle and angle rate (`place`'s first
         round) come third, else None."""
         phis = [np.pi / 2.0] + ([] if x0 is None else [x0]) + ([] if phi is None else [phi])
-        T, angle, rate, angle_rate = (v.tolist() for v in self._fused(np.array(phis)))
+        T, rate, angle, angle_rate = (v.tolist() for v in self._fused(np.array(phis)))
         self._apsides = (T[0], angle[0])
         placed = (0.0, 0.0) if x0 is None else (side0 * T[1], side0 * angle[1])
         return *placed, None if phi is None else (T[-1], rate[-1], angle[-1], angle_rate[-1])
@@ -958,8 +935,7 @@ class _BoundOrbit:
     def _series(self):
         """T on _PHI_GRID from the cosine series of dT/dphi, kept increasing
         against round-off, dT/dphi there, and a_0, a_k / 2k and a_k (k >= 1)."""
-        sigma = self.s0 + (self.s1 - self.s0) * _SIN2_GRID
-        rate = self.K * (sigma ** (self.n - 1) / np.sqrt(self._RS(sigma)[0]))
+        rate = self.rate(_PHI_GRID)
         a = _DCT @ rate[::4]
         return np.maximum.accumulate(_SINES @ a), rate, float(a[0]), a[1:] / _TWO_K, a[1:]
 
@@ -1040,7 +1016,7 @@ class _BoundOrbit:
         ts is reduced into [-P/2, P/2] exactly (fmod, then a shift by P
         that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
         its relative precision however many periods lie before it.  phi
-        solves T(phi) = |tau| by fused Newton rounds (`_round`) from
+        solves T(phi) = |tau| by fused Newton rounds (`_fused`) from
         `_guess`, which needs no start.  The guess reduces the times start
         (default ts) by the series' period pi a_0 in place of P, and ts
         itself where the whole periods or side differ.  One finite time on
@@ -1059,8 +1035,7 @@ class _BoundOrbit:
             ks, sides, ta = _reduce(start, np.pi * a0)
         series = (ks == k) & (sides == side) & (ta >= T[1]) & (np.abs(ks) <= _SERIES_PERIODS)
         guess = self._guess(np.where(series, ta, t))
-        return k, side, _solve_increasing(self._round, self.rate, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL,
-                                          self._angle_at)
+        return k, side, _solve_increasing(self._fused, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
 
     def _place_one(self, ts: float, guess) -> tuple[np.ndarray, np.ndarray, Solve]:
         """`place` of one time in floats, from `_series_guess_one` of its
@@ -1068,8 +1043,8 @@ class _BoundOrbit:
         k, side, t = _reduce_one(ts, self.period)
         if guess is None or guess[:2] != (k, side):
             guess = (k, side, self._guess_one(t))
-        sol = _solve_increasing(self._round, self.rate, np.array([t]), np.array([guess[2]]), 0.0, np.pi / 2.0, 0.0,
-                                _PHI_RTOL, self._angle_at, guess[3:] or None)
+        sol = _solve_increasing(self._fused, np.array([t]), np.array([guess[2]]), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL,
+                                guess[3:] or None)
         return np.array([k]), np.array([side]), sol
 
     def _first_phi(self, t):
@@ -1134,16 +1109,15 @@ def _place_start(orbit, sigma: float, radial):
 def _step(orbit, sigma: float, radial, t: float) -> Step:
     """(r, p_r, swept angle, pericenter angle) of a one-row orbit's state
     at sigma = r**(2/n) with <q,p> = radial, advanced by t; angles from the
-    start.  Every orbit class has the methods used here and in `_sample`:
-    phase (a state's orbit coordinate x, u or phi), time_angle, place
-    (whole periods or None, side and the Newton solve of times since the
-    pericenter) and state (r, |p_r| and, but on a bound orbit, the angle at
-    x).  A bound orbit takes `_bound_step`.
+    start.  A bound orbit takes `_bound_step`.  The other two classes have
+    the methods used here: phase (a state's orbit coordinate u),
+    time_angle, place (no whole periods, the side and the Newton solve of
+    times since the pericenter) and state (r, |p_r| and the angle at u).
 
     The start sits at tau0 = +-T(x0) since its pericenter, outbound when
     radial >= 0 (a state at rest is the apocenter); radial None is the
-    collision.  Each whole period turns the pericenter by two apsidal
-    angles.  x stays a float: powers of a (1,) array round differently.
+    collision.  Without whole periods the pericenter stays at -theta0.
+    x stays a float: powers of a (1,) array round differently.
     """
     if isinstance(orbit, _BoundOrbit):
         return _bound_step(orbit, sigma, radial, t)
@@ -1151,15 +1125,13 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     if placed is None:  # no step
         return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
     tau0, theta0, at = placed
-    k, side, sol = orbit.place(np.array([tau0 + t]), None if at is None else (*at, t))
+    _, side, sol = orbit.place(np.array([tau0 + t]), None if at is None else (*at, t))
     x, side = sol.x[0], side[0]
     # p_r is unbounded at the collision: r = 0 where s0 = 0, or r underflows
     s0 = _item(orbit.s0)
     with _quiet(s0 > 0.0 and math.log(s0) * orbit.n > -1380.0, divide="ignore", invalid="ignore"):
         r, p_r, angle = orbit.state(x)
-    pericenter = -theta0 if k is None else 2.0 * k[0] * orbit.apsis - theta0
-    periods = 0.0 if k is None else float(k[0])
-    return Step(float(r), float(side * p_r), pericenter + float(side * angle), pericenter, periods, sol)
+    return Step(float(r), float(side * p_r), -theta0 + float(side * angle), -theta0, 0.0, sol)
 
 
 def _bound_step(orbit: _BoundOrbit, sigma: float, radial, t: float) -> Step:
@@ -1170,6 +1142,7 @@ def _bound_step(orbit: _BoundOrbit, sigma: float, radial, t: float) -> Step:
     whole periods and side are the exact ones, and goes on in fused rounds
     while the step exceeds 4 ulp of phi.  The end angle is carried from the
     last round; r and p_r are closed forms at phi, with `_sample`'s bits.
+    Each whole period turns the pericenter by two apsidal angles.
     """
     x0, side0 = (None, 0.0) if radial is None else (orbit.phase(sigma, radial), 1.0 if radial >= 0.0 else -1.0)
     if x0 is not None and not math.isfinite(x0):  # no step
@@ -1188,9 +1161,9 @@ _SAMPLE_CHUNK = 512  # times per `place` in `_sample`
 
 
 def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
-    """`_step` at many times: an orbit's states at the times ts (1-D) since
-    its pericenter, angles from a start at angle theta0, and the solve (with
-    the most iterations of any pass).  A bound or E = 0 orbit places
+    """`_step` at many times: an orbit's states at the times ts (1-D, not
+    empty) since its pericenter, angles from a start at angle theta0, and
+    the solve (with the most iterations of any pass).  A bound or E = 0 orbit places
     _SAMPLE_CHUNK times per `place`, each solved alone, so its bits do not
     depend on its chunk; a bound orbit's start, if given, is the times on
     the series that its guesses reduce, and its angles are carried from
@@ -1215,7 +1188,7 @@ def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
         iterations = max(iterations, sol.iterations)
         if one and i + 1 < len(ts):
             start = (sol.x, side, ts[i + 1] - ts[i])
-    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, orbit.time, t))
+    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, sol.f, t))
 
 
 class ChartRows(NamedTuple):
@@ -1432,7 +1405,7 @@ def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
 def _newton_one(E, Z: float, n: int, rhs, s, shape: tuple) -> Solve:
     """`_newton_rows` on one root in Python floats; the root is an array of
     that shape, or a float64 for shape ()."""
-    f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
+    f = lambda x: (E * _pow(x, n) + Z * x,)  # noqa: E731
     E, t, s = (_item(v) for v in (E, rhs, s))
     nE = n * E
     last = 0.0  # the sign of the last step, as np.sign gives it to the rows
@@ -1453,7 +1426,7 @@ def _newton_rows(E, Z: float, n: int, rhs, s) -> Solve:
     The slope is n E s**(n-1) + Z, except where n E overflows (E beyond
     1.8e308 / n): there it is n (E s**(n-1)), which at s = 0 is 0, where
     (n E) 0 would be NaN."""
-    f = lambda x: E * _pow(x, n) + Z * x  # noqa: E731
+    f = lambda x: (E * _pow(x, n) + Z * x,)  # noqa: E731
     E, rhs, s = (np.asarray(v, dtype=float) for v in (E, rhs, s))
     wide = not float(np.abs(E).max(initial=0.0)) * n < math.inf
     last, done = 0.0, False  # per row after the first step: its sign, and the stop
@@ -1616,7 +1589,7 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     if t[0] >= t_max[0]:
         raise ChartDomainError("chart point lies outside the image of the chart")
     # a step of 4 ulp of u itself: u may lie far below u_max
-    u = _solve_increasing(orbit.time, orbit.rate, t, u_max * t / t_max, 0.0, u_max, 0.0, 4.0 * np.spacing(1.0)).x
+    u = _solve_increasing(orbit.time_rate, t, u_max * t / t_max, 0.0, u_max, 0.0, 4.0 * np.spacing(1.0)).x
     r, p_r, angle = orbit.state(u[0])
     sign = float(np.sign(c.T))
     p_r, turn = sign * p_r, np.exp(1j * sign * angle)

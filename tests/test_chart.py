@@ -1269,15 +1269,16 @@ class TestOneRowSolve:
         array path on the same inputs; returns the solves checked."""
         seen = []
 
-        def solve(f, rate, t, x, lo, hi, tol, rtol=0.0, carry=None, first=None):
-            args = (f, rate, t, x, lo, hi, tol, rtol, carry, first)
+        def solve(f, t, x, lo, hi, tol, rtol=0.0, first=None):
+            args = (f, t, x, lo, hi, tol, rtol, first)
             if not np.size(x) == np.size(lo) == np.size(hi) == 1:
                 return chart._solve_rows(*args)
             got = chart._solve_one(*args)
             want = chart._solve_rows(*args)
             assert got.x.shape == want.x.shape and same_bits(got.x, want.x)
             assert got.iterations == want.iterations
-            assert (got.carried is None) == (carry is None) and (carry is None or same_bits(got.carried, want.carried))
+            assert (got.carried is None) == (want.carried is None)
+            assert got.carried is None or same_bits(got.carried, want.carried)
             seen.append(got)
             return got
 
@@ -1305,6 +1306,7 @@ class TestOneRowSolve:
             for t in times:
                 orbit.place(np.array([t]))
         assert len(checked) == len(fracs) * len(times)
+        assert all(sol.carried is not None for sol in checked)  # the swept angle
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_global_flow_steps(self, checked, n):
@@ -1340,23 +1342,25 @@ class TestOneRowSolve:
         params = ModelParams(n=n, d=2)
         if bound:
             orbit, hi = chart._BoundOrbit(params, -0.5, 0.0), np.pi / 2.0
+            f = orbit._fused
         else:
             orbit, hi = chart._RadialOrbit(params, np.array([0.5]), np.array([0.0])), 1.0
-        assert orbit.rate(np.zeros(1))[0] == 0.0
+            f = orbit.time_rate
+        assert orbit.rate(np.zeros(1))[0] == 0.0 and f(np.zeros(1))[1][0] == 0.0
         root = np.array([0.3])
-        sol = self.both(orbit.time, orbit.rate, orbit.time(root), np.zeros(1), 0.0, hi, 4.0 * np.spacing(hi))
+        sol = self.both(f, orbit.time(root), np.zeros(1), 0.0, hi, 4.0 * np.spacing(hi))
         assert sol.iterations > 1 and abs(sol.x[0] - root[0]) <= 1e-14
 
     def test_exact_target_keeps_the_guess(self):
         orbit = chart._BoundOrbit(ModelParams(n=3, d=2), -0.5, 0.35)
         guess = np.array([0.7])
-        sol = self.both(orbit.time, orbit.rate, orbit.time(guess), guess, 0.0, np.pi / 2.0, 0.0, chart._PHI_RTOL)
+        sol = self.both(orbit._fused, orbit.time(guess), guess, 0.0, np.pi / 2.0, 0.0, chart._PHI_RTOL)
         assert sol.iterations == 1 and same_bits(sol.x, guess)
 
     def test_runs_to_the_iteration_cap(self):
         # no step is at most a negative tolerance
         orbit = chart._BoundOrbit(ModelParams(n=3, d=2), -0.5, 0.35)
-        sol = self.both(orbit.time, orbit.rate, np.array([0.2]), np.array([0.1]), 0.0, np.pi / 2.0, -1.0)
+        sol = self.both(orbit._fused, np.array([0.2]), np.array([0.1]), 0.0, np.pi / 2.0, -1.0)
         assert sol.iterations == chart._SOLVE_MAX_ITER
 
     @pytest.mark.parametrize(
@@ -1367,21 +1371,42 @@ class TestOneRowSolve:
     @pytest.mark.parametrize("target", [0.0, -0.0, 0.125, 2.0])
     def test_clip_and_signed_zeros(self, x, lo, hi, target):
         # np.clip's choices: the bound on a tie of signed zeros, hi when lo > hi
-        cube = lambda v: v * v * v  # noqa: E731
-        self.both(cube, lambda v: 3.0 * v * v, np.array([target]), np.array([x]), lo, hi, 1e-15)
+        cube = lambda v: (v * v * v, 3.0 * v * v)  # noqa: E731
+        self.both(cube, np.array([target]), np.array([x]), lo, hi, 1e-15)
 
     @pytest.mark.parametrize("guess", [5.0, 9.0, 2.5])
     def test_nan_residual_counts_as_too_high(self, guess):
         # f is x - 1 up to 2 and NaN beyond: the root is 1, not the midpoint
         # of a bracket that a NaN residual never narrows
         def f(x):
-            return np.where(x <= 2.0, x - 1.0, np.nan)
+            return np.where(x <= 2.0, x - 1.0, np.nan), np.ones_like(x)
 
-        one = lambda x: np.ones_like(x)  # noqa: E731
-        sol = self.both(f, one, np.zeros(1), np.array([guess]), 0.0, 10.0, 1e-15)
+        sol = self.both(f, np.zeros(1), np.array([guess]), 0.0, 10.0, 1e-15)
         assert abs(sol.x[0] - 1.0) <= 4.0 * np.spacing(1.0)
-        rows = chart._solve_rows(f, one, np.zeros(3), np.full(3, guess), 0.0, 10.0, 1e-15)
+        rows = chart._solve_rows(f, np.zeros(3), np.full(3, guess), 0.0, 10.0, 1e-15)
         assert np.all(np.abs(rows.x - 1.0) <= 4.0 * np.spacing(1.0))
+
+    def test_orbits_keep_no_per_call_state(self):
+        # a solve's rounds pass their values through the solver alone: no
+        # attribute of the orbit is set or rebound, but the cached properties
+        def attributes(orbit):
+            return {k: v for k, v in vars(orbit).items() if k not in ("_series", "_apsides")}
+
+        def unchanged(orbit, solve):
+            before = attributes(orbit)
+            solve()
+            after = attributes(orbit)
+            assert after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+
+        params = ModelParams(n=3, d=2)
+        bound = chart._BoundOrbit(params, -0.5, 0.35)
+        for ts in ([0.7], [0.7, -3.1, 20.0]):
+            unchanged(bound, lambda: bound.place(np.array(ts)))
+        for E in (0.3, 40.0):  # rounds within u_P, and far beyond it
+            orbit = chart._RadialOrbit(params, np.array([E]), np.array([0.2]))
+            unchanged(orbit, lambda: orbit.place(np.array([50.0])))  # one row
+            ts = np.array([0.01, 0.4, 50.0])
+            unchanged(orbit, lambda: chart._solve_increasing(orbit.time_rate, ts, np.ones(3), 0.0, 1e3, 1e-15))
 
     def test_one_row_takes_the_float_path(self, monkeypatch):
         def fail(*args):
@@ -1397,16 +1422,6 @@ class TestOneRowSolve:
         monkeypatch.undo()
         monkeypatch.setattr(chart, "_solve_one", fail)
         chart._sample(chart._BoundOrbit(params, -0.5, 0.35), np.linspace(0.0, 1.0, 5))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_time_angle_is_time_and_angle(self, n):
-        params = ModelParams(n=n, d=2)
-        rng = np.random.default_rng(n)
-        for frac in (0.0, 0.35, 0.999):
-            orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
-            for phi in (np.pi / 2.0, 0.0, np.array([0.3]), rng.uniform(0.0, np.pi / 2.0, 50)):
-                T, theta = orbit.time_angle(phi)
-                assert same_bits(T, orbit.time(phi)) and same_bits(theta, orbit.angle(phi))
 
 
 class TestOneStatePath:
@@ -1425,17 +1440,13 @@ class TestOneStatePath:
         for frac in self.FRACS:
             orbit = chart._BoundOrbit(params, -0.5, frac * circular_l(params, -0.5))
             for x in (0.0, np.pi / 2.0, 1e-9, *rng.uniform(0.0, np.pi / 2.0, 20)):
-                phi = np.array([x])
-                T = orbit._round(phi)  # phi is the pass's 33rd node
-                dT = orbit.rate(phi)  # read from that pass
-                angle, angle_rate = orbit._angle_at(phi)  # and so are these
-                assert orbit._last[0] is phi
+                T, dT, angle, angle_rate = orbit._fused(np.array([x]))  # x is the pass's 33rd node
                 rows = np.array([x, x])  # two phases: their own pass, and dT/dphi in closed form
                 assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
-                assert same_bits(angle, orbit.angle(rows)[:1])
+                assert same_bits(angle, orbit._fused(rows)[2][:1])
                 if 0.05 < x < np.pi / 2.0 - 0.05:  # the angle's rate against a central difference
                     h = 1e-5
-                    step = orbit.angle(np.array([x + h])) - orbit.angle(np.array([x - h]))
+                    step = orbit._fused(np.array([x + h]))[2] - orbit._fused(np.array([x - h]))[2]
                     assert angle_rate[0] == pytest.approx(step[0] / (2.0 * h), rel=1e-7, abs=1e-7 * n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -1453,14 +1464,14 @@ class TestOneStatePath:
                 one_pass = stacked._fused
                 stacked._fused = lambda p: (passes.append(np.shape(p)), one_pass(p))[1]
                 tau0, theta0, first = stacked.start(x, -1.0, phi)
-                half, apsis = alone.time_angle(np.array([np.pi / 2.0]))
+                half, apsis = alone._fused(np.array([np.pi / 2.0]))[::2]
                 assert same_bits(stacked.period, 2.0 * half[0]) and same_bits(stacked.apsis, apsis[0])
-                want = np.zeros(2) if x is None else -np.array([v[0] for v in alone.time_angle(np.array([x]))])
+                want = np.zeros(2) if x is None else -np.array([v[0] for v in alone._fused(np.array([x]))[::2]])
                 assert same_bits(np.array([tau0, theta0]), want)
                 if phi is None:
                     assert first is None
                 else:
-                    assert same_bits(np.array(first), np.array([v[0] for v in alone._fused(np.array([phi]))])[[0, 2, 1, 3]])
+                    assert same_bits(np.array(first), np.array([v[0] for v in alone._fused(np.array([phi]))]))
                 assert passes == [(1 + (x is not None) + (phi is not None),)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the rows' double root can divide by 0
@@ -1616,23 +1627,28 @@ class TestOneStateUnbound:
     ORBITS = [(E, l) for E in (0.0, 0.3, 40.0, 1e6) for l in (0.0, 1e-9, 0.2, 3.0)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_fused_round_is_time_and_rate(self, n):
+    def test_fused_round_is_time_and_rate(self, monkeypatch, n):
         params = ModelParams(n=n, d=2)
         rng = np.random.default_rng(30 + n)
-        fused = 0
+        fused, tame, panels = 0, 0, []
+        nodes = chart._RadialOrbit._nodes
+        monkeypatch.setattr(chart._RadialOrbit, "_nodes", lambda self, u: panels.append(u) or nodes(self, u))
         for E, l in self.ORBITS:
             orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
             u_P = 1.0 / orbit._inv_u_P[0] if orbit._inv_u_P[0] > 0.0 else 10.0
             for x in (0.0, 1e-9, u_P, *(u_P * rng.uniform(0.0, 3.0, 12))):
                 u = np.array([x])
-                T = orbit.time(u)  # one u within u_P: u is the pass's 33rd node
-                dT = orbit.rate(u)  # read from that pass
+                panels.clear()
+                quiet = orbit._tame(u)  # then nothing may overflow or divide by 0
+                with np.errstate(over="raise", divide="raise", invalid="raise") if quiet else np.errstate():
+                    T, dT = orbit.time_rate(u)  # one u within u_P: u is the pass's 33rd node
                 within = not x * orbit._inv_u_P[0] > 1.0
-                assert (orbit._slope is not None and orbit._slope[0] is u) == within
+                assert (not panels) == within  # beyond u_P, `time`'s panels
                 fused += within
+                tame += quiet
                 rows = np.array([x, x])  # two u: 32 nodes, and dT/du alone
                 assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
-        assert fused > 100
+        assert fused > 100 and tame > 100
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
