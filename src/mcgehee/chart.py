@@ -12,16 +12,18 @@ angle swept since the pericenter are radial integrals, taken by fixed-node
 quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
 both turning points (`_BoundOrbit`, E < 0), or in closed form
 (`_ZeroEnergyOrbit`, E = 0).  The three share one interface (phase,
-place, state); each Newton round of `place` is one pass (`time_rate`,
-`_BoundOrbit._fused`) giving T and its rate, and on a bound orbit the
-swept angle and its rate.  `chart_forward_rows` (stacked states),
-`chart_forward` (one state, its row bit for bit) and `chart_inverse`
-read `_RadialOrbit`.  `global_flow` is the translation T -> T + t on
-every orbit, not only in U^eps: `_step` places the start, advances its
-time since the pericenter, modulo the radial period on bound orbits, and
-solves for the new coordinate.  `trajectory` places one start's orbit at
-many times by `_sample`.  `pericenter` keeps the covering-ODE route to
-the chart's pericenter as an independent check.
+step_guess, start, place, state, angle); each Newton round of `place`
+is one pass (`_fused` of both quadrature classes, `time_rate`) giving T
+and its rate, and with `_fused` the swept angle and its rate.
+`chart_forward_rows` (stacked states), `chart_forward` (one state, its
+row bit for bit) and `chart_inverse` read `_RadialOrbit`.  `global_flow`
+is the translation T -> T + t on every orbit, not only in U^eps: `_step`
+guesses the end before any node pass, places the start in the pass of
+Newton's first round, advances its time since the pericenter, modulo the
+radial period on bound orbits, and solves for the new coordinate.
+`trajectory` places one start's orbit at many times by `_sample`.
+`pericenter` keeps the covering-ODE route to the chart's pericenter as an
+independent check.
 """
 
 from __future__ import annotations
@@ -219,6 +221,12 @@ _NODES = 0.5 * (_NODES + 1.0)
 _WEIGHTS = 0.5 * _WEIGHTS
 # the nodes and 1: the end of [0, x] itself, where T's integrand is dT/dx / K
 _NODES_AND_END = np.append(_NODES, 1.0)
+# the 8-node Gauss-Legendre rule on [0, 1] of `_RadialOrbit.step_guess`, as
+# (node, weight) floats; its Newton stops after a step below _RULE_RTOL |U|,
+# which leaves an error below round-off, or gives up after _RULE_ROUNDS
+_RULE = tuple((0.5 * (float(x) + 1.0), 0.5 * float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(8)))
+_RULE_RTOL = 1e-8
+_RULE_ROUNDS = 8
 # u beyond which sigma = s0 + u**2 overflows
 _U_MAX = np.sqrt(np.finfo(float).max)
 # the smallest normal float: l2/(2mE) below it takes `_sigma_root`'s scaled root
@@ -260,7 +268,13 @@ class _RadialOrbit:
     One orbit (a `global_flow` step, `chart_forward`, `chart_inverse`) finds
     its constants in Python floats, with the rows' bits, reads T and dT/du
     of a Newton round from one node pass (`time_rate` of one u), and enters
-    no np.errstate where nothing can overflow (`_tame`).
+    no np.errstate where nothing can overflow (`_tame`).  A step's Newton
+    guess needs no node pass (`step_guess`: an 8-node rule on the step's
+    own interval); one fused pass (`_fused`, like `_BoundOrbit`'s) places
+    the start and takes the first round, and the solve carries the end
+    angle, where everything is `_tame`; elsewhere the start takes
+    `time_angle`, the bracket doubles (`_power`) and the end angle is read
+    at u (`angle`).
     """
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
@@ -272,10 +286,15 @@ class _RadialOrbit:
         # there sigma**(n-1) max(1, n E) <= _TAME, so G <= 2 _TAME, and with
         # E, G0, K and sqrt(2m) <= _TAME every product stays finite
         self._u2_tame = -1.0
+        # where E s0**(n-1) overflows, G0 = l**2/(2m s0), from f(s0) = 0
         if E.shape == (1,):  # `_sigma_min` of one row ends in these one-root solvers
             e, l2, m, Z = float(E[0]), float(l[0]) * float(l[0]), params.m, params.Z
             s0 = _r_min_kepler_one(e, l2, m, Z) if n == 2 else _sigma_root_one(e, l2, m, Z, n)
-            G0 = Z + e * _pow(s0, n - 1)
+            try:
+                G0 = Z + e * math.pow(s0, n - 1)
+            except OverflowError:
+                G0 = math.inf
+            G0 = G0 if G0 < math.inf else l2 / (2.0 * m) / s0
             inv_u_P = 0.0 * e if n == 1 else _pow(max(e, 0.0) / Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             if all(v <= _TAME for v in (e, G0, self.K, self.root2m)):
                 self._u2_tame = (_TAME / max(1.0, n * e)) ** (1.0 / max(1, n - 1)) - s0
@@ -283,7 +302,9 @@ class _RadialOrbit:
             self._s0_powers = [_pow(s0, j + 1) for j in range(n - 2)]  # the powers of s0 in P
         else:
             self.s0 = _sigma_min(params, E, l * l)
-            self.G0 = params.Z + E * _pow(self.s0, n - 1)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                G0 = params.Z + E * _pow(self.s0, n - 1)
+                self.G0 = np.where(G0 < np.inf, G0, l * l / (2.0 * params.m) / self.s0)
             # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
             self._inv_u_P = 0.0 * E if n == 1 else _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]
@@ -404,14 +425,39 @@ class _RadialOrbit:
 
     def time_rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(time(u), rate(u)): a Newton round's pass.  One row within u_P
-        (a (1,) u) takes u itself as a 33rd node, which the weights leave
-        out, and reads dT/du there in `rate`'s order of operations."""
+        (a (1,) u) takes `_fused`'s pass without the angle."""
         if u.shape != (1,) or u[0] * self._inv_u_P[0] > 1.0:
             return self.time(u), self.rate(u)
-        sigma = self._s0 + (u[:, None] * _NODES_AND_END) ** 2
-        power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
-        return (_panel_sum(self.K * u[:, None], (power / rG)[:, :CHART_NODES]),
-                self.K * power[:, CHART_NODES] / rG[:, CHART_NODES])
+        return self._fused(u, angle=False)
+
+    def _fused(self, u: np.ndarray, angle: bool = True) -> tuple[np.ndarray, ...]:
+        """T, dT/du, the swept angle and its rate at each u of a (j,) array
+        on a one-row orbit, from one pass over the nodes of [0, u], or
+        beyond u_P of `_nodes`' panels, with u itself as a last node, which
+        the weights leave out: `_BoundOrbit._fused`'s twin; T and dT/du
+        alone without the angle.
+
+        dT/du is read in `rate`'s order of operations, and the angle split
+        as `_angle` splits it, so its rate at u is n (sqrt(s0)/sigma +
+        l/sqrt(2m) (-E P) / (sqrt(G) sqrt(G0) (sqrt(G) + sqrt(G0)))), the
+        arctan's part 0 on a collision orbit.  No far form replaces what
+        overflows: a round with the angle takes a `_tame` u."""
+        if (u * self._inv_u_P).max() > 1.0:
+            sigma, width = self._nodes(u)
+            sigma = np.concatenate((sigma, self._s0 + u[:, None] ** 2), axis=1)
+        else:
+            sigma, width = self._s0 + (u[:, None] * _NODES_AND_END) ** 2, u[:, None]
+        P = self._P(sigma)
+        power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + self._E * sigma * P)
+        T = _panel_sum(self.K * width, (power / rG)[:, :-1])
+        rate = self.K * power[:, -1] / rG[:, -1]
+        if not angle:
+            return T, rate
+        rG0, end, c = np.sqrt(self._G0), sigma[:, -1], self.l[0] / self.root2m
+        rest = -self._E * P / (rG * rG0 * (rG + rG0))
+        swept = np.arctan2(u, np.sqrt(self.s0)) + _panel_sum(c * width, rest[:, :-1])
+        angle_rate = (np.sqrt(self.s0) / end if self.s0[0] > 0.0 else 0.0 * end) + c * rest[:, -1]
+        return T, rate, self.n * swept, self.n * angle_rate
 
     def time_angle(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Time and polar angle swept out to u, from one pass over the nodes."""
@@ -434,37 +480,124 @@ class _RadialOrbit:
         g = self._far(sigma)[1][:, 0]
         return np.where(rG < np.inf, u, np.abs(radial) / _pow(sigma[:, 0], self.n / 2.0) / (self.root2m * g))
 
-    def state(self, u) -> tuple[float, float, float]:
-        """r, |p_r| = sqrt(2m G) u / r and the swept angle at a float u on a
-        one-row orbit; far out, where r |p_r| overflows, from sqrt(G) / r."""
+    def state(self, u) -> tuple[float, float]:
+        """r and |p_r| = sqrt(2m G) u / r at a float u on a one-row orbit;
+        far out, where r |p_r| overflows, from sqrt(G) / r."""
         sigma = self.s0 + u * u
         # r |p_r| beyond the float range takes the far form; r beyond it ends
         # the step with a DomainError
         with _quiet(self._tame(u), over="ignore", invalid="ignore"):
             r = sigma[0] ** (self.n / 2.0)
             rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
-        p_r = rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
+        return r, rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
+
+    def angle(self, u) -> float:
+        """The swept angle at a float u on a one-row orbit, from one pass
+        over the nodes, where a solve did not carry it."""
         u = np.array([u])
         sigma, width, tame = *self._nodes(u), self._tame(u)
-        return r, p_r, self._angle(u, sigma, width, *self._roots(sigma, tame), tame)[0]
+        return self._angle(u, sigma, width, *self._roots(sigma, tame), tame)[0]
 
-    def place(self, ts, start=None) -> tuple[None, np.ndarray, Solve]:
-        """No whole periods, the side and u of one time ts since the pericenter.
+    def step_guess(self, u0, side0: float, t) -> tuple[float] | None:
+        """Newton's first guess (u,) a time t after a start at u0 (None: the
+        pericenter) on side side0 of a one-row orbit, n >= 2, with no node
+        pass: u = |U| of the root U of
 
-        T is odd in the signed u = side sqrt(sigma - s0): Newton on T(u) = |ts|
-        starts from the tangent at the start (u0, side0, t), t the time since
-        it, or at the collision (start None) from the E = 0 estimate, or
-        from free motion (`_free`) where that guess is many doublings off.  T
-        is convex with T(0) = 0, so the bracket is [hi/2, hi], hi = guess 2**e:
-        e the nearest 0 with T(hi/2) < |ts| <= T(hi), or 0 for T(guess) in
-        [|ts|, 2 |ts|], by steps that double away from 0, then bisection.  T
-        beyond the float range, or u beyond _U_MAX, counts as too high.
+            int_{U0}^{U} dT/du(|v|) dv = t,   U0 = side0 u0,
+
+        in the signed U = side u, on 8 Gauss-Legendre nodes with `rate`'s
+        closed form, in Python floats.  dT/du is even in U and analytic
+        through the pericenter, so on a short step the rule holds T's
+        difference to round-off.  Newton starts from the tangent at U0 (on
+        a collision orbit at its pericenter, where dT/du = 0, from T's
+        leading term K u**(2n-1) / ((2n-1) sqrt(G0))) and ends after a step
+        below _RULE_RTOL |U|.  None after _RULE_ROUNDS rounds (a long step,
+        on which the rule loses digits), or where U0 or U is not `_tame`."""
+        limit, n = math.sqrt(self._u2_tame) if self._u2_tame >= 0.0 else -1.0, self.n
+        U0, t = 0.0 if u0 is None else side0 * _item(u0), _item(t)
+        if not abs(U0) <= limit:
+            return None
+        s0, G0, E, K = float(self.s0[0]), float(self.G0[0]), float(self.E[0]), float(self.K)
+        powers = [float(c) for c in self._s0_powers]
+
+        def rate(v: float) -> float:
+            sigma = s0 + v * v
+            P = 1.0
+            for c in powers:
+                P = P * sigma + c
+            return K * sigma ** (n - 1) / math.sqrt(G0 + E * sigma * P)
+
+        rate0 = rate(U0)
+        if rate0 > 0.0:
+            U = U0 + t / rate0
+        else:
+            U = math.copysign(((2 * n - 1) * abs(t) * math.sqrt(G0) / K) ** (1.0 / (2 * n - 1)), t)
+        for _ in range(_RULE_ROUNDS):
+            end = rate(U) if abs(U) <= limit else 0.0
+            if not end > 0.0:
+                return None
+            h = U - U0
+            step = (h * sum([w * rate(U0 + h * x) for x, w in _RULE]) - t) / end
+            U -= step
+            if abs(step) <= _RULE_RTOL * abs(U):
+                return (abs(U),) if abs(U) <= limit else None
+        return None
+
+    def start(self, x0, side0: float, u=None):
+        """The time tau0 and angle theta0 since the pericenter of a start at
+        x0 on side side0 (x0 None: the pericenter) of a one-row orbit, and
+        at a guess u (`step_guess`, which keeps x0 and u `_tame`) T, dT/du,
+        the angle and its rate, `place`'s first round, else None: one fused
+        pass stacked on x0 and u, or `time_angle` of an x0 that is not
+        `_tame`."""
+        us = ([] if x0 is None else [x0]) + ([] if u is None else [u])
+        if not us:
+            return 0.0, 0.0, None
+        if not self._tame(us[0]):  # then no guess either
+            return *(side0 * v.item() for v in self.time_angle(np.array(us))), None
+        T, rate, angle, angle_rate = (v.tolist() for v in self._fused(np.array(us)))
+        placed = (0.0, 0.0) if x0 is None else (side0 * T[0], side0 * angle[0])
+        return *placed, None if u is None else (T[-1], rate[-1], angle[-1], angle_rate[-1])
+
+    def place(self, ts, start=None, first=None) -> tuple[None, np.ndarray, Solve]:
+        """No whole periods, the side and u of one time ts since the
+        pericenter; the solve carries the swept angle where its rounds take
+        the fused pass (`_fused`).
+
+        start is (u0, side0, t): a start at u0 (None: the pericenter) on
+        side side0 and the time t since it; None is the pericenter at t =
+        ts.  first, if taken already (`start`), is Newton's first guess g
+        and the fused pass there, else g is `step_guess` of start and its
+        pass is taken here.  T is odd in the signed u = side sqrt(sigma -
+        s0) and convex in u with T(0) = 0, so T(u)/u increases and the
+        tangent lies below T: T(g) >= |ts| puts the root in [g |ts| / T(g),
+        g], T(g) < |ts| in [g, g |ts| / T(g)], and Newton goes on in fused
+        rounds from that bracket, its step tolerance 4 ulp of g.
+
+        Without a guess, or where that bracket is not `_tame`, Newton's
+        rounds take `time_rate` and start from the tangent at the start, or
+        at the pericenter from the E = 0 estimate, or from free motion
+        (`_free`) where that guess is many doublings off.  The bracket is
+        then [hi/2, hi], hi = guess 2**e: e the nearest 0 with T(hi/2) <
+        |ts| <= T(hi), or 0 for T(guess) in [|ts|, 2 |ts|], by steps that
+        double away from 0, then bisection.  T beyond the float range, or u
+        beyond _U_MAX, counts as too high.
         """
         target = np.abs(ts)
-        if start is None:
+        u0, side0, t = (None, 0.0, ts) if start is None else start
+        if first is None:
+            g = self.step_guess(u0, side0, t)
+            first = g and (*g, *(v.item() for v in self._fused(np.array(g))))
+        if first is not None and first[1] > 0.0 and target[0] > 0.0:
+            g, T = first[:2]
+            chord = g * target.item() / T
+            if self._tame(chord):
+                lo, hi = (chord, g) if T >= target[0] else (g, chord)
+                sol = _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first[1:])
+                return None, np.sign(ts), sol
+        if u0 is None:
             guess = np.zeros(1)
         else:
-            u0, side0, t = start
             with np.errstate(over="ignore", divide="ignore"):  # a tangent beyond the float range: see fmin
                 guess = np.abs(side0 * u0 + t / self.rate(u0))
         if not guess[0] > 0.0:
@@ -686,24 +819,31 @@ class _ZeroEnergyOrbit:
     def angle(self, u):
         return self.n * np.arctan2(u, np.sqrt(self.s0))
 
-    def time_angle(self, u):
-        return self.time(u), self.angle(u)
-
     def phase(self, sigma, radial):
         """u at <q,p> = radial: |radial| = sqrt(2m Z) u."""
         return abs(radial) / self.root2mZ
 
     def state(self, u):
-        """r, |p_r| and the swept angle at u."""
+        """r and |p_r| at u."""
         r = (self.s0 + u * u) ** (self.n / 2.0)
-        return r, self.root2mZ * u / r, self.angle(u)
+        return r, self.root2mZ * u / r
+
+    def step_guess(self, x0, side0: float, t: float) -> None:
+        """No first guess to take before a pass: `place` reads its own."""
+        return None
+
+    def start(self, x0, side0: float, u=None):
+        """The time and angle since the pericenter of a start at x0 on side
+        side0 (x0 None: the pericenter), in closed form; no first round."""
+        return (0.0, 0.0, None) if x0 is None else (side0 * float(self.time(x0)), side0 * float(self.angle(x0)), None)
 
     def u_at(self, r: float) -> float:
         """u on the way out at radius r."""
         return float(np.sqrt(r ** (2.0 / self.n) - self.s0))
 
-    def place(self, ts, start=None) -> tuple[None, np.ndarray, Solve]:
-        """No whole periods, the side and u of the times ts since the pericenter:
+    def place(self, ts, start=None, first=None) -> tuple[None, np.ndarray, Solve]:
+        """No whole periods, the side and u of the times ts since the pericenter
+        (start and first unread):
         Newton on T(u) = |t| from the smaller inverse of T's first and last
         terms, above the root, down the convex T; the step tolerance is 4
         ulps of the pass's largest guess."""
@@ -1017,18 +1157,19 @@ class _BoundOrbit:
         that Sterbenz's lemma keeps exact), so a time near a pericenter keeps
         its relative precision however many periods lie before it.  phi
         solves T(phi) = |tau| by fused Newton rounds (`_fused`) from
-        `_guess`, which needs no start.  The guess reduces the times start
-        (default ts) by the series' period pi a_0 in place of P, and ts
-        itself where the whole periods or side differ.  One finite time on
-        an orbit of finite, nonzero period takes the same steps in Python
-        floats (`_place_one`), with first: the reduction and guess of
-        start, and the first round's pass at the guess (`start`).
+        `_guess`, which needs no start.  The guess reduces the times on the
+        series (`_series_times` of start, (x0, side0, t) as `_RadialOrbit`
+        takes it; default ts) by the series' period pi a_0 in place of P,
+        and ts itself where the whole periods or side differ.  One finite
+        time on an orbit of finite, nonzero period takes the same steps in
+        Python floats (`_place_one`), with first: the reduction and guess of
+        `step_guess`, and the first round's pass at the guess (`start`).
         """
         ts = np.asarray(ts, dtype=float)
-        start = ts if start is None else np.asarray(start, dtype=float)
         P = self.period
         if ts.shape == (1,) and math.isfinite(ts[0]) and 0.0 < P < math.inf:
-            return self._place_one(ts.item(), first or self._series_guess_one(start.item()))
+            return self._place_one(ts.item(), first or self._series_guess_one(self._series_times(start, ts).item()))
+        start = self._series_times(start, ts)
         k, side, t = _reduce(ts, P)
         T, _, a0 = self._series[:3]
         with np.errstate(invalid="ignore"):  # a series period of 0 or inf: no match below
@@ -1036,6 +1177,20 @@ class _BoundOrbit:
         series = (ks == k) & (sides == side) & (ta >= T[1]) & (np.abs(ks) <= _SERIES_PERIODS)
         guess = self._guess(np.where(series, ta, t))
         return k, side, _solve_increasing(self._fused, t, guess, 0.0, np.pi / 2.0, 0.0, _PHI_RTOL)
+
+    def _series_times(self, start, ts):
+        """The times on the series that `place`'s guesses reduce: for a
+        start (x0, side0, t) its time on the series, 0 at the pericenter (x0
+        None), plus t; ts without a start."""
+        if start is None:
+            return ts
+        x0, side0, t = start
+        return (0.0 if x0 is None else side0 * self._series_one(x0)[0]) + np.asarray(t, dtype=float)
+
+    def step_guess(self, x0, side0: float, t: float):
+        """Newton's first guess of a step by t from x0 on side side0, read
+        off the series alone: (k, side, phi), or None (`_series_guess_one`)."""
+        return self._series_guess_one(self._series_times((x0, side0, t), None).item())
 
     def _place_one(self, ts: float, guess) -> tuple[np.ndarray, np.ndarray, Solve]:
         """`place` of one time in floats, from `_series_guess_one` of its
@@ -1087,74 +1242,53 @@ def _reduce_one(ts: float, P: float) -> tuple[float, float, float]:
     return k, side, abs(tau)
 
 
-def _place_start(orbit, sigma: float, radial):
-    """The start's time tau0 and angle theta0 since its pericenter, and its
-    coordinate and side (x0, side0) as `place`'s start: (0, 0, None) on the
-    collision (radial None), None where the start cannot be placed.  A
-    bound orbit's start takes one pass with its apsides (`_BoundOrbit.start`)
-    and returns, in place of (x0, side0), its time on the series, from
-    which `place` reduces the guesses."""
+def _place_start(orbit, sigma: float, radial) -> tuple | None:
+    """A start's coordinate and side (x0, side0) on its orbit, at sigma =
+    r**(2/n) with <q,p> = radial: outbound when radial >= 0 (a state at
+    rest is the apocenter), (None, 0.0) on the collision (radial None), and
+    None where x0 is not finite."""
     if radial is None:
-        return 0.0, 0.0, None
-    x0 = orbit.phase(sigma, radial)
-    if not math.isfinite(_item(x0)):
-        return None
-    side0 = 1.0 if radial >= 0.0 else -1.0
-    if isinstance(orbit, _BoundOrbit):
-        return *orbit.start(x0, side0)[:2], side0 * orbit._series_one(x0)[0]
-    tau0, theta0 = (side0 * v.item() for v in orbit.time_angle(x0))
-    return tau0, theta0, (x0, side0)
+        return None, 0.0
+    x0 = _item(orbit.phase(sigma, radial))
+    return (x0, 1.0 if radial >= 0.0 else -1.0) if math.isfinite(x0) else None
 
 
 def _step(orbit, sigma: float, radial, t: float) -> Step:
     """(r, p_r, swept angle, pericenter angle) of a one-row orbit's state
     at sigma = r**(2/n) with <q,p> = radial, advanced by t; angles from the
-    start.  A bound orbit takes `_bound_step`.  The other two classes have
-    the methods used here: phase (a state's orbit coordinate u),
-    time_angle, place (no whole periods, the side and the Newton solve of
-    times since the pericenter) and state (r, |p_r| and the angle at u).
+    start.  Every orbit class has the methods used here: phase (a state's
+    orbit coordinate x), step_guess (Newton's first guess, read before any
+    node pass: off a bound orbit's series, by `_RadialOrbit`'s
+    short-interval rule, none at E = 0), start (the start's time tau0 and
+    angle theta0 since its pericenter, from one pass stacked with the
+    guess's, which is Newton's first round), place (whole periods, side and
+    the Newton solve of times since the pericenter) and state (r and |p_r|
+    at x).
 
-    The start sits at tau0 = +-T(x0) since its pericenter, outbound when
-    radial >= 0 (a state at rest is the apocenter); radial None is the
-    collision.  Without whole periods the pericenter stays at -theta0.
-    x stays a float: powers of a (1,) array round differently.
+    The end angle is carried from the solve's last round, or where the
+    solve did not carry it, read at x (`angle`).  Each whole period turns
+    the pericenter by two apsidal angles; without whole periods it stays
+    at -theta0.  x stays a float: powers of a (1,) array round differently.
     """
-    if isinstance(orbit, _BoundOrbit):
-        return _bound_step(orbit, sigma, radial, t)
     placed = _place_start(orbit, sigma, radial)
     if placed is None:  # no step
         return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
-    tau0, theta0, at = placed
-    _, side, sol = orbit.place(np.array([tau0 + t]), None if at is None else (*at, t))
-    x, side = sol.x[0], side[0]
+    x0, side0 = placed
+    guess = orbit.step_guess(x0, side0, t)
+    tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[-1])
+    k, side, sol = orbit.place(np.array([tau0 + t]), (x0, side0, t), guess and (*guess, *first))
+    x, side = sol.x.item(), float(side[0])
     # p_r is unbounded at the collision: r = 0 where s0 = 0, or r underflows
     s0 = _item(orbit.s0)
     with _quiet(s0 > 0.0 and math.log(s0) * orbit.n > -1380.0, divide="ignore", invalid="ignore"):
-        r, p_r, angle = orbit.state(x)
-    return Step(float(r), float(side * p_r), -theta0 + float(side * angle), -theta0, 0.0, sol)
-
-
-def _bound_step(orbit: _BoundOrbit, sigma: float, radial, t: float) -> Step:
-    """`_step` on a bound orbit: one node pass where Newton's first round
-    confirms a guess read off the series alone (`_series_guess_one` of
-    tau0' + t, tau0' the start's time on the series), stacked on pi/2 and
-    the start (`_BoundOrbit.start`).  `place` takes the guess where its
-    whole periods and side are the exact ones, and goes on in fused rounds
-    while the step exceeds 4 ulp of phi.  The end angle is carried from the
-    last round; r and p_r are closed forms at phi, with `_sample`'s bits.
-    Each whole period turns the pericenter by two apsidal angles.
-    """
-    x0, side0 = (None, 0.0) if radial is None else (orbit.phase(sigma, radial), 1.0 if radial >= 0.0 else -1.0)
-    if x0 is not None and not math.isfinite(x0):  # no step
-        return Step(math.nan, math.nan, math.nan, math.nan, 0.0, None)
-    tau0_series = 0.0 if x0 is None else side0 * orbit._series_one(x0)[0]
-    guess = orbit._series_guess_one(tau0_series + t)
-    tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[2])
-    k, side, sol = orbit.place(np.array([tau0 + t]), np.array([tau0_series + t]), guess and (*guess, *first))
-    r, p_r = orbit.state(sol.x.item())
-    k, side = float(k[0]), float(side[0])
-    pericenter = 2.0 * k * orbit.apsis - theta0
-    return Step(r, side * p_r, pericenter + side * sol.carried.item(), pericenter, k, sol)
+        r, p_r = orbit.state(x)
+    angle = orbit.angle(x) if sol.carried is None else sol.carried.item()
+    if k is None:
+        k, pericenter = 0.0, -theta0
+    else:
+        k = float(k[0])
+        pericenter = 2.0 * k * orbit.apsis - theta0
+    return Step(float(r), side * float(p_r), pericenter + side * float(angle), pericenter, k, sol)
 
 
 _SAMPLE_CHUNK = 512  # times per `place` in `_sample`
@@ -1163,13 +1297,15 @@ _SAMPLE_CHUNK = 512  # times per `place` in `_sample`
 def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
     """`_step` at many times: an orbit's states at the times ts (1-D, not
     empty) since its pericenter, angles from a start at angle theta0, and
-    the solve (with the most iterations of any pass).  A bound or E = 0 orbit places
-    _SAMPLE_CHUNK times per `place`, each solved alone, so its bits do not
-    depend on its chunk; a bound orbit's start, if given, is the times on
-    the series that its guesses reduce, and its angles are carried from
-    the solve.  `_RadialOrbit` places one time per `place`: the first from
-    `start`, (x0, side0, t) as `place` takes it, each other from the
-    previous row's u and side and the time since it."""
+    the solve (with the most iterations of any pass, and the orbit's pass
+    that holds at every x).  start, if given, is (x0, side0, t) as `place`
+    takes it, t the array of times ts less the start's own.  A bound or
+    E = 0 orbit places _SAMPLE_CHUNK times per `place`, each solved alone,
+    so its bits do not depend on its chunk.  `_RadialOrbit` places one
+    time per `place`: the first from start, each other from the previous
+    row's u and side and the time since it, so each Newton guess is
+    `_RadialOrbit.step_guess` of a short step.  The angles are carried
+    from the solve where it carries them."""
     ts = np.asarray(ts, dtype=float)
     r, p_r, swept, pericenter, periods, x, t = (np.empty_like(ts) for _ in range(7))
     one = isinstance(orbit, _RadialOrbit)  # its `state` takes one u
@@ -1177,18 +1313,19 @@ def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
     iterations = 0
     for i in range(0, len(ts), chunk):
         part = slice(i, i + chunk)
-        k, side, sol = orbit.place(ts[part], start if one or start is None else start[part])
+        k, side, sol = orbit.place(ts[part], start and (*start[:2], start[2][part]))
         x[part], t[part] = sol.x, sol.t
         with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision
-            r[part], p, *angle = orbit.state(sol.x[0] if one else sol.x)
+            r[part], p = orbit.state(sol.x[0] if one else sol.x)
         p_r[part] = side * p
         pericenter[part] = -theta0 if k is None else 2.0 * k * orbit.apsis - theta0
-        swept[part] = pericenter[part] + side * (sol.carried if sol.carried is not None else angle[0])
+        angle = sol.carried if sol.carried is not None else orbit.angle(sol.x[0] if one else sol.x)
+        swept[part] = pericenter[part] + side * angle
         periods[part] = 0.0 if k is None else k
         iterations = max(iterations, sol.iterations)
-        if one and i + 1 < len(ts):
-            start = (sol.x, side, ts[i + 1] - ts[i])
-    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, sol.f, t))
+        if one:
+            start = (sol.x.item(), side.item(), ts - ts[i])
+    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, orbit.time_rate if one else sol.f, t))
 
 
 class ChartRows(NamedTuple):
@@ -1590,7 +1727,8 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
         raise ChartDomainError("chart point lies outside the image of the chart")
     # a step of 4 ulp of u itself: u may lie far below u_max
     u = _solve_increasing(orbit.time_rate, t, u_max * t / t_max, 0.0, u_max, 0.0, 4.0 * np.spacing(1.0)).x
-    r, p_r, angle = orbit.state(u[0])
+    r, p_r = orbit.state(u[0])
+    angle = orbit.angle(u[0])
     sign = float(np.sign(c.T))
     p_r, turn = sign * p_r, np.exp(1j * sign * angle)
     # pericenter frame: e1 along q, e2 along p there
@@ -1713,10 +1851,10 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
     if ts is None:
         step = _step(orbit, sigma, radial, t)
         placed = step.pericenter
-    else:  # `_step`'s start placement, once
-        tau0, placed, at = _place_start(orbit, sigma, radial) or (math.nan, math.nan, None)
-        start = None if at is None else [at + t for t in ts] if bound else (*at, ts[0])
-        step = _sample(orbit, [tau0 + t for t in ts], placed, start)
+    else:  # `_step`'s start, placed once
+        at = _place_start(orbit, sigma, radial)
+        tau0, placed, _ = (math.nan, math.nan, None) if at is None else orbit.start(*at)
+        step = _sample(orbit, [tau0 + t for t in ts], placed, at and (*at, np.array(ts)))
     # the first node pass gave the period and apsis, and placed the start at a finite angle
     _require_finite("start's orbit", state, t, *((orbit.period, orbit.apsis) if bound else (placed,)))
     kind = "collision orbit" if l == 0.0 else "bound" if bound else "unbound"

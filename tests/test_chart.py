@@ -1650,6 +1650,72 @@ class TestOneStateUnbound:
                 assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
         assert fused > 100 and tame > 100
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fused_pass_with_the_angle(self, n):
+        # within u_P and beyond, on tame u: T and dT/du as `time` and `rate`
+        # give them, bit for bit, the angle as `time_angle` gives it to a few
+        # ulps, and the angle's rate against a central difference
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(40 + n)
+        beyond = 0
+        for E, l in self.ORBITS:
+            orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+            u_P = 1.0 / orbit._inv_u_P[0] if orbit._inv_u_P[0] > 0.0 else 10.0
+            xs = np.array([1e-9, u_P, *(u_P * rng.uniform(0.05, 3.0, 8))])
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                T, dT, angle, angle_rate = orbit._fused(xs)
+            assert same_bits(T, orbit.time(xs)) and same_bits(dT, orbit.rate(xs))
+            want = orbit.time_angle(xs)[1]
+            assert np.all(np.abs(angle - want) <= 8.0 * np.spacing(np.abs(want)) + 1e-300)
+            h = 1e-6 * xs  # the difference to 1e-6, and to the rounding of the angles
+            diff = (orbit._fused(xs + h)[2] - orbit._fused(xs - h)[2]) / (2.0 * h)
+            assert np.all(np.abs(angle_rate - diff) <= 1e-6 * np.abs(diff) + 8.0 * np.spacing(np.abs(angle)) / h)
+            beyond += int(np.sum(xs * orbit._inv_u_P[0] > 1.0))
+        assert beyond >= 50
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_step_guess_is_the_root_of_a_short_step(self, n):
+        # the 8-node rule on the step's own interval, a step in the signed
+        # U = side u of 5 % of max(|U0|, sqrt(s0)), through the pericenter
+        # too, against `place`'s root from the pericenter and the doubling
+        # bracket, which stops within 4 ulp itself: 5 ulp measured
+        params = ModelParams(n=n, d=2)
+        rng = np.random.default_rng(50 + n)
+        for E, l in self.ORBITS:
+            orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+
+            def T(U):
+                return np.sign(U) * orbit.time(np.array([abs(U)]))[0]
+
+            for U0 in rng.uniform(-1.0, 1.0, 12) * rng.choice([1e-3, 0.1, 1.0, 10.0], 12):
+                U1 = U0 + 0.05 * max(abs(U0), np.sqrt(orbit.s0[0])) * rng.uniform(-1.0, 1.0)
+                t = T(U1) - T(U0)
+                (u,) = orbit.step_guess(abs(U0), np.sign(U0), t)
+                want = orbit.place(np.array([T(U0) + t]))[2].x[0]
+                assert abs(u - want) <= 8.0 * np.spacing(want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_G0_where_its_power_overflows(self):
+        # Z + E s0**(n-1) with s0**(n-1) beyond the float range: G0 is
+        # l**2/(2m s0), as f(s0) = 0 has it, for one row and for rows, with
+        # no warning; a chart point on such an orbit is refused as outside
+        params = ModelParams(n=6, d=2)
+        one = chart._RadialOrbit(params, np.array([1e-95]), np.array([1e138]))
+        rows = chart._RadialOrbit(params, np.array([1e-95, 0.3]), np.array([1e138, 0.2]))
+        with mp.workdps(40):
+            E, rhs = mp.mpf(1e-95), mp.mpf(1e138) ** 2 / 2
+            s0 = mp.mpf(float(one.s0[0]))
+            for _ in range(6):  # Newton on E s**6 + Z s = l**2/2m
+                s0 -= (E * s0**6 + params.Z * s0 - rhs) / (6 * E * s0**5 + params.Z)
+            want = float(params.Z + E * s0**5)
+        for orbit in (one, rows):
+            # to the pericenter root's own accuracy (`r_min`: 1e-13; 8e-15 here)
+            assert orbit.G0[0] == 1e276 / 2.0 / orbit.s0[0] and orbit.G0[0] == pytest.approx(want, rel=1e-13)
+        assert rows.G0[1] == chart._RadialOrbit(params, np.array([0.3]), np.array([0.2])).G0[0]
+        with pytest.raises(chart.ChartDomainError, match="pericenter lies outside the chart domain"):
+            point = chart.ChartPoint(T=1.0, H=10.0**-297.77, B=np.array([0.0, 1e149]), A=np.array([1.0, 0.0]))
+            chart.chart_inverse(ModelParams(n=4, d=2), point)
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
         n=st.integers(1, 6),
@@ -1658,8 +1724,9 @@ class TestOneStateUnbound:
         frac=st.floats(0.0, 1.0),
     )
     def test_tame_values_do_not_overflow(self, n, log_E, log_l, frac):
-        # out to u**2 = _u2_tame, the one-row rate, state, angle and time run
-        # without np.errstate: nothing there may overflow or divide by 0
+        # out to u**2 = _u2_tame, the one-row rate, state, angle, time and
+        # fused pass run without np.errstate: nothing there may overflow or
+        # divide by 0
         params = ModelParams(n=n, d=2)
         orbit = chart._RadialOrbit(params, np.array([10.0**log_E]), np.array([10.0**log_l]))
         if not orbit._u2_tame >= 0.0:
@@ -1673,6 +1740,7 @@ class TestOneStateUnbound:
             if orbit.s0[0] > 0.0 and np.log(orbit.s0[0]) * n > -1380.0:  # else r may be 0: see `_step`
                 orbit.state(float(x))
             orbit.time_angle(u)
+            orbit._fused(u)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(

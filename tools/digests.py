@@ -15,12 +15,12 @@ table, the chart roundtrip and the transit time (`certify_calls`,
 `certify_digest`).  The work lines give the mean and the most Newton
 rounds of the bound and the unbound `global_flow` solves over
 `flow_calls` (`flow_rounds`) and the mean and the most node passes of a
-bound step (`flow_passes`), and the certify work line the stencil
-rows of a bracket table for each d and the mean and the most Newton
-rounds of `chart_inverse` over `certify_calls` (`certify_work`).  The
-last two lines are the line count of
-src/mcgehee/*.py, as `wc -l` gives it, and the knobs a user can set: the
-CLI's flags and its config keys (`knobs`).
+bound and of an unbound step (`flow_passes`), and the certify work line
+the stencil rows of a bracket table for each d and the mean and the most
+Newton rounds of `chart_inverse` over `certify_calls` (`certify_work`).
+The last two lines are the line count of src/mcgehee/*.py, as `wc -l`
+gives it, and the knobs a user can set: the CLI's flags and its config
+keys (`knobs`).
 """
 
 from __future__ import annotations
@@ -199,30 +199,45 @@ def flow_rounds(calls) -> dict[str, list[int]]:
     return rounds
 
 
-def flow_passes(calls) -> list[int]:
-    """The `_BoundOrbit` node passes (`_fused`) of each call's bound
-    `global_flow` step, read by wrapping `chart._step` and
-    `chart._BoundOrbit._fused` while the calls run."""
-    passes, count = [], [0]
-    step, fused = chart._step, chart._BoundOrbit._fused
+# the methods that make one pass over an orbit's quadrature nodes
+NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "time_rate", "time_angle", "angle", "_fused")}
 
-    def counted_fused(orbit, phi):
-        count[0] += 1
-        return fused(orbit, phi)
+
+def flow_passes(calls) -> dict[str, list[int]]:
+    """The node passes of each call's `global_flow` step, "bound" on a
+    `_BoundOrbit` and "unbound" on the others: calls of the NODE_PASSES
+    methods, a pass made inside another counted once, read by wrapping
+    `chart._step` and those methods while the calls run."""
+    passes, count, depth = {"bound": [], "unbound": []}, [0], [0]
+    step = chart._step
+    methods = [(cls, name, getattr(cls, name)) for cls, names in NODE_PASSES.items() for name in names]
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            count[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
     def counted_step(orbit, *args):
         before = count[0]
         out = step(orbit, *args)
-        if isinstance(orbit, chart._BoundOrbit):
-            passes.append(count[0] - before)
+        passes["bound" if isinstance(orbit, chart._BoundOrbit) else "unbound"].append(count[0] - before)
         return out
 
-    chart._step, chart._BoundOrbit._fused = counted_step, counted_fused
+    chart._step = counted_step
+    for cls, name, method in methods:
+        setattr(cls, name, counted(method))
     try:
         for params, start, t in calls:
             chart.global_flow(params, start, t)
     finally:
-        chart._step, chart._BoundOrbit._fused = step, fused
+        chart._step = step
+        for cls, name, method in methods:
+            setattr(cls, name, method)
     return passes
 
 
@@ -280,8 +295,8 @@ def main() -> None:
     print(f"{'certify':<24}{certify_digest(certify_calls())}")
     rounds = flow_rounds(flow_calls())
     print(f"{'Newton rounds':<24}" + ", ".join(f"{k} mean {np.mean(v):.3f} max {max(v)}" for k, v in rounds.items()))
-    passes = flow_passes(flow_calls())
-    print(f"{'bound node passes':<24}mean {np.mean(passes):.3f} max {max(passes)} per step")
+    for kind, passes in flow_passes(flow_calls()).items():
+        print(f"{kind + ' node passes':<24}mean {np.mean(passes):.3f} max {max(passes)} per step")
     rows, inverse = certify_work(certify_calls())
     print(f"{'certify work':<24}stencil rows " + ", ".join(f"d={d} {k}" for d, k in sorted(rows.items()))
           + f"; chart_inverse rounds mean {np.mean(inverse):.3f} max {max(inverse)}")
