@@ -12,9 +12,9 @@ angle swept since the pericenter are radial integrals, taken by fixed-node
 quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
 both turning points (`_BoundOrbit`, E < 0), or in closed form
 (`_ZeroEnergyOrbit`, E = 0).  The three share one interface (phase,
-step_guess, start, place, state, angle); each Newton round of `place`
-is one pass (`_fused` of both quadrature classes, `time_rate`) giving T
-and its rate, and with `_fused` the swept angle and its rate.
+step_guess, start, place, state, angle); each node pass of the two
+quadrature classes (`_fused`) gives T, its rate, the swept angle and its
+rate, and each Newton round of `place` is one pass (`time_rate` at E = 0).
 `chart_forward_rows` (stacked states), `chart_forward` (one state, its
 row bit for bit) and `chart_inverse` read `_RadialOrbit`.  `global_flow`
 is the translation T -> T + t on every orbit, not only in U^eps: `_step`
@@ -246,9 +246,10 @@ def _quiet(tame: bool, **ignore):
 class _RadialOrbit:
     """Radial integrals of a stack of planar orbits in sigma = r**(2/n) = |Q|**2.
 
-    E and l are (k,) arrays, one orbit per row, and every method but `place`
-    and `state` (one row) maps a (k,) array of u to one value per orbit.
-    The radicand factors exactly at the pericenter s0:
+    E and l are (k,) arrays, one orbit per row.  A node pass (`_fused`) maps
+    a (k,) array of u, one per orbit, or on a one-row orbit a (j,) array of
+    u, to one value each; `place` and `state` take one row.  The radicand
+    factors exactly at the pericenter s0:
 
         r**2 p_r**2 = 2m (sigma - s0) G(sigma),   G = G0 + E sigma P(sigma),
         G0 = Z + E s0**(n-1),   P = sum_{k=1}^{n-1} sigma**(k-1) s0**(n-1-k),
@@ -265,16 +266,14 @@ class _RadialOrbit:
     [0, u_P], [u_P, 2 u_P], [2 u_P, 4 u_P], ..., each far enough from those
     zeros for its 32-node rule; a row with u <= u_P keeps one panel, bit for bit.
 
-    One orbit (a `global_flow` step, `chart_forward`, `chart_inverse`) finds
-    its constants in Python floats, with the rows' bits, reads T and dT/du
-    of a Newton round from one node pass (`time_rate` of one u), and enters
-    no np.errstate where nothing can overflow (`_tame`).  A step's Newton
-    guess needs no node pass (`step_guess`: an 8-node rule on the step's
-    own interval); one fused pass (`_fused`, like `_BoundOrbit`'s) places
-    the start and takes the first round, and the solve carries the end
-    angle, where everything is `_tame`; elsewhere the start takes
-    `time_angle`, the bracket doubles (`_power`) and the end angle is read
-    at u (`angle`).
+    Every node pass is `_fused`, `_BoundOrbit._fused`'s twin, which
+    `time`, `time_rate` and `angle` read.  One orbit (a `global_flow`
+    step, `chart_forward`, `chart_inverse`) finds its constants in Python
+    floats, with the rows' bits, and enters no np.errstate where nothing
+    can overflow (`_tame`).  A step's Newton guess needs no node pass
+    (`step_guess`: an 8-node rule on the step's own interval); one pass
+    stacked on the start and the guess places the start and takes the
+    first round, and every solve carries the end angle.
     """
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
@@ -308,14 +307,15 @@ class _RadialOrbit:
             # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
             self._inv_u_P = 0.0 * E if n == 1 else _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]
-        # the constants as columns against the nodes
-        self._E, self._s0, self._G0 = E[:, None], self.s0[:, None], self.G0[:, None]
+        # the constants as columns against the nodes, and the angle's sqrt(s0) and l/sqrt(2m)
+        self._E, self._s0, self._G0, self._l = E[:, None], self.s0[:, None], self.G0[:, None], l[:, None]
+        self._rs0, self._rG0, self._c = np.sqrt(self.s0), np.sqrt(self._G0), l / self.root2m
 
     def _tame(self, u) -> bool:
-        """Whether nothing out to u (a float or a (1,) array) can overflow, so
-        that no np.errstate is needed: entering one costs about 1 us."""
-        x = u if isinstance(u, float) else u[0] if u.shape == (1,) else math.inf
-        return x * x <= self._u2_tame
+        """Whether nothing out to u (a float, or every u of an array on a
+        one-row orbit) can overflow, so that no np.errstate is needed:
+        entering one costs about 1 us."""
+        return all(x * x <= self._u2_tame for x in ((u,) if isinstance(u, float) else u.tolist()))
 
     def _P(self, sigma: np.ndarray):
         P = 0.0 if self.n == 1 else 1.0
@@ -345,19 +345,20 @@ class _RadialOrbit:
         return _pow(sigma, self.n / 2.0 - 1.0), g
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sigma on the nodes of every panel out to u, a (k, 32 P) array,
-        and the (k, P) panel widths; a row that needs fewer than P panels
-        ends in panels of width 0."""
+        """sigma on the nodes of every panel out to u and, as the last
+        column, at u itself: a (k, 32 P + 1) array, and the (k, P) panel
+        widths; a row that needs fewer than P panels ends in panels of
+        width 0."""
         ratio = (u * self._inv_u_P).max()
         if not ratio > 1.0:
-            return self._s0 + (u[:, None] * _NODES) ** 2, u[:, None]
+            return self._s0 + (u[:, None] * _NODES_AND_END) ** 2, u[:, None]
         with np.errstate(divide="ignore"):
             u_P = 1.0 / self._inv_u_P
         edges = np.minimum(u_P[:, None] * 2.0 ** np.arange(int(np.ceil(np.log2(ratio))) + 1), u[:, None])
         start = np.concatenate((np.zeros((len(u), 1)), edges), axis=1)
         width = np.concatenate((edges, u[:, None]), axis=1) - start
         nodes = start[:, :, None] + width[:, :, None] * _NODES
-        return self._s0 + nodes.reshape(len(u), -1) ** 2, width
+        return self._s0 + np.concatenate((nodes.reshape(len(u), -1), u[:, None]), axis=1) ** 2, width
 
     def rate(self, u: np.ndarray) -> np.ndarray:
         """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); far out,
@@ -371,99 +372,69 @@ class _RadialOrbit:
             far_power, g = self._far(sigma)
             return np.where((power < np.inf) & (rG < np.inf), self.K * power / rG, self.K * far_power / g)[:, 0]
 
-    def _roots(self, sigma, tame: bool) -> tuple[np.ndarray, np.ndarray]:
-        """P and sqrt(G) on the nodes sigma, for `_time` and `_angle`; where
-        they overflow (not `_tame`), the far forms there replace them."""
-        with _quiet(tame, over="ignore", invalid="ignore"):
+    def _fused(self, u: np.ndarray, angle: bool = True) -> tuple[np.ndarray, ...]:
+        """T, dT/du, the swept angle and its rate at each u, from one pass
+        over `_nodes`, whose last column, u itself, the weights leave out;
+        T and dT/du alone without the angle.
+
+        T's integrand is K sigma**(n-1) / sqrt(G); dT/du is read at u in
+        `rate`'s order of operations.  Beyond u_P, where G overflows (the
+        integrand would read 0) or sigma**(n-1) does too (NaN), it is
+        `_far`'s K sigma**(n/2-1) / g.
+
+        The angle's rate is n l/sqrt(2m) / (sigma sqrt(G)), 0 on a collision
+        orbit.  Its integrand splits into 1/(sigma sqrt(G0)), whose integral
+        is the arctan term because l**2 = 2m s0 G0, and a remainder carrying
+        (G0 - G)/sigma = -E P, scaled by l/sqrt(2m).  Both stay smooth as
+        l -> 0, where the sweep tends to n pi/2.  Where the remainder's
+        denominator overflows (far out, or a large l), its integrand is
+        -1 / (sqrt(G0) (y + sigma + sqrt(y) sqrt(y + sigma))) with
+        y = G0 / (E P), which overflows nowhere (y = (G0 / E) / P where E P
+        overflows: a huge E).  Where P itself overflows (n >= 5), y = 0 and
+        the integrand is -1 / (sqrt(G0) sigma), the exact integrand's limit.
+        """
+        sigma, width = self._nodes(u)
+        tame, end = self._tame(u), sigma[:, -1]
+        with _quiet(tame, over="ignore", divide="ignore", invalid="ignore"):  # the far forms replace what overflows
             P = self._P(sigma)
-            return P, np.sqrt(self._G0 + self._E * sigma * P)
-
-    def _time(self, sigma, width, rG) -> np.ndarray:
-        """Far out, where G overflows (the integrand would read 0) or
-        sigma**(n-1) does too (NaN), the integrand is `_far`'s power / g."""
-        scale = self.K * width
-        if width.shape[1] == 1:  # within u_P, E sigma**(n-1) = O(Z)
-            return _panel_sum(scale, sigma ** (self.n - 1) / rG)
-        with np.errstate(over="ignore", invalid="ignore"):  # the far form replaces what overflows
-            vals = sigma ** (self.n - 1) / rG
-        T = _panel_sum(scale, vals)
-        if T.max() < np.inf and rG.max() < np.inf:
-            return T
-        power, g = self._far(sigma)
-        far = power / g
-        return np.where(np.isfinite(T), _panel_sum(scale, np.where(rG < np.inf, vals, far)), _panel_sum(scale, far))
-
-    def _angle(self, u, sigma, width, P, rG, tame: bool) -> np.ndarray:
-        """1/(sigma sqrt(G)) splits into 1/(sigma sqrt(G0)), whose integral is
-        the arctan term because l**2 = 2m s0 G0, and a remainder carrying
-        (G0 - G)/sigma = -E P.  Both stay smooth as l -> 0, where the sweep
-        tends to n pi/2.
-
-        Where the remainder's denominator overflows (far out, or a large l),
-        its integrand is -1 / (sqrt(G0) (y + sigma + sqrt(y) sqrt(y + sigma)))
-        with y = G0 / (E P), which overflows nowhere (y = (G0 / E) / P where
-        E P overflows: a huge E).  Where P itself overflows (n >= 5), y = 0
-        and the integrand is -1 / (sqrt(G0) sigma), the exact integrand's limit."""
-        scale = self.l[:, None] * width / self.root2m
-        with _quiet(tame, over="ignore", invalid="ignore"):  # the scaled forms replace what overflows
-            rG0 = np.sqrt(self._G0)
-            den = rG * rG0 * (rG + rG0)
-            vals = -self._E * P / den
-        rest = _panel_sum(scale, vals)
-        if not (tame or math.isfinite(float(den.max()) + float(rest.sum()))):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + self._E * sigma * P)
+            vals = power / rG
+            T, rate = _panel_sum(self.K * width, vals[:, :-1]), self.K * power[:, -1] / rG[:, -1]
+            far = not (tame or width.shape[1] == 1 or (T.max() < np.inf and rG.max() < np.inf and rate.max() < np.inf))
+            if far:
+                far_power, g = self._far(sigma)
+                scaled = far_power / g
+                T = np.where(np.isfinite(T), _panel_sum(self.K * width, np.where(rG < np.inf, vals, scaled)[:, :-1]),
+                             _panel_sum(self.K * width, scaled[:, :-1]))
+                rate = np.where((power[:, -1] < np.inf) & (rG[:, -1] < np.inf), rate, self.K * far_power[:, -1] / g[:, -1])
+            if not angle:
+                return T, rate
+            # unsplit, as far out the split's two parts cancel; 0 at the collision (l = sigma = 0)
+            angle_rate = self._c / np.maximum(end, _TINY) / rG[:, -1]
+            if far:  # sigma sqrt(G) = sigma**2 far_power g, divided in turn so that nothing underflows early
+                angle_rate = np.where(rG[:, -1] < np.inf, angle_rate, self._c / end / g[:, -1] / end / far_power[:, -1])
+            den = rG * self._rG0 * (rG + self._rG0)
+            rest = -self._E * P / den
+            scale = self._l * width / self.root2m
+            swept = _panel_sum(scale, rest[:, :-1])
+            if not (tame or math.isfinite(float(den.max()) + float(swept.sum()))):
                 EP = self._E * P
                 y = np.where(EP < np.inf, self._G0 / EP, self._G0 / self._E / P)
-                scaled = -1.0 / (rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma)))
-            rest = _panel_sum(scale, np.where((den < np.inf) & np.isfinite(vals), vals, scaled))
-        return self.n * (np.arctan2(u, np.sqrt(self.s0)) + rest)
+                scaled = -1.0 / (self._rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma)))
+                swept = _panel_sum(scale, np.where((den < np.inf) & np.isfinite(rest), rest, scaled)[:, :-1])
+        return T, rate, self.n * (np.arctan2(u, self._rs0) + swept), self.n * angle_rate
 
     def time(self, u: np.ndarray) -> np.ndarray:
         """Time from the pericenter out to u."""
-        sigma, width = self._nodes(u)
-        return self._time(sigma, width, self._roots(sigma, self._tame(u))[1])
+        return self._fused(u, angle=False)[0]
 
     def time_rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(time(u), rate(u)): a Newton round's pass.  One row within u_P
-        (a (1,) u) takes `_fused`'s pass without the angle."""
-        if u.shape != (1,) or u[0] * self._inv_u_P[0] > 1.0:
-            return self.time(u), self.rate(u)
+        """(time(u), rate(u)): a Newton round's pass."""
         return self._fused(u, angle=False)
 
-    def _fused(self, u: np.ndarray, angle: bool = True) -> tuple[np.ndarray, ...]:
-        """T, dT/du, the swept angle and its rate at each u of a (j,) array
-        on a one-row orbit, from one pass over the nodes of [0, u], or
-        beyond u_P of `_nodes`' panels, with u itself as a last node, which
-        the weights leave out: `_BoundOrbit._fused`'s twin; T and dT/du
-        alone without the angle.
-
-        dT/du is read in `rate`'s order of operations, and the angle split
-        as `_angle` splits it, so its rate at u is n (sqrt(s0)/sigma +
-        l/sqrt(2m) (-E P) / (sqrt(G) sqrt(G0) (sqrt(G) + sqrt(G0)))), the
-        arctan's part 0 on a collision orbit.  No far form replaces what
-        overflows: a round with the angle takes a `_tame` u."""
-        if (u * self._inv_u_P).max() > 1.0:
-            sigma, width = self._nodes(u)
-            sigma = np.concatenate((sigma, self._s0 + u[:, None] ** 2), axis=1)
-        else:
-            sigma, width = self._s0 + (u[:, None] * _NODES_AND_END) ** 2, u[:, None]
-        P = self._P(sigma)
-        power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + self._E * sigma * P)
-        T = _panel_sum(self.K * width, (power / rG)[:, :-1])
-        rate = self.K * power[:, -1] / rG[:, -1]
-        if not angle:
-            return T, rate
-        rG0, end, c = np.sqrt(self._G0), sigma[:, -1], self.l[0] / self.root2m
-        rest = -self._E * P / (rG * rG0 * (rG + rG0))
-        swept = np.arctan2(u, np.sqrt(self.s0)) + _panel_sum(c * width, rest[:, :-1])
-        angle_rate = (np.sqrt(self.s0) / end if self.s0[0] > 0.0 else 0.0 * end) + c * rest[:, -1]
-        return T, rate, self.n * swept, self.n * angle_rate
-
-    def time_angle(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Time and polar angle swept out to u, from one pass over the nodes."""
-        sigma, width, tame = *self._nodes(u), self._tame(u)
-        P, rG = self._roots(sigma, tame)
-        return self._time(sigma, width, rG), self._angle(u, sigma, width, P, rG, tame)
+    def angle(self, u) -> float:
+        """The swept angle at a float u on a one-row orbit."""
+        return self._fused(np.array([u]))[2][0]
 
     def phase(self, sigma, radial) -> np.ndarray:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
@@ -490,13 +461,6 @@ class _RadialOrbit:
             r = sigma[0] ** (self.n / 2.0)
             rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
         return r, rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
-
-    def angle(self, u) -> float:
-        """The swept angle at a float u on a one-row orbit, from one pass
-        over the nodes, where a solve did not carry it."""
-        u = np.array([u])
-        sigma, width, tame = *self._nodes(u), self._tame(u)
-        return self._angle(u, sigma, width, *self._roots(sigma, tame), tame)[0]
 
     def step_guess(self, u0, side0: float, t) -> tuple[float] | None:
         """Newton's first guess (u,) a time t after a start at u0 (None: the
@@ -546,37 +510,32 @@ class _RadialOrbit:
     def start(self, x0, side0: float, u=None):
         """The time tau0 and angle theta0 since the pericenter of a start at
         x0 on side side0 (x0 None: the pericenter) of a one-row orbit, and
-        at a guess u (`step_guess`, which keeps x0 and u `_tame`) T, dT/du,
-        the angle and its rate, `place`'s first round, else None: one fused
-        pass stacked on x0 and u, or `time_angle` of an x0 that is not
-        `_tame`."""
+        at a guess u (`step_guess`) T, dT/du, the angle and its rate,
+        `place`'s first round, else None: one pass stacked on x0 and u."""
         us = ([] if x0 is None else [x0]) + ([] if u is None else [u])
         if not us:
             return 0.0, 0.0, None
-        if not self._tame(us[0]):  # then no guess either
-            return *(side0 * v.item() for v in self.time_angle(np.array(us))), None
         T, rate, angle, angle_rate = (v.tolist() for v in self._fused(np.array(us)))
         placed = (0.0, 0.0) if x0 is None else (side0 * T[0], side0 * angle[0])
         return *placed, None if u is None else (T[-1], rate[-1], angle[-1], angle_rate[-1])
 
     def place(self, ts, start=None, first=None) -> tuple[None, np.ndarray, Solve]:
         """No whole periods, the side and u of one time ts since the
-        pericenter; the solve carries the swept angle where its rounds take
-        the fused pass (`_fused`).
+        pericenter; every round is a node pass (`_fused`), so the solve
+        carries the swept angle.
 
         start is (u0, side0, t): a start at u0 (None: the pericenter) on
         side side0 and the time t since it; None is the pericenter at t =
-        ts.  first, if taken already (`start`), is Newton's first guess g
-        and the fused pass there, else g is `step_guess` of start and its
-        pass is taken here.  T is odd in the signed u = side sqrt(sigma -
-        s0) and convex in u with T(0) = 0, so T(u)/u increases and the
-        tangent lies below T: T(g) >= |ts| puts the root in [g |ts| / T(g),
-        g], T(g) < |ts| in [g, g |ts| / T(g)], and Newton goes on in fused
-        rounds from that bracket, its step tolerance 4 ulp of g.
+        ts.  first is Newton's first guess g and the pass there (`start`),
+        or () where the caller's `step_guess` gave none; None: g is
+        `step_guess` of start, its pass taken here.  T is odd in the signed
+        u = side sqrt(sigma - s0) and convex in u with T(0) = 0, so T(u)/u
+        increases and the tangent lies below T: T(g) >= |ts| puts the root
+        in [g |ts| / T(g), g], T(g) < |ts| in [g, g |ts| / T(g)], and Newton
+        goes on from that bracket, its step tolerance 4 ulp of g.
 
-        Without a guess, or where that bracket is not `_tame`, Newton's
-        rounds take `time_rate` and start from the tangent at the start, or
-        at the pericenter from the E = 0 estimate, or from free motion
+        Without a guess, Newton starts from the tangent at the start, or at
+        the pericenter from the E = 0 estimate, or from free motion
         (`_free`) where that guess is many doublings off.  The bracket is
         then [hi/2, hi], hi = guess 2**e: e the nearest 0 with T(hi/2) <
         |ts| <= T(hi), or 0 for T(guess) in [|ts|, 2 |ts|], by steps that
@@ -588,13 +547,12 @@ class _RadialOrbit:
         if first is None:
             g = self.step_guess(u0, side0, t)
             first = g and (*g, *(v.item() for v in self._fused(np.array(g))))
-        if first is not None and first[1] > 0.0 and target[0] > 0.0:
+        if first and first[1] > 0.0 and target[0] > 0.0:
             g, T = first[:2]
             chord = g * target.item() / T
-            if self._tame(chord):
-                lo, hi = (chord, g) if T >= target[0] else (g, chord)
-                sol = _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first[1:])
-                return None, np.sign(ts), sol
+            lo, hi = (chord, g) if T >= target[0] else (g, chord)
+            sol = _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first[1:])
+            return None, np.sign(ts), sol
         if u0 is None:
             guess = np.zeros(1)
         else:
@@ -607,7 +565,7 @@ class _RadialOrbit:
         if free > 0.0 and not free / 16.0 <= guess[0] <= 16.0 * free:
             guess = np.array([min(free, _U_MAX)])
         hi = np.ldexp(guess, self._power(guess, target[0])) if target[0] > 0.0 else 0.0 * guess
-        return None, np.sign(ts), _solve_increasing(self.time_rate, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
+        return None, np.sign(ts), _solve_increasing(self._fused, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
 
     def _free(self, target: float) -> float:
         """u where T's far form K u**n / (n sqrt(E)), free motion, reaches
@@ -622,13 +580,9 @@ class _RadialOrbit:
     def _power(self, guess: np.ndarray, target: float) -> int:
         def high(e: int) -> bool:
             u = np.ldexp(guess, e)
-            if not u[0] < _U_MAX:
-                return True
-            with _quiet(self._tame(u), over="ignore", invalid="ignore"):  # T beyond the float range is high
-                return not self.time(u)[0] < target
+            return not (u[0] < _U_MAX and self.time(u)[0] < target)  # T beyond the float range is high
 
-        with _quiet(self._tame(guess), over="ignore", invalid="ignore"):
-            T = self.time(guess)[0]
+        T = self.time(guess)[0]
         if target <= T <= 2.0 * target:
             return 0
         up = T < target  # then e = 0 is low, else high
@@ -912,8 +866,8 @@ class _BoundOrbit:
     (`_guess`) inverts T on a grid, read from the cosine series of dT/dphi
     (33 samples give T to round-off), so Newton mostly confirms it in one
     round, and the solve carries the end angle from that round to the root
-    to first order.  A `global_flow` step (`_bound_step`) reads its guess
-    off the series alone, and so takes one stacked pass: the apsides, the
+    to first order.  A `global_flow` step (`_step`) reads its guess off
+    the series alone, and so takes one stacked pass: the apsides, the
     start and Newton's first round.  Many phases (`_sample`) take the array
     paths, which compute the same bits.  Between calls the orbit keeps only
     its cached `_apsides` and `_series`.
@@ -996,7 +950,7 @@ class _BoundOrbit:
         elementwise, from one pass over the nodes of [0, phi] and phi
         itself as a 33rd node, which the weights leave out.
 
-        As in `_RadialOrbit._angle`, with R = R0 + sigma S the term
+        As in `_RadialOrbit._fused`, with R = R0 + sigma S the term
         1/(sigma sqrt(R0)) integrates to the arctan, because
         l**2 = 2m s0 s1 R0, and the remainder's integrand
         -S / (sqrt(R R0) (sqrt(R) + sqrt(R0))) stays smooth as l -> 0 (and
@@ -1163,12 +1117,14 @@ class _BoundOrbit:
         and ts itself where the whole periods or side differ.  One finite
         time on an orbit of finite, nonzero period takes the same steps in
         Python floats (`_place_one`), with first: the reduction and guess of
-        `step_guess`, and the first round's pass at the guess (`start`).
+        `step_guess`, and the first round's pass at the guess (`start`), or
+        () where `step_guess` gave none.
         """
         ts = np.asarray(ts, dtype=float)
         P = self.period
         if ts.shape == (1,) and math.isfinite(ts[0]) and 0.0 < P < math.inf:
-            return self._place_one(ts.item(), first or self._series_guess_one(self._series_times(start, ts).item()))
+            guess = self._series_guess_one(self._series_times(start, ts).item()) if first is None else first
+            return self._place_one(ts.item(), guess)
         start = self._series_times(start, ts)
         k, side, t = _reduce(ts, P)
         T, _, a0 = self._series[:3]
@@ -1194,9 +1150,10 @@ class _BoundOrbit:
 
     def _place_one(self, ts: float, guess) -> tuple[np.ndarray, np.ndarray, Solve]:
         """`place` of one time in floats, from `_series_guess_one` of its
-        start and, following it, its first round, if taken already."""
+        start (None or (): none) and, following it, its first round, if
+        taken already."""
         k, side, t = _reduce_one(ts, self.period)
-        if guess is None or guess[:2] != (k, side):
+        if not guess or guess[:2] != (k, side):
             guess = (k, side, self._guess_one(t))
         sol = _solve_increasing(self._fused, np.array([t]), np.array([guess[2]]), 0.0, np.pi / 2.0, 0.0, _PHI_RTOL,
                                 guess[3:] or None)
@@ -1266,7 +1223,7 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     at x).
 
     The end angle is carried from the solve's last round, or where the
-    solve did not carry it, read at x (`angle`).  Each whole period turns
+    solve did not carry it (`_ZeroEnergyOrbit`), read at x (`angle`).  Each whole period turns
     the pericenter by two apsidal angles; without whole periods it stays
     at -theta0.  x stays a float: powers of a (1,) array round differently.
     """
@@ -1276,7 +1233,7 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     x0, side0 = placed
     guess = orbit.step_guess(x0, side0, t)
     tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[-1])
-    k, side, sol = orbit.place(np.array([tau0 + t]), (x0, side0, t), guess and (*guess, *first))
+    k, side, sol = orbit.place(np.array([tau0 + t]), (x0, side0, t), () if guess is None else (*guess, *first))
     x, side = sol.x.item(), float(side[0])
     # p_r is unbounded at the collision: r = 0 where s0 = 0, or r underflows
     s0 = _item(orbit.s0)
@@ -1325,7 +1282,7 @@ def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
         iterations = max(iterations, sol.iterations)
         if one:
             start = (sol.x.item(), side.item(), ts - ts[i])
-    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, orbit.time_rate if one else sol.f, t))
+    return Step(r, p_r, swept, pericenter, periods, Solve(x, iterations, sol.f, t))
 
 
 class ChartRows(NamedTuple):
@@ -1388,7 +1345,7 @@ def _chart_rows(params: ModelParams, q, p, e1, e2, r, E, l, radial) -> ChartRows
     n = params.n
     orbit = _RadialOrbit(params, E, l)
     sign = np.sign(radial)
-    T, phi = orbit.time_angle(orbit.phase(_pow(r, 2.0 / n), radial))
+    T, phi = orbit._fused(orbit.phase(_pow(r, 2.0 / n), radial))[::2]
     phi = -sign * phi
     # the pericenter momentum has direction i e^(i phi); lift it to the branch
     # at angle phi/n

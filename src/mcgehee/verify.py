@@ -361,7 +361,8 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
         raise ValueError("entry state's orbit turns back before it reaches the chart radius")
     u_in = orbit.phase(chart._pow(r, 2.0 / n), radial)
     u_out = np.sqrt(sigma_eps - orbit.s0)
-    measured = float(orbit.time(u_in)[0] + orbit.time(u_out)[0])
+    T_in, T_out = orbit.time(np.concatenate((u_in, u_out))).tolist()
+    measured = T_in + T_out
     bound = transit_bound(params)
     return TransitCheck(measured=measured, bound=bound, ok=measured <= bound)
 

@@ -55,7 +55,7 @@ def test_src_line_count_is_wc_l():
     assert load_digests().src_lines() == int(out.stdout.split()[-2])  # the "total" line
 
 
-RECORDED_FLOW = "1b3bfbbaa2defbba"
+RECORDED_FLOW = "6be08380171b5995"
 
 
 def test_global_flow_keeps_its_recorded_digest():
@@ -87,7 +87,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3652  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3610  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

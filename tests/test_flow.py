@@ -432,7 +432,7 @@ class TestHugeTimes:
                     assert np.isinf(orbit._P(sigma)).any() == (u > 1e30)
                 points = [0, *(mp.sqrt(s0) * 4**k for k in range(-1, 200) if mp.sqrt(s0) * 4**k < u), u]
                 exact = n * l / mp.sqrt(2 * params.m) * mp.quad(integrand, points)
-                angle = orbit.time_angle(np.array([u]))[1][0]
+                angle = orbit.angle(u)
                 assert abs(angle - float(exact)) <= 1e-13 * float(exact)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -604,6 +604,35 @@ class TestUnboundSteps:
         rounds, passes = digests.flow_rounds(calls)["unbound"], digests.flow_passes(calls)["unbound"]
         assert len(rounds) == len(passes) == len(calls) == 768
         assert np.mean(rounds) <= 1.3 and np.mean(passes) <= 2.5
+
+    def test_a_rule_that_gives_up_runs_once(self, monkeypatch):
+        # a pericenter passage where dT/du falls far below its value at the
+        # start: the short-interval rule gives up after its 8 rounds, and
+        # `place` does not run it a second time; the solve from the tangent
+        # and the doubling bracket still carries the end angle
+        params = ModelParams(n=4, d=2, eps=0.1)
+        orbit = chart._RadialOrbit(params, np.array([405.0]), np.array([0.253]))
+        u0 = 0.344
+        sigma = orbit.s0[0] + u0 * u0
+        radial = -np.sqrt(2.0 * params.m * orbit.G(np.array([[sigma]]))[0, 0]) * u0  # inbound at u0
+        guesses, rule = [], chart._RadialOrbit.step_guess
+        monkeypatch.setattr(chart._RadialOrbit, "step_guess", lambda self, *a: guesses.append(rule(self, *a)) or guesses[-1])
+        step = chart._step(orbit, sigma, radial, 0.00178)
+        assert guesses == [None] and step.solve.carried is not None
+
+    def test_every_step_carries_its_end_angle(self, monkeypatch):
+        # every round is a node pass with the angle, so no unbound step
+        # reads the end angle in a pass of its own
+        monkeypatch.setattr(chart._RadialOrbit, "angle", lambda self, u: pytest.fail("the angle read alone"))
+        steps, step = [], chart._step
+        monkeypatch.setattr(chart, "_step", lambda orbit, *a: steps.append((orbit, step(orbit, *a))) or steps[-1][1])
+        for params, x, t in flow_calls() + unbound_chains(ns=(4,), starts=2):
+            try:
+                chart.global_flow(params, x, t)
+            except DomainError:
+                pass
+        unbound = [s.solve for orbit, s in steps if isinstance(orbit, chart._RadialOrbit) and s.solve is not None]
+        assert len(unbound) >= 180 and all(sol.carried is not None for sol in unbound)  # 202 steps
 
     def test_short_steps_are_dop853s(self):
         # n = 3-5, each step whose path keeps beyond a quarter of |q| from

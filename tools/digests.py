@@ -200,7 +200,7 @@ def flow_rounds(calls) -> dict[str, list[int]]:
 
 
 # the methods that make one pass over an orbit's quadrature nodes
-NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "time_rate", "time_angle", "angle", "_fused")}
+NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "time_rate", "angle", "_fused")}
 
 
 def flow_passes(calls) -> dict[str, list[int]]:
