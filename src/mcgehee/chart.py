@@ -16,14 +16,14 @@ step_guess, start, place, state, angle); each node pass of the two
 quadrature classes (`_fused`) gives T, its rate, the swept angle and its
 rate, and each Newton round of `place` is one pass (`time_rate` at E = 0).
 `chart_forward_rows` (stacked states), `chart_forward` (one state, its
-row bit for bit) and `chart_inverse` read `_RadialOrbit`.  `global_flow`
-is the translation T -> T + t on every orbit, not only in U^eps: `_step`
-guesses the end before any node pass, places the start in the pass of
-Newton's first round, advances its time since the pericenter, modulo the
-radial period on bound orbits, and solves for the new coordinate.
-`trajectory` places one start's orbit at many times by `_sample`.
-`pericenter` keeps the covering-ODE route to the chart's pericenter as an
-independent check.
+row bit for bit) and `chart_inverse` read `_RadialOrbit`, whose pericenter
+is one Newton root in Python floats per orbit.  `global_flow` is the
+translation T -> T + t on every orbit, not only in U^eps: `_step` guesses
+the end before any node pass, places the start in the pass of Newton's
+first round, advances its time since the pericenter, modulo the radial
+period on bound orbits, and solves for the new coordinate.  `trajectory`
+places one start's orbit at many times by `_sample`; `pericenter` keeps
+the covering-ODE route to the chart's pericenter as an independent check.
 """
 
 from __future__ import annotations
@@ -155,13 +155,6 @@ def _item(x) -> float:
     return x if type(x) is float else float(np.asarray(x).item())
 
 
-def _as_one(value: float, *inputs):
-    """value as the one-element result of elementwise inputs: a float for
-    scalars, else an array of their broadcast shape."""
-    ndim = max(_ndim(x) for x in inputs)
-    return value if ndim == 0 else np.array(value).reshape((1,) * ndim)
-
-
 def on_S_eps(params: ModelParams, x: PhasePoint) -> bool:
     """In the chart domain and radially at rest: |<q,p>| < PERICENTER_TOL ||q|| ||p||."""
     if not in_U_eps(params, x):
@@ -229,7 +222,7 @@ _RULE_RTOL = 1e-8
 _RULE_ROUNDS = 8
 # u beyond which sigma = s0 + u**2 overflows
 _U_MAX = np.sqrt(np.finfo(float).max)
-# the smallest normal float: l2/(2mE) below it takes `_sigma_root`'s scaled root
+# the smallest normal float: a pericenter root's terms below it take `_units`
 _TINY = float(np.finfo(float).tiny)
 # a bound far enough below the float range that products of three such
 # values stay in it (`_RadialOrbit._tame`)
@@ -286,15 +279,14 @@ class _RadialOrbit:
         # E, G0, K and sqrt(2m) <= _TAME every product stays finite
         self._u2_tame = -1.0
         # where E s0**(n-1) overflows, G0 = l**2/(2m s0), from f(s0) = 0
-        if E.shape == (1,):  # `_sigma_min` of one row ends in these one-root solvers
+        if E.shape == (1,):  # one row in Python floats, the root `_sigma_min` takes for each row
             e, l2, m, Z = float(E[0]), float(l[0]) * float(l[0]), params.m, params.Z
             s0 = _r_min_kepler_one(e, l2, m, Z) if n == 2 else _sigma_root_one(e, l2, m, Z, n)
-            try:
-                G0 = Z + e * math.pow(s0, n - 1)
-            except OverflowError:
-                G0 = math.inf
-            G0 = G0 if G0 < math.inf else l2 / (2.0 * m) / s0
+            G0 = Z + e * _or_inf(math.pow, s0, n - 1)
+            G0 = G0 if abs(G0) < math.inf else l2 / (2.0 * m) / s0
             inv_u_P = 0.0 * e if n == 1 else _pow(max(e, 0.0) / Z, 0.5 / (n - 1.0)) / _panel_scale(n)
+            if not inv_u_P < math.inf:  # E/Z overflows: the powers apart
+                inv_u_P = _pow(e, 0.5 / (n - 1.0)) / _pow(Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             if all(v <= _TAME for v in (e, G0, self.K, self.root2m)):
                 self._u2_tame = (_TAME / max(1.0, n * e)) ** (1.0 / max(1, n - 1)) - s0
             self.s0, self.G0, self._inv_u_P = np.array([s0]), np.array([G0]), np.array([inv_u_P])
@@ -304,8 +296,11 @@ class _RadialOrbit:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 G0 = params.Z + E * _pow(self.s0, n - 1)
                 self.G0 = np.where(G0 < np.inf, G0, l * l / (2.0 * params.m) / self.s0)
-            # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
-            self._inv_u_P = 0.0 * E if n == 1 else _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0)) / _panel_scale(n)
+                # 1/u_P, and 0 where E <= 0 (no zeros of G to keep away from)
+                self._inv_u_P = 0.0 * E if n == 1 else _pow(np.maximum(E, 0.0) / params.Z, 0.5 / (n - 1.0)) / _panel_scale(n)
+                if not self._inv_u_P.max(initial=0.0) < np.inf:  # E/Z overflows: the powers apart
+                    p = 0.5 / (n - 1.0)
+                    self._inv_u_P = np.where(self._inv_u_P < np.inf, self._inv_u_P, _pow(E, p) / _pow(params.Z, p) / _panel_scale(n))
             self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]
         # the constants as columns against the nodes, and the angle's sqrt(s0) and l/sqrt(2m)
         self._E, self._s0, self._G0, self._l = E[:, None], self.s0[:, None], self.G0[:, None], l[:, None]
@@ -352,9 +347,10 @@ class _RadialOrbit:
         ratio = (u * self._inv_u_P).max()
         if not ratio > 1.0:
             return self._s0 + (u[:, None] * _NODES_AND_END) ** 2, u[:, None]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):  # u_P = inf where E <= 0; log2 of u and 1/u_P apart where u/u_P overflows
             u_P = 1.0 / self._inv_u_P
-        edges = np.minimum(u_P[:, None] * 2.0 ** np.arange(int(np.ceil(np.log2(ratio))) + 1), u[:, None])
+            panels = np.log2(ratio) if ratio < np.inf else (np.log2(u) + np.log2(self._inv_u_P)).max()
+        edges = np.minimum(np.ldexp(u_P[:, None], np.arange(int(np.ceil(panels)) + 1)), u[:, None])
         start = np.concatenate((np.zeros((len(u), 1)), edges), axis=1)
         width = np.concatenate((edges, u[:, None]), axis=1) - start
         nodes = start[:, :, None] + width[:, :, None] * _NODES
@@ -393,9 +389,9 @@ class _RadialOrbit:
         overflows: a huge E).  Where P itself overflows (n >= 5), y = 0 and
         the integrand is -1 / (sqrt(G0) sigma), the exact integrand's limit.
         """
-        sigma, width = self._nodes(u)
-        tame, end = self._tame(u), sigma[:, -1]
+        tame = self._tame(u)
         with _quiet(tame, over="ignore", divide="ignore", invalid="ignore"):  # the far forms replace what overflows
+            sigma, width = self._nodes(u)
             P = self._P(sigma)
             power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + self._E * sigma * P)
             vals = power / rG
@@ -410,9 +406,9 @@ class _RadialOrbit:
             if not angle:
                 return T, rate
             # unsplit, as far out the split's two parts cancel; 0 at the collision (l = sigma = 0)
-            angle_rate = self._c / np.maximum(end, _TINY) / rG[:, -1]
+            angle_rate = self._c / np.maximum(sigma[:, -1], _TINY) / rG[:, -1]
             if far:  # sigma sqrt(G) = sigma**2 far_power g, divided in turn so that nothing underflows early
-                angle_rate = np.where(rG[:, -1] < np.inf, angle_rate, self._c / end / g[:, -1] / end / far_power[:, -1])
+                angle_rate = np.where(rG[:, -1] < np.inf, angle_rate, self._c / sigma[:, -1] / g[:, -1] / sigma[:, -1] / far_power[:, -1])
             den = rG * self._rG0 * (rG + self._rG0)
             rest = -self._E * P / den
             scale = self._l * width / self.root2m
@@ -1364,214 +1360,149 @@ def r_min(params: ModelParams, E: float, l2: float) -> float:
     root.  For n >= 3 it is right within 1e-13 relative (against a 40-digit
     bisection) wherever r is a normal float, for E < 0 while l2 lies 2.3 %
     or more below the circular-orbit threshold, near which the root is double.
-    """
-    return _sigma_min(params, E, l2) ** (params.n / 2.0)
+    r beyond the float range is inf."""
+    return _or_inf(pow, _sigma_min(params, E, l2), params.n / 2.0)
+
+
+def _or_inf(f, *args) -> float:
+    """f(*args), inf where the float power or math.ldexp in it overflows."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
 
 
 def _sigma_min(params: ModelParams, E, l2):
     """sigma = r**(2/n) at the pericenter; elementwise, a float for scalars."""
     if (l2 < 0.0) if _ndim(l2) == 0 else np.any(np.asarray(l2) < 0):
         raise ValueError("l2 must be non-negative")
-    if params.n == 2:
-        return r_min_kepler(params, E, l2)
-    return _sigma_root(params, E, l2)
+    return (r_min_kepler if params.n == 2 else _sigma_root)(params, E, l2)
 
 
 def _r_min_root(params: ModelParams, E: float, l2: float) -> float:
     """Pericenter radius by the Newton solver, any n >= 1."""
-    return _sigma_root(params, E, l2) ** (params.n / 2.0)
+    return _or_inf(pow, _sigma_root(params, E, l2), params.n / 2.0)
 
 
-def _peak(Z: float, n: int, E):
+def _each(root, E, l2, *args):
+    """root(E, l2, *args) of each float pair of E and l2: a float for scalars,
+    else an array of their broadcast shape (25-37 rows cost about numpy's overhead)."""
+    if _ndim(E) == _ndim(l2) == 0:
+        return root(float(E), float(l2), *args)
+    E, l2 = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(E, l2))
+    return np.array([root(e, b, *args) for e, b in zip(E.ravel().tolist(), l2.ravel().tolist())]).reshape(E.shape)
+
+
+def _peak(Z: float, n: int, E: float) -> tuple[float, float]:
     """sigma and value of the maximum of E s**n + Z s (E < 0, n >= 2), the
     l**2/2m of the circular orbit of energy E; as n E s_peak**(n-1) = -Z,
     the value is Z s_peak (n-1)/n, with no s_peak**n to overflow."""
-    s_peak = _pow(Z / (n * -E), 1.0 / (n - 1.0))
+    s_peak = math.pow(Z / (n * -E), 1.0 / (n - 1.0))
     return s_peak, Z * s_peak * ((n - 1.0) / n)
 
 
 def _sigma_root(params: ModelParams, E, l2):
-    """Smallest root of f(s) = E s**n + Z s - l2/(2m), s = r**(2/n), by Newton.
-
-    Elementwise over E and l2; a float for scalars.  One root (size-1
-    input) is found in Python floats (`_sigma_root_one`).  Below the
-    centrifugal maximum f is increasing, concave for E < 0 and convex for
-    E > 0, so the iterates climb to the root from below (E < 0) or descend
-    to it from above (E > 0).  The start is l2/(2 m Z), the root at E = 0,
-    and for E > 0 the smaller of it and (l2/(2 m E))**(1/n): both lie
-    above the root, where E s**n or Z s is at least half of l2/(2m), so
-    the smaller lies within a factor 2 of it.  Where l2/(2 m |E|) is not
-    a normal float, s**n under- or overflows at the root: there, one root
-    at a time, s = b x with ±x**n + c x = 1 (± the sign of E), where
-    b = (l2/(2m))**(1/n) / |E|**(1/n), c = Z b / (l2/(2m)), and x starts,
-    by the same arguments, at min(1, 1/c) (E > 0) or 1/c (E < 0).
-    Raises NoPericenterError when any row has no root.
-    """
-    m, Z, n = params.m, params.Z, params.n
-    if _size(E) == _size(l2) == 1:
-        return _as_one(_sigma_root_one(_item(E), _item(l2), m, Z, n), E, l2)
-    E, l2 = np.asarray(E, dtype=float), np.asarray(l2, dtype=float)
-    rhs = l2 / (2.0 * m)
-    if n == 1:
-        if ((E + Z <= 0.0) & (rhs != 0.0)).any():
-            raise NoPericenterError(_N1_NO_PERICENTER)
-        return rhs / np.where(rhs == 0.0, 1.0, E + Z)
-    # for E < 0 the maximum of E s**n + Z s separates the two roots; rows
-    # with E >= 0 take E = -1 here and are masked out
-    bound = E < 0.0
-    s_peak, peak = _peak(Z, n, np.where(bound, E, -1.0))
-    above = bound & (peak < rhs)
-    if above.any():
-        k = np.argmax(above)
-        raise NoPericenterError(_above_threshold(E.flat[k], l2.flat[k]))
-    # for E <= 0, and where l2/(2mE) overflows, (l2/(2mE))**(1/n) is inf or
-    # NaN, which fmin passes over: the start stays l2/(2mZ)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = rhs / E
-        s = np.fmin(rhs / Z, _pow(ratio, 1.0 / n))
-    s = _monotone_newton(E, Z, n, rhs, s).x
-    # l2/(2m|E|) outside the normal floats: one root at a time, as `_sigma_root_one` finds it
-    size = np.abs(ratio)
-    for k in np.flatnonzero((E != 0.0) & ~((size >= _TINY) & (size < np.inf)) & (rhs > 0.0)):
-        s.flat[k] = _sigma_root_one(float(E.flat[k]), float(l2.flat[k]), m, Z, n)
-    # circular orbit: a double root, where Newton stops ~sqrt(eps) short
-    return np.where(bound & (peak == rhs), s_peak, s)
-
-
-_N1_NO_PERICENTER = "n = 1 requires positive kinetic energy E + Z"
-
-
-def _above_threshold(E: float, l2: float) -> str:
-    return f"no pericenter for E={E}, l2={l2}: angular momentum above the circular-orbit threshold"
+    """Smallest root of E s**n + Z s = l2/(2m), s = r**(2/n), one at a time
+    (`_sigma_root_one`); NoPericenterError where any row has none."""
+    return _each(_sigma_root_one, E, l2, params.m, params.Z, params.n)
 
 
 def _sigma_root_one(E: float, l2: float, m: float, Z: float, n: int) -> float:
-    """`_sigma_root` of one float E and l2, in Python floats."""
-    rhs = l2 / (2.0 * m)
+    """`_sigma_root` of one float E and l2.  Below the centrifugal maximum f
+    is increasing, concave for E < 0 and convex for E > 0: Newton climbs to
+    the root (E < 0) or descends to it (E > 0) from l2/(2 m Z), the root at
+    E = 0, or for E > 0 from the smaller of it and (l2/(2 m E))**(1/n), which
+    lies within a factor 2 of the root.  Where l2/(2m), its ratios to Z and
+    |E|, or n E leave the normal floats, it is found in `_units`' units."""
+    k, b, e, z, rhs = 0, 1.0, E, Z, l2 / (2.0 * m)
     if n == 1:
         if E + Z <= 0.0 and rhs != 0.0:
-            raise NoPericenterError(_N1_NO_PERICENTER)
+            raise NoPericenterError("n = 1 requires positive kinetic energy E + Z")
         return rhs / (1.0 if rhs == 0.0 else E + Z)
-    if E < 0.0:
-        s_peak, peak = _peak(Z, n, E)
+    if not (l2 == 0.0 or _TINY <= rhs < math.inf and (E > 0.0 or rhs / Z < math.inf and n * E > -math.inf)
+            and (E == 0.0 or _TINY <= rhs / abs(E) < math.inf)):
+        k, b, e, rhs, z = _units(E, l2, m, Z, n)
+    if e < 0.0 and rhs > 0.0:
+        s_peak, peak = _peak(z, n, e)
         if peak < rhs:
-            raise NoPericenterError(_above_threshold(E, l2))
-        if peak == rhs:  # circular orbit: see `_sigma_root`
-            return float(s_peak)
-    if rhs > 0.0 and E != 0.0 and not _TINY <= rhs / abs(E) < math.inf:  # s = b x: see `_sigma_root`
+            raise NoPericenterError(f"no pericenter for E={E}, l2={l2}: angular momentum above the circular-orbit threshold")
+        if peak == rhs:  # circular orbit: a double root, where Newton stops ~sqrt(eps) short
+            return _or_inf(math.ldexp, b * s_peak, k)
+    s = min(rhs / z, math.pow(rhs / e, 1.0 / n)) if e > 0.0 else rhs / z
+    s = b * _monotone_newton(e, z, n, rhs, s).x
+    return _or_inf(math.ldexp, s, k) if k else s
+
+
+def _units(E: float, l2: float, m: float, Z: float, n: int) -> tuple[int, float, float, float, float]:
+    """(k, b, E', rhs', Z'): E s**n + Z s = rhs = l2/(2m) as E' y**n + Z' y =
+    rhs' in y = s / (b 2**k).  For n > 2 and a normal rhs, +-y**n + c y = 1
+    with b = (rhs/|E|)**(1/n) and c = Z b / rhs, unless c overflows.  Else
+    b = 1, rhs' in (1/4, 1) and k the log2 of the smaller of rhs/Z and
+    (rhs/|E|)**(1/n), from the exponents of E, l2, m and Z apart, so that
+    nothing overflows.  A negligible c or Z' is raised to 5e-324 or 2**-1000."""
+    rhs = l2 / (2.0 * m)
+    if _TINY <= rhs < math.inf and E != 0.0 and n > 2:
         b = math.pow(rhs, 1.0 / n) / math.pow(abs(E), 1.0 / n)
-        c = Z * b / rhs
-        x0 = 1.0 / c if E < 0.0 else 1.0 / max(1.0, c)
-        return b * float(_monotone_newton(math.copysign(1.0, E), c, n, 1.0, x0).x)
-    s = rhs / Z
-    if E > 0.0:
-        s = min(s, math.pow(rhs / E, 1.0 / n))
-    return float(_monotone_newton(E, Z, n, rhs, s).x)
+        if Z * b / rhs < math.inf:
+            return 0, b, math.copysign(1.0, E), 1.0, max(Z * b / rhs, 5e-324)
+    (fl, il), (fm, im), (fz, iz), (_, ie) = (math.frexp(v) for v in (l2, m, Z, E))
+    rho = il - im  # rhs = fl/(2 fm) 2**rho
+    k = rho - iz if E == 0.0 else min(rho - iz, (rho - ie) // n)
+    return k, 1.0, math.ldexp(E, n * k - rho), fl / (2.0 * fm), math.ldexp(fz, max(iz + k - rho, -1000))
 
 
-# from the pericenter root's starts (within a factor 2 of the root for
-# E > 0) the monotone Newton converges in a handful of steps; the cap only
-# bounds a NaN or runaway start
-_NEWTON_MAX_ITER = 200
+_NEWTON_MAX_ITER = 200  # bounds a NaN or runaway start: from the root's starts Newton takes a handful
 
 
-def _monotone_newton(E, Z: float, n: int, rhs, s) -> Solve:
-    """Roots of E s**n + Z s = rhs by Newton from s, elementwise over E, rhs
-    and s, each start on a side where its iterates move monotonically
-    toward its root.
-
-    A row stops at the first step that no longer moves that way or no
-    longer changes s (a step below half an ulp of s), and keeps its value
-    from then on, so its root does not depend on the other rows.  A single
-    root (0-d or size-1 input) takes the same steps in Python floats
-    (`_newton_one`), unless a power overflows or the slope is 0 there: then
-    the arrays' inf or NaN (`_newton_rows`) is the answer.
-    """
-    ndim = max(_ndim(E), _ndim(rhs), _ndim(s))
-    if ndim and not _size(E) == _size(rhs) == _size(s) == 1:
-        return _newton_rows(E, Z, n, rhs, s)
-    try:
-        return _newton_one(E, Z, n, rhs, s, (1,) * ndim)
-    except (OverflowError, ZeroDivisionError):
-        return _newton_rows(E, Z, n, rhs, s)
-
-
-def _newton_one(E, Z: float, n: int, rhs, s, shape: tuple) -> Solve:
-    """`_newton_rows` on one root in Python floats; the root is an array of
-    that shape, or a float64 for shape ()."""
+def _monotone_newton(E: float, Z: float, n: int, rhs: float, s: float) -> Solve:
+    """The root of E s**n + Z s = rhs by Newton from s, in Python floats,
+    s on a side where the iterates move monotonically toward the root.  It
+    stops at the first step that no longer moves that way or no longer
+    changes s (a step below half an ulp of s), and is NaN where a power
+    overflows or the slope is 0.  Where n E overflows (E beyond 1.8e308 /
+    n), the slope is n (E s**(n-1)), which at s = 0 is 0, not NaN."""
     f = lambda x: (E * _pow(x, n) + Z * x,)  # noqa: E731
-    E, t, s = (_item(v) for v in (E, rhs, s))
-    nE = n * E
-    last = 0.0  # the sign of the last step, as np.sign gives it to the rows
+    nE, wide, last = n * E, not abs(n * E) < math.inf, 0.0  # last: the sign of the last step
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        power = s ** (n - 1)
-        slope = nE * power if abs(nE) < math.inf else n * (E * power)
-        step = (E * s**n + Z * s - t) / (slope + Z)
+        try:
+            power = s ** (n - 1)
+            step = (E * s**n + Z * s - rhs) / ((n * (E * power) if wide else nE * power) + Z)
+        except (OverflowError, ZeroDivisionError):
+            return Solve(math.nan, iterations, f, rhs)
         new = s - step
         if new == s or last * step < 0.0:
             break
-        s, last = new, math.copysign(1.0, step)
-    return Solve(np.full(shape, s) if shape else np.float64(s), iterations, f, rhs)
-
-
-def _newton_rows(E, Z: float, n: int, rhs, s) -> Solve:
-    """`_monotone_newton` on arrays, any number of roots.
-
-    The slope is n E s**(n-1) + Z, except where n E overflows (E beyond
-    1.8e308 / n): there it is n (E s**(n-1)), which at s = 0 is 0, where
-    (n E) 0 would be NaN."""
-    f = lambda x: (E * _pow(x, n) + Z * x,)  # noqa: E731
-    E, rhs, s = (np.asarray(v, dtype=float) for v in (E, rhs, s))
-    wide = not float(np.abs(E).max(initial=0.0)) * n < math.inf
-    last, done = 0.0, False  # per row after the first step: its sign, and the stop
-    iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        nE = n * E
-        while iterations < _NEWTON_MAX_ITER:
-            iterations += 1
-            power = _pow(s, n - 1)
-            slope = np.where(np.isinf(nE), n * (E * power), nE * power) if wide else nE * power
-            step = (E * _pow(s, n) + Z * s - rhs) / (slope + Z)
-            new = s - step
-            done |= (new == s) | (last * step < 0.0)
-            s = np.where(done, s, new)
-            if done.all():
-                break
-            last = np.sign(step)
+        s, last = new, 1.0 if step > 0.0 else -1.0
     return Solve(s, iterations, f, rhs)
 
 
 def r_min_kepler(params: ModelParams, E, l2):
-    """Closed-form Kepler pericenter radius (n = 2 only); elementwise, a
-    float for scalars; one radius (size-1 input) in Python floats.  Where
-    Z**2 + 2 (E l2)/m overflows, its root is sqrt(2/m) sqrt(E) sqrt(l2),
-    which overflows neither at 2 E nor at 2 E / m."""
+    """Closed-form Kepler pericenter radius (n = 2 only), one at a time
+    (`_each` of `_r_min_kepler_one`)."""
     if params.n != 2:
         raise ValueError("closed form only available for n = 2")
-    m, Z = params.m, params.Z
-    if _size(E) == _size(l2) == 1:
-        return _as_one(_r_min_kepler_one(_item(E), _item(l2), m, Z), E, l2)
-    E, l2 = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(E, l2))
-    with np.errstate(over="ignore"):
-        disc = Z * Z + 2.0 * (E * l2) / m
-    if np.any(disc < 0.0):
-        k = int(np.argmax(disc < 0.0))
-        raise NoPericenterError(f"no pericenter for E={E.flat[k]}, l2={l2.flat[k]}")
-    root = np.sqrt(disc)
-    if not root.max(initial=0.0) < np.inf:
-        root = np.where(disc < np.inf, root, np.sqrt(2.0 / m) * np.sqrt(np.abs(E)) * np.sqrt(l2))
-    # conjugate form of (-Z + sqrt(disc)) / (2E): no cancellation as E -> 0,
-    # reduces to the parabolic branch l2/(2 m Z) at E = 0 exactly
-    return (l2 / m) / (Z + root)
+    return _each(_r_min_kepler_one, E, l2, params.m, params.Z)
 
 
 def _r_min_kepler_one(E: float, l2: float, m: float, Z: float) -> float:
-    """`r_min_kepler` of one float E and l2, in Python floats."""
-    disc = Z * Z + 2.0 * (E * l2) / m
+    """`r_min_kepler` of one float E and l2: (l2/m) / (Z + sqrt(disc)), disc
+    = Z**2 + 2 E l2 / m, the conjugate of (-Z + sqrt(disc)) / (2E), exact at
+    E = 0; sqrt(2/m) sqrt(E) sqrt(l2) where disc overflows and Z**2 is below
+    2**-54 of it.  Where Z**2 or E l2 leave the normal floats and lose more
+    than 2**-54 of disc, or l2/m does, the form in the units of `_units`."""
+    k, z, disc, top = 0, Z, math.inf, l2 / m
+    if (Z * Z < math.inf and (_TINY <= Z * Z or 4e-292 <= abs(2.0 * (E * l2) / m))
+            and (_TINY <= abs(E * l2) or E == 0.0 or l2 == 0.0 or 1e-307 <= Z * Z * m) and (_TINY <= top < math.inf or l2 == 0.0)):
+        disc = Z * Z + 2.0 * (E * l2) / m
+        if disc == math.inf and 2.0**27 * Z <= (far := math.sqrt(2.0 / m) * math.sqrt(E) * math.sqrt(l2)) < math.inf:
+            return top / (Z + far)
+    if disc == math.inf:
+        k, _, e, rhs, z = _units(E, l2, m, Z, 2)
+        disc, top = z * z + 4.0 * e * rhs, 2.0 * rhs
     if disc < 0.0:
         raise NoPericenterError(f"no pericenter for E={E}, l2={l2}")
-    root = math.sqrt(disc) if disc < math.inf else math.sqrt(2.0 / m) * math.sqrt(E) * math.sqrt(l2)
-    return (l2 / m) / (Z + root)
+    r = top / (z + math.sqrt(disc))
+    return _or_inf(math.ldexp, r, k) if k else r
 
 
 def _kepler_series(terms: int = 18) -> tuple[np.ndarray, np.ndarray]:

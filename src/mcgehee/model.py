@@ -206,13 +206,12 @@ def l_squared(L: AngularMomentum) -> float:
 def l_squared_point(x: PhasePoint) -> float:
     """||q||^2 ||p||^2 - <q,p>^2, the Lagrange-identity form of the invariant.
 
-    Where <q,q> or <p,p> is not a normal float, their digits are lost, so
-    q and p are scaled by powers of two first, which is exact."""
-    qq = float(np.dot(x.q, x.q))
-    pp = float(np.dot(x.p, x.p))
-    qp = float(np.dot(x.q, x.p))
-    if qq >= _TINY and pp >= _TINY:
-        return qq * pp - qp * qp
+    Where <q,q> or <p,p> could overflow or lose digits below the normal
+    floats, q and p are scaled by powers of two first, which is exact."""
+    if math.hypot(*x.q.tolist(), *x.p.tolist()) < 1.3e154:
+        qq, pp, qp = float(np.dot(x.q, x.q)), float(np.dot(x.p, x.p)), float(np.dot(x.q, x.p))
+        if qq >= _TINY and pp >= _TINY:
+            return qq * pp - qp * qp
     a, b = (-math.frexp(float(np.abs(v).max(initial=0.0)))[1] for v in (x.q, x.p))
     q, p = np.ldexp(x.q, a), np.ldexp(x.p, b)
     scaled = float(np.dot(q, q)) * float(np.dot(p, p)) - float(np.dot(q, p)) ** 2

@@ -1,4 +1,5 @@
 import collections
+import re
 import warnings
 
 import mpmath as mp
@@ -261,24 +262,32 @@ class TestRMin:
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_scalar_newton_takes_the_steps_of_the_rows(self, n):
-        # one root runs in Python floats; it must be the row's root, bit
-        # for bit, from both the pericenter start and the apocenter start
+    def test_scalar_newton_takes_the_steps_of_the_rows(self, n, monkeypatch):
+        # an array's rows are one float root each: a row's bits and Newton
+        # rounds are the float's, and from the pericenter start and from
+        # the apocenter start alike a root stops within 12 rounds
+        params, rounds, newton = ModelParams(n=n, d=2), [], chart._monotone_newton
+
+        def counted(*args):
+            sol = newton(*args)
+            rounds.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(chart, "_monotone_newton", counted)
         rng = np.random.default_rng(n)
         for _ in range(100):
             E = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 3.0)
             rhs = 10.0 ** rng.uniform(-8.0, 1.0)
-            starts = [rhs]
+            if E < 0.0 and chart._peak(1.0, n, E)[1] <= rhs:
+                continue
+            rounds.clear()
+            rows = chart._sigma_root(params, np.full(3, E), np.full(3, 2.0 * rhs))
+            one = chart._sigma_root(params, E, 2.0 * rhs)
+            assert same_bits(rows, np.full(3, one)) and len(rounds) == 4 and len(set(rounds)) == 1
             if E < 0.0:
-                if chart._peak(1.0, n, E)[1] < rhs:
-                    continue
-                starts.append((1.0 / -E) ** (1.0 / (n - 1.0)))
-            for s in starts:
-                rows = chart._monotone_newton(np.full(3, E), 1.0, n, np.full(3, rhs), np.full(3, s))
-                one = chart._monotone_newton(E, 1.0, n, rhs, s)
-                assert same_bits(one.x, rows.x[1]) and one.iterations == rows.iterations
+                counted(E, 1.0, n, rhs, (1.0 / -E) ** (1.0 / (n - 1.0)))
+            assert max(rounds) <= 12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the double root's slope can be 0
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
         n=st.integers(1, 6),
@@ -286,13 +295,16 @@ class TestRMin:
         log_E=st.floats(-6.0, 3.0),
         log_rhs=st.floats(-8.0, 1.0),
         start=st.sampled_from(["pericenter", "apocenter", "double root"]),
-        shapes=st.sampled_from([((1,), (1,), (1,)), ((), (1,), ()), ((1,), (), (1, 1))]),
+        shapes=st.sampled_from([((1,), (1,)), ((), (1,)), ((1,), (1, 1))]),
     )
     def test_one_root_takes_the_steps_of_the_array_loop(self, n, sign, log_E, log_rhs, start, shapes):
-        # size-1 input runs in Python floats: the array loop's root, bit for
-        # bit, from both starts and at the circular orbit's double root
+        # the float root stops within 12 rounds from both starts; toward the
+        # circular orbit's double root, where Newton halves its distance each
+        # round, it ends ~sqrt(eps) short, or where the slope is 0 at NaN,
+        # not an exception; size-1 input of any shape is the float root in
+        # the broadcast shape, the bits that the loop over an array's rows gives
         E, rhs = sign * 10.0**log_E, 10.0**log_rhs
-        s = rhs
+        s = min(rhs, (rhs / E) ** (1.0 / n)) if E > 0.0 else rhs  # `_sigma_root_one`'s start
         if start != "pericenter":
             if E > 0.0 or n == 1:
                 return
@@ -303,28 +315,49 @@ class TestRMin:
                 return
             else:
                 s = (1.0 / -E) ** (1.0 / (n - 1.0))
-        args = [np.full(shape, v) for shape, v in zip(shapes, (E, rhs, s))]
-        one = chart._monotone_newton(args[0], 1.0, n, args[1], args[2])
-        rows = chart._newton_rows(args[0], 1.0, n, args[1], args[2])
-        assert one.x.shape == rows.x.shape and same_bits(one.x, rows.x)
-        assert one.iterations == rows.iterations
+        sol = chart._monotone_newton(E, 1.0, n, rhs, s)
+        assert type(sol.x) is float
+        if start == "double root":
+            s_peak = chart._peak(1.0, n, E)[0]
+            assert np.isnan(sol.x) or abs(sol.x - s_peak) <= 1e-7 * s_peak
+        else:
+            assert sol.iterations <= 12
+        params, l2 = ModelParams(n=n, d=2), 2.0 * rhs
+        try:
+            one = chart._sigma_root(params, E, l2)
+        except chart.NoPericenterError:
+            with pytest.raises(chart.NoPericenterError):
+                chart._sigma_root(params, np.full(3, E), np.full(3, l2))
+            return
+        sized = chart._sigma_root(params, np.full(shapes[0], E), np.full(shapes[1], l2))
+        assert type(one) is float and sized.shape == np.broadcast_shapes(*shapes)
+        assert same_bits(sized, np.full(sized.shape, one))
+        assert same_bits(chart._sigma_root(params, np.full(3, E), np.full(3, l2)), np.full(3, one))
 
     def test_chart_calls_solve_one_root_in_floats(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("array loop")
+        # every pericenter root, a bracket table's stencil rows' too, is one
+        # Newton solve in Python floats
+        newton, calls = chart._monotone_newton, []
+
+        def floats_only(*args):
+            assert [type(v) for v in args] == [float, float, int, float, float], args
+            calls.append(args)
+            return newton(*args)
 
         params = ModelParams(n=3, d=2)
         x = sample_domain_points(params, np.random.default_rng(0), 1)[0]
-        monkeypatch.setattr(chart, "_newton_rows", fail)
+        monkeypatch.setattr(chart, "_monotone_newton", floats_only)
         chart.chart_inverse(params, chart.chart_forward(params, x))
+        verify.bracket_table(params, x)
         chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 50.0])), 0.3)
+        assert len(calls) >= 2 + 25 + 1
 
-    def test_overflowing_root_takes_the_array_loop(self):
-        # s**n overflows a Python float: the arrays' answer, inf or NaN
-        args = (np.array([1.0]), 1.0, 3, np.array([1e300]), np.array([1e300]))
-        with np.errstate(all="ignore"):
-            one, rows = chart._monotone_newton(*args), chart._newton_rows(*args)
-        assert not np.isfinite(one.x[0]) and same_bits(one.x, rows.x)
+    def test_overflowing_power_gives_a_nan_root(self):
+        # s**n overflows a Python float, or the slope is 0 (-s**3 + 3 s = 2
+        # at its double root s = 1): NaN after one round, no exception
+        for args in ((1.0, 1.0, 3, 1e300, 1e300), (-1.0, 3.0, 3, 2.0, 1.0)):
+            sol = chart._monotone_newton(*args)
+            assert np.isnan(sol.x) and sol.iterations == 1
 
     @staticmethod
     def root_sample():
@@ -387,6 +420,63 @@ class TestRMin:
                 if not np.finfo(float).tiny <= ratio < np.inf:
                     wide[E > 0.0, ratio < 1.0] += 1
         assert checked >= 150 and sum(wide.values()) >= 20 and len(wide) == 4, wide
+
+    def test_root_over_the_mass_and_coupling_range(self):
+        # n in {2, 3, 4, 5, 8}, m and Z from 1e-300 to 1e300, E of either
+        # sign and l2 log-uniform over the float range, with no RuntimeWarning:
+        # r_min within 1e-13 of mpmath's root where that is a normal float,
+        # inf beyond the float range, and NoPericenterError where mpmath's
+        # circular threshold lies below l2/(2m)
+        rng, scales, seen = np.random.default_rng(28), (1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300), collections.Counter()
+        tiny, huge = mp.mpf(np.finfo(float).tiny), mp.mpf(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in (2, 3, 4, 5, 8):
+                for m in scales:
+                    for Z in scales:
+                        params = ModelParams(n=n, d=2, m=m, Z=Z)
+                        for sign in (-1.0, -1.0, 1.0, 1.0):
+                            E, l2 = sign * 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
+                            with mp.workdps(40):
+                                rhs = mp.mpf(l2) / (2 * mp.mpf(m))
+                                s_peak = (mp.mpf(Z) / (n * -mp.mpf(E))) ** (mp.mpf(1) / (n - 1)) if E < 0.0 else None
+                                above = E < 0.0 and mp.mpf(Z) * s_peak * (n - 1) / n < rhs
+                            if above:
+                                with pytest.raises(chart.NoPericenterError):
+                                    chart.r_min(params, E, l2)
+                                seen["no pericenter"] += 1
+                                continue
+                            r = chart.r_min(params, E, l2)
+                            with mp.workdps(40):
+                                want = mp_sigma_root(params, E, l2) ** (mp.mpf(n) / 2)
+                                if tiny <= want <= huge:
+                                    assert abs(r - want) <= 1e-13 * want, (n, m, Z, E, l2)
+                                    seen["normal"] += 1
+                                else:
+                                    assert (r == np.inf) if want > huge else (r <= 2.0 * float(tiny)), (n, m, Z, E, l2)
+                                    seen["beyond"] += 1
+        assert seen["normal"] >= 300 and seen["beyond"] >= 50 and seen["no pericenter"] >= 100, seen
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: chart.r_min(ModelParams(n=3, d=2), 0.5, -1.0), ValueError, "l2 must be non-negative"),
+            (lambda: chart.r_min_kepler(ModelParams(n=3, d=2), 0.5, 1.0), ValueError,
+             "closed form only available for n = 2"),
+            (lambda: chart.chart_inverse(ModelParams(n=2, d=2), chart.ChartPoint(0.1, 1.0, np.zeros(2), np.array([2.0, 0.0]))),
+             ValueError, "A must be a unit vector"),
+            (lambda: chart.chart_inverse(ModelParams(n=2, d=2), chart.ChartPoint(0.1, 1.0, np.array([0.1, 0.1]), np.array([1.0, 0.0]))),
+             ValueError, "B must be perpendicular to A"),
+            (lambda: chart.r_min(ModelParams(n=1, d=2), -2.0, 1.0), chart.NoPericenterError,
+             "n = 1 requires positive kinetic energy E + Z"),
+            (lambda: chart.global_flow(ModelParams(n=1, d=2), chart.Collision(h=-1.0, a=np.array([1.0, 0.0])), 0.5),
+             DomainError, "an n = 1 collision launch needs kinetic energy h + Z > 0"),
+        ],
+        ids=["negative l2", "kepler n=3", "non-unit A", "B not perpendicular", "n=1 no pericenter", "n=1 launch h=-Z"],
+    )
+    def test_input_checks(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_supercritical_l2_has_no_pericenter(self):
         params = ModelParams(n=2, d=2)
@@ -1247,8 +1337,9 @@ class TestChartRows:
 
 class TestOneRowOrbit:
     """A one-row `_RadialOrbit` finds its constants in Python floats, by
-    `_sigma_min`'s one-root solvers; the same row of a stacked orbit, which
-    takes the rows' solvers, is its oracle, bit for bit."""
+    `_sigma_min`'s one-root solvers; the same row of a stacked orbit, whose
+    pericenter is the same root but whose other constants are numpy's,
+    matches it bit for bit."""
 
     # (E, l): E < 0, E = 0 and E > 0, then l**2/(2m|E|) below the normal
     # floats (E > 0, E < 0) and beyond the float range (E > 0, E < 0)
@@ -1259,7 +1350,7 @@ class TestOneRowOrbit:
     def test_constants_are_the_stacked_rows(self, n):
         params = ModelParams(n=n, d=2)
         orbits = self.ORBITS + [(E, l) for E, l in self.SCALED if n > 1 or E > -1.0]
-        if n >= 3:  # these take `_sigma_root`'s scaled root on both paths
+        if n >= 3:  # these take `_units`' scaled root on both paths
             for E, l in self.SCALED:
                 assert not chart._TINY <= l * l / (2.0 * params.m * abs(E)) < np.inf
         E, l = (np.array(v) for v in zip(*orbits))
@@ -1516,7 +1607,6 @@ class TestOneStatePath:
                     assert same_bits(np.array(first), np.array([v[0] for v in alone._fused(np.array([phi]))]))
                 assert passes == [(1 + (x is not None) + (phi is not None),)]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the rows' double root can divide by 0
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(
         n=st.integers(2, 6),
@@ -1542,9 +1632,7 @@ class TestOneStatePath:
             # cap: l2/(2mZ) lies many powers of 2 above the root
             E = 10.0 ** {"cap": b + 40.0 * a, "far": b + 6.0}.get(case, b)
         if E < 0.0:
-            s_peak, peak = chart._peak(Z, n, E)
-            rows_peak = chart._peak(Z, n, np.full(2, E))
-            assert same_bits(s_peak, rows_peak[0][0]) and same_bits(peak, rows_peak[1][0])
+            peak = chart._peak(Z, n, E)[1]
             rhs = {"double root": peak, "near circular": peak * (1.0 - 1e-2 * a), "l = 0": 0.0}.get(case, a * peak)
         else:
             rhs = {"far": 10.0 ** (200.0 + 100.0 * a), "cap": 10.0**b * E, "l = 0": 0.0}.get(case, 10.0 ** (16 * a - 8))
@@ -1713,6 +1801,31 @@ class TestOneStateUnbound:
             far += int(np.sum(keep & ~np.array([orbit._tame(x) for x in us])))
         assert worst[0] <= 5e-15 and worst[2] <= 5e-15 and worst[1] <= 1e-15 and worst[3] <= 1e-15
         assert far >= 10  # 12 measured
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fused_pass_where_E_over_Z_overflows(self, n):
+        # m = Z = 1e-300 from q = (0.05, 0), p = (0.3, 0.4): E/Z ~ 1e599
+        # overflows, so 1/u_P takes the powers of E and Z apart and u/u_P up
+        # to ~1e302 takes ~1000 panels (the panel count read inf); the pass
+        # within the gates of the pass above, and a stacked row the one
+        # row's chart image, bit for bit, with no warning
+        params = ModelParams(n=n, d=2, m=1e-300, Z=1e-300)
+        z = np.array([[0.05, 0.0, 0.3, 0.4], [0.03, 0.01, -0.2, 0.5]])
+        x = PhasePoint(z[0, :2], z[0, 2:])
+        E, l = hamiltonian(params, x), 0.05 * 0.4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+            u_P = 1.0 / orbit._inv_u_P[0]
+            us = [0.5 * u_P, 3.0 * u_P, float(orbit.phase(0.05 ** (2.0 / n), x.radial)[0]), 1e3]
+            got = np.array(orbit._fused(np.array(us)))
+            rows = chart.chart_forward_rows(params, z)
+            for k in range(2):
+                one = chart.chart_forward(params, PhasePoint(z[k, :2], z[k, 2:]))
+                assert same_bits(rows.T[k], one.T) and same_bits(rows.A[k], one.A)
+        want = radial_oracle(params, E, l, orbit.s0[0], us)
+        err = np.abs(got - want) / np.maximum(np.abs(want), 1e-290)
+        assert err[[0, 2]].max() <= 5e-15 and err[[1, 3]].max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_step_guess_is_the_root_of_a_short_step(self, n):

@@ -260,6 +260,16 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG
         assert "initial" in capsys.readouterr().err
 
+    def test_simulate_where_E_over_Z_overflows(self, tmp_path):
+        # n = 2, m = Z = 1e-300: E/Z ~ 1e599 made the panel count inf, and
+        # simulate ended in an OverflowError traceback
+        cfg = write_config(tmp_path, {"params": {"n": 2, "d": 2, "m": 1e-300, "Z": 1e-300},
+                                      "initial": {"q": [1.0, 0.0], "p": [0.3, 0.4]}, "t_span": [0.0, 1.0],
+                                      "output_points": 5})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[0]) == 1.0 and float(last[1]) == pytest.approx(3e299, rel=1e-14)
+
     def test_regular_start_at_origin_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -339,6 +339,22 @@ class TestNonFinite:
         assert np.isfinite(out.q).all() and np.isfinite(out.p).all()
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flow_where_E_over_Z_overflows(self, n):
+        # m = Z = 1e-300: E/Z ~ 1e599 overflows, which made the radial
+        # orbit's panel count inf (OverflowError); the potential is 1e-600
+        # of the kinetic energy, so the orbit is the free line to round-off
+        params = ModelParams(n=n, d=2, m=1e-300, Z=1e-300)
+        x = PhasePoint(np.array([1.0, 0.0]), np.array([0.3, 0.4]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in (1.0, -1e-300, 1e-290):
+                y = chart.global_flow(params, x, t).x
+                line = x.q + x.p * (t / params.m)
+                assert np.abs(y.q - line).max() <= 1e-14 * np.abs(line).max()
+                assert np.abs(y.p - x.p).max() <= 1e-14 * np.abs(x.p).max()
+
+
 class TestTinyRadius:
     """Starts with |q| below 1.5e-154 flow as their images under the
     scaling q -> 2**(n k) q, p -> 2**((1-n) k) p, t -> 2**((2n-1) k) t of

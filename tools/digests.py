@@ -18,6 +18,9 @@ rounds of the bound and the unbound `global_flow` solves over
 bound and of an unbound step (`flow_passes`), and the certify work line
 the stencil rows of a bracket table for each d and the mean and the most
 Newton rounds of `chart_inverse` over `certify_calls` (`certify_work`).
+The pericenter line gives the roots and the mean and the most Newton
+rounds of the pericenter root over the n >= 3 bracket tables of
+`certify_calls` and over `flow_calls` (`pericenter_rounds`).
 The last two lines are the line count of src/mcgehee/*.py, as `wc -l`
 gives it, and the knobs a user can set: the CLI's flags and its config
 keys (`knobs`).
@@ -270,6 +273,32 @@ def certify_work(calls) -> tuple[dict[int, int], list[int]]:
     return rows, rounds
 
 
+def pericenter_rounds(flows, certifies) -> dict[str, list[int]]:
+    """The Newton rounds of each pericenter root (`chart._monotone_newton`),
+    over the bracket tables of the n >= 3 `certify_calls` ("certify rows")
+    and over `flow_calls` ("global_flow"), read by wrapping it while the
+    calls run."""
+    rounds, newton = {"certify rows": [], "global_flow": []}, chart._monotone_newton
+    into = rounds["certify rows"]
+
+    def counted(*args):
+        out = newton(*args)
+        into.append(out.iterations)
+        return out
+
+    chart._monotone_newton = counted
+    try:
+        for params, x, _ in certifies:
+            if params.n >= 3:
+                verify.bracket_table(params, x)
+        into = rounds["global_flow"]
+        for params, start, t in flows:
+            chart.global_flow(params, start, t)
+    finally:
+        chart._monotone_newton = newton
+    return rounds
+
+
 def src_lines() -> int:
     """Lines of src/mcgehee/*.py: newline characters, as `wc -l` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (SRC / "mcgehee").glob("*.py"))
@@ -300,6 +329,9 @@ def main() -> None:
     rows, inverse = certify_work(certify_calls())
     print(f"{'certify work':<24}stencil rows " + ", ".join(f"d={d} {k}" for d, k in sorted(rows.items()))
           + f"; chart_inverse rounds mean {np.mean(inverse):.3f} max {max(inverse)}")
+    roots = pericenter_rounds(flow_calls(), certify_calls())
+    print(f"{'pericenter rounds':<24}" + ", ".join(f"{k} {len(v)} roots mean {np.mean(v):.3f} max {max(v)}"
+                                                   for k, v in roots.items()))
     print(f"{'src/mcgehee/*.py lines':<24}{src_lines()}")
     flags, keys = knobs()
     print(f"{'CLI flags, config keys':<24}{flags}, {keys}")
