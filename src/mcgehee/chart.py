@@ -11,10 +11,11 @@ orbits included: each orbit is a planar central-force orbit, so T and the
 angle swept since the pericenter are radial integrals, taken by fixed-node
 quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
 both turning points (`_BoundOrbit`, E < 0), or in closed form
-(`_ZeroEnergyOrbit`, E = 0).  The three share one interface (phase,
-step_guess, start, place, state, angle); each node pass of the two
-quadrature classes (`_fused`) gives T, its rate, the swept angle and its
-rate, and each Newton round of `place` is one pass (`time_rate` at E = 0).
+(`_ZeroEnergyOrbit`, E = 0, for `_sample` alone).  The two quadrature
+classes share one interface (phase, step_guess, start, place, state,
+angle); each node pass (`_fused`) gives T, its rate, the swept angle and
+its rate, and each Newton round of `place` is one pass (`time_rate` at
+E = 0).
 `chart_forward_rows` (stacked states), `chart_forward` (one state, its
 row bit for bit) and `chart_inverse` read `_RadialOrbit`, whose pericenter
 is one Newton root in Python floats per orbit.  `global_flow` is the
@@ -29,7 +30,6 @@ the covering-ODE route to the chart's pericenter as an independent check.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import logging
 import math
@@ -224,16 +224,6 @@ _RULE_ROUNDS = 8
 _U_MAX = np.sqrt(np.finfo(float).max)
 # the smallest normal float: a pericenter root's terms below it take `_units`
 _TINY = float(np.finfo(float).tiny)
-# a bound far enough below the float range that products of three such
-# values stay in it (`_RadialOrbit._tame`)
-_TAME = 1e100
-_CALM = contextlib.nullcontext()
-
-
-def _quiet(tame: bool, **ignore):
-    """np.errstate(**ignore), or no context where `tame` says that nothing
-    can overflow."""
-    return _CALM if tame else np.errstate(**ignore)
 
 
 class _RadialOrbit:
@@ -262,8 +252,9 @@ class _RadialOrbit:
     Every node pass is `_fused`, `_BoundOrbit._fused`'s twin, which
     `time`, `time_rate` and `angle` read.  One orbit (a `global_flow`
     step, `chart_forward`, `chart_inverse`) finds its constants in Python
-    floats, with the rows' bits, and enters no np.errstate where nothing
-    can overflow (`_tame`).  A step's Newton guess needs no node pass
+    floats, with the rows' bits.  Overflow is decided by the values alone:
+    every pass runs under np.errstate, and the far forms replace what came
+    out inf or NaN.  A step's Newton guess needs no node pass
     (`step_guess`: an 8-node rule on the step's own interval); one pass
     stacked on the start and the guess places the start and takes the
     first round, and every solve carries the end angle.
@@ -274,10 +265,6 @@ class _RadialOrbit:
         self.E, self.l = E, l
         self.root2m = np.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
-        # nothing can overflow on one row out to u**2 = _u2_tame (-1: nowhere):
-        # there sigma**(n-1) max(1, n E) <= _TAME, so G <= 2 _TAME, and with
-        # E, G0, K and sqrt(2m) <= _TAME every product stays finite
-        self._u2_tame = -1.0
         # where E s0**(n-1) overflows, G0 = l**2/(2m s0), from f(s0) = 0
         if E.shape == (1,):  # one row in Python floats, the root `_sigma_min` takes for each row
             e, l2, m, Z = float(E[0]), float(l[0]) * float(l[0]), params.m, params.Z
@@ -287,10 +274,8 @@ class _RadialOrbit:
             inv_u_P = 0.0 * e if n == 1 else _pow(max(e, 0.0) / Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             if not inv_u_P < math.inf:  # E/Z overflows: the powers apart
                 inv_u_P = _pow(e, 0.5 / (n - 1.0)) / _pow(Z, 0.5 / (n - 1.0)) / _panel_scale(n)
-            if all(v <= _TAME for v in (e, G0, self.K, self.root2m)):
-                self._u2_tame = (_TAME / max(1.0, n * e)) ** (1.0 / max(1, n - 1)) - s0
             self.s0, self.G0, self._inv_u_P = np.array([s0]), np.array([G0]), np.array([inv_u_P])
-            self._s0_powers = [_pow(s0, j + 1) for j in range(n - 2)]  # the powers of s0 in P
+            self._s0_powers = [_or_inf(math.pow, s0, j + 1) for j in range(n - 2)]  # the powers of s0 in P
         else:
             self.s0 = _sigma_min(params, E, l * l)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -301,16 +286,10 @@ class _RadialOrbit:
                 if not self._inv_u_P.max(initial=0.0) < np.inf:  # E/Z overflows: the powers apart
                     p = 0.5 / (n - 1.0)
                     self._inv_u_P = np.where(self._inv_u_P < np.inf, self._inv_u_P, _pow(E, p) / _pow(params.Z, p) / _panel_scale(n))
-            self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]
+                self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]  # inf: `_fused`'s y = 0
         # the constants as columns against the nodes, and the angle's sqrt(s0) and l/sqrt(2m)
         self._E, self._s0, self._G0, self._l = E[:, None], self.s0[:, None], self.G0[:, None], l[:, None]
         self._rs0, self._rG0, self._c = np.sqrt(self.s0), np.sqrt(self._G0), l / self.root2m
-
-    def _tame(self, u) -> bool:
-        """Whether nothing out to u (a float, or every u of an array on a
-        one-row orbit) can overflow, so that no np.errstate is needed:
-        entering one costs about 1 us."""
-        return all(x * x <= self._u2_tame for x in ((u,) if isinstance(u, float) else u.tolist()))
 
     def _P(self, sigma: np.ndarray):
         P = 0.0 if self.n == 1 else 1.0
@@ -325,18 +304,15 @@ class _RadialOrbit:
     def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r where G
         or sigma**(n-1) overflows: g**2 = G0 / sigma**n + (E / sigma) S with
-        S = P / sigma**(n-2) = sum_j (s0/sigma)**j.  Where (E / sigma) S
-        overflows too (E near the float range), g = sqrt(E) sqrt(G0 / E /
-        sigma**n + S / sigma), the same sqrt(E) sqrt(G0/E + sigma P) / r."""
+        S = P / sigma**(n-2) = sum_j (s0/sigma)**j, as the hypot of
+        sqrt(G0) / r and sqrt(E) sqrt(S) / sqrt(sigma), so that neither
+        square overflows (E near the float range) or underflows (E / sigma
+        below the subnormals) where g itself does not."""
         w, S = self._s0 / sigma, 0.0
         for _ in range(self.n - 1):
             S = S * w + 1.0
-        with np.errstate(over="ignore", divide="ignore"):  # sigma**n beyond the float range either way
-            power = _pow(sigma, self.n)
-            g = np.sqrt(self._G0 / power + self._E / sigma * S)
-        if not g.max() < np.inf:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rows of E <= 0 keep g
-                g = np.where(g < np.inf, g, np.sqrt(self._E) * np.sqrt(self._G0 / self._E / power + S / sigma))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # r beyond the float range, or 0
+            g = np.hypot(np.sqrt(self._G0) / _pow(sigma, self.n / 2.0), np.sqrt(self._E) * np.sqrt(S) / np.sqrt(sigma))
         return _pow(sigma, self.n / 2.0 - 1.0), g
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +336,10 @@ class _RadialOrbit:
         """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); far out,
         where sqrt(G) or sigma**(n-1) overflows, K sigma**(n/2-1) / g with
         `_far`'s g."""
-        sigma, tame = (self.s0 + u * u)[:, None], self._tame(u)
-        with _quiet(tame, over="ignore", invalid="ignore"):
+        sigma = (self.s0 + u * u)[:, None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a rate beyond the float range reads inf
             power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
-            if tame or (power.max() < np.inf and rG.max() < np.inf):
+            if power.max() < np.inf and rG.max() < np.inf:
                 return (self.K * power / rG)[:, 0]
             far_power, g = self._far(sigma)
             return np.where((power < np.inf) & (rG < np.inf), self.K * power / rG, self.K * far_power / g)[:, 0]
@@ -388,15 +364,16 @@ class _RadialOrbit:
         y = G0 / (E P), which overflows nowhere (y = (G0 / E) / P where E P
         overflows: a huge E).  Where P itself overflows (n >= 5), y = 0 and
         the integrand is -1 / (sqrt(G0) sigma), the exact integrand's limit.
+        For E < 0 (y < 0: a chart state of G0 near the float range) it is
+        -E P divided by each factor in turn.
         """
-        tame = self._tame(u)
-        with _quiet(tame, over="ignore", divide="ignore", invalid="ignore"):  # the far forms replace what overflows
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the far forms replace what overflows
             sigma, width = self._nodes(u)
             P = self._P(sigma)
             power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + self._E * sigma * P)
             vals = power / rG
             T, rate = _panel_sum(self.K * width, vals[:, :-1]), self.K * power[:, -1] / rG[:, -1]
-            far = not (tame or width.shape[1] == 1 or (T.max() < np.inf and rG.max() < np.inf and rate.max() < np.inf))
+            far = not (width.shape[1] == 1 or (T.max() < np.inf and rG.max() < np.inf and rate.max() < np.inf))
             if far:
                 far_power, g = self._far(sigma)
                 scaled = far_power / g
@@ -413,10 +390,11 @@ class _RadialOrbit:
             rest = -self._E * P / den
             scale = self._l * width / self.root2m
             swept = _panel_sum(scale, rest[:, :-1])
-            if not (tame or math.isfinite(float(den.max()) + float(swept.sum()))):
+            if not math.isfinite(float(den.max()) + float(swept.sum())):
                 EP = self._E * P
                 y = np.where(EP < np.inf, self._G0 / EP, self._G0 / self._E / P)
-                scaled = -1.0 / (self._rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma)))
+                scaled = np.where(y >= 0.0, -1.0 / (self._rG0 * (y + sigma + np.sqrt(y) * np.sqrt(y + sigma))),
+                                  -(EP / rG / self._rG0) / (rG + self._rG0))
                 swept = _panel_sum(scale, np.where((den < np.inf) & np.isfinite(rest), rest, scaled)[:, :-1])
         return T, rate, self.n * (np.arctan2(u, self._rs0) + swept), self.n * angle_rate
 
@@ -438,11 +416,10 @@ class _RadialOrbit:
         overflows (E near the float range), u = |radial| / (r sqrt(2m) g)
         with `_far`'s g = sqrt(G) / r."""
         sigma = np.reshape(sigma, (-1, 1))
-        tame = sigma.shape == (1, 1) and sigma[0, 0] - self.s0[0] <= self._u2_tame
-        with _quiet(tame, over="ignore"):
+        with np.errstate(over="ignore"):
             rG = np.sqrt(self.G(sigma))[:, 0]
         u = np.abs(radial) / (self.root2m * rG)
-        if tame or rG.max() < np.inf:
+        if rG.max() < np.inf:
             return u
         g = self._far(sigma)[1][:, 0]
         return np.where(rG < np.inf, u, np.abs(radial) / _pow(sigma[:, 0], self.n / 2.0) / (self.root2m * g))
@@ -453,7 +430,7 @@ class _RadialOrbit:
         sigma = self.s0 + u * u
         # r |p_r| beyond the float range takes the far form; r beyond it ends
         # the step with a DomainError
-        with _quiet(self._tame(u), over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             r = sigma[0] ** (self.n / 2.0)
             rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
         return r, rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
@@ -472,20 +449,22 @@ class _RadialOrbit:
         a collision orbit at its pericenter, where dT/du = 0, from T's
         leading term K u**(2n-1) / ((2n-1) sqrt(G0))) and ends after a step
         below _RULE_RTOL |U|.  None after _RULE_ROUNDS rounds (a long step,
-        on which the rule loses digits), or where U0 or U is not `_tame`."""
-        limit, n = math.sqrt(self._u2_tame) if self._u2_tame >= 0.0 else -1.0, self.n
+        on which the rule loses digits), or where a rate is not in (0, inf):
+        NaN where a float power or root fails, at the float range's edges."""
+        n = self.n
         U0, t = 0.0 if u0 is None else side0 * _item(u0), _item(t)
-        if not abs(U0) <= limit:
-            return None
         s0, G0, E, K = float(self.s0[0]), float(self.G0[0]), float(self.E[0]), float(self.K)
         powers = [float(c) for c in self._s0_powers]
 
-        def rate(v: float) -> float:
+        def rate(v: float) -> float:  # NaN where the float power or root fails
             sigma = s0 + v * v
             P = 1.0
             for c in powers:
                 P = P * sigma + c
-            return K * sigma ** (n - 1) / math.sqrt(G0 + E * sigma * P)
+            try:
+                return K * sigma ** (n - 1) / math.sqrt(G0 + E * sigma * P)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                return math.nan
 
         rate0 = rate(U0)
         if rate0 > 0.0:
@@ -493,14 +472,14 @@ class _RadialOrbit:
         else:
             U = math.copysign(((2 * n - 1) * abs(t) * math.sqrt(G0) / K) ** (1.0 / (2 * n - 1)), t)
         for _ in range(_RULE_ROUNDS):
-            end = rate(U) if abs(U) <= limit else 0.0
-            if not end > 0.0:
+            end = rate(U)
+            if not 0.0 < end < math.inf:
                 return None
             h = U - U0
             step = (h * sum([w * rate(U0 + h * x) for x, w in _RULE]) - t) / end
             U -= step
             if abs(step) <= _RULE_RTOL * abs(U):
-                return (abs(U),) if abs(U) <= limit else None
+                return (abs(U),)
         return None
 
     def start(self, x0, side0: float, u=None):
@@ -742,6 +721,8 @@ class _ZeroEnergyOrbit:
         T(u) = k int_0^u (s0 + v**2)**(n-1) dv,   k = n m / sqrt(2m Z),
 
     and the swept angle is n atan2(u, sqrt(s0)), n pi/2 out to infinity.
+    It serves `_sample` (the zero-energy figures); `global_flow` steps an
+    E = 0 orbit on `_RadialOrbit`.
     """
 
     E = 0.0
@@ -769,23 +750,10 @@ class _ZeroEnergyOrbit:
     def angle(self, u):
         return self.n * np.arctan2(u, np.sqrt(self.s0))
 
-    def phase(self, sigma, radial):
-        """u at <q,p> = radial: |radial| = sqrt(2m Z) u."""
-        return abs(radial) / self.root2mZ
-
     def state(self, u):
         """r and |p_r| at u."""
         r = (self.s0 + u * u) ** (self.n / 2.0)
         return r, self.root2mZ * u / r
-
-    def step_guess(self, x0, side0: float, t: float) -> None:
-        """No first guess to take before a pass: `place` reads its own."""
-        return None
-
-    def start(self, x0, side0: float, u=None):
-        """The time and angle since the pericenter of a start at x0 on side
-        side0 (x0 None: the pericenter), in closed form; no first round."""
-        return (0.0, 0.0, None) if x0 is None else (side0 * float(self.time(x0)), side0 * float(self.angle(x0)), None)
 
     def u_at(self, r: float) -> float:
         """u on the way out at radius r."""
@@ -1209,19 +1177,19 @@ def _place_start(orbit, sigma: float, radial) -> tuple | None:
 def _step(orbit, sigma: float, radial, t: float) -> Step:
     """(r, p_r, swept angle, pericenter angle) of a one-row orbit's state
     at sigma = r**(2/n) with <q,p> = radial, advanced by t; angles from the
-    start.  Every orbit class has the methods used here: phase (a state's
-    orbit coordinate x), step_guess (Newton's first guess, read before any
-    node pass: off a bound orbit's series, by `_RadialOrbit`'s
-    short-interval rule, none at E = 0), start (the start's time tau0 and
+    start.  `_BoundOrbit` and `_RadialOrbit` have the methods used here:
+    phase (a state's orbit coordinate x), step_guess (Newton's first guess,
+    read before any node pass: off a bound orbit's series, or by
+    `_RadialOrbit`'s short-interval rule), start (the start's time tau0 and
     angle theta0 since its pericenter, from one pass stacked with the
     guess's, which is Newton's first round), place (whole periods, side and
     the Newton solve of times since the pericenter) and state (r and |p_r|
     at x).
 
-    The end angle is carried from the solve's last round, or where the
-    solve did not carry it (`_ZeroEnergyOrbit`), read at x (`angle`).  Each whole period turns
-    the pericenter by two apsidal angles; without whole periods it stays
-    at -theta0.  x stays a float: powers of a (1,) array round differently.
+    The end angle is carried from the solve's last round.  Each whole
+    period turns the pericenter by two apsidal angles; without whole
+    periods it stays at -theta0.  x stays a float: powers of a (1,) array
+    round differently.
     """
     placed = _place_start(orbit, sigma, radial)
     if placed is None:  # no step
@@ -1231,11 +1199,9 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[-1])
     k, side, sol = orbit.place(np.array([tau0 + t]), (x0, side0, t), () if guess is None else (*guess, *first))
     x, side = sol.x.item(), float(side[0])
-    # p_r is unbounded at the collision: r = 0 where s0 = 0, or r underflows
-    s0 = _item(orbit.s0)
-    with _quiet(s0 > 0.0 and math.log(s0) * orbit.n > -1380.0, divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision: r = 0, or r underflows
         r, p_r = orbit.state(x)
-    angle = orbit.angle(x) if sol.carried is None else sol.carried.item()
+    angle = sol.carried.item()
     if k is None:
         k, pericenter = 0.0, -theta0
     else:
@@ -1496,7 +1462,7 @@ def _r_min_kepler_one(E: float, l2: float, m: float, Z: float) -> float:
         disc = Z * Z + 2.0 * (E * l2) / m
         if disc == math.inf and 2.0**27 * Z <= (far := math.sqrt(2.0 / m) * math.sqrt(E) * math.sqrt(l2)) < math.inf:
             return top / (Z + far)
-    if disc == math.inf:
+    if abs(disc) == math.inf:  # E l2 or 2 E l2 / m beyond the float range too
         k, _, e, rhs, z = _units(E, l2, m, Z, 2)
         disc, top = z * z + 4.0 * e * rhs, 2.0 * rhs
     if disc < 0.0:
@@ -1795,12 +1761,11 @@ def _scaled_flow(params: ModelParams, state: Regular, t: float, ts: list | None,
 
 def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:
     """x.r, `hamiltonian` and x.radial of one state, bit for bit, from the
-    three dot products <q,q>, <p,p> and <q,p> alone.  Below |q|**2 + |p|**2
-    = 1.69e308 no dot product of q, p or their plane's frame overflows;
-    above, these are taken without numpy's warnings, for the caller to
-    refuse an inf or NaN."""
+    three dot products <q,q>, <p,p> and <q,p> alone, taken without numpy's
+    warnings: one that overflows is left for the caller to refuse as an
+    inf or NaN."""
     q, p = x.q, x.p
-    with _quiet(math.hypot(*q.tolist(), *p.tolist()) < 1.3e154, over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         qq, pp, qp = np.dot(q, q), np.dot(p, p), np.dot(q, p)
     r = radius(q, qq)
     if r == 0.0:  # before the float power, which raises ZeroDivisionError at 0

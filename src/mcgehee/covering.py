@@ -15,7 +15,6 @@ dt/dtau = c_n * |Q|**(2(n-1)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +85,9 @@ def plane_reduce_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     the Lagrange identity, whose cancellation swamps a small angle between q
     and p.  p is projected twice: one pass leaves a part along e1 of
     relative size 1e-16 / sin of that angle, the second rounding alone.
-    Only a row whose orthogonal part squares to 0 (is 0, or below about
-    1e-162) takes the completion frame.  Its r = ||q|| is `radius_rows`.
+    The orthogonal part's norm is `radius_rows`, as r = ||q|| is, so that
+    e2 stays a unit vector where <p_perp, p_perp> is not a normal float;
+    only a row whose orthogonal part is 0 takes the completion frame.
     """
     r = radius_rows(q, row_dot(q, q))
     if (r == 0.0).any():
@@ -95,9 +95,9 @@ def plane_reduce_rows(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     e1 = q / r[:, None]
     p_perp = p - row_dot(p, e1)[:, None] * e1
     p_perp = p_perp - row_dot(p_perp, e1)[:, None] * e1
-    perp2 = row_dot(p_perp, p_perp)
-    collinear = perp2 == 0.0
-    e2 = p_perp / np.sqrt(np.where(collinear, 1.0, perp2))[:, None]
+    norm = radius_rows(p_perp, row_dot(p_perp, p_perp))
+    collinear = norm == 0.0
+    e2 = p_perp / np.where(collinear, 1.0, norm)[:, None]
     for i in np.flatnonzero(collinear):
         e2[i] = _completion(e1[i])
     qc = row_dot(q, e1) + 1j * row_dot(q, e2)
@@ -123,8 +123,8 @@ def plane_reduce(x: PhasePoint) -> tuple[PlaneFrame, complex, complex]:
     e1 = q / r
     p_perp = p - np.dot(p, e1) * e1
     p_perp = p_perp - np.dot(p_perp, e1) * e1
-    perp2 = float(np.dot(p_perp, p_perp))
-    e2 = _completion(e1) if perp2 == 0.0 else p_perp / math.sqrt(perp2)
+    norm = radius(p_perp, float(np.dot(p_perp, p_perp)))
+    e2 = _completion(e1) if norm == 0.0 else p_perp / norm
     return PlaneFrame(e1=e1, e2=e2), _in_plane(q, e1, e2), _in_plane(p, e1, e2)
 
 

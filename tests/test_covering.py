@@ -136,6 +136,25 @@ class TestPlaneReduction:
                 assert np.complex128(qc).tobytes() == qc_rows[1].tobytes() and np.complex128(pc).tobytes() == pc_rows[1].tobytes()
                 assert radius_rows(tiny.q[None], np.dot(tiny.q, tiny.q)[None])[0] == r
 
+    @pytest.mark.parametrize(
+        "q, p",
+        [((0.03, -0.04), (0.3e-160, 0.7e-160)), ((1.0, 0.0, 0.0), (0.0, 0.0, 1e-170))],
+        ids=["subnormal", "zero"],
+    )
+    def test_orthogonal_part_squaring_below_the_normals(self, q, p):
+        # <p_perp, p_perp> is subnormal (|e2| - 1 read 3.8e-4) or 0 (the
+        # completion frame stood in and the state re-embedded with p = 0):
+        # p_perp is scaled by a power of two first, so e2 is a unit vector
+        # orthogonal to e1, the rows give the same bits, and q and p come back
+        x = PhasePoint(np.array(q), np.array(p))
+        frame, qc, pc = cov.plane_reduce(x)
+        e1, e2, qc_rows, pc_rows = cov.plane_reduce_rows(x.q[None], x.p[None])
+        assert abs(np.linalg.norm(frame.e2) - 1.0) < 1e-15 and abs(np.dot(frame.e1, frame.e2)) < 1e-15
+        assert e1[0].tobytes() == frame.e1.tobytes() and e2[0].tobytes() == frame.e2.tobytes()
+        assert np.complex128(qc).tobytes() == qc_rows[0].tobytes() and np.complex128(pc).tobytes() == pc_rows[0].tobytes()
+        back = cov.plane_embed(frame, qc, pc)
+        assert np.abs(back.q - x.q).max() <= 1e-15 * x.r and np.abs(back.p - x.p).max() <= 1e-15 * np.linalg.norm(x.p)
+
 
 class TestLiftProject:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
