@@ -12,19 +12,20 @@ angle swept since the pericenter are radial integrals, taken by fixed-node
 quadrature in u = sqrt(sigma - s0) (`_RadialOrbit`), in a phase phi between
 both turning points (`_BoundOrbit`, E < 0), or in closed form
 (`_ZeroEnergyOrbit`, E = 0, for `_sample` alone).  The two quadrature
-classes share one interface (phase, step_guess, start, place, state,
-angle); each node pass (`_fused`) gives T, its rate, the swept angle and
-its rate, and each Newton round of `place` is one pass (`time_rate` at
-E = 0).
-`chart_forward_rows` (stacked states), `chart_forward` (one state, its
-row bit for bit) and `chart_inverse` read `_RadialOrbit`, whose pericenter
-is one Newton root in Python floats per orbit.  `global_flow` is the
-translation T -> T + t on every orbit, not only in U^eps: `_step` guesses
-the end before any node pass, places the start in the pass of Newton's
-first round, advances its time since the pericenter, modulo the radial
-period on bound orbits, and solves for the new coordinate.  `trajectory`
-places one start's orbit at many times by `_sample`; `pericenter` keeps
-the covering-ODE route to the chart's pericenter as an independent check.
+classes share one interface (phase, step_guess, start, place, state);
+each node pass (`_fused`) gives T, its rate, the swept angle and its rate,
+and each Newton round of `place` is one pass.
+`global_flow` is the translation T -> T + t on every orbit, not only in
+U^eps: `_step` guesses the end before any node pass, places the start in
+the pass of Newton's first round, advances its time since the pericenter,
+modulo the radial period on bound orbits, and solves for the new
+coordinate.  `chart_inverse` is that step on `_RadialOrbit` from the
+pericenter by T; `chart_forward_rows` (stacked states) and
+`chart_forward` (one state, its row bit for bit) place the state on
+`_RadialOrbit`, whose pericenter is one Newton root in Python floats per
+orbit.  `trajectory` places one start's orbit at many times by `_sample`;
+`pericenter` keeps the covering-ODE route to the chart's pericenter as an
+independent check.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .model import (
     PhasePoint,
     hamiltonian,
     inverse_power,
+    kinetic,
+    kinetic_rows,
     l_squared_point,
     radius,
     radius_rows,
@@ -250,9 +253,10 @@ class _RadialOrbit:
     zeros for its 32-node rule; a row with u <= u_P keeps one panel, bit for bit.
 
     Every node pass is `_fused`, `_BoundOrbit._fused`'s twin, which
-    `time`, `time_rate` and `angle` read.  One orbit (a `global_flow`
-    step, `chart_forward`, `chart_inverse`) finds its constants in Python
-    floats, with the rows' bits.  Overflow is decided by the values alone:
+    `time` reads without the angle.  One orbit (a `global_flow` step,
+    `chart_forward`, `chart_inverse`) finds its constants in Python
+    floats, with the rows' bits, and dT/du in them (`_rate_one`) for
+    Newton's first guess.  Overflow is decided by the values alone:
     every pass runs under np.errstate, and the far forms replace what came
     out inf or NaN.  A step's Newton guess needs no node pass
     (`step_guess`: an 8-node rule on the step's own interval); one pass
@@ -266,18 +270,19 @@ class _RadialOrbit:
         self.root2m = np.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
         # where E s0**(n-1) overflows, G0 = l**2/(2m s0), from f(s0) = 0
-        if E.shape == (1,):  # one row in Python floats, the root `_sigma_min` takes for each row
-            e, l2, m, Z = float(E[0]), float(l[0]) * float(l[0]), params.m, params.Z
-            s0 = _r_min_kepler_one(e, l2, m, Z) if n == 2 else _sigma_root_one(e, l2, m, Z, n)
+        if E.shape == (1,):  # one row in Python floats, the root `_sigma_of_l` takes for each row
+            e, l1, m, Z = float(E[0]), float(l[0]), params.m, params.Z
+            s0 = _sigma_of_l(e, l1, m, Z, n)
             G0 = Z + e * _or_inf(math.pow, s0, n - 1)
-            G0 = G0 if abs(G0) < math.inf else l2 / (2.0 * m) / s0
+            G0 = G0 if abs(G0) < math.inf else l1 * l1 / (2.0 * m) / s0
             inv_u_P = 0.0 * e if n == 1 else _pow(max(e, 0.0) / Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             if not inv_u_P < math.inf:  # E/Z overflows: the powers apart
                 inv_u_P = _pow(e, 0.5 / (n - 1.0)) / _pow(Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             self.s0, self.G0, self._inv_u_P = np.array([s0]), np.array([G0]), np.array([inv_u_P])
             self._s0_powers = [_or_inf(math.pow, s0, j + 1) for j in range(n - 2)]  # the powers of s0 in P
+            self._floats = (s0, G0, e, float(self.K), self._s0_powers)  # `_rate_one`'s constants
         else:
-            self.s0 = _sigma_min(params, E, l * l)
+            self.s0 = _each(_sigma_of_l, E, l, params.m, params.Z, n)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 G0 = params.Z + E * _pow(self.s0, n - 1)
                 self.G0 = np.where(G0 < np.inf, G0, l * l / (2.0 * params.m) / self.s0)
@@ -332,25 +337,13 @@ class _RadialOrbit:
         nodes = start[:, :, None] + width[:, :, None] * _NODES
         return self._s0 + np.concatenate((nodes.reshape(len(u), -1), u[:, None]), axis=1) ** 2, width
 
-    def rate(self, u: np.ndarray) -> np.ndarray:
-        """dT/du = K sigma**(n-1) / sqrt(G) with K = n m / sqrt(2m); far out,
-        where sqrt(G) or sigma**(n-1) overflows, K sigma**(n/2-1) / g with
-        `_far`'s g."""
-        sigma = (self.s0 + u * u)[:, None]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a rate beyond the float range reads inf
-            power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma))
-            if power.max() < np.inf and rG.max() < np.inf:
-                return (self.K * power / rG)[:, 0]
-            far_power, g = self._far(sigma)
-            return np.where((power < np.inf) & (rG < np.inf), self.K * power / rG, self.K * far_power / g)[:, 0]
-
     def _fused(self, u: np.ndarray, angle: bool = True) -> tuple[np.ndarray, ...]:
         """T, dT/du, the swept angle and its rate at each u, from one pass
         over `_nodes`, whose last column, u itself, the weights leave out;
         T and dT/du alone without the angle.
 
-        T's integrand is K sigma**(n-1) / sqrt(G); dT/du is read at u in
-        `rate`'s order of operations.  Beyond u_P, where G overflows (the
+        T's integrand is K sigma**(n-1) / sqrt(G), and dT/du is that
+        integrand at u itself.  Beyond u_P, where G overflows (the
         integrand would read 0) or sigma**(n-1) does too (NaN), it is
         `_far`'s K sigma**(n/2-1) / g.
 
@@ -402,14 +395,6 @@ class _RadialOrbit:
         """Time from the pericenter out to u."""
         return self._fused(u, angle=False)[0]
 
-    def time_rate(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(time(u), rate(u)): a Newton round's pass."""
-        return self._fused(u, angle=False)
-
-    def angle(self, u) -> float:
-        """The swept angle at a float u on a one-row orbit."""
-        return self._fused(np.array([u]))[2][0]
-
     def phase(self, sigma, radial) -> np.ndarray:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
         |radial| = sqrt(2m G) u, free of cancellation near s0.  Where G
@@ -435,15 +420,28 @@ class _RadialOrbit:
             rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
         return r, rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
 
+    def _rate_one(self, u: float) -> float:
+        """dT/du = K sigma**(n-1) / sqrt(G) at a float u on a one-row orbit,
+        in Python floats; NaN where the float power or root fails."""
+        s0, G0, E, K, powers = self._floats
+        sigma = s0 + u * u
+        P = 0.0 if self.n == 1 else 1.0
+        for c in powers:
+            P = P * sigma + c
+        try:
+            return K * sigma ** (self.n - 1) / math.sqrt(G0 + E * sigma * P)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return math.nan
+
     def step_guess(self, u0, side0: float, t) -> tuple[float] | None:
         """Newton's first guess (u,) a time t after a start at u0 (None: the
-        pericenter) on side side0 of a one-row orbit, n >= 2, with no node
-        pass: u = |U| of the root U of
+        pericenter) on side side0 of a one-row orbit, with no node pass:
+        u = |U| of the root U of
 
             int_{U0}^{U} dT/du(|v|) dv = t,   U0 = side0 u0,
 
-        in the signed U = side u, on 8 Gauss-Legendre nodes with `rate`'s
-        closed form, in Python floats.  dT/du is even in U and analytic
+        in the signed U = side u, on 8 Gauss-Legendre nodes of `_rate_one`,
+        in Python floats.  dT/du is even in U and analytic
         through the pericenter, so on a short step the rule holds T's
         difference to round-off.  Newton starts from the tangent at U0 (on
         a collision orbit at its pericenter, where dT/du = 0, from T's
@@ -451,21 +449,9 @@ class _RadialOrbit:
         below _RULE_RTOL |U|.  None after _RULE_ROUNDS rounds (a long step,
         on which the rule loses digits), or where a rate is not in (0, inf):
         NaN where a float power or root fails, at the float range's edges."""
-        n = self.n
+        n, rate = self.n, self._rate_one
         U0, t = 0.0 if u0 is None else side0 * _item(u0), _item(t)
-        s0, G0, E, K = float(self.s0[0]), float(self.G0[0]), float(self.E[0]), float(self.K)
-        powers = [float(c) for c in self._s0_powers]
-
-        def rate(v: float) -> float:  # NaN where the float power or root fails
-            sigma = s0 + v * v
-            P = 1.0
-            for c in powers:
-                P = P * sigma + c
-            try:
-                return K * sigma ** (n - 1) / math.sqrt(G0 + E * sigma * P)
-            except (OverflowError, ValueError, ZeroDivisionError):
-                return math.nan
-
+        _, G0, _, K, _ = self._floats
         rate0 = rate(U0)
         if rate0 > 0.0:
             U = U0 + t / rate0
@@ -510,12 +496,12 @@ class _RadialOrbit:
         goes on from that bracket, its step tolerance 4 ulp of g.
 
         Without a guess, Newton starts from the tangent at the start, or at
-        the pericenter from the E = 0 estimate, or from free motion
-        (`_free`) where that guess is many doublings off.  The bracket is
-        then [hi/2, hi], hi = guess 2**e: e the nearest 0 with T(hi/2) <
-        |ts| <= T(hi), or 0 for T(guess) in [|ts|, 2 |ts|], by steps that
-        double away from 0, then bisection.  T beyond the float range, or u
-        beyond _U_MAX, counts as too high.
+        the pericenter or at a rate of 0 or NaN from the E = 0 estimate, or
+        from free motion (`_free`) where that guess is many doublings off.
+        The bracket is then [hi/2, hi], hi = guess 2**e: e the nearest 0
+        with T(hi/2) < |ts| <= T(hi), or 0 for T(guess) in [|ts|, 2 |ts|],
+        by steps that double away from 0, then bisection.  T beyond the
+        float range, or u beyond _U_MAX, counts as too high.
         """
         target = np.abs(ts)
         u0, side0, t = (None, 0.0, ts) if start is None else start
@@ -524,15 +510,12 @@ class _RadialOrbit:
             first = g and (*g, *(v.item() for v in self._fused(np.array(g))))
         if first and first[1] > 0.0 and target[0] > 0.0:
             g, T = first[:2]
-            chord = g * target.item() / T
+            chord = g * (target.item() / T)  # g target underflows near the collision
             lo, hi = (chord, g) if T >= target[0] else (g, chord)
             sol = _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first[1:])
             return None, np.sign(ts), sol
-        if u0 is None:
-            guess = np.zeros(1)
-        else:
-            with np.errstate(over="ignore", divide="ignore"):  # a tangent beyond the float range: see fmin
-                guess = np.abs(side0 * u0 + t / self.rate(u0))
+        rate = 0.0 if u0 is None else self._rate_one(u0)
+        guess = np.array([abs(side0 * u0 + _item(t) / rate) if rate > 0.0 else 0.0])  # inf: see fmin
         if not guess[0] > 0.0:
             guess = ((2 * self.n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * self.n - 1))
         guess = np.fmin(guess, _U_MAX)  # a tangent beyond the float range
@@ -1166,8 +1149,8 @@ def _reduce_one(ts: float, P: float) -> tuple[float, float, float]:
 def _place_start(orbit, sigma: float, radial) -> tuple | None:
     """A start's coordinate and side (x0, side0) on its orbit, at sigma =
     r**(2/n) with <q,p> = radial: outbound when radial >= 0 (a state at
-    rest is the apocenter), (None, 0.0) on the collision (radial None), and
-    None where x0 is not finite."""
+    rest is the apocenter), (None, 0.0) at the pericenter (radial None),
+    and None where x0 is not finite."""
     if radial is None:
         return None, 0.0
     x0 = _item(orbit.phase(sigma, radial))
@@ -1238,7 +1221,7 @@ def _sample(orbit, ts, theta0: float = 0.0, start=None) -> Step:
             r[part], p = orbit.state(sol.x[0] if one else sol.x)
         p_r[part] = side * p
         pericenter[part] = -theta0 if k is None else 2.0 * k * orbit.apsis - theta0
-        angle = sol.carried if sol.carried is not None else orbit.angle(sol.x[0] if one else sol.x)
+        angle = sol.carried if sol.carried is not None else orbit.angle(sol.x)
         swept[part] = pericenter[part] + side * angle
         periods[part] = 0.0 if k is None else k
         iterations = max(iterations, sol.iterations)
@@ -1273,7 +1256,7 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
         e1, e2, qc, pc = cov.plane_reduce_rows(q, p)  # DomainError at q = 0
         r = radius_rows(q, row_dot(q, q))
         # H, to the bit as `hamiltonian` gives it for each row
-        E = row_dot(p, p) / (2.0 * params.m) - params.Z * _pow(r, -params.alpha)
+        E = kinetic_rows(p, row_dot(p, p), params.m) - params.Z * _pow(r, -params.alpha)
     _require_domain(params, r, E)
     return _chart_rows(params, q, p, e1, e2, r, E, qc.real * pc.imag - qc.imag * pc.real, row_dot(q, p))
 
@@ -1345,6 +1328,17 @@ def _sigma_min(params: ModelParams, E, l2):
     return (r_min_kepler if params.n == 2 else _sigma_root)(params, E, l2)
 
 
+def _sigma_of_l(E: float, l: float, m: float, Z: float, n: int) -> float:
+    """`_sigma_min` of one orbit of energy E and angular momentum l >= 0.
+    Where l**2 is not a normal float it has lost digits, so l**2 and m are
+    scaled by one power of 4 first, as far as m stays finite: the roots
+    read them as l**2/(2m) and by `_units`' exponents, which that keeps."""
+    if not (l == 0.0 or l * l >= _TINY):
+        k = min(-math.frexp(l)[1], (1024 - math.frexp(m)[1]) // 2)
+        l, m = math.ldexp(l, k), math.ldexp(m, 2 * k)
+    return _r_min_kepler_one(E, l * l, m, Z) if n == 2 else _sigma_root_one(E, l * l, m, Z, n)
+
+
 def _r_min_root(params: ModelParams, E: float, l2: float) -> float:
     """Pericenter radius by the Newton solver, any n >= 1."""
     return _or_inf(pow, _sigma_root(params, E, l2), params.n / 2.0)
@@ -1377,7 +1371,7 @@ def _sigma_root_one(E: float, l2: float, m: float, Z: float, n: int) -> float:
     """`_sigma_root` of one float E and l2.  Below the centrifugal maximum f
     is increasing, concave for E < 0 and convex for E > 0: Newton climbs to
     the root (E < 0) or descends to it (E > 0) from l2/(2 m Z), the root at
-    E = 0, or for E > 0 from the smaller of it and (l2/(2 m E))**(1/n), which
+    E = 0 itself, or for E > 0 from the smaller of it and (l2/(2 m E))**(1/n), which
     lies within a factor 2 of the root.  Where l2/(2m), its ratios to Z and
     |E|, or n E leave the normal floats, it is found in `_units`' units."""
     k, b, e, z, rhs = 0, 1.0, E, Z, l2 / (2.0 * m)
@@ -1395,7 +1389,7 @@ def _sigma_root_one(E: float, l2: float, m: float, Z: float, n: int) -> float:
         if peak == rhs:  # circular orbit: a double root, where Newton stops ~sqrt(eps) short
             return _or_inf(math.ldexp, b * s_peak, k)
     s = min(rhs / z, math.pow(rhs / e, 1.0 / n)) if e > 0.0 else rhs / z
-    s = b * _monotone_newton(e, z, n, rhs, s).x
+    s = b * (_monotone_newton(e, z, n, rhs, s).x if e else s)  # at E = 0 no Newton: 0 s**n may read 0 inf
     return _or_inf(math.ldexp, s, k) if k else s
 
 
@@ -1522,36 +1516,30 @@ def kepler_time_closed_form(params: ModelParams, x: PhasePoint) -> float:
     return float(np.sign(x.radial) * T)
 
 
-def _pericenter_axis(n: int) -> tuple[bool, float]:
-    """Which pericenter axis A lies on, and with which sign.
-
-    At a non-collision pericenter with frame (q_hat, p_hat) the chart LRL
-    value is -(i ||p|| r^((n-1)/n))**n, i.e. -i**n times a positive real.
-    So A = s * q_hat for n even and A = s * p_hat for n odd, with
-    s = Re(-i**n) resp. Im(-i**n).
-    """
-    w = -(1j**n)
-    if n % 2 == 0:
-        return True, float(np.sign(w.real))
-    return False, float(np.sign(w.imag))
-
-
 def _pericenter_frame(n: int, A: np.ndarray, B_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frame (e1, e2) in which an orbit with chart axes A and B_hat has
-    its pericenter on the positive e1 axis and turns counterclockwise."""
-    on_q_axis, s = _pericenter_axis(n)
-    if on_q_axis:
+    its pericenter on the positive e1 axis and turns counterclockwise.  At
+    a non-collision pericenter the chart LRL value is
+    -(i ||p|| r^((n-1)/n))**n, -i**n times a positive real: A = s e1 for n
+    even, s = Re(-i**n), and A = s e2 for n odd, s = Im(-i**n)."""
+    w = -(1j**n)
+    if n % 2 == 0:
+        s = float(np.sign(w.real))
         return s * A, s * B_hat
+    s = float(np.sign(w.imag))
     return -s * B_hat, s * A
 
 
 def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     """Reconstruct the phase-space point with chart image c.
 
-    (T, B) = (0, 0) is the glued collision point itself.  Every other point,
-    collision orbits (B = 0) included, solves |T| = time(u) on the radial
-    quadrature and is rebuilt at the swept angle in the pericenter frame
-    spanned by A and B.
+    In chart coordinates the flow is the translation T -> T + t, so every
+    point, collision orbits (B = 0) included, is its orbit's state a time
+    T after the pericenter: `_step` from the pericenter, embedded in the
+    pericenter frame spanned by A and B.  T increases with u, so the point
+    lies in the chart's image iff the step ends below the u where the
+    orbit leaves U^eps.  Where it ends at r = 0, at (T, B) = (0, 0) or
+    with r below the float range, it is the glued collision point (H, A).
     """
     A = np.asarray(c.A, dtype=float)
     B = np.asarray(c.B, dtype=float)
@@ -1560,10 +1548,7 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     if abs(float(np.dot(A, B))) > 1e-8 * max(1.0, np.linalg.norm(B)):
         raise ValueError("B must be perpendicular to A")
 
-    ell = float(np.linalg.norm(B))
-    if ell == 0.0 and c.T == 0.0:
-        return Collision(h=c.H, a=A / np.linalg.norm(A))
-
+    ell = radius(B, float(np.dot(B, B)))  # scaled where |B|**2 is not a normal float
     n = params.n
     if n == 1 and c.H <= -0.5 * params.Z:
         raise ChartDomainError("H lies below the chart domain's energy floor -Z/2")
@@ -1572,26 +1557,17 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     s_max = params.eps ** (2.0 / n)
     if c.H < 0.0 and n > 1:
         s_max = min(s_max, (params.Z / (2.0 * n * -c.H)) ** (1.0 / (n - 1.0)))
-    if orbit.s0[0] >= s_max:
+    if not orbit.s0[0] < s_max:  # NaN too: H not finite
         raise ChartDomainError("reconstructed pericenter lies outside the chart domain")
-    u_max = np.sqrt(s_max - orbit.s0)
-    t_max = orbit.time(u_max)
-    t = np.array([abs(c.T)])
-    if t[0] >= t_max[0]:
+    step = _step(orbit, 0.0, None, float(c.T)) if math.isfinite(c.T) else None
+    if not (step and step.solve.x[0] < math.sqrt(s_max - orbit.s0[0])):
         raise ChartDomainError("chart point lies outside the image of the chart")
-    # a step of 4 ulp of u itself: u may lie far below u_max
-    u = _solve_increasing(orbit.time_rate, t, u_max * t / t_max, 0.0, u_max, 0.0, 4.0 * np.spacing(1.0)).x
-    r, p_r = orbit.state(u[0])
-    angle = orbit.angle(u[0])
-    sign = float(np.sign(c.T))
-    p_r, turn = sign * p_r, np.exp(1j * sign * angle)
-    # pericenter frame: e1 along q, e2 along p there
+    if step.r == 0.0:  # the collision, or r below the float range: `global_flow` ends there too
+        return Collision(h=c.H, a=A / np.linalg.norm(A))
     # a collision orbit sweeps n quarter turns and lies on the line of A,
     # whichever unit vector stands in for B / |B|
     B_hat = B / ell if ell > 0.0 else cov._completion(A)
-    e1, e2 = _pericenter_frame(n, A, B_hat)
-    frame = cov.PlaneFrame(e1=e1, e2=e2)
-    return Regular(cov.plane_embed(frame, r * turn, (p_r + 1j * ell / r) * turn))
+    return _embed(*_pericenter_frame(n, A, B_hat), step.r, step.p_r, ell, step.swept)
 
 
 def project_to_config(x: ExtendedPoint) -> np.ndarray:
@@ -1761,16 +1737,16 @@ def _scaled_flow(params: ModelParams, state: Regular, t: float, ts: list | None,
 
 def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:
     """x.r, `hamiltonian` and x.radial of one state, bit for bit, from the
-    three dot products <q,q>, <p,p> and <q,p> alone, taken without numpy's
-    warnings: one that overflows is left for the caller to refuse as an
-    inf or NaN."""
+    three dot products <q,q>, <p,p> and <q,p> (q or p scaled where its own
+    is not a normal float), taken without numpy's warnings: one that
+    overflows is left for the caller to refuse as an inf or NaN."""
     q, p = x.q, x.p
     with np.errstate(over="ignore", invalid="ignore"):
         qq, pp, qp = np.dot(q, q), np.dot(p, p), np.dot(q, p)
     r = radius(q, qq)
     if r == 0.0:  # before the float power, which raises ZeroDivisionError at 0
         raise DomainError("q = 0 is outside the unregularised phase space")
-    E = float(pp) / (2.0 * params.m) - params.Z * inverse_power(r, params.alpha)
+    E = kinetic(p, float(pp), params.m) - params.Z * inverse_power(r, params.alpha)
     return r, E, float(qp)
 
 

@@ -134,6 +134,22 @@ def radius(q: np.ndarray, qq) -> float:
     return math.sqrt(qq) if qq >= _TINY else float(radius_rows(q[None], np.array([qq]))[0])
 
 
+def kinetic_rows(p: np.ndarray, pp: np.ndarray, m: float) -> np.ndarray:
+    """<p,p>/(2m) of each row of a (k, d) array p from pp = <p,p>.  Where pp
+    is not a normal float it has lost digits (or reads 0), so it is taken
+    as r (r/2m) from `radius_rows`' r = ||p||, which keeps them."""
+    kinetic, small = pp / (2.0 * m), pp < _TINY
+    if small.any():
+        r = radius_rows(p[small], pp[small])
+        kinetic[small] = r * (r / (2.0 * m))
+    return kinetic
+
+
+def kinetic(p: np.ndarray, pp: float, m: float) -> float:
+    """`kinetic_rows` of one state, bit for bit; in floats where pp is normal."""
+    return pp / (2.0 * m) if pp >= _TINY else float(kinetic_rows(p[None], np.array([pp]), m)[0])
+
+
 def potential(params: ModelParams, q: np.ndarray) -> float:
     """U_n(q) = Z * ||q||**(-alpha_n).  Constant Z for n = 1."""
     r = radius(q, np.dot(q, q))
@@ -152,9 +168,9 @@ def inverse_power(r: float, alpha: float) -> float:
 
 
 def hamiltonian(params: ModelParams, x: PhasePoint) -> float:
-    """Total energy ||p||**2 / (2 m) - U_n(q)."""
+    """Total energy ||p||**2 / (2 m) - U_n(q), the first term by `kinetic`."""
     x.require_noncollision()
-    return float(np.dot(x.p, x.p)) / (2.0 * params.m) - potential(params, x.q)
+    return kinetic(x.p, float(np.dot(x.p, x.p)), params.m) - potential(params, x.q)
 
 
 def _canonical(

@@ -23,6 +23,7 @@ from mcgehee.model import (
 from mcgehee.verify import sample_domain_points
 
 from covering_oracle import radius_event
+from test_digests import load_digests
 
 GRID = [(n, d) for n in (1, 2, 3, 4) for d in (2, 3)]
 
@@ -56,9 +57,7 @@ def ode_inverse(params, c):
     with DOP853 on the physical field."""
     n, d = params.n, params.d
     ell = float(np.linalg.norm(c.B))
-    on_q_axis, s = chart._pericenter_axis(n)
-    B_hat = c.B / ell
-    e1, e2 = (s * c.A, s * B_hat) if on_q_axis else (-s * B_hat, s * c.A)
+    e1, e2 = chart._pericenter_frame(n, c.A, c.B / ell)
     q_mag = chart.r_min(params, c.H, ell * ell) ** (1.0 / n)
     P_mag = np.sqrt(2.0 * params.m * (params.Z + c.H * q_mag ** (2 * (n - 1))))
     y0 = cov.covering_state_y(complex(q_mag), 1j * P_mag)
@@ -438,6 +437,24 @@ class TestRMin:
         below = 0.999 * (params.m / -E) * params.Z * params.Z / 2.0  # m Z**2 underflows
         assert chart.r_min(params, E, below) == pytest.approx(float(mp_sigma_root(params, E, below)), rel=1e-13)
 
+    @pytest.mark.parametrize("n,l2,m,Z", [(3, 1e300, 1.0, 1.0), (4, 1e200, 1.0, 1.0), (5, 1e120, 1.0, 1.0),
+                                          (5, 1e120, 0.7, 1.3)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_energy_root_is_l2_over_2mZ(self, n, l2, m, Z):
+        # at E = 0 the root is sigma0 = l2/(2mZ) itself: Newton from it took
+        # E s**n = 0 inf and read NaN; r beyond the float range reads inf.
+        # A `_RadialOrbit` at E = 0 with that l, one row and stacked, has
+        # that s0 and G0 = Z (l**2/(2m s0), as E s0**(n-1) is 0 inf)
+        params = ModelParams(n=n, d=2, m=m, Z=Z)
+        s0 = l2 / (2.0 * m * Z)
+        want = mp.mpf(s0) ** (mp.mpf(n) / 2)
+        r = chart.r_min(params, 0.0, l2)
+        assert r == np.inf if want > np.finfo(float).max else r == pytest.approx(float(want), rel=1e-15)
+        l = np.sqrt(l2)
+        for orbit in (chart._RadialOrbit(params, np.array([0.0]), np.array([l])),
+                      chart._RadialOrbit(params, np.zeros(2), np.array([l, 0.2]))):
+            assert orbit.s0[0] == pytest.approx(s0, rel=1e-15) and orbit.G0[0] == pytest.approx(Z, rel=1e-15)
+
     def test_kepler_root_where_E_l2_overflows(self):
         # E l2 = -2.2e399 overflows to -inf, so Z**2 + 2 E l2 / m read -inf
         # and "no pericenter", although l2 is 0.44 of the threshold m Z**2 / 2|E|
@@ -601,6 +618,39 @@ class TestQuadratureChart:
             assert np.allclose(c.A, expected, atol=1e-15)
             assert c.A == pytest.approx(oracle_chart(params, x)[1], abs=1e-10)
 
+    def test_inverse_is_a_step_of_about_two_passes(self, monkeypatch):
+        # chart_inverse is `_step` from the pericenter, and makes no solve
+        # or node pass of its own.  Over `certify_calls()`: 2.516 passes for
+        # n >= 2 (7.453 when it solved |T| = time(u) itself, with a pass for
+        # T(u_max) and one for the end angle), 1 for n = 1 (3 before)
+        digests = load_digests()
+        images = [(params, chart.chart_forward(params, x)) for params, x, _ in digests.certify_calls()]
+        stepping, inside, passes = [False], [0], collections.defaultdict(list)
+        step, solve = chart._step, chart._solve_increasing
+        with digests.counting_passes() as count:
+
+            def counted(*args):
+                before, stepping[0] = count[0], True
+                try:
+                    return step(*args)
+                finally:
+                    stepping[0] = False
+                    inside[0] += count[0] - before
+
+            def checked(*args, **kwargs):
+                assert stepping[0], "a solve outside the step"
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(chart, "_step", counted)
+            monkeypatch.setattr(chart, "_solve_increasing", checked)
+            for params, c in images:
+                before = count[0]
+                chart.chart_inverse(params, c)
+                passes[params.n].append(count[0] - before)
+        assert count[0] == inside[0] >= len(images)
+        many = [k for n, ks in passes.items() if n >= 2 for k in ks]
+        assert np.mean(many) <= 2.6 and max(passes[1]) <= 3
+
     def test_inverse_rejects_times_beyond_the_domain(self):
         params = ModelParams(n=3, d=2, eps=0.1)
         x = sample_domain_points(params, np.random.default_rng(7), 1)[0]
@@ -621,6 +671,10 @@ class TestQuadratureChart:
         beyond = chart.ChartPoint(T=-10.0 * time_scale(params), H=cy.H, B=cy.B, A=cy.A)
         with pytest.raises(chart.ChartDomainError):
             chart.chart_inverse(params, beyond)
+        # a time or energy that is not finite
+        for T, H in ((np.inf, c.H), (-np.inf, c.H), (np.nan, c.H), (c.T, np.nan)):
+            with pytest.raises(chart.ChartDomainError):
+                chart.chart_inverse(params, chart.ChartPoint(T=T, H=H, B=c.B, A=c.A))
 
     def test_stencil_near_collision_orbit_regression(self):
         # certify point of seed 3 (n = d = 2, sin angle(q, p) = 4.45e-5):
@@ -710,6 +764,37 @@ class TestCollisionOrbitInverse:
             flowed = chart.global_flow(params, chart.Collision(h=c.H, a=c.A), c.T).x
             assert np.linalg.norm(back.q - flowed.q) <= 1e-9 * back.r
             assert np.linalg.norm(back.p - flowed.p) <= 1e-9 * np.linalg.norm(back.p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_times_leave_the_collision_as_its_leading_term(self, n):
+        # r**(1 + alpha/2) = (1 + alpha/2) sqrt(2Z/m) |T| to relative order
+        # H r**alpha / Z, for chart_inverse and the flow from the glued
+        # point: 1.4e-15 measured.  chart_inverse's own solve stopped after
+        # 64 rounds far above the root (r 1e175 times too large at T =
+        # 1e-300, n = 2), and the first round's chord g |t| / T(g)
+        # underflowed to 0, so the flow ended on the collision
+        params = ModelParams(n=n, d=2, eps=0.1, m=0.7, Z=1.3)
+        a = np.array([0.6, 0.8])
+        with mp.workdps(40):
+            power = 1 + (2 - mp.mpf(2) / n) / 2
+            for T in (1e-300, -1e-200, 1e-100, 1e-30):
+                want = (power * mp.mpf(abs(T)) * mp.sqrt(2 * mp.mpf(params.Z) / params.m)) ** (1 / power)
+                for H in (2.0, -0.5):
+                    back = chart.chart_inverse(params, chart.ChartPoint(T=T, H=H, B=np.zeros(2), A=a))
+                    flowed = chart.global_flow(params, chart.Collision(h=H, a=a), T)
+                    for y in (back.x, flowed.x):
+                        assert abs(y.r / want - 1) <= 1e-14 and np.sign(y.radial) == np.sign(T)
+
+    def test_pericenter_below_the_float_range_is_the_collision(self):
+        # T = 0 and |B| = l with a pericenter that underflows to r = 0: the
+        # glued point, as `global_flow` ends there (p = l / r divided by 0)
+        for n in (2, 3):
+            params = ModelParams(n=n, d=2, eps=0.1)
+            for l in (5e-324, 1e-200, 1e-170):
+                c = chart.ChartPoint(T=0.0, H=1.0, B=np.array([0.0, l]), A=np.array([1.0, 0.0]))
+                back = chart.chart_inverse(params, c)
+                assert isinstance(back, chart.Collision) and back.h == 1.0 and same_bits(back.a, c.A)
 
     def test_time_beyond_the_domain_is_rejected(self):
         # flowing the glued point by T = 0.05 would reach r = 0.285 > eps
@@ -1503,13 +1588,13 @@ class TestOneRowSolve:
         params = ModelParams(n=n, d=2)
         if bound:
             orbit, hi = chart._BoundOrbit(params, -0.5, 0.0), np.pi / 2.0
-            f = orbit._fused
+            rate = orbit.rate(np.zeros(1))[0]
         else:
             orbit, hi = chart._RadialOrbit(params, np.array([0.5]), np.array([0.0])), 1.0
-            f = orbit.time_rate
-        assert orbit.rate(np.zeros(1))[0] == 0.0 and f(np.zeros(1))[1][0] == 0.0
+            rate = orbit._rate_one(0.0)
+        assert rate == 0.0 and orbit._fused(np.zeros(1))[1][0] == 0.0
         root = np.array([0.3])
-        sol = self.both(f, orbit.time(root), np.zeros(1), 0.0, hi, 4.0 * np.spacing(hi))
+        sol = self.both(orbit._fused, orbit.time(root), np.zeros(1), 0.0, hi, 4.0 * np.spacing(hi))
         assert sol.iterations > 1 and abs(sol.x[0] - root[0]) <= 1e-14
 
     def test_exact_target_keeps_the_guess(self):
@@ -1567,7 +1652,7 @@ class TestOneRowSolve:
             orbit = chart._RadialOrbit(params, np.array([E]), np.array([0.2]))
             unchanged(orbit, lambda: orbit.place(np.array([50.0])))  # one row
             ts = np.array([0.01, 0.4, 50.0])
-            unchanged(orbit, lambda: chart._solve_increasing(orbit.time_rate, ts, np.ones(3), 0.0, 1e3, 1e-15))
+            unchanged(orbit, lambda: chart._solve_increasing(orbit._fused, ts, np.ones(3), 0.0, 1e3, 1e-15))
 
     def test_one_row_takes_the_float_path(self, monkeypatch):
         def fail(*args):
@@ -1775,6 +1860,17 @@ class TestSeriesGuess:
         assert np.mean(rounds) <= 1.2 and max(rounds) <= 3
 
 
+def closed_form_rate(orbit, u):
+    """dT/du = K sigma**(n-1) / sqrt(G) on a one-row `_RadialOrbit` at an
+    array of u, on a (j, 1) array of sigma; far out, where sqrt(G) or
+    sigma**(n-1) overflows, K sigma**(n/2-1) / g with `_far`'s g."""
+    sigma = (orbit.s0 + u * u)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        power, rG = sigma ** (orbit.n - 1), np.sqrt(orbit.G(sigma))
+        far_power, g = orbit._far(sigma)
+        return np.where((power < np.inf) & (rG < np.inf), orbit.K * power / rG, orbit.K * far_power / g)[:, 0]
+
+
 def small_values_bound(orbit, E):
     """u**2 out to which a one-row orbit's values stay below 1e100, so that
     no product of three overflows: (1e100 / max(1, n E))**(1/(n-1)) - s0,
@@ -1801,17 +1897,21 @@ class TestOneStateUnbound:
     def test_fused_round_is_time_and_rate(self, n):
         params = ModelParams(n=n, d=2)
         rng = np.random.default_rng(30 + n)
-        within, small = 0, 0
+        within, small, floats = 0, 0, 0
         for E, l in self.ORBITS:
             orbit = chart._RadialOrbit(params, np.array([E]), np.array([l]))
             u_P = 1.0 / orbit._inv_u_P[0] if orbit._inv_u_P[0] > 0.0 else 10.0
             for x in (0.0, 1e-9, u_P, *(u_P * rng.uniform(0.0, 3.0, 12))):
-                T, dT = orbit.time_rate(np.array([x]))
+                T, dT = orbit._fused(np.array([x]), angle=False)
                 within += not x * orbit._inv_u_P[0] > 1.0
                 small += x * x <= small_values_bound(orbit, E)
                 rows = np.array([x, x])  # a stacked pass, and dT/du in closed form
-                assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, orbit.rate(rows)[:1])
-        assert within > 100 and small > 100
+                assert same_bits(T, orbit.time(rows)[:1]) and same_bits(dT, closed_form_rate(orbit, rows)[:1])
+                # the float rate of `step_guess` and `place`'s tangent, where finite
+                one = orbit._rate_one(x)
+                assert not np.isfinite(one) or abs(one - dT[0]) <= 2.0 * np.spacing(dT[0]), (E, l, x)
+                floats += np.isfinite(one)
+        assert within > 100 and small > 100 and floats > 100
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1919,23 +2019,23 @@ class TestOneStateUnbound:
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_pass_warns_anywhere(self, n, log_E, log_l, frac):
-        # the one-row rate, state, node pass (of one u and of two) and
+        # the one-row float rate, state, node pass (of one u and of two) and
         # short-step guess, out to 4 times `small_values_bound` (or sqrt(s0)
-        # and 1 where it is -1): none warns, nor raises from the guess
+        # and 1 where it is -1): none warns, nor raises from the float rate
+        # or the guess
         params = ModelParams(n=n, d=2)
         E = 10.0**log_E
         orbit = chart._RadialOrbit(params, np.array([E]), np.array([10.0**log_l]))
         bound = small_values_bound(orbit, E)
         x = 4.0 * frac * np.sqrt(bound if bound >= 0.0 else max(orbit.s0[0], 1.0))
         u = np.array([x])
-        orbit.rate(u)
+        orbit._rate_one(float(x))
         orbit.time(u)
         with np.errstate(divide="ignore", invalid="ignore"):  # as `_step` reads it: r may be 0
             orbit.state(float(x))
         orbit._fused(u)
         orbit._fused(np.array([x, 0.5 * x]))  # a start stacked on its guess
-        if n >= 2:
-            orbit.step_guess(float(x), 1.0, 1.0)
+        orbit.step_guess(float(x), 1.0, 1.0)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -2034,6 +2134,29 @@ class TestExtremeMassAndCoupling:
         c = chart.chart_forward(params, PhasePoint(np.array([0.03, -0.04]), np.array([0.3e-160, 0.7e-160])))
         assert abs(np.linalg.norm(c.A) - 1.0) <= 1e-15
         assert isinstance(chart.chart_inverse(params, c), chart.Regular)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_round_trip_where_p_squares_to_a_subnormal(self, n):
+        # <p,p> = 5.8e-321 and l**2 = 1.1e-323: the energy and l**2/2m are
+        # taken from p and l scaled by powers of two, so H keeps its digits,
+        # bit for bit on the three paths, and the round trip holds; unscaled
+        # both lost digits, and it missed by 0.3 % (n = 3) to 6 %
+        params = ModelParams(n=n, d=2, m=1e-300, Z=1e-300)
+        q, p = np.array([0.03, -0.04]), np.array([0.3e-160, 0.7e-160])
+        x = PhasePoint(q, p)
+        with mp.workdps(30):
+            r = mp.sqrt(mp.mpf(q[0]) ** 2 + mp.mpf(q[1]) ** 2)
+            kinetic = (mp.mpf(p[0]) ** 2 + mp.mpf(p[1]) ** 2) / (2 * mp.mpf(params.m))
+            want = float(kinetic - mp.mpf(params.Z) * r ** -mp.mpf(params.alpha))
+        H = hamiltonian(params, x)
+        assert H == pytest.approx(want, rel=1e-15, abs=0.0)
+        rows = chart.chart_forward_rows(params, np.concatenate([q, p])[None])
+        assert same_bits(H, chart._radius_energy_radial(params, x)[1]) and same_bits(H, rows.H[0])
+        back = chart.chart_inverse(params, chart.chart_forward(params, x)).x
+        assert np.abs(back.q - q).max() <= 1e-13 * x.r
+        assert np.abs(back.p - p).max() <= 1e-13 * np.hypot(*p)
 
 
 class TestOverflowingPotential:

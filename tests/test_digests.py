@@ -26,7 +26,7 @@ RECORDED = {
     "simulate n=2": "021d7db16109e0bf",
     "simulate n=3 collision": "96c058ff588f907f",
     "simulate n=4": "bf2136a44ecca152",
-    "verify": "1935278b256042be",
+    "verify": "a2fbb5eb4b68b113",
     "figures all tree": "84b5d538cd535125…e1ab47",
 }
 
@@ -55,7 +55,7 @@ def test_src_line_count_is_wc_l():
     assert load_digests().src_lines() == int(out.stdout.split()[-2])  # the "total" line
 
 
-RECORDED_FLOW = "6be08380171b5995"
+RECORDED_FLOW = "501bbbe0f57da049"
 
 
 def test_global_flow_keeps_its_recorded_digest():
@@ -68,7 +68,7 @@ def test_global_flow_keeps_its_recorded_digest():
     assert digests.flow_digest(calls) == RECORDED_FLOW
 
 
-RECORDED_CERTIFY = "9d6cda641c5ddadd"
+RECORDED_CERTIFY = "2ca90ff980c82e30"
 
 
 def test_certify_outputs_keep_their_recorded_digest():
@@ -87,7 +87,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3505  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3497  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

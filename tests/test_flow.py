@@ -448,7 +448,7 @@ class TestHugeTimes:
                     assert np.isinf(orbit._P(sigma)).any() == (u > 1e30)
                 points = [0, *(mp.sqrt(s0) * 4**k for k in range(-1, 200) if mp.sqrt(s0) * 4**k < u), u]
                 exact = n * l / mp.sqrt(2 * params.m) * mp.quad(integrand, points)
-                angle = orbit.angle(u)
+                angle = orbit._fused(np.array([u]))[2][0]
                 assert abs(angle - float(exact)) <= 1e-13 * float(exact)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -638,10 +638,27 @@ class TestUnboundSteps:
 
     def test_every_step_carries_its_end_angle(self, monkeypatch):
         # every round is a node pass with the angle, so no unbound step
-        # reads the end angle in a pass of its own
-        monkeypatch.setattr(chart._RadialOrbit, "angle", lambda self, u: pytest.fail("the angle read alone"))
+        # reads the end angle in a pass of its own: none follows its solve
+        solved, fused, place = [False], chart._RadialOrbit._fused, chart._RadialOrbit.place
+
+        def checked(self, *args, **kwargs):
+            assert not solved[0], "a node pass after the solve"
+            return fused(self, *args, **kwargs)
+
+        def placed(self, *args):
+            out = place(self, *args)
+            solved[0] = True
+            return out
+
+        def stepped(orbit, *args):
+            solved[0] = False
+            steps.append((orbit, step(orbit, *args)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(chart._RadialOrbit, "_fused", checked)
+        monkeypatch.setattr(chart._RadialOrbit, "place", placed)
         steps, step = [], chart._step
-        monkeypatch.setattr(chart, "_step", lambda orbit, *a: steps.append((orbit, step(orbit, *a))) or steps[-1][1])
+        monkeypatch.setattr(chart, "_step", stepped)
         for params, x, t in flow_calls() + unbound_chains(ns=(4,), starts=2):
             try:
                 chart.global_flow(params, x, t)

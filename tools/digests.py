@@ -16,8 +16,9 @@ table, the chart roundtrip and the transit time (`certify_calls`,
 rounds of the bound and the unbound `global_flow` solves over
 `flow_calls` (`flow_rounds`) and the mean and the most node passes of a
 bound and of an unbound step (`flow_passes`), and the certify work line
-the stencil rows of a bracket table for each d and the mean and the most
-Newton rounds of `chart_inverse` over `certify_calls` (`certify_work`).
+the stencil rows of a bracket table for each d and the node passes of
+`chart_inverse` over `certify_calls`: their mean and most for n >= 2, and
+their most for n = 1 (`certify_work`).
 The pericenter line gives the roots and the mean and the most Newton
 rounds of the pericenter root over the n >= 3 bracket tables of
 `certify_calls` and over `flow_calls` (`pericenter_rounds`).
@@ -29,6 +30,7 @@ keys (`knobs`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -203,16 +205,15 @@ def flow_rounds(calls) -> dict[str, list[int]]:
 
 
 # the methods that make one pass over an orbit's quadrature nodes
-NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "time_rate", "angle", "_fused")}
+NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "_fused")}
 
 
-def flow_passes(calls) -> dict[str, list[int]]:
-    """The node passes of each call's `global_flow` step, "bound" on a
-    `_BoundOrbit` and "unbound" on the others: calls of the NODE_PASSES
-    methods, a pass made inside another counted once, read by wrapping
-    `chart._step` and those methods while the calls run."""
-    passes, count, depth = {"bound": [], "unbound": []}, [0], [0]
-    step = chart._step
+@contextlib.contextmanager
+def counting_passes():
+    """Count the calls of the NODE_PASSES methods while the block runs, a
+    pass made inside another counted once: yields a list whose one item is
+    the running count."""
+    count, depth = [0], [0]
     methods = [(cls, name, getattr(cls, name)) for cls, names in NODE_PASSES.items() for name in names]
 
     def counted(method):
@@ -225,52 +226,63 @@ def flow_passes(calls) -> dict[str, list[int]]:
                 depth[0] -= 1
         return wrapper
 
-    def counted_step(orbit, *args):
-        before = count[0]
-        out = step(orbit, *args)
-        passes["bound" if isinstance(orbit, chart._BoundOrbit) else "unbound"].append(count[0] - before)
-        return out
-
-    chart._step = counted_step
     for cls, name, method in methods:
         setattr(cls, name, counted(method))
     try:
-        for params, start, t in calls:
-            chart.global_flow(params, start, t)
+        yield count
     finally:
-        chart._step = step
         for cls, name, method in methods:
             setattr(cls, name, method)
+
+
+def flow_passes(calls) -> dict[str, list[int]]:
+    """The node passes of each call's `global_flow` step, "bound" on a
+    `_BoundOrbit` and "unbound" on the others (`counting_passes`), read by
+    wrapping `chart._step` while the calls run."""
+    passes = {"bound": [], "unbound": []}
+    step = chart._step
+    with counting_passes() as count:
+
+        def counted_step(orbit, *args):
+            before = count[0]
+            out = step(orbit, *args)
+            passes["bound" if isinstance(orbit, chart._BoundOrbit) else "unbound"].append(count[0] - before)
+            return out
+
+        chart._step = counted_step
+        try:
+            for params, start, t in calls:
+                chart.global_flow(params, start, t)
+        finally:
+            chart._step = step
     return passes
 
 
-def certify_work(calls) -> tuple[dict[int, int], list[int]]:
+def certify_work(calls) -> tuple[dict[int, int], dict[int, list[int]]]:
     """The stencil rows of each d's bracket table (the rows that
-    `chart.chart_forward_rows` takes there) and the Newton rounds of each
-    call's `chart_inverse`, read by wrapping `chart.chart_forward_rows`
-    and `chart._solve_increasing` while the calls run."""
-    rows, rounds = {}, []
-    forward_rows, solve = chart.chart_forward_rows, chart._solve_increasing
+    `chart.chart_forward_rows` takes there), read by wrapping it while the
+    calls run, and the node passes of each call's `chart_inverse` by n
+    (`counting_passes`)."""
+    rows, passes = {}, {}
+    forward_rows = chart.chart_forward_rows
 
     def counted_rows(params, z):
         rows[params.d] = len(z)
         return forward_rows(params, z)
 
-    def counted_solve(*args):
-        out = solve(*args)
-        rounds.append(out.iterations)
-        return out
-
+    chart.chart_forward_rows = counted_rows
     try:
-        chart.chart_forward_rows = counted_rows
         for params, x, _ in calls:
             verify.bracket_table(params, x)
-        chart.chart_forward_rows, chart._solve_increasing = forward_rows, counted_solve
-        for params, x, _ in calls:
-            chart.chart_inverse(params, chart.chart_forward(params, x))
     finally:
-        chart.chart_forward_rows, chart._solve_increasing = forward_rows, solve
-    return rows, rounds
+        chart.chart_forward_rows = forward_rows
+    images = [(params, chart.chart_forward(params, x)) for params, x, _ in calls]
+    with counting_passes() as count:
+        for params, c in images:
+            before = count[0]
+            chart.chart_inverse(params, c)
+            passes.setdefault(params.n, []).append(count[0] - before)
+    return rows, passes
 
 
 def pericenter_rounds(flows, certifies) -> dict[str, list[int]]:
@@ -327,8 +339,9 @@ def main() -> None:
     for kind, passes in flow_passes(flow_calls()).items():
         print(f"{kind + ' node passes':<24}mean {np.mean(passes):.3f} max {max(passes)} per step")
     rows, inverse = certify_work(certify_calls())
+    many = [k for n, passes in inverse.items() if n >= 2 for k in passes]
     print(f"{'certify work':<24}stencil rows " + ", ".join(f"d={d} {k}" for d, k in sorted(rows.items()))
-          + f"; chart_inverse rounds mean {np.mean(inverse):.3f} max {max(inverse)}")
+          + f"; chart_inverse node passes n >= 2 mean {np.mean(many):.3f} max {max(many)}, n = 1 max {max(inverse[1])}")
     roots = pericenter_rounds(flow_calls(), certify_calls())
     print(f"{'pericenter rounds':<24}" + ", ".join(f"{k} {len(v)} roots mean {np.mean(v):.3f} max {max(v)}"
                                                    for k, v in roots.items()))
