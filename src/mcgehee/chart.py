@@ -224,7 +224,7 @@ _RULE = tuple((0.5 * (float(x) + 1.0), 0.5 * float(w)) for x, w in zip(*np.polyn
 _RULE_RTOL = 1e-8
 _RULE_ROUNDS = 8
 # u beyond which sigma = s0 + u**2 overflows
-_U_MAX = np.sqrt(np.finfo(float).max)
+_U_MAX = math.sqrt(np.finfo(float).max)
 # the smallest normal float: a pericenter root's terms below it take `_units`
 _TINY = float(np.finfo(float).tiny)
 
@@ -266,21 +266,22 @@ class _RadialOrbit:
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
         n = self.n = params.n
-        self.E, self.l = E, l
         self.root2m = np.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
         # where E s0**(n-1) overflows, G0 = l**2/(2m s0), from f(s0) = 0
         if E.shape == (1,):  # one row in Python floats, the root `_sigma_of_l` takes for each row
             e, l1, m, Z = float(E[0]), float(l[0]), params.m, params.Z
             s0 = _sigma_of_l(e, l1, m, Z, n)
-            G0 = Z + e * _or_inf(math.pow, s0, n - 1)
+            s = [_or_inf(math.pow, s0, j) for j in range(n)]  # the powers of s0
+            G0 = Z + e * s[n - 1]
             G0 = G0 if abs(G0) < math.inf else l1 * l1 / (2.0 * m) / s0
             inv_u_P = 0.0 * e if n == 1 else _pow(max(e, 0.0) / Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             if not inv_u_P < math.inf:  # E/Z overflows: the powers apart
                 inv_u_P = _pow(e, 0.5 / (n - 1.0)) / _pow(Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             self.s0, self.G0, self._inv_u_P = np.array([s0]), np.array([G0]), np.array([inv_u_P])
-            self._s0_powers = [_or_inf(math.pow, s0, j + 1) for j in range(n - 2)]  # the powers of s0 in P
+            self._s0_powers = s[1:n - 1]  # those in P
             self._floats = (s0, G0, e, float(self.K), self._s0_powers)  # `_rate_one`'s constants
+            self._frozen = [b * p for b, p in zip(_frozen_binomials(n), reversed(s))]  # `_start`'s c_j
         else:
             self.s0 = _each(_sigma_of_l, E, l, params.m, params.Z, n)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -421,52 +422,94 @@ class _RadialOrbit:
         return r, rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
 
     def _rate_one(self, u: float) -> float:
-        """dT/du = K sigma**(n-1) / sqrt(G) at a float u on a one-row orbit,
-        in Python floats; NaN where the float power or root fails."""
+        """dT/du = K sigma**(n-1) / sqrt(G) at a float u on a one-row orbit in
+        Python floats (n = 1: G is G0), and `_far`'s K sigma**(n/2-1) / g where
+        the power or root overflows, as in `_fused`; NaN where the root fails."""
         s0, G0, E, K, powers = self._floats
-        sigma = s0 + u * u
-        P = 0.0 if self.n == 1 else 1.0
+        if self.n == 1:
+            return K / math.sqrt(G0)
+        sigma, P = s0 + u * u, 1.0
         for c in powers:
             P = P * sigma + c
         try:
-            return K * sigma ** (self.n - 1) / math.sqrt(G0 + E * sigma * P)
-        except (OverflowError, ValueError, ZeroDivisionError):
+            power, rG = sigma ** (self.n - 1), math.sqrt(G0 + E * sigma * P)
+            if power < math.inf and rG < math.inf:
+                return K * power / rG
+        except OverflowError:  # the power: the far form
+            pass
+        except (ValueError, ZeroDivisionError):
             return math.nan
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            far_power, g = self._far(np.array([[sigma]]))
+            return (K * far_power / g).item()
 
-    def step_guess(self, u0, side0: float, t) -> tuple[float] | None:
+    def step_guess(self, u0, side0: float, t) -> tuple[float]:
         """Newton's first guess (u,) a time t after a start at u0 (None: the
         pericenter) on side side0 of a one-row orbit, with no node pass:
         u = |U| of the root U of
 
             int_{U0}^{U} dT/du(|v|) dv = t,   U0 = side0 u0,
 
-        in the signed U = side u, on 8 Gauss-Legendre nodes of `_rate_one`,
-        in Python floats.  dT/du is even in U and analytic
+        in the signed U = side u; T is odd in U, so the step back by |t|
+        from U0 is the step forward from -U0.  Newton starts in its basin
+        (`_start`) and takes the integral on 8 Gauss-Legendre nodes of
+        `_rate_one`, in Python floats: dT/du is even in U and analytic
         through the pericenter, so on a short step the rule holds T's
-        difference to round-off.  Newton starts from the tangent at U0 (on
-        a collision orbit at its pericenter, where dT/du = 0, from T's
-        leading term K u**(2n-1) / ((2n-1) sqrt(G0))) and ends after a step
-        below _RULE_RTOL |U|.  None after _RULE_ROUNDS rounds (a long step,
-        on which the rule loses digits), or where a rate is not in (0, inf):
-        NaN where a float power or root fails, at the float range's edges."""
-        n, rate = self.n, self._rate_one
+        difference to round-off.  It ends after a step below _RULE_RTOL
+        |U|; the start is the guess where it has not after _RULE_ROUNDS
+        rounds, or reads a rate not in (0, inf).  u is at most _U_MAX."""
+        rate = self._rate_one
         U0, t = 0.0 if u0 is None else side0 * _item(u0), _item(t)
-        _, G0, _, K, _ = self._floats
-        rate0 = rate(U0)
-        if rate0 > 0.0:
-            U = U0 + t / rate0
-        else:
-            U = math.copysign(((2 * n - 1) * abs(t) * math.sqrt(G0) / K) ** (1.0 / (2 * n - 1)), t)
+        U0, t = (-U0, -t) if t < 0.0 else (U0, t)
+        U = start = self._start(U0, t)
         for _ in range(_RULE_ROUNDS):
             end = rate(U)
             if not 0.0 < end < math.inf:
-                return None
+                break
             h = U - U0
             step = (h * sum([w * rate(U0 + h * x) for x, w in _RULE]) - t) / end
             U -= step
             if abs(step) <= _RULE_RTOL * abs(U):
-                return (abs(U),)
-        return None
+                return (min(abs(U), _U_MAX),)
+        return (min(abs(start), _U_MAX),)
+
+    def _start(self, U0: float, t: float) -> float:
+        """`step_guess`'s start for a step by t >= 0 from U0: near the root
+        of T with G frozen at G0,
+
+            T_m(U) = K / sqrt(G0) sum_j c_j U**(2j+1),   c_j = C(n-1, j) s0**(n-1-j) / (2j+1),
+
+        from T_m(U) = T_m(U0) + t: T_m's smallest single-term inverse lies
+        above the root, and one Newton step on log T_m against log U (exact
+        for one term, and log T_m is convex in log U) goes down toward it.
+        T_m is T for n = 1 and E = 0, and lies above it for E > 0 (G >= G0),
+        where the start is raised to the root of free motion, T's far form
+        K U |U|**(n-1) / (n sqrt(E)).  NaN where neither root is finite."""
+        _, G0, E, K, _ = self._floats
+        c, n = self._frozen, self.n
+
+        def frozen(V: float) -> tuple[float, float]:  # T_m sqrt(G0) / K and its slope
+            W, Y, slope = V * V, 0.0, 0.0
+            for j in range(n - 1, -1, -1):
+                Y, slope = Y * W + c[j], slope * W + (2 * j + 1) * c[j]
+            return V * Y, slope
+
+        try:
+            y = frozen(U0)[0] + t * math.sqrt(G0) / K
+            V = min([(abs(y) / cj) ** (1.0 / (2 * j + 1)) for j, cj in enumerate(c) if cj > 0.0])
+            if V > 0.0:  # one Newton step on log T_m against log U, down from above
+                value, slope = frozen(V)
+                V *= (abs(y) / value) ** (value / (V * slope))
+            U = math.copysign(V, y)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            U = math.nan
+        if E > 0.0:  # U**n = U0 |U0|**(n-1) + b**n, over the larger of |U0| and b so that no power overflows
+            b = t ** (1.0 / n) * (n * math.sqrt(E) / K) ** (1.0 / n)
+            top = max(abs(U0), b) or 1.0
+            v = U0 / top * abs(U0 / top) ** (n - 1) + (b / top) ** n
+            free = top * math.copysign(abs(v) ** (1.0 / n), v)
+            U = free if free > U or not abs(U) < math.inf else U
+        return U
 
     def start(self, x0, side0: float, u=None):
         """The time tau0 and angle theta0 since the pericenter of a start at
@@ -487,74 +530,30 @@ class _RadialOrbit:
 
         start is (u0, side0, t): a start at u0 (None: the pericenter) on
         side side0 and the time t since it; None is the pericenter at t =
-        ts.  first is Newton's first guess g and the pass there (`start`),
-        or () where the caller's `step_guess` gave none; None: g is
-        `step_guess` of start, its pass taken here.  T is odd in the signed
-        u = side sqrt(sigma - s0) and convex in u with T(0) = 0, so T(u)/u
-        increases and the tangent lies below T: T(g) >= |ts| puts the root
-        in [g |ts| / T(g), g], T(g) < |ts| in [g, g |ts| / T(g)], and Newton
-        goes on from that bracket, its step tolerance 4 ulp of g.
-
-        Without a guess, Newton starts from the tangent at the start, or at
-        the pericenter or at a rate of 0 or NaN from the E = 0 estimate, or
-        from free motion (`_free`) where that guess is many doublings off.
-        The bracket is then [hi/2, hi], hi = guess 2**e: e the nearest 0
-        with T(hi/2) < |ts| <= T(hi), or 0 for T(guess) in [|ts|, 2 |ts|],
-        by steps that double away from 0, then bisection.  T beyond the
-        float range, or u beyond _U_MAX, counts as too high.
+        ts.  first is Newton's first guess g and the pass there (`start`);
+        None: g is `step_guess` of start, its pass taken here.  T is odd in
+        the signed u = side sqrt(sigma - s0) and convex in u with T(0) = 0,
+        so T(u)/u increases and the tangent lies below T: T(g) >= |ts| puts
+        the root in [g |ts| / T(g), g], T(g) < |ts| in [g, g |ts| / T(g)],
+        and Newton goes on from that bracket, its step tolerance 4 ulp of
+        g.  A time of 0 is the pericenter, u = 0.
         """
         target = np.abs(ts)
-        u0, side0, t = (None, 0.0, ts) if start is None else start
         if first is None:
-            g = self.step_guess(u0, side0, t)
-            first = g and (*g, *(v.item() for v in self._fused(np.array(g))))
-        if first and first[1] > 0.0 and target[0] > 0.0:
-            g, T = first[:2]
+            (g,) = self.step_guess(*((None, 0.0, ts) if start is None else start))
+            first = (g, *(v.item() for v in self._fused(np.array([g]))))
+        g, T = first[:2]
+        lo = hi = 0.0  # a time of 0: the pericenter
+        if target[0] > 0.0:
             chord = g * (target.item() / T)  # g target underflows near the collision
             lo, hi = (chord, g) if T >= target[0] else (g, chord)
-            sol = _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first[1:])
-            return None, np.sign(ts), sol
-        rate = 0.0 if u0 is None else self._rate_one(u0)
-        guess = np.array([abs(side0 * u0 + _item(t) / rate) if rate > 0.0 else 0.0])  # inf: see fmin
-        if not guess[0] > 0.0:
-            guess = ((2 * self.n - 1) * target * np.sqrt(self.G0) / self.K) ** (1.0 / (2 * self.n - 1))
-        guess = np.fmin(guess, _U_MAX)  # a tangent beyond the float range
-        free = self._free(float(target[0]))
-        if free > 0.0 and not free / 16.0 <= guess[0] <= 16.0 * free:
-            guess = np.array([min(free, _U_MAX)])
-        hi = np.ldexp(guess, self._power(guess, target[0])) if target[0] > 0.0 else 0.0 * guess
-        return None, np.sign(ts), _solve_increasing(self._fused, target, guess, 0.5 * hi, hi, 4.0 * np.spacing(hi[0]))
-
-    def _free(self, target: float) -> float:
-        """u where T's far form K u**n / (n sqrt(E)), free motion, reaches
-        target; 0 for E <= 0, or unless u**2 dwarfs s0 and (G0/E)**(1/(n-1))."""
-        E, n = float(self.E[0]), self.n
-        if not (E > 0.0 and target > 0.0):
-            return 0.0
-        u = (n / self.K) ** (1.0 / n) * E ** (0.5 / n) * target ** (1.0 / n)
-        inner = max(float(self.s0[0]), (float(self.G0[0]) / E) ** (1.0 / (n - 1.0)))
-        return u if u * u >= 16.0 * inner else 0.0
-
-    def _power(self, guess: np.ndarray, target: float) -> int:
-        def high(e: int) -> bool:
-            u = np.ldexp(guess, e)
-            return not (u[0] < _U_MAX and self.time(u)[0] < target)  # T beyond the float range is high
-
-        T = self.time(guess)[0]
-        if target <= T <= 2.0 * target:
-            return 0
-        up = T < target  # then e = 0 is low, else high
-        a, b = 0, (1 if up else -1)  # a on e = 0's side, b beyond it
-        while high(b) != up:
-            a, b = b, 2 * b
-        while abs(b - a) > 1:
-            mid = (a + b) // 2
-            a, b = (mid, b) if high(mid) != up else (a, mid)
-        return b if up else a
+        first = first[1:] if lo <= g <= hi else None
+        return None, np.sign(ts), _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first)
 
 
-# u_P / u_S = 4 sin(pi/(2n-2)) of `_RadialOrbit`, n >= 2
+# u_P / u_S = 4 sin(pi/(2n-2)) of `_RadialOrbit`, n >= 2, and C(n-1, j) / (2j+1) of its `_start`
 _panel_scale = functools.cache(lambda n: 4.0 * np.sin(np.pi / (2.0 * n - 2.0)))
+_frozen_binomials = functools.cache(lambda n: [math.comb(n - 1, j) / (2 * j + 1) for j in range(n)])
 
 
 def _panel_sum(scale: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ def test_src_line_count_is_wc_l():
     assert load_digests().src_lines() == int(out.stdout.split()[-2])  # the "total" line
 
 
-RECORDED_FLOW = "501bbbe0f57da049"
+RECORDED_FLOW = "3f1b8150d5a15b9e"
 
 
 def test_global_flow_keeps_its_recorded_digest():
@@ -68,7 +68,7 @@ def test_global_flow_keeps_its_recorded_digest():
     assert digests.flow_digest(calls) == RECORDED_FLOW
 
 
-RECORDED_CERTIFY = "2ca90ff980c82e30"
+RECORDED_CERTIFY = "201e009daabb1f47"
 
 
 def test_certify_outputs_keep_their_recorded_digest():
@@ -87,7 +87,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3497  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3496  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

@@ -18,7 +18,8 @@ rounds of the bound and the unbound `global_flow` solves over
 bound and of an unbound step (`flow_passes`), and the certify work line
 the stencil rows of a bracket table for each d and the node passes of
 `chart_inverse` over `certify_calls`: their mean and most for n >= 2, and
-their most for n = 1 (`certify_work`).
+their most for n = 1 (`certify_work`).  A node pass is a call of a
+`NODE_PASSES` method (`counting_passes`).
 The pericenter line gives the roots and the mean and the most Newton
 rounds of the pericenter root over the n >= 3 bracket tables of
 `certify_calls` and over `flow_calls` (`pericenter_rounds`).
@@ -204,7 +205,8 @@ def flow_rounds(calls) -> dict[str, list[int]]:
     return rounds
 
 
-# the methods that make one pass over an orbit's quadrature nodes
+# the methods that make one pass over an orbit's quadrature nodes: each
+# orbit's `_fused`, and `_RadialOrbit.time`, which `verify.transit_time_check` reads
 NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "_fused")}
 
 
