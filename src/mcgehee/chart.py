@@ -31,6 +31,8 @@ independent check.
 from __future__ import annotations
 
 import bisect
+import collections
+import contextlib
 import functools
 import logging
 import math
@@ -63,6 +65,24 @@ PERICENTER_TOL = 1e-9
 _TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 log = logging.getLogger(__name__)
+
+
+class counting:
+    """A record of the work done while it is open (a context manager): node
+    passes (`_fused` calls) and each `_step` solve's Newton rounds, by orbit
+    class, each `_monotone_newton` root's rounds, and `chart_forward_rows`'s
+    rows.  Nested records each see all of it; no output bit changes."""
+
+    def __enter__(self) -> counting:
+        self.passes, self.rounds, self.roots, self.rows = collections.Counter(), collections.defaultdict(list), [], 0
+        _records.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _records.remove(self)
+
+
+_records: list[counting] = []  # the open records: while none is, each count costs one check of it
 
 
 class ChartDomainError(DomainError):
@@ -304,8 +324,8 @@ class _RadialOrbit:
         return P
 
     def G(self, sigma: np.ndarray) -> np.ndarray:
-        """G on a (k, j) array of sigma, row i on orbit i."""
-        return self._G0 + self._E * sigma * self._P(sigma)
+        """G on a (k, j) array of sigma, row i on orbit i: G0 for n = 1, also where sigma overflows (E sigma 0 = NaN)."""
+        return self._G0 + (self._E * sigma * self._P(sigma) if self.n > 1 else np.zeros_like(sigma))
 
     def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r where G
@@ -361,10 +381,12 @@ class _RadialOrbit:
         For E < 0 (y < 0: a chart state of G0 near the float range) it is
         -E P divided by each factor in turn.
         """
+        for work in _records:
+            work.passes[_RadialOrbit] += 1
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the far forms replace what overflows
             sigma, width = self._nodes(u)
             P = self._P(sigma)
-            power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + self._E * sigma * P)
+            power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + (self._E * sigma * P if self.n > 1 else np.zeros_like(sigma)))
             vals = power / rG
             T, rate = _panel_sum(self.K * width, vals[:, :-1]), self.K * power[:, -1] / rG[:, -1]
             far = not (width.shape[1] == 1 or (T.max() < np.inf and rG.max() < np.inf and rate.max() < np.inf))
@@ -457,7 +479,7 @@ class _RadialOrbit:
         through the pericenter, so on a short step the rule holds T's
         difference to round-off.  It ends after a step below _RULE_RTOL
         |U|; the start is the guess where it has not after _RULE_ROUNDS
-        rounds, or reads a rate not in (0, inf).  u is at most _U_MAX."""
+        rounds, or reads a rate not in (0, inf).  u is at most _U_MAX for n >= 2."""
         rate = self._rate_one
         U0, t = 0.0 if u0 is None else side0 * _item(u0), _item(t)
         U0, t = (-U0, -t) if t < 0.0 else (U0, t)
@@ -470,8 +492,9 @@ class _RadialOrbit:
             step = (h * sum([w * rate(U0 + h * x) for x, w in _RULE]) - t) / end
             U -= step
             if abs(step) <= _RULE_RTOL * abs(U):
-                return (min(abs(U), _U_MAX),)
-        return (min(abs(start), _U_MAX),)
+                start = U
+                break
+        return (abs(start) if self.n == 1 else min(abs(start), _U_MAX),)  # n = 1: G is G0 even where sigma overflows
 
     def _start(self, U0: float, t: float) -> float:
         """`step_guess`'s start for a step by t >= 0 from U0: near the root
@@ -609,7 +632,7 @@ def _solve_increasing(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None
     Newton step that leaves it, or is not finite where the rate is 0 or
     overflows, bisects instead.  A NaN f(x) counts as too high, as f beyond
     the float range does.  A sample stops once its step is at most
-    tol + rtol |x|, or after _SOLVE_MAX_ITER steps.  A single sample takes
+    tol + rtol |x| or NaN (x NaN: a NaN bound), or after _SOLVE_MAX_ITER steps.  A single sample takes
     the same steps in Python floats (`_solve_one`).
     """
     one = _size(x) == _size(lo) == _size(hi) == 1
@@ -636,7 +659,7 @@ def _solve_rows(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> S
             new = xa - res / slope
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         new = np.where(res == 0.0, xa, new)
-        done = np.abs(new - xa) <= (tol + rtol * np.abs(new) if rtol else tol)
+        done = ~(np.abs(new - xa) > (tol + rtol * np.abs(new) if rtol else tol))  # NaN: no bracket is left
         if values:  # before x, of which xa may be a view, moves
             carried = np.full(x.shape, np.nan) if carried is None else carried
             carried.flat[rows] = values[0] + values[1] * (new - xa)
@@ -685,7 +708,7 @@ def _solve_one(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> So
                 new = xa - (math.copysign(math.inf, res) * math.copysign(1.0, slope) if res == res else res)
             if not lo <= new <= hi:
                 new = 0.5 * (lo + hi)
-        done = abs(new - xa) <= (tol + rtol * abs(new) if rtol else tol)
+        done = not abs(new - xa) > (tol + rtol * abs(new) if rtol else tol)
         if values:
             carried = values[0] + values[1] * (new - xa)
         xa = new
@@ -903,6 +926,8 @@ class _BoundOrbit:
         is 0 for n = 2).  The arctan's rate is sqrt(s0 s1)/sigma, 0 on a
         collision orbit, whose angle jumps at the pericenter.
         """
+        for work in _records:
+            work.passes[_BoundOrbit] += 1
         phi = np.asarray(phi, dtype=float)
         sin = np.sin(phi[..., None] * _NODES_AND_END)  # sin(phi) last
         sigma = self.s0 + (self.s1 - self.s0) * (sin * sin)
@@ -1180,6 +1205,8 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     guess = orbit.step_guess(x0, side0, t)
     tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[-1])
     k, side, sol = orbit.place(np.array([tau0 + t]), (x0, side0, t), () if guess is None else (*guess, *first))
+    for work in _records:
+        work.rounds[type(orbit)].append(sol.iterations)
     x, side = sol.x.item(), float(side[0])
     with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision: r = 0, or r underflows
         r, p_r = orbit.state(x)
@@ -1250,6 +1277,8 @@ def chart_forward_rows(params: ModelParams, z: np.ndarray) -> ChartRows:
     """
     d = params.d
     z = np.asarray(z, dtype=float)
+    for work in _records:
+        work.rows += len(z)
     q, p = z[:, :d], z[:, d:]
     with np.errstate(over="ignore", invalid="ignore"):  # a row beyond the float range is refused below
         e1, e2, qc, pc = cov.plane_reduce_rows(q, p)  # DomainError at q = 0
@@ -1427,11 +1456,14 @@ def _monotone_newton(E: float, Z: float, n: int, rhs: float, s: float) -> Solve:
             power = s ** (n - 1)
             step = (E * s**n + Z * s - rhs) / ((n * (E * power) if wide else nE * power) + Z)
         except (OverflowError, ZeroDivisionError):
-            return Solve(math.nan, iterations, f, rhs)
+            s = math.nan
+            break
         new = s - step
         if new == s or last * step < 0.0:
             break
         s, last = new, 1.0 if step > 0.0 else -1.0
+    for work in _records:
+        work.roots.append(iterations)
     return Solve(s, iterations, f, rhs)
 
 
@@ -1603,21 +1635,22 @@ def global_flow(
     Raises DomainError when the start's radius, energy, angular momentum or
     orbit constants, or the end state, are not finite: a start or a time
     beyond the float range.  Under DEBUG logging each call logs one line: the
-    orbit class, the whole radial periods, the Newton iterations and the
-    final |T(x) - t| of the solve (one more pass of T, taken only then).
+    orbit class, the whole radial periods, the Newton iterations, the node
+    passes and the final |T(x) - t| of the solve (one more pass, taken only then).
     """
     state: ExtendedPoint = Regular(x0) if isinstance(x0, PhasePoint) else x0
     if t == 0.0:
         return state
     t = float(t)
     _require_finite("time", state, t, t)
-    if params.n == 1:
-        end, kind, periods, sol = _line_flow(params, state, t), "n = 1 line", 0.0, None
-    else:
-        end, kind, periods, sol = _orbit_flow(params, state, t)
-    if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
-        log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d residual=%r", kind, t, periods,
-                  *((sol.iterations, sol.residual()) if sol is not None else (0, 0.0)))
+    with counting() if log.isEnabledFor(logging.DEBUG) else contextlib.nullcontext() as work:
+        if params.n == 1:
+            end, kind, periods, sol = _line_flow(params, state, t), "n = 1 line", 0.0, None
+        else:
+            end, kind, periods, sol = _orbit_flow(params, state, t)
+    if work is not None:  # a record only under DEBUG; its passes before the residual's one more pass of T
+        log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d node_passes=%d residual=%r", kind, t, periods,
+                  *((sol.iterations, sum(work.passes.values()), sol.residual()) if sol is not None else (0, 0, 0.0)))
     return end
 
 
@@ -1630,7 +1663,7 @@ def trajectory(params: ModelParams, x0: ExtendedPoint, ts) -> list[ExtendedPoint
     collision is `Collision`, n = 1 rows move on the line, and the first
     time that `global_flow` refuses raises its DomainError.  Under DEBUG
     logging each call logs one line: the orbit class, the rows, the most
-    whole periods, the most Newton iterations and the worst |T(x) - t|.
+    whole periods, the most Newton iterations, the node passes and the worst |T(x) - t|.
     """
     state: ExtendedPoint = Regular(x0) if isinstance(x0, PhasePoint) else x0
     ts = np.asarray(ts, dtype=float).tolist()
@@ -1638,13 +1671,14 @@ def trajectory(params: ModelParams, x0: ExtendedPoint, ts) -> list[ExtendedPoint
         _require_finite("time", state, t, t)
     moved = [t for t in ts if t != 0.0]
     rows, kind, periods, sol = [state] * len(ts), "no", 0.0, None  # no row moves
-    if moved and params.n == 1:
-        rows, kind = [_line_flow(params, state, t) if t != 0.0 else state for t in ts], "n = 1 line"
-    elif moved:
-        rows, kind, periods, sol = _orbit_flow(params, state, moved[0], ts)
-    if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
-        log.debug("trajectory %s orbit rows=%d periods=%r newton_iterations=%d residual=%r", kind, len(ts), periods,
-                  *((sol.iterations, sol.residual()) if sol is not None else (0, 0.0)))
+    with counting() if log.isEnabledFor(logging.DEBUG) else contextlib.nullcontext() as work:
+        if moved and params.n == 1:
+            rows, kind = [_line_flow(params, state, t) if t != 0.0 else state for t in ts], "n = 1 line"
+        elif moved:
+            rows, kind, periods, sol = _orbit_flow(params, state, moved[0], ts)
+    if work is not None:  # a record only under DEBUG; its passes before the residual's one more pass of T
+        log.debug("trajectory %s orbit rows=%d periods=%r newton_iterations=%d node_passes=%d residual=%r", kind, len(ts),
+                  periods, *((sol.iterations, sum(work.passes.values()), sol.residual()) if sol is not None else (0, 0, 0.0)))
     return rows
 
 

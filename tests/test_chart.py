@@ -265,30 +265,23 @@ class TestRMin:
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_scalar_newton_takes_the_steps_of_the_rows(self, n, monkeypatch):
+    def test_scalar_newton_takes_the_steps_of_the_rows(self, n):
         # an array's rows are one float root each: a row's bits and Newton
         # rounds are the float's, and from the pericenter start and from
         # the apocenter start alike a root stops within 12 rounds
-        params, rounds, newton = ModelParams(n=n, d=2), [], chart._monotone_newton
-
-        def counted(*args):
-            sol = newton(*args)
-            rounds.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(chart, "_monotone_newton", counted)
-        rng = np.random.default_rng(n)
+        params, rng = ModelParams(n=n, d=2), np.random.default_rng(n)
         for _ in range(100):
             E = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 3.0)
             rhs = 10.0 ** rng.uniform(-8.0, 1.0)
             if E < 0.0 and chart._peak(1.0, n, E)[1] <= rhs:
                 continue
-            rounds.clear()
-            rows = chart._sigma_root(params, np.full(3, E), np.full(3, 2.0 * rhs))
-            one = chart._sigma_root(params, E, 2.0 * rhs)
+            with chart.counting() as work:
+                rows = chart._sigma_root(params, np.full(3, E), np.full(3, 2.0 * rhs))
+                one = chart._sigma_root(params, E, 2.0 * rhs)
+            rounds = work.roots
             assert same_bits(rows, np.full(3, one)) and len(rounds) == 4 and len(set(rounds)) == 1
             if E < 0.0:
-                counted(E, 1.0, n, rhs, (1.0 / -E) ** (1.0 / (n - 1.0)))
+                rounds.append(chart._monotone_newton(E, 1.0, n, rhs, (1.0 / -E) ** (1.0 / (n - 1.0))).iterations)
             assert max(rounds) <= 12
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -390,28 +383,20 @@ class TestRMin:
                 sample.append((params, draws))
         return sample
 
-    def test_root_over_the_float_range(self, monkeypatch):
+    def test_root_over_the_float_range(self):
         # one root and the rows alike to the bit; each within 1e-13 of
         # mpmath and found in at most 8 Newton rounds, l2/(2m|E|) outside
         # the normal floats on either side and for either sign of E
         # included; draws whose root leaves the float range are not
         # checked against mpmath
-        rounds = []
-        newton = chart._monotone_newton
-
-        def counted(*args):
-            sol = newton(*args)
-            rounds.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(chart, "_monotone_newton", counted)
         checked, wide = 0, collections.Counter()
         for params, draws in self.root_sample():
             Es, l2s = (np.array(v) for v in zip(*draws))
             rows = chart._sigma_root(params, Es, l2s)
             for k, (E, l2) in enumerate(draws):
-                rounds.clear()
-                one = chart._sigma_root(params, E, l2)
+                with chart.counting() as work:
+                    one = chart._sigma_root(params, E, l2)
+                rounds = work.roots
                 assert type(one) is float and same_bits(np.float64(one), rows[k])
                 want = mp_sigma_root(params, E, l2)
                 if not np.finfo(float).tiny <= want <= np.finfo(float).max:
@@ -628,27 +613,28 @@ class TestQuadratureChart:
         images = [(params, chart.chart_forward(params, x)) for params, x, _ in digests.certify_calls()]
         stepping, inside, passes = [False], [0], collections.defaultdict(list)
         step, solve = chart._step, chart._solve_increasing
-        with digests.counting_passes() as count:
 
-            def counted(*args):
-                before, stepping[0] = count[0], True
-                try:
+        def counted(*args):
+            stepping[0] = True
+            try:
+                with chart.counting() as work:  # nested in the call's record
                     return step(*args)
-                finally:
-                    stepping[0] = False
-                    inside[0] += count[0] - before
+            finally:
+                stepping[0] = False
+                inside[0] += sum(work.passes.values())
 
-            def checked(*args, **kwargs):
-                assert stepping[0], "a solve outside the step"
-                return solve(*args, **kwargs)
+        def checked(*args, **kwargs):
+            assert stepping[0], "a solve outside the step"
+            return solve(*args, **kwargs)
 
-            monkeypatch.setattr(chart, "_step", counted)
-            monkeypatch.setattr(chart, "_solve_increasing", checked)
+        monkeypatch.setattr(chart, "_step", counted)
+        monkeypatch.setattr(chart, "_solve_increasing", checked)
+        with chart.counting() as total:
             for params, c in images:
-                before = count[0]
-                chart.chart_inverse(params, c)
-                passes[params.n].append(count[0] - before)
-        assert count[0] == inside[0] >= len(images)
+                with chart.counting() as work:
+                    chart.chart_inverse(params, c)
+                passes[params.n].append(sum(work.passes.values()))
+        assert sum(total.passes.values()) == inside[0] >= len(images)
         many = [k for n, ks in passes.items() if n >= 2 for k in ks]
         assert np.mean(many) <= 1.5 and max(many) <= 3 and max(passes[1]) <= 3
 
@@ -945,15 +931,21 @@ class TestChartRoundtrip:
         assert back.h == pytest.approx(c.H)
         assert np.linalg.norm(back.a) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("T", [1e200, -1e200, 1e308])
+    @pytest.mark.parametrize("T", [1e154, 1e200, -1e200, 1e300, 1e308])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_n1_time_beyond_the_float_range_is_outside(self, T):
         # sigma = s0 + u**2 overflows at the step's end: the rate read
         # E sigma P = inf * 0, and the search that followed divided by n - 1
-        # (ZeroDivisionError) or overflowed its tangent (RuntimeWarning)
+        # (ZeroDivisionError) or overflowed its tangent (RuntimeWarning).
+        # Then `_fused` read G0 + E sigma P as NaN there, and the solve
+        # bisected through its 64 rounds (51 passes at 1e154, 64 from 1e200);
+        # with G = G0 there and the guess no longer held at _U_MAX the root
+        # takes one pass, and the NaN guess at 1e308 (its u is beyond the
+        # floats) two, the solve stopping at once
         params = ModelParams(n=1, d=2)
-        with pytest.raises(chart.ChartDomainError, match="outside the image"):
+        with chart.counting() as work, pytest.raises(chart.ChartDomainError, match="outside the image"):
             chart.chart_inverse(params, chart.ChartPoint(T=T, H=1.0, B=np.array([0.0, 0.05]), A=np.array([1.0, 0.0])))
+        assert sum(work.passes.values()) == (2 if T == 1e308 else 1)
 
     def test_inverse_rejects_point_outside_domain(self):
         params = ModelParams(n=2, d=2, eps=0.1)
@@ -1642,6 +1634,13 @@ class TestOneRowSolve:
         assert abs(sol.x[0] - 1.0) <= 4.0 * np.spacing(1.0)
         rows = chart._solve_rows(f, np.zeros(3), np.full(3, guess), 0.0, 10.0, 1e-15)
         assert np.all(np.abs(rows.x - 1.0) <= 4.0 * np.spacing(1.0))
+
+    @pytest.mark.parametrize("x,lo,hi", [(np.nan, 0.0, 10.0), (5.0, np.nan, 10.0), (5.0, 0.0, np.nan)])
+    def test_a_nan_start_stops_after_one_round(self, x, lo, hi):
+        # a NaN guess or bound leaves no bracket to narrow, so x stays NaN:
+        # the solve stops after its first round (it ran out its 64 before)
+        sol = self.both(lambda v: (v - 1.0, np.ones_like(v)), np.zeros(1), np.array([x]), lo, hi, 1e-15)
+        assert np.isnan(sol.x[0]) and sol.iterations == 1
 
     def test_orbits_keep_no_per_call_state(self):
         # a solve's rounds pass their values through the solver alone: no

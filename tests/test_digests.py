@@ -9,6 +9,7 @@ hold for the versions recorded beside them, and the test skips, naming
 both versions, when others are installed.
 """
 
+import ast
 import importlib.util
 import shutil
 import subprocess
@@ -81,13 +82,35 @@ def test_certify_outputs_keep_their_recorded_digest():
     assert digests.certify_digest(calls) == RECORDED_CERTIFY
 
 
+def test_counting_changes_no_output_bit():
+    # the same two digests with a `chart.counting()` record open throughout
+    installed = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if installed != RECORDED_VERSIONS:
+        pytest.skip(f"digests recorded with {RECORDED_VERSIONS}, installed {installed}")
+    digests = load_digests()
+    with chart.counting() as work:
+        assert digests.flow_digest(digests.flow_calls()) == RECORDED_FLOW
+        assert digests.certify_digest(digests.certify_calls()) == RECORDED_CERTIFY
+    assert work.passes[chart._BoundOrbit] and work.passes[chart._RadialOrbit] and work.roots and work.rows
+
+
+def test_the_tool_counts_without_rebinding():
+    # the work lines read `chart.counting()` records: no attribute store or
+    # setattr in tools/digests.py, so no private name is wrapped while calls run
+    path = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+    stores = sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr")
+    assert not stores, f"tools/digests.py rebinds names on lines {stores}"
+
+
 def test_knobs_are_every_flag_and_config_key():
     # flags: simulate 7, verify 3, rmin 8 and figures' --out; keys: simulate
     # 12 (params 5, initial 4), verify 7 (thresholds 4) and rmin 7 (params 5)
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3496  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3530  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

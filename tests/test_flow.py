@@ -570,17 +570,38 @@ class TestDebugLog:
         assert line.startswith(f"global_flow {kind} orbit t={t!r} periods={periods} newton_iterations=")
         fields = dict(f.split("=") for f in line.split() if "=" in f)
         iterations, residual = int(fields["newton_iterations"]), float(fields["residual"])
-        assert (iterations == 0) == (n == 1) and iterations <= chart._SOLVE_MAX_ITER
+        assert (iterations == 0) == (n == 1) == (int(fields["node_passes"]) == 0) and iterations <= chart._SOLVE_MAX_ITER
         # the final |T(x) - t| of the solve, near the rounding of the time it solved for
         assert (residual == 0.0) if n == 1 else (0.0 <= residual <= 1e-13 * abs(t))
 
     def test_silent_below_debug(self, caplog, monkeypatch):
-        # the line, and the residual's extra pass of T, only when DEBUG is on
+        # the line, its record and the residual's extra pass of T, only when DEBUG is on
         monkeypatch.setattr(chart.log, "debug", lambda *args: pytest.fail("logged"))
         monkeypatch.setattr(chart.Solve, "residual", lambda self: pytest.fail("residual taken"))
+        monkeypatch.setattr(chart, "counting", lambda: pytest.fail("record opened"))
         with caplog.at_level(logging.INFO, logger="mcgehee"):
             chart.global_flow(ModelParams(n=3, d=2), PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9])), 0.01)
         assert not caplog.records
+
+    def test_logged_node_passes_are_the_records(self, caplog):
+        # the line's node passes come from a record opened only under DEBUG
+        # and read before the residual's pass: what an enclosing record sees
+        # of the same call below DEBUG, and one pass fewer than it sees under DEBUG
+        params = ModelParams(n=3, d=2, eps=0.1)
+        bound = PhasePoint(np.array([0.3, 0.1]), np.array([0.2, 0.9]))
+        unbound = PhasePoint(np.array([0.05, 0.0]), np.array([-12.0, 1.0]))
+        calls = [lambda: chart.global_flow(params, bound, 7.5), lambda: chart.global_flow(params, unbound, 0.01),
+                 lambda: chart.trajectory(params, unbound, [0.0, 0.01, -0.02, 0.03]),
+                 lambda: chart.global_flow(ModelParams(n=1, d=2), unbound, 0.01)]
+        for call in calls:
+            with chart.counting() as quiet:
+                call()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="mcgehee"), chart.counting() as debug:
+                call()
+            (line,) = [r.getMessage() for r in caplog.records]
+            logged = int(dict(f.split("=") for f in line.split() if "=" in f)["node_passes"])
+            assert logged == sum(quiet.passes.values()) == sum(debug.passes.values()) - (logged > 0)
 
 
 class TestUnboundSteps:
@@ -614,9 +635,9 @@ class TestUnboundSteps:
         radial = -np.sqrt(2.0 * params.m * orbit.G(np.array([[sigma]]))[0, 0]) * u0  # inbound at u0
         guesses, rule = [], chart._RadialOrbit.step_guess
         monkeypatch.setattr(chart._RadialOrbit, "step_guess", lambda self, *a: guesses.append(rule(self, *a)) or guesses[-1])
-        with load_digests().counting_passes() as count:
+        with chart.counting() as work:
             step = chart._step(orbit, sigma, radial, 0.00178)
-        assert len(guesses) == 1 and count[0] <= 3 and step.solve.carried is not None
+        assert len(guesses) == 1 and sum(work.passes.values()) <= 3 and step.solve.carried is not None
 
     def test_the_rule_converges_on_every_step(self, monkeypatch):
         # `step_guess` refines `_start` by the short-step rule, or returns
@@ -738,6 +759,32 @@ class TestTrajectory:
         # with separate start, Newton and angle passes)
         passes = load_digests().flow_passes(flow_calls())["bound"]
         assert len(passes) >= 80 and np.mean(passes) <= 1.431
+
+    def test_an_extra_pass_per_step_trips_the_pass_ratchets(self, monkeypatch):
+        # the negative control of the node-pass ratchets: a `place` that
+        # makes one more `_fused` call reads exactly one more pass on every
+        # step of `flow_calls()`, bound 1.430 -> 2.430 and unbound 1.581 ->
+        # 2.581, above the 1.431 and 2.0 that the ratchets hold
+        digests = load_digests()
+        before = digests.flow_passes(flow_calls())
+
+        def padded(place):
+            def one_more_pass(self, *args):
+                self._fused(np.zeros(1))
+                return place(self, *args)
+            return one_more_pass
+
+        for cls in (chart._BoundOrbit, chart._RadialOrbit):
+            monkeypatch.setattr(cls, "place", padded(cls.place))
+        after = digests.flow_passes(flow_calls())
+        for kind in ("bound", "unbound"):
+            assert len(before[kind]) >= 74 and after[kind] == [k + 1 for k in before[kind]]
+        assert np.mean(after["bound"]) > 1.431 and np.mean(after["unbound"]) > 2.0
+        # `time` reads `_fused` without the angle: one pass, not two
+        orbit = chart._RadialOrbit(ModelParams(n=3, d=2), np.array([1.0]), np.array([0.1]))
+        with chart.counting() as work:
+            orbit.time(np.array([0.01, 0.02]))
+        assert work.passes == {chart._RadialOrbit: 1}
 
     def test_rows_at_zero_are_the_start(self):
         params = ModelParams(n=3, d=2, eps=0.1)

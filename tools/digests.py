@@ -12,16 +12,16 @@ the last 6 hex digits.  The next line hashes the end states of about 200
 seeded `global_flow` calls (`flow_calls`, `flow_digest`), and the one
 after it the certify outputs of 80 seeded chart-domain points: the bracket
 table, the chart roundtrip and the transit time (`certify_calls`,
-`certify_digest`).  The work lines give the mean and the most Newton
-rounds of the bound and the unbound `global_flow` solves over
-`flow_calls` (`flow_rounds`) and the mean and the most node passes of a
-bound and of an unbound step (`flow_passes`), and the certify work line
-the stencil rows of a bracket table for each d and the node passes of
-`chart_inverse` over `certify_calls`: their mean and most for n >= 2, and
-their most for n = 1 (`certify_work`).  A node pass is a call of a
-`NODE_PASSES` method (`counting_passes`).
-The pericenter line gives the roots and the mean and the most Newton
-rounds of the pericenter root over the n >= 3 bracket tables of
+`certify_digest`).  The work lines read `chart.counting()` records,
+which the library fills as it runs (counting changes no output bit): the
+mean and the most Newton rounds of the bound and the unbound
+`global_flow` solves over `flow_calls` (`flow_rounds`), the mean and the
+most node passes of a bound and of an unbound step (`flow_passes`), and
+the certify work line the stencil rows of a bracket table for each d and
+the node passes of `chart_inverse` over `certify_calls`: their mean and
+most for n >= 2, and their most for n = 1 (`certify_work`).  The
+pericenter line gives the roots and the mean and the most Newton rounds
+of the pericenter and apocenter roots over the n >= 3 bracket tables of
 `certify_calls` and over `flow_calls` (`pericenter_rounds`).
 The last two lines are the line count of src/mcgehee/*.py, as `wc -l`
 gives it, and the knobs a user can set: the CLI's flags and its config
@@ -31,7 +31,6 @@ keys (`knobs`).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import sys
@@ -183,134 +182,60 @@ def certify_digest(calls) -> str:
     return h.hexdigest()[:16]
 
 
+# the record's orbit classes: a `_step` on `_BoundOrbit` is "bound", on `_RadialOrbit` "unbound"
+KINDS = {"bound": chart._BoundOrbit, "unbound": chart._RadialOrbit}
+
+
 def flow_rounds(calls) -> dict[str, list[int]]:
     """The Newton rounds (`Solve.iterations`) of each call's `global_flow`
-    step, "bound" on a `_BoundOrbit` and "unbound" on the others, read by
-    wrapping `chart._step` while the calls run."""
-    rounds = {"bound": [], "unbound": []}
-    step = chart._step
-
-    def counted(orbit, *args):
-        out = step(orbit, *args)
-        if out.solve is not None:
-            rounds["bound" if isinstance(orbit, chart._BoundOrbit) else "unbound"].append(out.solve.iterations)
-        return out
-
-    chart._step = counted
-    try:
+    step by orbit class, from a `chart.counting()` record."""
+    with chart.counting() as work:
         for params, start, t in calls:
             chart.global_flow(params, start, t)
-    finally:
-        chart._step = step
-    return rounds
-
-
-# the methods that make one pass over an orbit's quadrature nodes: each
-# orbit's `_fused`, and `_RadialOrbit.time`, which `verify.transit_time_check` reads
-NODE_PASSES = {chart._BoundOrbit: ("_fused",), chart._RadialOrbit: ("time", "_fused")}
-
-
-@contextlib.contextmanager
-def counting_passes():
-    """Count the calls of the NODE_PASSES methods while the block runs, a
-    pass made inside another counted once: yields a list whose one item is
-    the running count."""
-    count, depth = [0], [0]
-    methods = [(cls, name, getattr(cls, name)) for cls, names in NODE_PASSES.items() for name in names]
-
-    def counted(method):
-        def wrapper(*args, **kwargs):
-            count[0] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return method(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return wrapper
-
-    for cls, name, method in methods:
-        setattr(cls, name, counted(method))
-    try:
-        yield count
-    finally:
-        for cls, name, method in methods:
-            setattr(cls, name, method)
+    return {kind: work.rounds[cls] for kind, cls in KINDS.items()}
 
 
 def flow_passes(calls) -> dict[str, list[int]]:
-    """The node passes of each call's `global_flow` step, "bound" on a
-    `_BoundOrbit` and "unbound" on the others (`counting_passes`), read by
-    wrapping `chart._step` while the calls run."""
-    passes = {"bound": [], "unbound": []}
-    step = chart._step
-    with counting_passes() as count:
-
-        def counted_step(orbit, *args):
-            before = count[0]
-            out = step(orbit, *args)
-            passes["bound" if isinstance(orbit, chart._BoundOrbit) else "unbound"].append(count[0] - before)
-            return out
-
-        chart._step = counted_step
-        try:
-            for params, start, t in calls:
-                chart.global_flow(params, start, t)
-        finally:
-            chart._step = step
+    """The node passes of each call's `global_flow` step by orbit class,
+    from a `chart.counting()` record per call (none from a call without a step)."""
+    passes = {kind: [] for kind in KINDS}
+    for params, start, t in calls:
+        with chart.counting() as work:
+            chart.global_flow(params, start, t)
+        for kind, cls in KINDS.items():
+            if work.rounds[cls]:  # the call's one step
+                passes[kind].append(work.passes[cls])
     return passes
 
 
 def certify_work(calls) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """The stencil rows of each d's bracket table (the rows that
-    `chart.chart_forward_rows` takes there), read by wrapping it while the
-    calls run, and the node passes of each call's `chart_inverse` by n
-    (`counting_passes`)."""
+    """The stencil rows of each d's bracket table (the rows of
+    `chart.chart_forward_rows`) and the node passes of each call's
+    `chart_inverse` by n, each from a `chart.counting()` record per call."""
     rows, passes = {}, {}
-    forward_rows = chart.chart_forward_rows
-
-    def counted_rows(params, z):
-        rows[params.d] = len(z)
-        return forward_rows(params, z)
-
-    chart.chart_forward_rows = counted_rows
-    try:
-        for params, x, _ in calls:
+    for params, x, _ in calls:
+        with chart.counting() as work:
             verify.bracket_table(params, x)
-    finally:
-        chart.chart_forward_rows = forward_rows
-    images = [(params, chart.chart_forward(params, x)) for params, x, _ in calls]
-    with counting_passes() as count:
-        for params, c in images:
-            before = count[0]
+        rows[params.d] = work.rows
+        c = chart.chart_forward(params, x)
+        with chart.counting() as work:
             chart.chart_inverse(params, c)
-            passes.setdefault(params.n, []).append(count[0] - before)
+        passes.setdefault(params.n, []).append(sum(work.passes.values()))
     return rows, passes
 
 
 def pericenter_rounds(flows, certifies) -> dict[str, list[int]]:
-    """The Newton rounds of each pericenter root (`chart._monotone_newton`),
-    over the bracket tables of the n >= 3 `certify_calls` ("certify rows")
-    and over `flow_calls` ("global_flow"), read by wrapping it while the
-    calls run."""
-    rounds, newton = {"certify rows": [], "global_flow": []}, chart._monotone_newton
-    into = rounds["certify rows"]
-
-    def counted(*args):
-        out = newton(*args)
-        into.append(out.iterations)
-        return out
-
-    chart._monotone_newton = counted
-    try:
+    """The Newton rounds of each pericenter or apocenter root, over the
+    bracket tables of the n >= 3 `certify_calls` ("certify rows") and over
+    `flow_calls` ("global_flow"), from a `chart.counting()` record each."""
+    with chart.counting() as tables:
         for params, x, _ in certifies:
             if params.n >= 3:
                 verify.bracket_table(params, x)
-        into = rounds["global_flow"]
+    with chart.counting() as flowing:
         for params, start, t in flows:
             chart.global_flow(params, start, t)
-    finally:
-        chart._monotone_newton = newton
-    return rounds
+    return {"certify rows": tables.roots, "global_flow": flowing.roots}
 
 
 def src_lines() -> int:
