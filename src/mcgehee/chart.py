@@ -31,7 +31,6 @@ independent check.
 from __future__ import annotations
 
 import bisect
-import collections
 import contextlib
 import functools
 import logging
@@ -65,24 +64,22 @@ PERICENTER_TOL = 1e-9
 _TIGHT = ode.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 log = logging.getLogger(__name__)
+_records: list[counting] = []  # the open records: while none is, each count costs one check of it
 
 
 class counting:
-    """A record of the work done while it is open (a context manager): node
-    passes (`_fused` calls) and each `_step` solve's Newton rounds, by orbit
-    class, each `_monotone_newton` root's rounds, and `chart_forward_rows`'s
-    rows.  Nested records each see all of it; no output bit changes."""
+    """A record of the work done while it is open (a context manager), which
+    changes no output bit: the orbit class of each node pass (`_fused`), the
+    orbit class and Newton rounds of each `_step` solve, each `_monotone_newton`
+    root's rounds, and `chart_forward_rows`'s rows; nested records see it all."""
 
     def __enter__(self) -> counting:
-        self.passes, self.rounds, self.roots, self.rows = collections.Counter(), collections.defaultdict(list), [], 0
+        self.passes, self.rounds, self.roots, self.rows = [], [], [], 0
         _records.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         _records.remove(self)
-
-
-_records: list[counting] = []  # the open records: while none is, each count costs one check of it
 
 
 class ChartDomainError(DomainError):
@@ -243,8 +240,6 @@ _NODES_AND_END = np.append(_NODES, 1.0)
 _RULE = tuple((0.5 * (float(x) + 1.0), 0.5 * float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(8)))
 _RULE_RTOL = 1e-8
 _RULE_ROUNDS = 8
-# u beyond which sigma = s0 + u**2 overflows
-_U_MAX = math.sqrt(np.finfo(float).max)
 # the smallest normal float: a pericenter root's terms below it take `_units`
 _TINY = float(np.finfo(float).tiny)
 
@@ -323,9 +318,10 @@ class _RadialOrbit:
             P = P * sigma + c
         return P
 
-    def G(self, sigma: np.ndarray) -> np.ndarray:
-        """G on a (k, j) array of sigma, row i on orbit i: G0 for n = 1, also where sigma overflows (E sigma 0 = NaN)."""
-        return self._G0 + (self._E * sigma * self._P(sigma) if self.n > 1 else np.zeros_like(sigma))
+    def G(self, sigma: np.ndarray, P=None) -> np.ndarray:
+        """G on a (k, j) array of sigma, row i on orbit i, from P = `_P`(sigma) if given: G0 for n = 1 (E sigma P = inf 0 = NaN)."""
+        P = self._P(sigma) if P is None else P
+        return self._G0 + self._E * sigma * P if self.n > 1 else np.broadcast_to(self._G0, np.shape(sigma))
 
     def _far(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma**(n/2 - 1) and g = sqrt(G / sigma**n) = sqrt(G) / r where G
@@ -382,11 +378,11 @@ class _RadialOrbit:
         -E P divided by each factor in turn.
         """
         for work in _records:
-            work.passes[_RadialOrbit] += 1
+            work.passes.append(_RadialOrbit)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the far forms replace what overflows
             sigma, width = self._nodes(u)
             P = self._P(sigma)
-            power, rG = sigma ** (self.n - 1), np.sqrt(self._G0 + (self._E * sigma * P if self.n > 1 else np.zeros_like(sigma)))
+            power, rG = sigma ** (self.n - 1), np.sqrt(self.G(sigma, P))
             vals = power / rG
             T, rate = _panel_sum(self.K * width, vals[:, :-1]), self.K * power[:, -1] / rG[:, -1]
             far = not (width.shape[1] == 1 or (T.max() < np.inf and rG.max() < np.inf and rate.max() < np.inf))
@@ -479,7 +475,7 @@ class _RadialOrbit:
         through the pericenter, so on a short step the rule holds T's
         difference to round-off.  It ends after a step below _RULE_RTOL
         |U|; the start is the guess where it has not after _RULE_ROUNDS
-        rounds, or reads a rate not in (0, inf).  u is at most _U_MAX for n >= 2."""
+        rounds, or reads a rate not in (0, inf)."""
         rate = self._rate_one
         U0, t = 0.0 if u0 is None else side0 * _item(u0), _item(t)
         U0, t = (-U0, -t) if t < 0.0 else (U0, t)
@@ -492,9 +488,8 @@ class _RadialOrbit:
             step = (h * sum([w * rate(U0 + h * x) for x, w in _RULE]) - t) / end
             U -= step
             if abs(step) <= _RULE_RTOL * abs(U):
-                start = U
-                break
-        return (abs(start) if self.n == 1 else min(abs(start), _U_MAX),)  # n = 1: G is G0 even where sigma overflows
+                return (abs(U),)
+        return (abs(start),)
 
     def _start(self, U0: float, t: float) -> float:
         """`step_guess`'s start for a step by t >= 0 from U0: near the root
@@ -927,7 +922,7 @@ class _BoundOrbit:
         collision orbit, whose angle jumps at the pericenter.
         """
         for work in _records:
-            work.passes[_BoundOrbit] += 1
+            work.passes.append(_BoundOrbit)
         phi = np.asarray(phi, dtype=float)
         sin = np.sin(phi[..., None] * _NODES_AND_END)  # sin(phi) last
         sigma = self.s0 + (self.s1 - self.s0) * (sin * sin)
@@ -1206,7 +1201,7 @@ def _step(orbit, sigma: float, radial, t: float) -> Step:
     tau0, theta0, first = orbit.start(x0, side0, None if guess is None else guess[-1])
     k, side, sol = orbit.place(np.array([tau0 + t]), (x0, side0, t), () if guess is None else (*guess, *first))
     for work in _records:
-        work.rounds[type(orbit)].append(sol.iterations)
+        work.rounds.append((type(orbit), sol.iterations))
     x, side = sol.x.item(), float(side[0])
     with np.errstate(divide="ignore", invalid="ignore"):  # p_r is unbounded at the collision: r = 0, or r underflows
         r, p_r = orbit.state(x)
@@ -1644,13 +1639,10 @@ def global_flow(
     t = float(t)
     _require_finite("time", state, t, t)
     with counting() if log.isEnabledFor(logging.DEBUG) else contextlib.nullcontext() as work:
-        if params.n == 1:
-            end, kind, periods, sol = _line_flow(params, state, t), "n = 1 line", 0.0, None
-        else:
-            end, kind, periods, sol = _orbit_flow(params, state, t)
+        end, kind, periods, sol = (_line_flow if params.n == 1 else _orbit_flow)(params, state, t)
     if work is not None:  # a record only under DEBUG; its passes before the residual's one more pass of T
         log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d node_passes=%d residual=%r", kind, t, periods,
-                  *((sol.iterations, sum(work.passes.values()), sol.residual()) if sol is not None else (0, 0, 0.0)))
+                  *((sol.iterations, len(work.passes), sol.residual()) if sol is not None else (0, 0, 0.0)))
     return end
 
 
@@ -1669,16 +1661,13 @@ def trajectory(params: ModelParams, x0: ExtendedPoint, ts) -> list[ExtendedPoint
     ts = np.asarray(ts, dtype=float).tolist()
     for t in ts:
         _require_finite("time", state, t, t)
-    moved = [t for t in ts if t != 0.0]
     rows, kind, periods, sol = [state] * len(ts), "no", 0.0, None  # no row moves
     with counting() if log.isEnabledFor(logging.DEBUG) else contextlib.nullcontext() as work:
-        if moved and params.n == 1:
-            rows, kind = [_line_flow(params, state, t) if t != 0.0 else state for t in ts], "n = 1 line"
-        elif moved:
-            rows, kind, periods, sol = _orbit_flow(params, state, moved[0], ts)
+        if any(ts):  # from the first time that moves
+            rows, kind, periods, sol = (_line_flow if params.n == 1 else _orbit_flow)(params, state, next(t for t in ts if t), ts)
     if work is not None:  # a record only under DEBUG; its passes before the residual's one more pass of T
         log.debug("trajectory %s orbit rows=%d periods=%r newton_iterations=%d node_passes=%d residual=%r", kind, len(ts),
-                  periods, *((sol.iterations, sum(work.passes.values()), sol.residual()) if sol is not None else (0, 0, 0.0)))
+                  periods, *((sol.iterations, len(work.passes), sol.residual()) if sol is not None else (0, 0, 0.0)))
     return rows
 
 
@@ -1796,10 +1785,12 @@ def _embed(e1, e2, r: float, p_r: float, l: float, angle: float) -> Regular:
     return Regular(PhasePoint(r * u, p_r * u + (l / r) * v))
 
 
-def _line_flow(params: ModelParams, state: ExtendedPoint, t: float) -> ExtendedPoint:
-    """n = 1: free motion at constant momentum.  `Collision(h, a)` leaves
-    along -a at speed sqrt(2m(Z + h)), as A = -p/|p| has it; a line that
-    reaches the origin exactly returns `Collision`."""
+def _line_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | None = None):
+    """`_orbit_flow` for n = 1: free motion at constant momentum, no periods
+    and no solve.  `Collision(h, a)` leaves along -a at speed sqrt(2m(Z + h)),
+    as A = -p/|p| has it; a line that reaches the origin exactly returns `Collision`."""
+    if ts is not None:
+        return [_line_flow(params, state, s)[0] if s != 0.0 else state for s in ts], "n = 1 line", 0.0, None
     if isinstance(state, Collision):
         if not state.h > -params.Z:
             raise DomainError("an n = 1 collision launch needs kinetic energy h + Z > 0")
@@ -1808,6 +1799,6 @@ def _line_flow(params: ModelParams, state: ExtendedPoint, t: float) -> ExtendedP
     else:
         q, p = state.x.q + state.x.p * (t / params.m), state.x.p
         if not q.any():
-            return Collision(h=hamiltonian(params, state.x), a=-p / np.linalg.norm(p))
+            return Collision(h=hamiltonian(params, state.x), a=-p / np.linalg.norm(p)), "n = 1 line", 0.0, None
     _require_finite("end state", state, t, *q, *p)
-    return Regular(PhasePoint(q, p))
+    return Regular(PhasePoint(q, p)), "n = 1 line", 0.0, None

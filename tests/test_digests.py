@@ -91,7 +91,7 @@ def test_counting_changes_no_output_bit():
     with chart.counting() as work:
         assert digests.flow_digest(digests.flow_calls()) == RECORDED_FLOW
         assert digests.certify_digest(digests.certify_calls()) == RECORDED_CERTIFY
-    assert work.passes[chart._BoundOrbit] and work.passes[chart._RadialOrbit] and work.roots and work.rows
+    assert chart._BoundOrbit in work.passes and chart._RadialOrbit in work.passes and work.roots and work.rows
 
 
 def test_the_tool_counts_without_rebinding():
@@ -110,7 +110,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3530  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3521  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():

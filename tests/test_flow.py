@@ -601,7 +601,7 @@ class TestDebugLog:
                 call()
             (line,) = [r.getMessage() for r in caplog.records]
             logged = int(dict(f.split("=") for f in line.split() if "=" in f)["node_passes"])
-            assert logged == sum(quiet.passes.values()) == sum(debug.passes.values()) - (logged > 0)
+            assert logged == len(quiet.passes) == len(debug.passes) - (logged > 0)
 
 
 class TestUnboundSteps:
@@ -637,7 +637,7 @@ class TestUnboundSteps:
         monkeypatch.setattr(chart._RadialOrbit, "step_guess", lambda self, *a: guesses.append(rule(self, *a)) or guesses[-1])
         with chart.counting() as work:
             step = chart._step(orbit, sigma, radial, 0.00178)
-        assert len(guesses) == 1 and sum(work.passes.values()) <= 3 and step.solve.carried is not None
+        assert len(guesses) == 1 and len(work.passes) <= 3 and step.solve.carried is not None
 
     def test_the_rule_converges_on_every_step(self, monkeypatch):
         # `step_guess` refines `_start` by the short-step rule, or returns
@@ -656,7 +656,7 @@ class TestUnboundSteps:
             out = step(orbit, *args)
             if isinstance(orbit, chart._RadialOrbit):
                 (U,), ((g,),), x = starts, guesses, out.solve.x[0]
-                if g == min(abs(U), chart._U_MAX) and not abs(g - x) <= 1e-8 * x:
+                if g == abs(U) and not abs(g - x) <= 1e-8 * x:
                     misses.append((orbit, args))
             return out
 
@@ -784,7 +784,7 @@ class TestTrajectory:
         orbit = chart._RadialOrbit(ModelParams(n=3, d=2), np.array([1.0]), np.array([0.1]))
         with chart.counting() as work:
             orbit.time(np.array([0.01, 0.02]))
-        assert work.passes == {chart._RadialOrbit: 1}
+        assert work.passes == [chart._RadialOrbit]
 
     def test_rows_at_zero_are_the_start(self):
         params = ModelParams(n=3, d=2, eps=0.1)

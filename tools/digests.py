@@ -192,7 +192,7 @@ def flow_rounds(calls) -> dict[str, list[int]]:
     with chart.counting() as work:
         for params, start, t in calls:
             chart.global_flow(params, start, t)
-    return {kind: work.rounds[cls] for kind, cls in KINDS.items()}
+    return {kind: [k for c, k in work.rounds if c is cls] for kind, cls in KINDS.items()}
 
 
 def flow_passes(calls) -> dict[str, list[int]]:
@@ -203,8 +203,8 @@ def flow_passes(calls) -> dict[str, list[int]]:
         with chart.counting() as work:
             chart.global_flow(params, start, t)
         for kind, cls in KINDS.items():
-            if work.rounds[cls]:  # the call's one step
-                passes[kind].append(work.passes[cls])
+            if any(c is cls for c, _ in work.rounds):  # the call's one step
+                passes[kind].append(work.passes.count(cls))
     return passes
 
 
@@ -220,7 +220,7 @@ def certify_work(calls) -> tuple[dict[int, int], dict[int, list[int]]]:
         c = chart.chart_forward(params, x)
         with chart.counting() as work:
             chart.chart_inverse(params, c)
-        passes.setdefault(params.n, []).append(sum(work.passes.values()))
+        passes.setdefault(params.n, []).append(len(work.passes))
     return rows, passes
 
 
