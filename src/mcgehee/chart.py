@@ -31,7 +31,6 @@ independent check.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import logging
 import math
@@ -148,16 +147,12 @@ def _pow(x, y):
     `**` on a float64 array takes a vectorised power that differs from the
     C library's pow in the last bit for a few percent of inputs, so a row
     of an array would not match the same value computed as a float.  A
-    float x takes math.pow, the same C pow without numpy's per-call cost,
-    unless the power overflows or has no real value; the result is a
-    float64 either way.
+    float x takes math.pow, the same C pow without numpy's per-call cost;
+    the result is a float64 either way.  Every float x here is >= 0, inf
+    or NaN, y is in [0, 2] and x <= sqrt(max float) where y > 1 (r from a
+    finite <q,q>), so math.pow neither overflows nor leaves its domain.
     """
-    if isinstance(x, float):
-        try:
-            return np.float64(math.pow(x, y))
-        except (OverflowError, ValueError):
-            pass
-    return np.float_power(x, y)
+    return np.float64(math.pow(x, y)) if isinstance(x, float) else np.float_power(x, y)
 
 
 def _ndim(x) -> int:
@@ -242,6 +237,8 @@ _RULE_RTOL = 1e-8
 _RULE_ROUNDS = 8
 # the smallest normal float: a pericenter root's terms below it take `_units`
 _TINY = float(np.finfo(float).tiny)
+# |q| below which sigma**n = |q|**2 is not a normal float: `_orbit_flow` scales it
+_SMALL = math.sqrt(_TINY)
 
 
 class _RadialOrbit:
@@ -418,15 +415,15 @@ class _RadialOrbit:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
         |radial| = sqrt(2m G) u, free of cancellation near s0.  Where G
         overflows (E near the float range), u = |radial| / (r sqrt(2m) g)
-        with `_far`'s g = sqrt(G) / r."""
+        with `_far`'s g = sqrt(G) / r; a u that is not finite is refused by the caller."""
         sigma = np.reshape(sigma, (-1, 1))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rG = np.sqrt(self.G(sigma))[:, 0]
-        u = np.abs(radial) / (self.root2m * rG)
-        if rG.max() < np.inf:
-            return u
-        g = self._far(sigma)[1][:, 0]
-        return np.where(rG < np.inf, u, np.abs(radial) / _pow(sigma[:, 0], self.n / 2.0) / (self.root2m * g))
+            u = np.abs(radial) / (self.root2m * rG)
+            if rG.max() < np.inf:
+                return u
+            g = self._far(sigma)[1][:, 0]
+            return np.where(rG < np.inf, u, np.abs(radial) / _pow(sigma[:, 0], self.n / 2.0) / (self.root2m * g))
 
     def state(self, u) -> tuple[float, float]:
         """r and |p_r| = sqrt(2m G) u / r at a float u on a one-row orbit;
@@ -502,7 +499,9 @@ class _RadialOrbit:
         for one term, and log T_m is convex in log U) goes down toward it.
         T_m is T for n = 1 and E = 0, and lies above it for E > 0 (G >= G0),
         where the start is raised to the root of free motion, T's far form
-        K U |U|**(n-1) / (n sqrt(E)).  NaN where neither root is finite."""
+        K U |U|**(n-1) / (n sqrt(E)).  NaN where neither root is finite.
+        Nothing raises: G0 > 0, each power's exponent is in (0, 1], and
+        where V > 0, V T_m'(V) >= T_m(V) >= |y| > 0 to round-off."""
         _, G0, E, K, _ = self._floats
         c, n = self._frozen, self.n
 
@@ -512,15 +511,12 @@ class _RadialOrbit:
                 Y, slope = Y * W + c[j], slope * W + (2 * j + 1) * c[j]
             return V * Y, slope
 
-        try:
-            y = frozen(U0)[0] + t * math.sqrt(G0) / K
-            V = min([(abs(y) / cj) ** (1.0 / (2 * j + 1)) for j, cj in enumerate(c) if cj > 0.0])
-            if V > 0.0:  # one Newton step on log T_m against log U, down from above
-                value, slope = frozen(V)
-                V *= (abs(y) / value) ** (value / (V * slope))
-            U = math.copysign(V, y)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            U = math.nan
+        y = frozen(U0)[0] + t * math.sqrt(G0) / K
+        V = min([(abs(y) / cj) ** (1.0 / (2 * j + 1)) for j, cj in enumerate(c) if cj > 0.0])
+        if V > 0.0:  # one Newton step on log T_m against log U, down from above
+            value, slope = frozen(V)
+            V *= (abs(y) / value) ** (value / (V * slope))
+        U = math.copysign(V, y)
         if E > 0.0:  # U**n = U0 |U0|**(n-1) + b**n, over the larger of |U0| and b so that no power overflows
             b = t ** (1.0 / n) * (n * math.sqrt(E) / K) ** (1.0 / n)
             top = max(abs(U0), b) or 1.0
@@ -554,6 +550,8 @@ class _RadialOrbit:
         so T(u)/u increases and the tangent lies below T: T(g) >= |ts| puts
         the root in [g |ts| / T(g), g], T(g) < |ts| in [g, g |ts| / T(g)],
         and Newton goes on from that bracket, its step tolerance 4 ulp of
+        g; T(g) = 0 (underflowed) gives [g, inf].  A NaN bound (g beyond the
+        floats) stops Newton after one round, so that round is the pass at
         g.  A time of 0 is the pericenter, u = 0.
         """
         target = np.abs(ts)
@@ -563,9 +561,9 @@ class _RadialOrbit:
         g, T = first[:2]
         lo = hi = 0.0  # a time of 0: the pericenter
         if target[0] > 0.0:
-            chord = g * (target.item() / T)  # g target underflows near the collision
+            chord = g * (target.item() / T) if T else math.inf  # g target underflows near the collision, T(g) too
             lo, hi = (chord, g) if T >= target[0] else (g, chord)
-        first = first[1:] if lo <= g <= hi else None
+        first = first[1:] if lo <= g <= hi or math.isnan(lo + hi) else None
         return None, np.sign(ts), _solve_increasing(self._fused, target, np.array([g]), lo, hi, 4.0 * math.ulp(g), first=first)
 
 
@@ -1444,7 +1442,7 @@ def _monotone_newton(E: float, Z: float, n: int, rhs: float, s: float) -> Solve:
     changes s (a step below half an ulp of s), and is NaN where a power
     overflows or the slope is 0.  Where n E overflows (E beyond 1.8e308 /
     n), the slope is n (E s**(n-1)), which at s = 0 is 0, not NaN."""
-    f = lambda x: (E * _pow(x, n) + Z * x,)  # noqa: E731
+    f = lambda x: (E * x**n + Z * x,)  # noqa: E731
     nE, wide, last = n * E, not abs(n * E) < math.inf, 0.0  # last: the sign of the last step
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
         try:
@@ -1567,8 +1565,7 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     orbit leaves U^eps.  Where it ends at r = 0, at (T, B) = (0, 0) or
     with r below the float range, it is the glued collision point (H, A).
     """
-    A = np.asarray(c.A, dtype=float)
-    B = np.asarray(c.B, dtype=float)
+    A, B = c.A, c.B  # float arrays, as ChartPoint keeps them
     if abs(np.linalg.norm(A) - 1.0) > 1e-8:
         raise ValueError("A must be a unit vector")
     if abs(float(np.dot(A, B))) > 1e-8 * max(1.0, np.linalg.norm(B)):
@@ -1585,15 +1582,19 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
         s_max = min(s_max, (params.Z / (2.0 * n * -c.H)) ** (1.0 / (n - 1.0)))
     if not orbit.s0[0] < s_max:  # NaN too: H not finite
         raise ChartDomainError("reconstructed pericenter lies outside the chart domain")
-    step = _step(orbit, 0.0, None, float(c.T)) if math.isfinite(c.T) else None
-    if not (step and step.solve.x[0] < math.sqrt(s_max - orbit.s0[0])):
+    u_max, k = math.sqrt(s_max - orbit.s0[0]), 0
+    if 0.0 < abs(c.T) < _TINY:  # the step on the orbit's image under `_orbit_flow`'s scaling, |T| taken to a normal float
+        k = -((1021 + math.frexp(c.T)[1]) // (2 * n - 1))
+        orbit = _RadialOrbit(params, np.array([math.ldexp(c.H, 2 * (1 - n) * k)]), np.array([_or_inf(math.ldexp, ell, k)]))
+    step = _step(orbit, 0.0, None, math.ldexp(c.T, (2 * n - 1) * k)) if math.isfinite(c.T) else None
+    if not (step and math.ldexp(step.solve.x[0], -k) < u_max):
         raise ChartDomainError("chart point lies outside the image of the chart")
     if step.r == 0.0:  # the collision, or r below the float range: `global_flow` ends there too
         return Collision(h=c.H, a=A / np.linalg.norm(A))
     # a collision orbit sweeps n quarter turns and lies on the line of A,
     # whichever unit vector stands in for B / |B|
     B_hat = B / ell if ell > 0.0 else cov._completion(A)
-    return _embed(*_pericenter_frame(n, A, B_hat), step.r, step.p_r, ell, step.swept)
+    return _embed(*_pericenter_frame(n, A, B_hat), math.ldexp(step.r, -n * k), math.ldexp(step.p_r, (n - 1) * k), ell, step.swept)
 
 
 def project_to_config(x: ExtendedPoint) -> np.ndarray:
@@ -1638,12 +1639,7 @@ def global_flow(
         return state
     t = float(t)
     _require_finite("time", state, t, t)
-    with counting() if log.isEnabledFor(logging.DEBUG) else contextlib.nullcontext() as work:
-        end, kind, periods, sol = (_line_flow if params.n == 1 else _orbit_flow)(params, state, t)
-    if work is not None:  # a record only under DEBUG; its passes before the residual's one more pass of T
-        log.debug("global_flow %s orbit t=%r periods=%r newton_iterations=%d node_passes=%d residual=%r", kind, t, periods,
-                  *((sol.iterations, len(work.passes), sol.residual()) if sol is not None else (0, 0, 0.0)))
-    return end
+    return _flow(params, state, t)
 
 
 def trajectory(params: ModelParams, x0: ExtendedPoint, ts) -> list[ExtendedPoint]:
@@ -1661,39 +1657,64 @@ def trajectory(params: ModelParams, x0: ExtendedPoint, ts) -> list[ExtendedPoint
     ts = np.asarray(ts, dtype=float).tolist()
     for t in ts:
         _require_finite("time", state, t, t)
-    rows, kind, periods, sol = [state] * len(ts), "no", 0.0, None  # no row moves
-    with counting() if log.isEnabledFor(logging.DEBUG) else contextlib.nullcontext() as work:
-        if any(ts):  # from the first time that moves
-            rows, kind, periods, sol = (_line_flow if params.n == 1 else _orbit_flow)(params, state, next(t for t in ts if t), ts)
-    if work is not None:  # a record only under DEBUG; its passes before the residual's one more pass of T
-        log.debug("trajectory %s orbit rows=%d periods=%r newton_iterations=%d node_passes=%d residual=%r", kind, len(ts),
-                  periods, *((sol.iterations, len(work.passes), sol.residual()) if sol is not None else (0, 0, 0.0)))
-    return rows
+    return _flow(params, state, next((t for t in ts if t), None), ts)
+
+
+def _flow(params: ModelParams, state: ExtendedPoint, t: float | None, ts: list | None = None):
+    """`global_flow`'s end state, or `trajectory`'s rows at times ts, t their
+    first nonzero time (None: no row moves).  Under DEBUG the call runs in a
+    `counting` record and logs one line, its passes read before the residual's."""
+    flow = _line_flow if params.n == 1 else _orbit_flow
+    if t is None:
+        flow = lambda *_: ([state] * len(ts), "no", 0.0, None)  # noqa: E731
+    if not log.isEnabledFor(logging.DEBUG):
+        return flow(params, state, t, ts)[0]
+    with counting() as work:
+        end, kind, periods, sol = flow(params, state, t, ts)
+    call, what = ("global_flow", f"t={t!r}") if ts is None else ("trajectory", f"rows={len(ts)}")
+    log.debug("%s %s orbit %s periods=%r newton_iterations=%d node_passes=%d residual=%r", call, kind, what, periods,
+              *((sol.iterations, len(work.passes), sol.residual()) if sol is not None else (0, 0, 0.0)))
+    return end
 
 
 def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | None = None):
     """`global_flow` for n >= 2 by `_step`, or with times ts `trajectory`'s
     rows by `_sample`, t their first nonzero time: the end state or rows, the
-    orbit's class, the most whole periods and the Newton solve."""
+    orbit's class, the most whole periods and the Newton solve.  A start
+    with |q| < _SMALL, whose constants in sigma would lose digits, and a
+    launch from the collision set by times below the normal floats flow as
+    their image under the homogeneous potential's exact scaling q -> 2**(n k) q,
+    p -> 2**((1-n) k) p, t -> 2**((2n-1) k) t, each end mapped back."""
+    n, k = params.n, 0
     if isinstance(state, Collision):
         a = state.a / np.linalg.norm(state.a)
-        e1, e2 = _pericenter_frame(params.n, a, cov._completion(a))
-        E, l, sigma, radial = state.h, 0.0, 0.0, None
+        e1, e2 = _pericenter_frame(n, a, cov._completion(a))
+        tiny = min(map(abs, filter(None, ts or [t])))  # below the normal floats: the least k that takes it there
+        k = max(0, -((1021 + math.frexp(tiny)[1]) // (2 * n - 1)))
+        E, l, sigma, radial = math.ldexp(state.h, 2 * (1 - n) * k), 0.0, 0.0, None
     else:
-        r, E, radial = _radius_energy_radial(params, state.x)
+        x = state.x
+        r, E, radial = _radius_energy_radial(params, x)
         _require_finite("start's radius, energy or angular momentum", state, t, r, E, radial)
         if r < _SMALL:
-            return _scaled_flow(params, state, t, ts, -math.frexp(r)[1] // params.n)
-        frame, qc, pc = cov.plane_reduce(state.x)
+            k = -math.frexp(r)[1] // n
+            x = PhasePoint(np.ldexp(x.q, n * k), np.ldexp(x.p, (1 - n) * k))
+            r, E, radial = _radius_energy_radial(params, x)
+        frame, qc, pc = cov.plane_reduce(x)
         e1, e2 = frame.e1, frame.e2
         l = qc.real * pc.imag - qc.imag * pc.real
         if l < 0.0:  # rounding on a collision orbit: turn the frame instead
             e2, l = -e2, -l
-        sigma = _pow(r, 2.0 / params.n)
+        sigma = _pow(r, 2.0 / n)
+    times = [t] + (ts or [])
+    if k:
+        with np.errstate(over="ignore"):  # a time beyond the float range is refused
+            times = np.ldexp(times, (2 * n - 1) * k).tolist()
+        _require_finite("scaled time", state, t, *times)
     _require_finite("start's radius, energy or angular momentum", state, t, sigma, E, l * l, radial or 0.0)
     # an orbit whose apocenter lies beyond the float range (E > -1e-154 for
     # n = 2) flows as E = 0: no step can tell the two apart
-    bound = E < 0.0 and math.log(params.Z / -E) * params.n / (params.n - 1.0) < 700.0
+    bound = E < 0.0 and math.log(params.Z / -E) * n / (n - 1.0) < 700.0
     if bound:
         orbit = _BoundOrbit.through(params, E, l, sigma, radial)
         _require_finite("start's orbit", state, t, orbit.s0, orbit.s1)
@@ -1701,60 +1722,37 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
         orbit = _RadialOrbit(params, np.array([max(E, 0.0)]), np.array([l]))
         _require_finite("start's orbit", state, t, orbit.s0[0], orbit.G0[0])
     if ts is None:
-        step = _step(orbit, sigma, radial, t)
+        step = _step(orbit, sigma, radial, times[0])
         placed = step.pericenter
     else:  # `_step`'s start, placed once
         at = _place_start(orbit, sigma, radial)
         tau0, placed, _ = (math.nan, math.nan, None) if at is None else orbit.start(*at)
-        step = _sample(orbit, [tau0 + t for t in ts], placed, at and (*at, np.array(ts)))
+        step = _sample(orbit, [tau0 + s for s in times[1:]], placed, at and (*at, np.array(times[1:])))
     # the first node pass gave the period and apsis, and placed the start at a finite angle
     _require_finite("start's orbit", state, t, *((orbit.period, orbit.apsis) if bound else (placed,)))
     kind = "collision orbit" if l == 0.0 else "bound" if bound else "unbound"
 
     def end(t, r, p_r, swept, pericenter) -> ExtendedPoint:
         _require_finite("end state", state, t, r, swept, pericenter)
-        if r == 0.0:  # on the collision: A is its direction
-            lrl = _lrl_complex(params, 1j * np.exp(1j * (pericenter / params.n)))
+        if r == 0.0:  # on the collision: A is its direction, and H in the start's units
+            lrl = _lrl_complex(params, 1j * np.exp(1j * (pericenter / n)))
             a = lrl.real * e1 + lrl.imag * e2
-            return Collision(h=E, a=a / np.linalg.norm(a))
+            h = _or_inf(math.ldexp, E, 2 * (n - 1) * k)
+            _require_finite("end state", state, t, h)
+            return Collision(h=h, a=a / np.linalg.norm(a))
         _require_finite("end state", state, t, p_r)
-        return _embed(e1, e2, r, p_r, l, swept)
+        y = _embed(e1, e2, r, p_r, l, swept)
+        if not k:
+            return y
+        with np.errstate(over="ignore"):  # an end beyond the float range is refused
+            q, p = np.ldexp(y.x.q, -n * k), np.ldexp(y.x.p, (n - 1) * k)
+        _require_finite("end state", state, t, *q, *p)
+        return Regular(PhasePoint(q, p))
 
     if ts is None:
         return end(t, *step[:4]), kind, step.periods, step.solve
-    rows = [end(t, *row) if t != 0.0 else state for t, *row in zip(ts, *(v.tolist() for v in step[:4]))]
+    rows = [end(s, *row) if s != 0.0 else state for s, *row in zip(ts, *(v.tolist() for v in step[:4]))]
     return rows, kind, float(np.max(np.abs(step.periods))), step.solve
-
-
-# |q| below which sigma**n = |q|**2 is not a normal float
-_SMALL = math.sqrt(_TINY)
-
-
-def _scaled_flow(params: ModelParams, state: Regular, t: float, ts: list | None, k: int):
-    """`_orbit_flow` of a start with |q| < _SMALL, whose orbit constants in
-    sigma would lose digits, as the flow of its image under the scaling
-    q -> 2**(n k) q, p -> 2**((1-n) k) p, t -> 2**((2n-1) k) t, H -> 2**(2(1-n) k) H,
-    which the homogeneous potential keeps and which is exact in floats."""
-    a, b, c = params.n * k, (1 - params.n) * k, (2 * params.n - 1) * k
-    big = Regular(PhasePoint(np.ldexp(state.x.q, a), np.ldexp(state.x.p, b)))
-    with np.errstate(over="ignore"):  # a time beyond the float range is refused below
-        times = np.ldexp([t] + (ts or []), c).tolist()
-    _require_finite("scaled time", state, t, *times)
-    ends, kind, periods, sol = _orbit_flow(params, big, times[0], None if ts is None else times[1:])
-
-    def back(end: ExtendedPoint, s: float) -> ExtendedPoint:
-        if s == 0.0:
-            return state
-        with np.errstate(over="ignore"):  # an end beyond the float range is refused
-            if isinstance(end, Collision):
-                h = float(np.ldexp(end.h, -2 * b))
-                _require_finite("end state", state, s, h)
-                return Collision(h=h, a=end.a)
-            q, p = np.ldexp(end.x.q, -a), np.ldexp(end.x.p, -b)
-            _require_finite("end state", state, s, *q, *p)
-            return Regular(PhasePoint(q, p))
-
-    return back(ends, t) if ts is None else [back(*row) for row in zip(ends, ts)], kind, periods, sol
 
 
 def _radius_energy_radial(params: ModelParams, x: PhasePoint) -> tuple[float, float, float]:

@@ -332,6 +332,25 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "d,initial",
+        [(2, {"q": [1.0, 0.0, 0.0], "p": [0.0, 1.0, 0.0]}), (3, {"collision": {"h": -0.5, "a": [1.0, 0.0]}})],
+    )
+    def test_initial_state_of_the_wrong_dimension_rejected(self, tmp_path, capsys, d, initial):
+        cfg = write_config(tmp_path, {"params": {"n": 2, "d": d}, "initial": initial, "t_span": [0.0, 0.1]})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert config_error(capsys) == f"config error: initial state has wrong dimension: d = {d}"
+        assert not (tmp_path / "out").exists()
+
+    def test_runtime_error_exits_3(self, monkeypatch, caplog):
+        # one that no command reports itself is logged with the command's name
+        def fail(*args):
+            raise RuntimeError("no root")
+
+        monkeypatch.setattr(chart, "r_min", fail)
+        assert run(["rmin", "--E", "-0.5", "--l2", "1"]) == cli.EXIT_STEP_FAILURE
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == ["rmin failed: no root"]
+
+    @pytest.mark.parametrize(
         "grid",
         [
             {"t_span": [0.0, "a"]},
@@ -574,6 +593,33 @@ class TestSimulate:
             # a few ulps of |q|**2 |p|**2
             qp_scale = (math.hypot(*row[1:3]) * math.hypot(*row[3:5])) ** 2
             assert abs(row[column] - exact) <= 1e-15 * qp_scale
+
+    def test_collision_launch_by_a_time_below_the_normal_floats(self, tmp_path):
+        # t_span [0, 5e-324]: the launch's first guess divided by T(g) = 0
+        # (ZeroDivisionError, a traceback and exit 1); it flows as its
+        # scaled image, off the collision and outward
+        cfg = write_config(
+            tmp_path,
+            {"params": {"n": 4, "d": 2}, "initial": {"collision": {"h": 2.0, "a": [1, 0]}}, "t_span": [0, 5e-324]},
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 200 and float(rows[-1][0]) == 5e-324
+        q, p = np.array(rows[-1][1:3], dtype=float), np.array(rows[-1][3:5], dtype=float)
+        assert 0.0 < np.abs(q).max() < 1e-180 and np.dot(q, p) > 0.0
+
+    def test_failing_collision_launch_logs_its_start(self, tmp_path, caplog):
+        # r = 2e308 at t = 1e308 on the hyperbola of h = 2
+        cfg = write_config(
+            tmp_path,
+            {"params": {"n": 2, "d": 2}, "initial": {"collision": {"h": 2.0, "a": [1.0, 0.0]}},
+             "t_span": [0.0, 1e308], "output_points": 3},
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert line.startswith("flow from t=0.0 failed at the state collision h=2.0 a=[1.0, 0.0]: ")
+        assert line.endswith("the end state is not finite, from Collision(h=2.0, a=array([1., 0.])) after t=1e+308")
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_collision_launch_scenario(self, tmp_path):
         # start at the collision itself and launch outward; the energy
@@ -855,6 +901,16 @@ class TestVerifyCommand:
             "bb": -1.0,
             "ll": -1.0,
         }
+
+    def test_sections_count_failed_transits_and_collision_roundtrips(self, monkeypatch):
+        # a transit over its bound is a violation; a chart point that comes
+        # back as the collision is a round trip of error inf
+        monkeypatch.setattr(verify, "transit_time_check", lambda params, x: verify.TransitCheck(2.0, 1.0, False))
+        section = cli._transit_section(np.random.default_rng(0))
+        assert section["checked"] == 30 and len(section["violations"]) == 30
+        assert section["violations"][0] == {"n": 2, "measured": 2.0, "bound": 1.0}
+        monkeypatch.setattr(chart, "chart_inverse", lambda params, c: chart.Collision(h=c.H, a=c.A))
+        assert cli._roundtrip_section(np.random.default_rng(0), [(2, 2)], 3) == np.inf
 
     def test_report_reproduces_its_worst_points(self, tmp_path):
         # the report alone names the seed, the versions and each cell's worst

@@ -177,6 +177,12 @@ class TestLiftProject:
         with pytest.raises(DomainError):
             cov.lift(params, 0.0j, 1.0 + 0.0j)
 
+    def test_project_at_branch_point_rejected(self):
+        # Q = 0 is the collision: qc = 0, and for n >= 2 pc = P conj(Q)**(1-n) is undefined
+        with pytest.raises(DomainError, match="branch point"):
+            cov.project(ModelParams(n=2, d=2), 0.0j, 1.0 + 0.0j)
+        assert cov.project(ModelParams(n=1, d=2), 0.0j, 1.0 + 0.0j) == (0.0j, 1.0 + 0.0j)
+
     def test_constraint_vanishes_on_energy_shell(self):
         params = ModelParams(n=3, d=2)
         x = PhasePoint(np.array([0.05, 0.01]), np.array([-6.0, 8.0]))
@@ -185,6 +191,31 @@ class TestLiftProject:
         E = hamiltonian(params, x)
         state = cov.CoveringState(Q=Q, P=P, t_phys=0.0, E=E)
         assert constraint(params, state) == pytest.approx(0.0, abs=1e-10)
+
+
+class TestTransitChunks:
+    """`transit` continues a chunk that ends without an event with twice the
+    budget, 60 times at most, and a failed step is a Hill-region error."""
+
+    @staticmethod
+    def ending(reason, budgets):
+        def integrate_covering(params, E, y0, span, cfg, events=()):
+            budgets.append(span[1])
+            return ode.Trajectory(ts=np.array([0.0, span[1]]), ys=np.array([y0, y0]), reason=reason)
+
+        return integrate_covering
+
+    def test_budget_doubles_until_it_gives_up(self, monkeypatch):
+        budgets = []
+        monkeypatch.setattr(cov, "integrate_covering", self.ending(ode.REASON_TIME_LIMIT, budgets))
+        with pytest.raises(RuntimeError, match="did not reach any of its events"):
+            cov.transit(ModelParams(n=2, d=2), -0.5, np.zeros(5), -1.0, (), None)
+        assert budgets == [-(2.0**k) for k in range(60)]
+
+    def test_step_failure_is_a_hill_region_error(self, monkeypatch):
+        monkeypatch.setattr(cov, "integrate_covering", self.ending(ode.REASON_STEP_FAILURE, []))
+        with pytest.raises(cov.HillRegionError):
+            cov.transit(ModelParams(n=2, d=2), -0.5, np.zeros(5), 1.0, (), None)
 
 
 class TestCoveringFlow:

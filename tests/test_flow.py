@@ -333,6 +333,31 @@ class TestNonFinite:
         with pytest.raises(DomainError, match="the end state is not finite"):
             chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([1e300, 0.0])), 1e10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_period_beyond_the_float_range_is_refused(self):
+        # at rest at r = 1e150 with m = 1e166: half the radial period is
+        # finite, the period and the series' pi a_0 are not, so the step
+        # takes no series guess, and the start's orbit is refused
+        params = ModelParams(n=2, d=2, m=1e166)
+        x = PhasePoint(np.array([1e150, 0.0]), np.zeros(2))
+        assert chart._BoundOrbit(params, hamiltonian(params, x), 0.0).period == np.inf
+        with pytest.raises(DomainError, match="the start's orbit is not finite"):
+            chart.global_flow(params, x, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_without_a_finite_phase_is_refused(self):
+        # m and Z near the float range's ends, E = 0: sqrt(2m) g underflows
+        # in the start's phase u = |<q,p>| / (r sqrt(2m) g), which reads inf,
+        # so `_step` places no start; the refusal warns of nothing on the way
+        params = ModelParams(n=5, d=2, m=8.563722194234795e-243, Z=8.637020896443998e-190)
+        x = PhasePoint(np.array([9.13754980340054e145, 1.6285835131526285e145]),
+                       np.array([1.5119399539213605e-302, -4.399679487761963e-303]))
+        assert hamiltonian(params, x) == 0.0
+        with pytest.raises(DomainError, match="the start's orbit is not finite"):
+            chart.global_flow(params, x, 3.8e-210)
+        with pytest.raises(DomainError, match="the start's orbit is not finite"):
+            chart.trajectory(params, x, [0.0, 3.8e-210])
+
     def test_far_but_finite_steps_still_flow(self):
         # a bound orbit reduces any finite time modulo its period
         params = ModelParams(n=3, d=2, eps=0.1)
@@ -389,6 +414,45 @@ class TestTinyRadius:
             chart.global_flow(params, x, 1e30)
         with pytest.raises(DomainError, match="the scaled time is not finite"):
             chart.trajectory(params, x, [0.0, 1e-290, -1e30])
+        # from the collision set, 5e-324 takes k = 11 for n = 3, which takes
+        # 1e300 to 2**55 1e300
+        launch = chart.Collision(h=2.0, a=np.array([0.6, 0.8]))
+        assert isinstance(chart.trajectory(params, launch, [5e-324, 1e290])[1], chart.Regular)
+        with pytest.raises(DomainError, match="the scaled time is not finite"):
+            chart.trajectory(params, launch, [5e-324, 1e300])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_start_ends_on_the_collision(self, n):
+        # at rest at |q| = 1e-160, the apocenter of a collision orbit: after
+        # half its radial period (its scaled orbit's, scaled back) it is on
+        # the collision, and its energy is the scaled orbit's in the start's
+        # units, the start's own to the rounding of alpha
+        params = ModelParams(n=n, d=2, eps=0.1)
+        x = PhasePoint(np.array([1e-160, 0.0]), np.zeros(2))
+        k = -np.frexp(x.r)[1] // n
+        r, E, _ = chart._radius_energy_radial(params, PhasePoint(np.ldexp(x.q, n * k), x.p))
+        half = chart._BoundOrbit.through(params, E, 0.0, chart._pow(r, 2.0 / n), 0.0).period / 2.0
+        for f in (1.0, -1.0, 3.0):
+            t = f * np.ldexp(half, (1 - 2 * n) * k)
+            for end in (chart.global_flow(params, x, t), chart.trajectory(params, x, [0.0, t])[1]):
+                assert isinstance(end, chart.Collision) and end.h == np.ldexp(E, 2 * (n - 1) * k)
+                assert end.h == pytest.approx(hamiltonian(params, x), rel=1e-13)
+                assert abs(end.a[0]) == pytest.approx(1.0, abs=1e-15)  # on the start's line
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_times_below_the_normal_floats_from_a_pericenter(n):
+    # the start's time since its pericenter is 0, so the step's is t itself:
+    # T(g) at the first guess underflowed to 0 and the chord g |t| / T(g)
+    # divided by it (ZeroDivisionError at |q| = 10, n = 2-6); the bracket
+    # is [g, inf] there.  The state moves by |t p / m| < 1e-322
+    params = ModelParams(n=n, d=2)
+    x = PhasePoint(np.array([10.0, 0.0]), np.array([0.0, 2.0]))
+    for t in (5e-324, -5e-324, 1e-320):
+        for y in (flow(params, x, t), chart.trajectory(params, x, [t, 0.0])[0].x):
+            assert np.linalg.norm(y.q - x.q) <= 1e-15 * x.r and np.linalg.norm(y.p - x.p) <= 1e-15 * 2.0
 
 
 class TestHugeTimes:

@@ -45,6 +45,13 @@ class TestModelParams:
             ModelParams(**kwargs)
 
 
+class TestPhasePoint:
+    @pytest.mark.parametrize("q,p", [([1.0, 0.0], [0.0, 1.0, 0.0]), ([[1.0, 0.0]], [[0.0, 1.0]])])
+    def test_q_and_p_must_be_vectors_of_one_length(self, q, p):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            PhasePoint(q, p)
+
+
 class TestPotential:
     def test_free_case_is_constant(self):
         params = ModelParams(n=1, d=2, Z=3.0)
@@ -120,6 +127,7 @@ class TestAngularMomentum:
         # L_ij = q_j p_i - q_i p_j
         assert L[0, 1] == pytest.approx(-2.0)
         assert L[1, 0] == pytest.approx(2.0)
+        assert L.d == 2
 
     @given(q=vec(3), p=vec(3))
     @settings(max_examples=50)

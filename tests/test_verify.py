@@ -335,6 +335,12 @@ class TestTransitBound:
         with pytest.raises(ValueError):
             verify.transit_time_check(params, x)
 
+    def test_state_outside_the_sphere_rejected(self):
+        params = ModelParams(n=2, d=2, eps=0.1)
+        x = PhasePoint(np.array([0.2, 0.0]), np.array([-5.0, 0.0]))
+        with pytest.raises(ValueError, match="on or inside the chart radius"):
+            verify.transit_time_check(params, x)
+
 
 def entry_state(params, rng, cos, kinetic):
     """Inward state at r = eps (1 - 1e-12) along a random unit u, its momentum
@@ -428,6 +434,19 @@ class TestTransitQuadrature:
             verify.transit_time_check(params, x)
 
 
+def test_family_sign_of_a_vanishing_family_is_plus():
+    # every expected value below 1e-12: the sign is not measurable, so +1
+    assert verify._family_sign(np.array([0.3, -0.2]), np.array([1e-13, -1e-13])) == 1.0
+
+
+def test_escape_of_a_bound_orbit_raises():
+    # E = -0.875: the apocenter lies near r = 1, inside r_far = 2, which
+    # neither branch reaches within its time budget
+    params = ModelParams(n=2, d=2)
+    with pytest.raises(RuntimeError, match="did not reach the evaluation radius"):
+        verify.escape(params, np.array([1.0, 0.0, 0.0, 0.5]), 2.0, ode.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
+
+
 class TestAsymptoticParity:
     @pytest.mark.parametrize("n,expected", [(2, 1.0), (3, -1.0), (4, 1.0)])
     def test_parity(self, n, expected):
@@ -438,6 +457,14 @@ class TestAsymptoticParity:
         x0 = PhasePoint(np.array([rp, 0.0]), np.array([0.0, p_mag]))
         um, up = verify.asymptotic_direction_pair(params, x0)
         assert np.dot(um, up) == pytest.approx(expected, abs=1e-6)
+
+    def test_collision_orbit_rejected(self):
+        # l = 0 at zero energy: the pericenter is the collision, r_min = 0
+        params = ModelParams(n=3, d=2, eps=0.1)
+        r = 0.05
+        x0 = PhasePoint(np.array([r, 0.0]), np.array([-np.sqrt(2.0 * params.m * params.Z * r ** -params.alpha), 0.0]))
+        with pytest.raises(ValueError, match="collision orbit"):
+            verify.asymptotic_direction_pair(params, x0)
 
     def test_nonzero_energy_rejected(self):
         params = ModelParams(n=2, d=2, eps=0.1)
