@@ -415,7 +415,7 @@ class _RadialOrbit:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
         |radial| = sqrt(2m G) u, free of cancellation near s0.  Where G
         overflows (E near the float range), u = |radial| / (r sqrt(2m) g)
-        with `_far`'s g = sqrt(G) / r; a u that is not finite is refused by the caller."""
+        with `_far`'s g = sqrt(G) / r; a u that is not finite is the caller's to refuse."""
         sigma = np.reshape(sigma, (-1, 1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rG = np.sqrt(self.G(sigma))[:, 0]
