@@ -21,6 +21,8 @@ import math
 import os
 import sys
 from contextlib import suppress
+from functools import cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +33,11 @@ from .model import (
     DomainError,
     ModelParams,
     PhasePoint,
-    l_squared_point,
+    kinetic_rows,
+    l_squared_rows,
     physical_field,
+    radius_rows,
+    row_dot,
 )
 
 log = logging.getLogger("mcgehee")
@@ -80,8 +85,9 @@ def _number(kind, text: str, test):
 _FINITE = _number(float, "finite", lambda x: True)
 _POSITIVE = _number(float, "finite and > 0", lambda x: x > 0.0)
 _COUNT = _number(int, "an integer >= 1", lambda k: k >= 1)
-# every output row is held in memory until the CSV is written
+# every output state is held in memory until the CSV is written, in blocks of _BLOCK_ROWS rows per format call
 MAX_OUTPUT_POINTS = 10**7
+_BLOCK_ROWS = 4096
 _VECTOR = _converter("finite numbers in a list", lambda v: np.asarray(v, dtype=float), lambda v, x: (
     isinstance(v, list) and bool not in map(type, v) and x.ndim == 1 and np.isfinite(x).all()))
 _FILE = _converter("a file name, written into --out", lambda v: v, lambda v, x: (
@@ -188,13 +194,35 @@ def _describe(state: chart.ExtendedPoint) -> str:
     return f"q={state.x.q.tolist()} p={state.x.p.tolist()}"
 
 
-def _state_row(params: ModelParams, t: float, state: chart.ExtendedPoint) -> list[str]:
-    if isinstance(state, chart.Collision):  # momentum undefined at collision
-        return [_fmt(t)] + [_fmt(0.0)] * params.d + [""] * params.d + [_fmt(state.h), _fmt(0.0), "1"]
-    x = state.x
-    r, H, _ = chart._radius_energy_radial(params, x)
-    values = (t, *x.q, *x.p, H, l_squared_point(x))
-    return [_fmt(v) for v in values] + ["1" if chart._in_domain(params, r, H) else "0"]
+def _regular_rows(params: ModelParams, rows: list) -> str:
+    """CSV lines of (t, `Regular`) rows: t, q, p, H, l2 and in_U_eps, bit for
+    bit as `hamiltonian`, `l_squared_point` and `in_U_eps` give them one state
+    at a time (H as `chart_forward_rows` takes it), in one format call."""
+    t = np.array([t for t, _ in rows])
+    q, p = (np.array([getattr(state.x, v) for _, state in rows]) for v in "qp")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan are written as they are
+        qq, pp, qp = row_dot(q, q), row_dot(p, p), row_dot(q, p)
+        r = radius_rows(q, qq)
+        H = kinetic_rows(p, pp, params.m) - params.Z * chart._pow(r, -params.alpha)
+        inside = chart._in_domain(params, r, H)
+    table = np.column_stack((t, q, p, H, l_squared_rows(q, p, qq, pp, qp), inside))
+    return ("%r," * (2 * params.d + 3) + "%d\n") * len(rows) % tuple(table.ravel().tolist())
+
+
+def _write_trajectory_csv(path: Path, params: ModelParams, ts: list, points: list) -> None:
+    """The header, then each run of regular rows by `_regular_rows` in blocks
+    of _BLOCK_ROWS, and each collision row, whose momentum is undefined, as
+    t, 0 for q, empty p fields, h, 0 for l2 and in_U_eps 1."""
+    header = ["t", *(f"{v}_{i+1}" for v in "qp" for i in range(params.d)), "H", "l2", "in_U_eps"]
+    collision = "%r," + "0.0," * params.d + "," * params.d + "%r,0.0,1\n"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for regular, run in groupby(zip(ts, points), key=lambda row: isinstance(row[1], chart.Regular)):
+            run = list(run)
+            if not regular:
+                fh.writelines(collision % (t, float(state.h)) for t, state in run)
+            for i in range(0, len(run) if regular else 0, _BLOCK_ROWS):
+                fh.write(_regular_rows(params, run[i:i + _BLOCK_ROWS]))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -206,17 +234,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_out = cfg.get("output_points", 200)
     ts = np.linspace(t0, t1, n_out) if t1 != t0 else np.array([t0])
 
-    header = ["t", *(f"{v}_{i+1}" for v in "qp" for i in range(params.d)), "H", "l2", "in_U_eps"]
     try:
         points = chart.trajectory(params, state, ts)
     except DomainError as exc:  # its message names the failing time
         log.error("flow from t=0.0 failed at the state %s: %s", _describe(state), exc)
         return EXIT_STEP_FAILURE
-    rows = [header] + [_state_row(params, t, point) for t, point in zip(ts.tolist(), points)]
 
     path = out / cfg.get("trajectory_file", "trajectory.csv")
-    path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
-    log.info("wrote %s (%d rows)", path, len(rows) - 1)
+    _write_trajectory_csv(path, params, ts.tolist(), points)
+    log.info("wrote %s (%d rows)", path, len(points))
     return EXIT_OK
 
 
@@ -241,7 +267,7 @@ def _svg_polylines(curves: list[np.ndarray], path: Path, size: int = 600) -> Non
     for k, curve in enumerate(curves):
         x = (curve[:, 0] - lo[0] + pad) / (span + 2 * pad) * size
         y = size - (curve[:, 1] - lo[1] + pad) / (span + 2 * pad) * size
-        pts = " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+        pts = " ".join(["%.2f,%.2f"] * len(curve)) % tuple(np.column_stack((x, y)).ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" '
             f'stroke="{colors[k % len(colors)]}" stroke-width="1"/>'
@@ -319,9 +345,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _write_curve_csv(path: Path, data: np.ndarray) -> None:
-    lines = ["t,q_1,q_2"]
-    lines += [",".join(map(repr, row)) for row in data.tolist()]  # repr(float) is _fmt
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """The (k, 3) rows (t, q1, q2) in one format call: %r of a float is `_fmt`."""
+    path.write_text("t,q_1,q_2\n" + "%r,%r,%r\n" * len(data) % tuple(data.ravel().tolist()), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:  # one per process: parsing leaves it as it was
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -235,6 +235,20 @@ def l_squared_point(x: PhasePoint) -> float:
         return float(np.ldexp(scaled, -2 * (a + b)))
 
 
+def l_squared_rows(q: np.ndarray, p: np.ndarray, qq: np.ndarray, pp: np.ndarray, qp: np.ndarray) -> np.ndarray:
+    """`l_squared_point` of each row of (k, d) arrays q, p from their
+    `row_dot`s, bit for bit: the Lagrange form where every entry is below
+    1.3e154 / 2d (so the hypot of the row is below 1.3e154) and qq, pp are
+    normal floats, and `l_squared_point` itself on the other rows."""
+    big = np.maximum(np.abs(q).max(axis=1), np.abs(p).max(axis=1))
+    plain = (big < 1.3e154 / (2 * q.shape[1])) & (qq >= _TINY) & (pp >= _TINY)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the floats give inf or nan
+        l2 = qq * pp - qp * qp
+    for i in np.flatnonzero(~plain):
+        l2[i] = l_squared_point(PhasePoint(q[i], p[i]))
+    return l2
+
+
 def radial_convexity(params: ModelParams, x: PhasePoint) -> float:
     """d/dt <q, p> = ||p||**2/m - alpha_n Z ||q||**(-alpha_n).
 

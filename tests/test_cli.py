@@ -2,7 +2,11 @@ import argparse
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +15,7 @@ import scipy
 
 import mcgehee
 from mcgehee import chart, cli, integrate as ode, verify
-from mcgehee.model import DomainError, ModelParams, PhasePoint, physical_field
+from mcgehee.model import DomainError, ModelParams, PhasePoint, l_squared_point, physical_field
 
 from test_chart import mp_sigma_root
 
@@ -145,6 +149,47 @@ class TestParser:
             run([command, *out, flag, "3"])
         assert exc.value.code == cli.EXIT_CONFIG
         assert not list(tmp_path.iterdir())
+
+    # calls of `cli.main` in one process, each printed as [exit code, stdout, stderr]
+    IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from mcgehee import cli
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+    def test_one_parser_serves_many_calls(self, tmp_path):
+        # the parser is built once per process; each call, a refused one
+        # included, gives what a fresh process gives, outputs too
+        cfg = write_config(tmp_path, {"params": {"n": 3, "d": 2}, "initial": {"q": [0.05, 0.0], "p": [-6.0, 1.0]},
+                                      "t_span": [0.0, 0.1], "output_points": 40})
+        calls = lambda out: [  # noqa: E731
+            ["rmin", "--E", "-0.5", "--l2", "1"],
+            ["rmin", "--E", "-0.5", "--l2", "1", "--seed", "3"],
+            ["figures", "fig1", "--out", str(out / "figures")],
+            ["simulate", "--config", cfg, "--out", str(out / "simulate")],
+            ["rmin", "--n", "4", "--E", "0.25", "--l2", "0.3"],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env.pop("MCGEHEE_LOG", None)
+        one = subprocess.run([sys.executable, "-c", self.IN_ONE_PROCESS, json.dumps(calls(tmp_path / "one"))],
+                             capture_output=True, text=True, env=env, check=True)
+        got = [json.loads(line) for line in one.stdout.splitlines()]
+        fresh = [subprocess.run([sys.executable, "-m", "mcgehee.cli", *argv], capture_output=True, text=True, env=env)
+                 for argv in calls(tmp_path / "fresh")]
+        assert got == [[f.returncode, f.stdout, f.stderr] for f in fresh]
+        assert [code for code, _, _ in got] == [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK]
+        for sub in ("figures", "simulate"):
+            names = sorted(p.name for p in (tmp_path / "one" / sub).iterdir())
+            assert names == sorted(p.name for p in (tmp_path / "fresh" / sub).iterdir()) and names
+            for name in names:
+                assert (tmp_path / "one" / sub / name).read_bytes() == (tmp_path / "fresh" / sub / name).read_bytes()
 
 
 START = {"initial": {"q": [1.0, 0.0], "p": [0.0, 1.0]}, "t_span": [0.0, 0.1], "output_points": 3}
@@ -880,6 +925,89 @@ class TestWriters:
         cli._svg_polylines(curves, tmp_path / "new.svg")
         oracle_svg_polylines(curves, tmp_path / "old.svg")
         assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+def oracle_state_rows(path, params, ts, points):
+    """The per-row trajectory writer that `cli._write_trajectory_csv` replaced."""
+    def row(t, state):
+        if isinstance(state, chart.Collision):  # momentum undefined at collision
+            return [cli._fmt(t)] + [cli._fmt(0.0)] * params.d + [""] * params.d + [cli._fmt(state.h), cli._fmt(0.0), "1"]
+        x = state.x
+        r, H, _ = chart._radius_energy_radial(params, x)
+        values = (t, *x.q, *x.p, H, l_squared_point(x))
+        return [cli._fmt(v) for v in values] + ["1" if chart._in_domain(params, r, H) else "0"]
+
+    header = ["t", *(f"{v}_{i+1}" for v in "qp" for i in range(params.d)), "H", "l2", "in_U_eps"]
+    rows = [header] + [row(t, point) for t, point in zip(ts, points)]
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+
+
+def edge_trajectory(d):
+    """Rows at the trajectory writer's edges in d dimensions, collisions among them."""
+    e = np.eye(d)
+    states = [
+        (0.05 * e[0], -6.0 * e[0] + e[1]),  # in U^eps: in_U_eps 1
+        (1.2 * e[0] + 0.3 * e[-1], 0.8 * e[1]),  # in_U_eps 0
+        (1e-160 * e[0] + 3e-161 * e[1], 2e-160 * e[0] + 1e-160 * e[-1]),  # |q| < 1.5e-154, <p,p> subnormal
+        (1e200 * e[0], 1e-200 * e[1]),  # beyond l_squared_point's hypot range
+        (5e153 * e[0] - 1e153 * e[1], 0.5 * e[1]),  # inside it, past the Lagrange rows' 1.3e154 / 2d
+        (1e160 * e[1], 1e160 * (e[0] + e[1])),  # <p,p> overflows: H = inf
+        (1e-5 * e[0], 1e5 * e[-1]),
+        (-0.03 * e[1], 1e-170 * e[0]),  # <p,p> below the floats
+    ]
+    points = [chart.Regular(PhasePoint(q, p)) for q, p in states]
+    points[3:3] = [chart.Collision(h=0.25, a=e[1])]
+    points = [chart.Collision(h=-0.5, a=e[0])] + points + [chart.Collision(h=-1.0 / 3.0, a=-e[0])] * 2
+    ts = [0.0, -0.0, 5e-324, 1e-300, 0.1, -2.0 / 3.0, 1e16, 123456.789, -1e-5, 7.0, 1.0 + 2.0**-52, 2.0]
+    return ts[: len(points)], points
+
+
+SIMULATE_SCENARIOS = [
+    # a launch from the collision set: its t = 0 row is the collision
+    {"params": {"n": 3, "d": 2}, "initial": {"collision": {"h": -0.5, "a": [1.0, 0.0]}},
+     "t_span": [-1.0, 2.0], "output_points": 31},
+    {"params": {"n": 4, "d": 3}, "initial": {"q": [0.05, 0.0, 0.0], "p": [-6.0, 1.0, 0.0]},
+     "t_span": [0.0, 0.1], "output_points": 50},
+    {"params": {"n": 2, "d": 2}, "initial": {"q": [0.05, 0.0], "p": [-6.0, 0.0]}, "t_span": [0.0, 0.02],
+     "output_points": 50},
+    # |q| below 1.5e-154 and <p,p> subnormal
+    {"params": {"n": 2, "d": 2}, "initial": {"q": [1e-160, 0.0], "p": [2e-160, 1e-160]}, "t_span": [0.0, 1e-240],
+     "output_points": 20},
+    {"params": {"n": 1, "d": 3}, "initial": {"q": [0.3, 0.1, 0.0], "p": [-1.0, 0.0, 0.2]}, "t_span": [0.0, 2.0],
+     "output_points": 40},
+]
+
+
+class TestTrajectoryWriter:
+    """`simulate`'s CSV gives the bytes of the per-row oracle above."""
+
+    @pytest.mark.parametrize("cfg", SIMULATE_SCENARIOS)
+    def test_simulate_matches_the_oracle_writer(self, tmp_path, monkeypatch, cfg):
+        config = write_config(tmp_path, cfg)
+        assert run(["simulate", "--config", config, "--out", str(tmp_path / "new")]) == cli.EXIT_OK
+        monkeypatch.setattr(cli, "_write_trajectory_csv", oracle_state_rows)
+        assert run(["simulate", "--config", config, "--out", str(tmp_path / "old")]) == cli.EXIT_OK
+        new, old = ((tmp_path / w / "trajectory.csv").read_bytes() for w in ("new", "old"))
+        assert new == old and len(new.splitlines()) == cfg["output_points"] + 1
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 3), (6, 4)])
+    @pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 3, 1])
+    def test_edge_rows(self, tmp_path, monkeypatch, n, d, block):
+        params = ModelParams(n=n, d=d)
+        ts, points = edge_trajectory(d)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        cli._write_trajectory_csv(tmp_path / "new.csv", params, ts, points)
+        oracle_state_rows(tmp_path / "old.csv", params, ts, points)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert {line.rsplit(b",", 1)[1] for line in new.splitlines()[1:]} == {b"0", b"1"}
+
+    def test_collision_rows_only(self, tmp_path):
+        params = ModelParams(n=2, d=2)
+        ts, points = [0.0, 1.0], [chart.Collision(h=np.float64(-0.5), a=np.array([1.0, 0.0]))] * 2
+        cli._write_trajectory_csv(tmp_path / "new.csv", params, ts, points)
+        oracle_state_rows(tmp_path / "old.csv", params, ts, points)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestVerifyCommand:

@@ -11,9 +11,11 @@ from mcgehee.model import (
     hamiltonian,
     l_squared,
     l_squared_point,
+    l_squared_rows,
     physical_field,
     potential,
     radial_convexity,
+    row_dot,
     vector_field,
 )
 
@@ -156,6 +158,22 @@ class TestAngularMomentum:
         assert l_squared(angular_momentum(PhasePoint(R @ q, R @ p))) == pytest.approx(
             l_squared(angular_momentum(PhasePoint(q, p)))
         )
+
+    def test_rows_are_the_point_to_the_bit(self):
+        # the Lagrange form on plain rows, l_squared_point itself on the rest:
+        # beyond its hypot range, within it but past the rows' 1.3e154 / 2d,
+        # a subnormal <q,q> or <p,p>, and products that overflow
+        rng = np.random.default_rng(5)
+        q = np.vstack([rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-8, 8, (40, 1)),
+                       [[1e200, 0.0, 0.0], [5e153, -1e153, 0.0], [1e-160, 3e-161, 0.0], [1e-5, 0.0, 0.0],
+                        [1e150, 1e150, 0.0], [3.0, 1.0, 0.0]]])
+        p = np.vstack([rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-8, 8, (40, 1)),
+                       [[0.0, 1e-200, 0.0], [0.0, 0.5, 0.0], [2e-160, 0.0, 1e-160], [0.0, 1e-160, 1.0],
+                        [1e150, -1e150, 1e150], [-1e-170, 2e-170, 0.0]]])
+        want = [l_squared_point(PhasePoint(a, b)) for a, b in zip(q, p)]
+        with np.errstate(over="ignore"):
+            qq, pp, qp = row_dot(q, q), row_dot(p, p), row_dot(q, p)
+        assert np.array(want).tobytes() == l_squared_rows(q, p, qq, pp, qp).tobytes()
 
     def test_collinear_gives_zero(self):
         x = PhasePoint(np.array([1.0, 2.0]), np.array([2.0, 4.0]))
