@@ -8,12 +8,24 @@ integration stopped, and caps the work of a runaway integration.
 
 from __future__ import annotations
 
+import importlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
-from scipy.optimize import brentq  # noqa: F401  unused (solve_ivp has its own); bench/tracing.py rebinds it
+
+# scipy's ODE stack, imported on first use (PEP 562): importing the library
+# loads neither scipy.integrate nor scipy.optimize.  brentq is unused (solve_ivp
+# has its own root finder); bench/tracing.py rebinds it
+_LAZY = dict.fromkeys(("DOP853", "OdeSolution", "solve_ivp"), "scipy.integrate") | {"brentq": "scipy.optimize"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
 
 REASON_TIME_LIMIT = "time-limit"
 REASON_EVENT = "event"
@@ -109,8 +121,9 @@ def integrate(
         g.terminal, g.direction = True, ev.direction
         return g
 
-    res = solve_ivp(counted, (t0, t1), y0, method=DOP853, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    dense_output=True, events=[terminal(ev) for ev in events] or None)
+    module = sys.modules[__name__]  # a bare global name never reaches `__getattr__`; a rebinding of the module's names holds
+    res = module.solve_ivp(counted, (t0, t1), y0, method=module.DOP853, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                           dense_output=True, events=[terminal(ev) for ev in events] or None)
     fired = [i for i, te in enumerate(res.t_events or ()) if len(te)]
     return Trajectory(
         ts=res.t,

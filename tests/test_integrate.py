@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -72,6 +77,27 @@ class TestBasicIntegration:
         monkeypatch.setattr(ode, "DOP853", Counting)
         traj = ode.integrate(harmonic, [1.0, 0.0], (0.0, 3.0), TIGHT)
         assert len(steps) == len(traj.ts) - 1 > 10
+
+
+class TestLazyScipy:
+    def test_importing_the_library_loads_no_ode_stack(self):
+        # scipy.integrate and scipy.optimize load on the first use of a name
+        # that needs them, not with the library and its CLI
+        code = ("import sys; import mcgehee, mcgehee.cli, mcgehee.verify; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        src = str(Path(ode.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("name, module", [("DOP853", "scipy.integrate"), ("OdeSolution", "scipy.integrate"),
+                                              ("solve_ivp", "scipy.integrate"), ("brentq", "scipy.optimize")])
+    def test_lazy_names_are_scipys(self, name, module):
+        assert getattr(ode, name) is getattr(__import__(module, fromlist=[name]), name)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'DOP54'"):
+            ode.DOP54
 
 
 class TestEvents:
