@@ -761,13 +761,13 @@ class _ZeroEnergyOrbit:
         """No whole periods, the side and u of the times ts since the pericenter
         (start and first unread):
         Newton on T(u) = |t| from the smaller inverse of T's first and last
-        terms, above the root, down the convex T; the step tolerance is 4
-        ulps of the pass's largest guess."""
+        terms, above the root, down the convex T.  Each time is bracketed by
+        [0, its guess] and stops within 4 ulps of its own u, so its bits do
+        not depend on the other times of the pass."""
         tau = np.abs(ts)
         c = self._c
         guess = np.minimum(tau / c[0], (tau / c[-1]) ** (1.0 / (2 * self.n - 1)))
-        u_max = float(np.max(guess, initial=0.0))
-        return None, np.sign(ts), _solve_increasing(self.time_rate, tau, guess, 0.0, u_max, 4.0 * np.spacing(u_max))
+        return None, np.sign(ts), _solve_increasing(self.time_rate, tau, guess, 0.0, guess, 0.0, 4.0 * np.spacing(1.0))
 
 
 # dT/dphi is even, pi-periodic and real-analytic, so its cosine series

@@ -17,7 +17,7 @@ import mcgehee
 from mcgehee import chart, cli, integrate as ode, verify
 from mcgehee.model import DomainError, ModelParams, PhasePoint, l_squared_point, physical_field
 
-from test_chart import mp_sigma_root
+from test_chart import mp_sigma_root, same_bits
 
 
 def run(argv):
@@ -752,6 +752,31 @@ class TestFigureOrbits:
         out = tmp_path_factory.mktemp("figs")
         assert run(["figures", "all", "--out", str(out)]) == cli.EXIT_OK
         return out
+
+    @staticmethod
+    def figure_orbits():
+        """The orbits of `figures all` with their times, as `cmd_figures` builds them."""
+        orbits = []
+        for n in (2, 3, 4, 6):
+            orbit = chart._ZeroEnergyOrbit(ModelParams(n=n, d=2), np.sqrt(2.0))
+            ts = np.linspace(0.0, orbit.time(orbit.u_at(20.0)), 400)
+            orbits.append((orbit, np.concatenate((-ts[:0:-1], ts))))
+        params = ModelParams(n=3, d=2)
+        for target in cli.FIG2_TARGETS:
+            l = cli.FIG2_MIDDLE_L if target is None else cli._periodic_l(params, cli.FIG2_ENERGY, target, (0.1, 1.03))
+            orbits.append((chart._BoundOrbit(params, cli.FIG2_ENERGY, l), np.linspace(0.0, 60.0, 2000)))
+        return orbits
+
+    def test_samples_do_not_depend_on_the_chunk(self, monkeypatch):
+        # each time is solved alone: its bracket and its stop are its own
+        for orbit, ts in self.figure_orbits():
+            whole = chart._sample(orbit, ts)
+            for chunk in (64, 1):
+                monkeypatch.setattr(chart, "_SAMPLE_CHUNK", chunk)
+                part = chart._sample(orbit, ts)
+                assert all(same_bits(a, b) for a, b in zip(part[:5], whole[:5])), (type(orbit).__name__, orbit.l, chunk)
+                assert same_bits(part.solve.x, whole.solve.x)
+            monkeypatch.undo()
 
     def test_runs_no_ode(self, tmp_path, monkeypatch):
         def no_ode(*args, **kwargs):

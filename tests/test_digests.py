@@ -28,7 +28,7 @@ RECORDED = {
     "simulate n=3 collision": "96c058ff588f907f",
     "simulate n=4": "bf2136a44ecca152",
     "verify": "a2fbb5eb4b68b113",
-    "figures all tree": "84b5d538cd535125…e1ab47",
+    "figures all tree": "3b3be5ccb2ad84d0…00349c",
 }
 
 
