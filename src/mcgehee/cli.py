@@ -199,7 +199,8 @@ def _regular_rows(params: ModelParams, rows: list) -> str:
     bit as `hamiltonian`, `l_squared_point` and `in_U_eps` give them one state
     at a time (H as `chart_forward_rows` takes it), in one format call."""
     t = np.array([t for t, _ in rows])
-    q, p = (np.array([getattr(state.x, v) for _, state in rows]) for v in "qp")
+    q = np.array([state.x.q for _, state in rows])
+    p = np.array([state.x.p for _, state in rows])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan are written as they are
         qq, pp, qp = row_dot(q, q), row_dot(p, p), row_dot(q, p)
         r = radius_rows(q, qq)
@@ -219,10 +220,11 @@ def _write_trajectory_csv(path: Path, params: ModelParams, ts: list, points: lis
         fh.write(",".join(header) + "\n")
         for regular, run in groupby(zip(ts, points), key=lambda row: isinstance(row[1], chart.Regular)):
             run = list(run)
-            if not regular:
+            if regular:
+                for i in range(0, len(run), _BLOCK_ROWS):
+                    fh.write(_regular_rows(params, run[i:i + _BLOCK_ROWS]))
+            else:
                 fh.writelines(collision % (t, float(state.h)) for t, state in run)
-            for i in range(0, len(run) if regular else 0, _BLOCK_ROWS):
-                fh.write(_regular_rows(params, run[i:i + _BLOCK_ROWS]))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -119,7 +119,7 @@ def test_knobs_are_every_flag_and_config_key():
     assert load_digests().knobs() == (19, 26)
 
 
-SRC_CEILING = 3575  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
+SRC_CEILING = 3577  # src/mcgehee/*.py lines; a change that grows src/ raises it and says why
 
 
 def test_src_stays_under_its_ceiling():
