@@ -888,7 +888,7 @@ class _BoundOrbit:
         """
         n, Z = params.n, params.Z
         s_c, peak = _peak(Z, n, E)
-        if peak - l * l / (2.0 * params.m) > _NEAR_CIRCULAR * peak:
+        if radial is None or peak - l * l / (2.0 * params.m) > _NEAR_CIRCULAR * peak:  # None: a collision launch
             return cls(params, E, l)
         # f(s_c + y) - f(s_c) = sum_j c[j] y**(j+2), as f'(s_c) = 0
         c = [E * math.comb(n, j) * s_c ** (n - j) for j in range(2, n + 1)]

@@ -22,7 +22,7 @@ import os
 import sys
 from contextlib import suppress
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -278,17 +278,24 @@ def _svg_polylines(curves: list[np.ndarray], path: Path, size: int = 600) -> Non
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _orbit_curve(kind: str, orbit, ts: np.ndarray) -> np.ndarray:
+def _orbit_curve(kind: str, orbit, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orbit with its pericenter on the q_1 axis, sampled at the times ts
-    since the pericenter, as (t, q1, q2).  Logs one DEBUG line: the orbit's
+    since the pericenter, as (q1, q2).  Logs one DEBUG line: the orbit's
     constants and the work of its solve."""
-    sample = chart._sample(orbit, ts)
-    r, theta, sol = sample.r, sample.swept, sample.solve
+    r, _, theta, _, _, sol = chart._sample(orbit, ts)
     if log.isEnabledFor(logging.DEBUG):  # the residual costs one more pass of T
         constants = (float(v) for v in (orbit.E, orbit.l, orbit.s0, orbit.s1, orbit.period, orbit.apsis))
         log.debug("%s orbit E=%r l=%r s0=%r s1=%r period=%r apsis=%r newton_iterations=%d worst_residual=%r",
                   kind, *constants, sol.iterations, sol.residual())
-    return np.column_stack((ts, r * np.cos(theta), r * np.sin(theta)))
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _mirrored(ts: np.ndarray, q1: np.ndarray, q2: np.ndarray) -> tuple[list, np.ndarray]:
+    """The CSV columns (t, q1, q2), each value formatted once, and the curve of an orbit sampled at ts >= 0 from its pericenter,
+    led by the rows after the first mirrored about the apse line: t, q2 -> -t, -q2 reversed, in text a sign flip ("nan" has none)."""
+    t, a, b = (list(map(repr, v.tolist())) for v in (ts, q1, q2))
+    t, b = ([s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in c[:0:-1]] + c for c in (t, b))
+    return [t, a[:0:-1] + a, b], np.column_stack((np.concatenate((q1[:0:-1], q1)), np.concatenate((-q2[:0:-1], q2))))
 
 
 def _periodic_l(params: ModelParams, E: float, target: float, bracket: tuple[float, float]) -> float:
@@ -318,9 +325,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
             params = ModelParams(n=n, d=2, m=1.0, Z=1.0, eps=0.1)
             l = np.sqrt(2.0 * params.m * params.Z)  # pericenter radius 1 for every n
             orbit = chart._ZeroEnergyOrbit(params, l)
-            # both branches out to r = 20, 400 times each
-            ts = np.linspace(0.0, orbit.time(orbit.u_at(20.0)), 400)
-            figures["fig1"].append((f"fig1_n{n}", "zero-energy", orbit, np.concatenate((-ts[:0:-1], ts))))
+            ts = np.linspace(0.0, orbit.time(orbit.u_at(20.0)), 400)  # out to r = 20; `_mirrored` adds the inbound branch
+            figures["fig1"].append((f"fig1_n{n}", "zero-energy", orbit, ts))
     if which in ("fig2", "all"):
         params = ModelParams(n=3, d=2, m=1.0, Z=1.0, eps=0.1)
         ls = sorted(
@@ -328,27 +334,31 @@ def cmd_figures(args: argparse.Namespace) -> int:
             else _periodic_l(params, FIG2_ENERGY, target, (0.1, 1.03))
             for target in FIG2_TARGETS
         )
-        figures["fig2"] = [
-            (f"fig2_orbit{k+1}_l{l:.6f}", "bound", chart._BoundOrbit(params, FIG2_ENERGY, l), np.linspace(0.0, 60.0, 2000))
-            for k, l in enumerate(ls)
-        ]
+        ts = np.linspace(0.0, 60.0, 2000)
+        figures["fig2"] = [(f"fig2_orbit{k+1}_l{l:.6f}", "bound", chart._BoundOrbit(params, FIG2_ENERGY, l), ts)
+                           for k, l in enumerate(ls)]
     for figure, orbits in figures.items():
-        curves = []
+        curves, times = [], None
         for name, kind, orbit, ts in orbits:
             try:
-                data = _orbit_curve(kind, orbit, ts)
+                q1, q2 = _orbit_curve(kind, orbit, ts)
             except RuntimeError as exc:
                 log.error("figure orbit %s (%s, E=%r, l=%r) failed: %s", name, kind, float(orbit.E), float(orbit.l), exc)
                 return EXIT_STEP_FAILURE
-            _write_curve_csv(out / f"{name}.csv", data)
-            curves.append(data[:, 1:3])
+            if figure == "fig1":
+                columns, curve = _mirrored(ts, q1, q2)
+            else:  # fig2's orbits share one time column, formatted once
+                times = times or list(map(repr, ts.tolist()))
+                columns, curve = (times, q1.tolist(), q2.tolist()), np.column_stack((q1, q2))
+            _write_curve_csv(out / f"{name}.csv", *columns)
+            curves.append(curve)
         _svg_polylines(curves, out / f"{figure}.svg")
     return EXIT_OK
 
 
-def _write_curve_csv(path: Path, data: np.ndarray) -> None:
-    """The (k, 3) rows (t, q1, q2) in one format call: %r of a float is `_fmt`."""
-    path.write_text("t,q_1,q_2\n" + "%r,%r,%r\n" * len(data) % tuple(data.ravel().tolist()), encoding="utf-8")
+def _write_curve_csv(path: Path, t: list, q1: list, q2: list) -> None:
+    """The rows (t, q1, q2) in one format call, each column floats or their reprs: %s of a float is `_fmt`."""
+    path.write_text("t,q_1,q_2\n" + "%s,%s,%s\n" * len(t) % tuple(chain.from_iterable(zip(t, q1, q2))), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -767,6 +767,19 @@ class TestFigureOrbits:
             orbits.append((chart._BoundOrbit(params, cli.FIG2_ENERGY, l), np.linspace(0.0, 60.0, 2000)))
         return orbits
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("m, Z, l", [(1.0, 1.0, math.sqrt(2.0)), (1.3, 0.8, 0.3), (0.7, 2.5, 1.7), (1e3, 1e-3, 0.05)])
+    def test_zero_energy_samples_mirror_about_the_apse_line(self, n, m, Z, l):
+        # the symmetry fig1's inbound branch is built from: t -> -t keeps r
+        # and the pericenter and negates p_r, the swept angle and q2, to the bit
+        orbit = chart._ZeroEnergyOrbit(ModelParams(n=n, d=2, m=m, Z=Z), l)
+        ts = np.random.default_rng(n).uniform(0.0, orbit.time(orbit.u_at(1e4)), 300)
+        out, back = chart._sample(orbit, ts), chart._sample(orbit, -ts)
+        assert same_bits(back.r, out.r) and same_bits(back.pericenter, out.pericenter)
+        assert same_bits(back.p_r, -out.p_r) and same_bits(back.swept, -out.swept)
+        (q1, q2), (b1, b2) = (cli._orbit_curve("zero-energy", orbit, s) for s in (ts, -ts))
+        assert same_bits(b1, q1) and same_bits(b2, -q2)
+
     def test_samples_do_not_depend_on_the_chunk(self, monkeypatch):
         # each time is solved alone: its bracket and its stop are its own
         for orbit, ts in self.figure_orbits():
@@ -850,7 +863,7 @@ class TestFigureOrbits:
 
 
 def oracle_curve_csv(path, data):
-    """The per-value CSV writer that `cli._write_curve_csv` replaced."""
+    """The per-value CSV writer of the (k, 3) rows (t, q1, q2) that `cli._write_curve_csv` replaced."""
     lines = ["t,q_1,q_2"]
     lines += [",".join(cli._fmt(v) for v in row) for row in data]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -916,14 +929,29 @@ def rounding_ties(lo=-1.3, span=3.0, size=600):
     return np.column_stack((pts, pts[::-1]))
 
 
+def oracle_figures(out):
+    """`figures all` as it was written before fig1's inbound branch was
+    mirrored: every orbit sampled by `chart._sample` at each of its times
+    (fig1's at -t and t), each file written by the per-value writers above."""
+    out.mkdir()
+    orbits = TestFigureOrbits.figure_orbits()
+    curves = {"fig1": [], "fig2": []}
+    for k, (orbit, ts) in enumerate(orbits[:4] + sorted(orbits[4:], key=lambda o: o[0].l)):
+        sample = chart._sample(orbit, ts)
+        data = np.column_stack((ts, sample.r * np.cos(sample.swept), sample.r * np.sin(sample.swept)))
+        name = f"fig1_n{orbit.n}" if k < 4 else f"fig2_orbit{k - 3}_l{orbit.l:.6f}"
+        oracle_curve_csv(out / f"{name}.csv", data)
+        curves[name[:4]].append(data[:, 1:])
+    for figure, figure_curves in curves.items():
+        oracle_svg_polylines(figure_curves, out / f"{figure}.svg")
+
+
 class TestWriters:
     """The array writers give the bytes of the per-value oracles above."""
 
-    def test_figures_match_the_oracle_writers(self, tmp_path, monkeypatch):
+    def test_figures_match_the_oracle_writers(self, tmp_path):
         assert run(["figures", "all", "--out", str(tmp_path / "new")]) == cli.EXIT_OK
-        monkeypatch.setattr(cli, "_write_curve_csv", oracle_curve_csv)
-        monkeypatch.setattr(cli, "_svg_polylines", oracle_svg_polylines)
-        assert run(["figures", "all", "--out", str(tmp_path / "old")]) == cli.EXIT_OK
+        oracle_figures(tmp_path / "old")
         names = sorted(p.name for p in (tmp_path / "old").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "new").iterdir()) and len(names) == 9
         for name in names:
@@ -931,9 +959,31 @@ class TestWriters:
 
     @pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[:1], -EDGE_ROWS])
     def test_csv_edge_values(self, tmp_path, rows):
-        cli._write_curve_csv(tmp_path / "new.csv", rows)
+        # a column is floats or their reprs
+        t, q1, q2 = rows.T.tolist()
+        cli._write_curve_csv(tmp_path / "new.csv", list(map(repr, t)), q1, q2)
         oracle_curve_csv(tmp_path / "old.csv", rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[:1], -EDGE_ROWS])
+    def test_mirrored_edge_values(self, tmp_path, rows):
+        # the rows before the first mirrored, t and q2 negated, as text and as the curve
+        text, curve = cli._mirrored(*rows.T)
+        whole = np.vstack((rows[:0:-1] * [-1.0, 1.0, -1.0], rows))
+        cli._write_curve_csv(tmp_path / "new.csv", *text)
+        oracle_curve_csv(tmp_path / "old.csv", whole)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert same_bits(curve, whole[:, 1:])
+
+    def test_negated_text_is_the_repr_of_the_negation(self):
+        # the mirrored rows' sign flip of the outbound text, for every float:
+        # edge values, infinities, NaN and random bit patterns
+        bits = np.random.default_rng(5).integers(-(2**63), 2**63, size=20000, dtype=np.int64)
+        special = [0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 0.1, 1.0 + 2.0**-52, 1.7976931348623157e308]
+        values = np.array([0.0, *special, *(-x for x in special), math.inf, -math.inf, math.nan, *bits.view(float)])
+        (t, _, q2), _ = cli._mirrored(values, values, values)
+        want = [repr(-x) for x in values[:0:-1].tolist()]
+        assert t[: len(want)] == want and q2[: len(want)] == want
 
     @pytest.mark.parametrize(
         "curves",

@@ -7,9 +7,11 @@ O(d) equivariance and the homogeneity scaling).
 """
 
 import logging
+import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,6 +455,40 @@ def test_times_below_the_normal_floats_from_a_pericenter(n):
     for t in (5e-324, -5e-324, 1e-320):
         for y in (flow(params, x, t), chart.trajectory(params, x, [t, 0.0])[0].x):
             assert np.linalg.norm(y.q - x.q) <= 1e-15 * x.r and np.linalg.norm(y.p - x.p) <= 1e-15 * 2.0
+
+
+def radial_kepler(m, Z, h, t):
+    """r and p_r at time t >= 0 after an n = 2 launch from the collision set
+    at energy h < 0, in mpmath at 40 digits: r = a (1 - cos eta) and
+    t = sqrt(m a**3 / Z) (eta - sin eta) with a = Z / (2 |h|)."""
+    with mp.workdps(40):
+        m, Z, h, t = (mp.mpf(v) for v in (m, Z, h, t))
+        a = Z / (2 * -h)
+        scale = mp.sqrt(m * a**3 / Z)
+        eta = mp.findroot(lambda e: e - mp.sin(e) - t / scale, mp.cbrt(6 * t / scale))
+        return float(a * (1 - mp.cos(eta))), float(m * a * mp.sin(eta) / (scale * (1 - mp.cos(eta))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_collision_launch_where_the_circular_peak_underflows(n):
+    # at Z = 1e-300 the circular orbit's l**2/2m underflows to 0, and
+    # `_BoundOrbit.through` took its near-circular branch, which reads the
+    # start's <q,p>: a launch from the collision set has none (TypeError)
+    params = ModelParams(n=n, d=2, Z=1e-300)
+    launch = chart.Collision(h=-0.5, a=np.array([0.6, 0.8]))
+    # about 1.6e199 periods for n = 2: the phase is ill-conditioned, so the
+    # state is held only to the orbit's apocenter (E s**n + Z s = 0, r = s**(n/2)) and its energy
+    y = flow(params, launch, 1e-100)
+    assert np.isfinite([*y.q, *y.p]).all()
+    assert y.r <= (params.Z / 0.5) ** (n / (2.0 * (n - 1.0))) * (1.0 + 1e-15)
+    assert hamiltonian(params, y) == pytest.approx(-0.5, rel=1e-13)
+    if n == 2:  # the radial Kepler orbit, outward along -a, from 1/600 to 16 periods
+        for t in (1e-302, 3e-300, 1e-298):
+            y = flow(params, launch, t)
+            r, p_r = radial_kepler(params.m, params.Z, -0.5, t)
+            assert np.max(np.abs(y.q + r * launch.a)) / r <= 1e-13
+            assert np.max(np.abs(y.p + p_r * launch.a)) / math.sqrt(2.0 * params.m * params.Z / r) <= 1e-13
 
 
 class TestHugeTimes:
