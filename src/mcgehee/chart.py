@@ -170,6 +170,19 @@ def _item(x) -> float:
     return x if type(x) is float else float(np.asarray(x).item())
 
 
+def _root(x: float) -> float:
+    """math.sqrt, and NaN below 0 as numpy's sqrt gives it."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b in Python floats, and numpy's quotient where b is 0: an
+    infinity with the signs of a and b, NaN from 0 or NaN."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) * math.copysign(1.0, b) if a == a and a else math.nan
+
+
 def on_S_eps(params: ModelParams, x: PhasePoint) -> bool:
     """In the chart domain and radially at rest: |<q,p>| < PERICENTER_TOL ||q|| ||p||."""
     if not in_U_eps(params, x):
@@ -265,12 +278,15 @@ class _RadialOrbit:
     zeros for its 32-node rule; a row with u <= u_P keeps one panel, bit for bit.
 
     Every node pass is `_fused`, `_BoundOrbit._fused`'s twin, which
-    `time` reads without the angle.  One orbit (a `global_flow` step,
-    `chart_forward`, `chart_inverse`) finds its constants in Python
-    floats, with the rows' bits, and dT/du in them (`_rate_one`) for
-    Newton's first guess.  Overflow is decided by the values alone:
-    every pass runs under np.errstate, and the far forms replace what came
-    out inf or NaN.  A step's Newton guess needs no node pass
+    `time` reads without the angle.  Stacked rows take each pericenter
+    root by `_sigma_of_l` in a loop.  One orbit (a `global_flow` step,
+    `chart_forward`, `chart_inverse`, `transit_time_check`) finds its
+    constants in Python floats, with the rows' bits, and so does each map
+    of one state outside the node pass: G (`_G_one`), `phase` of a float
+    sigma, `state`, and dT/du (`_rate_one`) for Newton's first guess; only
+    their far forms take `_far`'s arrays.  Overflow is decided by the
+    values alone: every pass runs under np.errstate, and the far forms
+    replace what came out inf or NaN.  A step's Newton guess needs no node pass
     (`step_guess`: an 8-node rule on the step's own interval); one pass
     stacked on the start and the guess places the start and takes the
     first round, and every solve carries the end angle.
@@ -278,7 +294,7 @@ class _RadialOrbit:
 
     def __init__(self, params: ModelParams, E: np.ndarray, l: np.ndarray) -> None:
         n = self.n = params.n
-        self.root2m = np.sqrt(2.0 * params.m)
+        self.root2m = math.sqrt(2.0 * params.m)
         self.K = n * params.m / self.root2m
         # where E s0**(n-1) overflows, G0 = l**2/(2m s0), from f(s0) = 0
         if E.shape == (1,):  # one row in Python floats, the root `_sigma_of_l` takes for each row
@@ -292,10 +308,13 @@ class _RadialOrbit:
                 inv_u_P = _pow(e, 0.5 / (n - 1.0)) / _pow(Z, 0.5 / (n - 1.0)) / _panel_scale(n)
             self.s0, self.G0, self._inv_u_P = np.array([s0]), np.array([G0]), np.array([inv_u_P])
             self._s0_powers = s[1:n - 1]  # those in P
-            self._floats = (s0, G0, e, float(self.K), self._s0_powers)  # `_rate_one`'s constants
+            self._floats = (s0, G0, e, self.K, self._s0_powers)  # the float paths' constants
             self._frozen = [b * p for b, p in zip(_frozen_binomials(n), reversed(s))]  # `_start`'s c_j
+            # the angle's sqrt(s0), sqrt(G0) and l/sqrt(2m), against the nodes as floats
+            self._rs0, self._rG0, self._c = _root(s0), _root(G0), l1 / self.root2m
         else:
-            self.s0 = _each(_sigma_of_l, E, l, params.m, params.Z, n)
+            self._floats = None
+            self.s0 = np.array([_sigma_of_l(e, b, params.m, params.Z, n) for e, b in zip(E.tolist(), l.tolist())])
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 G0 = params.Z + E * _pow(self.s0, n - 1)
                 self.G0 = np.where(G0 < np.inf, G0, l * l / (2.0 * params.m) / self.s0)
@@ -305,9 +324,9 @@ class _RadialOrbit:
                     p = 0.5 / (n - 1.0)
                     self._inv_u_P = np.where(self._inv_u_P < np.inf, self._inv_u_P, _pow(E, p) / _pow(params.Z, p) / _panel_scale(n))
                 self._s0_powers = [_pow(self.s0[:, None], j + 1) for j in range(n - 2)]  # inf: `_fused`'s y = 0
-        # the constants as columns against the nodes, and the angle's sqrt(s0) and l/sqrt(2m)
+            self._rs0, self._rG0, self._c = np.sqrt(self.s0), np.sqrt(self.G0[:, None]), l / self.root2m
+        # the constants as columns against the nodes
         self._E, self._s0, self._G0, self._l = E[:, None], self.s0[:, None], self.G0[:, None], l[:, None]
-        self._rs0, self._rG0, self._c = np.sqrt(self.s0), np.sqrt(self._G0), l / self.root2m
 
     def _P(self, sigma: np.ndarray):
         P = 0.0 if self.n == 1 else 1.0
@@ -332,19 +351,19 @@ class _RadialOrbit:
             S = S * w + 1.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # r beyond the float range, or 0
             g = np.hypot(np.sqrt(self._G0) / _pow(sigma, self.n / 2.0), np.sqrt(self._E) * np.sqrt(S) / np.sqrt(sigma))
-        return _pow(sigma, self.n / 2.0 - 1.0), g
+            return _pow(sigma, self.n / 2.0 - 1.0), g
 
     def _nodes(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sigma on the nodes of every panel out to u and, as the last
         column, at u itself: a (k, 32 P + 1) array, and the (k, P) panel
         widths; a row that needs fewer than P panels ends in panels of
-        width 0."""
+        width 0.  P counts the finite u alone: an infinite u reads T = inf."""
         ratio = (u * self._inv_u_P).max()
         if not ratio > 1.0:
             return self._s0 + (u[:, None] * _NODES_AND_END) ** 2, u[:, None]
         with np.errstate(divide="ignore"):  # u_P = inf where E <= 0; log2 of u and 1/u_P apart where u/u_P overflows
             u_P = 1.0 / self._inv_u_P
-            panels = np.log2(ratio) if ratio < np.inf else (np.log2(u) + np.log2(self._inv_u_P)).max()
+            panels = np.log2(ratio) if ratio < np.inf else np.max(np.log2(u) + np.log2(self._inv_u_P), where=u < np.inf, initial=0.0)
         edges = np.minimum(np.ldexp(u_P[:, None], np.arange(int(np.ceil(panels)) + 1)), u[:, None])
         start = np.concatenate((np.zeros((len(u), 1)), edges), axis=1)
         width = np.concatenate((edges, u[:, None]), axis=1) - start
@@ -411,11 +430,27 @@ class _RadialOrbit:
         """Time from the pericenter out to u."""
         return self._fused(u, angle=False)[0]
 
+    def _G_one(self, sigma: float) -> float:
+        """`G` at a float sigma on a one-row orbit, in Python floats: inf or
+        NaN where it overflows."""
+        _, G0, E, _, powers = self._floats
+        if self.n == 1:
+            return G0
+        P = 1.0
+        for c in powers:
+            P = P * sigma + c
+        return G0 + E * sigma * P
+
     def phase(self, sigma, radial) -> np.ndarray:
         """u at sigma = r**(2/n) and <q,p> = radial, one per row:
         |radial| = sqrt(2m G) u, free of cancellation near s0.  Where G
         overflows (E near the float range), u = |radial| / (r sqrt(2m) g)
-        with `_far`'s g = sqrt(G) / r; a u that is not finite is the caller's to refuse."""
+        with `_far`'s g = sqrt(G) / r; a u that is not finite is the caller's
+        to refuse.  A one-row orbit takes a float sigma in Python floats."""
+        if self._floats and _ndim(sigma) == 0:
+            G = self._G_one(float(sigma))
+            if 0.0 <= G < math.inf:
+                return np.array([_divide(abs(float(radial)), self.root2m * math.sqrt(G))])
         sigma = np.reshape(sigma, (-1, 1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rG = np.sqrt(self.G(sigma))[:, 0]
@@ -426,28 +461,25 @@ class _RadialOrbit:
             return np.where(rG < np.inf, u, np.abs(radial) / _pow(sigma[:, 0], self.n / 2.0) / (self.root2m * g))
 
     def state(self, u) -> tuple[float, float]:
-        """r and |p_r| = sqrt(2m G) u / r at a float u on a one-row orbit;
-        far out, where r |p_r| overflows, from sqrt(G) / r."""
-        sigma = self.s0 + u * u
-        # r |p_r| beyond the float range takes the far form; r beyond it ends
-        # the step with a DomainError
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = sigma[0] ** (self.n / 2.0)
-            rpr = u * self.root2m * np.sqrt(self.G(sigma[:, None])[0, 0])
-        return r, rpr / r if rpr < np.inf else u * self.root2m * self._far(sigma[:, None])[1][0, 0]
+        """r and |p_r| = sqrt(2m G) u / r at a float u on a one-row orbit, in
+        Python floats (r's power by math.pow, the C pow that numpy's float64
+        scalar power calls); far out, where r |p_r| overflows, from `_far`'s
+        sqrt(G) / r.  p_r is a signed infinity or NaN at r = 0, as numpy
+        divides."""
+        u = float(u)
+        sigma = self._floats[0] + u * u
+        # r beyond the float range ends the step with a DomainError
+        r, rpr = _or_inf(math.pow, sigma, self.n / 2.0), u * self.root2m * _root(self._G_one(sigma))
+        return r, _divide(rpr, r) if rpr < math.inf else u * self.root2m * self._far(np.array([[sigma]]))[1].item()
 
     def _rate_one(self, u: float) -> float:
         """dT/du = K sigma**(n-1) / sqrt(G) at a float u on a one-row orbit in
-        Python floats (n = 1: G is G0), and `_far`'s K sigma**(n/2-1) / g where
-        the power or root overflows, as in `_fused`; NaN where the root fails."""
-        s0, G0, E, K, powers = self._floats
-        if self.n == 1:
-            return K / math.sqrt(G0)
-        sigma, P = s0 + u * u, 1.0
-        for c in powers:
-            P = P * sigma + c
+        Python floats, and `_far`'s K sigma**(n/2-1) / g where the power or
+        root overflows, as in `_fused`; NaN where the root fails."""
+        s0, _, _, K, _ = self._floats
+        sigma = s0 + u * u
         try:
-            power, rG = sigma ** (self.n - 1), math.sqrt(G0 + E * sigma * P)
+            power, rG = sigma ** (self.n - 1), math.sqrt(self._G_one(sigma))
             if power < math.inf and rG < math.inf:
                 return K * power / rG
         except OverflowError:  # the power: the far form
@@ -671,8 +703,8 @@ def _solve_one(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> So
     f still sees a (1,) array, so its powers round as for the rows, and
     each round's pass is converted to floats once.  The clip keeps
     np.clip's choices (NaN from any NaN, the bound on a tie of signed
-    zeros), and a zero rate gives numpy's quotient, an infinity with the
-    signs of res and rate, so the step bisects.
+    zeros), and a zero rate gives numpy's quotient (`_divide`), so the
+    step bisects.
     """
     shape = (1,) * max(_ndim(x), _ndim(lo), _ndim(hi))
     xa, ta, lo, hi = (_item(v) for v in (x, t, lo, hi))
@@ -695,10 +727,7 @@ def _solve_one(f, t, x, lo, hi, tol: float, rtol: float = 0.0, first=None) -> So
         if res == 0.0:
             new = xa
         else:
-            if slope != 0.0:
-                new = xa - res / slope
-            else:
-                new = xa - (math.copysign(math.inf, res) * math.copysign(1.0, slope) if res == res else res)
+            new = xa - _divide(res, slope)
             if not lo <= new <= hi:
                 new = 0.5 * (lo + hi)
         done = not abs(new - xa) > (tol + rtol * abs(new) if rtol else tol)
@@ -849,7 +878,10 @@ class _BoundOrbit:
             # f <= 0 at the zero of E s**n + Z s, and f is decreasing and concave
             # beyond its peak, so Newton descends from there to the apocenter
             s_far = (Z / -E) ** (1.0 / (n - 1.0))
-            self.s1 = max(self.s0, float(_monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far).x))
+            s1 = float(_monotone_newton(E, Z, n, l * l / (2.0 * params.m), s_far).x)
+            self.s1 = s1 if not s1 < self.s0 else self.s0  # NaN where a power overflows
+        if not self.s1 >= _TINY:  # `rate` would divide 0 by 0 on every node
+            raise DomainError(f"a bound orbit's apocenter sigma={self.s1!r} is not a positive normal float")
         # f / (sigma - s0) = Z + E sum_j sigma**j s0**(n-1-j), divided by
         # (s1 - sigma): every coefficient of R is positive, so R has no cancellation
         g = [E * self.s0 ** (n - 1 - j) for j in range(n)]
@@ -1086,6 +1118,8 @@ class _BoundOrbit:
         """
         ts = np.asarray(ts, dtype=float)
         P = self.period
+        if P < _TINY:  # fmod by it is not defined
+            raise DomainError(f"a bound orbit's radial period {P!r} is not a positive normal float")
         if ts.shape == (1,) and math.isfinite(ts[0]) and 0.0 < P < math.inf:
             guess = self._series_guess_one(self._series_times(start, ts).item()) if first is None else first
             return self._place_one(ts.item(), guess)
@@ -1566,12 +1600,13 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     with r below the float range, it is the glued collision point (H, A).
     """
     A, B = c.A, c.B  # float arrays, as ChartPoint keeps them
-    if abs(np.linalg.norm(A) - 1.0) > 1e-8:
+    # np.linalg.norm of a 1-d array is sqrt(dot(x, x)); |B| = ell where it exceeds 1
+    norm_A, ell = math.sqrt(np.dot(A, A)), radius(B, float(np.dot(B, B)))  # ell scaled where |B|**2 is not normal
+    if abs(norm_A - 1.0) > 1e-8:
         raise ValueError("A must be a unit vector")
-    if abs(float(np.dot(A, B))) > 1e-8 * max(1.0, np.linalg.norm(B)):
+    if abs(float(np.dot(A, B))) > 1e-8 * max(1.0, ell):
         raise ValueError("B must be perpendicular to A")
 
-    ell = radius(B, float(np.dot(B, B)))  # scaled where |B|**2 is not a normal float
     n = params.n
     if n == 1 and c.H <= -0.5 * params.Z:
         raise ChartDomainError("H lies below the chart domain's energy floor -Z/2")
@@ -1590,7 +1625,7 @@ def chart_inverse(params: ModelParams, c: ChartPoint) -> ExtendedPoint:
     if not (step and math.ldexp(step.solve.x[0], -k) < u_max):
         raise ChartDomainError("chart point lies outside the image of the chart")
     if step.r == 0.0:  # the collision, or r below the float range: `global_flow` ends there too
-        return Collision(h=c.H, a=A / np.linalg.norm(A))
+        return Collision(h=c.H, a=A / norm_A)
     # a collision orbit sweeps n quarter turns and lies on the line of A,
     # whichever unit vector stands in for B / |B|
     B_hat = B / ell if ell > 0.0 else cov._completion(A)
@@ -1714,7 +1749,7 @@ def _orbit_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | 
     _require_finite("start's radius, energy or angular momentum", state, t, sigma, E, l * l, radial or 0.0)
     # an orbit whose apocenter lies beyond the float range (E > -1e-154 for
     # n = 2) flows as E = 0: no step can tell the two apart
-    bound = E < 0.0 and math.log(params.Z / -E) * n / (n - 1.0) < 700.0
+    bound = E < 0.0 and (params.Z / -E == 0.0 or math.log(params.Z / -E) * n / (n - 1.0) < 700.0)
     if bound:
         orbit = _BoundOrbit.through(params, E, l, sigma, radial)
         _require_finite("start's orbit", state, t, orbit.s0, orbit.s1)
@@ -1778,9 +1813,13 @@ def _require_finite(what: str, state: ExtendedPoint, t: float, *values: float) -
 def _embed(e1, e2, r: float, p_r: float, l: float, angle: float) -> Regular:
     """The state at radius r with radial momentum p_r and angular momentum
     l, turned by angle from e1 toward e2."""
-    c, s = math.cos(angle), math.sin(angle)
-    u, v = c * e1 + s * e2, c * e2 - s * e1
-    return Regular(PhasePoint(r * u, p_r * u + (l / r) * v))
+    c, s, w = math.cos(angle), math.sin(angle), l / r
+    q, p = [], []
+    for a, b in zip(e1.tolist(), e2.tolist()):  # in floats, each component as numpy's c e1 + s e2 rounds it
+        u = c * a + s * b
+        q.append(r * u)
+        p.append(p_r * u + w * (c * b - s * a))
+    return Regular(PhasePoint(np.array(q), np.array(p)))
 
 
 def _line_flow(params: ModelParams, state: ExtendedPoint, t: float, ts: list | None = None):

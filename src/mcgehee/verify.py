@@ -356,12 +356,11 @@ def transit_time_check(params: ModelParams, x_entry: PhasePoint) -> TransitCheck
     r, E, radial = chart._radius_energy_radial(params, x_entry)
     _, qc, pc = cov.plane_reduce(x_entry)
     orbit = chart._RadialOrbit(params, np.array([E]), np.array([abs(qc.real * pc.imag - qc.imag * pc.real)]))
-    sigma_eps = params.eps ** (2.0 / n)
-    if not (orbit.s0[0] < sigma_eps and orbit.G(np.array([[sigma_eps]]))[0, 0] > 0.0):
+    sigma_eps, s0 = params.eps ** (2.0 / n), float(orbit.s0[0])
+    if not (s0 < sigma_eps and orbit._G_one(sigma_eps) > 0.0):
         raise ValueError("entry state's orbit turns back before it reaches the chart radius")
-    u_in = orbit.phase(chart._pow(r, 2.0 / n), radial)
-    u_out = np.sqrt(sigma_eps - orbit.s0)
-    T_in, T_out = orbit.time(np.concatenate((u_in, u_out))).tolist()
+    u_in = orbit.phase(chart._pow(r, 2.0 / n), radial)[0]
+    T_in, T_out = orbit.time(np.array([u_in, math.sqrt(sigma_eps - s0)])).tolist()
     measured = T_in + T_out
     bound = transit_bound(params)
     return TransitCheck(measured=measured, bound=bound, ok=measured <= bound)

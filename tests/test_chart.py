@@ -2100,6 +2100,136 @@ class TestOneStateUnbound:
                 assert (one == 0.0) == (l2 == 0.0)
 
 
+def state_by_arrays(orbit, u):
+    """`_RadialOrbit.state` of row 0 on numpy arrays and float64 scalars:
+    the reference for the one-row float path, on a stacked orbit too."""
+    sigma = orbit.s0 + u * u
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = sigma[0] ** (orbit.n / 2.0)
+        rpr = u * orbit.root2m * np.sqrt(orbit.G(sigma[:, None])[0, 0])
+        return r, rpr / r if rpr < np.inf else u * orbit.root2m * orbit._far(sigma[:, None])[1][0, 0]
+
+
+def embed_by_arrays(e1, e2, r, p_r, l, angle):
+    """`chart._embed` as numpy's vector expression: the reference for its components in floats."""
+    c, s = np.cos(angle), np.sin(angle)
+    u, v = c * e1 + s * e2, c * e2 - s * e1
+    with np.errstate(over="ignore", invalid="ignore"):
+        return r * u, p_r * u + (l / r) * v
+
+
+def same_value(a, b):
+    """Bit for bit, a NaN equal to any NaN: numpy's NaN carries the sign bit
+    of the CPU's default NaN, Python's math.nan does not."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.isnan(a) == np.isnan(b))) and same_bits(np.where(np.isnan(a), 0.0, a), np.where(np.isnan(b), 0.0, b))
+
+
+class TestOneRowFloats:
+    """A one-row orbit's per-state maps (`phase`, `state`, `_embed` and
+    the G they share) run in Python floats, with the bits of the array
+    paths: numpy's operations on float64 round as Python's do, and r's
+    power is math.pow, the C pow of numpy's float64 power."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        log_E=st.floats(-300.0, 300.0),
+        frac=st.floats(0.0, 1.0),
+        log_l=st.floats(-150.0, 150.0),
+        log_sigma=st.floats(-300.0, 300.0),
+        log_u=st.floats(-300.0, 300.0),
+        inward=st.booleans(),
+    )
+    @example(n=3, sign=1.0, log_E=300.0, frac=0.5, log_l=100.0, log_sigma=200.0, log_u=200.0, inward=True)
+    @example(n=5, sign=1.0, log_E=250.0, frac=0.0, log_l=0.0, log_sigma=100.0, log_u=150.0, inward=False)
+    @example(n=2, sign=-1.0, log_E=0.0, frac=0.5, log_l=0.0, log_sigma=-300.0, log_u=-300.0, inward=True)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phase_and_state_are_the_array_paths(self, n, sign, log_E, frac, log_l, log_sigma, log_u, inward):
+        # E < 0, E = 0 and E > 0 from 1e-300 to 1e300 (E < 0 with l below the
+        # circular threshold), sigma, <q,p> and u from 1e-300 to 1e300: the
+        # float G, phase and state against a stacked orbit's arrays, the far
+        # forms included, where G or r |p_r| overflows
+        params = ModelParams(n=n, d=2)
+        E = sign * 10.0**log_E
+        if E < 0.0:
+            if n == 1 and E + params.Z <= 0.0:
+                E = -frac * params.Z
+            l = 0.0 if n == 1 else frac * float(np.sqrt(2.0 * params.m * chart._peak(params.Z, n, E)[1]))
+        else:
+            l = 10.0**log_l
+        try:
+            one = chart._RadialOrbit(params, np.array([E]), np.array([l]))
+        except chart.NoPericenterError:
+            return
+        rows = chart._RadialOrbit(params, np.array([E, E]), np.array([l, l]))
+        sigma, u, radial = 10.0**log_sigma, 10.0**log_u, (-1.0 if inward else 1.0) * 10.0**log_u
+        G, u0, got = one._G_one(sigma), one.phase(sigma, radial), one.state(u)  # no warning
+        assert [type(v) for v in (G, *got)] == [float, float, float]
+        assert all(same_value(a, b) for a, b in zip(one.state(np.float64(u)), got))  # `_sample` passes a float64
+        with np.errstate(all="ignore"):
+            assert same_value(G, rows.G(np.full((2, 1), sigma))[0, 0])
+        assert same_value(u0, rows.phase(np.full(2, sigma), np.full(2, radial))[:1])
+        assert all(same_value(a, b) for a, b in zip(got, state_by_arrays(rows, u)))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+        log_r=st.floats(-300.0, 300.0),
+        log_p=st.floats(-300.0, 300.0),
+        log_l=st.floats(-300.0, 300.0),
+        angle=st.floats(-50.0, 50.0),
+    )
+    def test_embed_is_the_array_expression(self, d, seed, log_r, log_p, log_l, angle):
+        rng = np.random.default_rng(seed)
+        e1, e2 = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+        r, p_r, l = 10.0**log_r, rng.choice([-1.0, 1.0]) * 10.0**log_p, 10.0**log_l
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = chart._embed(e1, e2, r, p_r, l, angle)
+        q, p = embed_by_arrays(e1, e2, r, p_r, l, angle)
+        assert same_bits(y.x.q, q) and same_bits(y.x.p, p)
+
+    def test_one_row_calls_take_no_array_G(self, monkeypatch):
+        # a per-state G (one column of sigma, not a node pass) stays in
+        # floats over the one-state maps at normal scales; a stacked
+        # chart_forward_rows takes the array path and trips the guard
+        params = ModelParams(n=3, d=2)
+        G, columns = chart._RadialOrbit.G, []
+
+        def guarded(self, sigma, P=None):
+            columns.append(np.shape(sigma)[-1])
+            assert np.shape(sigma)[-1] > 1, "a per-state G took the array path"
+            return G(self, sigma, P)
+
+        monkeypatch.setattr(chart._RadialOrbit, "G", guarded)
+        x = sample_domain_points(params, np.random.default_rng(0), 1)[0]
+        chart.chart_inverse(params, chart.chart_forward(params, x))
+        entry = PhasePoint(np.array([0.1 * (1.0 - 1e-12), 0.0]), np.array([-30.0, 5.0]))
+        assert verify.transit_time_check(params, entry).ok
+        chart.global_flow(params, PhasePoint(np.array([0.05, 0.0]), np.array([0.0, 50.0])), 0.3)  # unbound
+        assert len(columns) >= 4 and min(columns) == chart.CHART_NODES + 1
+        with pytest.raises(AssertionError, match="array path"):
+            chart.chart_forward_rows(params, np.stack([np.concatenate([x.q, x.p])] * 2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_u_reads_infinite_time_on_the_others_panels(self):
+        # a start stacked on a guess u = inf counted its panels from inf
+        # (OverflowError); the finite row keeps its own pass, the inf row
+        # reads T = inf, and the step whose start time overflows is refused
+        params = ModelParams(n=3, d=2, m=1.9795366087580245e75, Z=1.9042955865326768e-259)
+        x = PhasePoint(np.array([4.802149091792373e133, 7.363144007025632e133]),
+                       np.array([-2.1995544507002477e-119, -1.1840332473337422e-119]))
+        with pytest.raises(DomainError, match="not finite"):
+            chart.global_flow(params, x, -6.454904919737653e-274)
+        orbit = chart._RadialOrbit(ModelParams(n=3, d=2), np.array([40.0]), np.array([0.2]))
+        u = 1e3 / orbit._inv_u_P[0]
+        T, rate = orbit._fused(np.array([u, np.inf]), angle=False)
+        assert T[1] == np.inf and same_bits(T[0], orbit.time(np.array([u])))
+
+
 class TestExtremeMassAndCoupling:
     """The maps over m and Z from 1e-300 to 1e300, from starts at each
     cell's own scales: r in (0.1, 0.9) eps, |p| within a factor 2 of

@@ -315,6 +315,16 @@ class TestConfigErrors:
         last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == pytest.approx(3e299, rel=1e-14)
 
+    def test_simulate_where_Z_over_h_underflows(self, tmp_path, caplog):
+        # Z / |h| below the floats: math.log raised ValueError, a traceback;
+        # the bound orbit's apocenter underflows, and the step is refused
+        cfg = write_config(tmp_path, {"params": {"n": 2, "d": 2, "Z": 1e-300},
+                                      "initial": {"collision": {"h": -1e150, "a": [0.6, 0.8]}}, "t_span": [0.0, 1.0],
+                                      "output_points": 5})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_STEP_FAILURE
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert line.endswith("a bound orbit's apocenter sigma=0.0 is not a positive normal float")
+
     def test_regular_start_at_origin_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -346,6 +346,33 @@ class TestNonFinite:
         with pytest.raises(DomainError, match="the start's orbit is not finite"):
             chart.global_flow(params, x, 1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("m,Z,h", [(1.0, 1e-300, -1e150), (1e-300, 1e-300, -0.5)])
+    def test_bound_orbit_below_the_normal_floats_is_refused(self, n, m, Z, h):
+        # Z / |h| underflows (math.log raised ValueError), and the apocenter
+        # (rate's 0 / 0) or the radial period (fmod's warning) lies below
+        # the normal floats: a DomainError, with no warning
+        params = ModelParams(n=n, d=2, m=m, Z=Z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.5, 1e-300):
+                with pytest.raises(DomainError, match="is not a positive normal float"):
+                    chart.global_flow(params, chart.Collision(h=h, a=np.array([0.6, 0.8])), t)
+                with pytest.raises(DomainError, match="is not a positive normal float"):
+                    chart.trajectory(params, chart.Collision(h=h, a=np.array([0.6, 0.8])), [0.0, t])
+
+    def test_apocenter_root_that_overflows_is_refused(self):
+        # E s**6 overflows at Newton's start s_far, so the apocenter root is
+        # NaN: it read max(s0, NaN) = s0 = 0, and `_fused` divided by
+        # sqrt(R0) = 0 (ZeroDivisionError)
+        params = ModelParams(n=6, d=2, m=3.2337712134863386e38, Z=3.2285658950353784e274)
+        x = PhasePoint(np.array([-1.8019321401070267e101, -1.1945224815734989e101]),
+                       np.array([-3.658737801445487e-235, 2.5867356586371624e-235]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="apocenter sigma=nan is not a positive normal float"):
+                chart.global_flow(params, x, 2.535455382373016e282)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_start_without_a_finite_phase_is_refused(self):
         # m and Z near the float range's ends, E = 0: sqrt(2m) g underflows
